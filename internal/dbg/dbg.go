@@ -149,26 +149,30 @@ func Count(seqs [][]byte, cfg Config) (*Table, error) {
 // countSeq walks one sequence, reporting each k-mer occurrence in canonical
 // orientation with its adjacent bases (−1 when absent/ambiguous).
 func countSeq(seq []byte, k int, emit func(canon kmer.Kmer, left, right int)) {
-	kmer.ForEach(seq, k, func(pos int, km kmer.Kmer) {
+	sc := kmer.NewScanner(k)
+	for i, b := range seq {
+		if !sc.Push(b) {
+			continue
+		}
 		left, right := -1, -1
-		if pos > 0 {
+		if pos := i - k + 1; pos > 0 {
 			if c, ok := code(seq[pos-1]); ok {
 				left = int(c)
 			}
 		}
-		if pos+k < len(seq) {
-			if c, ok := code(seq[pos+k]); ok {
+		if i+1 < len(seq) {
+			if c, ok := code(seq[i+1]); ok {
 				right = int(c)
 			}
 		}
-		canon, isSelf := km.Canonical(k)
+		canon, isSelf := sc.Canonical()
 		if !isSelf {
 			// In the canonical orientation the preceding base becomes the
 			// following base, complemented (and vice versa).
 			left, right = comp(right), comp(left)
 		}
 		emit(canon, left, right)
-	})
+	}
 }
 
 func comp(c int) int {

@@ -46,28 +46,32 @@ const sigMerLen = 21
 // same genomic region — this round's and the next round's extension of it
 // — almost surely contain the region's minimal window and so sketch to the
 // same key, which is what keeps component homes stable across rounds.
+//
+// Windows are hashed in canonical orientation, a window with an ambiguous
+// base by its raw bytes.
 func seqSigKey(seq []byte) uint64 {
 	if len(seq) < sigMerLen {
 		return murmur.Hash64A(seq, compSigSeed)
 	}
 	min := ^uint64(0)
-	for i := 0; i+sigMerLen <= len(seq); i++ {
-		if h := windowSigKey(seq[i : i+sigMerLen]); h < min {
+	sc := kmer.NewScanner(sigMerLen)
+	for i, b := range seq {
+		valid := sc.Push(b)
+		if i < sigMerLen-1 {
+			continue
+		}
+		var h uint64
+		if valid {
+			canon, _ := sc.Canonical()
+			h = canon.HashK(sigMerLen, compSigSeed)
+		} else {
+			h = murmur.Hash64A(seq[i-sigMerLen+1:i+1], compSigSeed)
+		}
+		if h < min {
 			min = h
 		}
 	}
 	return min
-}
-
-// windowSigKey hashes one signature window in canonical orientation, with
-// a raw-byte fallback for ambiguous bases.
-func windowSigKey(win []byte) uint64 {
-	km, ok := kmer.FromBytes(win, sigMerLen)
-	if !ok {
-		return murmur.Hash64A(win, compSigSeed)
-	}
-	canon, _ := km.Canonical(sigMerLen)
-	return canon.HashK(sigMerLen, compSigSeed)
 }
 
 // readLinkKey hashes a candidate read's identity into a component link

@@ -118,23 +118,11 @@ func CountBudget(dev *simt.Device, seqs [][]byte, k int, cfg BudgetConfig) (*dbg
 	st.Effective = cfg.MemBudget
 	st.PlannedPasses = plan.Passes
 
-	// Stage reads contiguously (8-byte slack for vector gathers).
-	total := 0
-	offs := make([]int, len(seqs))
-	for i, s := range seqs {
-		offs[i] = total
-		total += len(s)
-	}
-	seqBase, err := dev.Malloc(int64(total + 8))
+	reads, err := stageReads(dev, seqs, k)
 	if err != nil {
 		return nil, st, err
 	}
-	for i, s := range seqs {
-		dev.MemcpyHtoD(seqBase+simt.Ptr(offs[i]), s)
-	}
 
-	words := kmerWords(k)
-	eb := entrySize(words)
 	var bloomBase simt.Ptr
 	if plan.BloomCells > 0 {
 		if bloomBase, err = dev.Malloc(int64(plan.BloomCells) * 4); err != nil {
@@ -142,21 +130,15 @@ func CountBudget(dev *simt.Device, seqs [][]byte, k int, cfg BudgetConfig) (*dbg
 		}
 		st.BloomBytes = int64(plan.BloomCells) * 4
 	}
-	tabBase, err := dev.Malloc(int64(plan.TableSlots) * int64(eb))
-	if err != nil {
+	tab := table{slots: plan.TableSlots, words: kmerWords(k)}
+	tabBytes := int64(tab.slots) * int64(entrySize(tab.words))
+	if tab.base, err = dev.Malloc(tabBytes); err != nil {
 		return nil, st, err
 	}
-	st.TableBytes = int64(plan.TableSlots) * int64(eb)
+	st.TableBytes = tabBytes
 
-	warps := len(seqs)
-	if warps > 4096 {
-		warps = 4096
-	}
-	if warps < 1 {
-		warps = 1
-	}
 	launch := func(name string, sequential bool, fn func(w *simt.Warp)) error {
-		res, lerr := dev.Launch(simt.KernelConfig{Name: name, Warps: warps, Sequential: sequential}, fn)
+		res, lerr := dev.Launch(simt.KernelConfig{Name: name, Warps: reads.warps, Sequential: sequential}, fn)
 		if lerr != nil {
 			return lerr
 		}
@@ -166,17 +148,16 @@ func CountBudget(dev *simt.Device, seqs [][]byte, k int, cfg BudgetConfig) (*dbg
 	}
 
 	bc := &budgetCounter{
-		dev: dev, seqs: seqs, offs: offs, seqBase: seqBase,
-		tabBase: tabBase, slots: plan.TableSlots,
+		staged: reads, dev: dev, tab: tab,
 		bloomBase: bloomBase, cells: uint64(plan.BloomCells),
-		k: k, words: words, eb: eb, warps: warps, minCount: cfg.MinCount,
+		minCount: cfg.MinCount,
 	}
 
 	// Filter phase: one pass over every occurrence populates the
 	// counting-Bloom (shared cells ⇒ sequential launch, as for the table).
 	if plan.BloomCells > 0 {
 		if err := launch("kmer_bloom_clear", false, func(w *simt.Warp) {
-			clearWords(w, bloomBase, plan.BloomCells/2, warps)
+			clearWords(w, bloomBase, plan.BloomCells/2, reads.warps)
 		}); err != nil {
 			return nil, st, err
 		}
@@ -213,18 +194,11 @@ func CountBudget(dev *simt.Device, seqs [][]byte, k int, cfg BudgetConfig) (*dbg
 
 // budgetCounter carries the device layout shared by the budget kernels.
 type budgetCounter struct {
+	staged
 	dev       *simt.Device
-	seqs      [][]byte
-	offs      []int
-	seqBase   simt.Ptr
-	tabBase   simt.Ptr
-	slots     int
+	tab       table
 	bloomBase simt.Ptr
 	cells     uint64
-	k         int
-	words     int
-	eb        int
-	warps     int
 	minCount  uint32
 }
 
@@ -236,18 +210,17 @@ func (c *budgetCounter) runPasses(passes int, launch func(string, bool, func(*si
 	rejects := make([]uint64, c.warps)
 	for pass := 0; pass < passes; pass++ {
 		if err := launch("kmer_budget_clear", false, func(w *simt.Warp) {
-			clearWords(w, c.tabBase, c.slots*c.eb/8, c.warps)
+			clearWords(w, c.tab.base, c.tab.slots*entrySize(c.tab.words)/8, c.warps)
 		}); err != nil {
 			return nil, 0, err
 		}
 		kernErrs := make([]error, c.warps)
 		name := fmt.Sprintf("kmer_budget_k%d_p%d.%d", c.k, pass, passes)
 		if err := launch(name, true, func(w *simt.Warp) {
-			if err := forEachBatch(w, c.seqs, c.offs, c.k, c.warps, func(mask simt.Mask, seq []byte, readOff int, positions [simt.WarpSize]int) error {
-				return c.passBatch(w, mask, seq, readOff, positions, pass, passes, &rejects[w.ID])
-			}); err != nil {
-				kernErrs[w.ID] = err
-			}
+			var b warpBatch
+			kernErrs[w.ID] = forEachBatch(w, &c.staged, &b, func() error {
+				return c.passBatch(w, &b, pass, passes, &rejects[w.ID])
+			})
 		}); err != nil {
 			return nil, 0, err
 		}
@@ -266,71 +239,44 @@ func (c *budgetCounter) runPasses(passes int, launch func(string, bool, func(*si
 	return out, rejected, nil
 }
 
-// forEachBatch maps warps to sequences grid-strided and calls fn once per
-// warp-width of k-mer windows — the same work shape as countKernel, with
-// lanes on consecutive k-mers so the gathers coalesce.
-func forEachBatch(w *simt.Warp, seqs [][]byte, offs []int, k, totalWarps int, fn func(mask simt.Mask, seq []byte, readOff int, positions [simt.WarpSize]int) error) error {
-	for si := w.ID; si < len(seqs); si += totalWarps {
-		seq := seqs[si]
-		nk := len(seq) - k + 1
-		if nk <= 0 {
-			continue
-		}
-		for start := 0; start < nk; start += simt.WarpSize {
-			var mask simt.Mask
-			var positions [simt.WarpSize]int
-			for lane := 0; lane < simt.WarpSize && start+lane < nk; lane++ {
-				mask |= simt.LaneMask(lane)
-				positions[lane] = start + lane
-			}
-			if err := fn(mask, seq, offs[si], positions); err != nil {
-				return err
-			}
-		}
-	}
-	return nil
-}
-
 // bloomKernel adds every valid canonical k-mer occurrence to both
 // counting-Bloom cells. Cell counts bound the true count from above, so
 // the insert passes can reject below-MinCount k-mers with no false
 // negatives.
 func (c *budgetCounter) bloomKernel(w *simt.Warp) {
 	one := simt.Splat(1)
-	forEachBatch(w, c.seqs, c.offs, c.k, c.warps, func(mask simt.Mask, seq []byte, readOff int, positions [simt.WarpSize]int) error {
-		keys, valid, _, _ := canonBatch(w, mask, seq, readOff, positions, c.seqBase, c.k)
-		if valid == 0 {
-			return nil
-		}
-		w.ExecN(simt.IInt, valid, 4) // two hashes + two mods
-		var a0, a1 simt.Vec
-		for lane := 0; lane < simt.WarpSize; lane++ {
-			if !valid.Has(lane) {
-				continue
-			}
-			a0[lane] = uint64(c.bloomBase) + keys[lane].HashK(c.k, bloomSeed0)%c.cells*4
-			a1[lane] = uint64(c.bloomBase) + keys[lane].HashK(c.k, bloomSeed1)%c.cells*4
-		}
-		w.AtomicAdd(valid, &a0, &one, 4)
-		w.AtomicAdd(valid, &a1, &one, 4)
+	var b warpBatch
+	forEachBatch(w, &c.staged, &b, func() error {
+		w.ExecN(simt.IInt, b.valid, 4) // two hashes + two mods
+		a0, a1 := c.bloomAddrs(&b, b.valid)
+		w.AtomicAdd(b.valid, &a0, &one, 4)
+		w.AtomicAdd(b.valid, &a1, &one, 4)
 		return nil
 	})
 }
 
-// passBatch processes one warp-width of k-mers for one partitioned pass:
-// partition filter, Bloom admission, then the same CAS-claim + linear
-// probe protocol as countBatch generalized to multi-word keys.
-func (c *budgetCounter) passBatch(w *simt.Warp, mask simt.Mask, seq []byte, readOff int, positions [simt.WarpSize]int, pass, passes int, reject *uint64) error {
-	keys, valid, lefts, rights := canonBatch(w, mask, seq, readOff, positions, c.seqBase, c.k)
-	if valid == 0 {
-		return nil
+// bloomAddrs returns the addresses of the two counting-Bloom cells of each
+// lane's key.
+func (c *budgetCounter) bloomAddrs(b *warpBatch, lanes simt.Mask) (a0, a1 simt.Vec) {
+	for lane := 0; lane < simt.WarpSize; lane++ {
+		if lanes.Has(lane) {
+			a0[lane] = uint64(c.bloomBase) + b.keys[lane].HashK(c.k, bloomSeed0)%c.cells*4
+			a1[lane] = uint64(c.bloomBase) + b.keys[lane].HashK(c.k, bloomSeed1)%c.cells*4
+		}
 	}
+	return a0, a1
+}
+
+// passBatch processes one warp-width of k-mers for one partitioned pass:
+// partition filter, Bloom admission, then the table insert.
+func (c *budgetCounter) passBatch(w *simt.Warp, b *warpBatch, pass, passes int, reject *uint64) error {
+	valid := b.valid
 
 	// Partition filter: each distinct k-mer belongs to exactly one pass.
 	if passes > 1 {
 		w.Exec(simt.IInt, valid) // partition hash + compare
 		for lane := 0; lane < simt.WarpSize; lane++ {
-			if valid.Has(lane) && keys[lane].HashK(c.k, partitionSeed)%uint64(passes) != uint64(pass) {
+			if valid.Has(lane) && b.keys[lane].HashK(c.k, partitionSeed)%uint64(passes) != uint64(pass) {
 				valid &^= simt.LaneMask(lane)
 			}
 		}
@@ -342,14 +288,7 @@ func (c *budgetCounter) passBatch(w *simt.Warp, mask simt.Mask, seq []byte, read
 	// Bloom admission: estimate = min of the two cells; below MinCount
 	// the k-mer provably cannot survive the error filter.
 	if c.cells > 0 {
-		var a0, a1 simt.Vec
-		for lane := 0; lane < simt.WarpSize; lane++ {
-			if !valid.Has(lane) {
-				continue
-			}
-			a0[lane] = uint64(c.bloomBase) + keys[lane].HashK(c.k, bloomSeed0)%c.cells*4
-			a1[lane] = uint64(c.bloomBase) + keys[lane].HashK(c.k, bloomSeed1)%c.cells*4
-		}
+		a0, a1 := c.bloomAddrs(b, valid)
 		c0 := w.LoadGlobal(valid, &a0, 4)
 		c1 := w.LoadGlobal(valid, &a1, 4)
 		w.Exec(simt.IInt, valid) // min + compare
@@ -357,11 +296,7 @@ func (c *budgetCounter) passBatch(w *simt.Warp, mask simt.Mask, seq []byte, read
 			if !valid.Has(lane) {
 				continue
 			}
-			est := c0[lane]
-			if c1[lane] < est {
-				est = c1[lane]
-			}
-			if uint32(est) < c.minCount {
+			if uint32(min(c0[lane], c1[lane])) < c.minCount {
 				valid &^= simt.LaneMask(lane)
 				*reject++
 			}
@@ -376,135 +311,26 @@ func (c *budgetCounter) passBatch(w *simt.Warp, mask simt.Mask, seq []byte, read
 	var slotsV simt.Vec
 	for lane := 0; lane < simt.WarpSize; lane++ {
 		if valid.Has(lane) {
-			slotsV[lane] = keys[lane].HashK(c.k, hashSeed)
+			slotsV[lane] = b.keys[lane].HashK(c.k, hashSeed)
 		}
 	}
-	slots := uint64(c.slots)
-	ebase := uint64(c.eb)
-	offL := uint64(8 + 8*c.words)
-	offR := offL + 16
-	pending := valid
-	iters := 0
-	cmp := simt.Splat(stateEmpty)
-	claimVal := simt.Splat(stateFull)
-	one := simt.Splat(1)
-	var entries simt.Vec
-	for guard := 0; pending != 0; guard++ {
-		if guard > c.slots {
-			w.ExecN(simt.ICtrl, mask, iters)
-			return fmt.Errorf("gpucount: pass %d/%d: %w", pass, passes, gpuht.ErrTableFull)
-		}
-		var stateAddrs simt.Vec
-		for lane := 0; lane < simt.WarpSize; lane++ {
-			if pending.Has(lane) {
-				entries[lane] = uint64(c.tabBase) + slotsV[lane]%slots*ebase
-				stateAddrs[lane] = entries[lane] + offState
-			}
-		}
-		observed := w.AtomicCAS(pending, &stateAddrs, &cmp, &claimVal, 4)
-
-		var claimed, occupied simt.Mask
-		for lane := 0; lane < simt.WarpSize; lane++ {
-			if !pending.Has(lane) {
-				continue
-			}
-			if observed[lane] == stateEmpty {
-				claimed |= simt.LaneMask(lane)
-			} else {
-				occupied |= simt.LaneMask(lane)
-			}
-		}
-		// Winners write their key, one store per word.
-		if claimed != 0 {
-			var keyAddrs, keyVals simt.Vec
-			for wd := 0; wd < c.words; wd++ {
-				for lane := 0; lane < simt.WarpSize; lane++ {
-					if claimed.Has(lane) {
-						keyAddrs[lane] = entries[lane] + offKey + uint64(8*wd)
-						keyVals[lane] = keys[lane].W[wd]
-					}
-				}
-				w.StoreGlobal(claimed, &keyAddrs, 8, &keyVals)
-			}
-			w.SyncWarp(pending)
-		}
-		// Occupied: compare all stored key words.
-		matched := claimed
-		if occupied != 0 {
-			eq := occupied
-			var keyAddrs simt.Vec
-			for wd := 0; wd < c.words; wd++ {
-				for lane := 0; lane < simt.WarpSize; lane++ {
-					if occupied.Has(lane) {
-						keyAddrs[lane] = entries[lane] + offKey + uint64(8*wd)
-					}
-				}
-				stored := w.LoadGlobal(occupied, &keyAddrs, 8)
-				w.Exec(simt.IInt, occupied)
-				for lane := 0; lane < simt.WarpSize; lane++ {
-					if occupied.Has(lane) && stored[lane] != keys[lane].W[wd] {
-						eq &^= simt.LaneMask(lane)
-					}
-				}
-			}
-			matched |= eq
-		}
-		if matched != 0 {
-			var countAddrs simt.Vec
-			for lane := 0; lane < simt.WarpSize; lane++ {
-				if matched.Has(lane) {
-					countAddrs[lane] = entries[lane] + offCount
-				}
-			}
-			w.AtomicAdd(matched, &countAddrs, &one, 4)
-
-			var lm, rm simt.Mask
-			var la, ra simt.Vec
-			for lane := 0; lane < simt.WarpSize; lane++ {
-				if !matched.Has(lane) {
-					continue
-				}
-				if lefts[lane] >= 0 {
-					lm |= simt.LaneMask(lane)
-					la[lane] = entries[lane] + offL + uint64(4*lefts[lane])
-				}
-				if rights[lane] >= 0 {
-					rm |= simt.LaneMask(lane)
-					ra[lane] = entries[lane] + offR + uint64(4*rights[lane])
-				}
-			}
-			if lm != 0 {
-				w.AtomicAdd(lm, &la, &one, 4)
-			}
-			if rm != 0 {
-				w.AtomicAdd(rm, &ra, &one, 4)
-			}
-		}
-		pending &^= matched
-		if pending != 0 {
-			w.Exec(simt.IInt, pending)
-			for lane := 0; lane < simt.WarpSize; lane++ {
-				if pending.Has(lane) {
-					slotsV[lane]++
-				}
-			}
-		}
-		iters++
+	if err := c.tab.insert(w, b, valid, &slotsV); err != nil {
+		return fmt.Errorf("gpucount: pass %d/%d: %w", pass, passes, err)
 	}
-	w.ExecN(simt.ICtrl, mask, iters)
 	return nil
 }
 
 // readBack merges the table's full entries into out.
 func (c *budgetCounter) readBack(out map[kmer.Kmer]*dbg.Info) {
-	offL := simt.Ptr(8 + 8*c.words)
-	for s := 0; s < c.slots; s++ {
-		e := c.tabBase + simt.Ptr(s*c.eb)
+	words, eb := c.tab.words, entrySize(c.tab.words)
+	offL := simt.Ptr(offKey + 8*words)
+	for s := 0; s < c.tab.slots; s++ {
+		e := c.tab.base + simt.Ptr(s*eb)
 		if c.dev.ReadU32(e+offState) != stateFull {
 			continue
 		}
 		var km kmer.Kmer
-		for wd := 0; wd < c.words; wd++ {
+		for wd := 0; wd < words; wd++ {
 			km.W[wd] = c.dev.ReadU64(e + offKey + simt.Ptr(8*wd))
 		}
 		info := &dbg.Info{Count: c.dev.ReadU32(e + offCount)}

@@ -49,6 +49,36 @@ const (
 // MaxK is the largest supported k (one packed word).
 const MaxK = 32
 
+// staged is the device-side layout of the reads every counting kernel
+// walks: sequences copied back to back, one warp per sequence, grid-strided.
+type staged struct {
+	seqs    [][]byte
+	offs    []int
+	seqBase simt.Ptr
+	k       int
+	warps   int
+}
+
+// stageReads copies the reads to the device contiguously (8-byte slack for
+// vector gathers).
+func stageReads(dev *simt.Device, seqs [][]byte, k int) (staged, error) {
+	st := staged{seqs: seqs, offs: make([]int, len(seqs)), k: k}
+	total := 0
+	for i, s := range seqs {
+		st.offs[i] = total
+		total += len(s)
+	}
+	var err error
+	if st.seqBase, err = dev.Malloc(int64(total + 8)); err != nil {
+		return st, err
+	}
+	for i, s := range seqs {
+		dev.MemcpyHtoD(st.seqBase+simt.Ptr(st.offs[i]), s)
+	}
+	st.warps = min(max(len(seqs), 1), 4096)
+	return st, nil
+}
+
 // Count runs GPU k-mer counting over the sequences and returns the counted
 // table (read back to the host) plus the kernel result. The returned map
 // is keyed by the canonical k-mer's packed word, with values equivalent to
@@ -57,20 +87,9 @@ func Count(dev *simt.Device, seqs [][]byte, k int) (map[uint64]*dbg.Info, simt.K
 	if k < 4 || k > MaxK {
 		return nil, simt.KernelResult{}, fmt.Errorf("gpucount: k %d outside [4,%d]", k, MaxK)
 	}
-
-	// Stage reads contiguously (8-byte slack for vector gathers).
-	total := 0
-	offs := make([]int, len(seqs))
-	for i, s := range seqs {
-		offs[i] = total
-		total += len(s)
-	}
-	seqBase, err := dev.Malloc(int64(total + 8))
+	st, err := stageReads(dev, seqs, k)
 	if err != nil {
 		return nil, simt.KernelResult{}, err
-	}
-	for i, s := range seqs {
-		dev.MemcpyHtoD(seqBase+simt.Ptr(offs[i]), s)
 	}
 
 	// Table capacity: 2x the worst-case k-mer count (load factor ≤ 0.5).
@@ -95,34 +114,33 @@ func Count(dev *simt.Device, seqs [][]byte, k int) (map[uint64]*dbg.Info, simt.K
 	if err != nil {
 		return nil, simt.KernelResult{}, err
 	}
+	tab := table{base: tabBase, slots: slots, words: 1}
 
-	// Work items: one warp per sequence, grid-strided.
-	warps := len(seqs)
-	if warps > 4096 {
-		warps = 4096
-	}
-	if warps < 1 {
-		warps = 1
-	}
 	// The clear is its own launch: inside the counting kernel a later
 	// warp's clear would wipe earlier warps' inserts.
 	clearRes, err := dev.Launch(simt.KernelConfig{
 		Name:  "kmer_count_clear",
-		Warps: warps,
+		Warps: st.warps,
 	}, func(w *simt.Warp) {
-		clearTable(w, tabBase, slots, warps)
+		clearTable(w, tabBase, slots, st.warps)
 	})
 	if err != nil {
 		return nil, simt.KernelResult{}, err
 	}
 
-	kernErrs := make([]error, warps)
-	kern := countKernel(seqs, offs, seqBase, tabBase, uint64(slots), k, warps, kernErrs)
+	// Each warp records its first error in its own slot (race-free under
+	// parallel execution) and stops its own work.
+	kernErrs := make([]error, st.warps)
 	res, err := dev.Launch(simt.KernelConfig{
 		Name:       fmt.Sprintf("kmer_count_k%d", k),
-		Warps:      warps,
+		Warps:      st.warps,
 		Sequential: true, // shared table: see the package comment
-	}, kern)
+	}, func(w *simt.Warp) {
+		var b warpBatch
+		kernErrs[w.ID] = forEachBatch(w, &st, &b, func() error {
+			return countBatch(w, &b, tab, k)
+		})
+	})
 	if err != nil {
 		return nil, simt.KernelResult{}, err
 	}
@@ -179,71 +197,82 @@ func clearWords(w *simt.Warp, base simt.Ptr, words, totalWarps int) {
 	}
 }
 
-// countKernel maps warps to sequences grid-strided; within a sequence,
+// warpBatch is one warp's scratch for a batch of up to WarpSize consecutive
+// k-mer windows of one read: the lanes in use, the lanes whose window is
+// unambiguous, and for those the canonical key and the extension codes
+// oriented to it (−1 when absent/ambiguous). A kernel declares one and
+// forEachBatch refills it batch after batch.
+type warpBatch struct {
+	mask, valid   simt.Mask
+	keys          [simt.WarpSize]kmer.Kmer
+	lefts, rights [simt.WarpSize]int
+	// sc rolls along the read across its batches: a batch's lanes hold
+	// consecutive windows and the next batch starts where this one ended,
+	// so each lane adds exactly one base, the last of its window.
+	sc kmer.Scanner
+}
+
+// forEachBatch maps warps to sequences grid-strided; within a sequence,
 // lanes take consecutive k-mers (coalesced gathers, as in the v2
-// local-assembly kernel). Each warp records its first error in errs[w.ID]
-// (a per-warp slot, so the sink is race-free under parallel execution) and
-// stops its own work.
-func countKernel(seqs [][]byte, offs []int, seqBase, tabBase simt.Ptr, slots uint64, k, totalWarps int, errs []error) func(w *simt.Warp) {
-	return func(w *simt.Warp) {
-		for si := w.ID; si < len(seqs); si += totalWarps {
-			seq := seqs[si]
-			nk := len(seq) - k + 1
-			if nk <= 0 {
+// local-assembly kernel). It runs the shared prologue (canonBatch) on every
+// warp-width of windows and calls fn on each batch that has a valid lane,
+// stopping the warp's work at fn's first error.
+func forEachBatch(w *simt.Warp, st *staged, b *warpBatch, fn func() error) error {
+	for si := w.ID; si < len(st.seqs); si += st.warps {
+		seq := st.seqs[si]
+		for start := 0; start+st.k <= len(seq); start += simt.WarpSize {
+			canonBatch(w, b, seq, st.offs[si], start, st.seqBase, st.k)
+			if b.valid == 0 {
 				continue
 			}
-			for start := 0; start < nk; start += simt.WarpSize {
-				var mask simt.Mask
-				var positions [simt.WarpSize]int
-				for lane := 0; lane < simt.WarpSize && start+lane < nk; lane++ {
-					mask |= simt.LaneMask(lane)
-					positions[lane] = start + lane
-				}
-				if err := countBatch(w, mask, seq, offs[si], positions, seqBase, tabBase, slots, k); err != nil {
-					errs[w.ID] = err
-					return
-				}
+			if err := fn(); err != nil {
+				return err
 			}
 		}
 	}
+	return nil
 }
 
 // canonBatch is the shared prologue of every counting kernel: it gathers
-// one warp-width of k-mer windows from a staged read with 8-byte vector
-// loads, gathers the neighbouring bases, packs and canonicalizes each
-// lane's window (skipping windows with ambiguous bases), and derives the
-// extension codes oriented to the canonical strand. Keys are full packed
-// k-mers so callers handle any k ≤ kmer.MaxK; the single-word fast path
-// (Count) reads keys[lane].W[0].
-func canonBatch(w *simt.Warp, mask simt.Mask, seq []byte, readOff int, positions [simt.WarpSize]int, seqBase simt.Ptr, k int) (keys [simt.WarpSize]kmer.Kmer, valid simt.Mask, lefts, rights [simt.WarpSize]int) {
-	// Gather the k-mer bytes: ceil((k+1)/8)+1 vector loads cover the k-mer
-	// plus its neighbours for extension evidence.
+// one warp-width of k-mer windows (those starting at start, start+1, …) from
+// a staged read with 8-byte vector loads, gathers the neighbouring bases,
+// and fills b with each lane's canonical key (skipping windows with
+// ambiguous bases) and the extension codes oriented to the canonical
+// strand. Keys are full packed k-mers so callers handle any k ≤ kmer.MaxK.
+// The packing is rolled from the gathered words, one base per lane; only
+// the first batch of a read primes the scanner from lane 0's window. A
+// read's batches must therefore be passed in order, start = 0 first.
+func canonBatch(w *simt.Warp, b *warpBatch, seq []byte, readOff, start int, seqBase simt.Ptr, k int) {
+	n := min(len(seq)-k+1-start, simt.WarpSize)
+	mask := simt.FullMask >> uint(simt.WarpSize-n)
+	b.mask, b.valid = mask, 0
+
+	// Gather the k-mer bytes: ceil(k/8) vector loads cover every window.
+	// The host keeps lane 0's words (the read's first window) and the last
+	// load, which holds each lane's last base.
 	nblk := (k + 7) / 8
-	var words [simt.WarpSize][kmer.MaxK / 8]uint64
-	for b := 0; b < nblk; b++ {
+	var head [kmer.MaxK / 8]uint64
+	var loaded simt.Vec
+	for blk := 0; blk < nblk; blk++ {
 		var addrs simt.Vec
-		for lane := 0; lane < simt.WarpSize; lane++ {
-			addrs[lane] = uint64(seqBase) + uint64(readOff+positions[lane]+8*b)
+		for lane := 0; lane < n; lane++ {
+			addrs[lane] = uint64(seqBase) + uint64(readOff+start+lane+8*blk)
 		}
-		loaded := w.LoadGlobal(mask, &addrs, 8)
-		for lane := 0; lane < simt.WarpSize; lane++ {
-			words[lane][b] = loaded[lane]
-		}
+		loaded = w.LoadGlobal(mask, &addrs, 8)
+		head[blk] = loaded[0]
 	}
 	// Neighbour bases (left of the k-mer, right of it) with bounds checks.
 	var leftMask, rightMask simt.Mask
 	var leftAddrs, rightAddrs simt.Vec
-	for lane := 0; lane < simt.WarpSize; lane++ {
-		if !mask.Has(lane) {
-			continue
-		}
-		if positions[lane] > 0 {
+	for lane := 0; lane < n; lane++ {
+		pos := start + lane
+		if pos > 0 {
 			leftMask |= simt.LaneMask(lane)
-			leftAddrs[lane] = uint64(seqBase) + uint64(readOff+positions[lane]-1)
+			leftAddrs[lane] = uint64(seqBase) + uint64(readOff+pos-1)
 		}
-		if positions[lane]+k < len(seq) {
+		if pos+k < len(seq) {
 			rightMask |= simt.LaneMask(lane)
-			rightAddrs[lane] = uint64(seqBase) + uint64(readOff+positions[lane]+k)
+			rightAddrs[lane] = uint64(seqBase) + uint64(readOff+pos+k)
 		}
 	}
 	var leftBytes, rightBytes simt.Vec
@@ -256,25 +285,19 @@ func canonBatch(w *simt.Warp, mask simt.Mask, seq []byte, readOff int, positions
 
 	// Per lane: pack, canonicalize (ACGT only), derive oriented exts.
 	w.ExecN(simt.IInt, mask, 3*nblk+6) // pack + rc + compare arithmetic
-	for lane := 0; lane < simt.WarpSize; lane++ {
-		if !mask.Has(lane) {
+	if start == 0 {
+		b.sc = kmer.NewScanner(k)
+		for i := 0; i < k-1; i++ {
+			b.sc.Push(byte(head[i/8] >> uint(8*(i%8))))
+		}
+	}
+	sh := uint(8 * ((k - 1) % 8)) // a window's last base sits in the last word loaded
+	for lane := 0; lane < n; lane++ {
+		if !b.sc.Push(byte(loaded[lane] >> sh)) {
 			continue
 		}
-		var buf [kmer.MaxK]byte // k ≤ kmer.MaxK, so no per-lane heap allocation
-		okAll := true
-		for i := 0; i < k; i++ {
-			b := byte(words[lane][i/8] >> uint(8*(i%8)))
-			if !dna.IsACGT(b) {
-				okAll = false
-				break
-			}
-			buf[i] = b
-		}
-		if !okAll {
-			continue
-		}
-		km, _ := kmer.FromBytes(buf[:k], k)
-		canon, isSelf := km.Canonical(k)
+		var isSelf bool
+		b.keys[lane], isSelf = b.sc.Canonical()
 		left, right := -1, -1
 		if leftMask.Has(lane) {
 			if c, ok := dna.Code(byte(leftBytes[lane])); ok {
@@ -289,51 +312,60 @@ func canonBatch(w *simt.Warp, mask simt.Mask, seq []byte, readOff int, positions
 		if !isSelf {
 			left, right = comp(right), comp(left)
 		}
-		valid |= simt.LaneMask(lane)
-		keys[lane] = canon
-		lefts[lane], rights[lane] = left, right
+		b.valid |= simt.LaneMask(lane)
+		b.lefts[lane], b.rights[lane] = left, right
 	}
-	return keys, valid, lefts, rights
 }
 
-// countBatch processes one warp-width of k-mers from a single read. It
-// returns gpuht.ErrTableFull if the shared table has no space left.
-func countBatch(w *simt.Warp, mask simt.Mask, seq []byte, readOff int, positions [simt.WarpSize]int, seqBase, tabBase simt.Ptr, slots uint64, k int) error {
-	canon, valid, lefts, rights := canonBatch(w, mask, seq, readOff, positions, seqBase, k)
-	if valid == 0 {
-		return nil
-	}
-	var keys simt.Vec
-	for lane := 0; lane < simt.WarpSize; lane++ {
-		if valid.Has(lane) {
-			keys[lane] = canon[lane].W[0]
-		}
-	}
-
-	// Hash and insert into the shared table.
-	w.ExecN(simt.IInt, valid, 6)
+// countBatch counts one batch into Count's one-word table, whose slot hash
+// mixes k into the key word (CountBudget's multi-word tables use HashK).
+func countBatch(w *simt.Warp, b *warpBatch, tab table, k int) error {
+	w.ExecN(simt.IInt, b.valid, 6)
 	var slotsV simt.Vec
 	for lane := 0; lane < simt.WarpSize; lane++ {
-		if valid.Has(lane) {
-			slotsV[lane] = murmur.Hash64Word(keys[lane], uint64(k), hashSeed)
+		if b.valid.Has(lane) {
+			slotsV[lane] = murmur.Hash64Word(b.keys[lane].W[0], uint64(k), hashSeed)
 		}
 	}
+	if err := tab.insert(w, b, b.valid, &slotsV); err != nil {
+		return fmt.Errorf("gpucount: %w", err)
+	}
+	return nil
+}
+
+// table is a device hash table of CAS-claimed entries with words-word
+// keys, shared by every warp of a launch.
+type table struct {
+	base  simt.Ptr
+	slots int
+	words int
+}
+
+// insert counts the pending lanes' keys and extensions into the table,
+// probing linearly from each lane's slot hash: CAS-claim an empty entry and
+// write the key, or match the stored key, then bump the counters. It
+// returns gpuht.ErrTableFull if the table has no space left.
+func (t table) insert(w *simt.Warp, b *warpBatch, pending simt.Mask, slotsV *simt.Vec) error {
+	slots := uint64(t.slots)
+	ebase := uint64(entrySize(t.words))
+	offL := uint64(offKey + 8*t.words)
+	offR := offL + 16
 	// Loop bookkeeping under the constant batch mask batches into one ExecN
 	// flushed at both exits (bit-identical totals).
-	pending := valid
 	iters := 0
 	cmp := simt.Splat(stateEmpty)
 	claimVal := simt.Splat(stateFull)
 	one := simt.Splat(1)
+	var entries simt.Vec
 	for guard := 0; pending != 0; guard++ {
-		if guard > int(slots) {
-			w.ExecN(simt.ICtrl, mask, iters)
-			return fmt.Errorf("gpucount: %w", gpuht.ErrTableFull)
+		if guard > t.slots {
+			w.ExecN(simt.ICtrl, b.mask, iters)
+			return gpuht.ErrTableFull
 		}
-		var stateAddrs, entries simt.Vec
+		var stateAddrs simt.Vec
 		for lane := 0; lane < simt.WarpSize; lane++ {
 			if pending.Has(lane) {
-				entries[lane] = uint64(tabBase) + (slotsV[lane]%slots)*entryBytes
+				entries[lane] = uint64(t.base) + slotsV[lane]%slots*ebase
 				stateAddrs[lane] = entries[lane] + offState
 			}
 		}
@@ -350,34 +382,47 @@ func countBatch(w *simt.Warp, mask simt.Mask, seq []byte, readOff int, positions
 				occupied |= simt.LaneMask(lane)
 			}
 		}
-		// Winners write their key.
+		// Winners write their key, one store per word.
 		if claimed != 0 {
-			var keyAddrs simt.Vec
-			for lane := 0; lane < simt.WarpSize; lane++ {
-				keyAddrs[lane] = entries[lane] + offKey
+			var keyAddrs, keyVals simt.Vec
+			for wd := 0; wd < t.words; wd++ {
+				for lane := 0; lane < simt.WarpSize; lane++ {
+					if claimed.Has(lane) {
+						keyAddrs[lane] = entries[lane] + offKey + uint64(8*wd)
+						keyVals[lane] = b.keys[lane].W[wd]
+					}
+				}
+				w.StoreGlobal(claimed, &keyAddrs, 8, &keyVals)
 			}
-			w.StoreGlobal(claimed, &keyAddrs, 8, &keys)
 			w.SyncWarp(pending)
 		}
-		// Occupied: compare stored key.
+		// Occupied: compare all stored key words.
 		matched := claimed
 		if occupied != 0 {
+			eq := occupied
 			var keyAddrs simt.Vec
-			for lane := 0; lane < simt.WarpSize; lane++ {
-				keyAddrs[lane] = entries[lane] + offKey
-			}
-			stored := w.LoadGlobal(occupied, &keyAddrs, 8)
-			w.Exec(simt.IInt, occupied)
-			for lane := 0; lane < simt.WarpSize; lane++ {
-				if occupied.Has(lane) && stored[lane] == keys[lane] {
-					matched |= simt.LaneMask(lane)
+			for wd := 0; wd < t.words; wd++ {
+				for lane := 0; lane < simt.WarpSize; lane++ {
+					if occupied.Has(lane) {
+						keyAddrs[lane] = entries[lane] + offKey + uint64(8*wd)
+					}
+				}
+				stored := w.LoadGlobal(occupied, &keyAddrs, 8)
+				w.Exec(simt.IInt, occupied)
+				for lane := 0; lane < simt.WarpSize; lane++ {
+					if occupied.Has(lane) && stored[lane] != b.keys[lane].W[wd] {
+						eq &^= simt.LaneMask(lane)
+					}
 				}
 			}
+			matched |= eq
 		}
 		if matched != 0 {
 			var countAddrs simt.Vec
 			for lane := 0; lane < simt.WarpSize; lane++ {
-				countAddrs[lane] = entries[lane] + offCount
+				if matched.Has(lane) {
+					countAddrs[lane] = entries[lane] + offCount
+				}
 			}
 			w.AtomicAdd(matched, &countAddrs, &one, 4)
 
@@ -387,13 +432,13 @@ func countBatch(w *simt.Warp, mask simt.Mask, seq []byte, readOff int, positions
 				if !matched.Has(lane) {
 					continue
 				}
-				if lefts[lane] >= 0 {
+				if b.lefts[lane] >= 0 {
 					lm |= simt.LaneMask(lane)
-					la[lane] = entries[lane] + offLeft + uint64(4*lefts[lane])
+					la[lane] = entries[lane] + offL + uint64(4*b.lefts[lane])
 				}
-				if rights[lane] >= 0 {
+				if b.rights[lane] >= 0 {
 					rm |= simt.LaneMask(lane)
-					ra[lane] = entries[lane] + offRight + uint64(4*rights[lane])
+					ra[lane] = entries[lane] + offR + uint64(4*b.rights[lane])
 				}
 			}
 			if lm != 0 {
@@ -414,7 +459,7 @@ func countBatch(w *simt.Warp, mask simt.Mask, seq []byte, readOff int, positions
 		}
 		iters++
 	}
-	w.ExecN(simt.ICtrl, mask, iters)
+	w.ExecN(simt.ICtrl, b.mask, iters)
 	return nil
 }
 

@@ -136,29 +136,21 @@ func BenchmarkGPUCountK21(b *testing.B) {
 // must now surface gpuht.ErrTableFull through the kernel error sink.
 func TestCountBatchTableFullReturnsError(t *testing.T) {
 	d := testDev()
-	seq := []byte("ACGTGCAT") // plenty of distinct canonical 4-mers
 	k := 4
-	seqBase, err := d.Malloc(int64(len(seq) + 8))
+	st, err := stageReads(d, [][]byte{[]byte("ACGTGCAT")}, k) // plenty of distinct canonical 4-mers
 	if err != nil {
 		t.Fatal(err)
 	}
-	d.MemcpyHtoD(seqBase, seq)
-	slots := 1
-	tabBase, err := d.Malloc(int64(slots) * entryBytes)
-	if err != nil {
+	tab := table{slots: 1, words: 1}
+	if tab.base, err = d.Malloc(entryBytes); err != nil {
 		t.Fatal(err)
 	}
 
 	var batchErr error
 	_, err = d.Launch(simt.KernelConfig{Name: "tiny", Warps: 1, Sequential: true}, func(w *simt.Warp) {
-		clearTable(w, tabBase, slots, 1)
-		var mask simt.Mask
-		var positions [simt.WarpSize]int
-		for lane := 0; lane+k <= len(seq); lane++ {
-			mask |= simt.LaneMask(lane)
-			positions[lane] = lane
-		}
-		batchErr = countBatch(w, mask, seq, 0, positions, seqBase, tabBase, uint64(slots), k)
+		clearTable(w, tab.base, tab.slots, 1)
+		var b warpBatch
+		batchErr = forEachBatch(w, &st, &b, func() error { return countBatch(w, &b, tab, k) })
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -11,6 +11,7 @@ package kmer
 
 import (
 	"fmt"
+	"math/bits"
 
 	"mhm2sim/internal/dna"
 	"mhm2sim/internal/murmur"
@@ -81,58 +82,82 @@ func (k Kmer) Bytes(klen int) []byte {
 // String unpacks assuming the caller's length; provided via Sprint helper.
 func (k Kmer) String(klen int) string { return string(k.Bytes(klen)) }
 
-// Append drops the first base and appends code c at position klen-1,
-// producing the next k-mer of a rightward walk.
-func (k Kmer) Append(klen int, c byte) Kmer {
-	var out Kmer
-	for j := 0; j < Words; j++ {
-		out.W[j] = k.W[j] << 2
-		if j+1 < Words {
-			out.W[j] |= k.W[j+1] >> 62
-		}
-	}
-	out.set(klen-1, c)
-	out.clearTail(klen)
-	return out
+// lastSlot locates base klen-1: the index of the last word covering klen
+// bases and the bit offset of that base inside it. Every bit of that word
+// below the offset is tail, kept zero so that equality and comparison are
+// well defined.
+func lastSlot(klen int) (word int, shift uint) {
+	return (klen - 1) >> 5, 62 - 2*(uint(klen-1)&31)
 }
 
-// Prepend drops the last base and prepends code c at position 0, producing
-// the next k-mer of a leftward walk.
-func (k Kmer) Prepend(klen int, c byte) Kmer {
-	var out Kmer
-	for j := Words - 1; j >= 0; j-- {
-		out.W[j] = k.W[j] >> 2
-		if j > 0 {
-			out.W[j] |= k.W[j-1] << 62
-		}
+// appendAt shifts the words covering a k-mer (through index last) up one
+// base in place and stores code c at the last base's offset sh.
+func (k *Kmer) appendAt(last int, sh uint, c byte) {
+	for j := 0; j < last; j++ {
+		k.W[j] = k.W[j]<<2 | k.W[j+1]>>62
 	}
-	out.set(0, c)
-	out.clearTail(klen)
-	return out
+	k.W[last] = k.W[last]<<2&(^uint64(0)<<(sh+2)) | uint64(c)<<sh
 }
 
-// clearTail zeroes every bit beyond base klen-1 so that equality and
-// comparison are well defined.
-func (k *Kmer) clearTail(klen int) {
-	if klen >= MaxK {
-		return
+// prependAt is the mirror of appendAt: one base down, c at base 0, and the
+// base that fell off the end cleared.
+func (k *Kmer) prependAt(last int, sh uint, c byte) {
+	for j := last; j > 0; j-- {
+		k.W[j] = k.W[j]>>2 | k.W[j-1]<<62
 	}
-	word := klen >> 5
-	rem := uint(klen) & 31
-	if rem != 0 {
-		k.W[word] &= ^uint64(0) << (64 - 2*rem)
-		word++
-	}
+	k.W[0] = k.W[0]>>2 | uint64(c)<<62
+	k.W[last] &= ^uint64(0) << sh
+}
+
+// zeroFrom clears the words a klen-base k-mer does not cover.
+func (k *Kmer) zeroFrom(word int) {
 	for ; word < Words; word++ {
 		k.W[word] = 0
 	}
 }
 
-// RevComp returns the reverse complement at length klen.
+// Append drops the first base and appends code c at position klen-1,
+// producing the next k-mer of a rightward walk. Only the words covering
+// klen bases are shifted.
+func (k Kmer) Append(klen int, c byte) Kmer {
+	last, sh := lastSlot(klen)
+	k.appendAt(last, sh, c)
+	k.zeroFrom(last + 1)
+	return k
+}
+
+// Prepend drops the last base and prepends code c at position 0, producing
+// the next k-mer of a leftward walk. Only the words covering klen bases are
+// shifted.
+func (k Kmer) Prepend(klen int, c byte) Kmer {
+	last, sh := lastSlot(klen)
+	k.prependAt(last, sh, c)
+	k.zeroFrom(last + 1)
+	return k
+}
+
+// revComp32 reverses the 32 two-bit groups of w and complements each
+// (complement is XOR 3: A<->T, C<->G).
+func revComp32(w uint64) uint64 {
+	w = bits.ReverseBytes64(w)
+	w = w&0x0f0f0f0f0f0f0f0f<<4 | w>>4&0x0f0f0f0f0f0f0f0f
+	w = w&0x3333333333333333<<2 | w>>2&0x3333333333333333
+	return ^w
+}
+
+// RevComp returns the reverse complement at length klen, a word at a time:
+// reversing the covering words and the groups inside each leaves the result
+// right-aligned in them, so it is shifted up by the width of the tail
+// (which also pushes the complemented tail bits out).
 func (k Kmer) RevComp(klen int) Kmer {
+	last, sh := lastSlot(klen)
 	var out Kmer
-	for i := 0; i < klen; i++ {
-		out.set(klen-1-i, k.Get(i)^3) // 2-bit complement is XOR 3 (A<->T, C<->G)
+	for j := 0; j <= last; j++ {
+		r := revComp32(k.W[last-j])
+		out.W[j] = r << sh
+		if j > 0 {
+			out.W[j-1] |= r >> (64 - sh)
+		}
 	}
 	return out
 }
@@ -183,27 +208,68 @@ func (k Kmer) HashK(klen int, seed uint64) uint64 {
 	return h
 }
 
+// Scanner is the one rolling k-mer iterator: fed a sequence a base at a
+// time, it keeps the forward k-mer and its reverse complement in lock-step
+// (Append on one, Prepend of the complement on the other), so the canonical
+// form of every window costs a word compare, never a RevComp. It is a plain
+// value: no allocation, nothing to release.
+type Scanner struct {
+	k, run  int // run: unambiguous bases ending at the last Push, capped at k
+	last    int // lastSlot(k)
+	sh      uint
+	fwd, rc Kmer
+}
+
+// NewScanner returns a scanner for windows of k bases, 1 ≤ k ≤ MaxK.
+func NewScanner(k int) Scanner {
+	if k < 1 || k > MaxK {
+		panic(fmt.Sprintf("kmer: scanner k %d outside [1,%d]", k, MaxK))
+	}
+	last, sh := lastSlot(k)
+	return Scanner{k: k, last: last, sh: sh}
+}
+
+// Push feeds the next base of the sequence and reports whether the k bases
+// ending at it form a valid window (all unambiguous). An ambiguous base
+// restarts the run; the k valid bases that must follow it overwrite every
+// base the k-mers held.
+func (s *Scanner) Push(b byte) bool {
+	c, ok := dna.Code(b)
+	if !ok {
+		s.run = 0
+		return false
+	}
+	s.fwd.appendAt(s.last, s.sh, c)
+	s.rc.prependAt(s.last, s.sh, c^3)
+	if s.run < s.k {
+		s.run++
+	}
+	return s.run == s.k
+}
+
+// Forward returns the window as read. Like Canonical it is meaningful only
+// after a Push that returned true.
+func (s *Scanner) Forward() Kmer { return s.fwd }
+
+// Canonical returns the lexicographically smaller of the window and its
+// reverse complement, plus whether the window as read was that one.
+func (s *Scanner) Canonical() (Kmer, bool) {
+	if s.rc.Less(s.fwd) {
+		return s.rc, false
+	}
+	return s.fwd, true
+}
+
 // ForEach calls fn for every valid k-mer window of seq, skipping windows
 // that contain ambiguous bases. pos is the window's start offset in seq.
 func ForEach(seq []byte, k int, fn func(pos int, km Kmer)) {
-	if k < 1 || k > MaxK || len(seq) < k {
+	if k < 1 || k > MaxK {
 		return
 	}
-	var km Kmer
-	valid := 0 // number of consecutive valid bases ending at i
-	for i := 0; i < len(seq); i++ {
-		c, ok := dna.Code(seq[i])
-		if !ok {
-			valid = 0
-			km = Kmer{}
-			continue
-		}
-		km = km.Append(k, c)
-		if valid < k {
-			valid++
-		}
-		if valid >= k {
-			fn(i-k+1, km)
+	s := NewScanner(k)
+	for i, b := range seq {
+		if s.Push(b) {
+			fn(i-k+1, s.Forward())
 		}
 	}
 }

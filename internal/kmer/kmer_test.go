@@ -161,7 +161,7 @@ func TestHashEqualityAndSpread(t *testing.T) {
 }
 
 // TestHashKProperties: HashK agrees with building the k-mer fresh (history
-// independence through clearTail), distinguishes distinct k-mers, and only
+// independence: the tail stays zero), distinguishes distinct k-mers, and only
 // mixes the words a klen actually covers — so two k-mers differing beyond
 // klen hash equally at klen.
 func TestHashKProperties(t *testing.T) {

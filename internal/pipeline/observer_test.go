@@ -1,6 +1,8 @@
 package pipeline
 
 import (
+	"fmt"
+	"runtime"
 	"testing"
 	"time"
 )
@@ -84,7 +86,7 @@ func TestObserverDeltas(t *testing.T) {
 	var distinct int64
 	for i, ev := range obs.finishes {
 		d := obs.timings[i]
-		// A non-self-timed stage's delta lands entirely in its own category.
+		// Every stage but alignment bills its delta to its own category.
 		if ev.Stage != StageAlignment {
 			if d.Wall[ev.Stage] <= 0 {
 				t.Errorf("%s: zero timing delta", ev.Name)
@@ -124,6 +126,42 @@ func TestObserverDeltas(t *testing.T) {
 	}
 	if distinct != res.Work.DistinctKmers {
 		t.Errorf("distinct-kmer deltas sum to %d, want %d", distinct, res.Work.DistinctKmers)
+	}
+}
+
+// TestAlignmentSplitAnyCoreCount: the alignment stage's two categories are
+// both credited and sum to the stage's wall however many workers align at
+// once. Subtracting the workers' summed kernel time (CPU time) from the wall
+// used to leave the alignment category at zero on two or more cores.
+func TestAlignmentSplitAnyCoreCount(t *testing.T) {
+	pairs := buildPairs(t)
+	for _, procs := range []int{1, 2, 8} {
+		t.Run(fmt.Sprintf("GOMAXPROCS=%d", procs), func(t *testing.T) {
+			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+			cfg := testPipelineConfig() // Workers 0: one per GOMAXPROCS
+			obs := &recordingObserver{}
+			cfg.Observer = obs
+			if _, err := Run(pairs, cfg); err != nil {
+				t.Fatal(err)
+			}
+			rounds := 0
+			for i, ev := range obs.finishes {
+				if ev.Stage != StageAlignment {
+					continue
+				}
+				rounds++
+				aln, kernel := obs.timings[i].Wall[StageAlignment], obs.timings[i].Wall[StageAlnKernel]
+				if aln <= 0 || kernel <= 0 {
+					t.Errorf("round %d: alignment %v, aln kernel %v; both must be credited", ev.Round, aln, kernel)
+				}
+				if aln+kernel != obs.walls[i] {
+					t.Errorf("round %d: alignment %v + aln kernel %v != stage wall %v", ev.Round, aln, kernel, obs.walls[i])
+				}
+			}
+			if rounds != len(cfg.Rounds) {
+				t.Errorf("%d alignment stages for %d rounds", rounds, len(cfg.Rounds))
+			}
+		})
 	}
 }
 

@@ -51,7 +51,7 @@ func RunContext(ctx context.Context, pairs []dna.PairedRead, cfg Config) (*Resul
 	}
 	d := &stageDriver{ctx: ctx, res: res, obs: cfg.Observer}
 
-	if err := d.exec(outerEvent(StageMergeReads), false, st.mergeReads); err != nil {
+	if err := d.exec(outerEvent(StageMergeReads), nil, st.mergeReads); err != nil {
 		return nil, err
 	}
 
@@ -74,22 +74,20 @@ func RunContext(ctx context.Context, pairs []dna.PairedRead, cfg Config) (*Resul
 		}
 		st.k = k
 		st.round = ri
-		if err := d.exec(roundEvent(StageKmerAnalysis, ri, k), false, st.kmerAnalysis); err != nil {
+		if err := d.exec(roundEvent(StageKmerAnalysis, ri, k), nil, st.kmerAnalysis); err != nil {
 			return nil, err
 		}
-		if err := d.exec(roundEvent(StageContigGen, ri, k), false, st.contigGen); err != nil {
+		if err := d.exec(roundEvent(StageContigGen, ri, k), nil, st.contigGen); err != nil {
 			return nil, err
 		}
-		// Alignment is the one self-timed stage: it splits its wall time
-		// between the alignment and aln-kernel categories itself.
-		if err := d.exec(roundEvent(StageAlignment, ri, k), true, st.alignment); err != nil {
+		if err := d.exec(roundEvent(StageAlignment, ri, k), &st.alnKernelShare, st.alignment); err != nil {
 			return nil, err
 		}
-		if err := d.exec(roundEvent(StageLocalAssembly, ri, k), false, st.localAssembly); err != nil {
+		if err := d.exec(roundEvent(StageLocalAssembly, ri, k), nil, st.localAssembly); err != nil {
 			return nil, err
 		}
 		if cfg.CheckpointDir != "" {
-			if err := d.exec(roundEvent(StageFileIO, ri, k), false, st.saveCheckpoint); err != nil {
+			if err := d.exec(roundEvent(StageFileIO, ri, k), nil, st.saveCheckpoint); err != nil {
 				return nil, err
 			}
 		}
@@ -100,10 +98,10 @@ func RunContext(ctx context.Context, pairs []dna.PairedRead, cfg Config) (*Resul
 		res.Work.ContigBases += int64(len(st.ctgs[i].Seq))
 	}
 
-	if err := d.exec(outerEvent(StageScaffolding), false, st.scaffolding); err != nil {
+	if err := d.exec(outerEvent(StageScaffolding), nil, st.scaffolding); err != nil {
 		return nil, err
 	}
-	if err := d.exec(outerEvent(StageFileIO), false, st.writeFinal); err != nil {
+	if err := d.exec(outerEvent(StageFileIO), nil, st.writeFinal); err != nil {
 		return nil, err
 	}
 	return res, nil
@@ -130,6 +128,9 @@ type runState struct {
 	ctgs      []dbg.Contig
 	ctgSeqs   [][]byte
 	withReads []*locassm.CtgWithReads
+	// alnKernelShare is the aln kernel's share of the last alignment
+	// stage's wall, which the driver reads to split that stage.
+	alnKernelShare float64
 
 	// Budget-mode state: the counting device (lazily built, reused across
 	// rounds) and the OOM-event count already absorbed into the budget.
@@ -264,7 +265,8 @@ func (st *runState) contigGen() error {
 // alignment finds candidate reads per contig end (+ aln kernel) and
 // snapshots the local-assembly workload before extension mutates it.
 func (st *runState) alignment() error {
-	withReads, err := alignCandidates(st.reads, st.ctgs, st.cfg, st.workers, st.res)
+	withReads, kernelShare, err := alignCandidates(st.reads, st.ctgs, st.cfg, st.workers, st.res)
+	st.alnKernelShare = kernelShare
 	if err != nil {
 		return err
 	}

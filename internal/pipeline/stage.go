@@ -12,8 +12,8 @@ import (
 // [→ checkpoint I/O]}, then scaffolding and file I/O — and a small driver
 // executes them in order, owning per-stage timing, checkpoint persistence,
 // and the Observer callbacks. Stage bodies only transform runState; they
-// never touch the clock and (with one flagged exception) never write
-// Timings, so every crosscutting concern lives in exactly one place.
+// never write Timings, so every crosscutting concern lives in exactly one
+// place.
 
 // StageEvent identifies one execution of a stage in the Fig 1 graph.
 type StageEvent struct {
@@ -63,10 +63,11 @@ type stageDriver struct {
 	obs Observer // nil = no observer
 }
 
-// exec runs one stage. selfTimed marks the single stage (alignment) whose
-// body splits its own wall time across two categories; for every other
-// stage the driver bills the measured wall time to ev.Stage itself.
-func (d *stageDriver) exec(ev StageEvent, selfTimed bool, body func() error) error {
+// exec runs one stage and bills its measured wall time to ev.Stage. The
+// alignment stage alone passes kernelShare: the fraction of its wall, read
+// after the body has run, that is billed to the aln-kernel category
+// instead, so the two categories always sum to the stage's wall.
+func (d *stageDriver) exec(ev StageEvent, kernelShare *float64, body func() error) error {
 	if err := d.ctx.Err(); err != nil {
 		return fmt.Errorf("pipeline: canceled before %s stage: %w", ev.Name, err)
 	}
@@ -78,9 +79,12 @@ func (d *stageDriver) exec(ev StageEvent, selfTimed bool, body func() error) err
 	t0 := time.Now()
 	err := body()
 	wall := time.Since(t0)
-	if !selfTimed {
-		d.res.Timings.Add(ev.Stage, wall)
+	var kernel time.Duration
+	if kernelShare != nil {
+		kernel = time.Duration(float64(wall) * *kernelShare)
+		d.res.Timings.Add(StageAlnKernel, kernel)
 	}
+	d.res.Timings.Add(ev.Stage, wall-kernel)
 	if err != nil {
 		return err
 	}

@@ -18,11 +18,11 @@ import (
 )
 
 // alignCandidates aligns every merged read against the round's contigs and
-// buckets end-zone hits into per-contig candidate-read lists. It is the
-// one self-timed stage body: the measured wall time is split between the
-// aln-kernel category (time inside banded Smith-Waterman) and the
-// alignment category (everything else).
-func alignCandidates(reads []dna.Read, ctgs []dbg.Contig, cfg *Config, workers int, res *Result) ([]*locassm.CtgWithReads, error) {
+// buckets end-zone hits into per-contig candidate-read lists. It also
+// returns the share of its own wall time spent in the aln kernel (banded
+// Smith-Waterman), by which the driver splits the stage between the
+// aln-kernel and alignment categories.
+func alignCandidates(reads []dna.Read, ctgs []dbg.Contig, cfg *Config, workers int, res *Result) ([]*locassm.CtgWithReads, float64, error) {
 	ctgSeqs := make([][]byte, len(ctgs))
 	withReads := make([]*locassm.CtgWithReads, len(ctgs))
 	for i := range ctgs {
@@ -32,7 +32,7 @@ func alignCandidates(reads []dna.Read, ctgs []dbg.Contig, cfg *Config, workers i
 	t0 := time.Now()
 	aln, err := align.New(ctgSeqs, cfg.Align)
 	if err != nil {
-		return nil, err
+		return nil, 0, err
 	}
 
 	endZone := cfg.EndZone
@@ -64,15 +64,15 @@ func alignCandidates(reads []dna.Read, ctgs []dbg.Contig, cfg *Config, workers i
 	}
 
 	var aligned atomic.Int64
-	var kernelTime time.Duration
+	var kernelWall time.Duration // wall time of this stage spent in the aln kernel
 	if cfg.UseGPUAln {
 		dev := cfg.Device
 		if dev == nil {
 			dev = simt.NewDevice(simt.V100())
 		}
-		hits, found, kernelWall, kernels, err := gpuAlignReads(dev, aln, ctgSeqs, reads, workers)
+		hits, found, batchWall, kernels, err := gpuAlignReads(dev, aln, ctgSeqs, reads, workers)
 		if err != nil {
-			return nil, err
+			return nil, 0, err
 		}
 		for i := range reads {
 			if !found[i] {
@@ -81,7 +81,7 @@ func alignCandidates(reads []dna.Read, ctgs []dbg.Contig, cfg *Config, workers i
 			aligned.Add(1)
 			classify(hits[i], reads[i])
 		}
-		kernelTime = kernelWall
+		kernelWall = batchWall
 		res.Work.AlnGPUKernels = append(res.Work.AlnGPUKernels, kernels...)
 		for _, k := range kernels {
 			res.Work.AlnGPUKernelTime += k.Time
@@ -102,8 +102,15 @@ func alignCandidates(reads []dna.Read, ctgs []dbg.Contig, cfg *Config, workers i
 			}
 		}()
 
+		// Aligner.KernelTime is summed over concurrent workers, so it is
+		// CPU time and can exceed the stage's wall; the same sum over whole
+		// AlignRead calls turns it into a share of the parallel section.
+		var busyNS atomic.Int64
+		parStart := time.Now()
 		par.ForEach(workers, len(reads), func(i int) {
+			readStart := time.Now()
 			h, ok := aln.AlignRead(reads[i].Seq)
+			busyNS.Add(int64(time.Since(readStart)))
 			if !ok {
 				return
 			}
@@ -112,7 +119,9 @@ func alignCandidates(reads []dna.Read, ctgs []dbg.Contig, cfg *Config, workers i
 		})
 		close(candCh)
 		collectWG.Wait()
-		kernelTime = aln.KernelTime()
+		if busy := busyNS.Load(); busy > 0 {
+			kernelWall = time.Duration(float64(time.Since(parStart)) * float64(aln.KernelTime()) / float64(busy))
+		}
 	}
 
 	// Keep candidate order deterministic despite concurrent alignment.
@@ -121,15 +130,13 @@ func alignCandidates(reads []dna.Read, ctgs []dbg.Contig, cfg *Config, workers i
 		sortReads(withReads[i].RightReads)
 	}
 
-	stageTime := time.Since(t0)
-	if kernelTime > stageTime {
-		kernelTime = stageTime
-	}
-	res.Timings.Add(StageAlnKernel, kernelTime)
-	res.Timings.Add(StageAlignment, stageTime-kernelTime)
 	res.Work.ReadsAligned += aligned.Load()
 	res.Work.AlnCells += aln.Cells()
-	return withReads, nil
+	var kernelShare float64
+	if kernelWall > 0 { // then the stage's wall, which contains it, is too
+		kernelShare = float64(kernelWall) / float64(time.Since(t0))
+	}
+	return withReads, kernelShare, nil
 }
 
 func sortReads(rs []dna.Read) {
