@@ -2,6 +2,7 @@ package align
 
 import (
 	"fmt"
+	"slices"
 	"sync/atomic"
 	"time"
 
@@ -79,16 +80,18 @@ type Aligner struct {
 	cfg   Config
 	ctgs  [][]byte
 	seeds map[uint64][]seedLoc
-	// cells counts SW DP cells computed since construction — the measure
-	// of "aln kernel" work for the stage breakdown. swTimeNS accumulates
-	// wall nanoseconds inside BandedSW — the "aln kernel" slice of the
-	// Fig 2 breakdown. Both are updated atomically so AlignRead may be
-	// called from many goroutines.
+	// cells counts the SW DP cells in the band of every verification since
+	// construction, whether or not the host filled them (SWResult.Cells) —
+	// the measure of "aln kernel" work for the stage breakdown. swTimeNS
+	// accumulates wall nanoseconds inside BandedSW, its exact-placement
+	// check included — the "aln kernel" slice of the Fig 2 breakdown. Both
+	// are updated atomically so AlignRead may be called from many goroutines.
 	cells    atomic.Int64
 	swTimeNS atomic.Int64
 }
 
-// Cells returns the DP cells computed so far.
+// Cells returns the DP cells in the band of every verification so far,
+// whether or not the host filled them.
 func (a *Aligner) Cells() int64 { return a.cells.Load() }
 
 // KernelTime returns the accumulated time inside BandedSW.
@@ -127,40 +130,48 @@ type SeedTask struct {
 }
 
 // SeedOriented finds the most-voted (contig, diagonal) pair for one
-// orientation of a read. ok is false when no seed matches.
+// orientation of a read; ties go to the smaller contig, then the smaller
+// diagonal. ok is false when no seed matches.
 func (a *Aligner) SeedOriented(seq []byte, isRC bool) (SeedTask, bool) {
 	stride := a.cfg.SeedStride
 	if stride <= 0 {
 		stride = a.cfg.SeedLen
 	}
-	type diag struct {
-		ctg   int32
-		shift int32
-	}
-	votes := map[diag]int{}
-	kmer.ForEach(seq, a.cfg.SeedLen, func(pos int, km kmer.Kmer) {
-		if pos%stride != 0 {
-			return
+	// One key per vote, ordered by (ctg, shift): the diagonal is signed, so
+	// its sign bit is flipped. Sorted, equal votes are adjacent and the
+	// first longest run is the winner with its tie-break.
+	const signBit = 1 << 31
+	var buf [256]uint64
+	votes := buf[:0]
+	sc := kmer.NewScanner(a.cfg.SeedLen)
+	for i, b := range seq {
+		pos := i - a.cfg.SeedLen + 1
+		if !sc.Push(b) || pos%stride != 0 {
+			continue
 		}
-		locs := a.seeds[km.Hash(0)]
-		if len(locs) == 0 || len(locs) > a.cfg.MaxSeedHits {
-			return
+		locs := a.seeds[sc.Forward().Hash(0)]
+		if len(locs) > a.cfg.MaxSeedHits {
+			continue
 		}
 		for _, l := range locs {
-			votes[diag{ctg: l.ctg, shift: l.pos - int32(pos)}]++
+			votes = append(votes, uint64(l.ctg)<<32|uint64(uint32(l.pos-int32(pos))^signBit))
 		}
-	})
+	}
 	if len(votes) == 0 {
 		return SeedTask{}, false
 	}
-	var bestD diag
-	bestV := -1
-	for d, v := range votes {
-		if v > bestV || (v == bestV && (d.ctg < bestD.ctg || (d.ctg == bestD.ctg && d.shift < bestD.shift))) {
-			bestD, bestV = d, v
+	slices.Sort(votes)
+	var best uint64
+	bestN, run := 0, 0
+	for i, v := range votes {
+		if i > 0 && v != votes[i-1] {
+			run = 0
+		}
+		if run++; run > bestN {
+			best, bestN = v, run
 		}
 	}
-	return SeedTask{CtgID: int(bestD.ctg), Shift: int(bestD.shift), RC: isRC}, true
+	return SeedTask{CtgID: int(best >> 32), Shift: int(int32(uint32(best) ^ signBit)), RC: isRC}, true
 }
 
 // AcceptSW applies the acceptance thresholds to a completed banded-SW

@@ -1,12 +1,12 @@
 package pipeline
 
 import (
-	"sync"
 	"time"
 
 	"mhm2sim/internal/align"
 	"mhm2sim/internal/dna"
 	"mhm2sim/internal/gpualign"
+	"mhm2sim/internal/par"
 	"mhm2sim/internal/simt"
 )
 
@@ -31,29 +31,16 @@ func gpuAlignReads(dev *simt.Device, aln *align.Aligner, ctgSeqs [][]byte, reads
 
 	// Phase A: seeding, both orientations.
 	taskLists := make([][]alnTask, len(reads))
-	var wg sync.WaitGroup
-	next := make(chan int)
-	wg.Add(workers)
-	for wk := 0; wk < workers; wk++ {
-		go func() {
-			defer wg.Done()
-			for i := range next {
-				seq := reads[i].Seq
-				if task, ok := aln.SeedOriented(seq, false); ok {
-					taskLists[i] = append(taskLists[i], alnTask{readIdx: i, seq: seq, seed: task})
-				}
-				rc := dna.RevComp(seq)
-				if task, ok := aln.SeedOriented(rc, true); ok {
-					taskLists[i] = append(taskLists[i], alnTask{readIdx: i, seq: rc, seed: task})
-				}
-			}
-		}()
-	}
-	for i := range reads {
-		next <- i
-	}
-	close(next)
-	wg.Wait()
+	par.ForEach(workers, len(reads), func(i int) {
+		seq := reads[i].Seq
+		if task, ok := aln.SeedOriented(seq, false); ok {
+			taskLists[i] = append(taskLists[i], alnTask{readIdx: i, seq: seq, seed: task})
+		}
+		rc := dna.RevComp(seq)
+		if task, ok := aln.SeedOriented(rc, true); ok {
+			taskLists[i] = append(taskLists[i], alnTask{readIdx: i, seq: rc, seed: task})
+		}
+	})
 
 	// Flatten and cut target windows: staging whole contigs per task would
 	// blow the device budget; a window of query±band(+slack) suffices and
