@@ -37,6 +37,15 @@ import (
 	"mhm2sim/internal/service"
 )
 
+// How long a client may take to send its request, and an idle keep-alive
+// connection may stay open. Responses carry no deadline: a contigs download
+// is as long as the assembly is large.
+const (
+	readHeaderTimeout = 10 * time.Second
+	readTimeout       = 30 * time.Second
+	idleTimeout       = 2 * time.Minute
+)
+
 func main() {
 	var (
 		addr        = flag.String("addr", ":8080", "HTTP listen address")
@@ -71,7 +80,13 @@ func main() {
 	}
 	sched.Start()
 
-	srv := &http.Server{Addr: *addr, Handler: service.NewHandler(sched)}
+	srv := &http.Server{
+		Addr:              *addr,
+		Handler:           service.NewHandler(sched),
+		ReadHeaderTimeout: readHeaderTimeout,
+		ReadTimeout:       readTimeout,
+		IdleTimeout:       idleTimeout,
+	}
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 

@@ -3,15 +3,20 @@
 // breakdown, assembly statistics, and — when a device engine ran — the GPU
 // local-assembly kernel summary.
 //
-// -engine selects the local-assembly engine from the unified registry:
+// The flags that describe the run bind straight into a service.JobSpec —
+// the spec the mhm2d daemon accepts as JSON — and the run executes through
+// the same service.Plan as a daemon job, so a standalone run and a job of
+// the same spec cannot differ (DESIGN.md §19).
 //
-//	auto      resolve from the other flags (-ranks > 1 → dist, -gpu → gpu,
-//	          otherwise cpu) — the default
-//	cpu       host flat-table engine
+// -engine selects the local-assembly engine:
+//
+//	cpu       host flat-table engine — the default
 //	gpu       single simulated V100 batch driver
 //	multigpu  one node's GPUs (see -gpus), workload sharded across devices
 //	dist      multi-rank runtime over a modeled comm fabric (requires
-//	          -ranks > 1); prints a Fig 9-style strong-scaling breakdown
+//	          -ranks > 1); prints a Fig 9-style strong-scaling breakdown.
+//	          Ranks assemble on the host engine unless -gpu gives each its
+//	          own simulated device.
 //
 // Usage:
 //
@@ -19,12 +24,9 @@
 //	mhm2sim -reads reads.fastq -engine gpu
 //	mhm2sim -engine multigpu -gpus 6
 //	mhm2sim -engine dist -ranks 4 -gpu -json run.json
-//	mhm2sim -preset soil -ranks 8 -shard component
-//	mhm2sim -ranks 8 -faults rank-crash=1,oom=2 -fault-seed 42
-//	mhm2sim -ranks 4 -elastic join@r1:2,leave@r2:1
-//
-// (-gpu is the legacy spelling of -engine=gpu; -ranks N > 1 without an
-// explicit -engine keeps selecting the distributed runtime.)
+//	mhm2sim -preset soil -engine dist -ranks 8 -shard component
+//	mhm2sim -engine dist -ranks 8 -faults rank-crash=1,oom=2 -fault-seed 42
+//	mhm2sim -engine dist -ranks 4 -elastic join@r1:2,leave@r2:1
 //
 // -shard selects the dist engine's contig → virtual-shard map: hash (the
 // default MetaHipMer-style deal) or component, which runs a per-round
@@ -62,44 +64,33 @@ import (
 	"syscall"
 
 	"mhm2sim/internal/dist"
-	"mhm2sim/internal/dna"
-	"mhm2sim/internal/faults"
-	"mhm2sim/internal/gpucount"
 	"mhm2sim/internal/histo"
 	"mhm2sim/internal/locassm"
 	"mhm2sim/internal/pipeline"
 	"mhm2sim/internal/preprocess"
 	"mhm2sim/internal/quality"
 	"mhm2sim/internal/report"
-	"mhm2sim/internal/synth"
+	"mhm2sim/internal/service"
 )
 
-// options holds the parsed command line.
+// options holds the parsed command line: the run's spec, the host-side
+// settings this front end attaches to the plan, and where results go.
 type options struct {
-	preset       string
-	reads        string
-	engine       string
+	spec service.JobSpec
+
 	gpu          bool
-	gpus         int
 	gpuAln       bool
-	rounds       string
-	ranks        int
-	shard        string
-	faultSpec    string
-	faultSeed    int64
-	elastic      string
-	noSteal      bool
-	jsonPath     string
-	out          string
-	workers      int
-	evalQuality  bool
-	checkpoint   string
 	doPreprocess bool
-	dumpLA       string
 	estInsert    bool
-	memBudget    int64
-	cpuProfile   string
-	memProfile   string
+	workers      int
+	checkpoint   string
+
+	jsonPath    string
+	out         string
+	evalQuality bool
+	dumpLA      string
+	cpuProfile  string
+	memProfile  string
 }
 
 // parseFlags parses args (not including the program name) into options.
@@ -107,21 +98,25 @@ type options struct {
 // fatal.
 func parseFlags(args []string, stderr io.Writer) (*options, error) {
 	opts := &options{}
+	spec := &opts.spec
 	fs := flag.NewFlagSet("mhm2sim", flag.ContinueOnError)
 	fs.SetOutput(stderr)
-	fs.StringVar(&opts.preset, "preset", "arcticsynth", "dataset preset (ignored when -reads is set)")
-	fs.StringVar(&opts.reads, "reads", "", "FASTQ file of paired reads (fwd,rev interleaved)")
-	fs.StringVar(&opts.engine, "engine", "auto", "local-assembly engine: auto|cpu|gpu|multigpu|dist")
-	fs.BoolVar(&opts.gpu, "gpu", false, "legacy alias for -engine=gpu (also picks the per-rank GPU path under -engine=dist)")
-	fs.IntVar(&opts.gpus, "gpus", locassm.DefaultNodeGPUs, "devices for -engine=multigpu (default: one Summit node's six V100s)")
+	fs.StringVar(&spec.Preset, "preset", "arcticsynth", "dataset preset (ignored when -reads is set)")
+	fs.StringVar(&spec.ReadsPath, "reads", "", "FASTQ file of paired reads (fwd,rev interleaved)")
+	fs.StringVar(&spec.Engine, "engine", locassm.EngineCPU, "local-assembly engine: cpu|gpu|multigpu|dist")
+	fs.BoolVar(&opts.gpu, "gpu", false, "under -engine=dist, give every rank a simulated GPU (default: ranks assemble on the host engine)")
+	fs.IntVar(&spec.GPUs, "gpus", locassm.DefaultNodeGPUs, "devices for -engine=multigpu (default: one Summit node's six V100s)")
 	fs.BoolVar(&opts.gpuAln, "gpualn", false, "run the alignment SW kernel on the device (ADEPT role)")
-	fs.StringVar(&opts.rounds, "rounds", "21,33,55", "comma-separated contigging k values")
-	fs.IntVar(&opts.ranks, "ranks", 1, "simulated ranks for -engine=dist (>1 implies dist under -engine=auto)")
-	fs.StringVar(&opts.shard, "shard", dist.ShardHash, "contig → shard map for the dist engine: hash|component (component co-locates whole dBG components)")
-	fs.StringVar(&opts.faultSpec, "faults", "", "inject a seeded fault schedule, e.g. rank-crash=1,oom=2,drop=1 (requires the dist engine)")
-	fs.Int64Var(&opts.faultSeed, "fault-seed", 42, "seed of the injected fault schedule")
-	fs.StringVar(&opts.elastic, "elastic", "", "elastic membership schedule, e.g. join@r1:2,leave@r2:1 (requires the dist engine)")
-	fs.BoolVar(&opts.noSteal, "nosteal", false, "disable intra-round work stealing in the dist engine")
+	fs.Func("rounds", "comma-separated contigging k values (default 21,33,55)", func(v string) (err error) {
+		spec.Rounds, err = parseRounds(v)
+		return err
+	})
+	fs.IntVar(&spec.Ranks, "ranks", 1, "simulated ranks for -engine=dist (≥ 2 there)")
+	fs.StringVar(&spec.Shard, "shard", dist.ShardHash, "contig → shard map for the dist engine: hash|component (component co-locates whole dBG components)")
+	fs.StringVar(&spec.Faults, "faults", "", "inject a seeded fault schedule, e.g. rank-crash=1,oom=2,drop=1 (requires the dist engine)")
+	fs.Int64Var(&spec.FaultSeed, "fault-seed", 42, "seed of the injected fault schedule")
+	fs.StringVar(&spec.Elastic, "elastic", "", "elastic membership schedule, e.g. join@r1:2,leave@r2:1 (requires the dist engine)")
+	fs.BoolVar(&spec.NoSteal, "nosteal", false, "disable intra-round work stealing in the dist engine")
 	fs.StringVar(&opts.jsonPath, "json", "", "write a machine-readable run report to this path")
 	fs.StringVar(&opts.out, "out", "", "write contigs+scaffolds FASTA here")
 	fs.IntVar(&opts.workers, "workers", 0, "CPU worker goroutines (0 = GOMAXPROCS)")
@@ -130,13 +125,13 @@ func parseFlags(args []string, stderr io.Writer) (*options, error) {
 	fs.BoolVar(&opts.doPreprocess, "preprocess", false, "adapter/quality-trim and filter reads first")
 	fs.StringVar(&opts.dumpLA, "dump-la", "", "dump the final round's local-assembly workload here (for cmd/locassm)")
 	fs.BoolVar(&opts.estInsert, "estimate-insert", true, "infer the library insert size from proper pairs")
-	fs.Int64Var(&opts.memBudget, "mem-budget", 0, "device-memory byte budget for k-mer counting: 0 = unbounded, otherwise Bloom-prefiltered multi-pass counting under this many bytes")
+	fs.Int64Var(&spec.MemBudget, "mem-budget", 0, "device-memory byte budget for k-mer counting: 0 = unbounded, otherwise Bloom-prefiltered multi-pass counting under this many bytes")
 	fs.StringVar(&opts.cpuProfile, "cpuprofile", "", "write a pprof CPU profile of the run to this path")
 	fs.StringVar(&opts.memProfile, "memprofile", "", "write a pprof heap profile (after the run) to this path")
 	if err := fs.Parse(args); err != nil {
 		return nil, err
 	}
-	if err := validateOpts(opts); err != nil {
+	if err := opts.validate(); err != nil {
 		// fs.Parse prints its own errors; these post-parse checks must
 		// print too, or the exit-2 path is silent.
 		fmt.Fprintln(stderr, "mhm2sim:", err)
@@ -145,85 +140,45 @@ func parseFlags(args []string, stderr io.Writer) (*options, error) {
 	return opts, nil
 }
 
-// validateOpts holds the cross-flag checks that flag.Parse can't express.
-func validateOpts(opts *options) error {
-	if opts.ranks < 1 {
-		return fmt.Errorf("-ranks must be ≥ 1, got %d", opts.ranks)
+// validate is the spec's own validation plus the three rules only the
+// command line can break: in a JSON spec ranks 0 and gpus 0 mean "unset",
+// and -gpu is this front end's setting, not the spec's.
+func (o *options) validate() error {
+	if o.spec.Ranks < 1 {
+		return fmt.Errorf("-ranks must be ≥ 1, got %d", o.spec.Ranks)
 	}
-	if opts.gpus < 1 {
-		return fmt.Errorf("-gpus must be ≥ 1, got %d", opts.gpus)
+	if o.spec.GPUs < 1 {
+		return fmt.Errorf("-gpus must be ≥ 1, got %d", o.spec.GPUs)
 	}
-	if _, err := resolveEngine(opts); err != nil {
-		return err
+	if o.gpu && o.spec.Engine != locassm.EngineDist {
+		return fmt.Errorf("-gpu gives the ranks of -engine=dist their own devices; a single-GPU run is -engine=gpu")
 	}
-	if opts.faultSpec != "" {
-		if eng, _ := resolveEngine(opts); eng != locassm.EngineDist {
-			return fmt.Errorf("-faults requires the dist engine (-engine=dist or -ranks > 1)")
-		}
-		if _, err := faults.ParseSpec(opts.faultSpec); err != nil {
-			return err
-		}
-	}
-	if opts.elastic != "" {
-		if eng, _ := resolveEngine(opts); eng != locassm.EngineDist {
-			return fmt.Errorf("-elastic requires the dist engine (-engine=dist or -ranks > 1)")
-		}
-		rounds, err := parseRounds(opts.rounds)
-		if err != nil {
-			return err
-		}
-		if _, err := faults.ParseElastic(opts.elastic, opts.ranks, len(rounds)); err != nil {
-			return err
-		}
-	}
-	if opts.memBudget < 0 {
-		return fmt.Errorf("-mem-budget %d is negative (0 disables the budget)", opts.memBudget)
-	}
-	if opts.memBudget > 0 && opts.memBudget < gpucount.MinMemBudget {
-		return fmt.Errorf("-mem-budget %d is below the %d-byte minimum (gpucount.MinMemBudget)",
-			opts.memBudget, int64(gpucount.MinMemBudget))
-	}
-	switch opts.shard {
-	case dist.ShardHash:
-	case dist.ShardComponent:
-		if eng, _ := resolveEngine(opts); eng != locassm.EngineDist {
-			return fmt.Errorf("-shard=%s requires the dist engine (-engine=dist or -ranks > 1)", opts.shard)
-		}
-	default:
-		return fmt.Errorf("unknown -shard %q (%s|%s)", opts.shard, dist.ShardHash, dist.ShardComponent)
-	}
-	return nil
+	return o.spec.Validate()
 }
 
-// resolveEngine collapses the engine flags into one registered engine
-// name — the CLI's half of the EngineSpec resolution. "auto" keeps the
-// historical behaviour: -ranks > 1 meant the distributed runtime and -gpu
-// the device driver, with the host engine as the default.
-func resolveEngine(opts *options) (string, error) {
-	switch opts.engine {
-	case "", locassm.EngineAuto:
-		switch {
-		case opts.ranks > 1:
-			return locassm.EngineDist, nil
-		case opts.gpu:
-			return locassm.EngineGPU, nil
-		default:
-			return locassm.EngineCPU, nil
-		}
-	case locassm.EngineCPU, locassm.EngineGPU, locassm.EngineMultiGPU:
-		if opts.ranks > 1 {
-			return "", fmt.Errorf("-engine=%s conflicts with -ranks %d (multi-rank runs use -engine=dist)",
-				opts.engine, opts.ranks)
-		}
-		return opts.engine, nil
-	case locassm.EngineDist:
-		if opts.ranks < 2 {
-			return "", fmt.Errorf("-engine=dist requires -ranks > 1 (got %d)", opts.ranks)
-		}
-		return locassm.EngineDist, nil
-	default:
-		return "", fmt.Errorf("unknown -engine %q (auto|cpu|gpu|multigpu|dist)", opts.engine)
+// plan plans the spec — the same service.NewPlan a daemon job goes through
+// — and attaches the command line's host-side settings to it.
+func (o *options) plan() (*service.Plan, error) {
+	plan, err := service.NewPlan(o.spec)
+	if err != nil {
+		return nil, err
 	}
+	cfg := plan.Pipeline
+	cfg.UseGPUAln = o.gpuAln
+	cfg.EstimateInsert = o.estInsert
+	cfg.Workers = o.workers
+	cfg.CheckpointDir = o.checkpoint
+	if o.doPreprocess {
+		pp := preprocess.DefaultConfig()
+		cfg.Preprocess = &pp
+	}
+	if plan.Dist != nil {
+		// Without -gpu the ranks assemble on the host flat-table engine,
+		// mirroring the single-rank CPU path.
+		plan.Dist.CPUAssembly = !o.gpu
+		plan.Dist.CPUWorkers = o.workers
+	}
+	return plan, nil
 }
 
 // exitFault is the exit status of a run killed by an injected fault after
@@ -266,39 +221,6 @@ func parseRounds(s string) ([]int, error) {
 	return rounds, nil
 }
 
-// buildConfig turns options into a validated pipeline config. The dist
-// engine is not set here: main routes multi-rank runs through dist.Run,
-// which injects the runtime as the pipeline's engine.
-func buildConfig(opts *options) (pipeline.Config, error) {
-	cfg := pipeline.DefaultConfig()
-	engine, err := resolveEngine(opts)
-	if err != nil {
-		return pipeline.Config{}, err
-	}
-	if engine != locassm.EngineDist {
-		cfg.Engine.Name = engine
-		cfg.Engine.GPUs = opts.gpus
-	}
-	cfg.UseGPUAln = opts.gpuAln
-	cfg.MemBudget = opts.memBudget
-	cfg.Workers = opts.workers
-	cfg.CheckpointDir = opts.checkpoint
-	cfg.EstimateInsert = opts.estInsert
-	if opts.doPreprocess {
-		pp := preprocess.DefaultConfig()
-		cfg.Preprocess = &pp
-	}
-	rounds, err := parseRounds(opts.rounds)
-	if err != nil {
-		return cfg, err
-	}
-	cfg.Rounds = rounds
-	if err := cfg.Validate(); err != nil {
-		return cfg, err
-	}
-	return cfg, nil
-}
-
 func main() {
 	log.SetFlags(0)
 	log.SetPrefix("mhm2sim: ")
@@ -307,16 +229,19 @@ func main() {
 	if err != nil {
 		os.Exit(2)
 	}
-	cfg, err := buildConfig(opts)
+	plan, err := opts.plan()
 	if err != nil {
 		log.Fatal(err)
 	}
-
-	pairs, genomes, err := loadPairs(opts.reads, opts.preset)
-	if err != nil {
-		log.Fatal(err)
+	fmt.Printf("input: %d read pairs\n", len(plan.Pairs))
+	if d := plan.Dist; d != nil {
+		if d.Elastic != "" {
+			fmt.Printf("elastic membership schedule: %s\n", d.Elastic)
+		}
+		if d.Faults != nil {
+			fmt.Printf("injecting faults (seed %d): %s\n", d.Faults.Seed, d.Faults)
+		}
 	}
-	fmt.Printf("input: %d read pairs\n", len(pairs))
 
 	if opts.cpuProfile != "" {
 		f, err := os.Create(opts.cpuProfile)
@@ -336,37 +261,7 @@ func main() {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 
-	engine, err := resolveEngine(opts)
-	if err != nil {
-		log.Fatal(err)
-	}
-	var res *pipeline.Result
-	var rep *dist.Report
-	if engine == locassm.EngineDist {
-		dcfg := dist.DefaultConfig(opts.ranks)
-		dcfg.Pipeline = cfg
-		dcfg.ShardPolicy = opts.shard
-		// Without -gpu the ranks assemble on the host flat-table engine,
-		// mirroring the single-rank CPU path.
-		dcfg.CPUAssembly = !opts.gpu
-		dcfg.CPUWorkers = opts.workers
-		dcfg.Elastic = opts.elastic
-		dcfg.NoSteal = opts.noSteal
-		if opts.elastic != "" {
-			fmt.Printf("elastic membership schedule: %s\n", opts.elastic)
-		}
-		if opts.faultSpec != "" {
-			plan, perr := faults.NewPlan(opts.faultSpec, opts.faultSeed, opts.ranks, len(cfg.Rounds))
-			if perr != nil {
-				log.Fatal(perr)
-			}
-			dcfg.Faults = plan
-			fmt.Printf("injecting faults (seed %d): %s\n", opts.faultSeed, plan)
-		}
-		res, rep, err = dist.RunContext(ctx, pairs, dcfg)
-	} else {
-		res, err = pipeline.RunContext(ctx, pairs, cfg)
-	}
+	res, rep, err := plan.Run(ctx)
 	if err != nil {
 		line, code := runErrorLine(err)
 		log.Print(line)
@@ -412,14 +307,14 @@ func main() {
 		fmt.Printf("\n%s", rep)
 	}
 	if opts.evalQuality {
-		if genomes == nil {
+		if plan.Genomes == nil {
 			log.Fatal("-quality requires a preset (truth genomes unknown for external FASTQ)")
 		}
 		seqs := make([][]byte, len(res.Contigs))
 		for i := range res.Contigs {
 			seqs[i] = res.Contigs[i].Seq
 		}
-		qrep, err := quality.Evaluate(seqs, genomes, quality.DefaultConfig())
+		qrep, err := quality.Evaluate(seqs, plan.Genomes, quality.DefaultConfig())
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -427,7 +322,7 @@ func main() {
 	}
 
 	if opts.jsonPath != "" {
-		if err := writeJSONReport(opts.jsonPath, res, rep); err != nil {
+		if err := report.Build(res, rep).WriteFile(opts.jsonPath); err != nil {
 			log.Fatal(err)
 		}
 		fmt.Printf("wrote JSON report to %s\n", opts.jsonPath)
@@ -451,34 +346,6 @@ func main() {
 		}
 		fmt.Printf("wrote assembly to %s\n", opts.out)
 	}
-}
-
-func loadPairs(readsPath, presetName string) ([]dna.PairedRead, [][]byte, error) {
-	if readsPath == "" {
-		preset, err := synth.PresetByName(presetName)
-		if err != nil {
-			return nil, nil, err
-		}
-		com, pairs, err := preset.Build()
-		if err != nil {
-			return nil, nil, err
-		}
-		genomes := make([][]byte, len(com.Genomes))
-		for i := range com.Genomes {
-			genomes[i] = com.Genomes[i].Seq
-		}
-		return pairs, genomes, nil
-	}
-	f, err := os.Open(readsPath)
-	if err != nil {
-		return nil, nil, err
-	}
-	defer f.Close()
-	pairs, err := dna.ReadInterleavedPairs(f)
-	if err != nil {
-		return nil, nil, err
-	}
-	return pairs, nil, nil
 }
 
 func printBreakdown(res *pipeline.Result) {

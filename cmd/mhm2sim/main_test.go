@@ -5,6 +5,9 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
+	"net/http"
+	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -13,9 +16,10 @@ import (
 
 	"mhm2sim/internal/dist"
 	"mhm2sim/internal/faults"
-	"mhm2sim/internal/locassm"
 	"mhm2sim/internal/pipeline"
+	"mhm2sim/internal/preprocess"
 	"mhm2sim/internal/report"
+	"mhm2sim/internal/service"
 	"mhm2sim/internal/synth"
 )
 
@@ -43,127 +47,256 @@ func TestParseRounds(t *testing.T) {
 	}
 }
 
-func TestParseFlags(t *testing.T) {
-	var stderr bytes.Buffer
-	opts, err := parseFlags([]string{"-gpu", "-ranks", "4", "-rounds", "21,33", "-json", "out.json"}, &stderr)
+// tinyFASTQ is one read pair — enough for a plan, which never assembles.
+const tinyFASTQ = "@r1/1\nACGTACGTACGTACGTACGTACGTACGT\n+\nIIIIIIIIIIIIIIIIIIIIIIIIIIII\n" +
+	"@r1/2\nTTGCATGCATGCATGCATGCATGCATGC\n+\nIIIIIIIIIIIIIIIIIIIIIIIIIIII\n"
+
+func writeTinyFASTQ(t *testing.T) string {
+	t.Helper()
+	path := filepath.Join(t.TempDir(), "reads.fastq")
+	if err := os.WriteFile(path, []byte(tinyFASTQ), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	return path
+}
+
+// TestCLIAndSpecPlanIdentically: a flag line and the JSON spec a daemon
+// client would POST for the same run yield deeply equal plans — input and
+// configuration — so the two front ends cannot assemble differently. Dist
+// rows carry -gpu because a daemon job's ranks own (leased) devices; the
+// last check pins that host ranks are the flag's only other value.
+func TestCLIAndSpecPlanIdentically(t *testing.T) {
+	reads := writeTinyFASTQ(t)
+	rows := []struct {
+		flags string
+		json  string
+	}{
+		{"-preset arcticsynth", `{}`},
+		{"-engine cpu", `{"engine":"cpu"}`},
+		{"-engine gpu", `{"engine":"gpu"}`},
+		{"-engine multigpu -gpus 3", `{"engine":"multigpu","gpus":3}`},
+		{"-rounds 21,33", `{"rounds":[21,33]}`},
+		{"-mem-budget 8388608", `{"mem_budget":8388608}`},
+		{"-engine gpu -mem-budget 65536 -rounds 21", `{"engine":"gpu","mem_budget":65536,"rounds":[21]}`},
+		{"-engine dist -ranks 4 -gpu", `{"engine":"dist","ranks":4}`},
+		{"-engine dist -ranks 8 -gpu -shard hash", `{"engine":"dist","ranks":8,"shard":"hash"}`},
+		{"-engine dist -ranks 8 -gpu -shard component", `{"engine":"dist","ranks":8,"shard":"component"}`},
+		{"-engine dist -ranks 8 -gpu -faults rank-crash=1,oom=2 -fault-seed 7",
+			`{"engine":"dist","ranks":8,"faults":"rank-crash=1,oom=2","fault_seed":7}`},
+		{"-engine dist -ranks 2 -gpu -faults drop=1", `{"engine":"dist","ranks":2,"faults":"drop=1","fault_seed":42}`},
+		{"-engine dist -ranks 4 -gpu -elastic join@r1:2,leave@r2:1 -nosteal",
+			`{"engine":"dist","ranks":4,"elastic":"join@r1:2,leave@r2:1","nosteal":true}`},
+		{"-engine dist -ranks 4 -gpu -rounds 21,33 -elastic join@r1:2 -faults straggler=2 -fault-seed 7 -shard component -mem-budget 134217728",
+			`{"engine":"dist","ranks":4,"rounds":[21,33],"elastic":"join@r1:2","faults":"straggler=2","fault_seed":7,"shard":"component","mem_budget":134217728}`},
+	}
+	for _, row := range rows {
+		args := append([]string{"-reads", reads}, strings.Fields(row.flags)...)
+		var spec service.JobSpec
+		if err := json.Unmarshal([]byte(row.json), &spec); err != nil {
+			t.Fatalf("%s: %v", row.json, err)
+		}
+		spec.ReadsPath = reads
+		var stderr bytes.Buffer
+		opts, err := parseFlags(args, &stderr)
+		if err != nil {
+			t.Errorf("%s: %v (%s)", row.flags, err, stderr.String())
+			continue
+		}
+		fromFlags, err := opts.plan()
+		if err != nil {
+			t.Errorf("%s: %v", row.flags, err)
+			continue
+		}
+		fromJSON, err := service.NewPlan(spec)
+		if err != nil {
+			t.Errorf("%s: %v", row.json, err)
+			continue
+		}
+		if len(fromFlags.Pairs) != 1 {
+			t.Errorf("%s: plan holds %d read pairs, want 1", row.flags, len(fromFlags.Pairs))
+		}
+		if !reflect.DeepEqual(fromFlags, fromJSON) {
+			t.Errorf("plans differ:\n%s → %+v\n%s → %+v", row.flags, fromFlags.Pipeline, row.json, fromJSON.Pipeline)
+		}
+	}
+
+	// Without -gpu the ranks assemble on the host: that one field, nothing else.
+	opts, err := parseFlags([]string{"-reads", reads, "-engine", "dist", "-ranks", "4"}, io.Discard)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !opts.gpu || opts.ranks != 4 || opts.rounds != "21,33" || opts.jsonPath != "out.json" {
-		t.Errorf("parsed options wrong: %+v", opts)
-	}
-	if opts.preset != "arcticsynth" || opts.ranks < 1 {
-		t.Errorf("defaults wrong: %+v", opts)
-	}
-
-	opts, err = parseFlags([]string{"-cpuprofile", "cpu.pprof", "-memprofile", "mem.pprof"}, &stderr)
+	host, err := opts.plan()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if opts.cpuProfile != "cpu.pprof" || opts.memProfile != "mem.pprof" {
-		t.Errorf("profile flags wrong: %+v", opts)
+	device, err := service.NewPlan(service.JobSpec{ReadsPath: reads, Engine: "dist", Ranks: 4})
+	if err != nil {
+		t.Fatal(err)
 	}
-
-	if _, err := parseFlags([]string{"-ranks", "0"}, &stderr); err == nil {
-		t.Error("-ranks 0 accepted")
+	if !host.Dist.CPUAssembly || device.Dist.CPUAssembly {
+		t.Fatalf("CPUAssembly: flags %v, spec %v", host.Dist.CPUAssembly, device.Dist.CPUAssembly)
 	}
-	if _, err := parseFlags([]string{"-ranks", "x"}, &stderr); err == nil {
-		t.Error("-ranks x accepted")
-	}
-	if _, err := parseFlags([]string{"-no-such-flag"}, &stderr); err == nil {
-		t.Error("unknown flag accepted")
+	host.Dist.CPUAssembly = false
+	if !reflect.DeepEqual(host, device) {
+		t.Error("-gpu changes more than Dist.CPUAssembly")
 	}
 }
 
-func TestParseFlagsFaults(t *testing.T) {
-	var stderr bytes.Buffer
-	opts, err := parseFlags([]string{"-ranks", "8", "-faults", "rank-crash=1,oom=2", "-fault-seed", "7"}, &stderr)
+// TestPresetPlanCarriesTruthGenomes: a preset plan from the flag line
+// equals the spec's, reads and truth genomes included.
+func TestPresetPlanCarriesTruthGenomes(t *testing.T) {
+	opts, err := parseFlags(nil, io.Discard)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if opts.faultSpec != "rank-crash=1,oom=2" || opts.faultSeed != 7 {
-		t.Errorf("fault flags wrong: %+v", opts)
+	fromFlags, err := opts.plan()
+	if err != nil {
+		t.Fatal(err)
 	}
-	if opts, err := parseFlags([]string{"-ranks", "4"}, &stderr); err != nil || opts.faultSeed != 42 {
-		t.Errorf("default fault seed: %v, %+v", err, opts)
+	fromJSON, err := service.NewPlan(service.JobSpec{})
+	if err != nil {
+		t.Fatal(err)
 	}
-	// Faults target the distributed runtime, so a single-rank run rejects them.
-	if _, err := parseFlags([]string{"-faults", "drop=1"}, &stderr); err == nil {
-		t.Error("-faults without -ranks accepted")
+	if len(fromFlags.Pairs) == 0 || len(fromFlags.Genomes) == 0 {
+		t.Fatalf("preset plan: %d pairs, %d genomes", len(fromFlags.Pairs), len(fromFlags.Genomes))
 	}
-	// Malformed specs are rejected at parse time, not mid-run.
-	if _, err := parseFlags([]string{"-ranks", "4", "-faults", "explode=1"}, &stderr); err == nil {
-		t.Error("unknown fault kind accepted")
-	}
-	if _, err := parseFlags([]string{"-ranks", "4", "-faults", "drop"}, &stderr); err == nil {
-		t.Error("spec without count accepted")
+	if !reflect.DeepEqual(fromFlags, fromJSON) {
+		t.Error("default flag line and empty spec plan differently")
 	}
 }
 
-func TestParseFlagsShard(t *testing.T) {
-	var stderr bytes.Buffer
-	opts, err := parseFlags([]string{"-ranks", "8", "-shard", "component"}, &stderr)
+// TestHostSideSettings: the flags that are not part of the spec land on
+// the plan, and nothing else about the plan moves.
+func TestHostSideSettings(t *testing.T) {
+	reads := writeTinyFASTQ(t)
+	opts, err := parseFlags([]string{"-reads", reads, "-engine", "dist", "-ranks", "2",
+		"-gpualn", "-preprocess", "-estimate-insert=false", "-workers", "3", "-checkpoint", "ck",
+		"-json", "out.json", "-cpuprofile", "cpu.pprof", "-memprofile", "mem.pprof"}, io.Discard)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if opts.shard != dist.ShardComponent {
-		t.Errorf("shard flag wrong: %+v", opts)
+	if opts.jsonPath != "out.json" || opts.cpuProfile != "cpu.pprof" || opts.memProfile != "mem.pprof" {
+		t.Errorf("output flags wrong: %+v", opts)
 	}
-	if opts, err := parseFlags([]string{"-ranks", "4"}, &stderr); err != nil || opts.shard != dist.ShardHash {
-		t.Errorf("default shard policy: %v, %+v", err, opts)
+	got, err := opts.plan()
+	if err != nil {
+		t.Fatal(err)
 	}
-	// Component sharding targets the distributed runtime.
-	if _, err := parseFlags([]string{"-shard", "component"}, &stderr); err == nil {
-		t.Error("-shard component without the dist engine accepted")
+	want, err := service.NewPlan(opts.spec)
+	if err != nil {
+		t.Fatal(err)
 	}
-	stderr.Reset()
-	if _, err := parseFlags([]string{"-ranks", "4", "-shard", "zigzag"}, &stderr); err == nil {
-		t.Error("unknown shard policy accepted")
+	pp := preprocess.DefaultConfig()
+	want.Pipeline.UseGPUAln = true
+	want.Pipeline.Preprocess = &pp
+	want.Pipeline.EstimateInsert = false
+	want.Pipeline.Workers = 3
+	want.Pipeline.CheckpointDir = "ck"
+	want.Dist.CPUAssembly = true
+	want.Dist.CPUWorkers = 3
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("host-side settings:\n got %+v\nwant %+v", got.Dist, want.Dist)
 	}
-	// The exit-2 path must diagnose, not fail silently.
-	if !strings.Contains(stderr.String(), `unknown -shard "zigzag"`) {
-		t.Errorf("rejection printed nothing useful: %q", stderr.String())
+}
+
+// TestRejections is the one table of inputs neither front end may accept:
+// each row is a flag line (exit-2 usage error), the JSON spec a client
+// would POST for it (400), or both — some mistakes only one front end can
+// express. Rejection happens before any input is read, with a diagnostic
+// naming the problem.
+func TestRejections(t *testing.T) {
+	rows := []struct {
+		flags string // "" = not expressible on the command line
+		json  string // "" = not expressible as a spec
+		want  string // substring of both diagnostics
+	}{
+		// Flag syntax.
+		{flags: "-ranks x"},
+		{flags: "-no-such-flag"},
+		// 0 means "unset" in a spec, so only the command line can say it.
+		{flags: "-ranks 0", want: "-ranks must be ≥ 1"},
+		{flags: "-gpus 0", want: "-gpus must be ≥ 1"},
+		{flags: "-engine dist -ranks -3", json: `{"engine":"dist","ranks":-3}`},
+		// Engine and ranks.
+		{flags: "-engine auto", json: `{"engine":"auto"}`, want: "cpu|gpu|multigpu|dist"},
+		{flags: "-engine warp9", json: `{"engine":"warp9"}`, want: `unknown engine "warp9"`},
+		{flags: "-ranks 4", json: `{"ranks":4}`, want: "engine=dist"},
+		{flags: "-engine gpu -ranks 2", json: `{"engine":"gpu","ranks":2}`, want: "engine=dist"},
+		{flags: "-engine dist", json: `{"engine":"dist"}`, want: "ranks ≥ 2"},
+		{flags: "-engine dist -ranks 1", json: `{"engine":"dist","ranks":1}`, want: "ranks ≥ 2"},
+		{flags: "-gpu", want: "-engine=gpu"},
+		{flags: "-engine gpu -gpu", want: "-engine=dist"},
+		{flags: "-engine dist -ranks 2000000000", json: `{"engine":"dist","ranks":2000000000}`, want: "ceiling"},
+		{flags: "-engine multigpu -gpus 2000000000", json: `{"engine":"multigpu","gpus":2000000000}`, want: "ceiling"},
+		{flags: "-engine dist -ranks 33", json: `{"engine":"dist","ranks":33}`, want: "virtual shards"},
+		// Dist-only fields on another engine.
+		{flags: "-faults drop=1", json: `{"faults":"drop=1"}`, want: "faults requires engine=dist"},
+		{flags: "-elastic join@r0:1", json: `{"elastic":"join@r0:1"}`, want: "elastic requires engine=dist"},
+		{flags: "-shard component", json: `{"shard":"component"}`, want: "shard=component requires engine=dist"},
+		{flags: "-shard zigzag", json: `{"shard":"zigzag"}`, want: "zigzag"},
+		// Malformed dist fields.
+		{flags: "-engine dist -ranks 4 -shard zigzag", json: `{"engine":"dist","ranks":4,"shard":"zigzag"}`, want: `unknown shard policy "zigzag"`},
+		{flags: "-engine dist -ranks 4 -faults explode=1", json: `{"engine":"dist","ranks":4,"faults":"explode=1"}`, want: "unknown fault kind"},
+		{flags: "-engine dist -ranks 4 -faults drop", json: `{"engine":"dist","ranks":4,"faults":"drop"}`, want: "kind=count"},
+		{flags: "-engine dist -ranks 4 -faults rank-crash=4", json: `{"engine":"dist","ranks":4,"faults":"rank-crash=4"}`, want: "no survivor"},
+		{flags: "-engine dist -ranks 4 -faults drop=2000000000", json: `{"engine":"dist","ranks":4,"faults":"drop=2000000000"}`, want: "more than"},
+		{flags: "-engine dist -ranks 2 -elastic bogus", json: `{"engine":"dist","ranks":2,"elastic":"bogus"}`, want: "elastic entry"},
+		{flags: "-engine dist -ranks 2 -rounds 21 -elastic join@r5:1", json: `{"engine":"dist","ranks":2,"rounds":[21],"elastic":"join@r5:1"}`, want: "targets round 5"},
+		{flags: "-engine dist -ranks 2 -elastic leave@r0:2", json: `{"engine":"dist","ranks":2,"elastic":"leave@r0:2"}`, want: "no live rank"},
+		{flags: "-engine dist -ranks 2 -elastic join@r0:2000000000", json: `{"engine":"dist","ranks":2,"elastic":"join@r0:2000000000"}`, want: "ceiling"},
+		// Budget and rounds.
+		{flags: "-mem-budget -5", json: `{"mem_budget":-5}`, want: "negative"},
+		{flags: "-mem-budget 1024", json: `{"mem_budget":1024}`, want: "minimum"},
+		{flags: "-rounds 33,21", json: `{"rounds":[33,21]}`, want: "strictly increasing"},
+		{flags: "-rounds 21,21", json: `{"rounds":[21,21]}`, want: "strictly increasing"},
+		{flags: "-rounds abc", json: `{"rounds":"abc"}`},
+		{flags: "-rounds 21,,33", json: `{"rounds":[21,null,33]}`},
+		{flags: "-rounds ,"},
+		{flags: "-rounds 21;33"},
+		// Input.
+		{flags: "-preset nope", json: `{"preset":"nope"}`, want: "unknown preset"},
+		{json: `{"genomes":-1}`, want: "negative community override"},
+		{json: `{"depth":-0.5}`, want: "negative community override"},
+	}
+	sched, err := service.New(service.Config{DataDir: t.TempDir()}) // never started: admission only
+	if err != nil {
+		t.Fatal(err)
+	}
+	daemon := httptest.NewServer(service.NewHandler(sched))
+	defer daemon.Close()
+	for _, row := range rows {
+		if row.flags != "" {
+			var stderr bytes.Buffer
+			if opts, err := parseFlags(strings.Fields(row.flags), &stderr); err == nil {
+				t.Errorf("flags %q accepted: %+v", row.flags, opts.spec)
+			} else if !strings.Contains(stderr.String(), row.want) || stderr.Len() == 0 {
+				// The exit-2 path must diagnose, not fail silently.
+				t.Errorf("flags %q: diagnostic %q lacks %q", row.flags, stderr.String(), row.want)
+			}
+		}
+		if row.json != "" {
+			resp, err := http.Post(daemon.URL+"/v1/jobs", "application/json", strings.NewReader(row.json))
+			if err != nil {
+				t.Fatal(err)
+			}
+			var reply struct{ Error string }
+			err = json.NewDecoder(resp.Body).Decode(&reply)
+			resp.Body.Close()
+			if err != nil || resp.StatusCode != http.StatusBadRequest {
+				t.Errorf("spec %s: status %d (%v), want 400", row.json, resp.StatusCode, err)
+			} else if !strings.Contains(reply.Error, row.want) {
+				t.Errorf("spec %s: error %q lacks %q", row.json, reply.Error, row.want)
+			}
+		}
+	}
+	// -rounds "" is an empty entry, not "use the default".
+	if _, err := parseFlags([]string{"-rounds", ""}, io.Discard); err == nil {
+		t.Error(`-rounds "" accepted`)
 	}
 }
 
 // TestRunErrorLine pins the exhausted-retries exit contract: a distinct
 // nonzero status and one structured, greppable line — not a stack trace.
-func TestParseFlagsMemBudget(t *testing.T) {
-	var stderr bytes.Buffer
-	opts, err := parseFlags([]string{"-mem-budget", "8388608"}, &stderr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if opts.memBudget != 8<<20 {
-		t.Errorf("mem-budget flag wrong: %+v", opts)
-	}
-	cfg, err := buildConfig(opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cfg.MemBudget != 8<<20 {
-		t.Errorf("budget not threaded into pipeline config: %d", cfg.MemBudget)
-	}
-	if opts, err := parseFlags(nil, &stderr); err != nil || opts.memBudget != 0 {
-		t.Errorf("default mem-budget: %v, %+v", err, opts)
-	}
-	// Bad budgets fail at parse time with a diagnostic, not mid-run.
-	stderr.Reset()
-	if _, err := parseFlags([]string{"-mem-budget", "-5"}, &stderr); err == nil {
-		t.Error("negative -mem-budget accepted")
-	}
-	if !strings.Contains(stderr.String(), "negative") {
-		t.Errorf("rejection printed nothing useful: %q", stderr.String())
-	}
-	stderr.Reset()
-	if _, err := parseFlags([]string{"-mem-budget", "1024"}, &stderr); err == nil {
-		t.Error("sub-minimum -mem-budget accepted")
-	}
-	if !strings.Contains(stderr.String(), "minimum") {
-		t.Errorf("rejection printed nothing useful: %q", stderr.String())
-	}
-}
-
 func TestRunErrorLine(t *testing.T) {
 	wrapped := fmt.Errorf("dist: exchange 3 (read exchange k=21) still failing after 3 of 5 injected failures: %w",
 		dist.ErrUnrecoverable)
@@ -190,56 +323,6 @@ func TestRunErrorLine(t *testing.T) {
 	}
 }
 
-func TestBuildConfigRejectsMalformedRounds(t *testing.T) {
-	for _, rounds := range []string{"abc", "21,,33", "33,21", ""} {
-		opts := &options{rounds: rounds, ranks: 1}
-		if _, err := buildConfig(opts); err == nil {
-			t.Errorf("rounds %q accepted", rounds)
-		}
-	}
-	opts := &options{rounds: "21,33", ranks: 1, gpu: true}
-	cfg, err := buildConfig(opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cfg.Engine.Name != locassm.EngineGPU || !reflect.DeepEqual(cfg.Rounds, []int{21, 33}) {
-		t.Errorf("config wrong: Engine=%q Rounds=%v", cfg.Engine.Name, cfg.Rounds)
-	}
-}
-
-func TestResolveEngine(t *testing.T) {
-	cases := []struct {
-		opts options
-		want string
-		err  bool
-	}{
-		{options{engine: "auto", ranks: 1}, locassm.EngineCPU, false},
-		{options{engine: "", ranks: 1, gpu: true}, locassm.EngineGPU, false},
-		{options{engine: "auto", ranks: 4}, locassm.EngineDist, false},
-		{options{engine: "cpu", ranks: 1}, locassm.EngineCPU, false},
-		{options{engine: "gpu", ranks: 1}, locassm.EngineGPU, false},
-		{options{engine: "multigpu", ranks: 1}, locassm.EngineMultiGPU, false},
-		{options{engine: "dist", ranks: 4}, locassm.EngineDist, false},
-		{options{engine: "dist", ranks: 1}, "", true},
-		{options{engine: "gpu", ranks: 2}, "", true},
-		{options{engine: "warp9", ranks: 1}, "", true},
-	}
-	for _, c := range cases {
-		got, err := resolveEngine(&c.opts)
-		if c.err {
-			if err == nil {
-				t.Errorf("resolveEngine(%+v): expected error, got %q", c.opts, got)
-			}
-			continue
-		}
-		if err != nil {
-			t.Errorf("resolveEngine(%+v): %v", c.opts, err)
-		} else if got != c.want {
-			t.Errorf("resolveEngine(%+v) = %q, want %q", c.opts, got, c.want)
-		}
-	}
-}
-
 // TestJSONReportRoundTrip runs a tiny distributed assembly and checks the
 // JSON report carries the per-rank comm/compute breakdown.
 func TestJSONReportRoundTrip(t *testing.T) {
@@ -261,7 +344,7 @@ func TestJSONReportRoundTrip(t *testing.T) {
 	}
 
 	path := filepath.Join(t.TempDir(), "run.json")
-	if err := writeJSONReport(path, res, rep); err != nil {
+	if err := report.Build(res, rep).WriteFile(path); err != nil {
 		t.Fatal(err)
 	}
 	data, err := os.ReadFile(path)
@@ -336,7 +419,7 @@ func TestJSONReportRecoverySection(t *testing.T) {
 	if jr.Dist == nil || jr.Dist.Recovery == nil {
 		t.Fatal("recovery section missing from faulted run JSON")
 	}
-	if jr.Dist.Recovery.ExchangeRetries == 0 || jr.Dist.Recovery.RetryTimeNS <= 0 {
+	if jr.Dist.Recovery.ExchangeRetries == 0 || jr.Dist.Recovery.RetryTime <= 0 {
 		t.Errorf("retry counters empty: %+v", jr.Dist.Recovery)
 	}
 	if jr.Dist.Faults == "" || jr.Dist.Faults == "no faults" {

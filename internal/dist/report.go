@@ -34,32 +34,33 @@ type RankStats struct {
 }
 
 // RecoveryStats summarizes the fault-recovery work of a run. All counters
-// are zero for a fault-free run.
+// are zero for a fault-free run. The JSON names are the v1 report's
+// dist.recovery section (internal/report); durations encode as nanoseconds.
 type RecoveryStats struct {
 	// ExchangeRetries counts failed exchange attempts recovered by retry;
 	// RetryTime is the modeled time they cost (timeouts, full corrupt
 	// transfers, and backoff).
-	ExchangeRetries int
-	RetryTime       time.Duration
+	ExchangeRetries int           `json:"exchange_retries"`
+	RetryTime       time.Duration `json:"retry_time_ns"`
 	// Evictions counts ranks removed by injected crashes; RecoveredBytes
 	// the contig bytes whose ownership moved to a survivor.
-	Evictions      int
-	RecoveredBytes int64
+	Evictions      int   `json:"evictions"`
+	RecoveredBytes int64 `json:"recovered_bytes"`
 	// DeviceFallbacks counts ranks that degraded to the host flat-table
 	// engine after losing their device mid-round.
-	DeviceFallbacks int
+	DeviceFallbacks int `json:"device_fallbacks"`
 	// BatchResplits counts batches the drivers split in half and retried
 	// after a recoverable kernel fault.
-	BatchResplits int
+	BatchResplits int `json:"batch_resplits"`
 	// Stragglers counts injected per-rank compute slowdowns applied.
-	Stragglers int
+	Stragglers int `json:"stragglers"`
 	// OOMReplans counts DeviceOOM events a budget-mode run absorbed by
 	// shrinking the counting budget and re-planning the pass schedule —
 	// the graceful-degradation replacement for DeviceFallbacks.
 	// SpillPasses counts the extra counting passes that degradation
 	// (budget shrinks and in-run spill re-plans) cost.
-	OOMReplans  int
-	SpillPasses int
+	OOMReplans  int `json:"oom_replans,omitempty"`
+	SpillPasses int `json:"spill_passes,omitempty"`
 }
 
 // Any reports whether any recovery machinery fired.
@@ -70,27 +71,28 @@ func (rs *RecoveryStats) Any() bool {
 
 // ElasticityStats summarizes the membership and work-stealing activity of a
 // run. Epochs is always ≥ 1 (the initial membership is epoch 0); everything
-// else is zero for a static, balanced run.
+// else is zero for a static, balanced run. The JSON names are the v1
+// report's dist.elasticity section.
 type ElasticityStats struct {
 	// Epochs counts membership versions (1 + joins + evictions); Joins the
 	// ranks admitted mid-run; EpochLive the live-rank count at each epoch.
-	Epochs    int
-	Joins     int
-	EpochLive []int
+	Epochs    int   `json:"epochs"`
+	Joins     int   `json:"joins"`
+	EpochLive []int `json:"epoch_live"`
 	// Steals counts per-round victim→thief flows; StolenBatches the
 	// tail batches (virtual shards) that moved through them; StolenBytes
 	// their modeled payload.
-	Steals        int
-	StolenBatches int
-	StolenBytes   int64
+	Steals        int   `json:"steals"`
+	StolenBatches int   `json:"stolen_batches"`
+	StolenBytes   int64 `json:"stolen_bytes,omitempty"`
 	// RebalancedBytes is the contig payload the join bootstrap exchanges
 	// shipped to re-dealt owners.
-	RebalancedBytes int64
+	RebalancedBytes int64 `json:"rebalanced_bytes,omitempty"`
 	// NoStealWall / StealWall are the run's summed round makespans without
 	// and with stealing, computed in the same pass; their ratio is the
 	// stealing speedup of the modeled compute wall.
-	NoStealWall time.Duration
-	StealWall   time.Duration
+	NoStealWall time.Duration `json:"nosteal_wall_ns"`
+	StealWall   time.Duration `json:"steal_wall_ns"`
 }
 
 // Any reports whether the run was elastic or stole any work.

@@ -101,13 +101,7 @@ type Config struct {
 // DefaultConfig returns a distributed configuration over the default
 // pipeline.
 func DefaultConfig(ranks int) Config {
-	return Config{
-		Ranks:         ranks,
-		VirtualShards: DefaultVirtualShards,
-		Fabric:        DefaultFabricConfig(),
-		Device:        simt.V100(),
-		Pipeline:      pipeline.DefaultConfig(),
-	}
+	return Config{Ranks: ranks, Pipeline: pipeline.DefaultConfig()}.withDefaults()
 }
 
 // withDefaults fills zero-valued fields. The fabric defaults field by

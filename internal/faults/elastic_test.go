@@ -1,6 +1,8 @@
 package faults
 
 import (
+	"fmt"
+	"runtime"
 	"strings"
 	"testing"
 )
@@ -173,5 +175,38 @@ func TestJoinsAt(t *testing.T) {
 	var nilIn *Injector
 	if got := nilIn.JoinsAt(0); got != nil {
 		t.Errorf("nil injector JoinsAt = %v, want nil", got)
+	}
+}
+
+// TestScheduleCeiling: a spec's counts are compared with MaxRanks before
+// anything is sized from them — "join@r0:20000000" used to replay 20 M events
+// (5.5 GB) before any check ran.
+func TestScheduleCeiling(t *testing.T) {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for _, spec := range []string{
+		"join@r0:20000000",
+		"join@r0:2000000000",
+		fmt.Sprintf("join@r0:%d,join@r1:1", MaxRanks-2),
+		"join@r0:9223372036854775807,join@r1:9223372036854775807",
+	} {
+		if _, err := ParseElastic(spec, 2, 3); err == nil {
+			t.Errorf("ParseElastic(%q) accepted", spec)
+		}
+	}
+	if _, err := ParseElastic("leave@r0:1", MaxRanks+1, 3); err == nil {
+		t.Error("ParseElastic accepted more initial ranks than MaxRanks")
+	}
+	for _, spec := range []string{"drop=2000000000", "join=2000000000", "oom=1000,oom=1000", fmt.Sprintf("join=%d", MaxRanks-1)} {
+		if _, err := NewPlan(spec, 1, 2, 3); err == nil {
+			t.Errorf("NewPlan(%q) accepted", spec)
+		}
+	}
+	runtime.ReadMemStats(&after)
+	if got := after.TotalAlloc - before.TotalAlloc; got > 1<<20 {
+		t.Errorf("rejections allocated %d bytes, want < 1 MiB", got)
+	}
+	if p, err := ParseElastic(fmt.Sprintf("join@r0:%d", MaxRanks-2), 2, 3); err != nil || p.Capacity() != MaxRanks {
+		t.Errorf("schedule reaching exactly MaxRanks: capacity %d, %v", p.Capacity(), err)
 	}
 }

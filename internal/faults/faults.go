@@ -99,6 +99,13 @@ type Event struct {
 	Factor float64
 }
 
+// MaxRanks is the ceiling on every size a schedule is materialized from: a
+// run's rank ID space (initial ranks plus all scheduled joins) and each
+// kind's event count. Specs arrive from outside the program (a flag, a
+// POSTed JobSpec), so the parsers compare against it before sizing
+// anything, and front ends hold their own rank and device counts to it.
+const MaxRanks = 1024
+
 // Plan is a fully materialized fault schedule for one run shape.
 type Plan struct {
 	Seed   int64
@@ -133,6 +140,9 @@ func ParseSpec(spec string) (map[Kind]int, error) {
 		if err != nil || n < 0 {
 			return nil, fmt.Errorf("faults: bad count %q for %s", val, kind)
 		}
+		if n > MaxRanks-counts[kind] {
+			return nil, fmt.Errorf("faults: more than %d %s events", MaxRanks, kind)
+		}
 		counts[kind] += n
 	}
 	return counts, nil
@@ -149,6 +159,9 @@ func NewPlan(spec string, seed int64, ranks, rounds int) (*Plan, error) {
 	counts, err := ParseSpec(spec)
 	if err != nil {
 		return nil, err
+	}
+	if ranks+counts[RankJoin] > MaxRanks {
+		return nil, fmt.Errorf("faults: %d ranks + %d joins exceed the %d-rank ceiling", ranks, counts[RankJoin], MaxRanks)
 	}
 	if counts[RankCrash] > ranks-1 {
 		return nil, fmt.Errorf("faults: %d rank crashes would leave no survivor among %d ranks",
@@ -211,8 +224,8 @@ func (p *Plan) Capacity() int {
 
 // Merge concatenates another plan's events onto this one (both must share
 // the run shape). Either side may be nil; the result is nil only when both
-// are. The CLI uses it to combine an -elastic membership schedule with a
-// random -faults schedule into the single plan the runtime consumes.
+// are. The dist runtime uses it to combine an elastic membership schedule
+// with a random fault schedule into the single plan it consumes.
 func (p *Plan) Merge(q *Plan) (*Plan, error) {
 	if p == nil {
 		return q, nil
@@ -243,11 +256,15 @@ func ParseElastic(spec string, ranks, rounds int) (*Plan, error) {
 	if ranks < 1 || rounds < 1 {
 		return nil, fmt.Errorf("faults: elastic schedule needs ≥1 rank and ≥1 round, got %d×%d", ranks, rounds)
 	}
+	if ranks > MaxRanks {
+		return nil, fmt.Errorf("faults: %d ranks exceed the %d-rank ceiling", ranks, MaxRanks)
+	}
 	type entry struct {
 		join         bool
 		round, count int
 	}
 	var entries []entry
+	capacity := ranks // ranks + Σ joins so far, held to MaxRanks before the replay sizes anything from it
 	for _, field := range strings.Split(spec, ",") {
 		field = strings.TrimSpace(field)
 		if field == "" {
@@ -279,6 +296,12 @@ func ParseElastic(spec string, ranks, rounds int) (*Plan, error) {
 		n, err := strconv.Atoi(strings.TrimSpace(cnt))
 		if err != nil || n < 1 {
 			return nil, fmt.Errorf("faults: elastic entry %q: bad count %q", field, cnt)
+		}
+		if e.join {
+			if n > MaxRanks-capacity {
+				return nil, fmt.Errorf("faults: elastic entry %q grows the run past the %d-rank ceiling", field, MaxRanks)
+			}
+			capacity += n
 		}
 		e.round, e.count = round, n
 		entries = append(entries, e)

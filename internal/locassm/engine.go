@@ -61,11 +61,8 @@ func (s *Stats) Add(o Stats) {
 	s.Batches += o.Batches
 }
 
-// Registered engine names. EngineAuto is not itself registered: it
-// resolves to EngineCPU here (callers with more context, like the
-// pipeline or the CLI, resolve it earlier with their own defaults).
+// Registered engine names.
 const (
-	EngineAuto     = "auto"
 	EngineCPU      = "cpu"
 	EngineGPU      = "gpu"
 	EngineMultiGPU = "multigpu"
@@ -79,7 +76,7 @@ const (
 // and how — the replacement for scattering UseGPU-style booleans through
 // configs. Zero fields default sensibly per engine.
 type EngineSpec struct {
-	// Name selects the registered engine ("", "auto" → EngineCPU).
+	// Name selects the registered engine ("" → EngineCPU).
 	Name string
 	// Instance, when non-nil, bypasses the registry entirely: NewEngine
 	// returns it as-is. The distributed runtime injects itself this way,
@@ -175,13 +172,13 @@ func EngineNames() []string {
 }
 
 // NewEngine resolves a spec into a constructed engine: a pre-built
-// Instance wins, then the registry by Name ("" and "auto" mean cpu).
+// Instance wins, then the registry by Name ("" means cpu).
 func NewEngine(spec EngineSpec) (Engine, error) {
 	if spec.Instance != nil {
 		return spec.Instance, nil
 	}
 	name := spec.Name
-	if name == "" || name == EngineAuto {
+	if name == "" {
 		name = EngineCPU
 	}
 	engineMu.RLock()

@@ -37,16 +37,18 @@ func TestNewEngineUnknown(t *testing.T) {
 	}
 }
 
-// TestNewEngineAutoIsCPU: "" and "auto" resolve to the host engine.
-func TestNewEngineAutoIsCPU(t *testing.T) {
-	for _, name := range []string{"", EngineAuto} {
-		eng, err := NewEngine(EngineSpec{Name: name, Config: testConfig()})
-		if err != nil {
-			t.Fatalf("NewEngine(%q): %v", name, err)
-		}
-		if eng.Name() != EngineCPU {
-			t.Errorf("NewEngine(%q).Name() = %q, want cpu", name, eng.Name())
-		}
+// TestNewEngineDefaultIsCPU: an unnamed spec resolves to the host engine,
+// and the retired "auto" alias is an unknown engine.
+func TestNewEngineDefaultIsCPU(t *testing.T) {
+	eng, err := NewEngine(EngineSpec{Config: testConfig()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if eng.Name() != EngineCPU {
+		t.Errorf("NewEngine(\"\").Name() = %q, want cpu", eng.Name())
+	}
+	if _, err := NewEngine(EngineSpec{Name: "auto", Config: testConfig()}); err == nil {
+		t.Error(`NewEngine("auto") accepted`)
 	}
 }
 

@@ -16,9 +16,31 @@ import (
 // checkpoint directory, and a rerun resumes from the latest completed
 // round instead of recomputing it.
 
+// A round's checkpoint file is ckptPrefix + k + ckptSuffix.
+const ckptPrefix, ckptSuffix = "contigs-k", ".fasta"
+
 // ckptName returns the checkpoint file for round k.
 func ckptName(dir string, k int) string {
-	return filepath.Join(dir, fmt.Sprintf("contigs-k%d.fasta", k))
+	return filepath.Join(dir, ckptPrefix+strconv.Itoa(k)+ckptSuffix)
+}
+
+// HasCheckpoint reports whether dir holds any completed round — whether a
+// run pointed at it would resume instead of starting over. A missing
+// directory holds none.
+func HasCheckpoint(dir string) (bool, error) {
+	entries, err := os.ReadDir(dir)
+	if os.IsNotExist(err) {
+		return false, nil
+	}
+	if err != nil {
+		return false, err
+	}
+	for _, e := range entries {
+		if strings.HasPrefix(e.Name(), ckptPrefix) && strings.HasSuffix(e.Name(), ckptSuffix) {
+			return true, nil
+		}
+	}
+	return false, nil
 }
 
 // saveRound writes a round's contigs (atomically: write + rename).

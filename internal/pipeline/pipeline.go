@@ -116,9 +116,12 @@ type WorkRecord struct {
 }
 
 // RoundBins records the §3.1 bin distribution for one k round (Fig 3).
+// The JSON names are the v1 report's bins section (internal/report).
 type RoundBins struct {
-	K                  int
-	Zero, Small, Large int
+	K     int `json:"k"`
+	Zero  int `json:"bin1_zero"`
+	Small int `json:"bin2_small"`
+	Large int `json:"bin3_large"`
 }
 
 // Default read-merging parameters (the merge-reads stage of Fig 1).
@@ -168,7 +171,7 @@ type Config struct {
 
 	// Engine selects the local-assembly execution substrate — the single
 	// resolved spec that replaced the old UseGPU-style boolean branching.
-	// Engine.Name picks a registered engine ("", "auto" → cpu); the
+	// Engine.Name picks a registered engine ("" → cpu); the
 	// distributed runtime injects itself via Engine.Instance. The walk
 	// Config, driver GPU config, Device, and Workers below are folded into
 	// the spec at resolution time, so only Name / Instance / GPUs /

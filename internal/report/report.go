@@ -22,14 +22,14 @@ const SchemaVersion = "mhm2sim-report/v1"
 // Report is the machine-readable run summary. All durations are
 // nanoseconds.
 type Report struct {
-	Schema   string           `json:"schema"`
-	StagesNS map[string]int64 `json:"stages_ns"`
-	TotalNS  int64            `json:"total_ns"`
-	Assembly Assembly         `json:"assembly"`
-	Bins     []Bins           `json:"bins"`
-	GPU      *GPU             `json:"gpu,omitempty"`
-	Kmer     *Kmer            `json:"kmer,omitempty"`
-	Dist     *Dist            `json:"dist,omitempty"`
+	Schema   string               `json:"schema"`
+	StagesNS map[string]int64     `json:"stages_ns"`
+	TotalNS  int64                `json:"total_ns"`
+	Assembly Assembly             `json:"assembly"`
+	Bins     []pipeline.RoundBins `json:"bins"`
+	GPU      *GPU                 `json:"gpu,omitempty"`
+	Kmer     *Kmer                `json:"kmer,omitempty"`
+	Dist     *Dist                `json:"dist,omitempty"`
 }
 
 // Assembly summarizes the contig set (lengths sorted descending).
@@ -42,14 +42,6 @@ type Assembly struct {
 	// Lens holds the contig lengths, descending — for histograms, not
 	// serialized.
 	Lens []int `json:"-"`
-}
-
-// Bins is the §3.1 bin distribution of one contigging round (Fig 3).
-type Bins struct {
-	K     int `json:"k"`
-	Zero  int `json:"bin1_zero"`
-	Small int `json:"bin2_small"`
-	Large int `json:"bin3_large"`
 }
 
 // GPU summarizes the device local-assembly kernels of the run.
@@ -96,15 +88,17 @@ type Dist struct {
 	CommTimeNS      int64 `json:"comm_time_ns"`
 	// CommBytes is remote (wire) bytes; LocalBytes the rank-local bytes
 	// that never left their rank; Locality = local/(local+remote).
-	CommBytes  int64       `json:"comm_bytes"`
-	LocalBytes int64       `json:"local_bytes"`
-	Locality   float64     `json:"locality"`
-	CommMsgs   int64       `json:"comm_msgs"`
-	Efficiency float64     `json:"efficiency"`
-	Faults     string      `json:"faults,omitempty"`
-	Recovery   *Recovery   `json:"recovery,omitempty"`
-	Elasticity *Elasticity `json:"elasticity,omitempty"`
-	PerRank    []Rank      `json:"per_rank"`
+	CommBytes  int64   `json:"comm_bytes"`
+	LocalBytes int64   `json:"local_bytes"`
+	Locality   float64 `json:"locality"`
+	CommMsgs   int64   `json:"comm_msgs"`
+	Efficiency float64 `json:"efficiency"`
+	Faults     string  `json:"faults,omitempty"`
+	// Recovery (chaos runs) and Elasticity (runs that changed membership or
+	// stole work) are the runtime's own counters, encoded as they are.
+	Recovery   *dist.RecoveryStats   `json:"recovery,omitempty"`
+	Elasticity *dist.ElasticityStats `json:"elasticity,omitempty"`
+	PerRank    []Rank                `json:"per_rank"`
 	// Stages is the per-exchange local-vs-remote byte split in execution
 	// order — the Fig 9-style comm breakdown.
 	Stages []StageComm `json:"stages,omitempty"`
@@ -118,40 +112,6 @@ type StageComm struct {
 	Msgs        int64   `json:"msgs"`
 	TimeNS      int64   `json:"time_ns"`
 	Locality    float64 `json:"locality"`
-}
-
-// Recovery reports the fault-recovery counters of a chaos run.
-type Recovery struct {
-	ExchangeRetries int   `json:"exchange_retries"`
-	RetryTimeNS     int64 `json:"retry_time_ns"`
-	Evictions       int   `json:"evictions"`
-	RecoveredBytes  int64 `json:"recovered_bytes"`
-	DeviceFallbacks int   `json:"device_fallbacks"`
-	BatchResplits   int   `json:"batch_resplits"`
-	Stragglers      int   `json:"stragglers"`
-	OOMReplans      int   `json:"oom_replans,omitempty"`
-	SpillPasses     int   `json:"spill_passes,omitempty"`
-}
-
-// Elasticity reports the membership and work-stealing activity of an
-// elastic run (emitted whenever the run changed membership or stole work).
-type Elasticity struct {
-	// Epochs counts membership versions (≥ 1); Joins the mid-run rank
-	// admissions; EpochLive the live-rank count at each epoch.
-	Epochs    int   `json:"epochs"`
-	Joins     int   `json:"joins"`
-	EpochLive []int `json:"epoch_live"`
-	// Steals counts victim→thief flows; StolenBatches the tail batches
-	// moved through them; StolenBytes / RebalancedBytes their payload and
-	// the join bootstrap traffic.
-	Steals          int   `json:"steals"`
-	StolenBatches   int   `json:"stolen_batches"`
-	StolenBytes     int64 `json:"stolen_bytes,omitempty"`
-	RebalancedBytes int64 `json:"rebalanced_bytes,omitempty"`
-	// NoStealWallNS / StealWallNS are the summed round makespans without
-	// and with stealing; their ratio is the stealing speedup.
-	NoStealWallNS int64 `json:"nosteal_wall_ns"`
-	StealWallNS   int64 `json:"steal_wall_ns"`
 }
 
 // Rank is one rank's row of the strong-scaling breakdown.
@@ -203,12 +163,10 @@ func Build(res *pipeline.Result, rep *dist.Report) *Report {
 		StagesNS: make(map[string]int64, int(pipeline.NumStages)),
 		TotalNS:  int64(res.Timings.Total()),
 		Assembly: ComputeAssembly(res),
+		Bins:     res.Bins,
 	}
 	for s := pipeline.Stage(0); s < pipeline.NumStages; s++ {
 		r.StagesNS[s.String()] = int64(res.Timings.Wall[s])
-	}
-	for _, b := range res.Bins {
-		r.Bins = append(r.Bins, Bins{K: b.K, Zero: b.Zero, Small: b.Small, Large: b.Large})
 	}
 	if len(res.Work.GPUKernels) > 0 {
 		r.GPU = &GPU{
@@ -265,30 +223,10 @@ func Build(res *pipeline.Result, rep *dist.Report) *Report {
 		}
 		if rep.Recovery.Any() {
 			jd.Faults = rep.Faults
-			jd.Recovery = &Recovery{
-				ExchangeRetries: rep.Recovery.ExchangeRetries,
-				RetryTimeNS:     int64(rep.Recovery.RetryTime),
-				Evictions:       rep.Recovery.Evictions,
-				RecoveredBytes:  rep.Recovery.RecoveredBytes,
-				DeviceFallbacks: rep.Recovery.DeviceFallbacks,
-				BatchResplits:   rep.Recovery.BatchResplits,
-				Stragglers:      rep.Recovery.Stragglers,
-				OOMReplans:      rep.Recovery.OOMReplans,
-				SpillPasses:     rep.Recovery.SpillPasses,
-			}
+			jd.Recovery = &rep.Recovery
 		}
-		if es := &rep.Elasticity; es.Any() {
-			jd.Elasticity = &Elasticity{
-				Epochs:          es.Epochs,
-				Joins:           es.Joins,
-				EpochLive:       es.EpochLive,
-				Steals:          es.Steals,
-				StolenBatches:   es.StolenBatches,
-				StolenBytes:     es.StolenBytes,
-				RebalancedBytes: es.RebalancedBytes,
-				NoStealWallNS:   int64(es.NoStealWall),
-				StealWallNS:     int64(es.StealWall),
-			}
+		if rep.Elasticity.Any() {
+			jd.Elasticity = &rep.Elasticity
 		}
 		for _, rs := range rep.PerRank {
 			jd.PerRank = append(jd.PerRank, Rank{

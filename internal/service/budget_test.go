@@ -12,29 +12,6 @@ import (
 	"mhm2sim/internal/gpucount"
 )
 
-// TestJobSpecMemBudgetValidation: bad budgets are rejected at admission,
-// with a diagnostic, before any pipeline work starts.
-func TestJobSpecMemBudgetValidation(t *testing.T) {
-	s, err := New(Config{DataDir: t.TempDir(), QueueDepth: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	bad := tinySpec(1)
-	bad.MemBudget = -1
-	if _, err := s.Submit(bad); err == nil || !strings.Contains(err.Error(), "negative") {
-		t.Fatalf("negative mem_budget admitted: %v", err)
-	}
-	bad.MemBudget = gpucount.MinMemBudget - 1
-	if _, err := s.Submit(bad); err == nil || !strings.Contains(err.Error(), "minimum") {
-		t.Fatalf("sub-minimum mem_budget admitted: %v", err)
-	}
-	ok := tinySpec(1).withDefaults()
-	ok.MemBudget = gpucount.MinMemBudget
-	if err := ok.Validate(); err != nil {
-		t.Fatalf("minimum mem_budget rejected: %v", err)
-	}
-}
-
 // TestSchedulerMemBudgetJob runs a daemon job under the tightest legal
 // memory budget: the output must stay bit-identical to a standalone
 // budget run, the persisted report must carry the kmer section, and the

@@ -80,28 +80,6 @@ func TestDevicePoolTryAcquireYieldsToWaiters(t *testing.T) {
 	(<-granted).Release()
 }
 
-// TestJobSpecElasticValidation: elastic schedules are validated at
-// admission with the same conventions as the other dist-only knobs.
-func TestJobSpecElasticValidation(t *testing.T) {
-	spec := tinySpec(1).withDefaults()
-	spec.Elastic = "join@r0:1"
-	if err := spec.Validate(); err == nil || !strings.Contains(err.Error(), "engine=dist") {
-		t.Errorf("elastic without dist engine: %v", err)
-	}
-	spec.Engine, spec.Ranks = "dist", 2
-	if err := spec.Validate(); err != nil {
-		t.Errorf("valid elastic dist spec rejected: %v", err)
-	}
-	spec.Elastic = "join@r5:1" // out of range for the single round
-	if err := spec.Validate(); err == nil {
-		t.Error("out-of-range elastic round admitted")
-	}
-	spec.Elastic = "bogus"
-	if err := spec.Validate(); err == nil {
-		t.Error("malformed elastic spec admitted")
-	}
-}
-
 // TestSchedulerElasticJob runs an elastic dist job end to end through the
 // daemon: the joining rank draws a device from the shared pool, the
 // persisted output matches the standalone run byte for byte, the JSON

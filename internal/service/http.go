@@ -6,6 +6,11 @@ import (
 	"net/http"
 )
 
+// MaxSpecBytes bounds how much of a POST /v1/jobs body the daemon reads. A
+// JobSpec is a few hundred bytes; the slack is for long rounds lists and
+// schedules.
+const MaxSpecBytes = 1 << 20
+
 // NewHandler exposes the scheduler over HTTP+JSON:
 //
 //	POST   /v1/jobs             submit a JobSpec → 202 {"id": "job-000000"}
@@ -20,13 +25,18 @@ import (
 //
 // Admission rejections map to 429 (queue full, tenant over quota) and 503
 // (draining) so clients can back off and retry — the HTTP face of the
-// scheduler's backpressure.
+// scheduler's backpressure. A submitted body past MaxSpecBytes is a 413.
 func NewHandler(s *Scheduler) http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /v1/jobs", func(w http.ResponseWriter, r *http.Request) {
 		var spec JobSpec
-		if err := json.NewDecoder(r.Body).Decode(&spec); err != nil {
-			httpError(w, http.StatusBadRequest, err)
+		if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, MaxSpecBytes)).Decode(&spec); err != nil {
+			code := http.StatusBadRequest
+			var tooLarge *http.MaxBytesError
+			if errors.As(err, &tooLarge) {
+				code = http.StatusRequestEntityTooLarge
+			}
+			httpError(w, code, err)
 			return
 		}
 		id, err := s.Submit(spec)

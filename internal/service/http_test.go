@@ -7,6 +7,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -231,5 +232,57 @@ func TestHTTPBackpressure(t *testing.T) {
 	}
 	if resp, _ := postJob(t, srv, specFor("d")); resp.StatusCode != http.StatusServiceUnavailable {
 		t.Fatalf("draining: %d", resp.StatusCode)
+	}
+}
+
+// TestSubmitBodyBounds: the daemon reads at most MaxSpecBytes of a submitted
+// body (413 beyond), and a spec whose schedule names billions of ranks is a
+// 400 that sizes nothing from the number — it used to replay every join
+// (gigabytes, tens of seconds) before any bound was checked.
+func TestSubmitBodyBounds(t *testing.T) {
+	s, err := New(Config{DataDir: t.TempDir(), QueueDepth: 4}) // never started: admission only
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := httptest.NewServer(NewHandler(s))
+	defer srv.Close()
+	post := func(body io.Reader) int {
+		t.Helper()
+		resp, err := http.Post(srv.URL+"/v1/jobs", "application/json", body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		io.Copy(io.Discard, resp.Body)
+		return resp.StatusCode
+	}
+
+	huge := `{"tenant":"` + strings.Repeat("a", MaxSpecBytes) + `"}`
+	if code := post(strings.NewReader(huge)); code != http.StatusRequestEntityTooLarge {
+		t.Errorf("%d-byte body: status %d, want 413", len(huge), code)
+	}
+	padded := `{"tenant":"` + strings.Repeat("a", MaxSpecBytes/2) + `","rounds":[21]}`
+	if code := post(strings.NewReader(padded)); code != http.StatusAccepted {
+		t.Errorf("well-formed %d-byte body: status %d, want 202", len(padded), code)
+	}
+
+	post(strings.NewReader(`{"engine":"nope"}`)) // warm the connection and handler
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for _, spec := range []string{
+		`{"engine":"dist","ranks":2,"elastic":"join@r0:2000000000"}`,
+		`{"engine":"dist","ranks":2,"faults":"join=2000000000"}`,
+		`{"engine":"dist","ranks":2000000000}`,
+		`{"engine":"multigpu","gpus":2000000000}`,
+	} {
+		if code := post(strings.NewReader(spec)); code != http.StatusBadRequest {
+			t.Errorf("%s: status %d, want 400", spec, code)
+		}
+	}
+	runtime.ReadMemStats(&after)
+	got := after.TotalAlloc - before.TotalAlloc
+	t.Logf("four rejections allocated %d bytes", got)
+	if got > 1<<20 {
+		t.Errorf("rejecting oversized schedules allocated %d bytes, want < 1 MiB", got)
 	}
 }

@@ -7,7 +7,6 @@ import (
 	"io"
 	"os"
 	"path/filepath"
-	"strings"
 	"sync"
 	"time"
 
@@ -295,26 +294,9 @@ func (s *Scheduler) List() []Status {
 	return out
 }
 
-// Result loads a finished job's persisted report.
-func (s *Scheduler) Result(id string) (*report.Report, error) {
-	s.mu.Lock()
-	j, ok := s.jobs[id]
-	var state State
-	if ok {
-		state = j.state
-	}
-	s.mu.Unlock()
-	if !ok {
-		return nil, ErrNotFound
-	}
-	if state != StateSucceeded {
-		return nil, fmt.Errorf("%w (state %s)", ErrNotReady, state)
-	}
-	return report.Load(filepath.Join(jobDir(s.cfg.DataDir, id), resultFile))
-}
-
-// OutputPath returns the finished job's FASTA path.
-func (s *Scheduler) OutputPath(id string) (string, error) {
+// succeededDir returns the directory of a job that has succeeded — where
+// its report and FASTA are.
+func (s *Scheduler) succeededDir(id string) (string, error) {
 	s.mu.Lock()
 	j, ok := s.jobs[id]
 	var state State
@@ -328,7 +310,25 @@ func (s *Scheduler) OutputPath(id string) (string, error) {
 	if state != StateSucceeded {
 		return "", fmt.Errorf("%w (state %s)", ErrNotReady, state)
 	}
-	return filepath.Join(jobDir(s.cfg.DataDir, id), outputFile), nil
+	return jobDir(s.cfg.DataDir, id), nil
+}
+
+// Result loads a finished job's persisted report.
+func (s *Scheduler) Result(id string) (*report.Report, error) {
+	dir, err := s.succeededDir(id)
+	if err != nil {
+		return nil, err
+	}
+	return report.Load(filepath.Join(dir, resultFile))
+}
+
+// OutputPath returns the finished job's FASTA path.
+func (s *Scheduler) OutputPath(id string) (string, error) {
+	dir, err := s.succeededDir(id)
+	if err != nil {
+		return "", err
+	}
+	return filepath.Join(dir, outputFile), nil
 }
 
 // Cancel cancels a job: queued jobs are marked canceled and skipped when
@@ -416,7 +416,6 @@ func (s *Scheduler) runJob(j *job) {
 		s.settle(j, nil, nil, err)
 		return
 	}
-	defer lease.Release()
 
 	s.mu.Lock()
 	// The device lease is part of queue wait: the job's own work has not
@@ -428,6 +427,7 @@ func (s *Scheduler) runJob(j *job) {
 	s.mu.Unlock()
 
 	res, rep, runErr := s.executeWithRetry(ctx, j, lease)
+	lease.Release() // before settle: whoever sees the job terminal sees its devices back
 	s.mu.Lock()
 	j.deviceHeld = time.Since(j.startTime)
 	s.mu.Unlock()
@@ -513,15 +513,17 @@ func (s *Scheduler) executeWithRetry(ctx context.Context, j *job, lease *Lease) 
 	return nil, nil, lastErr
 }
 
-// execute runs one pipeline attempt for the job.
+// execute runs one attempt of the job: plan the spec, attach the
+// scheduler's host-side settings (checkpoint dir, observer, leased device,
+// join provider, reseeded fault plan), run.
 func (s *Scheduler) execute(ctx context.Context, j *job, lease *Lease, attempt int) (*pipeline.Result, *dist.Report, error) {
-	pairs, cfg, err := BuildInput(j.spec)
+	plan, err := NewPlan(j.spec)
 	if err != nil {
 		return nil, nil, err
 	}
 	ckpt := filepath.Join(jobDir(s.cfg.DataDir, j.id), ckptDir)
-	cfg.CheckpointDir = ckpt
-	if resumed, err := hasCheckpoint(ckpt); err != nil {
+	plan.Pipeline.CheckpointDir = ckpt
+	if resumed, err := pipeline.HasCheckpoint(ckpt); err != nil {
 		return nil, nil, err
 	} else if resumed {
 		s.met.Resumed()
@@ -530,28 +532,27 @@ func (s *Scheduler) execute(ctx context.Context, j *job, lease *Lease, attempt i
 		s.mu.Unlock()
 	}
 	stages := make(map[string]int64)
-	cfg.Observer = s.met.StageObserver(stages)
+	plan.Pipeline.Observer = s.met.StageObserver(stages)
 
 	s.mu.Lock()
 	j.attempts++
 	s.mu.Unlock()
 
-	var res *pipeline.Result
-	var rep *dist.Report
-	if j.spec.Engine == locassm.EngineDist {
-		dcfg, derr := distConfig(j.spec, cfg)
-		if derr != nil {
-			return nil, nil, derr
-		}
+	if j.spec.Engine == locassm.EngineGPU {
+		// The leased pool device: N simulated GPUs multiplex across
+		// concurrent gpu-engine jobs through EngineSpec.
+		plan.Pipeline.Engine.Device = lease.Devices[0]
+	}
+	if dcfg := plan.Dist; dcfg != nil {
 		if dcfg.Faults != nil && attempt > 0 {
 			// Deterministic plans fail deterministically: a retry must draw
 			// a fresh schedule, as a real rerun lands on different timing.
-			dcfg.Faults, derr = dcfg.Faults.Reseed(j.spec.FaultSeed + int64(attempt))
-			if derr != nil {
-				return nil, nil, derr
+			dcfg.Faults, err = dcfg.Faults.Reseed(j.spec.FaultSeed + int64(attempt))
+			if err != nil {
+				return nil, nil, err
 			}
 		}
-		if j.spec.Elastic != "" {
+		if dcfg.Elastic != "" {
 			// Joining ranks draw real pool capacity mid-run. TryAcquire
 			// never blocks: a pool too contended to grow the job is a hard
 			// error (the runtime surfaces it), not a deadlocked round.
@@ -576,17 +577,10 @@ func (s *Scheduler) execute(ctx context.Context, j *job, lease *Lease, attempt i
 				}
 			}()
 		}
-		res, rep, err = dist.RunContext(ctx, pairs, dcfg)
-		if rep != nil {
-			s.met.ElasticRun(rep.Elasticity.Joins, rep.Elasticity.StolenBatches)
-		}
-	} else {
-		if j.spec.Engine == locassm.EngineGPU {
-			// The leased pool device: N simulated GPUs multiplex across
-			// concurrent gpu-engine jobs through EngineSpec.
-			cfg.Engine.Device = lease.Devices[0]
-		}
-		res, err = pipeline.RunContext(ctx, pairs, cfg)
+	}
+	res, rep, err := plan.Run(ctx)
+	if rep != nil {
+		s.met.ElasticRun(rep.Elasticity.Joins, rep.Elasticity.StolenBatches)
 	}
 	if err != nil {
 		return nil, nil, err
@@ -595,23 +589,6 @@ func (s *Scheduler) execute(ctx context.Context, j *job, lease *Lease, attempt i
 	j.stagesNS = stages
 	s.mu.Unlock()
 	return res, rep, nil
-}
-
-// hasCheckpoint reports whether the checkpoint directory holds any round.
-func hasCheckpoint(dir string) (bool, error) {
-	entries, err := os.ReadDir(dir)
-	if os.IsNotExist(err) {
-		return false, nil
-	}
-	if err != nil {
-		return false, err
-	}
-	for _, e := range entries {
-		if strings.HasPrefix(e.Name(), "contigs-k") && strings.HasSuffix(e.Name(), ".fasta") {
-			return true, nil
-		}
-	}
-	return false, nil
 }
 
 // persistResult writes the job's report and FASTA output atomically.

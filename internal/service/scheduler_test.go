@@ -31,25 +31,13 @@ func tinySpec(seed int64) JobSpec {
 // the reference the daemon's persisted outputs must match byte for byte.
 func standaloneOutput(t *testing.T, spec JobSpec) []byte {
 	t.Helper()
-	pairs, cfg, err := BuildInput(spec)
+	plan, err := NewPlan(spec)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var res *pipeline.Result
-	if spec.withDefaults().Engine == "dist" {
-		dcfg, err := distConfig(spec.withDefaults(), cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		res, _, err = dist.Run(pairs, dcfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-	} else {
-		res, err = pipeline.Run(pairs, cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
+	res, _, err := plan.Run(context.Background())
+	if err != nil {
+		t.Fatal(err)
 	}
 	var buf bytes.Buffer
 	if err := pipeline.WriteFASTAOutputs(&buf, res); err != nil {

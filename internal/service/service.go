@@ -4,8 +4,9 @@
 // per-tenant quotas, leases simulated GPUs to them from a shared device
 // pool through locassm.EngineSpec, checkpoints every job so a killed or
 // evicted job resumes from its last completed round, and exports per-job /
-// per-tenant metrics. The pipeline becomes a callee: pipeline.RunContext is
-// invoked by workers, never by a CLI main.
+// per-tenant metrics. The pipeline becomes a callee: a worker plans the
+// job's spec and calls Plan.Run, the same path the mhm2sim CLI takes
+// (plan.go).
 //
 // Determinism carries over unchanged from the batch path: a job's contigs
 // and scaffolds are bit-identical to a standalone mhm2sim run of the same
@@ -13,24 +14,18 @@
 package service
 
 import (
-	"fmt"
-	"os"
 	"time"
 
-	"mhm2sim/internal/dist"
-	"mhm2sim/internal/dna"
-	"mhm2sim/internal/faults"
-	"mhm2sim/internal/gpucount"
 	"mhm2sim/internal/locassm"
-	"mhm2sim/internal/pipeline"
-	"mhm2sim/internal/synth"
 )
 
-// JobSpec describes one assembly job, as submitted over the HTTP API. The
-// input is named declaratively — a synth preset plus overrides, or a FASTQ
-// path readable by the daemon — so the spec is small, persistable, and
-// sufficient to reproduce the job bit-identically (the determinism the
-// stress tests assert against standalone runs).
+// JobSpec is the one serialisable description of an assembly run: what the
+// HTTP API accepts and what mhm2sim binds its flags into. The input is
+// named declaratively — a synth preset plus overrides, or a FASTQ path
+// readable by the process — so the spec is small, persistable, and
+// sufficient to reproduce the run bit-identically (the determinism the
+// stress tests assert against standalone runs). NewPlan turns it into the
+// run it denotes.
 type JobSpec struct {
 	// Tenant attributes the job for quotas and metrics ("" = "default").
 	Tenant string `json:"tenant,omitempty"`
@@ -68,8 +63,8 @@ type JobSpec struct {
 	Shard string `json:"shard,omitempty"`
 	// MemBudget, when > 0, runs memory-bounded k-mer counting (Bloom
 	// prefilter + multi-pass spill, see DESIGN.md §15) under this byte
-	// budget. Must be ≥ gpucount.MinMemBudget. With a fault schedule, OOM
-	// events shrink the budget instead of poisoning devices.
+	// budget (pipeline.Config.MemBudget holds the floor). With a fault
+	// schedule, OOM events shrink the budget instead of poisoning devices.
 	MemBudget int64 `json:"mem_budget,omitempty"`
 	// Elastic is a membership schedule ("join@r1:2,leave@r2:1", dist engine
 	// only; see DESIGN.md §16): joining ranks draw their devices from the
@@ -101,73 +96,6 @@ func (s JobSpec) withDefaults() JobSpec {
 	return s
 }
 
-// Validate checks the (defaulted) spec.
-func (s *JobSpec) Validate() error {
-	switch s.Engine {
-	case locassm.EngineCPU, locassm.EngineGPU, locassm.EngineMultiGPU:
-		if s.Ranks > 1 {
-			return fmt.Errorf("service: engine %q conflicts with ranks %d (multi-rank jobs use engine=dist)", s.Engine, s.Ranks)
-		}
-	case locassm.EngineDist:
-		if s.Ranks < 2 {
-			return fmt.Errorf("service: engine=dist requires ranks ≥ 2, got %d", s.Ranks)
-		}
-	default:
-		return fmt.Errorf("service: unknown engine %q (cpu|gpu|multigpu|dist)", s.Engine)
-	}
-	if s.Faults != "" {
-		if s.Engine != locassm.EngineDist {
-			return fmt.Errorf("service: faults require engine=dist")
-		}
-		if _, err := faults.ParseSpec(s.Faults); err != nil {
-			return err
-		}
-	}
-	if s.Elastic != "" {
-		if s.Engine != locassm.EngineDist {
-			return fmt.Errorf("service: elastic schedule requires engine=dist")
-		}
-		rounds := len(s.Rounds)
-		if rounds == 0 {
-			rounds = len(pipeline.DefaultConfig().Rounds)
-		}
-		if _, err := faults.ParseElastic(s.Elastic, s.Ranks, rounds); err != nil {
-			return err
-		}
-	}
-	switch s.Shard {
-	case "", dist.ShardHash:
-	case dist.ShardComponent:
-		if s.Engine != locassm.EngineDist {
-			return fmt.Errorf("service: shard=%s requires engine=dist", s.Shard)
-		}
-	default:
-		return fmt.Errorf("service: unknown shard policy %q (%s|%s)", s.Shard, dist.ShardHash, dist.ShardComponent)
-	}
-	if s.ReadsPath == "" {
-		if _, err := synth.PresetByName(s.Preset); err != nil {
-			return err
-		}
-	}
-	if s.Depth < 0 || s.Genomes < 0 || s.MinGenomeLen < 0 || s.MaxGenomeLen < 0 {
-		return fmt.Errorf("service: negative community override")
-	}
-	if s.MemBudget < 0 {
-		return fmt.Errorf("service: mem_budget %d is negative", s.MemBudget)
-	}
-	if s.MemBudget > 0 && s.MemBudget < gpucount.MinMemBudget {
-		return fmt.Errorf("service: mem_budget %d below the %d-byte minimum", s.MemBudget, gpucount.MinMemBudget)
-	}
-	prev := 0
-	for _, k := range s.Rounds {
-		if k <= prev {
-			return fmt.Errorf("service: rounds must be strictly increasing, got %v", s.Rounds)
-		}
-		prev = k
-	}
-	return nil
-}
-
 // DeviceDemand is how many pool devices the job leases for its lifetime:
 // one for the gpu engine, GPUs for multigpu, Ranks for dist (each simulated
 // rank owns a device unless the job is CPU-only), zero for cpu.
@@ -181,86 +109,6 @@ func (s *JobSpec) DeviceDemand() int {
 		return s.Ranks
 	}
 	return 0
-}
-
-// BuildInput materializes the job's reads and pipeline configuration —
-// the exact code path a standalone run of the same spec takes, which is
-// what makes service results bit-identical to batch results. The returned
-// config has no checkpoint dir, observer, or engine instance; the
-// scheduler attaches those per attempt.
-func BuildInput(spec JobSpec) ([]dna.PairedRead, pipeline.Config, error) {
-	spec = spec.withDefaults()
-	cfg := pipeline.DefaultConfig()
-	// Match the mhm2sim CLI's defaults (-estimate-insert=true), so a
-	// daemon job and a default standalone run of the same spec produce
-	// byte-identical output.
-	cfg.EstimateInsert = true
-	if len(spec.Rounds) > 0 {
-		cfg.Rounds = append([]int(nil), spec.Rounds...)
-	}
-	if spec.Engine != locassm.EngineDist {
-		cfg.Engine.Name = spec.Engine
-		cfg.Engine.GPUs = spec.GPUs
-	}
-	cfg.MemBudget = spec.MemBudget
-	if err := cfg.Validate(); err != nil {
-		return nil, pipeline.Config{}, err
-	}
-
-	var pairs []dna.PairedRead
-	if spec.ReadsPath != "" {
-		f, err := os.Open(spec.ReadsPath)
-		if err != nil {
-			return nil, pipeline.Config{}, err
-		}
-		defer f.Close()
-		pairs, err = dna.ReadInterleavedPairs(f)
-		if err != nil {
-			return nil, pipeline.Config{}, err
-		}
-	} else {
-		preset, err := synth.PresetByName(spec.Preset)
-		if err != nil {
-			return nil, pipeline.Config{}, err
-		}
-		if spec.Seed != 0 {
-			preset.Seed = spec.Seed
-		}
-		if spec.Genomes > 0 {
-			preset.Com.NumGenomes = spec.Genomes
-		}
-		if spec.MinGenomeLen > 0 {
-			preset.Com.MinGenomeLen = spec.MinGenomeLen
-		}
-		if spec.MaxGenomeLen > 0 {
-			preset.Com.MaxGenomeLen = spec.MaxGenomeLen
-		}
-		if spec.Depth > 0 {
-			preset.Reads.Depth = spec.Depth
-		}
-		_, pairs, err = preset.Build()
-		if err != nil {
-			return nil, pipeline.Config{}, err
-		}
-	}
-	return pairs, cfg, nil
-}
-
-// distConfig builds the dist runtime configuration for a dist-engine job.
-func distConfig(spec JobSpec, cfg pipeline.Config) (dist.Config, error) {
-	dcfg := dist.DefaultConfig(spec.Ranks)
-	dcfg.Pipeline = cfg
-	dcfg.ShardPolicy = spec.Shard
-	dcfg.Elastic = spec.Elastic
-	dcfg.NoSteal = spec.NoSteal
-	if spec.Faults != "" {
-		plan, err := faults.NewPlan(spec.Faults, spec.FaultSeed, spec.Ranks, len(cfg.Rounds))
-		if err != nil {
-			return dist.Config{}, err
-		}
-		dcfg.Faults = plan
-	}
-	return dcfg, nil
 }
 
 // State is a job's lifecycle position.

@@ -4,8 +4,8 @@ import "testing"
 
 // Micro-benchmarks for the warp-interpreter hot path: coalescing analysis,
 // per-lane memory access, and launch overhead. These are the interpreter
-// costs the modeled-GPU figure sweeps are made of, tracked per PR in the
-// BENCH_*.json trajectory (cmd/benchtrack).
+// costs the modeled-GPU figure sweeps are made of. For numbers with
+// spreads see the repo benchmark's la_dump workload (bench/).
 
 // benchWarp runs fn inside a one-warp sequential launch so the benchmark
 // exercises exactly the interpreter path kernels use.
