@@ -38,21 +38,29 @@ func TestElasticJoinMatchesSingleRank(t *testing.T) {
 		t.Fatal("fault-free baseline produced no contigs")
 	}
 
+	// The budget variant is here for the elastic × budget path, not for the
+	// counting passes themselves (gpucount's tests own those): one rank
+	// count, at a budget that still splits every round's count into several
+	// passes. At the 96 KiB floor it ran 720 passes per rank count and was
+	// three quarters of tier-1's wall time.
+	const minPassesPerRound = 3
+	allRanks := []int{2, 4, 8}
 	variants := []struct {
 		name    string
 		elastic string
 		mutate  func(*Config)
 		joins   int
+		ranks   []int
 	}{
-		{"join", "join@r1:2", nil, 2},
-		{"join-round0", "join@r0:1", nil, 1},
-		{"join-leave", "join@r0:2,leave@r1:1", nil, 2},
-		{"join-nosteal", "join@r1:2", func(c *Config) { c.NoSteal = true }, 2},
-		{"join-component", "join@r1:1", func(c *Config) { c.ShardPolicy = ShardComponent }, 1},
-		{"join-budget", "join@r1:1", func(c *Config) { c.Pipeline.MemBudget = 96 << 10 }, 1},
+		{"join", "join@r1:2", nil, 2, allRanks},
+		{"join-round0", "join@r0:1", nil, 1, allRanks},
+		{"join-leave", "join@r0:2,leave@r1:1", nil, 2, allRanks},
+		{"join-nosteal", "join@r1:2", func(c *Config) { c.NoSteal = true }, 2, allRanks},
+		{"join-component", "join@r1:1", func(c *Config) { c.ShardPolicy = ShardComponent }, 1, allRanks},
+		{"join-budget", "join@r1:1", func(c *Config) { c.Pipeline.MemBudget = 4 << 20 }, 1, []int{4}},
 	}
 	for _, v := range variants {
-		for _, n := range []int{2, 4, 8} {
+		for _, n := range v.ranks {
 			t.Run(fmt.Sprintf("%s/ranks=%d", v.name, n), func(t *testing.T) {
 				cfg := testDistConfig(n)
 				cfg.Elastic = v.elastic
@@ -64,6 +72,12 @@ func TestElasticJoinMatchesSingleRank(t *testing.T) {
 					t.Fatal(err)
 				}
 				assertSameAssembly(t, v.name, res, base)
+				if cfg.Pipeline.MemBudget > 0 {
+					if got, want := res.Work.KmerBudget.Passes, minPassesPerRound*len(cfg.Pipeline.Rounds); got < want {
+						t.Errorf("budget run counted in %d passes over %d rounds, want ≥ %d: the budget no longer forces multi-pass counting",
+							got, len(cfg.Pipeline.Rounds), want)
+					}
+				}
 				if rep.Elasticity.Joins != v.joins {
 					t.Errorf("report joins = %d, want %d", rep.Elasticity.Joins, v.joins)
 				}

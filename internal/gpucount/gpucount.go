@@ -177,24 +177,8 @@ func clearTable(w *simt.Warp, base simt.Ptr, slots, totalWarps int) {
 
 // clearWords zeroes a words×8-byte device region grid-cooperatively.
 func clearWords(w *simt.Warp, base simt.Ptr, words, totalWarps int) {
-	zero := simt.Splat(0)
-	for first := w.ID * simt.WarpSize; first < words; first += totalWarps * simt.WarpSize {
-		var mask simt.Mask
-		var addrs simt.Vec
-		for lane := 0; lane < simt.WarpSize; lane++ {
-			word := first + lane
-			if word >= words {
-				break
-			}
-			mask |= simt.LaneMask(lane)
-			addrs[lane] = uint64(base) + uint64(word)*8
-		}
-		if mask == 0 {
-			continue
-		}
-		w.StoreGlobal(mask, &addrs, 8, &zero)
-		w.Exec(simt.ICtrl, mask)
-	}
+	w.FillGlobal(base, words, 8, 0, w.ID, totalWarps)
+	w.ExecChunks(simt.ICtrl, words, w.ID, totalWarps) // loop bookkeeping, one per store
 }
 
 // warpBatch is one warp's scratch for a batch of up to WarpSize consecutive
@@ -244,43 +228,36 @@ func forEachBatch(w *simt.Warp, st *staged, b *warpBatch, fn func() error) error
 // read's batches must therefore be passed in order, start = 0 first.
 func canonBatch(w *simt.Warp, b *warpBatch, seq []byte, readOff, start int, seqBase simt.Ptr, k int) {
 	n := min(len(seq)-k+1-start, simt.WarpSize)
-	mask := simt.FullMask >> uint(simt.WarpSize-n)
+	mask := simt.PrefixMask(n)
 	b.mask, b.valid = mask, 0
 
 	// Gather the k-mer bytes: ceil(k/8) vector loads cover every window.
 	// The host keeps lane 0's words (the read's first window) and the last
-	// load, which holds each lane's last base.
+	// load, which holds each lane's last base. Lane l's window starts at
+	// first+l, so every load below is lane-strided by one byte.
 	nblk := (k + 7) / 8
+	first := uint64(seqBase) + uint64(readOff+start)
 	var head [kmer.MaxK / 8]uint64
 	var loaded simt.Vec
 	for blk := 0; blk < nblk; blk++ {
-		var addrs simt.Vec
-		for lane := 0; lane < n; lane++ {
-			addrs[lane] = uint64(seqBase) + uint64(readOff+start+lane+8*blk)
-		}
-		loaded = w.LoadGlobal(mask, &addrs, 8)
+		w.LoadGlobalStrided(mask, first+uint64(8*blk), 1, 8, &loaded)
 		head[blk] = loaded[0]
 	}
-	// Neighbour bases (left of the k-mer, right of it) with bounds checks.
-	var leftMask, rightMask simt.Mask
-	var leftAddrs, rightAddrs simt.Vec
-	for lane := 0; lane < n; lane++ {
-		pos := start + lane
-		if pos > 0 {
-			leftMask |= simt.LaneMask(lane)
-			leftAddrs[lane] = uint64(seqBase) + uint64(readOff+pos-1)
-		}
-		if pos+k < len(seq) {
-			rightMask |= simt.LaneMask(lane)
-			rightAddrs[lane] = uint64(seqBase) + uint64(readOff+pos+k)
-		}
+	// Neighbour bases (left of the k-mer, right of it) with bounds checks:
+	// the read's first window has no left neighbour, windows ending at the
+	// read's end no right one.
+	leftMask, rightMask := mask, mask&simt.PrefixMask(len(seq)-k-start)
+	if start == 0 {
+		leftMask &^= 1
 	}
 	var leftBytes, rightBytes simt.Vec
 	if leftMask != 0 {
-		leftBytes = w.LoadGlobal(leftMask, &leftAddrs, 1)
+		// first−1 wraps below zero for a read at the very start of the
+		// arena; lane 0, the only lane that would use it, is masked off.
+		w.LoadGlobalStrided(leftMask, first-1, 1, 1, &leftBytes)
 	}
 	if rightMask != 0 {
-		rightBytes = w.LoadGlobal(rightMask, &rightAddrs, 1)
+		w.LoadGlobalStrided(rightMask, first+uint64(k), 1, 1, &rightBytes)
 	}
 
 	// Per lane: pack, canonicalize (ACGT only), derive oriented exts.

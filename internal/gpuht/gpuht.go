@@ -113,15 +113,53 @@ func LoadFactor(l, k int) float64 {
 // hashBlocks is the number of 8-byte vector loads needed per key.
 func hashBlocks(k int) int { return (k + 7) / 8 }
 
-// HashKmers gathers each active lane's k-mer bytes with 8-byte vector loads
-// and returns the murmur hash per lane. addrs holds absolute device
-// addresses of the k-mer starts. Consecutive lanes pointing at consecutive
-// k-mers of one read overlap heavily, so these loads coalesce — the v2
-// improvement visible in the roofline (Fig 9).
+// keys says where each lane's k-mer bytes start: at addrs[lane], or — when
+// run is set — at base+lane, the shape the v2 kernel is designed around
+// (consecutive lanes on consecutive k-mers of one read, Fig 7). A run's
+// block loads are issued lane-strided, so the simulator neither builds nor
+// re-analyses an address vector per load; the instruction stream and every
+// counter are those of the address form.
+type keys struct {
+	addrs *simt.Vec
+	base  uint64
+	run   bool
+}
+
+// runOf reports whether the active lanes' values are v[lane] = base + lane
+// for one base, and returns it (wrapping: the base of a run whose low lanes
+// are inactive may lie below zero).
+func runOf(mask simt.Mask, v *simt.Vec) (base uint64, ok bool) {
+	first := mask.FirstLane()
+	base = v[first] - uint64(first)
+	for lane := first + 1; lane < simt.WarpSize; lane++ {
+		if mask.Has(lane) && v[lane] != base+uint64(lane) {
+			return 0, false
+		}
+	}
+	return base, true
+}
+
+// loadBlock loads the 8 bytes at byte offset off of each active lane's key.
+func (ks keys) loadBlock(w *simt.Warp, mask simt.Mask, off uint64, out *simt.Vec) {
+	if ks.run {
+		w.LoadGlobalStrided(mask, ks.base+off, 1, 8, out)
+		return
+	}
+	var a simt.Vec
+	for lane := 0; lane < simt.WarpSize; lane++ {
+		a[lane] = ks.addrs[lane] + off
+	}
+	*out = w.LoadGlobal(mask, &a, 8)
+}
+
+// hashKmers gathers each active lane's k-mer bytes with 8-byte vector loads
+// and returns the murmur hash per lane. Consecutive lanes pointing at
+// consecutive k-mers of one read overlap heavily, so these loads coalesce —
+// the v2 improvement visible in the roofline (Fig 9).
 //
 // The arena must have at least 7 bytes of slack after any k-mer (the
 // over-read is masked out of the hash).
-func HashKmers(w *simt.Warp, mask simt.Mask, addrs *simt.Vec, k int) simt.Vec {
+func hashKmers(w *simt.Warp, mask simt.Mask, ks keys, k int) simt.Vec {
 	nblk := hashBlocks(k)
 	full := k / 8
 	rem := k & 7
@@ -129,12 +167,9 @@ func HashKmers(w *simt.Warp, mask simt.Mask, addrs *simt.Vec, k int) simt.Vec {
 	// materializing per-lane word slices (which cost one allocation per
 	// active lane per call on this hot path).
 	out := simt.Splat(murmur.Hash64Init(k, hashSeed))
+	var loaded simt.Vec
 	for b := 0; b < nblk; b++ {
-		var ba simt.Vec
-		for lane := 0; lane < simt.WarpSize; lane++ {
-			ba[lane] = addrs[lane] + uint64(8*b)
-		}
-		loaded := w.LoadGlobal(mask, &ba, 8)
+		ks.loadBlock(w, mask, uint64(8*b), &loaded)
 		// The real kernel stages the key words in per-thread (local
 		// memory) arrays before mixing — the local traffic §4.2 reports.
 		if w.LocalBytesPerLane() >= 8*(b+1) {
@@ -165,22 +200,18 @@ func HashKmers(w *simt.Warp, mask simt.Mask, addrs *simt.Vec, k int) simt.Vec {
 	return out
 }
 
-// keysEqual compares, per active lane, the k bytes at addrA against the k
-// bytes at addrB using 8-byte vector loads, returning the equality mask.
-func keysEqual(w *simt.Warp, mask simt.Mask, addrA, addrB *simt.Vec, k int) simt.Mask {
+// keysEqual compares, per active lane, the k bytes of key a against the k
+// bytes of key b using 8-byte vector loads, returning the equality mask.
+func keysEqual(w *simt.Warp, mask simt.Mask, a, b keys, k int) simt.Mask {
 	nblk := hashBlocks(k)
 	eq := mask
-	for b := 0; b < nblk && eq != 0; b++ {
-		var aa, bb simt.Vec
-		for lane := 0; lane < simt.WarpSize; lane++ {
-			aa[lane] = addrA[lane] + uint64(8*b)
-			bb[lane] = addrB[lane] + uint64(8*b)
-		}
-		va := w.LoadGlobal(eq, &aa, 8)
-		vb := w.LoadGlobal(eq, &bb, 8)
+	var va, vb simt.Vec
+	for blk := 0; blk < nblk && eq != 0; blk++ {
+		a.loadBlock(w, eq, uint64(8*blk), &va)
+		b.loadBlock(w, eq, uint64(8*blk), &vb)
 		w.ExecN(simt.IInt, eq, 2) // mask + compare
 		keep := uint64(^uint64(0))
-		if rem := k - 8*b; rem < 8 {
+		if rem := k - 8*blk; rem < 8 {
 			keep = ^uint64(0) >> uint(64-8*rem)
 		}
 		var still simt.Mask

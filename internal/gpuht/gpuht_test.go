@@ -16,7 +16,7 @@ func testDevice() *simt.Device {
 }
 
 // buildArena stages reads contiguously on the device with 8 bytes of slack
-// (HashKmers may over-read up to 7 bytes) and returns the arena base plus
+// (the 8-byte key-block loads may over-read up to 7 bytes) and returns the arena base plus
 // each read's starting offset.
 func buildArena(t *testing.T, d *simt.Device, reads [][]byte) (simt.Ptr, []uint32) {
 	t.Helper()

@@ -26,8 +26,20 @@ func (t Table) InsertBatch(w *simt.Warp, mask simt.Mask, keyOffs *simt.Vec, extB
 	if mask == 0 {
 		return nil
 	}
+	// One test per batch decides how its ~16 own-key loads are issued: as
+	// lane-strided loads when the lanes hold consecutive k-mers of a read
+	// (what buildTableV2 passes), from an address vector otherwise.
+	if base, ok := runOf(mask, keyOffs); ok {
+		return t.insertBatch(w, mask, keys{base: uint64(t.SeqBase) + base, run: true}, keyOffs, extBases, extHiQ)
+	}
 	addrs := t.absKeys(keyOffs)
-	hashes := HashKmers(w, mask, &addrs, t.K)
+	return t.insertBatch(w, mask, keys{addrs: &addrs}, keyOffs, extBases, extHiQ)
+}
+
+// insertBatch is InsertBatch's body; own locates the lanes' k-mers (the
+// keyOffs, as device addresses).
+func (t Table) insertBatch(w *simt.Warp, mask simt.Mask, own keys, keyOffs, extBases *simt.Vec, extHiQ simt.Mask) error {
+	hashes := hashKmers(w, mask, own, t.K)
 
 	// Thread-collision groups. Lanes with equal hash are candidates; exact
 	// equality is established by the key compare in the probe loop, but the
@@ -99,8 +111,7 @@ func (t Table) InsertBatch(w *simt.Warp, mask simt.Mask, keyOffs *simt.Vec, extB
 					storedAddrs[lane] = uint64(t.SeqBase) + observed[lane]
 				}
 			}
-			eq := keysEqual(w, occupied, &storedAddrs, &addrs, t.K)
-			matched |= eq
+			matched |= keysEqual(w, occupied, keys{addrs: &storedAddrs}, own, t.K)
 		}
 
 		if matched != 0 {

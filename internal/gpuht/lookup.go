@@ -2,6 +2,11 @@ package gpuht
 
 import "mhm2sim/internal/simt"
 
+// laneKey is the key one lane holds at addr: a run of one.
+func laneKey(lane int, addr uint64) keys {
+	return keys{base: addr - uint64(lane), run: true}
+}
+
 // LookupLane probes for the k-mer whose bytes start at the absolute device
 // address keyAddr (typically inside the walk buffer), driven by a single
 // lane — the DNA-walk phase runs on one thread per warp (§3.4), with the
@@ -9,9 +14,8 @@ import "mhm2sim/internal/simt"
 // whether the k-mer was found.
 func (t Table) LookupLane(w *simt.Warp, lane int, keyAddr uint64) (Ext, bool) {
 	m := simt.LaneMask(lane)
-	var addrs simt.Vec
-	addrs[lane] = keyAddr
-	hashes := HashKmers(w, m, &addrs, t.K)
+	own := laneKey(lane, keyAddr)
+	hashes := hashKmers(w, m, own, t.K)
 
 	// Per-probe accounting (one IInt after the key load, one ICtrl per
 	// continued probe) batches into two ExecN calls at the single exit
@@ -33,9 +37,7 @@ func (t Table) LookupLane(w *simt.Warp, lane int, keyAddr uint64) (Ext, bool) {
 			break
 		}
 
-		var storedAddrs simt.Vec
-		storedAddrs[lane] = uint64(t.SeqBase) + stored[lane]
-		if eq := keysEqual(w, m, &storedAddrs, &addrs, t.K); eq.Has(lane) {
+		if eq := keysEqual(w, m, laneKey(lane, uint64(t.SeqBase)+stored[lane]), own, t.K); eq.Has(lane) {
 			ext, found = t.loadExt(w, lane, entries[lane]), true
 			break
 		}
@@ -92,9 +94,8 @@ func VisitedBytes(slots int) int64 { return int64(slots) * 4 }
 // longer than the visited set was sized for.
 func (v Visited) InsertLane(w *simt.Warp, lane int, off uint32) (bool, error) {
 	m := simt.LaneMask(lane)
-	var addrs simt.Vec
-	addrs[lane] = uint64(v.BufBase) + uint64(off)
-	hashes := HashKmers(w, m, &addrs, v.K)
+	own := laneKey(lane, uint64(v.BufBase)+uint64(off))
+	hashes := hashKmers(w, m, own, v.K)
 
 	// Batched accounting, as in LookupLane: per-probe IInt/ICtrl counts
 	// flush at the single exit with identical totals.
@@ -118,9 +119,7 @@ func (v Visited) InsertLane(w *simt.Warp, lane int, off uint32) (bool, error) {
 		if observed[lane] == Empty {
 			break // claimed: first visit
 		}
-		var storedAddrs simt.Vec
-		storedAddrs[lane] = uint64(v.BufBase) + observed[lane]
-		if eq := keysEqual(w, m, &storedAddrs, &addrs, v.K); eq.Has(lane) {
+		if eq := keysEqual(w, m, laneKey(lane, uint64(v.BufBase)+observed[lane]), own, v.K); eq.Has(lane) {
 			seen = true // same k-mer seen before: cycle
 			break
 		}
@@ -141,57 +140,26 @@ func (v Visited) InsertLane(w *simt.Warp, lane int, off uint32) (bool, error) {
 // consecutive 8-byte words) — an option the v1 thread-per-table kernel
 // does not have.
 func ClearEntriesWarp(w *simt.Warp, base simt.Ptr, entries int) {
-	totalWords := entries * EntryBytes / 8
-	ones := simt.Splat(^uint64(0))
-	for first := 0; first < totalWords; first += simt.WarpSize {
-		var mask simt.Mask
-		var addrs simt.Vec
-		for lane := 0; lane < simt.WarpSize; lane++ {
-			word := first + lane
-			if word >= totalWords {
-				break
-			}
-			mask |= simt.LaneMask(lane)
-			addrs[lane] = uint64(base) + uint64(word)*8
-		}
-		if mask == 0 {
-			continue
-		}
-		w.StoreGlobal(mask, &addrs, 8, &ones)
-		w.Exec(simt.ICtrl, mask)
-	}
+	words := entries * EntryBytes / 8
+	w.FillGlobal(base, words, 8, ^uint64(0), 0, 1)
+	w.ExecChunks(simt.ICtrl, words, 0, 1) // loop bookkeeping, one per store
 }
 
 // ClearEntries resets count/ext words to zero and key fields to Empty for a
 // run of hash-table entries, cooperatively across the launch's warps: warp
 // w handles entries w.ID, w.ID+totalWarps, ... with its 32 lanes striding
-// entry-parallel.
+// entry-parallel — four stores per 32 entries, one per 8-byte field, each
+// lane-strided by the entry size.
 func ClearEntries(w *simt.Warp, base simt.Ptr, entries, totalWarps int) {
-	clearEntriesStride(w, base, entries, w.ID, totalWarps)
-}
-
-func clearEntriesStride(w *simt.Warp, base simt.Ptr, entries, warpIdx, totalWarps int) {
 	emptyKey := simt.Splat(uint64(Empty)) // keyOff=Empty, count=0 in one u64
 	zero := simt.Splat(0)
-	for first := warpIdx * simt.WarpSize; first < entries; first += totalWarps * simt.WarpSize {
-		var mask simt.Mask
-		var a0, a8, a16, a24 simt.Vec
-		for lane := 0; lane < simt.WarpSize; lane++ {
-			idx := first + lane
-			if idx >= entries {
-				break
-			}
-			mask |= simt.LaneMask(lane)
-			e := uint64(base) + uint64(idx)*EntryBytes
-			a0[lane], a8[lane], a16[lane], a24[lane] = e, e+8, e+16, e+24
-		}
-		if mask == 0 {
-			continue
-		}
-		w.StoreGlobal(mask, &a0, 8, &emptyKey)
-		w.StoreGlobal(mask, &a8, 8, &zero)
-		w.StoreGlobal(mask, &a16, 8, &zero)
-		w.StoreGlobal(mask, &a24, 8, &zero)
+	for first := w.ID * simt.WarpSize; first < entries; first += totalWarps * simt.WarpSize {
+		mask := simt.PrefixMask(entries - first)
+		e := uint64(base) + uint64(first)*EntryBytes
+		w.StoreGlobalStrided(mask, e, EntryBytes, 8, &emptyKey)
+		w.StoreGlobalStrided(mask, e+8, EntryBytes, 8, &zero)
+		w.StoreGlobalStrided(mask, e+16, EntryBytes, 8, &zero)
+		w.StoreGlobalStrided(mask, e+24, EntryBytes, 8, &zero)
 		w.Exec(simt.ICtrl, mask)
 	}
 }
@@ -199,32 +167,16 @@ func clearEntriesStride(w *simt.Warp, base simt.Ptr, entries, warpIdx, totalWarp
 // ClearVisitedWarp resets a run of visited-table slots to Empty using a
 // single warp's lanes.
 func ClearVisitedWarp(w *simt.Warp, base simt.Ptr, slots int) {
-	clearVisitedStride(w, base, slots, 0, 1)
+	clearVisited(w, base, slots, 0, 1)
 }
 
 // ClearVisited resets a run of visited-table slots to Empty, warp-
 // cooperatively as in ClearEntries.
 func ClearVisited(w *simt.Warp, base simt.Ptr, slots, totalWarps int) {
-	clearVisitedStride(w, base, slots, w.ID, totalWarps)
+	clearVisited(w, base, slots, w.ID, totalWarps)
 }
 
-func clearVisitedStride(w *simt.Warp, base simt.Ptr, slots, warpIdx, totalWarps int) {
-	empty := simt.Splat(uint64(Empty))
-	for first := warpIdx * simt.WarpSize; first < slots; first += totalWarps * simt.WarpSize {
-		var mask simt.Mask
-		var addrs simt.Vec
-		for lane := 0; lane < simt.WarpSize; lane++ {
-			idx := first + lane
-			if idx >= slots {
-				break
-			}
-			mask |= simt.LaneMask(lane)
-			addrs[lane] = uint64(base) + uint64(idx)*4
-		}
-		if mask == 0 {
-			continue
-		}
-		w.StoreGlobal(mask, &addrs, 4, &empty)
-		w.Exec(simt.ICtrl, mask)
-	}
+func clearVisited(w *simt.Warp, base simt.Ptr, slots, warpIdx, totalWarps int) {
+	w.FillGlobal(base, slots, 4, Empty, warpIdx, totalWarps)
+	w.ExecChunks(simt.ICtrl, slots, warpIdx, totalWarps) // loop bookkeeping, one per store
 }

@@ -35,11 +35,11 @@ func maxBlocks(mask simt.Mask, ks *[simt.WarpSize]int) int {
 	return n
 }
 
-// HashKmersVar is HashKmers with a per-lane k: lanes gather their own
+// HashKmersVar is hashKmers with a per-lane k: lanes gather their own
 // k-mers (divergent loads) and hash them.
 func HashKmersVar(w *simt.Warp, mask simt.Mask, addrs *simt.Vec, ks *[simt.WarpSize]int) simt.Vec {
 	nblk := maxBlocks(mask, ks)
-	// Stream blocks into per-lane murmur state (as in HashKmers) instead of
+	// Stream blocks into per-lane murmur state (as in hashKmers) instead of
 	// materializing per-lane word slices — this is the v1 kernel's hash and
 	// allocated one slice per active lane per call on the hot path.
 	var out simt.Vec

@@ -147,7 +147,7 @@ func buildTableV2(w *simt.Warp, table gpuht.Table, p *itemPlan, dev batchDev, cf
 				mask |= simt.LaneMask(lane)
 				keyOffs[lane] = readOff + uint64(start+lane)
 			}
-			extBases, hiq := loadExtEvidence(w, mask, &keyOffs, k, rlen, readOff, dev, cfg)
+			extBases, hiq := loadExtEvidence(w, mask, start, k, rlen, readOff, dev, cfg)
 			if err := table.InsertBatch(w, mask, &keyOffs, &extBases, hiq); err != nil {
 				w.ExecN(simt.ICtrl, simt.FullMask, chunks)
 				return err
@@ -159,33 +159,26 @@ func buildTableV2(w *simt.Warp, table gpuht.Table, p *itemPlan, dev batchDev, cf
 	return nil
 }
 
-// loadExtEvidence loads, for each active lane's k-mer, the following base
-// and its quality from the device arenas, returning the 2-bit extension
-// codes (NoExt for read-suffix k-mers or ambiguous bases) and the
-// high-quality lane mask.
-func loadExtEvidence(w *simt.Warp, mask simt.Mask, keyOffs *simt.Vec, k, rlen int, readOff uint64, dev batchDev, cfg *Config) (simt.Vec, simt.Mask) {
+// loadExtEvidence loads, for the k-mers at positions start, start+1, … of a
+// read (one per active lane; mask is a lane prefix), the following base and
+// its quality from the device arenas, returning the 2-bit extension codes
+// (NoExt for read-suffix k-mers or ambiguous bases) and the high-quality
+// lane mask. Consecutive lanes read consecutive bytes, so both loads are
+// lane-strided by one.
+func loadExtEvidence(w *simt.Warp, mask simt.Mask, start, k, rlen int, readOff uint64, dev batchDev, cfg *Config) (simt.Vec, simt.Mask) {
 	extBases := simt.Splat(uint64(gpuht.NoExt))
 	var hiq simt.Mask
 
-	var hasExt simt.Mask
-	var seqAddrs, qualAddrs simt.Vec
-	for lane := 0; lane < simt.WarpSize; lane++ {
-		if !mask.Has(lane) {
-			continue
-		}
-		pos := keyOffs[lane] - readOff // k-mer offset within the read
-		if int(pos)+k < rlen {
-			hasExt |= simt.LaneMask(lane)
-			seqAddrs[lane] = uint64(dev.seqBase) + keyOffs[lane] + uint64(k)
-			qualAddrs[lane] = uint64(dev.qualBase) + keyOffs[lane] + uint64(k)
-		}
-	}
+	// Lane l's k-mer is followed by a base iff start+l+k < rlen.
+	hasExt := mask & simt.PrefixMask(rlen-k-start)
 	w.Exec(simt.IInt, mask) // bounds computation
 	if hasExt == 0 {
 		return extBases, hiq
 	}
-	baseBytes := w.LoadGlobal(hasExt, &seqAddrs, 1)
-	qualBytes := w.LoadGlobal(hasExt, &qualAddrs, 1)
+	next := readOff + uint64(start+k) // arena offset of lane 0's following base
+	var baseBytes, qualBytes simt.Vec
+	w.LoadGlobalStrided(hasExt, uint64(dev.seqBase)+next, 1, 1, &baseBytes)
+	w.LoadGlobalStrided(hasExt, uint64(dev.qualBase)+next, 1, 1, &qualBytes)
 	w.ExecN(simt.IInt, hasExt, 2) // code conversion + quality compare
 	for lane := 0; lane < simt.WarpSize; lane++ {
 		if !hasExt.Has(lane) {

@@ -421,6 +421,14 @@ func (d *Device) ReadU32(p Ptr) uint32          { return binary.LittleEndian.Uin
 func (d *Device) WriteU64(p Ptr, v uint64)      { binary.LittleEndian.PutUint64(d.mem[p:], v) }
 func (d *Device) ReadU64(p Ptr) uint64          { return binary.LittleEndian.Uint64(d.mem[p:]) }
 
+// badSize panics on a device access size other than 1, 2, 4 or 8 bytes —
+// the one site behind every sized memory op. It is a kernel-author
+// invariant, not an input error: access sizes are constants in kernel
+// source, so no job, read or flag can reach it.
+func badSize(size int) {
+	panic(fmt.Sprintf("simt: unsupported access size %d", size))
+}
+
 // load/store implement sized little-endian access for warp memory ops.
 func (d *Device) load(p Ptr, size int) uint64 {
 	switch size {
@@ -433,7 +441,8 @@ func (d *Device) load(p Ptr, size int) uint64 {
 	case 8:
 		return binary.LittleEndian.Uint64(d.mem[p:])
 	}
-	panic(fmt.Sprintf("simt: unsupported access size %d", size))
+	badSize(size)
+	return 0
 }
 
 func (d *Device) store(p Ptr, size int, v uint64) {
@@ -447,6 +456,6 @@ func (d *Device) store(p Ptr, size int, v uint64) {
 	case 8:
 		binary.LittleEndian.PutUint64(d.mem[p:], v)
 	default:
-		panic(fmt.Sprintf("simt: unsupported access size %d", size))
+		badSize(size)
 	}
 }

@@ -2,7 +2,6 @@ package simt
 
 import (
 	"encoding/binary"
-	"fmt"
 	"math/bits"
 )
 
@@ -198,7 +197,7 @@ func (d *Device) gather(mask Mask, addrs *Vec, size int, out *Vec) {
 			out[lane] = binary.LittleEndian.Uint64(mem[addrs[lane]:])
 		}
 	default:
-		panic(fmt.Sprintf("simt: unsupported access size %d", size))
+		badSize(size)
 	}
 }
 
@@ -233,7 +232,7 @@ func (d *Device) scatter(mask Mask, addrs *Vec, size int, vals *Vec) {
 			binary.LittleEndian.PutUint64(mem[addrs[lane]:], vals[lane])
 		}
 	default:
-		panic(fmt.Sprintf("simt: unsupported access size %d", size))
+		badSize(size)
 	}
 }
 
@@ -283,7 +282,7 @@ func (d *Device) casLoop(mask Mask, addrs, compare, val *Vec, size int, out *Vec
 			}
 		}
 	default:
-		panic(fmt.Sprintf("simt: unsupported access size %d", size))
+		badSize(size)
 	}
 }
 
@@ -323,7 +322,7 @@ func (d *Device) addLoop(mask Mask, addrs, delta *Vec, size int, out *Vec) {
 			binary.LittleEndian.PutUint64(p, old+delta[lane])
 		}
 	default:
-		panic(fmt.Sprintf("simt: unsupported access size %d", size))
+		badSize(size)
 	}
 }
 

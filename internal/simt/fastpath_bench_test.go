@@ -64,7 +64,7 @@ func BenchmarkCoalesce(b *testing.B) {
 }
 
 // BenchmarkLoadGlobalContiguous measures the full-warp contiguous 8-byte
-// load — the HashKmers gather pattern that dominates table builds.
+// load — the key-block gather pattern (gpuht hashKmers) that dominates table builds.
 func BenchmarkLoadGlobalContiguous(b *testing.B) {
 	var addrs Vec
 	for lane := 0; lane < WarpSize; lane++ {
@@ -146,6 +146,84 @@ func BenchmarkLaunchOverhead(b *testing.B) {
 					b.Fatal(err)
 				}
 			}
+		})
+	}
+}
+
+// perLaneFill is the warp-wide memset loop FillGlobal stands for, as
+// gpuht.ClearEntriesWarp issued it before: one address vector and one
+// StoreGlobal per 32 elements.
+func perLaneFill(w *Warp, base Ptr, n, size int, val uint64) {
+	vals := Splat(val)
+	for first := 0; first < n; first += WarpSize {
+		var mask Mask
+		var addrs Vec
+		for lane := 0; lane < WarpSize && first+lane < n; lane++ {
+			mask |= LaneMask(lane)
+			addrs[lane] = uint64(base) + uint64((first+lane)*size)
+		}
+		w.StoreGlobal(mask, &addrs, size, &vals)
+	}
+}
+
+// BenchmarkFill clears one 3,600-entry hash table (32-byte entries, the
+// size class of a bin-2 extension) as a 0xFF memset of 8-byte words: the
+// per-lane store loop against FillGlobal.
+func BenchmarkFill(b *testing.B) {
+	const words = 3600 * 32 / 8
+	b.Run("per_lane", func(b *testing.B) {
+		benchWarp(b, 0, func(w *Warp) {
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				perLaneFill(w, 4096, words, 8, ^uint64(0))
+			}
+		})
+	})
+	b.Run("fill", func(b *testing.B) {
+		benchWarp(b, 0, func(w *Warp) {
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				w.FillGlobal(4096, words, 8, ^uint64(0), 0, 1)
+			}
+		})
+	})
+}
+
+// BenchmarkLoadStrided measures the 8-byte key-block load of consecutive
+// k-mers (lane l at base+l) through LoadGlobal on an address vector and
+// through LoadGlobalStrided, on the full warp and on a sparse mask (the
+// lanes still comparing in keysEqual).
+func BenchmarkLoadStrided(b *testing.B) {
+	for _, c := range []struct {
+		name string
+		mask Mask
+	}{{"run32", FullMask}, {"sparse", 0x80412009}} {
+		b.Run(c.name+"/vector", func(b *testing.B) {
+			benchWarp(b, 0, func(w *Warp) {
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					var addrs Vec
+					for lane := 0; lane < WarpSize; lane++ {
+						addrs[lane] = 4099 + uint64(lane)
+					}
+					v := w.LoadGlobal(c.mask, &addrs, 8)
+					coalesceSink += v[31]
+				}
+			})
+		})
+		b.Run(c.name+"/strided", func(b *testing.B) {
+			benchWarp(b, 0, func(w *Warp) {
+				var v Vec
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					w.LoadGlobalStrided(c.mask, 4099, 1, 8, &v)
+					coalesceSink += v[31]
+				}
+			})
 		})
 	}
 }

@@ -4,5 +4,6 @@ package simt
 
 // raceEnabled mirrors the race detector's build state for tests: sync.Pool
 // deliberately drops items under -race to shake out reuse races, so the
-// pooled-context and zero-allocation assertions cannot hold there.
+// zero-allocation assertion of TestLaunchSteadyStateAllocs cannot hold
+// there.
 const raceEnabled = true

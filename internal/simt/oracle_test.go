@@ -259,6 +259,42 @@ func TestCoalesceMatchesReference(t *testing.T) {
 			t.Errorf("%s: coalesce = %d, reference = %d", tc.name, got, want)
 		}
 	}
+
+	// Shape-declared ops (shaped.go): each directed shape runs as a one-op
+	// stream through checkOps — full Stats, outputs and memory against the
+	// per-lane ops it stands for — on every device config.
+	vals := mk(func(l int) uint64 { return 0x0123456789abcdef * uint64(l+1) })
+	shaped := []warpOp{
+		{kind: opLdStrided, mask: 0x80010001, base: 100, stride: 1, size: 8},           // sparse mask, overlapping
+		{kind: opLdStrided, mask: 0x5a5a5a5a, base: 64, stride: 100, size: 4},          // sparse mask, stride > size
+		{kind: opLdStrided, mask: FullMask, base: 64, stride: 48, size: 8},             // stride > size
+		{kind: opLdStrided, mask: FullMask, base: 64, stride: 16, size: 8},             // gaps are whole 8-byte sectors
+		{kind: opLdStrided, mask: FullMask, base: 24, stride: 40, size: 8},             // gaps are whole 32-byte sectors
+		{kind: opLdStrided, mask: PrefixMask(8), base: 120, stride: 136, size: 8},      // gaps are whole 128-byte sectors
+		{kind: opLdStrided, mask: FullMask, base: 64, stride: 0, size: 4},              // every lane one address
+		{kind: opLdStrided, mask: PrefixMask(21), base: 100, stride: 1, size: 8},       // run ends one byte into a sector
+		{kind: opLdStrided, mask: PrefixMask(20), base: 100, stride: 1, size: 8},       // run ends on the sector edge
+		{kind: opLdStrided, mask: 0x00ffff00, base: 7, stride: 8, size: 8},             // contiguous run not from lane 0
+		{kind: opLdStrided, mask: LaneMask(31), base: 30, stride: 64, size: 2},         // single lane
+		{kind: opLdStrided, mask: FullMask &^ 1, base: ^uint64(0), stride: 1, size: 1}, // base underflows, lane 0 off
+		{kind: opLdStrided, mask: 0, base: 64, stride: 8, size: 8},                     // empty mask
+		{kind: opStStrided, mask: FullMask, base: 128, stride: 32, size: 8},            // one field of 32 entries
+		{kind: opStStrided, mask: PrefixMask(9), base: 1001, stride: 2, size: 4},       // overlapping stores, lane order
+		{kind: opFill, base: 1024, n: 33, size: 8, parts: 1},                           // tail chunk of 1 lane
+		{kind: opFill, base: 1024, n: 63, size: 4, parts: 1},                           // tail chunk of 31 lanes
+		{kind: opFill, base: 1024, n: 0, size: 8, parts: 1},                            // nothing to do
+		{kind: opFill, base: 1003, n: 100, size: 8, parts: 1},                          // unaligned base
+		{kind: opFill, base: 7, n: 200, size: 1, parts: 1},                             // chunk smaller than a 128-byte sector
+		{kind: opFill, base: 64, n: 300, size: 8, part: 1, parts: 3},                   // grid-strided, owns the tail
+		{kind: opFill, base: 64, n: 300, size: 2, part: 2, parts: 3},                   // grid-strided, tail is another warp's
+		{kind: opFill, base: 64, n: 100, size: 4, part: 4, parts: 1},                   // starts past the end
+	}
+	for i := range shaped {
+		shaped[i].vals = vals
+		for _, cfg := range diffConfigs() {
+			checkOps(t, cfg, shaped[i:i+1], int64(i))
+		}
+	}
 }
 
 // ---------------------------------------------------------------------------
@@ -272,13 +308,33 @@ const (
 	diffPerLane = 64
 )
 
+const (
+	opFill      = 8  // FillGlobal(base, n, size, vals[0], part, parts)
+	opLdStrided = 9  // LoadGlobalStrided(mask, base, stride, size)
+	opStStrided = 10 // StoreGlobalStrided(mask, base, stride, size, vals)
+	numOpKinds  = 11
+)
+
 type warpOp struct {
-	kind  int // 0 ldG 1 stG 2 cas 3 add 4 ldL 5 stL 6 match 7 ballot
+	kind  int // 0 ldG 1 stG 2 cas 3 add 4 ldL 5 stL 6 match 7 ballot, then the shaped ops above
 	mask  Mask
 	addrs Vec
 	vals  Vec
 	cmp   Vec
 	size  int
+
+	// Shaped ops only.
+	base, stride   uint64
+	n, part, parts int
+}
+
+// laneAddrs is the address vector a strided op stands for.
+func (op *warpOp) laneAddrs() Vec {
+	var a Vec
+	for lane := range a {
+		a[lane] = op.base + uint64(lane)*op.stride
+	}
+	return a
 }
 
 // decodeOps turns a fuzz byte stream into a bounded op sequence with
@@ -297,7 +353,7 @@ func decodeOps(data []byte) []warpOp {
 	u16 := func() uint64 { return uint64(next()) | uint64(next())<<8 }
 	for pos < len(data) && len(ops) < 64 {
 		var op warpOp
-		op.kind = int(next() % 8)
+		op.kind = int(next() % numOpKinds)
 		op.mask = Mask(uint32(u16()) | uint32(u16())<<16)
 		op.size = 1 << (next() % 4)
 		base := u16() % (diffArena - 8*WarpSize - 8)
@@ -325,6 +381,22 @@ func decodeOps(data []byte) []warpOp {
 		if op.kind == 4 || op.kind == 5 { // local: per-lane offsets
 			for lane := 0; lane < WarpSize; lane++ {
 				op.addrs[lane] = op.addrs[lane] % (diffPerLane - 8)
+			}
+		}
+		switch op.kind {
+		case opFill: // any element count that fits, split over 1–3 warps
+			op.base = base % (diffArena / 2)
+			op.n = int(seed % 300)
+			if room := (diffArena - int(op.base)) / op.size; op.n > room {
+				op.n = room
+			}
+			op.part, op.parts = int(pattern), 1+int(seed>>9)%3
+		case opLdStrided, opStStrided: // stride 0, ≤ size and > size all occur
+			op.stride = seed % 64
+			op.base = base % (diffArena - 64*WarpSize - 8)
+			if pattern == 4 { // base one stride below, lane 0 masked off: it may underflow
+				op.base -= op.stride
+				op.mask &^= 1
 			}
 		}
 		ops = append(ops, op)
@@ -358,12 +430,36 @@ func applyReal(w *Warp, ops []warpOp) []Vec {
 				v[lane] = uint64(groups[lane])
 			}
 			outs = append(outs, v)
+		case opFill:
+			w.FillGlobal(Ptr(op.base), op.n, op.size, op.vals[0], op.part, op.parts)
+			outs = append(outs, Vec{})
+		case opLdStrided:
+			var out Vec
+			w.LoadGlobalStrided(op.mask, op.base, op.stride, op.size, &out)
+			outs = append(outs, out)
+		case opStStrided:
+			w.StoreGlobalStrided(op.mask, op.base, op.stride, op.size, &op.vals)
+			outs = append(outs, Vec{})
 		default:
 			b := w.Ballot(op.mask, func(lane int) bool { return op.vals[lane]&1 == 1 })
 			outs = append(outs, Vec{uint64(b)})
 		}
 	}
 	return outs
+}
+
+// refFill is the loop FillGlobal stands for, issued store by store.
+func (w *refWarp) refFill(base uint64, n, size int, val uint64, part, parts int) {
+	vals := Splat(val)
+	for first := part * WarpSize; first < n; first += parts * WarpSize {
+		var mask Mask
+		var addrs Vec
+		for lane := 0; lane < WarpSize && first+lane < n; lane++ {
+			mask |= LaneMask(lane)
+			addrs[lane] = base + uint64((first+lane)*size)
+		}
+		w.storeGlobal(mask, &addrs, size, &vals)
+	}
 }
 
 func applyRef(w *refWarp, ops []warpOp) []Vec {
@@ -392,6 +488,16 @@ func applyRef(w *refWarp, ops []warpOp) []Vec {
 				v[lane] = uint64(groups[lane])
 			}
 			outs = append(outs, v)
+		case opFill:
+			w.refFill(op.base, op.n, op.size, op.vals[0], op.part, op.parts)
+			outs = append(outs, Vec{})
+		case opLdStrided:
+			addrs := op.laneAddrs()
+			outs = append(outs, w.loadGlobal(op.mask, &addrs, op.size))
+		case opStStrided:
+			addrs := op.laneAddrs()
+			w.storeGlobal(op.mask, &addrs, op.size, &op.vals)
+			outs = append(outs, Vec{})
 		default:
 			b := w.ballot(op.mask, func(lane int) bool { return op.vals[lane]&1 == 1 })
 			outs = append(outs, Vec{uint64(b)})
@@ -405,13 +511,19 @@ func applyRef(w *refWarp, ops []warpOp) []Vec {
 // sizes and memory-parallelism values.
 func checkDifferential(t *testing.T, cfg DeviceConfig, data []byte) {
 	t.Helper()
-	ops := decodeOps(data)
+	checkOps(t, cfg, decodeOps(data), int64(len(data)))
+}
+
+// checkOps runs ops through a live Launch and through refWarp on devices
+// whose arenas start as the same memSeed-random bytes.
+func checkOps(t *testing.T, cfg DeviceConfig, ops []warpOp, memSeed int64) {
+	t.Helper()
 	if len(ops) == 0 {
 		return
 	}
 
 	seedMem := make([]byte, diffArena)
-	rng := rand.New(rand.NewSource(int64(len(data))))
+	rng := rand.New(rand.NewSource(memSeed))
 	rng.Read(seedMem)
 
 	liveDev := NewDevice(cfg)
@@ -426,6 +538,7 @@ func checkDifferential(t *testing.T, cfg DeviceConfig, data []byte) {
 	refDev.MemcpyHtoD(0, seedMem)
 
 	var liveOuts []Vec
+	var liveLocal []byte
 	res, err := liveDev.Launch(KernelConfig{
 		Name:              "diff",
 		Warps:             1,
@@ -433,6 +546,9 @@ func checkDifferential(t *testing.T, cfg DeviceConfig, data []byte) {
 		LocalBytesPerLane: diffPerLane,
 	}, func(w *Warp) {
 		liveOuts = applyReal(w, ops)
+		// The warp context goes back to a sync.Pool, which may drop it at
+		// any time; its local arena is only reachable from in here.
+		liveLocal = w.localMem
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -454,17 +570,7 @@ func checkDifferential(t *testing.T, cfg DeviceConfig, data []byte) {
 	if !bytes.Equal(liveDev.mem[:diffArena], refDev.mem[:diffArena]) {
 		t.Fatalf("device memory diverges (ops %+v)", ops)
 	}
-	// The live warp context is pooled; fetch its local arena for comparison.
-	// Under -race sync.Pool drops items on purpose, so the context may be
-	// gone — skip the local-memory comparison there.
-	ctx, _ := liveDev.ctxPool.Get().(*warpCtx)
-	if ctx == nil {
-		if !raceEnabled {
-			t.Fatal("sequential launch context not pooled")
-		}
-		return
-	}
-	if !bytes.Equal(ctx.w.localMem, ref.localMem) {
+	if !bytes.Equal(liveLocal, ref.localMem) {
 		t.Fatalf("local memory diverges (ops %+v)", ops)
 	}
 }

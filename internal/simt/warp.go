@@ -22,6 +22,19 @@ func (m Mask) Count() int { return bits.OnesCount32(uint32(m)) }
 // LaneMask returns a mask with only the given lane set.
 func LaneMask(lane int) Mask { return 1 << uint(lane) }
 
+// PrefixMask returns the mask of lanes [0, n), n clamped to [0, WarpSize]:
+// the lanes at work in the last, partial iteration of a loop that hands 32
+// consecutive elements to the warp at a time.
+func PrefixMask(n int) Mask {
+	if n <= 0 {
+		return 0
+	}
+	if n >= WarpSize {
+		return FullMask
+	}
+	return FullMask >> uint(WarpSize-n)
+}
+
 // FirstLane returns the lowest active lane, or -1 for an empty mask.
 func (m Mask) FirstLane() int {
 	if m == 0 {
