@@ -378,7 +378,7 @@ func TestJSONReportRoundTrip(t *testing.T) {
 	}
 	var busy int64
 	for _, r := range jr.Dist.PerRank {
-		busy += r.BusyNS
+		busy += int64(r.Busy)
 		if !r.Alive {
 			t.Errorf("rank %d dead in a fault-free run", r.Rank)
 		}

@@ -46,7 +46,7 @@ func main() {
 	fmt.Printf("reads: %d pairs\n", len(pairs))
 
 	// 3. Assemble: two contigging rounds, GPU local assembly on the
-	// simulated V100 (engine selection via the unified registry).
+	// simulated V100 (engine selection via the EngineSpec).
 	cfg := pipeline.DefaultConfig()
 	cfg.Rounds = []int{21, 33}
 	cfg.Engine.Name = locassm.EngineGPU

@@ -17,6 +17,7 @@ package dist
 import (
 	"sort"
 	"strings"
+	"time"
 
 	"mhm2sim/internal/dbg"
 	"mhm2sim/internal/dna"
@@ -243,9 +244,6 @@ func (m *componentShardMap) Shard(id int64) int {
 	return VirtualShard(id, m.shards)
 }
 
-// Policy implements ShardMap.
-func (m *componentShardMap) Policy() string { return ShardComponent }
-
 // Component returns the component ID of a contig (hash fallback returns
 // the contig's own ID) — exported to tests through component_test helpers.
 func (m *componentShardMap) Component(id int64) int64 {
@@ -255,7 +253,31 @@ func (m *componentShardMap) Component(id int64) int64 {
 	return id
 }
 
-// migrationMatrix models the component policy's read routing: instead of
+// componentPolicy is the component shard policy's per-run state: the current
+// residence rank of every routed read (reads live with their component
+// between rounds), the per-round component counts, and the accumulated wall
+// time of the connected-components passes.
+type componentPolicy struct {
+	shards    int
+	mem       *Membership
+	residence map[string]int
+	counts    []int
+	passTime  time.Duration
+}
+
+// roundShardMap runs the (timed) connected-components pass over the round's
+// global workload and packs whole components onto the virtual shards.
+func (p *componentPolicy) roundShardMap(k int, ctgs []*locassm.CtgWithReads) ShardMap {
+	start := time.Now()
+	m := newComponentShardMap(k, ctgs, p.shards)
+	p.passTime += time.Since(start)
+	p.counts = append(p.counts, m.count)
+	return m
+}
+
+func (p *componentPolicy) components() ([]int, time.Duration) { return p.counts, p.passTime }
+
+// exchangeMatrix models the component policy's read routing: instead of
 // re-shipping every candidacy from its hash home each round (MHM2's
 // aggregating stores), reads live with their component. Each candidate
 // read is shipped at most once per round, from its current residence to
@@ -265,8 +287,7 @@ func (m *componentShardMap) Component(id int64) int64 {
 // owner contribute rank-local bytes, never the wire; the residence map is
 // updated in place so the next round only pays for components whose
 // ownership moved.
-func migrationMatrix(ctgs []*locassm.CtgWithReads, smap ShardMap, deal *shardDeal,
-	ranks int, residence map[string]int, mem *Membership) [][]int64 {
+func (p *componentPolicy) exchangeMatrix(ctgs []*locassm.CtgWithReads, smap ShardMap, deal *shardDeal, ranks int) [][]int64 {
 	matrix := newMatrix(ranks)
 	shipped := make(map[string]bool)
 	route := func(r *dna.Read, dst int) {
@@ -275,15 +296,15 @@ func migrationMatrix(ctgs []*locassm.CtgWithReads, smap ShardMap, deal *shardDea
 			return
 		}
 		shipped[id] = true
-		src, ok := residence[id]
-		if !ok || !mem.Alive(src) {
+		src, ok := p.residence[id]
+		if !ok || !p.mem.Alive(src) {
 			// First appearance (or the old home crashed): the read comes
 			// from its scatter home among the live ranks, where the
 			// replicated copy survives.
 			src = deal.readHome(id)
 		}
 		matrix[src][dst] += readMsgBytes(r)
-		residence[id] = dst
+		p.residence[id] = dst
 	}
 	for _, c := range ctgs {
 		dst := deal.rankOf(smap.Shard(c.ID))
@@ -297,7 +318,7 @@ func migrationMatrix(ctgs []*locassm.CtgWithReads, smap ShardMap, deal *shardDea
 	return matrix
 }
 
-// localIndexMatrix replaces the full contig allgather under component
+// gatherMatrix replaces the full contig allgather under component
 // sharding: whole components are co-located with their candidate reads,
 // and components are closed under both read support and dBG adjacency (a
 // shared read or end window is precisely a component link), so no contig
@@ -307,13 +328,11 @@ func migrationMatrix(ctgs []*locassm.CtgWithReads, smap ShardMap, deal *shardDea
 // (src == dst), which the fabric counts but never puts on the wire; the
 // next round's cross-component discovery is paid for where it really
 // happens, in that round's read migration.
-func localIndexMatrix(ctgs []*locassm.CtgWithReads, results []locassm.Result,
-	smap ShardMap, deal *shardDeal, ranks int) [][]int64 {
+func (p *componentPolicy) gatherMatrix(ctgs []*locassm.CtgWithReads, results []locassm.Result, smap ShardMap, deal *shardDeal, ranks int) [][]int64 {
 	matrix := newMatrix(ranks)
 	for i, c := range ctgs {
 		owner := deal.rankOf(smap.Shard(c.ID))
-		extended := len(results[i].LeftExt) + len(c.Seq) + len(results[i].RightExt)
-		matrix[owner][owner] += int64(extended + recordOverheadBytes)
+		matrix[owner][owner] += int64(len(results[i].LeftExt) + len(c.Seq) + len(results[i].RightExt) + recordOverheadBytes)
 	}
 	return matrix
 }

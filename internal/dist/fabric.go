@@ -87,6 +87,13 @@ func (c FabricConfig) withDefaults() FabricConfig {
 	if c.BandwidthGBps == 0 {
 		c.BandwidthGBps = DefaultBandwidthGBps
 	}
+	return c.withOperationalDefaults()
+}
+
+// withOperationalDefaults fills the fields a fabric cannot run without
+// (aggregation buffer, timeout, retry budget, backoff), leaving the α/β
+// model as given.
+func (c FabricConfig) withOperationalDefaults() FabricConfig {
 	if c.AggBufferBytes == 0 {
 		c.AggBufferBytes = DefaultAggBufferBytes
 	}
@@ -189,73 +196,44 @@ func (st *StageTraffic) Locality() float64 {
 
 // Fabric is the simulated interconnect between ranks: it executes modeled
 // all-to-all exchanges and accumulates per-stage, per-rank traffic and
-// time. Safe for concurrent use.
+// time. Who is a member is the Membership's knowledge, not the fabric's: a
+// failed attempt is charged to the ranks the membership reports alive.
+// Exchange is safe for concurrent use; membership changes must not overlap
+// an exchange (the runtime makes both from the round's own goroutine).
 type Fabric struct {
 	cfg FabricConfig
+	mem *Membership
 	n   int
 	inj *faults.Injector
 
-	mu         sync.Mutex
-	stages     []*StageTraffic
-	dead       []bool // evicted ranks no longer participate in collectives
-	absent     []bool // reserved join slots not yet admitted to the collective
-	evictRound []int  // round each rank was evicted at (-1 while alive)
-	joinRound  []int  // round each rank joined at (-1 for initial members)
-	failedObs  []int  // failed exchange attempts each live rank observed
-	retries    int
-	retryTime  time.Duration
+	mu        sync.Mutex
+	stages    []*StageTraffic
+	failedObs []int // failed exchange attempts each rank observed while alive
+	retries   int
+	retryTime time.Duration
 }
 
-// NewFabric creates a fabric connecting n ranks. Zero-valued operational
-// fields (aggregation buffer, timeout, retry budget, backoff) take their
-// defaults; latency and bandwidth are validated as given, since a zero
-// bandwidth is a configuration error, not a request for the default.
+// NewFabric creates a standalone fabric connecting n ranks, all members for
+// its whole life. Zero-valued operational fields take their defaults;
+// latency and bandwidth are validated as given, since a zero bandwidth is a
+// configuration error, not a request for the default.
 func NewFabric(n int, cfg FabricConfig) (*Fabric, error) {
-	return NewFabricWithCapacity(n, n, cfg)
+	mem, err := NewMembership(n, n, n)
+	if err != nil {
+		return nil, err
+	}
+	return newFabric(mem, cfg)
 }
 
-// NewFabricWithCapacity creates a fabric sized for an elastic run: ranks
-// 0..initial-1 participate from the start, and slots initial..capacity-1
-// are wired but absent — they observe no collective failures and accrue no
-// exchange time until Join admits them.
-func NewFabricWithCapacity(initial, capacity int, cfg FabricConfig) (*Fabric, error) {
-	n := capacity
-	if initial < 1 {
-		return nil, fmt.Errorf("dist: fabric needs ≥ 1 rank, got %d", initial)
-	}
-	if capacity < initial {
-		return nil, fmt.Errorf("dist: fabric capacity %d below initial rank count %d", capacity, initial)
-	}
-	if cfg.AggBufferBytes == 0 {
-		cfg.AggBufferBytes = DefaultAggBufferBytes
-	}
-	if cfg.ExchangeTimeout == 0 {
-		cfg.ExchangeTimeout = DefaultExchangeTimeout
-	}
-	if cfg.MaxRetries == 0 {
-		cfg.MaxRetries = DefaultMaxRetries
-	}
-	if cfg.RetryBackoff == 0 {
-		cfg.RetryBackoff = DefaultRetryBackoff
-	}
+// newFabric wires a fabric over every slot of mem; slots that are absent or
+// gone observe no collective failures and accrue no retry penalty.
+func newFabric(mem *Membership, cfg FabricConfig) (*Fabric, error) {
+	cfg = cfg.withOperationalDefaults()
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	f := &Fabric{
-		cfg:        cfg,
-		n:          n,
-		dead:       make([]bool, n),
-		absent:     make([]bool, n),
-		evictRound: make([]int, n),
-		joinRound:  make([]int, n),
-		failedObs:  make([]int, n),
-	}
-	for r := range f.evictRound {
-		f.evictRound[r] = -1
-		f.joinRound[r] = -1
-		f.absent[r] = r >= initial
-	}
-	return f, nil
+	n := mem.Capacity()
+	return &Fabric{cfg: cfg, mem: mem, n: n, failedObs: make([]int, n)}, nil
 }
 
 // Ranks returns the number of connected ranks.
@@ -266,62 +244,12 @@ func (f *Fabric) Ranks() int { return f.n }
 // inert.
 func (f *Fabric) UseInjector(in *faults.Injector) { f.inj = in }
 
-// Evict marks a rank dead as of the given round: it stops observing
-// collective failures and accrues no further exchange time (the runtime
-// routes no traffic through it).
-func (f *Fabric) Evict(rank, round int) {
+// FailedAttempts counts the failed collective attempts rank r observed while
+// it was a member (an all-to-all failure is seen by every live participant).
+func (f *Fabric) FailedAttempts(r int) int {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	if rank >= 0 && rank < f.n && !f.dead[rank] {
-		f.dead[rank] = true
-		f.evictRound[rank] = round
-	}
-}
-
-// Join admits a reserved rank slot to the collective as of the given round:
-// from the next exchange on it observes failures and accrues exchange time
-// like any member.
-func (f *Fabric) Join(rank, round int) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	if rank >= 0 && rank < f.n && f.absent[rank] {
-		f.absent[rank] = false
-		f.joinRound[rank] = round
-	}
-}
-
-// RankHealth is the fabric's view of one rank.
-type RankHealth struct {
-	Rank  int
-	Alive bool
-	// EvictedRound is the 0-based round the rank was evicted at (-1 while
-	// alive).
-	EvictedRound int
-	// JoinedRound is the 0-based round the rank joined the collective at
-	// (-1 for initial members).
-	JoinedRound int
-	// FailedAttempts counts the failed collective attempts the rank
-	// observed while alive (an all-to-all failure is seen by every live
-	// participant).
-	FailedAttempts int
-}
-
-// Health returns the per-rank health tracker state. Reserved slots that
-// never joined report as not alive with JoinedRound -1.
-func (f *Fabric) Health() []RankHealth {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	out := make([]RankHealth, f.n)
-	for r := range out {
-		out[r] = RankHealth{
-			Rank:           r,
-			Alive:          !f.dead[r] && !f.absent[r],
-			EvictedRound:   f.evictRound[r],
-			JoinedRound:    f.joinRound[r],
-			FailedAttempts: f.failedObs[r],
-		}
-	}
-	return out
+	return f.failedObs[r]
 }
 
 // Retries returns the total failed exchange attempts recovered by retry and
@@ -437,7 +365,7 @@ func (f *Fabric) Exchange(stage string, matrix [][]int64) (*StageTraffic, error)
 		st.Time += penalty
 		f.mu.Lock()
 		for r := range st.PerRank {
-			if !f.dead[r] && !f.absent[r] {
+			if f.mem.Alive(r) {
 				st.PerRank[r] += penalty
 				f.failedObs[r] += fails
 			}

@@ -2,10 +2,11 @@
 // alive-bitmap ownership model. A Membership tracks every rank slot the run
 // can ever hold (the initial ranks plus every scheduled join), moves slots
 // through absent → live → gone, and bumps an epoch on every change. The
-// shard deal is computed once per epoch and cached — rt.deal() used to
-// rescan the alive set and rebuild the deal on every call — so ownership
-// queries between membership changes are pointer loads, and the per-epoch
-// live-set history feeds the report's elasticity section.
+// shard deal is computed once per epoch and cached, so ownership queries
+// between membership changes are pointer loads, and the per-epoch live-set
+// history feeds the report's elasticity section. It is the run's only record
+// of who is alive: the shard deal, the fabric's failure accounting and the
+// report all read this one value.
 package dist
 
 import "fmt"
@@ -159,6 +160,15 @@ func (m *Membership) JoinedRound(r int) int {
 		return -1
 	}
 	return m.joinRound[r]
+}
+
+// EvictedRound is the 0-based round the rank was evicted at (-1 while it is
+// live or still absent).
+func (m *Membership) EvictedRound(r int) int {
+	if r < 0 || r >= len(m.goneRound) {
+		return -1
+	}
+	return m.goneRound[r]
 }
 
 // EpochLiveCounts is the live-rank count at every epoch since the run

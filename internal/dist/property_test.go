@@ -123,7 +123,7 @@ func TestReadExchangeConservesReads(t *testing.T) {
 	}
 
 	for _, n := range []int{1, 2, 3, 8} {
-		matrix := readExchangeMatrix(ctgs, hashShardMap{DefaultVirtualShards}, newShardDeal(DefaultVirtualShards, liveAll(n)), n)
+		matrix := hashShardMap{}.exchangeMatrix(ctgs, hashShardMap{DefaultVirtualShards}, newShardDeal(DefaultVirtualShards, liveAll(n)), n)
 		var got int64
 		for src := range matrix {
 			for _, b := range matrix[src] {
@@ -167,7 +167,7 @@ func TestAllgatherMatrixCoversAllRanks(t *testing.T) {
 		ctgBytes += int64(len(c.Seq) + recordOverheadBytes)
 	}
 	for _, n := range []int{1, 2, 3, 8} {
-		matrix := allgatherMatrix(ctgs, make([]locassm.Result, len(ctgs)), hashShardMap{DefaultVirtualShards}, newShardDeal(DefaultVirtualShards, liveAll(n)), n)
+		matrix := hashShardMap{}.gatherMatrix(ctgs, make([]locassm.Result, len(ctgs)), hashShardMap{DefaultVirtualShards}, newShardDeal(DefaultVirtualShards, liveAll(n)), n)
 		var total int64
 		for src := range matrix {
 			for dst, b := range matrix[src] {

@@ -6,31 +6,39 @@ import (
 	"time"
 )
 
-// RankStats is one rank's share of a distributed run.
+// RankStats is one rank's share of a distributed run. The JSON names are the
+// v1 report's dist.per_rank rows (internal/report); durations encode as
+// nanoseconds.
 type RankStats struct {
-	Rank int
+	Rank int `json:"rank"`
+	// Alive is false for ranks evicted by an injected crash (or elastic
+	// leave) and for join slots never admitted. JoinedRound is the 0-based
+	// round an elastic rank joined at (-1 for initial members).
+	Alive       bool `json:"alive"`
+	JoinedRound int  `json:"joined_round"`
 	// Busy is the modeled GPU time (kernels + PCIe) the rank's device
 	// spent on its shards; Comm its modeled time inside fabric exchanges;
 	// Idle the rest of the modeled wall clock (waiting on the slowest
 	// rank at collectives).
-	Busy, Comm, Idle time.Duration
+	Busy time.Duration `json:"busy_ns"`
+	Comm time.Duration `json:"comm_ns"`
+	Idle time.Duration `json:"idle_ns"`
 	// BytesSent/BytesRecv are network bytes; Msgs aggregated messages.
-	BytesSent, BytesRecv, Msgs int64
-	// PCIeH2D/PCIeD2H are the rank's device transfer totals.
-	PCIeH2D, PCIeD2H int64
+	BytesSent int64 `json:"bytes_sent"`
+	BytesRecv int64 `json:"bytes_recv"`
+	Msgs      int64 `json:"msgs"`
+	// PCIeH2D/PCIeD2H are the rank's device transfer totals over this run.
+	PCIeH2D int64 `json:"pcie_h2d_bytes"`
+	PCIeD2H int64 `json:"pcie_d2h_bytes"`
 	// Kernels counts kernel launches on the rank's device; Contigs the
 	// contigs the rank owned in the final round.
-	Kernels, Contigs int
-	// Alive is false for ranks evicted by an injected crash (or elastic
-	// leave) and for join slots never admitted; EvictedRound is the 0-based
-	// round of the eviction (-1 while alive). JoinedRound is the 0-based
-	// round an elastic rank joined at (-1 for initial members).
-	Alive        bool
-	EvictedRound int
-	JoinedRound  int
-	// FailedAttempts counts the failed collective exchange attempts the
-	// rank observed while alive.
-	FailedAttempts int
+	Kernels int `json:"kernels"`
+	Contigs int `json:"contigs"`
+	// EvictedRound is the 0-based round of the rank's eviction (-1 while
+	// alive or never admitted); FailedAttempts counts the failed collective
+	// exchange attempts the rank observed while alive.
+	EvictedRound   int `json:"-"`
+	FailedAttempts int `json:"-"`
 }
 
 // RecoveryStats summarizes the fault-recovery work of a run. All counters
@@ -147,46 +155,38 @@ type Report struct {
 // report assembles the Report after the pipeline has finished.
 func (rt *runtime) report() *Report {
 	rep := &Report{
-		Ranks:             rt.cfg.Ranks,
-		Capacity:          rt.mem.Capacity(),
-		VirtualShards:     rt.cfg.VirtualShards,
-		Rounds:            rt.rounds,
-		ShardPolicy:       rt.cfg.ShardPolicy,
-		Components:        rt.components,
-		ComponentPassTime: rt.compPass,
-		CommTime:          rt.fabric.TotalTime(),
-		Stages:            rt.fabric.Stages(),
-		Faults:            rt.plan.String(),
-		Recovery:          rt.rec,
-		Elasticity:        rt.elastic,
+		Ranks:         rt.cfg.Ranks,
+		Capacity:      rt.mem.Capacity(),
+		VirtualShards: rt.cfg.VirtualShards,
+		Rounds:        rt.rounds,
+		ShardPolicy:   rt.cfg.ShardPolicy,
+		CommTime:      rt.fabric.TotalTime(),
+		Stages:        rt.fabric.Stages(),
+		Faults:        rt.plan.String(),
+		Recovery:      rt.rec,
+		Elasticity:    rt.elastic,
 	}
+	rep.Components, rep.ComponentPassTime = rt.policy.components()
 	rep.Elasticity.Epochs = rt.mem.Epoch() + 1
 	rep.Elasticity.EpochLive = rt.mem.EpochLiveCounts()
 	rep.Recovery.ExchangeRetries, rep.Recovery.RetryTime = rt.fabric.Retries()
 	rep.Wall = rt.compWall + rep.CommTime
 	rep.PerRank = make([]RankStats, rep.Capacity)
-	health := rt.fabric.Health()
-	for r := range rep.PerRank {
-		comm, sent, recv, msgs := rt.fabric.RankTotals(r)
-		var h2d, d2h int64
-		if rt.devs[r] != nil {
-			h2d, d2h = rt.devs[r].CumTraffic()
-		}
+	for r, rk := range rt.ranks {
 		rs := RankStats{
 			Rank:           r,
-			Busy:           rt.busy[r],
-			Comm:           comm,
-			BytesSent:      sent,
-			BytesRecv:      recv,
-			Msgs:           msgs,
-			PCIeH2D:        h2d,
-			PCIeD2H:        d2h,
-			Kernels:        rt.kernels[r],
-			Contigs:        rt.owned[r],
-			Alive:          health[r].Alive,
-			EvictedRound:   health[r].EvictedRound,
-			JoinedRound:    health[r].JoinedRound,
-			FailedAttempts: health[r].FailedAttempts,
+			Alive:          rt.mem.Alive(r),
+			JoinedRound:    rt.mem.JoinedRound(r),
+			Busy:           rk.busy,
+			Kernels:        rk.kernels,
+			Contigs:        rk.owned,
+			EvictedRound:   rt.mem.EvictedRound(r),
+			FailedAttempts: rt.fabric.FailedAttempts(r),
+		}
+		rs.Comm, rs.BytesSent, rs.BytesRecv, rs.Msgs = rt.fabric.RankTotals(r)
+		if rk.dev != nil {
+			h2d, d2h := rk.dev.CumTraffic()
+			rs.PCIeH2D, rs.PCIeD2H = h2d-rk.h2d0, d2h-rk.d2h0
 		}
 		if idle := rep.Wall - rs.Busy - rs.Comm; idle > 0 {
 			rs.Idle = idle

@@ -25,17 +25,6 @@ type shardOutcome struct {
 	onGPU   bool
 }
 
-func init() {
-	// Reserve the "dist" engine name in the shared registry. The
-	// distributed engine binds to a live multi-rank runtime (fabric,
-	// per-rank devices, fault injector), so it cannot be built from a
-	// declarative spec: dist.Run constructs the runtime and injects it via
-	// EngineSpec.Instance.
-	locassm.RegisterEngine(locassm.EngineDist, func(locassm.EngineSpec) (locassm.Engine, error) {
-		return nil, fmt.Errorf("dist: the %q engine requires a live multi-rank runtime; use dist.Run (mhm2sim -engine=dist)", locassm.EngineDist)
-	})
-}
-
 // Config parameterizes a distributed run.
 type Config struct {
 	// Ranks is the number of simulated ranks (processes), each owning one
@@ -91,11 +80,9 @@ type Config struct {
 	NoSteal bool
 	// DeviceProvider, when set, supplies the device for each joining rank
 	// (the service wires the DevicePool in here so elastic jobs draw real
-	// pool capacity); nil falls back to fresh simt.NewDevice(Device).
-	// DeviceRelease, when set, takes every provider-supplied device back
-	// after the run.
+	// pool capacity); nil falls back to fresh simt.NewDevice(Device). The
+	// provider keeps ownership: it takes its devices back after Run returns.
 	DeviceProvider func() (*simt.Device, error)
-	DeviceRelease  func(*simt.Device)
 }
 
 // DefaultConfig returns a distributed configuration over the default
@@ -169,36 +156,49 @@ func (c *Config) effectivePlan() (*faults.Plan, error) {
 	return plan.Merge(ep)
 }
 
+// rank is one rank slot's record. The table is sized to the membership's
+// capacity; slots of joins that have not fired hold the zero value.
+type rank struct {
+	dev *simt.Device
+	// h2d0/d2h0 are the device's lifetime PCIe odometer when it was attached:
+	// a DeviceProvider may hand out a device earlier jobs have used, and the
+	// report wants this run's bytes only.
+	h2d0, d2h0 int64
+	deviceOK   bool          // still assembling on its device
+	busy       time.Duration // modeled busy time, own and stolen work
+	kernels    int           // kernel launches
+	owned      int           // contigs owned in the last round
+	// Round scratch, written by the rank's own goroutine in assembleShards
+	// and read after it has been waited for.
+	fellBack bool
+	err      error
+}
+
+// attach gives the slot its device and notes where its odometer stands.
+func (rk *rank) attach(dev *simt.Device) {
+	rk.dev, rk.deviceOK = dev, true
+	rk.h2d0, rk.d2h0 = dev.CumTraffic()
+}
+
 // runtime is the live state of one distributed run. It implements
 // locassm.Engine: pipeline.Run hands it each round's contigs-with-reads
 // and it performs the read exchange, the sharded concurrent local
-// assembly (each rank running a registry engine over its virtual shards),
+// assembly (each rank running its own engine over its virtual shards),
 // and the contig allgather.
 type runtime struct {
 	cfg    Config
 	plan   *faults.Plan // Faults merged with the parsed Elastic schedule
 	fabric *Fabric
-	mem    *Membership
-	devs   []*simt.Device // one per rank slot, up to capacity
-	pooled []bool         // device came from cfg.DeviceProvider
+	mem    *Membership // who is alive: read by the deal, the fabric, the policy
+	policy shardPolicy
 	inj    *faults.Injector
+	ranks  []rank // one record per rank slot, up to capacity
 
 	// Accumulated across rounds (written only between concurrent phases).
-	busy     []time.Duration // per-rank modeled busy time (own + stolen work)
-	kernels  []int           // per-rank kernel launches
-	owned    []int           // per-rank owned contigs (last round)
-	deviceOK []bool          // ranks still assembling on their device
 	rec      RecoveryStats
 	elastic  ElasticityStats
 	compWall time.Duration // Σ over rounds of the round makespans
 	rounds   int
-
-	// Component-policy state: the current residence rank of every routed
-	// read (reads live with their component between rounds), the per-round
-	// component counts, and the accumulated component-pass wall time.
-	readRank   map[string]int
-	components []int
-	compPass   time.Duration
 }
 
 func newRuntime(cfg Config) (*runtime, error) {
@@ -206,108 +206,140 @@ func newRuntime(cfg Config) (*runtime, error) {
 	if err != nil {
 		return nil, err
 	}
-	capacity := cfg.Ranks
-	if c := plan.Capacity(); c > capacity {
-		capacity = c
+	if cfg.DeviceProvider == nil {
+		cfg.DeviceProvider = func() (*simt.Device, error) { return simt.NewDevice(cfg.Device), nil }
 	}
-	fabric, err := NewFabricWithCapacity(cfg.Ranks, capacity, cfg.Fabric)
+	mem, err := NewMembership(cfg.Ranks, max(cfg.Ranks, plan.Capacity()), cfg.VirtualShards)
 	if err != nil {
 		return nil, err
 	}
-	mem, err := NewMembership(cfg.Ranks, capacity, cfg.VirtualShards)
+	fabric, err := newFabric(mem, cfg.Fabric)
 	if err != nil {
 		return nil, err
 	}
 	rt := &runtime{
-		cfg:      cfg,
-		plan:     plan,
-		fabric:   fabric,
-		mem:      mem,
-		devs:     make([]*simt.Device, capacity),
-		pooled:   make([]bool, capacity),
-		inj:      faults.NewInjector(plan),
-		busy:     make([]time.Duration, capacity),
-		kernels:  make([]int, capacity),
-		owned:    make([]int, capacity),
-		deviceOK: make([]bool, capacity),
-		readRank: make(map[string]int),
+		cfg:    cfg,
+		plan:   plan,
+		fabric: fabric,
+		mem:    mem,
+		policy: newShardPolicy(cfg.ShardPolicy, cfg.VirtualShards, mem),
+		inj:    faults.NewInjector(plan),
+		ranks:  make([]rank, mem.Capacity()),
 	}
 	fabric.UseInjector(rt.inj)
 	for r := 0; r < cfg.Ranks; r++ {
-		rt.devs[r] = simt.NewDevice(cfg.Device)
-		rt.deviceOK[r] = true
+		rt.ranks[r].attach(simt.NewDevice(cfg.Device))
 	}
 	return rt, nil
 }
 
-// releaseDevices hands every provider-supplied device back through
-// cfg.DeviceRelease. Called once after the run (the report reads device
-// traffic first).
-func (rt *runtime) releaseDevices() {
-	if rt.cfg.DeviceRelease == nil {
-		return
+// scatterReads models the initial distribution of the input pairs from the
+// I/O rank (rank 0) to each read's home rank — the FASTQ scatter every
+// distributed assembler starts with. Homes span the initial ranks only:
+// join slots are still absent at scatter time.
+func (rt *runtime) scatterReads(pairs []dna.PairedRead) error {
+	matrix := newMatrix(len(rt.ranks))
+	for i := range pairs {
+		home := ReadHomeRank(pairs[i].Fwd.ID, rt.cfg.Ranks)
+		matrix[0][home] += readMsgBytes(&pairs[i].Fwd) + readMsgBytes(&pairs[i].Rev)
 	}
-	for r, dev := range rt.devs {
-		if rt.pooled[r] && dev != nil {
-			rt.cfg.DeviceRelease(dev)
-			rt.devs[r] = nil
-			rt.pooled[r] = false
+	_, err := rt.fabric.Exchange("read scatter", matrix)
+	return err
+}
+
+// Name implements locassm.Engine.
+func (rt *runtime) Name() string { return locassm.EngineDist }
+
+// Assemble implements locassm.Engine: one contigging round's local
+// assembly, distributed, as the round's phases in order. Per the Engine
+// contract the input contigs are not mutated; the per-contig results are
+// returned in input order and the caller (the pipeline's local-assembly
+// stage) applies the extensions.
+func (rt *runtime) Assemble(k int, ctgs []*locassm.CtgWithReads) ([]locassm.Result, locassm.Stats, error) {
+	round := rt.rounds // 0-based, for the injector
+	rt.rounds++
+	smap := rt.policy.roundShardMap(k, ctgs)
+	deal, err := rt.applyMembership(round, k, ctgs, smap)
+	if err != nil {
+		return nil, locassm.Stats{}, err
+	}
+	if err := rt.exchangeReads(k, ctgs, smap, deal); err != nil {
+		return nil, locassm.Stats{}, err
+	}
+	byShard, shardIdx := shardContigs(ctgs, smap, rt.cfg.VirtualShards)
+	outs, err := rt.assembleShards(round, k, byShard, deal)
+	if err != nil {
+		return nil, locassm.Stats{}, err
+	}
+	makespan, err := rt.scheduleSteals(round, k, byShard, outs, deal)
+	if err != nil {
+		return nil, locassm.Stats{}, err
+	}
+	results, stats := rt.gatherShards(len(ctgs), outs, shardIdx, deal, makespan)
+	return results, stats, rt.allgatherContigs(k, ctgs, results, smap, deal)
+}
+
+// applyMembership is the round boundary: it admits the scheduled joins
+// (bootstrap exchange), evicts the scheduled crashes and leaves, and poisons
+// any device scheduled to fail this round (its rank discovers the loss at
+// first launch and degrades to the host engine). Joins precede evictions, so
+// a round that both grows and shrinks re-deals through the grown set first,
+// exactly as faults.ParseElastic replays it. Returns the round's deal.
+// Writes elastic.Joins, elastic.RebalancedBytes, rec.Evictions,
+// rec.RecoveredBytes.
+func (rt *runtime) applyMembership(round, k int, ctgs []*locassm.CtgWithReads, smap ShardMap) (*shardDeal, error) {
+	if err := rt.admitJoins(round, k, ctgs, smap); err != nil {
+		return nil, err
+	}
+	if err := rt.evictCrashed(round, ctgs, smap); err != nil {
+		return nil, err
+	}
+	deal := rt.mem.Deal()
+	// In budget mode OOM events never poison devices: the pipeline's
+	// counting budget absorbs them (MemPressure shrinks it and the pass
+	// plan spills), so local assembly keeps its device.
+	if rt.cfg.Pipeline.MemBudget == 0 {
+		for _, r := range deal.live {
+			if rk := &rt.ranks[r]; rk.deviceOK && rt.inj.DeviceFault(r, round) {
+				rk.dev.InjectFault(nil)
+			}
 		}
 	}
+	return deal, nil
 }
 
 // admitJoins applies the round's scheduled rank joins: each joiner gets a
-// device (from cfg.DeviceProvider when the service wires a pool in, else a
-// fresh simulated one), enters the fabric collective, and bumps the
-// membership epoch. The re-deal hands it whole virtual shards — whole
-// components under the component policy — and the owners it displaces ship
-// it their contig records in one "join bootstrap" exchange, accounted as
-// rebalanced bytes. Joins precede evictions at a boundary, so a round that
-// both grows and shrinks re-deals through the grown set first, exactly as
-// faults.ParseElastic replays it.
-func (rt *runtime) admitJoins(round int, k int, ctgs []*locassm.CtgWithReads, smap ShardMap) error {
+// device from cfg.DeviceProvider (the service's pool, else a fresh simulated
+// one) and enters the membership. The re-deal hands it whole
+// virtual shards — whole components under the component policy — and the
+// owners it displaces ship it their contig records in one "join bootstrap"
+// exchange, accounted as rebalanced bytes.
+func (rt *runtime) admitJoins(round, k int, ctgs []*locassm.CtgWithReads, smap ShardMap) error {
 	joins := rt.inj.JoinsAt(round)
 	if len(joins) == 0 {
 		return nil
 	}
 	before := rt.mem.Deal()
 	for _, r := range joins {
-		dev := (*simt.Device)(nil)
-		if rt.cfg.DeviceProvider != nil {
-			d, err := rt.cfg.DeviceProvider()
-			if err != nil {
-				return fmt.Errorf("dist: no device for joining rank %d at round %d: %w", r, round, err)
-			}
-			dev, rt.pooled[r] = d, true
-		} else {
-			dev = simt.NewDevice(rt.cfg.Device)
+		dev, err := rt.cfg.DeviceProvider()
+		if err != nil {
+			return fmt.Errorf("dist: no device for joining rank %d at round %d: %w", r, round, err)
 		}
 		if err := rt.mem.Join(r, round); err != nil {
 			return err
 		}
-		rt.devs[r] = dev
-		rt.deviceOK[r] = true
-		rt.fabric.Join(r, round)
+		rt.ranks[r].attach(dev)
 		rt.elastic.Joins++
 	}
-	after := rt.mem.Deal()
-	matrix := newMatrix(rt.mem.Capacity())
-	for _, c := range ctgs {
-		s := smap.Shard(c.ID)
-		src, dst := before.rankOf(s), after.rankOf(s)
-		if src != dst {
-			b := int64(len(c.Seq) + recordOverheadBytes)
-			matrix[src][dst] += b
-			rt.elastic.RebalancedBytes += b
-		}
-	}
+	matrix, moved := movedOwners(ctgs, smap, before, rt.mem.Deal(), len(rt.ranks))
+	rt.elastic.RebalancedBytes += moved
 	_, err := rt.fabric.Exchange(fmt.Sprintf("join bootstrap k=%d", k), matrix)
 	return err
 }
 
 // evictCrashed applies the round's scheduled rank crashes (and elastic
 // leaves, which are crash events with a deterministic victim): crashed
-// ranks leave the collective and their virtual shards are re-dealt to the
+// ranks leave the membership and their virtual shards are re-dealt to the
 // survivors. Contig state is replicated by the allgather (or held
 // component-local with a scatter-home replica under component sharding),
 // so survivors adopt local copies; the bytes whose ownership moves are
@@ -331,41 +363,101 @@ func (rt *runtime) evictCrashed(round int, ctgs []*locassm.CtgWithReads, smap Sh
 		if err := rt.mem.Evict(r, round); err != nil {
 			return err
 		}
-		rt.fabric.Evict(r, round)
 		rt.rec.Evictions++
 	}
-	after := rt.mem.Deal()
+	_, moved := movedOwners(ctgs, smap, before, rt.mem.Deal(), len(rt.ranks))
+	rt.rec.RecoveredBytes += moved
+	return nil
+}
+
+// exchangeReads routes the round's candidate reads to the ranks owning the
+// contigs they aligned to. Hash policy: all-to-all, every rank routes the
+// reads its alignments produced (MHM2's aggregating stores ahead of local
+// assembly). Component policy: reads live with their component, so only
+// reads whose component ownership moved travel. Issues "read exchange";
+// writes each rank's owned-contig count.
+func (rt *runtime) exchangeReads(k int, ctgs []*locassm.CtgWithReads, smap ShardMap, deal *shardDeal) error {
+	for r := range rt.ranks {
+		rt.ranks[r].owned = 0
+	}
 	for _, c := range ctgs {
-		s := smap.Shard(c.ID)
-		if before.rankOf(s) != after.rankOf(s) {
-			rt.rec.RecoveredBytes += int64(len(c.Seq) + recordOverheadBytes)
+		rt.ranks[deal.rankOf(smap.Shard(c.ID))].owned++
+	}
+	_, err := rt.fabric.Exchange(fmt.Sprintf("read exchange k=%d", k),
+		rt.policy.exchangeMatrix(ctgs, smap, deal, len(rt.ranks)))
+	return err
+}
+
+// assembleShards runs the sharded local assembly: each live rank drives its
+// virtual shards concurrently with every other rank. Returns one outcome per
+// non-empty shard. Writes rec.DeviceFallbacks (and, through runRank, the
+// falling-back rank's deviceOK).
+func (rt *runtime) assembleShards(round, k int, byShard [][]*locassm.CtgWithReads, deal *shardDeal) ([]*shardOutcome, error) {
+	cpuWorkers := rt.cfg.CPUWorkers
+	if cpuWorkers < 1 {
+		cpuWorkers = max(1, goruntime.GOMAXPROCS(0)/len(rt.ranks))
+	}
+	outs := make([]*shardOutcome, len(byShard)) // each shard written only by its owner
+	var wg sync.WaitGroup
+	wg.Add(len(deal.live))
+	for i, r := range deal.live {
+		go func(i, r int) {
+			defer wg.Done()
+			rt.ranks[r].err = rt.runRank(r, i, len(deal.live), round, k, cpuWorkers, byShard, outs)
+		}(i, r)
+	}
+	wg.Wait()
+	for _, r := range deal.live {
+		if err := rt.ranks[r].err; err != nil {
+			return nil, err
 		}
+		if rt.ranks[r].fellBack {
+			rt.rec.DeviceFallbacks++
+		}
+	}
+	return outs, nil
+}
+
+// runRank is one rank's share of assembleShards: live rank r, i-th of nl,
+// assembles shards i, i+nl, … (virtual shard s lives on live[s mod nl]) on
+// its own device's batch driver or, under CPUAssembly or after a device
+// fault, the host flat-table engine.
+func (rt *runtime) runRank(r, i, nl, round, k, cpuWorkers int, byShard [][]*locassm.CtgWithReads, outs []*shardOutcome) error {
+	rk := &rt.ranks[r]
+	rk.fellBack = false
+	gpuEng, cpuEng, err := rt.rankEngines(r, round, cpuWorkers)
+	if err != nil {
+		return err
+	}
+	eng := gpuEng
+	if rt.cfg.CPUAssembly || !rk.deviceOK {
+		eng = cpuEng
+	}
+	for s := i; s < len(byShard); s += nl {
+		if len(byShard[s]) == 0 {
+			continue
+		}
+		results, stats, err := eng.Assemble(k, byShard[s])
+		if errors.Is(err, simt.ErrDeviceLost) {
+			// Device lost mid-round: degrade this rank to its host engine
+			// and recompute the shard there. The flat-table engine is
+			// bit-identical to the GPU path, so results are unaffected.
+			eng = cpuEng
+			rk.deviceOK, rk.fellBack = false, true
+			results, stats, err = eng.Assemble(k, byShard[s])
+		}
+		if err != nil {
+			return fmt.Errorf("rank %d shard %d: %w", r, s, err)
+		}
+		outs[s] = &shardOutcome{results: results, stats: stats, onGPU: eng == gpuEng}
 	}
 	return nil
 }
 
-// scatterReads models the initial distribution of the input pairs from the
-// I/O rank (rank 0) to each read's home rank — the FASTQ scatter every
-// distributed assembler starts with. Homes span the initial ranks only:
-// join slots are still absent at scatter time.
-func (rt *runtime) scatterReads(pairs []dna.PairedRead) error {
-	matrix := newMatrix(rt.mem.Capacity())
-	for i := range pairs {
-		home := ReadHomeRank(pairs[i].Fwd.ID, rt.cfg.Ranks)
-		matrix[0][home] += readMsgBytes(&pairs[i].Fwd) + readMsgBytes(&pairs[i].Rev)
-	}
-	_, err := rt.fabric.Exchange("read scatter", matrix)
-	return err
-}
-
-// Name implements locassm.Engine.
-func (rt *runtime) Name() string { return locassm.EngineDist }
-
-// rankEngines builds one round's engines for rank r through the shared
-// registry: the device engine over the rank's own GPU (with the round's
-// injected kernel aborts wired into the driver's fault hook), and the host
-// flat-table engine it degrades to under CPUAssembly or after a device
-// loss.
+// rankEngines builds one round's engines for rank r: the device engine over
+// the rank's own GPU (with the round's injected kernel aborts wired into the
+// driver's fault hook), and the host flat-table engine it degrades to under
+// CPUAssembly or after a device loss.
 func (rt *runtime) rankEngines(r, round, cpuWorkers int) (gpuEng, cpuEng locassm.Engine, err error) {
 	// Scheduled kernel aborts: the first aborts launches on this rank
 	// this round fail with a recoverable table fault, which the batch
@@ -383,7 +475,7 @@ func (rt *runtime) rankEngines(r, round, cpuWorkers int) (gpuEng, cpuEng locassm
 		Name:   locassm.EngineGPU,
 		Config: rt.cfg.Pipeline.Locassm,
 		GPU:    gcfg,
-		Device: rt.devs[r],
+		Device: rt.ranks[r].dev,
 	})
 	if err != nil {
 		return nil, nil, err
@@ -396,164 +488,37 @@ func (rt *runtime) rankEngines(r, round, cpuWorkers int) (gpuEng, cpuEng locassm
 	return gpuEng, cpuEng, err
 }
 
-// Assemble implements locassm.Engine: one contigging round's local
-// assembly, distributed. Per the Engine contract the input contigs are
-// not mutated; the per-contig results are returned in input order and the
-// caller (the pipeline's local-assembly stage) applies the extensions.
-func (rt *runtime) Assemble(k int, ctgs []*locassm.CtgWithReads) ([]locassm.Result, locassm.Stats, error) {
-	n := rt.mem.Capacity()
-	v := rt.cfg.VirtualShards
-	round := rt.rounds // 0-based, for the injector
-	rt.rounds++
-
-	// Shard map for the round: the hash policy is stateless; the component
-	// policy runs the (timed) connected-components pass over the global
-	// workload and packs whole components onto the virtual shards. Either
-	// way the map is a pure function of (k, ctgs), never of N.
-	var smap ShardMap = hashShardMap{v}
-	if rt.cfg.ShardPolicy == ShardComponent {
-		start := time.Now()
-		cm := newComponentShardMap(k, ctgs, v)
-		rt.compPass += time.Since(start)
-		rt.components = append(rt.components, cm.count)
-		smap = cm
-	}
-
-	// Round boundary — admit scheduled rank joins (bootstrap exchange,
-	// epoch bump), then apply scheduled rank crashes and re-deal the dead
-	// ranks' virtual shards over the survivors, then poison any device
-	// scheduled to fail this round (its rank discovers the loss at first
-	// launch and degrades to the host engine).
-	if err := rt.admitJoins(round, k, ctgs, smap); err != nil {
-		return nil, locassm.Stats{}, err
-	}
-	if err := rt.evictCrashed(round, ctgs, smap); err != nil {
-		return nil, locassm.Stats{}, err
-	}
-	deal := rt.mem.Deal()
-	live := deal.live
-	nl := len(live)
-	// In budget mode OOM events never poison devices: the pipeline's
-	// counting budget absorbs them (MemPressure shrinks it and the pass
-	// plan spills), so local assembly keeps its device.
-	if rt.cfg.Pipeline.MemBudget == 0 {
-		for _, r := range live {
-			if rt.deviceOK[r] && rt.inj.DeviceFault(r, round) {
-				rt.devs[r].InjectFault(nil)
-			}
+// scheduleSteals replays the round's batch queues over the per-shard modeled
+// costs (see steal.go) and returns the round's makespan. Output bytes never
+// depend on it: only the busy accounting and the makespan do. A straggler
+// computes the same work, slower — every batch the rank runs, own or stolen,
+// pays its factor. The stolen batches' payloads cross the fabric in one
+// "work steal" exchange. Writes rec.Stragglers, elastic.Steals/
+// StolenBatches/StolenBytes/NoStealWall/StealWall, each rank's busy time and
+// compWall.
+func (rt *runtime) scheduleSteals(round, k int, byShard [][]*locassm.CtgWithReads, outs []*shardOutcome, deal *shardDeal) (time.Duration, error) {
+	n := len(rt.ranks)
+	cost := make([]time.Duration, len(byShard))
+	bytes := make([]int64, len(byShard))
+	for s, out := range outs {
+		if out != nil {
+			cost[s] = out.stats.Busy
 		}
-	}
-
-	// Phase 1 — read exchange. Hash policy: all-to-all, every rank routes
-	// the candidate reads its alignments produced to the rank owning the
-	// hit contig (MHM2's aggregating stores ahead of local assembly).
-	// Component policy: reads live with their component, so only reads
-	// whose component ownership moved travel — one migration per read,
-	// mostly rank-local once residences settle.
-	for r := range rt.owned {
-		rt.owned[r] = 0
-	}
-	for _, c := range ctgs {
-		rt.owned[deal.rankOf(smap.Shard(c.ID))]++
-	}
-	var exchange [][]int64
-	if rt.cfg.ShardPolicy == ShardComponent {
-		exchange = migrationMatrix(ctgs, smap, deal, n, rt.readRank, rt.mem)
-	} else {
-		exchange = readExchangeMatrix(ctgs, smap, deal, n)
-	}
-	if _, err := rt.fabric.Exchange(fmt.Sprintf("read exchange k=%d", k), exchange); err != nil {
-		return nil, locassm.Stats{}, err
-	}
-
-	// Phase 2 — sharded local assembly: each live rank drives its virtual
-	// shards concurrently with every other rank, through a registry
-	// engine — its own device's batch driver or, under CPUAssembly or
-	// after a device fault, the host flat-table engine.
-	byShard, shardIdx := shardContigs(ctgs, smap, v)
-	cpuWorkers := rt.cfg.CPUWorkers
-	if cpuWorkers < 1 {
-		cpuWorkers = goruntime.GOMAXPROCS(0) / n
-		if cpuWorkers < 1 {
-			cpuWorkers = 1
-		}
-	}
-
-	shardRes := make([]*shardOutcome, v)
-	shardBusy := make([]time.Duration, v) // each shard written only by its owner
-	fellBack := make([]bool, n)
-	errs := make([]error, n)
-	var wg sync.WaitGroup
-	wg.Add(nl)
-	for i, r := range live {
-		go func(i, r int) {
-			defer wg.Done()
-			gpuEng, cpuEng, err := rt.rankEngines(r, round, cpuWorkers)
-			if err != nil {
-				errs[r] = err
-				return
-			}
-			eng := gpuEng
-			if rt.cfg.CPUAssembly || !rt.deviceOK[r] {
-				eng = cpuEng
-			}
-			for s := i; s < v; s += nl { // virtual shard s lives on live[s mod nl]
-				if len(byShard[s]) == 0 {
-					continue
-				}
-				results, stats, err := eng.Assemble(k, byShard[s])
-				if errors.Is(err, simt.ErrDeviceLost) {
-					// Device lost mid-round: degrade this rank to its
-					// host engine and recompute the shard there. The
-					// flat-table engine is bit-identical to the GPU
-					// path, so results are unaffected.
-					eng = cpuEng
-					rt.deviceOK[r] = false
-					fellBack[r] = true
-					results, stats, err = eng.Assemble(k, byShard[s])
-				}
-				if err != nil {
-					errs[r] = fmt.Errorf("rank %d shard %d: %w", r, s, err)
-					return
-				}
-				shardRes[s] = &shardOutcome{results: results, stats: stats, onGPU: eng == gpuEng}
-				shardBusy[s] = stats.Busy
-			}
-		}(i, r)
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return nil, locassm.Stats{}, err
+		for _, c := range byShard[s] {
+			bytes[s] += ctgWeight(c)
 		}
 	}
 	factor := make([]float64, n)
 	for r := range factor {
 		factor[r] = 1
 	}
-	for _, r := range live {
-		if fellBack[r] {
-			rt.rec.DeviceFallbacks++
-		}
-		// A straggler computes the same work, slower — every batch the rank
-		// runs, own or stolen, pays its factor.
+	for _, r := range deal.live {
 		if f := rt.inj.StragglerFactor(r, round); f != 1 {
 			rt.rec.Stragglers++
 			factor[r] = f
 		}
 	}
-
-	// Steal scheduling — replay the round's batch queues over the per-shard
-	// modeled costs (see steal.go). Output bytes never depend on it: only
-	// the busy accounting and the round makespan do. The stolen batches'
-	// payloads cross the fabric in one "work steal" exchange.
-	shardBytes := make([]int64, v)
-	for s := 0; s < v; s++ {
-		for _, c := range byShard[s] {
-			shardBytes[s] += ctgWeight(c)
-		}
-	}
-	sim := stealSchedule(deal, shardBusy, shardBytes, factor, n, !rt.cfg.NoSteal)
+	sim := stealSchedule(deal, cost, bytes, factor, n, !rt.cfg.NoSteal)
 	if len(sim.steals) > 0 {
 		flows := make(map[[2]int]bool)
 		for _, st := range sim.steals {
@@ -563,103 +528,54 @@ func (rt *runtime) Assemble(k int, ctgs []*locassm.CtgWithReads) ([]locassm.Resu
 		}
 		rt.elastic.Steals += len(flows)
 		if _, err := rt.fabric.Exchange(fmt.Sprintf("work steal k=%d", k), stealMatrix(sim.steals, n)); err != nil {
-			return nil, locassm.Stats{}, err
+			return 0, err
 		}
 	}
 	rt.elastic.NoStealWall += sim.noStealMakespan
 	rt.elastic.StealWall += sim.makespan
-
-	// Gather — canonical virtual-shard order, so accounting and kernel
-	// lists are identical for every rank count.
-	roundMax := sim.makespan
-	for r := 0; r < n; r++ {
-		rt.busy[r] += sim.busy[r]
+	for r := range rt.ranks {
+		rt.ranks[r].busy += sim.busy[r]
 	}
-	rt.compWall += roundMax
-	results := make([]locassm.Result, len(ctgs))
+	rt.compWall += sim.makespan
+	return sim.makespan, nil
+}
+
+// gatherShards merges the shard outcomes in canonical virtual-shard order,
+// so accounting and kernel lists are identical for every rank count. Ranks
+// overlap, so the round's busy wall is the makespan, not the sum. Writes
+// each rank's kernel count and rec.BatchResplits.
+func (rt *runtime) gatherShards(nCtgs int, outs []*shardOutcome, shardIdx [][]int, deal *shardDeal, makespan time.Duration) ([]locassm.Result, locassm.Stats) {
+	results := make([]locassm.Result, nCtgs)
 	var stats locassm.Stats
-	for s := 0; s < v; s++ {
-		out := shardRes[s]
+	for s, out := range outs {
 		if out == nil {
 			continue
 		}
 		if out.onGPU {
-			rt.kernels[deal.rankOf(s)] += len(out.stats.Kernels)
+			rt.ranks[deal.rankOf(s)].kernels += len(out.stats.Kernels)
 		}
 		rt.rec.BatchResplits += out.stats.Resplits
 		shardStats := out.stats
-		shardStats.Busy = 0 // ranks overlap; the round's busy wall is roundMax
+		shardStats.Busy = 0
 		stats.Add(shardStats)
 		for j, gi := range shardIdx[s] {
 			results[gi] = out.results[j]
 		}
 	}
-	stats.Busy = roundMax
-
-	// Phase 3 — contig allgather: owners broadcast their extended contigs
-	// so every live rank holds the replicated alignment index for the next
-	// round (and the final outputs). The extensions are not applied here
-	// (the pipeline stage does that), so the matrix accounts the extended
-	// lengths from the results. Under component sharding the replicated
-	// index collapses to a component-local one — there are no
-	// cross-component contigs to broadcast — so every byte stays
-	// rank-local.
-	var gather [][]int64
-	if rt.cfg.ShardPolicy == ShardComponent {
-		gather = localIndexMatrix(ctgs, results, smap, deal, n)
-	} else {
-		gather = allgatherMatrix(ctgs, results, smap, deal, n)
-	}
-	_, err := rt.fabric.Exchange(fmt.Sprintf("contig allgather k=%d", k), gather)
-	return results, stats, err
+	stats.Busy = makespan
+	return results, stats
 }
 
-func newMatrix(n int) [][]int64 {
-	m := make([][]int64, n)
-	for i := range m {
-		m[i] = make([]int64, n)
-	}
-	return m
-}
-
-// readExchangeMatrix builds the all-to-all byte matrix of the per-round
-// read routing under the hash policy: every candidate read travels from
-// its home rank to the live rank owning the contig it aligned to, once per
-// (contig, side) it is a candidate for — exactly as MHM2 routes one
-// aggregated record per alignment. Rows and columns of evicted ranks stay
-// zero. Self-destined records (read home == contig owner) count as
-// rank-local bytes in the fabric, never wire traffic.
-func readExchangeMatrix(ctgs []*locassm.CtgWithReads, smap ShardMap, deal *shardDeal, ranks int) [][]int64 {
-	matrix := newMatrix(ranks)
-	for _, c := range ctgs {
-		owner := deal.rankOf(smap.Shard(c.ID))
-		for i := range c.LeftReads {
-			matrix[deal.readHome(c.LeftReads[i].ID)][owner] += readMsgBytes(&c.LeftReads[i])
-		}
-		for i := range c.RightReads {
-			matrix[deal.readHome(c.RightReads[i].ID)][owner] += readMsgBytes(&c.RightReads[i])
-		}
-	}
-	return matrix
-}
-
-// allgatherMatrix builds the byte matrix of the post-round contig
-// broadcast under the hash policy: each owner ships every contig it owns —
-// at its post-assembly extended length, computed from the round's results —
-// to all other live ranks.
-func allgatherMatrix(ctgs []*locassm.CtgWithReads, results []locassm.Result, smap ShardMap, deal *shardDeal, ranks int) [][]int64 {
-	matrix := newMatrix(ranks)
-	for i, c := range ctgs {
-		owner := deal.rankOf(smap.Shard(c.ID))
-		extended := len(results[i].LeftExt) + len(c.Seq) + len(results[i].RightExt)
-		bytes := int64(extended + recordOverheadBytes)
-		for _, d := range deal.live {
-			if d != owner {
-				matrix[owner][d] += bytes
-			}
-		}
-	}
-	return matrix
+// allgatherContigs closes the round: owners publish their extended contigs
+// for the next round's alignment index (and the final outputs) — a broadcast
+// to every live rank under the hash policy, a rank-local refresh under the
+// component policy. The extensions are not applied here (the pipeline stage
+// does that), so the matrix takes the extended lengths from the results.
+// Issues "contig allgather"; writes no counter.
+func (rt *runtime) allgatherContigs(k int, ctgs []*locassm.CtgWithReads, results []locassm.Result, smap ShardMap, deal *shardDeal) error {
+	_, err := rt.fabric.Exchange(fmt.Sprintf("contig allgather k=%d", k),
+		rt.policy.gatherMatrix(ctgs, results, smap, deal, len(rt.ranks)))
+	return err
 }
 
 // Run executes the pipeline distributed across cfg.Ranks simulated ranks
@@ -686,7 +602,6 @@ func RunContext(ctx context.Context, pairs []dna.PairedRead, cfg Config) (*pipel
 	if err != nil {
 		return nil, nil, err
 	}
-	defer rt.releaseDevices()
 	if err := rt.scatterReads(pairs); err != nil {
 		return nil, nil, err
 	}
@@ -710,8 +625,5 @@ func RunContext(ctx context.Context, pairs []dna.PairedRead, cfg Config) (*pipel
 	res.Work.CommTime = commTime
 	res.Work.CommBytes = rt.fabric.TotalBytes()
 	res.Work.CommMsgs = rt.fabric.TotalMsgs()
-	res.Work.Steals = rt.elastic.StolenBatches
-	res.Work.RankJoins = rt.elastic.Joins
-	res.Work.MembershipEpochs = rt.mem.Epoch() + 1
 	return res, rt.report(), nil
 }

@@ -2,6 +2,7 @@ package dist
 
 import (
 	"strings"
+	"time"
 
 	"mhm2sim/internal/dna"
 	"mhm2sim/internal/locassm"
@@ -47,15 +48,81 @@ const (
 type ShardMap interface {
 	// Shard returns the virtual shard of a contig in [0, shards).
 	Shard(ctgID int64) int
-	// Policy names the mapping ("hash" or "component").
-	Policy() string
 }
 
-// hashShardMap is the stateless hash policy.
+// shardPolicy is everything a round does differently under one shard policy
+// or the other: the round's ShardMap, the byte matrix of its read exchange
+// and the byte matrix of its closing contig exchange. The runtime builds one
+// per run (newShardPolicy) and never looks at the policy name again; state a
+// policy carries between rounds lives in its value.
+type shardPolicy interface {
+	roundShardMap(k int, ctgs []*locassm.CtgWithReads) ShardMap
+	exchangeMatrix(ctgs []*locassm.CtgWithReads, smap ShardMap, deal *shardDeal, ranks int) [][]int64
+	gatherMatrix(ctgs []*locassm.CtgWithReads, results []locassm.Result, smap ShardMap, deal *shardDeal, ranks int) [][]int64
+	// components returns the per-round component counts and the accumulated
+	// wall time of the passes that found them (nil, 0 when no pass runs).
+	components() ([]int, time.Duration)
+}
+
+// newShardPolicy builds the run's policy value from a validated ShardPolicy
+// name. The component policy asks mem whether a read's last residence is
+// still a member.
+func newShardPolicy(name string, shards int, mem *Membership) shardPolicy {
+	if name == ShardComponent {
+		return &componentPolicy{shards: shards, mem: mem, residence: make(map[string]int)}
+	}
+	return hashShardMap{shards}
+}
+
+// hashShardMap is the hash policy. It is stateless, so the one value is both
+// the policy and every round's map.
 type hashShardMap struct{ shards int }
 
 func (m hashShardMap) Shard(id int64) int { return VirtualShard(id, m.shards) }
-func (m hashShardMap) Policy() string     { return ShardHash }
+
+func (m hashShardMap) roundShardMap(int, []*locassm.CtgWithReads) ShardMap { return m }
+
+func (m hashShardMap) components() ([]int, time.Duration) { return nil, 0 }
+
+// exchangeMatrix builds the all-to-all byte matrix of the per-round read
+// routing under the hash policy: every candidate read travels from its home
+// rank to the live rank owning the contig it aligned to, once per (contig,
+// side) it is a candidate for — exactly as MHM2 routes one aggregated record
+// per alignment. Rows and columns of evicted ranks stay zero. Self-destined
+// records (read home == contig owner) count as rank-local bytes in the
+// fabric, never wire traffic.
+func (hashShardMap) exchangeMatrix(ctgs []*locassm.CtgWithReads, smap ShardMap, deal *shardDeal, ranks int) [][]int64 {
+	matrix := newMatrix(ranks)
+	for _, c := range ctgs {
+		owner := deal.rankOf(smap.Shard(c.ID))
+		for i := range c.LeftReads {
+			matrix[deal.readHome(c.LeftReads[i].ID)][owner] += readMsgBytes(&c.LeftReads[i])
+		}
+		for i := range c.RightReads {
+			matrix[deal.readHome(c.RightReads[i].ID)][owner] += readMsgBytes(&c.RightReads[i])
+		}
+	}
+	return matrix
+}
+
+// gatherMatrix builds the byte matrix of the post-round contig allgather
+// under the hash policy: each owner ships every contig it owns — at its
+// post-assembly extended length, computed from the round's results — to all
+// other live ranks, so every live rank holds the replicated alignment index
+// for the next round.
+func (hashShardMap) gatherMatrix(ctgs []*locassm.CtgWithReads, results []locassm.Result, smap ShardMap, deal *shardDeal, ranks int) [][]int64 {
+	matrix := newMatrix(ranks)
+	for i, c := range ctgs {
+		owner := deal.rankOf(smap.Shard(c.ID))
+		bytes := int64(len(results[i].LeftExt) + len(c.Seq) + len(results[i].RightExt) + recordOverheadBytes)
+		for _, d := range deal.live {
+			if d != owner {
+				matrix[owner][d] += bytes
+			}
+		}
+	}
+	return matrix
+}
 
 // Seeds for the two hash spaces, chosen once so placement is stable across
 // processes and runs.
@@ -150,4 +217,29 @@ const recordOverheadBytes = 16
 // qualities, identifier, and framing.
 func readMsgBytes(r *dna.Read) int64 {
 	return int64(len(r.Seq) + len(r.Qual) + len(r.ID) + recordOverheadBytes)
+}
+
+func newMatrix(n int) [][]int64 {
+	m := make([][]int64, n)
+	for i := range m {
+		m[i] = make([]int64, n)
+	}
+	return m
+}
+
+// movedOwners compares two deals of the same shards: matrix[src][dst] is the
+// contig-record bytes whose owner moved from rank src to rank dst, total
+// their sum. A join ships the matrix as its bootstrap exchange; an eviction
+// only accounts the total, since survivors adopt replicas they already hold.
+func movedOwners(ctgs []*locassm.CtgWithReads, smap ShardMap, before, after *shardDeal, ranks int) (matrix [][]int64, total int64) {
+	matrix = newMatrix(ranks)
+	for _, c := range ctgs {
+		s := smap.Shard(c.ID)
+		if src, dst := before.rankOf(s), after.rankOf(s); src != dst {
+			b := int64(len(c.Seq) + recordOverheadBytes)
+			matrix[src][dst] += b
+			total += b
+		}
+	}
+	return matrix, total
 }

@@ -2,8 +2,6 @@ package locassm
 
 import (
 	"fmt"
-	"sort"
-	"sync"
 	"time"
 
 	"mhm2sim/internal/par"
@@ -15,11 +13,10 @@ import (
 // engine, the single-GPU batch driver, the multi-GPU node driver, and the
 // distributed multi-rank runtime — sits behind it. The pipeline driver
 // resolves exactly one Engine per run and calls it once per contigging
-// round, so adding an execution substrate means registering a factory
-// here, never touching the driver loop.
+// round, so adding an execution substrate means adding a case to
+// NewEngine, never touching the driver loop.
 type Engine interface {
-	// Name identifies the engine (one of the Engine* constants, or a
-	// custom registered name).
+	// Name identifies the engine (one of the Engine* constants).
 	Name() string
 	// Assemble locally assembles the contigs of round k and returns the
 	// per-contig results in input order plus unified accounting. Engines
@@ -61,14 +58,15 @@ func (s *Stats) Add(o Stats) {
 	s.Batches += o.Batches
 }
 
-// Registered engine names.
+// Engine names.
 const (
 	EngineCPU      = "cpu"
 	EngineGPU      = "gpu"
 	EngineMultiGPU = "multigpu"
-	// EngineDist is registered by internal/dist; its factory refuses
-	// standalone construction because the distributed engine binds to a
-	// live multi-rank runtime (use dist.Run).
+	// EngineDist is internal/dist's runtime. NewEngine cannot build it from
+	// a spec: it binds to a live multi-rank run (fabric, per-rank devices,
+	// fault injector), so dist.Run constructs it and injects it through
+	// EngineSpec.Instance.
 	EngineDist = "dist"
 )
 
@@ -76,10 +74,10 @@ const (
 // and how — the replacement for scattering UseGPU-style booleans through
 // configs. Zero fields default sensibly per engine.
 type EngineSpec struct {
-	// Name selects the registered engine ("" → EngineCPU).
+	// Name selects the engine ("" → EngineCPU).
 	Name string
-	// Instance, when non-nil, bypasses the registry entirely: NewEngine
-	// returns it as-is. The distributed runtime injects itself this way,
+	// Instance, when non-nil, is the engine: NewEngine returns it as-is and
+	// reads nothing else. The distributed runtime injects itself this way,
 	// since it cannot be built from a declarative spec alone.
 	Instance Engine
 	// Config is the walk parameterization shared by every engine. When
@@ -136,64 +134,24 @@ func (s *EngineSpec) gpuConfig() GPUConfig {
 	return gcfg
 }
 
-// EngineFactory builds an engine from a resolved spec.
-type EngineFactory func(spec EngineSpec) (Engine, error)
-
-var (
-	engineMu  sync.RWMutex
-	engineReg = map[string]EngineFactory{}
-)
-
-// RegisterEngine adds a named engine factory. Registering an empty name or
-// a duplicate panics: the registry is assembled at init time and a
-// collision is a programming error.
-func RegisterEngine(name string, f EngineFactory) {
-	if name == "" || f == nil {
-		panic("locassm: RegisterEngine with empty name or nil factory")
-	}
-	engineMu.Lock()
-	defer engineMu.Unlock()
-	if _, dup := engineReg[name]; dup {
-		panic(fmt.Sprintf("locassm: engine %q registered twice", name))
-	}
-	engineReg[name] = f
-}
-
-// EngineNames lists the registered engine names, sorted.
-func EngineNames() []string {
-	engineMu.RLock()
-	defer engineMu.RUnlock()
-	names := make([]string, 0, len(engineReg))
-	for n := range engineReg {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
-}
-
 // NewEngine resolves a spec into a constructed engine: a pre-built
-// Instance wins, then the registry by Name ("" means cpu).
+// Instance wins, then the engine named by Name ("" means cpu).
 func NewEngine(spec EngineSpec) (Engine, error) {
 	if spec.Instance != nil {
 		return spec.Instance, nil
 	}
-	name := spec.Name
-	if name == "" {
-		name = EngineCPU
+	switch spec.Name {
+	case "", EngineCPU:
+		return newCPUEngine(spec)
+	case EngineGPU:
+		return newGPUEngine(spec)
+	case EngineMultiGPU:
+		return newMultiGPUEngine(spec)
+	case EngineDist:
+		return nil, fmt.Errorf("locassm: the %q engine requires a live multi-rank runtime; use dist.Run (mhm2sim -engine=dist)", EngineDist)
 	}
-	engineMu.RLock()
-	f, ok := engineReg[name]
-	engineMu.RUnlock()
-	if !ok {
-		return nil, fmt.Errorf("locassm: unknown engine %q (registered: %v)", name, EngineNames())
-	}
-	return f(spec)
-}
-
-func init() {
-	RegisterEngine(EngineCPU, newCPUEngine)
-	RegisterEngine(EngineGPU, newGPUEngine)
-	RegisterEngine(EngineMultiGPU, newMultiGPUEngine)
+	return nil, fmt.Errorf("locassm: unknown engine %q (%s|%s|%s|%s)",
+		spec.Name, EngineCPU, EngineGPU, EngineMultiGPU, EngineDist)
 }
 
 // cpuEngine wraps the zero-allocation host flat-table path (RunCPU).

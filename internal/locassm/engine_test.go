@@ -19,16 +19,6 @@ func cloneCtgs(ctgs []*CtgWithReads) []*CtgWithReads {
 	return out
 }
 
-// TestEngineRegistryNames: the built-in engines are registered.
-func TestEngineRegistryNames(t *testing.T) {
-	names := strings.Join(EngineNames(), ",")
-	for _, want := range []string{EngineCPU, EngineGPU, EngineMultiGPU} {
-		if !strings.Contains(names, want) {
-			t.Errorf("engine %q not registered (have %s)", want, names)
-		}
-	}
-}
-
 func TestNewEngineUnknown(t *testing.T) {
 	if _, err := NewEngine(EngineSpec{Name: "teleport"}); err == nil {
 		t.Fatal("unknown engine accepted")
@@ -62,17 +52,6 @@ func TestNewEngineInstanceWins(t *testing.T) {
 	if err != nil || got != inst {
 		t.Fatalf("Instance not returned as-is (err %v)", err)
 	}
-}
-
-// TestRegisterEngineDuplicatePanics: a name collision is a programming
-// error, caught loudly at init time.
-func TestRegisterEngineDuplicatePanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("duplicate registration did not panic")
-		}
-	}()
-	RegisterEngine(EngineCPU, newCPUEngine)
 }
 
 // TestEnginesBitIdentical is the registry-level parity check: cpu, gpu,

@@ -109,12 +109,3 @@ func TestEngineParityDist(t *testing.T) {
 	}
 	assertSameAssembly(t, locassm.EngineDist, ref, res)
 }
-
-// TestEngineNamesRegistered: the dist runtime's init has reserved its name,
-// so the full engine menu is visible from anywhere that imports dist.
-func TestEngineNamesRegistered(t *testing.T) {
-	want := []string{locassm.EngineCPU, locassm.EngineDist, locassm.EngineGPU, locassm.EngineMultiGPU}
-	if got := locassm.EngineNames(); !reflect.DeepEqual(got, want) {
-		t.Errorf("EngineNames() = %v, want %v", got, want)
-	}
-}

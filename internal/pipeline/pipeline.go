@@ -104,12 +104,6 @@ type WorkRecord struct {
 	CommTime  time.Duration
 	CommBytes int64
 	CommMsgs  int64
-	// Steals/RankJoins/MembershipEpochs account a distributed run's
-	// elasticity: stolen batches, mid-run rank admissions, and membership
-	// versions (1 for a static multi-rank run, zero for single-rank runs).
-	Steals           int
-	RankJoins        int
-	MembershipEpochs int
 	// EstimatedInsert is the inferred library insert size (0 when
 	// estimation was off or had too few observations).
 	EstimatedInsert int
@@ -171,7 +165,7 @@ type Config struct {
 
 	// Engine selects the local-assembly execution substrate — the single
 	// resolved spec that replaced the old UseGPU-style boolean branching.
-	// Engine.Name picks a registered engine ("" → cpu); the
+	// Engine.Name picks the engine ("" → cpu); the
 	// distributed runtime injects itself via Engine.Instance. The walk
 	// Config, driver GPU config, Device, and Workers below are folded into
 	// the spec at resolution time, so only Name / Instance / GPUs /

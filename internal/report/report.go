@@ -94,11 +94,12 @@ type Dist struct {
 	CommMsgs   int64   `json:"comm_msgs"`
 	Efficiency float64 `json:"efficiency"`
 	Faults     string  `json:"faults,omitempty"`
-	// Recovery (chaos runs) and Elasticity (runs that changed membership or
-	// stole work) are the runtime's own counters, encoded as they are.
+	// Recovery (chaos runs), Elasticity (runs that changed membership or
+	// stole work) and the per-rank rows of the strong-scaling breakdown are
+	// the runtime's own structs, encoded as they are.
 	Recovery   *dist.RecoveryStats   `json:"recovery,omitempty"`
 	Elasticity *dist.ElasticityStats `json:"elasticity,omitempty"`
-	PerRank    []Rank                `json:"per_rank"`
+	PerRank    []dist.RankStats      `json:"per_rank"`
 	// Stages is the per-exchange local-vs-remote byte split in execution
 	// order — the Fig 9-style comm breakdown.
 	Stages []StageComm `json:"stages,omitempty"`
@@ -112,25 +113,6 @@ type StageComm struct {
 	Msgs        int64   `json:"msgs"`
 	TimeNS      int64   `json:"time_ns"`
 	Locality    float64 `json:"locality"`
-}
-
-// Rank is one rank's row of the strong-scaling breakdown.
-type Rank struct {
-	Rank  int  `json:"rank"`
-	Alive bool `json:"alive"`
-	// JoinedRound is the round an elastic rank joined at, -1 for initial
-	// members.
-	JoinedRound int   `json:"joined_round"`
-	BusyNS      int64 `json:"busy_ns"`
-	CommNS      int64 `json:"comm_ns"`
-	IdleNS      int64 `json:"idle_ns"`
-	BytesSent   int64 `json:"bytes_sent"`
-	BytesRecv   int64 `json:"bytes_recv"`
-	Msgs        int64 `json:"msgs"`
-	PCIeH2D     int64 `json:"pcie_h2d_bytes"`
-	PCIeD2H     int64 `json:"pcie_d2h_bytes"`
-	Kernels     int   `json:"kernels"`
-	Contigs     int   `json:"contigs"`
 }
 
 // ComputeAssembly derives the assembly summary from a pipeline result.
@@ -209,6 +191,7 @@ func Build(res *pipeline.Result, rep *dist.Report) *Report {
 			Locality:        rep.Locality(),
 			CommMsgs:        res.Work.CommMsgs,
 			Efficiency:      rep.Efficiency(),
+			PerRank:         rep.PerRank,
 		}
 		for i := range rep.Stages {
 			st := &rep.Stages[i]
@@ -227,23 +210,6 @@ func Build(res *pipeline.Result, rep *dist.Report) *Report {
 		}
 		if rep.Elasticity.Any() {
 			jd.Elasticity = &rep.Elasticity
-		}
-		for _, rs := range rep.PerRank {
-			jd.PerRank = append(jd.PerRank, Rank{
-				Rank:        rs.Rank,
-				Alive:       rs.Alive,
-				JoinedRound: rs.JoinedRound,
-				BusyNS:      int64(rs.Busy),
-				CommNS:      int64(rs.Comm),
-				IdleNS:      int64(rs.Idle),
-				BytesSent:   rs.BytesSent,
-				BytesRecv:   rs.BytesRecv,
-				Msgs:        rs.Msgs,
-				PCIeH2D:     rs.PCIeH2D,
-				PCIeD2H:     rs.PCIeD2H,
-				Kernels:     rs.Kernels,
-				Contigs:     rs.Contigs,
-			})
 		}
 		r.Dist = jd
 	}

@@ -95,7 +95,7 @@ type job struct {
 	cancel context.CancelFunc // non-nil while running
 }
 
-// Scheduler is the job scheduler over the engine registry: a bounded queue
+// Scheduler is the job scheduler over the assembly engines: a bounded queue
 // feeding a fixed worker pool, with a shared device pool and per-tenant
 // accounting. See the package comment for the architecture.
 type Scheduler struct {
@@ -568,7 +568,6 @@ func (s *Scheduler) execute(ctx context.Context, j *job, lease *Lease, attempt i
 				joinMu.Unlock()
 				return l.Devices[0], nil
 			}
-			dcfg.DeviceRelease = func(*simt.Device) {}
 			defer func() {
 				joinMu.Lock()
 				defer joinMu.Unlock()
