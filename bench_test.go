@@ -53,7 +53,7 @@ func getState(b *testing.B) *benchState {
 		if state.waRes, stateErr = state.wa.Run(false); stateErr != nil {
 			return
 		}
-		if state.model, state.f64, stateErr = figures.Model(state.waRes, state.wa.Config.Locassm); stateErr != nil {
+		if state.model, state.f64, stateErr = figures.Model(state.waRes, state.wa.Config.Engine.Config); stateErr != nil {
 			return
 		}
 		state.f2, stateErr = state.model.FitRatio(4.3)
@@ -100,7 +100,7 @@ func getRoofline(b *testing.B) figures.RooflineResults {
 	s := getState(b)
 	rooflineOnce.Do(func() {
 		rooflineRes, rooflineErr = figures.RunRoofline(
-			s.arcticRes.LAWorkload, s.arctic.Config.Locassm, 2*s.f2)
+			s.arcticRes.LAWorkload, s.arctic.Config.Engine.Config, 2*s.f2)
 	})
 	if rooflineErr != nil {
 		b.Fatal(rooflineErr)
@@ -224,7 +224,7 @@ func BenchmarkLocalAssemblyCPU(b *testing.B) {
 	s := getState(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := locassm.RunCPU(s.arcticRes.LAWorkload, s.arctic.Config.Locassm, 0); err != nil {
+		if _, err := locassm.RunCPU(s.arcticRes.LAWorkload, s.arctic.Config.Engine.Config, 0); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -248,7 +248,7 @@ func BenchmarkCPUTableBuild(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := locassm.RunCPU(ctgs, s.arctic.Config.Locassm, 0); err != nil {
+		if _, err := locassm.RunCPU(ctgs, s.arctic.Config.Engine.Config, 0); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -270,7 +270,7 @@ func BenchmarkCPUWalk(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := locassm.RunCPU(ctgs, s.arctic.Config.Locassm, 0); err != nil {
+		if _, err := locassm.RunCPU(ctgs, s.arctic.Config.Engine.Config, 0); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -303,7 +303,7 @@ func BenchmarkLocalAssemblyGPUv2(b *testing.B) {
 	s := getState(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := cluster.ModelFromWorkload(s.arcticRes.LAWorkload, s.arctic.Config.Locassm); err != nil {
+		if _, err := cluster.ModelFromWorkload(s.arcticRes.LAWorkload, s.arctic.Config.Engine.Config); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -319,7 +319,7 @@ func BenchmarkFigureSweepGPU(b *testing.B) {
 	dev := simt.NewDevice(simt.V100())
 	defer dev.Close()
 	d, err := locassm.NewDriver(dev, locassm.GPUConfig{
-		Config:       s.arctic.Config.Locassm,
+		Config:       s.arctic.Config.Engine.Config,
 		WarpPerTable: true,
 	})
 	if err != nil {
@@ -327,7 +327,7 @@ func BenchmarkFigureSweepGPU(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := figures.RunRoofline(s.arcticRes.LAWorkload, s.arctic.Config.Locassm, 2*s.f2); err != nil {
+		if _, err := figures.RunRoofline(s.arcticRes.LAWorkload, s.arctic.Config.Engine.Config, 2*s.f2); err != nil {
 			b.Fatal(err)
 		}
 		if _, err := d.Run(s.arcticRes.LAWorkload); err != nil {
@@ -350,7 +350,7 @@ func BenchmarkDriverStaging(b *testing.B) {
 		b.Run(bc.name, func(b *testing.B) {
 			dev := simt.NewDevice(simt.V100())
 			cfg := locassm.GPUConfig{
-				Config:       s.arctic.Config.Locassm,
+				Config:       s.arctic.Config.Engine.Config,
 				WarpPerTable: true,
 				Mode:         bc.mode,
 			}

@@ -83,7 +83,7 @@ func main() {
 	}
 
 	if has("8", "9", "10") {
-		m, _, err := figures.Model(arcticRes, arctic.Config.Locassm)
+		m, _, err := figures.Model(arcticRes, arctic.Config.Engine.Config)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -91,7 +91,7 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		rf, err := figures.RunRoofline(arcticRes.LAWorkload, arctic.Config.Locassm, 2*f2)
+		rf, err := figures.RunRoofline(arcticRes.LAWorkload, arctic.Config.Engine.Config, 2*f2)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -110,7 +110,7 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		m, f64, err := figures.Model(waRes, wa.Config.Locassm)
+		m, f64, err := figures.Model(waRes, wa.Config.Engine.Config)
 		if err != nil {
 			log.Fatal(err)
 		}

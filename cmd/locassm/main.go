@@ -62,7 +62,7 @@ func main() {
 	fmt.Printf("workload: %d contigs, %d candidate reads; bins %.1f%%/%.1f%%/%.1f%%\n",
 		len(work), nReads, 100*z, 100*s, 100*l)
 
-	cfg := setup.Config.Locassm
+	cfg := setup.Config.Engine.Config
 	cpu, err := locassm.RunCPU(work, cfg, 0)
 	if err != nil {
 		log.Fatal(err)

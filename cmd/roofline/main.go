@@ -57,7 +57,7 @@ func main() {
 	if sc == 0 {
 		// The paper's standalone runs put the whole arcticsynth dump on
 		// one V100; our calibrated 2-node share ×2 nodes approximates it.
-		m, _, err := figures.Model(res, setup.Config.Locassm)
+		m, _, err := figures.Model(res, setup.Config.Engine.Config)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -69,7 +69,7 @@ func main() {
 	}
 	fmt.Printf("analyzing kernels on %s at device scale factor %.1f\n\n", devCfg.Name, sc)
 
-	rf, err := figures.RunRooflineOn(devCfg, res.LAWorkload, setup.Config.Locassm, sc)
+	rf, err := figures.RunRooflineOn(devCfg, res.LAWorkload, setup.Config.Engine.Config, sc)
 	if err != nil {
 		log.Fatal(err)
 	}

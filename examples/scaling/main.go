@@ -30,7 +30,7 @@ func main() {
 	// Measure CPU + GPU local assembly on the workload and calibrate the
 	// Summit model against the published 64-node (7.2x) and 1024-node
 	// (2.65x) speedups; everything in between is a prediction.
-	m, f64, err := figures.Model(res, setup.Config.Locassm)
+	m, f64, err := figures.Model(res, setup.Config.Engine.Config)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -253,7 +253,7 @@ func TestElasticDeviceProvider(t *testing.T) {
 	var provided int
 	cfg.DeviceProvider = func() (*simt.Device, error) {
 		provided++
-		return simt.NewDevice(cfg.Device), nil
+		return simt.NewDevice(simt.V100()), nil
 	}
 	_, rep, err := Run(pairs, cfg)
 	if err != nil {

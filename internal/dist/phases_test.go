@@ -170,7 +170,7 @@ func TestJoinedRankPCIeIsThisRunsTraffic(t *testing.T) {
 		cfg := testDistConfig(2)
 		cfg.Elastic = "join@r1:2"
 		cfg.DeviceProvider = func() (*simt.Device, error) {
-			dev := simt.NewDevice(cfg.Device)
+			dev := simt.NewDevice(simt.V100())
 			if used {
 				p, err := dev.Malloc(1 << 16)
 				if err != nil {

@@ -43,12 +43,10 @@ type Config struct {
 	ShardPolicy string
 	// Fabric models the interconnect (zero value = DefaultFabricConfig).
 	Fabric FabricConfig
-	// Device is the per-rank GPU (zero value = simt.V100()).
-	Device simt.DeviceConfig
-	// Pipeline configures the underlying assembly pipeline. Its Engine
-	// and Device fields are managed by dist.Run (the runtime injects
-	// itself as the pipeline's engine); local assembly executes on the
-	// per-rank devices (or the per-rank host engines, below).
+	// Pipeline configures the underlying assembly pipeline. dist.Run
+	// injects the runtime as its Engine.Name/Instance; the rest of the
+	// spec (walk Config, driver GPU) configures every rank's engines, each
+	// on its own simt.V100() (or host engine, below).
 	Pipeline pipeline.Config
 	// CPUAssembly runs each rank's local assembly on the host flat-table
 	// engine instead of its simulated GPU — the per-rank CPU baseline the
@@ -56,8 +54,10 @@ type Config struct {
 	// the GPU path; only the Busy accounting (modeled host time instead of
 	// kernel time) and the kernel lists (empty) change.
 	CPUAssembly bool
-	// CPUWorkers bounds each rank's worker goroutines under CPUAssembly
-	// (0 = GOMAXPROCS spread evenly across ranks).
+	// CPUWorkers bounds each rank's host-engine worker goroutines, under
+	// CPUAssembly or after a device fallback (0 = GOMAXPROCS spread evenly
+	// across ranks). It is the rank's modeled core count, so it is not
+	// Pipeline.Workers, which bounds the whole process.
 	CPUWorkers int
 	// Faults is an optional seeded fault schedule (nil = fault-free run).
 	// The runtime consults it at round boundaries (rank crashes), before
@@ -80,7 +80,7 @@ type Config struct {
 	NoSteal bool
 	// DeviceProvider, when set, supplies the device for each joining rank
 	// (the service wires the DevicePool in here so elastic jobs draw real
-	// pool capacity); nil falls back to fresh simt.NewDevice(Device). The
+	// pool capacity); nil falls back to a fresh simt.V100(). The
 	// provider keeps ownership: it takes its devices back after Run returns.
 	DeviceProvider func() (*simt.Device, error)
 }
@@ -103,9 +103,6 @@ func (c Config) withDefaults() Config {
 		c.ShardPolicy = ShardHash
 	}
 	c.Fabric = c.Fabric.withDefaults()
-	if c.Device.Name == "" {
-		c.Device = simt.V100()
-	}
 	return c
 }
 
@@ -207,7 +204,7 @@ func newRuntime(cfg Config) (*runtime, error) {
 		return nil, err
 	}
 	if cfg.DeviceProvider == nil {
-		cfg.DeviceProvider = func() (*simt.Device, error) { return simt.NewDevice(cfg.Device), nil }
+		cfg.DeviceProvider = func() (*simt.Device, error) { return simt.NewDevice(simt.V100()), nil }
 	}
 	mem, err := NewMembership(cfg.Ranks, max(cfg.Ranks, plan.Capacity()), cfg.VirtualShards)
 	if err != nil {
@@ -228,7 +225,7 @@ func newRuntime(cfg Config) (*runtime, error) {
 	}
 	fabric.UseInjector(rt.inj)
 	for r := 0; r < cfg.Ranks; r++ {
-		rt.ranks[r].attach(simt.NewDevice(cfg.Device))
+		rt.ranks[r].attach(simt.NewDevice(simt.V100()))
 	}
 	return rt, nil
 }
@@ -464,7 +461,8 @@ func (rt *runtime) rankEngines(r, round, cpuWorkers int) (gpuEng, cpuEng locassm
 	// driver answers by re-splitting the batch.
 	var abortsLeft atomic.Int32
 	abortsLeft.Store(int32(rt.inj.KernelAborts(r, round)))
-	gcfg := rt.cfg.Pipeline.GPU
+	spec := rt.cfg.Pipeline.Engine
+	gcfg := spec.GPU
 	gcfg.FaultHook = func() error {
 		if abortsLeft.Add(-1) >= 0 {
 			return fmt.Errorf("dist: injected kernel abort: %w", gpuht.ErrTableFull)
@@ -473,7 +471,7 @@ func (rt *runtime) rankEngines(r, round, cpuWorkers int) (gpuEng, cpuEng locassm
 	}
 	gpuEng, err = locassm.NewEngine(locassm.EngineSpec{
 		Name:   locassm.EngineGPU,
-		Config: rt.cfg.Pipeline.Locassm,
+		Config: spec.Config,
 		GPU:    gcfg,
 		Device: rt.ranks[r].dev,
 	})
@@ -482,7 +480,7 @@ func (rt *runtime) rankEngines(r, round, cpuWorkers int) (gpuEng, cpuEng locassm
 	}
 	cpuEng, err = locassm.NewEngine(locassm.EngineSpec{
 		Name:    locassm.EngineCPU,
-		Config:  rt.cfg.Pipeline.Locassm,
+		Config:  spec.Config,
 		Workers: cpuWorkers,
 	})
 	return gpuEng, cpuEng, err
@@ -607,7 +605,7 @@ func RunContext(ctx context.Context, pairs []dna.PairedRead, cfg Config) (*pipel
 	}
 
 	pcfg := cfg.Pipeline
-	pcfg.Engine = locassm.EngineSpec{Name: locassm.EngineDist, Instance: rt}
+	pcfg.Engine.Name, pcfg.Engine.Instance = locassm.EngineDist, rt
 	if pcfg.MemBudget > 0 && pcfg.MemPressure == nil {
 		// Chaos OOM events become memory pressure on the counting budget
 		// (graceful spill) instead of device poison pills.

@@ -35,7 +35,7 @@ func TestAllFiguresRender(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m, f64, err := Model(res, s.Config.Locassm)
+	m, f64, err := Model(res, s.Config.Engine.Config)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -48,7 +48,7 @@ func TestAllFiguresRender(t *testing.T) {
 	if !strings.Contains(fig3, "bin3") {
 		t.Errorf("Fig3 malformed:\n%s", fig3)
 	}
-	rf, err := RunRoofline(res.LAWorkload, s.Config.Locassm, 1)
+	rf, err := RunRoofline(res.LAWorkload, s.Config.Engine.Config, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

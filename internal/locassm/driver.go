@@ -59,22 +59,13 @@ type GPUConfig struct {
 	FaultHook func() error
 }
 
-// GPUResult is the outcome of a GPU local-assembly run.
+// GPUResult is the outcome of a GPU local-assembly run: the per-contig
+// results and the run's device accounting. Kernels lists the right-side
+// batches first, then the left, each in batch order (the input to the
+// roofline analysis); Batches sums both sides; Busy is TotalTime.
 type GPUResult struct {
 	Results []Result
-
-	// Kernels holds one entry per kernel launch (right-side batches first,
-	// then left, each in batch order), the input to the roofline analysis.
-	Kernels []simt.KernelResult
-
-	// Modeled time components.
-	KernelTime   time.Duration
-	TransferTime time.Duration
-	// Batches is the number of batches staged per side.
-	Batches int
-	// Resplits counts batches that failed with a table fault and were
-	// split in half and retried.
-	Resplits int
+	Stats
 }
 
 // TotalTime is the modeled GPU wall-clock: kernels plus PCIe transfers
@@ -191,11 +182,7 @@ func (d *Driver) Run(ctgs []*CtgWithReads) (*GPUResult, error) {
 	// accounting and kernel lists are identical across modes.
 	for s, left := range sides {
 		so := outs[s]
-		res.Kernels = append(res.Kernels, so.kernels...)
-		res.KernelTime += so.kernelTime
-		res.TransferTime += so.transferTime
-		res.Batches += so.batches
-		res.Resplits += so.resplits
+		res.Stats.Add(so.Stats)
 		for i := range so.touched {
 			if !so.touched[i] {
 				continue
@@ -209,6 +196,7 @@ func (d *Driver) Run(ctgs []*CtgWithReads) (*GPUResult, error) {
 			}
 		}
 	}
+	res.Busy = res.TotalTime()
 	return res, nil
 }
 
@@ -287,12 +275,12 @@ func (d *Driver) runSideSequential(batches []*batchPlan, left bool, slab simt.Re
 		arena.stage(b)
 		n, err := d.launchRecover(stream, slab, left, b, arena, 0,
 			func(lb launchedBatch) { unpackBatch(lb, left, so) })
-		so.resplits += n
+		so.Resplits += n
 		if err != nil {
 			return err
 		}
 	}
-	so.batches = len(batches)
+	so.Batches = len(batches)
 	return nil
 }
 
@@ -337,7 +325,7 @@ func (d *Driver) runSidePipelined(batches []*batchPlan, left bool, slab simt.Reg
 	for lb := range launched {
 		unpackBatch(lb, left, so)
 	}
-	so.batches = len(batches)
-	so.resplits = resplits
+	so.Batches = len(batches)
+	so.Resplits = resplits
 	return launchErr
 }

@@ -6,6 +6,8 @@ import (
 	"fmt"
 	"io"
 	"os"
+
+	"mhm2sim/internal/atomicfile"
 )
 
 // Workload dump/load implements the paper's standalone-evaluation workflow
@@ -65,18 +67,8 @@ func LoadWorkload(r io.Reader) ([]*CtgWithReads, error) {
 
 // DumpWorkloadFile writes the workload to a file (atomically via rename).
 func DumpWorkloadFile(path string, ctgs []*CtgWithReads) error {
-	f, err := os.Create(path + ".tmp")
-	if err != nil {
-		return err
-	}
-	if err := DumpWorkload(f, ctgs); err != nil {
-		f.Close()
-		return err
-	}
-	if err := f.Close(); err != nil {
-		return err
-	}
-	return os.Rename(path+".tmp", path)
+	_, err := atomicfile.Write(path, func(w io.Writer) error { return DumpWorkload(w, ctgs) })
+	return err
 }
 
 // LoadWorkloadFile reads a workload dump from a file.

@@ -80,18 +80,17 @@ type EngineSpec struct {
 	// reads nothing else. The distributed runtime injects itself this way,
 	// since it cannot be built from a declarative spec alone.
 	Instance Engine
-	// Config is the walk parameterization shared by every engine. When
-	// zero, device engines fall back to GPU.Config.
+	// Config is the walk parameterization of every engine; it replaces
+	// the one embedded in GPU, which a spec leaves zero or equal to it
+	// (NewEngine rejects a different one).
 	Config Config
 	// Workers bounds the host engine's goroutines (0 = GOMAXPROCS).
 	Workers int
 	// GPU configures the device batch driver (gpu and multigpu engines).
 	GPU GPUConfig
 	// Device is an existing device for the gpu engine (nil = a fresh
-	// DeviceConfig device).
+	// simt.V100(), the paper's device; multigpu always builds its own).
 	Device *simt.Device
-	// DeviceConfig describes fresh devices (zero Name = simt.V100()).
-	DeviceConfig simt.DeviceConfig
 	// GPUs is the multigpu engine's device count (0 = DefaultNodeGPUs).
 	GPUs int
 	// MemBudget is the run-level device memory budget in bytes (the
@@ -110,21 +109,11 @@ const MinDriverBudget = 4 << 20
 // V100s of one Summit node (§4.1).
 const DefaultNodeGPUs = 6
 
-// deviceConfig resolves the fresh-device template.
-func (s *EngineSpec) deviceConfig() simt.DeviceConfig {
-	if s.DeviceConfig.Name == "" {
-		return simt.V100()
-	}
-	return s.DeviceConfig
-}
-
-// gpuConfig resolves the device driver configuration: the spec-level walk
-// Config overrides the one embedded in GPU when set.
+// gpuConfig resolves the device driver configuration: GPU under the spec's
+// walk Config and, when GPU sets none, its run-level memory budget.
 func (s *EngineSpec) gpuConfig() GPUConfig {
 	gcfg := s.GPU
-	if s.Config != (Config{}) {
-		gcfg.Config = s.Config
-	}
+	gcfg.Config = s.Config
 	if s.MemBudget > 0 && gcfg.MemBudget == 0 {
 		gcfg.MemBudget = s.MemBudget
 		if gcfg.MemBudget < MinDriverBudget {
@@ -139,6 +128,9 @@ func (s *EngineSpec) gpuConfig() GPUConfig {
 func NewEngine(spec EngineSpec) (Engine, error) {
 	if spec.Instance != nil {
 		return spec.Instance, nil
+	}
+	if spec.GPU.Config != (Config{}) && spec.GPU.Config != spec.Config {
+		return nil, fmt.Errorf("locassm: EngineSpec.GPU.Config differs from EngineSpec.Config; set the walk config in EngineSpec.Config only")
 	}
 	switch spec.Name {
 	case "", EngineCPU:
@@ -162,15 +154,11 @@ type cpuEngine struct {
 }
 
 func newCPUEngine(spec EngineSpec) (Engine, error) {
-	cfg := spec.Config
-	if cfg == (Config{}) {
-		cfg = spec.GPU.Config
-	}
-	if err := cfg.Validate(); err != nil {
+	if err := spec.Config.Validate(); err != nil {
 		return nil, err
 	}
 	w := par.Workers(spec.Workers)
-	return &cpuEngine{cfg: cfg, workers: w, model: DefaultCPUTime(w)}, nil
+	return &cpuEngine{cfg: spec.Config, workers: w, model: DefaultCPUTime(w)}, nil
 }
 
 func (e *cpuEngine) Name() string { return EngineCPU }
@@ -191,7 +179,7 @@ type gpuEngine struct {
 func newGPUEngine(spec EngineSpec) (Engine, error) {
 	dev := spec.Device
 	if dev == nil {
-		dev = simt.NewDevice(spec.deviceConfig())
+		dev = simt.NewDevice(simt.V100())
 	}
 	drv, err := NewDriver(dev, spec.gpuConfig())
 	if err != nil {
@@ -207,19 +195,7 @@ func (e *gpuEngine) Assemble(_ int, ctgs []*CtgWithReads) ([]Result, Stats, erro
 	if err != nil {
 		return nil, Stats{}, err
 	}
-	return gres.Results, gpuStats(gres), nil
-}
-
-// gpuStats converts one device run's outcome into unified accounting.
-func gpuStats(gres *GPUResult) Stats {
-	return Stats{
-		Kernels:      gres.Kernels,
-		KernelTime:   gres.KernelTime,
-		TransferTime: gres.TransferTime,
-		Busy:         gres.TotalTime(),
-		Resplits:     gres.Resplits,
-		Batches:      gres.Batches,
-	}
+	return gres.Results, gres.Stats, nil
 }
 
 // multiGPUEngine wraps the node driver: the workload is sharded across the
@@ -235,7 +211,7 @@ func newMultiGPUEngine(spec EngineSpec) (Engine, error) {
 	if gpus <= 0 {
 		gpus = DefaultNodeGPUs
 	}
-	nd, err := NewNodeDriver(gpus, spec.deviceConfig(), spec.gpuConfig())
+	nd, err := NewNodeDriver(gpus, simt.V100(), spec.gpuConfig())
 	if err != nil {
 		return nil, err
 	}
@@ -251,10 +227,8 @@ func (e *multiGPUEngine) Assemble(_ int, ctgs []*CtgWithReads) ([]Result, Stats,
 	}
 	var stats Stats
 	for _, g := range nres.PerGPU {
-		s := gpuStats(g)
-		s.Busy = 0 // devices overlap; node busy time is the max, set below
-		stats.Add(s)
+		stats.Add(g.Stats)
 	}
-	stats.Busy = nres.NodeTime
+	stats.Busy = nres.NodeTime // devices overlap: the max, not the sum Add made
 	return nres.Results, stats, nil
 }

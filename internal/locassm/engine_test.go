@@ -27,6 +27,21 @@ func TestNewEngineUnknown(t *testing.T) {
 	}
 }
 
+// TestNewEngineOneWalkConfig: the walk config has one path, spec.Config; a
+// different one under spec.GPU is an error, not a silently dead setting.
+func TestNewEngineOneWalkConfig(t *testing.T) {
+	other := testConfig()
+	other.MaxWalkLen++
+	for _, name := range []string{EngineCPU, EngineGPU} {
+		if _, err := NewEngine(EngineSpec{Name: name, Config: testConfig(), GPU: GPUConfig{Config: other}}); err == nil {
+			t.Errorf("%s: a GPU.Config different from Config was accepted", name)
+		}
+		if _, err := NewEngine(EngineSpec{Name: name, Config: testConfig(), GPU: GPUConfig{Config: testConfig()}}); err != nil {
+			t.Errorf("%s: an equal GPU.Config was rejected: %v", name, err)
+		}
+	}
+}
+
 // TestNewEngineDefaultIsCPU: an unnamed spec resolves to the host engine,
 // and the retired "auto" alias is an unknown engine.
 func TestNewEngineDefaultIsCPU(t *testing.T) {

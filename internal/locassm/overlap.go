@@ -4,8 +4,6 @@ import (
 	"runtime"
 	"sync"
 	"time"
-
-	"mhm2sim/internal/simt"
 )
 
 // This file implements the §4.3 / Fig 11 integration schedule: after
@@ -130,14 +128,9 @@ loop:
 		place(rest, gpuRest.Results)
 	}
 
-	// Merge GPU accounting.
-	merged := *gpu3
-	merged.Results = nil
-	merged.Kernels = append(append([]simt.KernelResult{}, gpu3.Kernels...), gpuRest.Kernels...)
-	merged.KernelTime += gpuRest.KernelTime
-	merged.TransferTime += gpuRest.TransferTime
-	merged.Batches += gpuRest.Batches
-	out.GPU = &merged
+	out.GPU = &GPUResult{}
+	out.GPU.Add(gpu3.Stats)
+	out.GPU.Add(gpuRest.Stats)
 
 	cpuSpan := cpuTime(out.CPUCounts)
 	if cpuSpan < window {

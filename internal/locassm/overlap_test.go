@@ -2,9 +2,13 @@ package locassm
 
 import (
 	"bytes"
+	"fmt"
 	"math/rand"
+	"sync/atomic"
 	"testing"
 	"time"
+
+	"mhm2sim/internal/gpuht"
 )
 
 // overlapWorkload builds a mix that populates all three bins.
@@ -105,6 +109,32 @@ func TestRunOverlappedAccounting(t *testing.T) {
 	// at least that too.
 	if ov.ModelTime < ov.GPU.KernelTime/2 {
 		t.Error("model time implausibly small")
+	}
+
+	// The merged accounting covers the bin-2 remainder run whole: abort the
+	// schedule's last launch — the remainder run's, under a CPU model too
+	// slow to clear bin 2 — and the re-split it costs must be counted.
+	slow := func(wc WorkCounts) time.Duration { return time.Duration(wc.KmersInserted) * time.Millisecond }
+	clean, err := drv.RunOverlapped(ctgs, slow, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var launches atomic.Int32
+	drv.Cfg.FaultHook = func() error {
+		if int(launches.Add(1)) == len(clean.GPU.Kernels) {
+			return fmt.Errorf("injected: %w", gpuht.ErrTableFull)
+		}
+		return nil
+	}
+	faulted, err := drv.RunOverlapped(ctgs, slow, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if clean.GPU.Resplits != 0 || faulted.GPU.Resplits != 1 {
+		t.Errorf("re-splits: clean %d, remainder launch aborted %d; want 0, 1", clean.GPU.Resplits, faulted.GPU.Resplits)
+	}
+	if got, want := len(faulted.GPU.Kernels), len(clean.GPU.Kernels)+1; got != want {
+		t.Errorf("aborted launch re-ran as %d launches in all, want %d", got, want)
 	}
 }
 

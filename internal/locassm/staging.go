@@ -185,11 +185,7 @@ type sideOut struct {
 	iters   []int
 	touched []bool
 
-	kernels      []simt.KernelResult
-	kernelTime   time.Duration
-	transferTime time.Duration
-	batches      int
-	resplits     int
+	Stats // this side's launches, modeled times, batch and re-split counts
 }
 
 func newSideOut(n int) *sideOut {
@@ -218,8 +214,8 @@ func unpackBatch(lb launchedBatch, left bool, so *sideOut) {
 		so.iters[idx] += iters
 		so.touched[idx] = true
 	}
-	so.kernels = append(so.kernels, lb.kres)
-	so.kernelTime += lb.kres.Time
-	so.transferTime += lb.transfer
+	so.Kernels = append(so.Kernels, lb.kres)
+	so.KernelTime += lb.kres.Time
+	so.TransferTime += lb.transfer
 	arenaPool.Put(lb.arena)
 }

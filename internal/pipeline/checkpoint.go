@@ -2,11 +2,13 @@ package pipeline
 
 import (
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"strconv"
 	"strings"
 
+	"mhm2sim/internal/atomicfile"
 	"mhm2sim/internal/dbg"
 	"mhm2sim/internal/dna"
 )
@@ -48,11 +50,6 @@ func saveRound(dir string, k int, ctgs []dbg.Contig) (int64, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return 0, err
 	}
-	tmp := ckptName(dir, k) + ".tmp"
-	f, err := os.Create(tmp)
-	if err != nil {
-		return 0, err
-	}
 	names := make([]string, len(ctgs))
 	seqs := make([][]byte, len(ctgs))
 	for i := range ctgs {
@@ -64,19 +61,9 @@ func saveRound(dir string, k int, ctgs []dbg.Contig) (int64, error) {
 			"|depth=" + strconv.FormatFloat(ctgs[i].Depth, 'g', -1, 64)
 		seqs[i] = ctgs[i].Seq
 	}
-	if err := dna.WriteFASTA(f, names, seqs, 80); err != nil {
-		f.Close()
-		return 0, err
-	}
-	info, err := f.Stat()
-	if err != nil {
-		f.Close()
-		return 0, err
-	}
-	if err := f.Close(); err != nil {
-		return 0, err
-	}
-	return info.Size(), os.Rename(tmp, ckptName(dir, k))
+	return atomicfile.Write(ckptName(dir, k), func(w io.Writer) error {
+		return dna.WriteFASTA(w, names, seqs, 80)
+	})
 }
 
 // loadRound reads a round checkpoint; ok is false when none exists.

@@ -2,7 +2,7 @@
 // (Fig 1): merge reads → iterate over k {k-mer analysis → contig generation
 // → alignment → local assembly} → scaffolding → file I/O, with per-stage
 // timing in exactly the categories of the paper's Fig 2 breakdowns and a
-// work record the cluster model scales to Summit runs.
+// record of the work each stage did.
 package pipeline
 
 import (
@@ -70,8 +70,10 @@ func (t *Timings) Total() time.Duration {
 	return sum
 }
 
-// WorkRecord counts the scalable work of one pipeline run; the cluster
-// model multiplies these by per-unit Summit costs (see internal/cluster).
+// WorkRecord counts the work of one pipeline run: what reports, the
+// daemon's metrics and the benchmark read. (The cluster model does not:
+// it scales Result.LAWorkload re-run through locassm, see
+// internal/cluster.)
 type WorkRecord struct {
 	InputReads       int
 	InputBases       int64
@@ -135,7 +137,6 @@ type Config struct {
 	// MinCount is the k-mer error-filter threshold.
 	MinCount uint32
 	Align    align.Config
-	Locassm  locassm.Config
 	Scaffold scaffold.Config
 	// MergeMinOverlap is the minimum overlap (bases) between the forward
 	// mate and the reverse-complemented reverse mate for a pair to merge
@@ -163,13 +164,12 @@ type Config struct {
 	// --checkpoint).
 	CheckpointDir string
 
-	// Engine selects the local-assembly execution substrate — the single
-	// resolved spec that replaced the old UseGPU-style boolean branching.
-	// Engine.Name picks the engine ("" → cpu); the
-	// distributed runtime injects itself via Engine.Instance. The walk
-	// Config, driver GPU config, Device, and Workers below are folded into
-	// the spec at resolution time, so only Name / Instance / GPUs /
-	// DeviceConfig need to be set here.
+	// Engine is the run's one local-assembly spec: which substrate
+	// (Engine.Name, "" → cpu; the distributed runtime injects itself as
+	// Engine.Instance), the walk parameters (Engine.Config), the device
+	// driver's (Engine.GPU), and an existing device (Engine.Device, which
+	// GPU alignment shares; nil = a fresh V100 each). The pipeline fills
+	// two defaults into it: Workers and MemBudget below.
 	Engine locassm.EngineSpec
 
 	// Observer, when non-nil, receives stage start/finish callbacks with
@@ -195,35 +195,17 @@ type Config struct {
 	// UseGPUAln runs the alignment stage's banded-SW verification on the
 	// device (the ADEPT role, internal/gpualign) instead of the CPU.
 	UseGPUAln bool
-	// GPU configures the device driver for the gpu/multigpu engines.
-	GPU locassm.GPUConfig
-	// Device runs GPU local assembly and GPU alignment (nil: a fresh V100
-	// per run).
-	Device *simt.Device
 }
 
-// resolveEngine collapses the engine-selection configuration into one
-// constructed locassm.Engine — the single decision point for where local
-// assembly executes. The pipeline-level walk config, GPU driver config,
-// device, and worker count always win over the corresponding EngineSpec
-// fields, so a spec only ever names the substrate (plus multigpu's device
-// count and fresh-device template).
+// resolveEngine builds the run's engine from its spec, filling the two
+// settings the pipeline owns into it where the spec sets none.
 func (c *Config) resolveEngine() (locassm.Engine, error) {
 	spec := c.Engine
-	if spec.Instance != nil {
-		return spec.Instance, nil
-	}
-	spec.Config = c.Locassm
-	spec.GPU = c.GPU
-	spec.GPU.Config = c.Locassm
-	if spec.MemBudget == 0 {
-		spec.MemBudget = c.MemBudget
-	}
-	if spec.Device == nil {
-		spec.Device = c.Device
-	}
 	if spec.Workers == 0 {
 		spec.Workers = c.Workers
+	}
+	if spec.MemBudget == 0 {
+		spec.MemBudget = c.MemBudget
 	}
 	return locassm.NewEngine(spec)
 }
@@ -244,17 +226,17 @@ func (c *Config) mergeParams() (minOverlap int, maxMismatchFrac float64) {
 // DefaultConfig returns a scaled-down MetaHipMer-like configuration
 // suitable for synthetic communities with 150 bp reads.
 func DefaultConfig() Config {
-	la := locassm.DefaultConfig()
 	return Config{
 		Rounds:               []int{21, 33, 55},
 		MinCount:             2,
 		Align:                align.DefaultConfig(),
-		Locassm:              la,
 		Scaffold:             scaffold.DefaultConfig(),
 		MergeMinOverlap:      DefaultMergeMinOverlap,
 		MergeMaxMismatchFrac: DefaultMergeMaxMismatchFrac,
-		Workers:              0,
-		GPU:                  locassm.GPUConfig{Config: la, WarpPerTable: true},
+		Engine: locassm.EngineSpec{
+			Config: locassm.DefaultConfig(),
+			GPU:    locassm.GPUConfig{WarpPerTable: true},
+		},
 	}
 }
 
@@ -288,7 +270,7 @@ func (c *Config) Validate() error {
 	if err := c.Align.Validate(); err != nil {
 		return err
 	}
-	if err := c.Locassm.Validate(); err != nil {
+	if err := c.Engine.Config.Validate(); err != nil {
 		return err
 	}
 	return c.Scaffold.Validate()

@@ -237,7 +237,7 @@ func TestPipelineLocalAssemblyGrowsContigs(t *testing.T) {
 	// local assembly is effectively disabled (MaxWalkLen=1 permits almost
 	// nothing).
 	cfg2 := cfg
-	cfg2.Locassm.MaxWalkLen = 1
+	cfg2.Engine.Config.MaxWalkLen = 1
 	res2, err := Run(pairs, cfg2)
 	if err != nil {
 		t.Fatal(err)

@@ -31,7 +31,7 @@ func TestLocalAssemblyImprovesContiguity(t *testing.T) {
 		cfg := testPipelineConfig()
 		cfg.Rounds = []int{21}
 		if !withLA {
-			cfg.Locassm.MaxWalkLen = 1 // effectively disables extension
+			cfg.Engine.Config.MaxWalkLen = 1 // effectively disables extension
 		}
 		res, err := Run(pairs, cfg)
 		if err != nil {

@@ -299,7 +299,7 @@ func (st *runState) localAssembly() error {
 	st.res.Work.GPUTransferTime += stats.TransferTime
 	st.res.Work.Locassm.Add(stats.Counts)
 
-	bins := locassm.MakeBins(st.withReads, st.cfg.GPU.SmallLimit)
+	bins := locassm.MakeBins(st.withReads, st.cfg.Engine.GPU.SmallLimit)
 	st.res.Bins = append(st.res.Bins, RoundBins{
 		K: st.k, Zero: len(bins.Zero), Small: len(bins.Small), Large: len(bins.Large),
 	})

@@ -66,7 +66,7 @@ func alignCandidates(reads []dna.Read, ctgs []dbg.Contig, cfg *Config, workers i
 	var aligned atomic.Int64
 	var kernelWall time.Duration // wall time of this stage spent in the aln kernel
 	if cfg.UseGPUAln {
-		dev := cfg.Device
+		dev := cfg.Engine.Device
 		if dev == nil {
 			dev = simt.NewDevice(simt.V100())
 		}

@@ -30,13 +30,21 @@ type ContigStats struct {
 
 // Stats computes contiguity statistics. genomeSize may be 0 (no NG50).
 func Stats(seqs [][]byte, genomeSize int64) ContigStats {
-	st := ContigStats{Count: len(seqs)}
-	lens := make([]int, 0, len(seqs))
-	for _, s := range seqs {
-		lens = append(lens, len(s))
-		st.TotalBases += int64(len(s))
+	lens := make([]int, len(seqs))
+	for i, s := range seqs {
+		lens[i] = len(s)
 	}
+	return LenStats(lens, genomeSize)
+}
+
+// LenStats is Stats over the contig lengths alone; it sorts lens longest
+// first in place.
+func LenStats(lens []int, genomeSize int64) ContigStats {
+	st := ContigStats{Count: len(lens)}
 	sort.Sort(sort.Reverse(sort.IntSlice(lens)))
+	for _, l := range lens {
+		st.TotalBases += int64(l)
+	}
 	if len(lens) > 0 {
 		st.Longest = lens[0]
 	}

@@ -9,10 +9,11 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"sort"
 
+	"mhm2sim/internal/atomicfile"
 	"mhm2sim/internal/dist"
 	"mhm2sim/internal/pipeline"
+	"mhm2sim/internal/quality"
 )
 
 // SchemaVersion identifies the report format. Bump the suffix on any
@@ -117,25 +118,13 @@ type StageComm struct {
 
 // ComputeAssembly derives the assembly summary from a pipeline result.
 func ComputeAssembly(res *pipeline.Result) Assembly {
-	st := Assembly{Contigs: len(res.Contigs), Scaffolds: len(res.Scaffolds)}
-	st.Lens = make([]int, 0, len(res.Contigs))
-	for _, c := range res.Contigs {
-		st.Lens = append(st.Lens, len(c.Seq))
-		st.Bases += len(c.Seq)
+	lens := make([]int, len(res.Contigs))
+	for i, c := range res.Contigs {
+		lens[i] = len(c.Seq)
 	}
-	sort.Sort(sort.Reverse(sort.IntSlice(st.Lens)))
-	run := 0
-	for _, l := range st.Lens {
-		run += l
-		if run >= st.Bases/2 {
-			st.N50 = l
-			break
-		}
-	}
-	if len(st.Lens) > 0 {
-		st.Longest = st.Lens[0]
-	}
-	return st
+	q := quality.LenStats(lens, 0) // sorts lens longest first
+	return Assembly{Contigs: q.Count, Bases: int(q.TotalBases), N50: q.N50, Longest: q.Longest,
+		Scaffolds: len(res.Scaffolds), Lens: lens}
 }
 
 // Build assembles the report; rep may be nil (single-process run).
@@ -228,19 +217,8 @@ func (r *Report) Encode(w io.Writer) error {
 
 // WriteFile writes the report to path (atomically: write + rename).
 func (r *Report) WriteFile(path string) error {
-	tmp := path + ".tmp"
-	f, err := os.Create(tmp)
-	if err != nil {
-		return err
-	}
-	if err := r.Encode(f); err != nil {
-		f.Close()
-		return err
-	}
-	if err := f.Close(); err != nil {
-		return err
-	}
-	return os.Rename(tmp, path)
+	_, err := atomicfile.Write(path, r.Encode)
+	return err
 }
 
 // Load reads a report back and checks the schema — the daemon uses this to

@@ -38,6 +38,15 @@ func TestComputeAssembly(t *testing.T) {
 	if len(st.Lens) != 4 || st.Lens[0] != 500 || st.Lens[3] != 100 {
 		t.Errorf("Lens = %v", st.Lens)
 	}
+	// Odd total: half of 7 is 3.5, so 3 alone does not reach it — the N50
+	// quality.Stats (-quality) reports for the same contigs.
+	odd := &pipeline.Result{}
+	for _, n := range []int{2, 3, 2} {
+		odd.Contigs = append(odd.Contigs, dbg.Contig{Seq: bytes.Repeat([]byte("A"), n)})
+	}
+	if st := ComputeAssembly(odd); st.N50 != 2 || st.Bases != 7 || st.Longest != 3 {
+		t.Errorf("lengths [2 3 2]: %+v, want N50 2 of 7 bases, longest 3", st)
+	}
 }
 
 func TestReportRoundTrip(t *testing.T) {

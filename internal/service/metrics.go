@@ -11,205 +11,117 @@ import (
 	"mhm2sim/internal/pipeline"
 )
 
-// Metrics aggregates per-tenant and per-stage counters for the /metrics
-// endpoint, in the Prometheus text exposition format (hand-rendered — no
-// client library dependency). Stage timings arrive through the pipeline's
-// Observer seam; queue and device figures from the scheduler and pool.
+// Metrics is the daemon's counter registry behind /metrics, rendered in
+// the Prometheus text exposition format (by hand — no client library). A
+// counter has no declaration: it exists from the first Add at the line that
+// measures it, so adding one is that line. The family name carries the
+// unit: a family with "_seconds" in its name takes nanoseconds and renders
+// their sum as seconds (one division, at Render), any other takes and
+// renders an integer; one ending in "_total" is a counter, any other a
+// gauge. Both are exact up to 2^53.
 type Metrics struct {
-	mu      sync.Mutex
-	tenants map[string]*tenantMetrics
-	stages  map[string]int64 // stage name → Σ wall ns across all jobs
-	retries int64            // job-level retries on unrecoverable faults
-	resumes int64            // pipeline runs that started from a checkpoint
-	// Memory-budget counting totals, accumulated from the WorkRecord of
-	// every succeeded budget-mode job (zero while no job sets MemBudget).
-	kmerPasses     int64 // counting passes executed
-	kmerFiltered   int64 // singleton occurrences dropped by the Bloom prefilter
-	kmerOOMReplans int64 // DeviceOOM events absorbed by budget shrink + re-plan
-	// Elasticity totals, accumulated from every dist job's report.
-	elasticJoins  int64 // ranks admitted mid-run (pool devices drawn by joins)
-	stolenBatches int64 // work-stealing batch moves across all dist jobs
+	mu sync.Mutex
+	// families maps family name → rendered label set ("" or
+	// `{tenant="a",state="failed"}`) → accumulated value.
+	families map[string]map[string]float64
 }
 
-type tenantMetrics struct {
-	submitted   int64
-	byState     map[State]int64
-	rejectQueue int64 // admission rejections: queue full
-	rejectQuota int64 // admission rejections: tenant over quota
-	queueWaitNS int64
-	runNS       int64
-}
-
-// NewMetrics builds an empty registry.
+// NewMetrics builds a registry. The seven label-less run totals start at
+// zero, so that a daemon that has not yet retried, resumed, counted under a
+// budget or grown a job exposes them as 0 instead of not at all.
 func NewMetrics() *Metrics {
-	return &Metrics{tenants: make(map[string]*tenantMetrics), stages: make(map[string]int64)}
-}
-
-func (m *Metrics) tenant(name string) *tenantMetrics {
-	t := m.tenants[name]
-	if t == nil {
-		t = &tenantMetrics{byState: make(map[State]int64)}
-		m.tenants[name] = t
+	m := &Metrics{families: make(map[string]map[string]float64)}
+	for _, f := range []string{
+		"mhm2d_job_retries_total", "mhm2d_job_resumes_total",
+		"mhm2d_kmer_budget_passes_total", "mhm2d_kmer_filtered_singletons_total", "mhm2d_kmer_oom_replans_total",
+		"mhm2d_elastic_joins_total", "mhm2d_stolen_batches_total",
+	} {
+		m.Add(f, 0)
 	}
-	return t
+	return m
 }
 
-// Submitted counts an admitted job.
-func (m *Metrics) Submitted(tenant string) {
+// Add accumulates v (nanoseconds for a "_seconds" family) into the sample
+// of family named by the label pairs (key, value, key, value, …; none for
+// a label-less family).
+func (m *Metrics) Add(family string, v float64, labels ...string) {
+	var key string
+	for i := 0; i+1 < len(labels); i += 2 {
+		key += fmt.Sprintf(",%s=%q", labels[i], labels[i+1])
+	}
+	if key != "" {
+		key = "{" + key[1:] + "}"
+	}
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	m.tenant(tenant).submitted++
+	samples := m.families[family]
+	if samples == nil {
+		samples = make(map[string]float64)
+		m.families[family] = samples
+	}
+	samples[key] += v
 }
 
-// Rejected counts an admission rejection (reason: "queue_full" or "quota").
-func (m *Metrics) Rejected(tenant, reason string) {
+// Render writes the exposition, families and their samples sorted: the
+// registry's own plus live, the label-less values the scheduler and the
+// device pool hold themselves (queue depth, leases, …).
+func (m *Metrics) Render(w io.Writer, live map[string]float64) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	t := m.tenant(tenant)
-	if reason == "quota" {
-		t.rejectQuota++
-	} else {
-		t.rejectQueue++
+	names := make([]string, 0, len(m.families)+len(live))
+	for f := range m.families {
+		names = append(names, f)
+	}
+	for f := range live {
+		names = append(names, f)
+	}
+	sort.Strings(names)
+	for _, f := range names {
+		samples, ok := m.families[f]
+		if !ok {
+			samples = map[string]float64{"": live[f]}
+		}
+		kind, format, unit := "gauge", "%s%s %.0f\n", 1.0
+		if strings.HasSuffix(f, "_total") {
+			kind = "counter"
+		}
+		if strings.Contains(f, "_seconds") {
+			format, unit = "%s%s %g\n", 1e9
+		}
+		fmt.Fprintf(w, "# TYPE %s %s\n", f, kind)
+		keys := make([]string, 0, len(samples))
+		for k := range samples {
+			keys = append(keys, k)
+		}
+		sort.Strings(keys)
+		for _, k := range keys {
+			fmt.Fprintf(w, format, f, k, samples[k]/unit)
+		}
 	}
 }
 
-// Finished counts a job reaching a terminal state, with its waits.
-func (m *Metrics) Finished(tenant string, state State, queueWait, run time.Duration) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	t := m.tenant(tenant)
-	t.byState[state]++
-	t.queueWaitNS += int64(queueWait)
-	t.runNS += int64(run)
+// stageObserver bills every finished stage's per-category time to the
+// registry and to one job's StagesNS — category by category from the
+// Timings delta, so the alignment stage lands as alignment + aln kernel
+// exactly as in the job's report. One observer per pipeline execution.
+type stageObserver struct {
+	met    *Metrics
+	stages map[string]int64
 }
 
-// Retried counts a job-level retry after an unrecoverable injected fault.
-func (m *Metrics) Retried() {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.retries++
-}
+func (o *stageObserver) StageStart(pipeline.StageEvent) {}
 
-// Resumed counts a pipeline execution that skipped checkpointed rounds.
-func (m *Metrics) Resumed() {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.resumes++
-}
-
-// KmerBudget accumulates a succeeded budget-mode job's counting totals.
-func (m *Metrics) KmerBudget(passes int, filtered int64, oomReplans int) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.kmerPasses += int64(passes)
-	m.kmerFiltered += filtered
-	m.kmerOOMReplans += int64(oomReplans)
-}
-
-// ElasticRun accumulates a dist job's elasticity counters.
-func (m *Metrics) ElasticRun(joins, stolenBatches int) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.elasticJoins += int64(joins)
-	m.stolenBatches += int64(stolenBatches)
-}
-
-// StageObserver returns a pipeline.Observer accumulating per-stage wall
-// time into the registry and, when job is non-nil, into the job's own
-// per-stage map. One observer per pipeline execution.
-func (m *Metrics) StageObserver(stages map[string]int64) pipeline.Observer {
-	return &metricObserver{m: m, stages: stages}
-}
-
-type metricObserver struct {
-	m      *Metrics
-	stages map[string]int64 // per-job accumulation (may be nil)
-}
-
-func (o *metricObserver) StageStart(pipeline.StageEvent) {}
-
-func (o *metricObserver) StageFinish(ev pipeline.StageEvent, wall time.Duration, _ pipeline.Timings, _ pipeline.WorkRecord) {
-	o.m.mu.Lock()
-	o.m.stages[ev.Name] += int64(wall)
-	o.m.mu.Unlock()
-	if o.stages != nil {
-		o.stages[ev.Name] += int64(wall)
+func (o *stageObserver) StageFinish(_ pipeline.StageEvent, _ time.Duration, timings pipeline.Timings, _ pipeline.WorkRecord) {
+	for s, d := range timings.Wall {
+		if d > 0 {
+			name := pipeline.Stage(s).String()
+			o.stages[name] += int64(d)
+			o.met.Add("mhm2d_stage_seconds_total", float64(d), "stage", metricName(name))
+		}
 	}
 }
 
 // metricName sanitizes a label value ("local assembly" → "local_assembly").
 func metricName(s string) string {
 	return strings.NewReplacer(" ", "_", "-", "_", "/", "_").Replace(s)
-}
-
-// Render writes the Prometheus text exposition. queueDepth/running are
-// live gauges supplied by the scheduler; pool is the device pool snapshot.
-func (m *Metrics) Render(w io.Writer, queueDepth, running int, pool PoolStats) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-
-	fmt.Fprintf(w, "# TYPE mhm2d_queue_depth gauge\nmhm2d_queue_depth %d\n", queueDepth)
-	fmt.Fprintf(w, "# TYPE mhm2d_jobs_running gauge\nmhm2d_jobs_running %d\n", running)
-	fmt.Fprintf(w, "# TYPE mhm2d_devices gauge\nmhm2d_devices %d\n", pool.Size)
-	fmt.Fprintf(w, "# TYPE mhm2d_devices_leased gauge\nmhm2d_devices_leased %d\n", pool.Leased)
-	fmt.Fprintf(w, "# TYPE mhm2d_device_leases_total counter\nmhm2d_device_leases_total %d\n", pool.Leases)
-	fmt.Fprintf(w, "# TYPE mhm2d_device_busy_seconds_total counter\nmhm2d_device_busy_seconds_total %g\n", float64(pool.BusyNS)/1e9)
-	fmt.Fprintf(w, "# TYPE mhm2d_device_wait_seconds_total counter\nmhm2d_device_wait_seconds_total %g\n", float64(pool.WaitNS)/1e9)
-	fmt.Fprintf(w, "# TYPE mhm2d_job_retries_total counter\nmhm2d_job_retries_total %d\n", m.retries)
-	fmt.Fprintf(w, "# TYPE mhm2d_job_resumes_total counter\nmhm2d_job_resumes_total %d\n", m.resumes)
-	fmt.Fprintf(w, "# TYPE mhm2d_kmer_budget_passes_total counter\nmhm2d_kmer_budget_passes_total %d\n", m.kmerPasses)
-	fmt.Fprintf(w, "# TYPE mhm2d_kmer_filtered_singletons_total counter\nmhm2d_kmer_filtered_singletons_total %d\n", m.kmerFiltered)
-	fmt.Fprintf(w, "# TYPE mhm2d_kmer_oom_replans_total counter\nmhm2d_kmer_oom_replans_total %d\n", m.kmerOOMReplans)
-	fmt.Fprintf(w, "# TYPE mhm2d_elastic_joins_total counter\nmhm2d_elastic_joins_total %d\n", m.elasticJoins)
-	fmt.Fprintf(w, "# TYPE mhm2d_stolen_batches_total counter\nmhm2d_stolen_batches_total %d\n", m.stolenBatches)
-
-	names := make([]string, 0, len(m.tenants))
-	for n := range m.tenants {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	fmt.Fprintf(w, "# TYPE mhm2d_jobs_submitted_total counter\n")
-	for _, n := range names {
-		fmt.Fprintf(w, "mhm2d_jobs_submitted_total{tenant=%q} %d\n", n, m.tenants[n].submitted)
-	}
-	fmt.Fprintf(w, "# TYPE mhm2d_jobs_finished_total counter\n")
-	for _, n := range names {
-		t := m.tenants[n]
-		states := make([]string, 0, len(t.byState))
-		for s := range t.byState {
-			states = append(states, string(s))
-		}
-		sort.Strings(states)
-		for _, s := range states {
-			fmt.Fprintf(w, "mhm2d_jobs_finished_total{tenant=%q,state=%q} %d\n", n, s, t.byState[State(s)])
-		}
-	}
-	fmt.Fprintf(w, "# TYPE mhm2d_jobs_rejected_total counter\n")
-	for _, n := range names {
-		t := m.tenants[n]
-		if t.rejectQueue > 0 {
-			fmt.Fprintf(w, "mhm2d_jobs_rejected_total{tenant=%q,reason=\"queue_full\"} %d\n", n, t.rejectQueue)
-		}
-		if t.rejectQuota > 0 {
-			fmt.Fprintf(w, "mhm2d_jobs_rejected_total{tenant=%q,reason=\"quota\"} %d\n", n, t.rejectQuota)
-		}
-	}
-	fmt.Fprintf(w, "# TYPE mhm2d_queue_wait_seconds_total counter\n")
-	for _, n := range names {
-		fmt.Fprintf(w, "mhm2d_queue_wait_seconds_total{tenant=%q} %g\n", n, float64(m.tenants[n].queueWaitNS)/1e9)
-	}
-	fmt.Fprintf(w, "# TYPE mhm2d_run_seconds_total counter\n")
-	for _, n := range names {
-		fmt.Fprintf(w, "mhm2d_run_seconds_total{tenant=%q} %g\n", n, float64(m.tenants[n].runNS)/1e9)
-	}
-
-	stageNames := make([]string, 0, len(m.stages))
-	for s := range m.stages {
-		stageNames = append(stageNames, s)
-	}
-	sort.Strings(stageNames)
-	fmt.Fprintf(w, "# TYPE mhm2d_stage_seconds_total counter\n")
-	for _, s := range stageNames {
-		fmt.Fprintf(w, "mhm2d_stage_seconds_total{stage=%q} %g\n", metricName(s), float64(m.stages[s])/1e9)
-	}
 }

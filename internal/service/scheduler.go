@@ -10,6 +10,7 @@ import (
 	"sync"
 	"time"
 
+	"mhm2sim/internal/atomicfile"
 	"mhm2sim/internal/dist"
 	"mhm2sim/internal/locassm"
 	"mhm2sim/internal/pipeline"
@@ -45,10 +46,8 @@ type Config struct {
 	// TenantMaxActive caps one tenant's admitted-but-unfinished jobs
 	// (queued + running); 0 means no quota.
 	TenantMaxActive int
-	// Devices is the shared GPU pool size (default 4).
+	// Devices is the shared GPU pool size (default 4), each a simt.V100().
 	Devices int
-	// DeviceConfig describes the pooled devices (zero Name = simt.V100()).
-	DeviceConfig simt.DeviceConfig
 	// JobRetries is how many times a job failing with dist.ErrUnrecoverable
 	// (an injected-chaos budget exhaustion) is retried under a reseeded
 	// fault plan before being marked failed (default 1).
@@ -73,25 +72,11 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// job is the scheduler's internal record. Mutable fields are guarded by
-// the scheduler mutex.
+// job is the scheduler's record of one job: its externally visible Status
+// (guarded by the scheduler mutex; Status and List hand out copies) plus the
+// handle that cancels it while it runs.
 type job struct {
-	id   string
-	spec JobSpec // defaulted
-
-	state      State
-	errMsg     string
-	attempts   int
-	resumes    int
-	submitTime time.Time
-	startTime  time.Time
-	finishTime time.Time
-	queueWait  time.Duration
-	deviceWait time.Duration
-	deviceHeld time.Duration
-	devices    int
-	stagesNS   map[string]int64 // installed after a run completes
-
+	Status
 	cancel context.CancelFunc // non-nil while running
 }
 
@@ -138,7 +123,7 @@ func New(cfg Config) (*Scheduler, error) {
 	ctx, cancel := context.WithCancel(context.Background())
 	s := &Scheduler{
 		cfg:        cfg,
-		pool:       NewDevicePool(cfg.Devices, cfg.DeviceConfig),
+		pool:       NewDevicePool(cfg.Devices, simt.V100()),
 		met:        NewMetrics(),
 		baseCtx:    ctx,
 		baseCancel: cancel,
@@ -150,25 +135,17 @@ func New(cfg Config) (*Scheduler, error) {
 		queue: make(chan *job, cfg.QueueDepth+len(loaded)),
 	}
 	for _, lj := range loaded {
-		j := &job{id: lj.ID, spec: lj.Spec.withDefaults(), submitTime: time.Now()}
+		j := &job{}
 		if lj.Done != nil {
-			j.state = lj.Done.State
-			j.errMsg = lj.Done.Error
-			j.attempts = lj.Done.Attempts
-			j.resumes = lj.Done.Resumes
-			j.submitTime = lj.Done.SubmitTime
-			j.startTime = lj.Done.StartTime
-			j.finishTime = lj.Done.FinishTime
-			j.queueWait = time.Duration(lj.Done.QueueWaitNS)
-			j.stagesNS = lj.Done.StagesNS
+			j.Status = *lj.Done
 		} else {
-			j.state = StateQueued
-			s.active[j.spec.Tenant]++
+			j.Status = Status{ID: lj.ID, Spec: lj.Spec.withDefaults(), State: StateQueued, SubmitTime: time.Now()}
+			s.active[j.Spec.Tenant]++
 			s.queued++
 			s.queue <- j
 		}
-		s.jobs[j.id] = j
-		s.order = append(s.order, j.id)
+		s.jobs[lj.ID] = j
+		s.order = append(s.order, lj.ID)
 	}
 	return s, nil
 }
@@ -217,18 +194,18 @@ func (s *Scheduler) Submit(spec JobSpec) (string, error) {
 	}
 	if s.cfg.TenantMaxActive > 0 && s.active[spec.Tenant] >= s.cfg.TenantMaxActive {
 		s.mu.Unlock()
-		s.met.Rejected(spec.Tenant, "quota")
+		s.met.Add("mhm2d_jobs_rejected_total", 1, "tenant", spec.Tenant, "reason", "quota")
 		return "", fmt.Errorf("%w: tenant %q has %d active jobs (max %d)",
 			ErrQuotaExceeded, spec.Tenant, s.cfg.TenantMaxActive, s.cfg.TenantMaxActive)
 	}
 	if s.queued >= s.cfg.QueueDepth {
 		s.mu.Unlock()
-		s.met.Rejected(spec.Tenant, "queue_full")
+		s.met.Add("mhm2d_jobs_rejected_total", 1, "tenant", spec.Tenant, "reason", "queue_full")
 		return "", fmt.Errorf("%w: %d jobs queued (max %d)", ErrQueueFull, s.cfg.QueueDepth, s.cfg.QueueDepth)
 	}
 	id := formatJobID(s.nextID)
 	s.nextID++
-	j := &job{id: id, spec: spec, state: StateQueued, submitTime: time.Now()}
+	j := &job{Status: Status{ID: id, Spec: spec, State: StateQueued, SubmitTime: time.Now()}}
 	s.jobs[id] = j
 	s.order = append(s.order, id)
 	s.active[spec.Tenant]++
@@ -246,7 +223,7 @@ func (s *Scheduler) Submit(spec JobSpec) (string, error) {
 		s.mu.Unlock()
 		return "", err
 	}
-	s.met.Submitted(spec.Tenant)
+	s.met.Add("mhm2d_jobs_submitted_total", 1, "tenant", spec.Tenant)
 	s.queue <- j
 	return id, nil
 }
@@ -259,28 +236,7 @@ func (s *Scheduler) Status(id string) (Status, error) {
 	if !ok {
 		return Status{}, ErrNotFound
 	}
-	return j.snapshot(), nil
-}
-
-// snapshot builds the external view (caller holds the scheduler mutex).
-func (j *job) snapshot() Status {
-	st := Status{
-		ID:           j.id,
-		Spec:         j.spec,
-		State:        j.state,
-		Error:        j.errMsg,
-		Attempts:     j.attempts,
-		Resumes:      j.resumes,
-		SubmitTime:   j.submitTime,
-		StartTime:    j.startTime,
-		FinishTime:   j.finishTime,
-		QueueWaitNS:  int64(j.queueWait),
-		DeviceWaitNS: int64(j.deviceWait),
-		DeviceHeldNS: int64(j.deviceHeld),
-		Devices:      j.devices,
-		StagesNS:     j.stagesNS,
-	}
-	return st
+	return j.Status, nil
 }
 
 // List snapshots all jobs in submission order.
@@ -289,7 +245,7 @@ func (s *Scheduler) List() []Status {
 	defer s.mu.Unlock()
 	out := make([]Status, 0, len(s.order))
 	for _, id := range s.order {
-		out = append(out, s.jobs[id].snapshot())
+		out = append(out, s.jobs[id].Status)
 	}
 	return out
 }
@@ -297,18 +253,12 @@ func (s *Scheduler) List() []Status {
 // succeededDir returns the directory of a job that has succeeded — where
 // its report and FASTA are.
 func (s *Scheduler) succeededDir(id string) (string, error) {
-	s.mu.Lock()
-	j, ok := s.jobs[id]
-	var state State
-	if ok {
-		state = j.state
+	st, err := s.Status(id)
+	if err != nil {
+		return "", err
 	}
-	s.mu.Unlock()
-	if !ok {
-		return "", ErrNotFound
-	}
-	if state != StateSucceeded {
-		return "", fmt.Errorf("%w (state %s)", ErrNotReady, state)
+	if st.State != StateSucceeded {
+		return "", fmt.Errorf("%w (state %s)", ErrNotReady, st.State)
 	}
 	return jobDir(s.cfg.DataDir, id), nil
 }
@@ -341,10 +291,10 @@ func (s *Scheduler) Cancel(id string) error {
 		s.mu.Unlock()
 		return ErrNotFound
 	}
-	switch j.state {
+	switch j.State {
 	case StateQueued:
 		s.finishLocked(j, StateCanceled, "canceled while queued")
-		st := j.snapshot()
+		st := j.Status
 		s.mu.Unlock()
 		s.persistTerminal(st)
 		return nil
@@ -367,18 +317,18 @@ func (s *Scheduler) Cancel(id string) error {
 // the stale channel entry — otherwise the admission counter and the
 // channel occupancy diverge and a later Submit blocks on a full channel.
 func (s *Scheduler) finishLocked(j *job, state State, errMsg string) {
-	j.state = state
-	j.errMsg = errMsg
-	j.finishTime = time.Now()
-	s.active[j.spec.Tenant]--
-	s.met.Finished(j.spec.Tenant, state, j.queueWait, j.runDuration())
-}
-
-func (j *job) runDuration() time.Duration {
-	if j.startTime.IsZero() {
-		return 0
+	j.State = state
+	j.Error = errMsg
+	j.FinishTime = time.Now()
+	tenant := j.Spec.Tenant
+	s.active[tenant]--
+	var run time.Duration
+	if !j.StartTime.IsZero() {
+		run = j.FinishTime.Sub(j.StartTime)
 	}
-	return time.Since(j.startTime)
+	s.met.Add("mhm2d_jobs_finished_total", 1, "tenant", tenant, "state", string(state))
+	s.met.Add("mhm2d_queue_wait_seconds_total", float64(j.QueueWaitNS), "tenant", tenant)
+	s.met.Add("mhm2d_run_seconds_total", float64(run), "tenant", tenant)
 }
 
 // persistTerminal writes the terminal status file (best effort: the job
@@ -396,7 +346,7 @@ func (s *Scheduler) runJob(j *job) {
 	// the job context, including a cancel that lands while we are still
 	// blocked waiting for devices.
 	s.mu.Lock()
-	if j.state != StateQueued { // canceled while queued: drain the slot
+	if j.State != StateQueued { // canceled while queued: drain the slot
 		s.queued--
 		s.mu.Unlock()
 		return
@@ -404,10 +354,10 @@ func (s *Scheduler) runJob(j *job) {
 	ctx, cancel := context.WithCancel(s.baseCtx)
 	defer cancel()
 	j.cancel = cancel
-	j.state = StateRunning
+	j.State = StateRunning
 	s.queued--
 	s.running++
-	demand := j.spec.DeviceDemand()
+	demand := j.Spec.DeviceDemand()
 	s.mu.Unlock()
 
 	tAcq := time.Now()
@@ -420,16 +370,16 @@ func (s *Scheduler) runJob(j *job) {
 	s.mu.Lock()
 	// The device lease is part of queue wait: the job's own work has not
 	// started until it holds its devices.
-	j.startTime = time.Now()
-	j.queueWait = j.startTime.Sub(j.submitTime)
-	j.deviceWait = j.startTime.Sub(tAcq)
-	j.devices = demand
+	j.StartTime = time.Now()
+	j.QueueWaitNS = int64(j.StartTime.Sub(j.SubmitTime))
+	j.DeviceWaitNS = int64(j.StartTime.Sub(tAcq))
+	j.Devices = demand
 	s.mu.Unlock()
 
 	res, rep, runErr := s.executeWithRetry(ctx, j, lease)
 	lease.Release() // before settle: whoever sees the job terminal sees its devices back
 	s.mu.Lock()
-	j.deviceHeld = time.Since(j.startTime)
+	j.DeviceHeldNS = int64(time.Since(j.StartTime))
 	s.mu.Unlock()
 	s.settle(j, res, rep, runErr)
 }
@@ -445,7 +395,9 @@ func (s *Scheduler) settle(j *job, res *pipeline.Result, rep *dist.Report, runEr
 	switch {
 	case runErr == nil:
 		if kb := res.Work.KmerBudget; kb.Passes > 0 {
-			s.met.KmerBudget(kb.Passes, kb.FilteredSingletons, kb.OOMReplans)
+			s.met.Add("mhm2d_kmer_budget_passes_total", float64(kb.Passes))
+			s.met.Add("mhm2d_kmer_filtered_singletons_total", float64(kb.FilteredSingletons))
+			s.met.Add("mhm2d_kmer_oom_replans_total", float64(kb.OOMReplans))
 		}
 		if err := s.persistResult(j, res, rep); err != nil {
 			runErr = err
@@ -459,7 +411,7 @@ func (s *Scheduler) settle(j *job, res *pipeline.Result, rep *dist.Report, runEr
 		}
 		s.mu.Lock()
 		s.finishLocked(j, StateCanceled, runErr.Error())
-		st := j.snapshot()
+		st := j.Status
 		s.mu.Unlock()
 		s.persistTerminal(st)
 		return
@@ -471,7 +423,7 @@ func (s *Scheduler) settle(j *job, res *pipeline.Result, rep *dist.Report, runEr
 	} else {
 		s.finishLocked(j, StateFailed, runErr.Error())
 	}
-	st := j.snapshot()
+	st := j.Status
 	s.mu.Unlock()
 	s.persistTerminal(st)
 }
@@ -486,11 +438,11 @@ func (s *Scheduler) interrupted(j *job, err error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	j.cancel = nil
-	if j.state == StateRunning {
-		j.state = StateQueued
+	if j.State == StateRunning {
+		j.State = StateQueued
 		s.queued++
 	}
-	j.errMsg = fmt.Sprintf("interrupted (will resume on restart): %v", err)
+	j.Error = fmt.Sprintf("interrupted (will resume on restart): %v", err)
 }
 
 // executeWithRetry runs the pipeline, retrying jobs killed by an
@@ -507,7 +459,7 @@ func (s *Scheduler) executeWithRetry(ctx context.Context, j *job, lease *Lease) 
 		}
 		lastErr = err
 		if attempt < s.cfg.JobRetries {
-			s.met.Retried()
+			s.met.Add("mhm2d_job_retries_total", 1)
 		}
 	}
 	return nil, nil, lastErr
@@ -517,28 +469,28 @@ func (s *Scheduler) executeWithRetry(ctx context.Context, j *job, lease *Lease) 
 // scheduler's host-side settings (checkpoint dir, observer, leased device,
 // join provider, reseeded fault plan), run.
 func (s *Scheduler) execute(ctx context.Context, j *job, lease *Lease, attempt int) (*pipeline.Result, *dist.Report, error) {
-	plan, err := NewPlan(j.spec)
+	plan, err := NewPlan(j.Spec)
 	if err != nil {
 		return nil, nil, err
 	}
-	ckpt := filepath.Join(jobDir(s.cfg.DataDir, j.id), ckptDir)
+	ckpt := filepath.Join(jobDir(s.cfg.DataDir, j.ID), ckptDir)
 	plan.Pipeline.CheckpointDir = ckpt
 	if resumed, err := pipeline.HasCheckpoint(ckpt); err != nil {
 		return nil, nil, err
 	} else if resumed {
-		s.met.Resumed()
+		s.met.Add("mhm2d_job_resumes_total", 1)
 		s.mu.Lock()
-		j.resumes++
+		j.Resumes++
 		s.mu.Unlock()
 	}
 	stages := make(map[string]int64)
-	plan.Pipeline.Observer = s.met.StageObserver(stages)
+	plan.Pipeline.Observer = &stageObserver{met: s.met, stages: stages}
 
 	s.mu.Lock()
-	j.attempts++
+	j.Attempts++
 	s.mu.Unlock()
 
-	if j.spec.Engine == locassm.EngineGPU {
+	if j.Spec.Engine == locassm.EngineGPU {
 		// The leased pool device: N simulated GPUs multiplex across
 		// concurrent gpu-engine jobs through EngineSpec.
 		plan.Pipeline.Engine.Device = lease.Devices[0]
@@ -547,7 +499,7 @@ func (s *Scheduler) execute(ctx context.Context, j *job, lease *Lease, attempt i
 		if dcfg.Faults != nil && attempt > 0 {
 			// Deterministic plans fail deterministically: a retry must draw
 			// a fresh schedule, as a real rerun lands on different timing.
-			dcfg.Faults, err = dcfg.Faults.Reseed(j.spec.FaultSeed + int64(attempt))
+			dcfg.Faults, err = dcfg.Faults.Reseed(j.Spec.FaultSeed + int64(attempt))
 			if err != nil {
 				return nil, nil, err
 			}
@@ -579,36 +531,28 @@ func (s *Scheduler) execute(ctx context.Context, j *job, lease *Lease, attempt i
 	}
 	res, rep, err := plan.Run(ctx)
 	if rep != nil {
-		s.met.ElasticRun(rep.Elasticity.Joins, rep.Elasticity.StolenBatches)
+		s.met.Add("mhm2d_elastic_joins_total", float64(rep.Elasticity.Joins))
+		s.met.Add("mhm2d_stolen_batches_total", float64(rep.Elasticity.StolenBatches))
 	}
 	if err != nil {
 		return nil, nil, err
 	}
 	s.mu.Lock()
-	j.stagesNS = stages
+	j.StagesNS = stages
 	s.mu.Unlock()
 	return res, rep, nil
 }
 
-// persistResult writes the job's report and FASTA output atomically.
+// persistResult writes the job's report and FASTA output, each atomically.
 func (s *Scheduler) persistResult(j *job, res *pipeline.Result, rep *dist.Report) error {
-	dir := jobDir(s.cfg.DataDir, j.id)
+	dir := jobDir(s.cfg.DataDir, j.ID)
 	if err := report.Build(res, rep).WriteFile(filepath.Join(dir, resultFile)); err != nil {
 		return err
 	}
-	tmp := filepath.Join(dir, outputFile+".tmp")
-	f, err := os.Create(tmp)
-	if err != nil {
-		return err
-	}
-	if err := pipeline.WriteFASTAOutputs(f, res); err != nil {
-		f.Close()
-		return err
-	}
-	if err := f.Close(); err != nil {
-		return err
-	}
-	return os.Rename(tmp, filepath.Join(dir, outputFile))
+	_, err := atomicfile.Write(filepath.Join(dir, outputFile), func(w io.Writer) error {
+		return pipeline.WriteFASTAOutputs(w, res)
+	})
+	return err
 }
 
 // QueueDepth returns the current number of queued jobs.
@@ -627,10 +571,19 @@ func (s *Scheduler) Running() int {
 
 // RenderMetrics writes the /metrics exposition.
 func (s *Scheduler) RenderMetrics(w io.Writer) {
+	pool := s.pool.Stats()
 	s.mu.Lock()
-	queued, running := s.queued, s.running
+	live := map[string]float64{
+		"mhm2d_queue_depth":               float64(s.queued),
+		"mhm2d_jobs_running":              float64(s.running),
+		"mhm2d_devices":                   float64(pool.Size),
+		"mhm2d_devices_leased":            float64(pool.Leased),
+		"mhm2d_device_leases_total":       float64(pool.Leases),
+		"mhm2d_device_busy_seconds_total": float64(pool.BusyNS),
+		"mhm2d_device_wait_seconds_total": float64(pool.WaitNS),
+	}
 	s.mu.Unlock()
-	s.met.Render(w, queued, running, s.pool.Stats())
+	s.met.Render(w, live)
 }
 
 // Shutdown stops the scheduler: no new admissions, running jobs are

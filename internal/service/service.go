@@ -161,7 +161,10 @@ type Status struct {
 	DeviceWaitNS int64 `json:"device_wait_ns,omitempty"`
 	DeviceHeldNS int64 `json:"device_held_ns,omitempty"`
 	Devices      int   `json:"devices,omitempty"`
-	// StagesNS are the per-stage wall times of the (last) pipeline
-	// execution, from the Observer seam.
+	// StagesNS are the wall times of the (last) pipeline execution per
+	// timing category, billed from the Observer's Timings deltas: the same
+	// values as the job's report stages_ns, alignment split from aln kernel
+	// included. The report alone has "communication" — modeled fabric time
+	// that dist adds after the pipeline has returned.
 	StagesNS map[string]int64 `json:"stages_ns,omitempty"`
 }

@@ -3,11 +3,14 @@ package service
 import (
 	"encoding/json"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"sort"
 	"strconv"
 	"strings"
+
+	"mhm2sim/internal/atomicfile"
 )
 
 // On-disk layout, under Config.DataDir:
@@ -53,15 +56,12 @@ func formatJobID(n int) string { return fmt.Sprintf("job-%06d", n) }
 
 // writeJSONFile atomically persists v as indented JSON.
 func writeJSONFile(path string, v any) error {
-	b, err := json.MarshalIndent(v, "", "  ")
-	if err != nil {
-		return err
-	}
-	tmp := path + ".tmp"
-	if err := os.WriteFile(tmp, append(b, '\n'), 0o644); err != nil {
-		return err
-	}
-	return os.Rename(tmp, path)
+	_, err := atomicfile.Write(path, func(w io.Writer) error {
+		enc := json.NewEncoder(w)
+		enc.SetIndent("", "  ")
+		return enc.Encode(v)
+	})
+	return err
 }
 
 // saveSpec persists a newly admitted job.
