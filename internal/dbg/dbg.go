@@ -6,15 +6,11 @@ package dbg
 
 import (
 	"fmt"
-	"runtime"
-	"sort"
-	"sync"
 
 	"mhm2sim/internal/dna"
 	"mhm2sim/internal/kmer"
+	"mhm2sim/internal/par"
 )
-
-func code(b byte) (byte, bool) { return dna.Code(b) }
 
 // Config controls counting and traversal.
 type Config struct {
@@ -53,154 +49,111 @@ type Info struct {
 	Right ExtCounts
 }
 
-// Table holds counted canonical k-mers.
-type Table struct {
-	K int
-	m map[kmer.Kmer]*Info
-}
+// scanBatch bounds the k-mer occurrences binned between two drains, so the
+// bins stay cache-sized however large the input is.
+const scanBatch = 1 << 15
 
-// NewTable wraps an already-counted canonical-k-mer map in a Table — the
-// GPU budget counter builds its map by merging device passes and hands it
-// over here, so the traversal code sees one table regardless of how it
-// was counted. A nil map yields an empty table.
-func NewTable(k int, m map[kmer.Kmer]*Info) *Table {
-	if m == nil {
-		m = make(map[kmer.Kmer]*Info)
-	}
-	return &Table{K: k, m: m}
-}
-
-// Len returns the number of distinct canonical k-mers.
-func (t *Table) Len() int { return len(t.m) }
-
-// Lookup returns the info for a k-mer (any orientation) plus whether the
-// given orientation is the canonical one.
-func (t *Table) Lookup(km kmer.Kmer) (*Info, bool, bool) {
-	canon, isSelf := km.Canonical(t.K)
-	info, ok := t.m[canon]
-	return info, isSelf, ok
-}
-
-const countShards = 64
-
-// Count tallies canonical k-mers and their extensions across sequences.
-// Sharded locking keeps it parallel while the result stays deterministic
-// (counts are commutative).
+// Count tallies canonical k-mers and their extensions across sequences the
+// way MetaHipMer's k-mer analysis does between ranks: the table has one
+// partition per worker, and counting alternates two barriered phases over
+// batches of sequences. In the scan phase every worker appends the
+// occurrences it finds to bins[worker][owner]; in the drain phase every
+// owner empties the bins addressed to it into its own partition. A bin has
+// one writer in the first phase and one reader in the second and a
+// partition is only ever touched by its owner, so nothing is locked and
+// nothing is merged at the end; counts are commutative sums, so the table
+// is the same at any worker count.
 func Count(seqs [][]byte, cfg Config) (*Table, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	workers := cfg.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
+	workers := par.Workers(cfg.Workers)
+	occ := kmer.Windows(seqs, cfg.K)
+	t := newTable(cfg.K, workers, occ)
 
-	type shard struct {
-		mu sync.Mutex
-		m  map[kmer.Kmer]*Info
-	}
-	shards := make([]shard, countShards)
-	for i := range shards {
-		shards[i].m = make(map[kmer.Kmer]*Info)
-	}
-
-	var wg sync.WaitGroup
-	next := make(chan []byte)
-	wg.Add(workers)
-	for wk := 0; wk < workers; wk++ {
-		go func() {
-			defer wg.Done()
-			for seq := range next {
-				countSeq(seq, cfg.K, func(canon kmer.Kmer, left, right int) {
-					s := &shards[canon.Hash(0)%countShards]
-					s.mu.Lock()
-					info := s.m[canon]
-					if info == nil {
-						info = &Info{}
-						s.m[canon] = info
-					}
-					info.Count++
-					if left >= 0 {
-						info.Left[left]++
-					}
-					if right >= 0 {
-						info.Right[right]++
-					}
-					s.mu.Unlock()
-				})
-			}
-		}()
-	}
-	for _, s := range seqs {
-		next <- s
-	}
-	close(next)
-	wg.Wait()
-
-	merged := make(map[kmer.Kmer]*Info)
-	for i := range shards {
-		for k, v := range shards[i].m {
-			merged[k] = v
+	// A worker's share of a batch, spread over the owners, plus a quarter:
+	// a bin that still overflows (uneven chunks) grows by append.
+	share := min(occ, scanBatch) / (workers * workers)
+	bins := make([][][]uint64, workers)
+	for w := range bins {
+		bins[w] = make([][]uint64, workers)
+		for o := range bins[w] {
+			bins[w][o] = make([]uint64, 0, (share+share/4+1)*(1+t.words))
 		}
 	}
-	return &Table{K: cfg.K, m: merged}, nil
+	for lo := 0; lo < len(seqs); {
+		hi, n := lo+1, kmer.Windows(seqs[lo:lo+1], cfg.K)
+		for ; hi < len(seqs); hi++ {
+			if n += kmer.Windows(seqs[hi:hi+1], cfg.K); n > scanBatch {
+				break
+			}
+		}
+		par.ForEachSpan(workers, hi-lo, 0, func(w int, s par.Span) {
+			for _, seq := range seqs[lo+s.Lo : lo+s.Hi] {
+				t.scan(seq, bins[w])
+			}
+		})
+		par.ForEachSpan(workers, workers, 1, func(_ int, s par.Span) {
+			owner := s.Lo
+			for w := range bins {
+				t.parts[owner].drain(bins[w][owner])
+				bins[w][owner] = bins[w][owner][:0]
+			}
+		})
+		lo = hi
+	}
+	return t, nil
 }
 
-// countSeq walks one sequence, reporting each k-mer occurrence in canonical
-// orientation with its adjacent bases (−1 when absent/ambiguous).
-func countSeq(seq []byte, k int, emit func(canon kmer.Kmer, left, right int)) {
+// scan appends every k-mer occurrence of seq, in canonical orientation, to
+// the bin of the partition that owns it. A record is 1+words uint64s: the
+// low half of the k-mer's hash (what the owner probes from, so it is
+// computed once per occurrence) with the left and right adjacent bases in
+// the three bits above it and the three above those (0 when absent or
+// ambiguous, else 2-bit code + 1), then the key words.
+func (t *Table) scan(seq []byte, bins [][]uint64) {
+	k := t.K
 	sc := kmer.NewScanner(k)
 	for i, b := range seq {
 		if !sc.Push(b) {
 			continue
 		}
-		left, right := -1, -1
+		var left, right uint64
 		if pos := i - k + 1; pos > 0 {
-			if c, ok := code(seq[pos-1]); ok {
-				left = int(c)
+			if c, ok := dna.Code(seq[pos-1]); ok {
+				left = uint64(c) + 1
 			}
 		}
 		if i+1 < len(seq) {
-			if c, ok := code(seq[i+1]); ok {
-				right = int(c)
+			if c, ok := dna.Code(seq[i+1]); ok {
+				right = uint64(c) + 1
 			}
 		}
 		canon, isSelf := sc.Canonical()
 		if !isSelf {
 			// In the canonical orientation the preceding base becomes the
-			// following base, complemented (and vice versa).
-			left, right = comp(right), comp(left)
+			// following base, complemented (and vice versa): code+1 maps to
+			// (code^3)+1 = 5−(code+1), and 0 (absent) to 0.
+			left, right = (5-right)%5, (5-left)%5
 		}
-		emit(canon, left, right)
+		h := canon.HashK(k, 0)
+		o := t.owner(h)
+		bins[o] = append(append(bins[o], h&0xffffffff|left<<32|right<<35), canon.W[:t.words]...)
 	}
 }
 
-func comp(c int) int {
-	if c < 0 {
-		return -1
-	}
-	return c ^ 3
-}
-
-// Filter removes k-mers below MinCount, returning how many were dropped —
-// the singleton-error filter of the k-mer analysis stage.
-func (t *Table) Filter(minCount uint32) int {
-	dropped := 0
-	for k, info := range t.m {
-		if info.Count < minCount {
-			delete(t.m, k)
-			dropped++
+// drain adds a bin's occurrences to the partition.
+func (p *partition) drain(bin []uint64) {
+	stride := 1 + p.words
+	for j := 0; j+stride <= len(bin); j += stride {
+		meta := bin[j]
+		info := p.upsert(bin[j+1:j+stride], uint32(meta))
+		info.Count++
+		if l := meta >> 32 & 7; l != 0 {
+			info.Left[l-1]++
+		}
+		if r := meta >> 35 & 7; r != 0 {
+			info.Right[r-1]++
 		}
 	}
-	return dropped
-}
-
-// sortedKmers returns the canonical k-mers in deterministic order.
-func (t *Table) sortedKmers() []kmer.Kmer {
-	ks := make([]kmer.Kmer, 0, len(t.m))
-	for k := range t.m {
-		ks = append(ks, k)
-	}
-	sort.Slice(ks, func(i, j int) bool { return ks[i].Less(ks[j]) })
-	return ks
 }

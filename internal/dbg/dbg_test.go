@@ -3,6 +3,7 @@ package dbg
 import (
 	"bytes"
 	"math/rand"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -104,8 +105,8 @@ func TestFilterSingletons(t *testing.T) {
 		t.Error("Len inconsistent after filter")
 	}
 	// Every survivor has count ≥ 2.
-	for _, km := range tab.sortedKmers() {
-		if tab.m[km].Count < 2 {
+	for _, c := range tab.sorted() {
+		if info, _, ok := tab.Lookup(c.km); !ok || info.Count < 2 {
 			t.Fatal("singleton survived filter")
 		}
 	}
@@ -232,22 +233,36 @@ func TestUniqueExt(t *testing.T) {
 	}
 }
 
+// TestWorkersConsistency: the table and the contigs read from it are the
+// same at any partition count, including more workers than reads and no
+// reads at all.
 func TestWorkersConsistency(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	g := randGenome(rng, 500)
-	reads := tile(g, 70, 9)
-	c1 := cfg(17)
-	c1.Workers = 1
-	c8 := cfg(17)
-	c8.Workers = 8
-	t1, _ := Count(reads, c1)
-	t8, _ := Count(reads, c8)
-	if t1.Len() != t8.Len() {
-		t.Fatalf("table sizes differ: %d vs %d", t1.Len(), t8.Len())
-	}
-	for _, km := range t1.sortedKmers() {
-		if *t1.m[km] != *t8.m[km] {
-			t.Fatal("worker counts changed table content")
+	for name, reads := range map[string][][]byte{
+		"tiled": tile(g, 70, 9), "three reads": tile(g, 70, 200), "empty": nil,
+	} {
+		c := cfg(17)
+		c.Workers = 1
+		t1, _ := Count(reads, c)
+		for _, workers := range []int{2, 3, 5, 8} {
+			c.Workers = workers
+			tw, err := Count(reads, c)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if t1.Len() != tw.Len() {
+				t.Fatalf("%s, %d workers: %d k-mers, want %d", name, workers, tw.Len(), t1.Len())
+			}
+			for _, cur := range t1.sorted() {
+				if info, _, ok := tw.Lookup(cur.km); !ok || *info != *cur.info {
+					t.Fatalf("%s, %d workers: table content changed", name, workers)
+				}
+			}
+			// MinCount 1 keeps the three-read case non-trivial.
+			if got, want := tw.Contigs(Config{K: 17, MinCount: 1}), t1.Contigs(Config{K: 17, MinCount: 1}); !reflect.DeepEqual(got, want) {
+				t.Fatalf("%s, %d workers: contigs changed", name, workers)
+			}
 		}
 	}
 }

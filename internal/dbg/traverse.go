@@ -1,9 +1,6 @@
 package dbg
 
-import (
-	"mhm2sim/internal/dna"
-	"mhm2sim/internal/kmer"
-)
+import "mhm2sim/internal/dna"
 
 // Contig is one unambiguous path through the de Bruijn graph.
 type Contig struct {
@@ -54,30 +51,29 @@ func uniqueExt(e ExtCounts, minCount uint32) (byte, bool) {
 
 // Contigs traverses every maximal unambiguously connected path and returns
 // the resulting contigs, deterministically (start k-mers are processed in
-// sorted order). Each k-mer is consumed by at most one contig.
+// sorted order). Each k-mer is consumed by at most one contig: seen flags
+// every slot a walk has stepped on, which covers both "already in an
+// earlier contig" and "already on this path".
 func (t *Table) Contigs(cfg Config) []Contig {
 	minCtg := cfg.MinCtgLen
 	if minCtg <= 0 {
 		minCtg = 2 * t.K
 	}
-	visited := make(map[kmer.Kmer]bool, len(t.m))
+	seen := make([][]bool, len(t.parts))
+	for i := range seen {
+		seen[i] = make([]bool, len(t.parts[i].info))
+	}
 	var out []Contig
 	var id int64
 
-	for _, start := range t.sortedKmers() {
-		if visited[start] {
+	for _, start := range t.sorted() {
+		if seen[start.part][start.idx] {
 			continue
 		}
-		seq, path := t.walkBothWays(start, cfg.MinCount, visited)
-		var depth float64
-		for _, km := range path {
-			visited[km] = true
-			depth += float64(t.m[km].Count)
-		}
+		seq, counts, n := t.walkBothWays(start, cfg.MinCount, seen)
 		if len(seq) < minCtg {
 			continue
 		}
-		depth /= float64(len(path))
 		// Canonical output orientation: the lexicographically smaller of
 		// the sequence and its reverse complement, so results don't depend
 		// on traversal direction.
@@ -85,82 +81,57 @@ func (t *Table) Contigs(cfg Config) []Contig {
 		if string(rc) < string(seq) {
 			seq = rc
 		}
-		out = append(out, Contig{ID: id, Seq: seq, Depth: depth})
+		out = append(out, Contig{ID: id, Seq: seq, Depth: float64(counts) / float64(n)})
 		id++
 	}
 	return out
 }
 
-// walkBothWays extends from start in both directions and returns the
-// assembled sequence plus the canonical k-mers consumed.
-func (t *Table) walkBothWays(start kmer.Kmer, minCount uint32, visited map[kmer.Kmer]bool) ([]byte, []kmer.Kmer) {
+// walkBothWays extends from start in both directions, flagging the slots
+// it consumes, and returns the assembled sequence plus the sum of the
+// consumed k-mers' counts and their number.
+func (t *Table) walkBothWays(start cursor, minCount uint32, seen [][]bool) (seq []byte, counts uint64, n int) {
 	k := t.K
-	seq := start.Bytes(k)
-	canonStart, _ := start.Canonical(k)
-	path := []kmer.Kmer{canonStart}
-	onPath := map[kmer.Kmer]bool{canonStart: true}
-
-	// Rightward.
-	cur := start
-	for {
-		next, ok := t.step(cur, minCount)
-		if !ok {
-			break
+	seen[start.part][start.idx] = true
+	counts, n = uint64(start.info.Count), 1
+	extend := func(cur cursor, ext []byte) []byte {
+		for {
+			next, ok := t.step(cur, minCount)
+			if !ok || seen[next.part][next.idx] {
+				return ext
+			}
+			seen[next.part][next.idx] = true
+			counts += uint64(next.info.Count)
+			n++
+			ext = append(ext, dna.Alphabet[next.km.Get(k-1)])
+			cur = next
 		}
-		canon, _ := next.Canonical(k)
-		if visited[canon] || onPath[canon] {
-			break
-		}
-		seq = append(seq, dna.Alphabet[next.Get(k-1)])
-		path = append(path, canon)
-		onPath[canon] = true
-		cur = next
 	}
+	seq = extend(start, start.km.Bytes(k))
 
 	// Leftward: walk rightward on the reverse complement, then flip.
-	cur = start.RevComp(k)
-	var leftExt []byte
-	for {
-		next, ok := t.step(cur, minCount)
-		if !ok {
-			break
-		}
-		canon, _ := next.Canonical(k)
-		if visited[canon] || onPath[canon] {
-			break
-		}
-		leftExt = append(leftExt, dna.Alphabet[next.Get(k-1)])
-		path = append(path, canon)
-		onPath[canon] = true
-		cur = next
+	rc := start
+	rc.km = start.km.RevComp(k)
+	rc.isSelf = rc.km == start.km
+	if leftExt := extend(rc, nil); len(leftExt) > 0 {
+		seq = append(dna.RevComp(leftExt), seq...)
 	}
-	if len(leftExt) > 0 {
-		full := append(dna.RevComp(leftExt), seq...)
-		seq = full
-	}
-	return seq, path
+	return seq, counts, n
 }
 
 // step advances one base rightward from cur when the junction is fully
 // unambiguous: cur's right extension is unique, the successor exists, and
-// the successor's unique left extension points back at cur.
-func (t *Table) step(cur kmer.Kmer, minCount uint32) (kmer.Kmer, bool) {
-	info, isSelf, ok := t.Lookup(cur)
-	if !ok {
-		return kmer.Kmer{}, false
-	}
-	b, uniq := uniqueExt(orientedRight(info, isSelf), minCount)
+// the successor's unique left extension points back at cur. The successor
+// comes back located, so the next step starts from its record.
+func (t *Table) step(cur cursor, minCount uint32) (cursor, bool) {
+	b, uniq := uniqueExt(orientedRight(cur.info, cur.isSelf), minCount)
 	if !uniq {
-		return kmer.Kmer{}, false
+		return cursor{}, false
 	}
-	next := cur.Append(t.K, b)
-	infoN, isSelfN, ok := t.Lookup(next)
+	next, ok := t.locate(cur.km.Append(t.K, b))
 	if !ok {
-		return kmer.Kmer{}, false
+		return cursor{}, false
 	}
-	back, uniqN := uniqueExt(orientedLeft(infoN, isSelfN), minCount)
-	if !uniqN || back != cur.Get(0) {
-		return kmer.Kmer{}, false
-	}
-	return next, true
+	back, uniqN := uniqueExt(orientedLeft(next.info, next.isSelf), minCount)
+	return next, uniqN && back == cur.km.Get(0)
 }

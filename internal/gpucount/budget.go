@@ -105,12 +105,7 @@ func (s *BudgetStats) Add(o BudgetStats) {
 // re-plan — rather than failing with ErrTableFull.
 func CountBudget(dev *simt.Device, seqs [][]byte, k int, cfg BudgetConfig) (*dbg.Table, BudgetStats, error) {
 	var st BudgetStats
-	occ := 0
-	for _, s := range seqs {
-		if len(s) >= k {
-			occ += len(s) - k + 1
-		}
-	}
+	occ := kmer.Windows(seqs, k)
 	plan, err := PlanFor(occ, k, cfg) // validates k and the budget
 	if err != nil {
 		return nil, st, err
@@ -167,10 +162,9 @@ func CountBudget(dev *simt.Device, seqs [][]byte, k int, cfg BudgetConfig) (*dbg
 	}
 
 	passes := plan.Passes
-	var out map[kmer.Kmer]*dbg.Info
-	var rejected int64
+	var out *dbg.Table
 	for {
-		out, rejected, err = bc.runPasses(passes, launch)
+		out, st.FilteredSingletons, st.FPInserted, err = bc.runPasses(passes, occ, launch)
 		if err == nil {
 			break
 		}
@@ -182,14 +176,8 @@ func CountBudget(dev *simt.Device, seqs [][]byte, k int, cfg BudgetConfig) (*dbg
 		return nil, st, err
 	}
 	st.Passes = passes
-	st.FilteredSingletons = rejected
-	for _, info := range out {
-		st.Inserted++
-		if cfg.MinCount >= 2 && info.Count < cfg.MinCount {
-			st.FPInserted++
-		}
-	}
-	return dbg.NewTable(k, out), st, nil
+	st.Inserted = int64(out.Len())
+	return out, st, nil
 }
 
 // budgetCounter carries the device layout shared by the budget kernels.
@@ -203,16 +191,18 @@ type budgetCounter struct {
 }
 
 // runPasses executes one counting pass per partition against the shared
-// table (cleared between passes) and merges the read-back entries.
-// Partitions are disjoint, so merging is plain map union.
-func (c *budgetCounter) runPasses(passes int, launch func(string, bool, func(*simt.Warp)) error) (map[kmer.Kmer]*dbg.Info, int64, error) {
-	out := make(map[kmer.Kmer]*dbg.Info)
+// device table (cleared between passes) and reads every pass's entries
+// back into one host table sized for the round's occ occurrences.
+// Partitions are disjoint, so each k-mer is read back once; fp counts the
+// ones below MinCount (filter false positives).
+func (c *budgetCounter) runPasses(passes, occ int, launch func(string, bool, func(*simt.Warp)) error) (out *dbg.Table, rejected, fp int64, err error) {
+	out = dbg.NewTable(c.k, occ)
 	rejects := make([]uint64, c.warps)
 	for pass := 0; pass < passes; pass++ {
 		if err := launch("kmer_budget_clear", false, func(w *simt.Warp) {
 			clearWords(w, c.tab.base, c.tab.slots*entrySize(c.tab.words)/8, c.warps)
 		}); err != nil {
-			return nil, 0, err
+			return nil, 0, 0, err
 		}
 		kernErrs := make([]error, c.warps)
 		name := fmt.Sprintf("kmer_budget_k%d_p%d.%d", c.k, pass, passes)
@@ -222,21 +212,20 @@ func (c *budgetCounter) runPasses(passes int, launch func(string, bool, func(*si
 				return c.passBatch(w, &b, pass, passes, &rejects[w.ID])
 			})
 		}); err != nil {
-			return nil, 0, err
+			return nil, 0, 0, err
 		}
 		// Scan in warp order so the reported error is deterministic.
 		for _, kerr := range kernErrs {
 			if kerr != nil {
-				return nil, 0, kerr
+				return nil, 0, 0, kerr
 			}
 		}
-		c.readBack(out)
+		fp += c.readBack(out)
 	}
-	var rejected int64
 	for _, r := range rejects {
 		rejected += int64(r)
 	}
-	return out, rejected, nil
+	return out, rejected, fp, nil
 }
 
 // bloomKernel adds every valid canonical k-mer occurrence to both
@@ -320,8 +309,9 @@ func (c *budgetCounter) passBatch(w *simt.Warp, b *warpBatch, pass, passes int, 
 	return nil
 }
 
-// readBack merges the table's full entries into out.
-func (c *budgetCounter) readBack(out map[kmer.Kmer]*dbg.Info) {
+// readBack adds the device table's full entries to out and returns how
+// many of them are below MinCount.
+func (c *budgetCounter) readBack(out *dbg.Table) (fp int64) {
 	words, eb := c.tab.words, entrySize(c.tab.words)
 	offL := simt.Ptr(offKey + 8*words)
 	for s := 0; s < c.tab.slots; s++ {
@@ -333,11 +323,15 @@ func (c *budgetCounter) readBack(out map[kmer.Kmer]*dbg.Info) {
 		for wd := 0; wd < words; wd++ {
 			km.W[wd] = c.dev.ReadU64(e + offKey + simt.Ptr(8*wd))
 		}
-		info := &dbg.Info{Count: c.dev.ReadU32(e + offCount)}
+		info := dbg.Info{Count: c.dev.ReadU32(e + offCount)}
 		for b := 0; b < 4; b++ {
 			info.Left[b] = c.dev.ReadU32(e + offL + simt.Ptr(4*b))
 			info.Right[b] = c.dev.ReadU32(e + offL + 16 + simt.Ptr(4*b))
 		}
-		out[km] = info
+		out.Add(km, info)
+		if info.Count < c.minCount {
+			fp++
+		}
 	}
+	return fp
 }

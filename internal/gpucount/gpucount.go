@@ -93,13 +93,7 @@ func Count(dev *simt.Device, seqs [][]byte, k int) (map[uint64]*dbg.Info, simt.K
 	}
 
 	// Table capacity: 2x the worst-case k-mer count (load factor ≤ 0.5).
-	maxKmers := 0
-	for _, s := range seqs {
-		if len(s) >= k {
-			maxKmers += len(s) - k + 1
-		}
-	}
-	slots := 2*maxKmers + 1
+	slots := 2*kmer.Windows(seqs, k) + 1
 	// When the full-size table does not fit in device memory, take every
 	// slot that does fit and let insertion surface gpuht.ErrTableFull once
 	// the table genuinely fills — the caller-visible signal that this input

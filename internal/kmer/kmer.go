@@ -280,3 +280,16 @@ func Count(seq []byte, k int) int {
 	ForEach(seq, k, func(int, Kmer) { n++ })
 	return n
 }
+
+// Windows returns the number of k-base windows in seqs, ambiguous ones
+// included: the upper bound on k-mer occurrences that counting structures
+// are sized from.
+func Windows(seqs [][]byte, k int) int {
+	n := 0
+	for _, s := range seqs {
+		if len(s) >= k {
+			n += len(s) - k + 1
+		}
+	}
+	return n
+}

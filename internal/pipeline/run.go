@@ -8,6 +8,7 @@ import (
 	"mhm2sim/internal/dbg"
 	"mhm2sim/internal/dna"
 	"mhm2sim/internal/gpucount"
+	"mhm2sim/internal/kmer"
 	"mhm2sim/internal/locassm"
 	"mhm2sim/internal/par"
 	"mhm2sim/internal/preprocess"
@@ -185,21 +186,18 @@ func (st *runState) kmerAnalysis() error {
 	st.dcfg = dbg.Config{
 		K: st.k, MinCount: st.cfg.MinCount, Workers: st.workers, MinCtgLen: st.k + 10,
 	}
+	occ := kmer.Windows(roundSeqs, st.k)
 	var table *dbg.Table
 	var err error
 	if st.cfg.MemBudget > 0 {
-		table, err = st.countBudget(roundSeqs)
+		table, err = st.countBudget(roundSeqs, occ)
 	} else {
 		table, err = dbg.Count(roundSeqs, st.dcfg)
 	}
 	if err != nil {
 		return err
 	}
-	for _, s := range roundSeqs {
-		if len(s) >= st.k {
-			st.res.Work.KmerOccurrences += int64(len(s) - st.k + 1)
-		}
-	}
+	st.res.Work.KmerOccurrences += int64(occ)
 	table.Filter(st.cfg.MinCount)
 	st.res.Work.DistinctKmers += int64(table.Len())
 	st.table = table
@@ -212,7 +210,7 @@ func (st *runState) kmerAnalysis() error {
 // this round (floored at the planner minimum). An OOM therefore degrades
 // into a re-planned spill with more, smaller passes; the counts — and so
 // the contigs — are unchanged, only the pass schedule grows.
-func (st *runState) countBudget(roundSeqs [][]byte) (*dbg.Table, error) {
+func (st *runState) countBudget(roundSeqs [][]byte, occ int) (*dbg.Table, error) {
 	pressure := 0
 	if st.cfg.MemPressure != nil {
 		pressure = st.cfg.MemPressure(st.round)
@@ -237,12 +235,6 @@ func (st *runState) countBudget(roundSeqs [][]byte) (*dbg.Table, error) {
 	}
 	// Spill passes: everything beyond the plan at the full configured
 	// budget, i.e. the extra passes degradation cost this round.
-	occ := 0
-	for _, s := range roundSeqs {
-		if len(s) >= st.k {
-			occ += len(s) - st.k + 1
-		}
-	}
 	full := gpucount.BudgetConfig{MemBudget: st.cfg.MemBudget, MinCount: st.cfg.MinCount}
 	if planned, perr := gpucount.PlanPasses(occ, st.k, full); perr == nil && stats.Passes > planned {
 		stats.SpillPasses = stats.Passes - planned
