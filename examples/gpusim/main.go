@@ -50,7 +50,8 @@ func main() {
 			for lane := 0; lane < simt.WarpSize; lane++ {
 				addrs[lane] = base + uint64(off+lane)
 			}
-			vals := w.LoadGlobal(simt.FullMask, &addrs, 1)
+			var vals simt.Vec
+			w.LoadGlobal(simt.FullMask, &addrs, 1, &vals)
 			// Ballot: which lanes hold G or C? (a warp-wide vote, like the
 			// walk-state broadcast in the extension kernel)
 			gc := w.Ballot(simt.FullMask, func(lane int) bool {

@@ -136,7 +136,8 @@ func forwardPass(w *simt.Warp, q, t []byte, qPtr, tPtr simt.Ptr, shift, band int
 			ga[lane] = uint64(qPtr) + uint64(logical(off+lane, qLen, len(q), rev))
 			so[lane] = uint64(off + lane)
 		}
-		loaded := w.LoadGlobal(m, &ga, 1)
+		var loaded simt.Vec
+		w.LoadGlobal(m, &ga, 1, &loaded)
 		w.StoreShared(m, &so, 1, &loaded)
 	}
 
@@ -168,7 +169,8 @@ func forwardPass(w *simt.Warp, q, t []byte, qPtr, tPtr simt.Ptr, shift, band int
 			continue
 		}
 		cells += int64(active.Count())
-		tv := w.LoadGlobal(active, &ta, 1)
+		var tv simt.Vec
+		w.LoadGlobal(active, &ta, 1, &tv)
 
 		// Phase 1: diag + up (shuffle from the previous row).
 		var prevVec simt.Vec

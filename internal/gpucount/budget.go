@@ -3,6 +3,7 @@ package gpucount
 import (
 	"errors"
 	"fmt"
+	"math/bits"
 	"time"
 
 	"mhm2sim/internal/dbg"
@@ -233,27 +234,25 @@ func (c *budgetCounter) runPasses(passes, occ int, launch func(string, bool, fun
 // the insert passes can reject below-MinCount k-mers with no false
 // negatives.
 func (c *budgetCounter) bloomKernel(w *simt.Warp) {
-	one := simt.Splat(1)
 	var b warpBatch
+	var a0, a1 simt.Vec
 	forEachBatch(w, &c.staged, &b, func() error {
 		w.ExecN(simt.IInt, b.valid, 4) // two hashes + two mods
-		a0, a1 := c.bloomAddrs(&b, b.valid)
-		w.AtomicAdd(b.valid, &a0, &one, 4)
-		w.AtomicAdd(b.valid, &a1, &one, 4)
+		c.bloomAddrs(&b, b.valid, &a0, &a1)
+		w.AtomicAdd(b.valid, &a0, &oneVec, 4)
+		w.AtomicAdd(b.valid, &a1, &oneVec, 4)
 		return nil
 	})
 }
 
-// bloomAddrs returns the addresses of the two counting-Bloom cells of each
-// lane's key.
-func (c *budgetCounter) bloomAddrs(b *warpBatch, lanes simt.Mask) (a0, a1 simt.Vec) {
-	for lane := 0; lane < simt.WarpSize; lane++ {
-		if lanes.Has(lane) {
-			a0[lane] = uint64(c.bloomBase) + b.keys[lane].HashK(c.k, bloomSeed0)%c.cells*4
-			a1[lane] = uint64(c.bloomBase) + b.keys[lane].HashK(c.k, bloomSeed1)%c.cells*4
-		}
+// bloomAddrs writes the addresses of the two counting-Bloom cells of each
+// lane's key to a0 and a1.
+func (c *budgetCounter) bloomAddrs(b *warpBatch, lanes simt.Mask, a0, a1 *simt.Vec) {
+	for m := uint32(lanes); m != 0; m &= m - 1 {
+		lane := bits.TrailingZeros32(m)
+		a0[lane] = uint64(c.bloomBase) + b.keys[lane].HashK(c.k, bloomSeed0)%c.cells*4
+		a1[lane] = uint64(c.bloomBase) + b.keys[lane].HashK(c.k, bloomSeed1)%c.cells*4
 	}
-	return a0, a1
 }
 
 // passBatch processes one warp-width of k-mers for one partitioned pass:
@@ -264,8 +263,8 @@ func (c *budgetCounter) passBatch(w *simt.Warp, b *warpBatch, pass, passes int, 
 	// Partition filter: each distinct k-mer belongs to exactly one pass.
 	if passes > 1 {
 		w.Exec(simt.IInt, valid) // partition hash + compare
-		for lane := 0; lane < simt.WarpSize; lane++ {
-			if valid.Has(lane) && b.keys[lane].HashK(c.k, partitionSeed)%uint64(passes) != uint64(pass) {
+		for m := uint32(valid); m != 0; m &= m - 1 {
+			if lane := bits.TrailingZeros32(m); b.keys[lane].HashK(c.k, partitionSeed)%uint64(passes) != uint64(pass) {
 				valid &^= simt.LaneMask(lane)
 			}
 		}
@@ -277,15 +276,13 @@ func (c *budgetCounter) passBatch(w *simt.Warp, b *warpBatch, pass, passes int, 
 	// Bloom admission: estimate = min of the two cells; below MinCount
 	// the k-mer provably cannot survive the error filter.
 	if c.cells > 0 {
-		a0, a1 := c.bloomAddrs(b, valid)
-		c0 := w.LoadGlobal(valid, &a0, 4)
-		c1 := w.LoadGlobal(valid, &a1, 4)
+		var a0, a1, c0, c1 simt.Vec
+		c.bloomAddrs(b, valid, &a0, &a1)
+		w.LoadGlobal(valid, &a0, 4, &c0)
+		w.LoadGlobal(valid, &a1, 4, &c1)
 		w.Exec(simt.IInt, valid) // min + compare
-		for lane := 0; lane < simt.WarpSize; lane++ {
-			if !valid.Has(lane) {
-				continue
-			}
-			if uint32(min(c0[lane], c1[lane])) < c.minCount {
+		for m := uint32(valid); m != 0; m &= m - 1 {
+			if lane := bits.TrailingZeros32(m); uint32(min(c0[lane], c1[lane])) < c.minCount {
 				valid &^= simt.LaneMask(lane)
 				*reject++
 			}
@@ -298,10 +295,9 @@ func (c *budgetCounter) passBatch(w *simt.Warp, b *warpBatch, pass, passes int, 
 	// Hash and insert into the shared per-pass table.
 	w.ExecN(simt.IInt, valid, 6)
 	var slotsV simt.Vec
-	for lane := 0; lane < simt.WarpSize; lane++ {
-		if valid.Has(lane) {
-			slotsV[lane] = b.keys[lane].HashK(c.k, hashSeed)
-		}
+	for m := uint32(valid); m != 0; m &= m - 1 {
+		lane := bits.TrailingZeros32(m)
+		slotsV[lane] = b.keys[lane].HashK(c.k, hashSeed)
 	}
 	if err := c.tab.insert(w, b, valid, &slotsV); err != nil {
 		return fmt.Errorf("gpucount: pass %d/%d: %w", pass, passes, err)

@@ -15,6 +15,7 @@ package gpucount
 
 import (
 	"fmt"
+	"math/bits"
 
 	"mhm2sim/internal/dbg"
 	"mhm2sim/internal/dna"
@@ -293,10 +294,9 @@ func canonBatch(w *simt.Warp, b *warpBatch, seq []byte, readOff, start int, seqB
 func countBatch(w *simt.Warp, b *warpBatch, tab table, k int) error {
 	w.ExecN(simt.IInt, b.valid, 6)
 	var slotsV simt.Vec
-	for lane := 0; lane < simt.WarpSize; lane++ {
-		if b.valid.Has(lane) {
-			slotsV[lane] = murmur.Hash64Word(b.keys[lane].W[0], uint64(k), hashSeed)
-		}
+	for m := uint32(b.valid); m != 0; m &= m - 1 {
+		lane := bits.TrailingZeros32(m)
+		slotsV[lane] = murmur.Hash64Word(b.keys[lane].W[0], uint64(k), hashSeed)
 	}
 	if err := tab.insert(w, b, b.valid, &slotsV); err != nil {
 		return fmt.Errorf("gpucount: %w", err)
@@ -312,6 +312,13 @@ type table struct {
 	words int
 }
 
+// Read-only operands of the counting kernels' CAS and adds.
+var (
+	emptyVec = simt.Splat(stateEmpty)
+	fullVec  = simt.Splat(stateFull)
+	oneVec   = simt.Splat(1)
+)
+
 // insert counts the pending lanes' keys and extensions into the table,
 // probing linearly from each lane's slot hash: CAS-claim an empty entry and
 // write the key, or match the stored key, then bump the counters. It
@@ -321,49 +328,41 @@ func (t table) insert(w *simt.Warp, b *warpBatch, pending simt.Mask, slotsV *sim
 	ebase := uint64(entrySize(t.words))
 	offL := uint64(offKey + 8*t.words)
 	offR := offL + 16
+	for m := uint32(pending); m != 0; m &= m - 1 {
+		slotsV[bits.TrailingZeros32(m)] %= slots
+	}
 	// Loop bookkeeping under the constant batch mask batches into one ExecN
 	// flushed at both exits (bit-identical totals).
 	iters := 0
-	cmp := simt.Splat(stateEmpty)
-	claimVal := simt.Splat(stateFull)
-	one := simt.Splat(1)
-	var entries simt.Vec
+	var entries, a, vals, observed simt.Vec
 	for guard := 0; pending != 0; guard++ {
 		if guard > t.slots {
 			w.ExecN(simt.ICtrl, b.mask, iters)
 			return gpuht.ErrTableFull
 		}
-		var stateAddrs simt.Vec
-		for lane := 0; lane < simt.WarpSize; lane++ {
-			if pending.Has(lane) {
-				entries[lane] = uint64(t.base) + slotsV[lane]%slots*ebase
-				stateAddrs[lane] = entries[lane] + offState
-			}
+		for m := uint32(pending); m != 0; m &= m - 1 {
+			lane := bits.TrailingZeros32(m)
+			entries[lane] = uint64(t.base) + slotsV[lane]*ebase
+			a[lane] = entries[lane] + offState
 		}
-		observed := w.AtomicCAS(pending, &stateAddrs, &cmp, &claimVal, 4)
+		w.AtomicCAS(pending, &a, &emptyVec, &fullVec, 4, &observed)
 
-		var claimed, occupied simt.Mask
-		for lane := 0; lane < simt.WarpSize; lane++ {
-			if !pending.Has(lane) {
-				continue
-			}
-			if observed[lane] == stateEmpty {
+		var claimed simt.Mask
+		for m := uint32(pending); m != 0; m &= m - 1 {
+			if lane := bits.TrailingZeros32(m); observed[lane] == stateEmpty {
 				claimed |= simt.LaneMask(lane)
-			} else {
-				occupied |= simt.LaneMask(lane)
 			}
 		}
+		occupied := pending &^ claimed
 		// Winners write their key, one store per word.
 		if claimed != 0 {
-			var keyAddrs, keyVals simt.Vec
 			for wd := 0; wd < t.words; wd++ {
-				for lane := 0; lane < simt.WarpSize; lane++ {
-					if claimed.Has(lane) {
-						keyAddrs[lane] = entries[lane] + offKey + uint64(8*wd)
-						keyVals[lane] = b.keys[lane].W[wd]
-					}
+				for m := uint32(claimed); m != 0; m &= m - 1 {
+					lane := bits.TrailingZeros32(m)
+					a[lane] = entries[lane] + offKey + uint64(8*wd)
+					vals[lane] = b.keys[lane].W[wd]
 				}
-				w.StoreGlobal(claimed, &keyAddrs, 8, &keyVals)
+				w.StoreGlobal(claimed, &a, 8, &vals)
 			}
 			w.SyncWarp(pending)
 		}
@@ -371,17 +370,15 @@ func (t table) insert(w *simt.Warp, b *warpBatch, pending simt.Mask, slotsV *sim
 		matched := claimed
 		if occupied != 0 {
 			eq := occupied
-			var keyAddrs simt.Vec
 			for wd := 0; wd < t.words; wd++ {
-				for lane := 0; lane < simt.WarpSize; lane++ {
-					if occupied.Has(lane) {
-						keyAddrs[lane] = entries[lane] + offKey + uint64(8*wd)
-					}
+				for m := uint32(occupied); m != 0; m &= m - 1 {
+					lane := bits.TrailingZeros32(m)
+					a[lane] = entries[lane] + offKey + uint64(8*wd)
 				}
-				stored := w.LoadGlobal(occupied, &keyAddrs, 8)
+				w.LoadGlobal(occupied, &a, 8, &vals)
 				w.Exec(simt.IInt, occupied)
-				for lane := 0; lane < simt.WarpSize; lane++ {
-					if occupied.Has(lane) && stored[lane] != b.keys[lane].W[wd] {
+				for m := uint32(occupied); m != 0; m &= m - 1 {
+					if lane := bits.TrailingZeros32(m); vals[lane] != b.keys[lane].W[wd] {
 						eq &^= simt.LaneMask(lane)
 					}
 				}
@@ -389,20 +386,11 @@ func (t table) insert(w *simt.Warp, b *warpBatch, pending simt.Mask, slotsV *sim
 			matched |= eq
 		}
 		if matched != 0 {
-			var countAddrs simt.Vec
-			for lane := 0; lane < simt.WarpSize; lane++ {
-				if matched.Has(lane) {
-					countAddrs[lane] = entries[lane] + offCount
-				}
-			}
-			w.AtomicAdd(matched, &countAddrs, &one, 4)
-
 			var lm, rm simt.Mask
 			var la, ra simt.Vec
-			for lane := 0; lane < simt.WarpSize; lane++ {
-				if !matched.Has(lane) {
-					continue
-				}
+			for m := uint32(matched); m != 0; m &= m - 1 {
+				lane := bits.TrailingZeros32(m)
+				a[lane] = entries[lane] + offCount
 				if b.lefts[lane] >= 0 {
 					lm |= simt.LaneMask(lane)
 					la[lane] = entries[lane] + offL + uint64(4*b.lefts[lane])
@@ -412,19 +400,21 @@ func (t table) insert(w *simt.Warp, b *warpBatch, pending simt.Mask, slotsV *sim
 					ra[lane] = entries[lane] + offR + uint64(4*b.rights[lane])
 				}
 			}
+			w.AtomicAdd(matched, &a, &oneVec, 4)
 			if lm != 0 {
-				w.AtomicAdd(lm, &la, &one, 4)
+				w.AtomicAdd(lm, &la, &oneVec, 4)
 			}
 			if rm != 0 {
-				w.AtomicAdd(rm, &ra, &one, 4)
+				w.AtomicAdd(rm, &ra, &oneVec, 4)
 			}
 		}
 		pending &^= matched
 		if pending != 0 {
 			w.Exec(simt.IInt, pending)
-			for lane := 0; lane < simt.WarpSize; lane++ {
-				if pending.Has(lane) {
-					slotsV[lane]++
+			for m := uint32(pending); m != 0; m &= m - 1 {
+				lane := bits.TrailingZeros32(m)
+				if slotsV[lane]++; slotsV[lane] == slots {
+					slotsV[lane] = 0
 				}
 			}
 		}

@@ -50,7 +50,7 @@ func refCanonBatch(w *simt.Warp, b *warpBatch, seq []byte, readOff, start int, s
 		for lane := 0; lane < n; lane++ {
 			addrs[lane] = uint64(seqBase) + uint64(readOff+start+lane+8*blk)
 		}
-		loaded = w.LoadGlobal(mask, &addrs, 8)
+		w.LoadGlobal(mask, &addrs, 8, &loaded)
 		head[blk] = loaded[0]
 	}
 	var leftMask, rightMask simt.Mask
@@ -68,10 +68,10 @@ func refCanonBatch(w *simt.Warp, b *warpBatch, seq []byte, readOff, start int, s
 	}
 	var leftBytes, rightBytes simt.Vec
 	if leftMask != 0 {
-		leftBytes = w.LoadGlobal(leftMask, &leftAddrs, 1)
+		w.LoadGlobal(leftMask, &leftAddrs, 1, &leftBytes)
 	}
 	if rightMask != 0 {
-		rightBytes = w.LoadGlobal(rightMask, &rightAddrs, 1)
+		w.LoadGlobal(rightMask, &rightAddrs, 1, &rightBytes)
 	}
 
 	w.ExecN(simt.IInt, mask, 3*nblk+6)

@@ -13,6 +13,7 @@ package gpuht
 
 import (
 	"fmt"
+	"math/bits"
 
 	"mhm2sim/internal/murmur"
 	"mhm2sim/internal/simt"
@@ -113,6 +114,33 @@ func LoadFactor(l, k int) float64 {
 // hashBlocks is the number of 8-byte vector loads needed per key.
 func hashBlocks(k int) int { return (k + 7) / 8 }
 
+// Read-only vectors the kernels pass by address: CAS, store and add
+// operands, and the lane-local offsets at which key block b is staged, for
+// every k Table.Validate accepts.
+var (
+	emptyVec = simt.Splat(Empty)
+	zeroVec  = simt.Splat(0)
+	oneVec   = simt.Splat(1)
+
+	stageOffs = func() (v [(255 + 7) / 8]simt.Vec) {
+		for b := range v {
+			v[b] = simt.Splat(uint64(8 * b))
+		}
+		return v
+	}()
+)
+
+// stageOff returns the lane-local offsets of key block b. Visited,
+// LaneTables and LaneVisited put no bound on k, so a block past the shared
+// vectors gets its offsets built in spill.
+func stageOff(b int, spill *simt.Vec) *simt.Vec {
+	if b < len(stageOffs) {
+		return &stageOffs[b]
+	}
+	*spill = simt.Splat(uint64(8 * b))
+	return spill
+}
+
 // keys says where each lane's k-mer bytes start: at addrs[lane], or — when
 // run is set — at base+lane, the shape the v2 kernel is designed around
 // (consecutive lanes on consecutive k-mers of one read, Fig 7). A run's
@@ -125,14 +153,29 @@ type keys struct {
 	run   bool
 }
 
+// keysAt locates the k-mers that start offs[lane] bytes into the arena at
+// base: as a run when the active lanes' offsets are one (≤ 31 compares),
+// otherwise by the addresses it writes to addrs.
+func keysAt(mask simt.Mask, base simt.Ptr, offs, addrs *simt.Vec) keys {
+	if first, ok := runOf(mask, offs); ok {
+		return keys{base: uint64(base) + first, run: true}
+	}
+	for m := uint32(mask); m != 0; m &= m - 1 {
+		lane := bits.TrailingZeros32(m)
+		addrs[lane] = uint64(base) + offs[lane]
+	}
+	return keys{addrs: addrs}
+}
+
 // runOf reports whether the active lanes' values are v[lane] = base + lane
 // for one base, and returns it (wrapping: the base of a run whose low lanes
 // are inactive may lie below zero).
 func runOf(mask simt.Mask, v *simt.Vec) (base uint64, ok bool) {
-	first := mask.FirstLane()
+	m := uint32(mask)
+	first := bits.TrailingZeros32(m)
 	base = v[first] - uint64(first)
-	for lane := first + 1; lane < simt.WarpSize; lane++ {
-		if mask.Has(lane) && v[lane] != base+uint64(lane) {
+	for m &= m - 1; m != 0; m &= m - 1 {
+		if lane := bits.TrailingZeros32(m); v[lane] != base+uint64(lane) {
 			return 0, false
 		}
 	}
@@ -146,43 +189,46 @@ func (ks keys) loadBlock(w *simt.Warp, mask simt.Mask, off uint64, out *simt.Vec
 		return
 	}
 	var a simt.Vec
-	for lane := 0; lane < simt.WarpSize; lane++ {
+	for m := uint32(mask); m != 0; m &= m - 1 {
+		lane := bits.TrailingZeros32(m)
 		a[lane] = ks.addrs[lane] + off
 	}
-	*out = w.LoadGlobal(mask, &a, 8)
+	w.LoadGlobal(mask, &a, 8, out)
 }
 
 // hashKmers gathers each active lane's k-mer bytes with 8-byte vector loads
-// and returns the murmur hash per lane. Consecutive lanes pointing at
+// and writes the murmur hash per lane to out. Consecutive lanes pointing at
 // consecutive k-mers of one read overlap heavily, so these loads coalesce —
 // the v2 improvement visible in the roofline (Fig 9).
 //
 // The arena must have at least 7 bytes of slack after any k-mer (the
 // over-read is masked out of the hash).
-func hashKmers(w *simt.Warp, mask simt.Mask, ks keys, k int) simt.Vec {
+func hashKmers(w *simt.Warp, mask simt.Mask, ks keys, k int, out *simt.Vec) {
 	nblk := hashBlocks(k)
 	full := k / 8
 	rem := k & 7
 	// Stream each gathered block straight into the murmur state instead of
 	// materializing per-lane word slices (which cost one allocation per
 	// active lane per call on this hot path).
-	out := simt.Splat(murmur.Hash64Init(k, hashSeed))
-	var loaded simt.Vec
+	init := murmur.Hash64Init(k, hashSeed)
+	for m := uint32(mask); m != 0; m &= m - 1 {
+		out[bits.TrailingZeros32(m)] = init
+	}
+	var loaded, spill simt.Vec
 	for b := 0; b < nblk; b++ {
 		ks.loadBlock(w, mask, uint64(8*b), &loaded)
 		// The real kernel stages the key words in per-thread (local
 		// memory) arrays before mixing — the local traffic §4.2 reports.
 		if w.LocalBytesPerLane() >= 8*(b+1) {
-			off := simt.Splat(uint64(8 * b))
-			w.StoreLocal(mask, &off, 8, &loaded)
-			loaded = w.LoadLocal(mask, &off, 8)
+			off := stageOff(b, &spill)
+			w.StoreLocal(mask, off, 8, &loaded)
+			w.LoadLocal(mask, off, 8, &loaded)
 		}
-		if b < full {
-			for lane := 0; lane < simt.WarpSize; lane++ {
+		for m := uint32(mask); m != 0; m &= m - 1 {
+			lane := bits.TrailingZeros32(m)
+			if b < full {
 				out[lane] = murmur.Hash64Mix(out[lane], loaded[lane])
-			}
-		} else {
-			for lane := 0; lane < simt.WarpSize; lane++ {
+			} else {
 				out[lane] = murmur.Hash64Tail(out[lane], loaded[lane], rem)
 			}
 		}
@@ -190,14 +236,10 @@ func hashKmers(w *simt.Warp, mask simt.Mask, ks keys, k int) simt.Vec {
 	// Mixing arithmetic: ~4 integer ops per block plus finalization.
 	w.ExecN(simt.IInt, mask, 4*nblk+3)
 
-	for lane := 0; lane < simt.WarpSize; lane++ {
-		if mask.Has(lane) {
-			out[lane] = murmur.Hash64Final(out[lane])
-		} else {
-			out[lane] = 0
-		}
+	for m := uint32(mask); m != 0; m &= m - 1 {
+		lane := bits.TrailingZeros32(m)
+		out[lane] = murmur.Hash64Final(out[lane])
 	}
-	return out
 }
 
 // keysEqual compares, per active lane, the k bytes of key a against the k
@@ -214,24 +256,18 @@ func keysEqual(w *simt.Warp, mask simt.Mask, a, b keys, k int) simt.Mask {
 		if rem := k - 8*blk; rem < 8 {
 			keep = ^uint64(0) >> uint(64-8*rem)
 		}
-		var still simt.Mask
-		for lane := 0; lane < simt.WarpSize; lane++ {
-			if eq.Has(lane) && va[lane]&keep == vb[lane]&keep {
-				still |= simt.LaneMask(lane)
+		for m := uint32(eq); m != 0; m &= m - 1 {
+			if lane := bits.TrailingZeros32(m); (va[lane]^vb[lane])&keep != 0 {
+				eq &^= simt.LaneMask(lane)
 			}
 		}
-		eq = still
 	}
 	return eq
 }
 
-// entryAddr returns per-lane entry addresses for the given slots.
-func (t Table) entryAddr(slots *simt.Vec) simt.Vec {
-	var out simt.Vec
-	for lane := range out {
-		out[lane] = uint64(t.Base) + (slots[lane]%t.Capacity)*EntryBytes
-	}
-	return out
+// entryAddr returns the address of the entry in slot (below Capacity).
+func (t Table) entryAddr(slot uint64) uint64 {
+	return uint64(t.Base) + slot*EntryBytes
 }
 
 // Validate checks table descriptor sanity.

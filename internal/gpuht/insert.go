@@ -1,6 +1,10 @@
 package gpuht
 
-import "mhm2sim/internal/simt"
+import (
+	"math/bits"
+
+	"mhm2sim/internal/simt"
+)
 
 // InsertBatch inserts up to 32 k-mers, one per active lane, implementing the
 // §3.3 protocol:
@@ -29,32 +33,50 @@ func (t Table) InsertBatch(w *simt.Warp, mask simt.Mask, keyOffs *simt.Vec, extB
 	// One test per batch decides how its ~16 own-key loads are issued: as
 	// lane-strided loads when the lanes hold consecutive k-mers of a read
 	// (what buildTableV2 passes), from an address vector otherwise.
-	if base, ok := runOf(mask, keyOffs); ok {
-		return t.insertBatch(w, mask, keys{base: uint64(t.SeqBase) + base, run: true}, keyOffs, extBases, extHiQ)
-	}
-	addrs := t.absKeys(keyOffs)
-	return t.insertBatch(w, mask, keys{addrs: &addrs}, keyOffs, extBases, extHiQ)
+	var addrs simt.Vec
+	return t.insertBatch(w, mask, keysAt(mask, t.SeqBase, keyOffs, &addrs), keyOffs, extBases, extHiQ)
 }
 
 // insertBatch is InsertBatch's body; own locates the lanes' k-mers (the
 // keyOffs, as device addresses).
 func (t Table) insertBatch(w *simt.Warp, mask simt.Mask, own keys, keyOffs, extBases *simt.Vec, extHiQ simt.Mask) error {
-	hashes := hashKmers(w, mask, own, t.K)
+	var entries, observed, storedAddrs, a simt.Vec
+	hashKmers(w, mask, own, t.K, &entries)
 
 	// Thread-collision groups. Lanes with equal hash are candidates; exact
-	// equality is established by the key compare in the probe loop, but the
+	// equality is established by the key compare in the probe loop, and the
 	// match mask is what the CUDA kernel uses to synchronize the group.
-	w.MatchAny(mask, &hashes)
+	// Nothing below reads the groups, so the instruction is costed and its
+	// result not computed.
+	w.Exec(simt.IMatch, mask)
+
+	// The hashes become entry addresses: reduced to a slot once, wrapped at
+	// the table's end on every increment below. Which extension counter each
+	// lane bumps, if any, is the same in every probe round.
+	var extField simt.Vec
+	var extHi, extLo simt.Mask
+	for m := uint32(mask); m != 0; m &= m - 1 {
+		lane := bits.TrailingZeros32(m)
+		entries[lane] = t.entryAddr(entries[lane] % t.Capacity)
+		if extBases[lane] == NoExt {
+			continue
+		}
+		if extHiQ.Has(lane) {
+			extHi |= simt.LaneMask(lane)
+			extField[lane] = offExtHi + 2*(extBases[lane]&3)
+		} else {
+			extLo |= simt.LaneMask(lane)
+			extField[lane] = offExtLo + 2*(extBases[lane]&3)
+		}
+	}
 
 	// Loop bookkeeping runs under the constant launch mask, so the per-probe
 	// ICtrl accounting batches into one ExecN flushed at every exit —
 	// bit-identical totals (the counters are commutative sums), one stats
 	// update instead of one per probe.
-	slots := hashes
+	end := t.entryAddr(t.Capacity)
 	pending := mask
 	probes := uint64(0)
-	cmp := simt.Splat(Empty)
-	zero := simt.Splat(0)
 	for pending != 0 {
 		if probes++; probes > t.Capacity+1 {
 			// The §3.2 sizing guarantees space for every k-mer; probing
@@ -62,20 +84,14 @@ func (t Table) insertBatch(w *simt.Warp, mask simt.Mask, own keys, keyOffs, extB
 			w.ExecN(simt.ICtrl, mask, int(probes-1))
 			return ErrTableFull
 		}
-		entries := t.entryAddr(&slots)
+		// Try to claim: CAS(keyOff, Empty, myKeyOff); the key field is the
+		// entry's first (offKeyOff = 0).
+		w.AtomicCAS(pending, &entries, &emptyVec, keyOffs, 4, &observed)
 
-		// Try to claim: CAS(keyOff, Empty, myKeyOff).
-		observed := w.AtomicCAS(pending, &entries, &cmp, keyOffs, 4)
-
-		var claimed, occupied simt.Mask
-		for lane := 0; lane < simt.WarpSize; lane++ {
-			if !pending.Has(lane) {
-				continue
-			}
-			if observed[lane] == Empty {
+		var claimed simt.Mask
+		for m := uint32(pending); m != 0; m &= m - 1 {
+			if lane := bits.TrailingZeros32(m); observed[lane] == Empty {
 				claimed |= simt.LaneMask(lane)
-			} else {
-				occupied |= simt.LaneMask(lane)
 			}
 		}
 
@@ -84,47 +100,45 @@ func (t Table) insertBatch(w *simt.Warp, mask simt.Mask, own keys, keyOffs, extB
 		// lane must zero the count and extension words before any
 		// colliding lane updates them.
 		if claimed != 0 {
-			var a simt.Vec
-			for lane := 0; lane < simt.WarpSize; lane++ {
-				a[lane] = entries[lane] + offCount
-			}
-			w.StoreGlobal(claimed, &a, 4, &zero)
-			for lane := 0; lane < simt.WarpSize; lane++ {
-				a[lane] = entries[lane] + offExtHi
-			}
-			w.StoreGlobal(claimed, &a, 8, &zero)
-			for lane := 0; lane < simt.WarpSize; lane++ {
-				a[lane] = entries[lane] + offExtLo
-			}
-			w.StoreGlobal(claimed, &a, 8, &zero)
+			w.StoreGlobal(claimed, fieldAddrs(claimed, &entries, offCount, &a), 4, &zeroVec)
+			w.StoreGlobal(claimed, fieldAddrs(claimed, &entries, offExtHi, &a), 8, &zeroVec)
+			w.StoreGlobal(claimed, fieldAddrs(claimed, &entries, offExtLo, &a), 8, &zeroVec)
 			w.SyncWarp(pending)
 		}
 
 		// Occupied slots: the stored key may still be our k-mer inserted
 		// by another lane or an earlier read (match), or a genuine hash
-		// collision (probe on).
+		// collision (probe on). Keys stored by one earlier read are a run.
 		matched := claimed
-		if occupied != 0 {
-			var storedAddrs simt.Vec
-			for lane := 0; lane < simt.WarpSize; lane++ {
-				if occupied.Has(lane) {
-					storedAddrs[lane] = uint64(t.SeqBase) + observed[lane]
-				}
-			}
-			matched |= keysEqual(w, occupied, keys{addrs: &storedAddrs}, own, t.K)
+		if occupied := pending &^ claimed; occupied != 0 {
+			stored := keysAt(occupied, t.SeqBase, &observed, &storedAddrs)
+			matched |= keysEqual(w, occupied, stored, own, t.K)
 		}
 
+		// Matched lanes bump count and their extension counter.
 		if matched != 0 {
-			t.updateCounts(w, matched, &entries, extBases, extHiQ)
+			w.AtomicAdd(matched, fieldAddrs(matched, &entries, offCount, &a), &oneVec, 4)
+			hi, lo := matched&extHi, matched&extLo
+			for m := uint32(hi | lo); m != 0; m &= m - 1 {
+				lane := bits.TrailingZeros32(m)
+				a[lane] = entries[lane] + extField[lane]
+			}
+			if hi != 0 {
+				w.AtomicAdd(hi, &a, &oneVec, 2)
+			}
+			if lo != 0 {
+				w.AtomicAdd(lo, &a, &oneVec, 2)
+			}
 		}
 
 		// Advance unmatched occupied lanes to the next slot: linear probe.
 		pending &^= matched
 		if pending != 0 {
 			w.Exec(simt.IInt, pending)
-			for lane := 0; lane < simt.WarpSize; lane++ {
-				if pending.Has(lane) {
-					slots[lane]++
+			for m := uint32(pending); m != 0; m &= m - 1 {
+				lane := bits.TrailingZeros32(m)
+				if entries[lane] += EntryBytes; entries[lane] == end {
+					entries[lane] = uint64(t.Base)
 				}
 			}
 		}
@@ -133,40 +147,14 @@ func (t Table) insertBatch(w *simt.Warp, mask simt.Mask, own keys, keyOffs, extB
 	return nil
 }
 
-// updateCounts bumps count and the extension counters for matched lanes.
-func (t Table) updateCounts(w *simt.Warp, matched simt.Mask, entries, extBases *simt.Vec, extHiQ simt.Mask) {
-	one := simt.Splat(1)
-
-	var countAddrs simt.Vec
-	for lane := 0; lane < simt.WarpSize; lane++ {
-		countAddrs[lane] = entries[lane] + offCount
+// fieldAddrs writes to a, for the lanes of mask, the address off bytes into
+// the lane's entry, and returns a.
+func fieldAddrs(mask simt.Mask, entries *simt.Vec, off uint64, a *simt.Vec) *simt.Vec {
+	for m := uint32(mask); m != 0; m &= m - 1 {
+		lane := bits.TrailingZeros32(m)
+		a[lane] = entries[lane] + off
 	}
-	w.AtomicAdd(matched, &countAddrs, &one, 4)
-
-	var hiMask, loMask simt.Mask
-	var extAddrs simt.Vec
-	for lane := 0; lane < simt.WarpSize; lane++ {
-		if !matched.Has(lane) {
-			continue
-		}
-		if extBases[lane] == NoExt {
-			continue
-		}
-		base := extBases[lane] & 3
-		if extHiQ.Has(lane) {
-			hiMask |= simt.LaneMask(lane)
-			extAddrs[lane] = entries[lane] + offExtHi + 2*base
-		} else {
-			loMask |= simt.LaneMask(lane)
-			extAddrs[lane] = entries[lane] + offExtLo + 2*base
-		}
-	}
-	if hiMask != 0 {
-		w.AtomicAdd(hiMask, &extAddrs, &one, 2)
-	}
-	if loMask != 0 {
-		w.AtomicAdd(loMask, &extAddrs, &one, 2)
-	}
+	return a
 }
 
 // InsertLane inserts a single k-mer from one lane (the v1 kernel's
@@ -182,13 +170,4 @@ func (t Table) InsertLane(w *simt.Warp, lane int, keyOff uint32, extBase byte, e
 		hiq = m
 	}
 	return t.InsertBatch(w, m, &keyOffs, &extBases, hiq)
-}
-
-// absKeys converts arena offsets to absolute device addresses.
-func (t Table) absKeys(keyOffs *simt.Vec) simt.Vec {
-	var out simt.Vec
-	for lane := range out {
-		out[lane] = uint64(t.SeqBase) + keyOffs[lane]
-	}
-	return out
 }

@@ -15,33 +15,32 @@ func laneKey(lane int, addr uint64) keys {
 func (t Table) LookupLane(w *simt.Warp, lane int, keyAddr uint64) (Ext, bool) {
 	m := simt.LaneMask(lane)
 	own := laneKey(lane, keyAddr)
-	hashes := hashKmers(w, m, own, t.K)
+	var hashes, a, stored simt.Vec
+	hashKmers(w, m, own, t.K, &hashes)
 
 	// Per-probe accounting (one IInt after the key load, one ICtrl per
 	// continued probe) batches into two ExecN calls at the single exit
 	// point — bit-identical totals, constant-mask loop.
-	slot := hashes[lane]
+	slot := hashes[lane] % t.Capacity
 	iints, ictrls := 0, 0
 	var ext Ext
 	found := false
 	for probes := uint64(0); probes <= t.Capacity; probes++ {
-		var slots simt.Vec
-		slots[lane] = slot
-		entries := t.entryAddr(&slots)
-
-		var keyAddrVec simt.Vec
-		keyAddrVec[lane] = entries[lane] + offKeyOff
-		stored := w.LoadGlobal(m, &keyAddrVec, 4)
+		entry := t.entryAddr(slot)
+		a[lane] = entry + offKeyOff
+		w.LoadGlobal(m, &a, 4, &stored)
 		iints++
 		if stored[lane] == Empty {
 			break
 		}
 
-		if eq := keysEqual(w, m, laneKey(lane, uint64(t.SeqBase)+stored[lane]), own, t.K); eq.Has(lane) {
-			ext, found = t.loadExt(w, lane, entries[lane]), true
+		if eq := keysEqual(w, m, laneKey(lane, uint64(t.SeqBase)+stored[lane]), own, t.K); eq != 0 {
+			ext, found = t.loadExt(w, lane, entry), true
 			break
 		}
-		slot++
+		if slot++; slot == t.Capacity {
+			slot = 0
+		}
 		ictrls++
 	}
 	w.ExecN(simt.IInt, m, iints)
@@ -52,16 +51,16 @@ func (t Table) LookupLane(w *simt.Warp, lane int, keyAddr uint64) (Ext, bool) {
 // loadExt reads the extension object of one entry from a single lane.
 func (t Table) loadExt(w *simt.Warp, lane int, entry uint64) Ext {
 	m := simt.LaneMask(lane)
-	var a simt.Vec
+	var a, count, hi, lo simt.Vec
 
 	a[lane] = entry + offCount
-	count := w.LoadGlobal(m, &a, 4)
+	w.LoadGlobal(m, &a, 4, &count)
 
 	a[lane] = entry + offExtHi
-	hi := w.LoadGlobal(m, &a, 8)
+	w.LoadGlobal(m, &a, 8, &hi)
 
 	a[lane] = entry + offExtLo
-	lo := w.LoadGlobal(m, &a, 8)
+	w.LoadGlobal(m, &a, 8, &lo)
 
 	var e Ext
 	e.Count = uint32(count[lane])
@@ -95,11 +94,13 @@ func VisitedBytes(slots int) int64 { return int64(slots) * 4 }
 func (v Visited) InsertLane(w *simt.Warp, lane int, off uint32) (bool, error) {
 	m := simt.LaneMask(lane)
 	own := laneKey(lane, uint64(v.BufBase)+uint64(off))
-	hashes := hashKmers(w, m, own, v.K)
+	var hashes, slotAddr, val, observed simt.Vec
+	hashKmers(w, m, own, v.K, &hashes)
+	val[lane] = uint64(off)
 
 	// Batched accounting, as in LookupLane: per-probe IInt/ICtrl counts
 	// flush at the single exit with identical totals.
-	slot := hashes[lane]
+	slot := hashes[lane] % v.Capacity
 	iints, ictrls := 0, 0
 	seen := false
 	var rerr error
@@ -108,22 +109,19 @@ func (v Visited) InsertLane(w *simt.Warp, lane int, off uint32) (bool, error) {
 			rerr = ErrProbeCycle
 			break
 		}
-		var slotAddr simt.Vec
-		slotAddr[lane] = uint64(v.Base) + (slot%v.Capacity)*4
-
-		var cmp, val simt.Vec
-		cmp[lane] = Empty
-		val[lane] = uint64(off)
-		observed := w.AtomicCAS(m, &slotAddr, &cmp, &val, 4)
+		slotAddr[lane] = uint64(v.Base) + slot*4
+		w.AtomicCAS(m, &slotAddr, &emptyVec, &val, 4, &observed)
 		iints++
 		if observed[lane] == Empty {
 			break // claimed: first visit
 		}
-		if eq := keysEqual(w, m, laneKey(lane, uint64(v.BufBase)+observed[lane]), own, v.K); eq.Has(lane) {
+		if eq := keysEqual(w, m, laneKey(lane, uint64(v.BufBase)+observed[lane]), own, v.K); eq != 0 {
 			seen = true // same k-mer seen before: cycle
 			break
 		}
-		slot++
+		if slot++; slot == v.Capacity {
+			slot = 0
+		}
 		ictrls++
 	}
 	w.ExecN(simt.IInt, m, iints)
@@ -151,15 +149,13 @@ func ClearEntriesWarp(w *simt.Warp, base simt.Ptr, entries int) {
 // entry-parallel — four stores per 32 entries, one per 8-byte field, each
 // lane-strided by the entry size.
 func ClearEntries(w *simt.Warp, base simt.Ptr, entries, totalWarps int) {
-	emptyKey := simt.Splat(uint64(Empty)) // keyOff=Empty, count=0 in one u64
-	zero := simt.Splat(0)
 	for first := w.ID * simt.WarpSize; first < entries; first += totalWarps * simt.WarpSize {
 		mask := simt.PrefixMask(entries - first)
 		e := uint64(base) + uint64(first)*EntryBytes
-		w.StoreGlobalStrided(mask, e, EntryBytes, 8, &emptyKey)
-		w.StoreGlobalStrided(mask, e+8, EntryBytes, 8, &zero)
-		w.StoreGlobalStrided(mask, e+16, EntryBytes, 8, &zero)
-		w.StoreGlobalStrided(mask, e+24, EntryBytes, 8, &zero)
+		w.StoreGlobalStrided(mask, e, EntryBytes, 8, &emptyVec) // keyOff=Empty, count=0 in one u64
+		w.StoreGlobalStrided(mask, e+8, EntryBytes, 8, &zeroVec)
+		w.StoreGlobalStrided(mask, e+16, EntryBytes, 8, &zeroVec)
+		w.StoreGlobalStrided(mask, e+24, EntryBytes, 8, &zeroVec)
 		w.Exec(simt.ICtrl, mask)
 	}
 }

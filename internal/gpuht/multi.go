@@ -42,7 +42,7 @@ func HashKmersVar(w *simt.Warp, mask simt.Mask, addrs *simt.Vec, ks *[simt.WarpS
 	// Stream blocks into per-lane murmur state (as in hashKmers) instead of
 	// materializing per-lane word slices — this is the v1 kernel's hash and
 	// allocated one slice per active lane per call on the hot path.
-	var out simt.Vec
+	var out, loaded, spill simt.Vec
 	for lane := 0; lane < simt.WarpSize; lane++ {
 		if mask.Has(lane) {
 			out[lane] = murmur.Hash64Init(ks[lane], hashSeed)
@@ -60,11 +60,11 @@ func HashKmersVar(w *simt.Warp, mask simt.Mask, addrs *simt.Vec, ks *[simt.WarpS
 		if bm == 0 {
 			continue
 		}
-		loaded := w.LoadGlobal(bm, &ba, 8)
+		w.LoadGlobal(bm, &ba, 8, &loaded)
 		if w.LocalBytesPerLane() >= 8*(b+1) {
-			off := simt.Splat(uint64(8 * b))
-			w.StoreLocal(bm, &off, 8, &loaded)
-			loaded = w.LoadLocal(bm, &off, 8)
+			off := stageOff(b, &spill)
+			w.StoreLocal(bm, off, 8, &loaded)
+			w.LoadLocal(bm, off, 8, &loaded)
 		}
 		for lane := 0; lane < simt.WarpSize; lane++ {
 			if !bm.Has(lane) {
@@ -93,6 +93,7 @@ func HashKmersVar(w *simt.Warp, mask simt.Mask, addrs *simt.Vec, ks *[simt.WarpS
 func keysEqualVar(w *simt.Warp, mask simt.Mask, addrA, addrB *simt.Vec, ks *[simt.WarpSize]int) simt.Mask {
 	nblk := maxBlocks(mask, ks)
 	eq := mask
+	var va, vb simt.Vec
 	for b := 0; b < nblk && eq != 0; b++ {
 		var bm simt.Mask
 		var aa, bb simt.Vec
@@ -106,8 +107,8 @@ func keysEqualVar(w *simt.Warp, mask simt.Mask, addrA, addrB *simt.Vec, ks *[sim
 		if bm == 0 {
 			break
 		}
-		va := w.LoadGlobal(bm, &aa, 8)
-		vb := w.LoadGlobal(bm, &bb, 8)
+		w.LoadGlobal(bm, &aa, 8, &va)
+		w.LoadGlobal(bm, &bb, 8, &vb)
 		w.ExecN(simt.IInt, bm, 2)
 		for lane := 0; lane < simt.WarpSize; lane++ {
 			if !bm.Has(lane) {
@@ -144,8 +145,7 @@ func (t LaneTables) InsertLanes(w *simt.Warp, mask simt.Mask, keyOffs, extBases 
 	pending := mask
 	guard := uint64(0)
 	bound := maxLaneCapacity(mask, &t.Capacity) + 1
-	cmp := simt.Splat(Empty)
-	zero := simt.Splat(0)
+	var observed simt.Vec
 	for pending != 0 {
 		if guard++; guard > bound {
 			w.ExecN(simt.ICtrl, mask, int(guard-1))
@@ -157,7 +157,7 @@ func (t LaneTables) InsertLanes(w *simt.Warp, mask simt.Mask, keyOffs, extBases 
 				entries[lane] = t.Base[lane] + (slots[lane]%t.Capacity[lane])*EntryBytes
 			}
 		}
-		observed := w.AtomicCAS(pending, &entries, &cmp, keyOffs, 4)
+		w.AtomicCAS(pending, &entries, &emptyVec, keyOffs, 4, &observed)
 
 		var claimed, occupied simt.Mask
 		for lane := 0; lane < simt.WarpSize; lane++ {
@@ -177,15 +177,15 @@ func (t LaneTables) InsertLanes(w *simt.Warp, mask simt.Mask, keyOffs, extBases 
 			for lane := 0; lane < simt.WarpSize; lane++ {
 				a[lane] = entries[lane] + offCount
 			}
-			w.StoreGlobal(claimed, &a, 4, &zero)
+			w.StoreGlobal(claimed, &a, 4, &zeroVec)
 			for lane := 0; lane < simt.WarpSize; lane++ {
 				a[lane] = entries[lane] + offExtHi
 			}
-			w.StoreGlobal(claimed, &a, 8, &zero)
+			w.StoreGlobal(claimed, &a, 8, &zeroVec)
 			for lane := 0; lane < simt.WarpSize; lane++ {
 				a[lane] = entries[lane] + offExtLo
 			}
-			w.StoreGlobal(claimed, &a, 8, &zero)
+			w.StoreGlobal(claimed, &a, 8, &zeroVec)
 		}
 		matched := claimed
 		if occupied != 0 {
@@ -214,14 +214,13 @@ func (t LaneTables) InsertLanes(w *simt.Warp, mask simt.Mask, keyOffs, extBases 
 	return nil
 }
 
-// updateCounts mirrors Table.updateCounts for per-lane entries.
+// updateCounts bumps count and the extension counters for matched lanes.
 func (t LaneTables) updateCounts(w *simt.Warp, matched simt.Mask, entries, extBases *simt.Vec, extHiQ simt.Mask) {
-	one := simt.Splat(1)
 	var countAddrs simt.Vec
 	for lane := 0; lane < simt.WarpSize; lane++ {
 		countAddrs[lane] = entries[lane] + offCount
 	}
-	w.AtomicAdd(matched, &countAddrs, &one, 4)
+	w.AtomicAdd(matched, &countAddrs, &oneVec, 4)
 
 	var hiMask, loMask simt.Mask
 	var extAddrs simt.Vec
@@ -239,10 +238,10 @@ func (t LaneTables) updateCounts(w *simt.Warp, matched simt.Mask, entries, extBa
 		}
 	}
 	if hiMask != 0 {
-		w.AtomicAdd(hiMask, &extAddrs, &one, 2)
+		w.AtomicAdd(hiMask, &extAddrs, &oneVec, 2)
 	}
 	if loMask != 0 {
-		w.AtomicAdd(loMask, &extAddrs, &one, 2)
+		w.AtomicAdd(loMask, &extAddrs, &oneVec, 2)
 	}
 }
 
@@ -262,6 +261,7 @@ func (t LaneTables) LookupLanes(w *simt.Warp, mask simt.Mask, keyAddrs *simt.Vec
 	pending := mask
 	guard := uint64(0)
 	bound := maxLaneCapacity(mask, &t.Capacity) + 1
+	var stored, counts, his, los simt.Vec
 	for pending != 0 {
 		if guard++; guard > bound {
 			w.ExecN(simt.ICtrl, mask, int(guard-1))
@@ -274,7 +274,7 @@ func (t LaneTables) LookupLanes(w *simt.Warp, mask simt.Mask, keyAddrs *simt.Vec
 				keyFieldAddrs[lane] = entries[lane] + offKeyOff
 			}
 		}
-		stored := w.LoadGlobal(pending, &keyFieldAddrs, 4)
+		w.LoadGlobal(pending, &keyFieldAddrs, 4, &stored)
 		w.Exec(simt.IInt, pending)
 
 		var missing, occupied simt.Mask
@@ -304,15 +304,15 @@ func (t LaneTables) LookupLanes(w *simt.Warp, mask simt.Mask, keyAddrs *simt.Vec
 				for lane := 0; lane < simt.WarpSize; lane++ {
 					a[lane] = entries[lane] + offCount
 				}
-				counts := w.LoadGlobal(eq, &a, 4)
+				w.LoadGlobal(eq, &a, 4, &counts)
 				for lane := 0; lane < simt.WarpSize; lane++ {
 					a[lane] = entries[lane] + offExtHi
 				}
-				his := w.LoadGlobal(eq, &a, 8)
+				w.LoadGlobal(eq, &a, 8, &his)
 				for lane := 0; lane < simt.WarpSize; lane++ {
 					a[lane] = entries[lane] + offExtLo
 				}
-				los := w.LoadGlobal(eq, &a, 8)
+				w.LoadGlobal(eq, &a, 8, &los)
 				for lane := 0; lane < simt.WarpSize; lane++ {
 					if !eq.Has(lane) {
 						continue
@@ -370,7 +370,7 @@ func (v LaneVisited) InsertLanes(w *simt.Warp, mask simt.Mask, offs *simt.Vec) (
 	pending := mask
 	guard := uint64(0)
 	bound := maxLaneCapacity(mask, &v.Capacity) + 1
-	cmp := simt.Splat(Empty)
+	var observed simt.Vec
 	for pending != 0 {
 		if guard++; guard > bound {
 			w.ExecN(simt.ICtrl, mask, int(guard-1))
@@ -382,7 +382,7 @@ func (v LaneVisited) InsertLanes(w *simt.Warp, mask simt.Mask, offs *simt.Vec) (
 				slotAddrs[lane] = v.Base[lane] + (slots[lane]%v.Capacity[lane])*4
 			}
 		}
-		observed := w.AtomicCAS(pending, &slotAddrs, &cmp, offs, 4)
+		w.AtomicCAS(pending, &slotAddrs, &emptyVec, offs, 4, &observed)
 		w.Exec(simt.IInt, pending)
 
 		var claimed, occupied simt.Mask
@@ -456,7 +456,6 @@ func ClearLaneVisited(w *simt.Warp, mask simt.Mask, base, capacity *[simt.WarpSi
 			maxCap = capacity[lane]
 		}
 	}
-	empty := simt.Splat(uint64(Empty))
 	for s := uint64(0); s < maxCap; s++ {
 		var m simt.Mask
 		var addrs simt.Vec
@@ -469,7 +468,7 @@ func ClearLaneVisited(w *simt.Warp, mask simt.Mask, base, capacity *[simt.WarpSi
 		if m == 0 {
 			continue
 		}
-		w.StoreGlobal(m, &addrs, 4, &empty)
+		w.StoreGlobal(m, &addrs, 4, &emptyVec)
 		w.Exec(simt.ICtrl, m)
 	}
 }

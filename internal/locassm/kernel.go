@@ -1,6 +1,8 @@
 package locassm
 
 import (
+	"math/bits"
+
 	"mhm2sim/internal/dna"
 	"mhm2sim/internal/gpuht"
 	"mhm2sim/internal/simt"
@@ -133,6 +135,7 @@ func buildTableV2(w *simt.Warp, table gpuht.Table, p *itemPlan, dev batchDev, cf
 	// chunk's active lanes, so it batches into one ExecN per call.
 	k := table.K
 	chunks := 0
+	var keyOffs, extBases simt.Vec
 	for ri := range p.item.reads {
 		rlen := len(p.item.reads[ri].Seq)
 		nk := rlen - k + 1
@@ -141,13 +144,11 @@ func buildTableV2(w *simt.Warp, table gpuht.Table, p *itemPlan, dev batchDev, cf
 		}
 		readOff := uint64(p.readOffs[ri])
 		for start := 0; start < nk; start += simt.WarpSize {
-			var mask simt.Mask
-			var keyOffs simt.Vec
+			mask := simt.PrefixMask(nk - start)
 			for lane := 0; lane < simt.WarpSize && start+lane < nk; lane++ {
-				mask |= simt.LaneMask(lane)
 				keyOffs[lane] = readOff + uint64(start+lane)
 			}
-			extBases, hiq := loadExtEvidence(w, mask, start, k, rlen, readOff, dev, cfg)
+			hiq := loadExtEvidence(w, mask, start, k, rlen, readOff, dev, cfg, &extBases)
 			if err := table.InsertBatch(w, mask, &keyOffs, &extBases, hiq); err != nil {
 				w.ExecN(simt.ICtrl, simt.FullMask, chunks)
 				return err
@@ -161,29 +162,29 @@ func buildTableV2(w *simt.Warp, table gpuht.Table, p *itemPlan, dev batchDev, cf
 
 // loadExtEvidence loads, for the k-mers at positions start, start+1, … of a
 // read (one per active lane; mask is a lane prefix), the following base and
-// its quality from the device arenas, returning the 2-bit extension codes
-// (NoExt for read-suffix k-mers or ambiguous bases) and the high-quality
-// lane mask. Consecutive lanes read consecutive bytes, so both loads are
-// lane-strided by one.
-func loadExtEvidence(w *simt.Warp, mask simt.Mask, start, k, rlen int, readOff uint64, dev batchDev, cfg *Config) (simt.Vec, simt.Mask) {
-	extBases := simt.Splat(uint64(gpuht.NoExt))
+// its quality from the device arenas, writing the active lanes' 2-bit
+// extension codes (NoExt for read-suffix k-mers or ambiguous bases) to
+// extBases and returning the high-quality lane mask. Consecutive lanes read
+// consecutive bytes, so both loads are lane-strided by one.
+func loadExtEvidence(w *simt.Warp, mask simt.Mask, start, k, rlen int, readOff uint64, dev batchDev, cfg *Config, extBases *simt.Vec) simt.Mask {
 	var hiq simt.Mask
+	for m := uint32(mask); m != 0; m &= m - 1 {
+		extBases[bits.TrailingZeros32(m)] = gpuht.NoExt
+	}
 
 	// Lane l's k-mer is followed by a base iff start+l+k < rlen.
 	hasExt := mask & simt.PrefixMask(rlen-k-start)
 	w.Exec(simt.IInt, mask) // bounds computation
 	if hasExt == 0 {
-		return extBases, hiq
+		return hiq
 	}
 	next := readOff + uint64(start+k) // arena offset of lane 0's following base
 	var baseBytes, qualBytes simt.Vec
 	w.LoadGlobalStrided(hasExt, uint64(dev.seqBase)+next, 1, 1, &baseBytes)
 	w.LoadGlobalStrided(hasExt, uint64(dev.qualBase)+next, 1, 1, &qualBytes)
 	w.ExecN(simt.IInt, hasExt, 2) // code conversion + quality compare
-	for lane := 0; lane < simt.WarpSize; lane++ {
-		if !hasExt.Has(lane) {
-			continue
-		}
+	for m := uint32(hasExt); m != 0; m &= m - 1 {
+		lane := bits.TrailingZeros32(m)
 		c, ok := dna.Code(byte(baseBytes[lane]))
 		if !ok {
 			continue
@@ -193,7 +194,7 @@ func loadExtEvidence(w *simt.Warp, mask simt.Mask, start, k, rlen int, readOff u
 			hiq |= simt.LaneMask(lane)
 		}
 	}
-	return extBases, hiq
+	return hiq
 }
 
 // walkLane0 is Algorithm 2 on the device: lane 0 walks while the rest of
@@ -206,6 +207,7 @@ func walkLane0(w *simt.Warp, table gpuht.Table, vis gpuht.Visited, walkBase simt
 	lane0 := simt.LaneMask(0)
 	steps, lookups := 0, 0
 	state, rerr := WalkDeadEnd, error(nil)
+	var off, mirror simt.Vec // lane 0's local offset; the mer as read back from there, costed and not used
 loop:
 	for {
 		steps++
@@ -227,8 +229,8 @@ loop:
 		// current mer is read from there each step (local-memory traffic,
 		// §4.2) before the global-table probes.
 		for b := 0; b < (mer+7)/8; b++ {
-			off := simt.Splat(uint64(walkScratch + int(curOff) + 8*b))
-			w.LoadLocal(lane0, &off, 8)
+			off[0] = uint64(walkScratch + int(curOff) + 8*b)
+			w.LoadLocal(lane0, &off, 8, &mirror)
 		}
 		e, ok := table.LookupLane(w, 0, uint64(walkBase)+uint64(curOff))
 		lookups++ // extension decision arithmetic, 8 ops
@@ -247,8 +249,8 @@ loop:
 		a[0] = uint64(walkBase) + uint64(tailLen+*extLen)
 		v[0] = uint64(dna.Alphabet[base])
 		w.StoreGlobal(lane0, &a, 1, &v)
-		lo := simt.Splat(uint64(walkScratch + tailLen + *extLen))
-		w.StoreLocal(lane0, &lo, 1, &v)
+		off[0] = uint64(walkScratch + tailLen + *extLen)
+		w.StoreLocal(lane0, &off, 1, &v)
 		*extLen++
 	}
 	w.ExecN(simt.ICtrl, lane0, steps)

@@ -168,8 +168,9 @@ func buildTablesV1(w *simt.Warp, mask simt.Mask, ls *[simt.WarpSize]*laneState, 
 		var hiq simt.Mask
 		w.Exec(simt.IInt, stepMask)
 		if hasNext != 0 {
-			baseBytes := w.LoadGlobal(hasNext, &seqAddrs, 1)
-			qualBytes := w.LoadGlobal(hasNext, &qualAddrs, 1)
+			var baseBytes, qualBytes simt.Vec
+			w.LoadGlobal(hasNext, &seqAddrs, 1, &baseBytes)
+			w.LoadGlobal(hasNext, &qualAddrs, 1, &qualBytes)
 			w.ExecN(simt.IInt, hasNext, 2)
 			for lane := 0; lane < simt.WarpSize; lane++ {
 				if !hasNext.Has(lane) {
@@ -244,7 +245,7 @@ func walkLanesV1(w *simt.Warp, mask simt.Mask, ls *[simt.WarpSize]*laneState, ta
 		}
 		for b := 0; b < maxBlk; b++ {
 			var bm simt.Mask
-			var lofs simt.Vec
+			var lofs, mirror simt.Vec // mirror: the read is costed, its value not used
 			for lane := 0; lane < simt.WarpSize; lane++ {
 				if walking.Has(lane) && b < (ls[lane].mer+7)/8 {
 					bm |= simt.LaneMask(lane)
@@ -252,7 +253,7 @@ func walkLanesV1(w *simt.Warp, mask simt.Mask, ls *[simt.WarpSize]*laneState, ta
 				}
 			}
 			if bm != 0 {
-				w.LoadLocal(bm, &lofs, 8)
+				w.LoadLocal(bm, &lofs, 8, &mirror)
 			}
 		}
 

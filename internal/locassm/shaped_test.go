@@ -34,8 +34,9 @@ func refLoadExtEvidence(w *simt.Warp, mask simt.Mask, keyOffs *simt.Vec, k, rlen
 	if hasExt == 0 {
 		return extBases, hiq
 	}
-	baseBytes := w.LoadGlobal(hasExt, &seqAddrs, 1)
-	qualBytes := w.LoadGlobal(hasExt, &qualAddrs, 1)
+	var baseBytes, qualBytes simt.Vec
+	w.LoadGlobal(hasExt, &seqAddrs, 1, &baseBytes)
+	w.LoadGlobal(hasExt, &qualAddrs, 1, &qualBytes)
 	w.ExecN(simt.IInt, hasExt, 2)
 	for lane := 0; lane < simt.WarpSize; lane++ {
 		if !hasExt.Has(lane) {
@@ -95,8 +96,9 @@ func TestLoadExtEvidenceMatchesPerLaneLoop(t *testing.T) {
 						keyOffs[lane] = readOff + uint64(start+lane)
 					}
 					var e evidence
-					if i == 0 {
-						e.ext, e.hiq = loadExtEvidence(w, mask, start, k, rlen, readOff, bd, &cfg)
+					if i == 0 { // writes the active lanes only; the loop it replaced filled the rest with NoExt
+						e.ext = simt.Splat(gpuht.NoExt)
+						e.hiq = loadExtEvidence(w, mask, start, k, rlen, readOff, bd, &cfg, &e.ext)
 					} else {
 						e.ext, e.hiq = refLoadExtEvidence(w, mask, &keyOffs, k, rlen, readOff, bd, &cfg)
 					}

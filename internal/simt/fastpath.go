@@ -46,7 +46,7 @@ func (w *Warp) coalesce(mask Mask, addrs *Vec, size int) uint64 {
 		for m &= m - 1; m != 0; m &= m - 1 {
 			a := addrs[bits.TrailingZeros32(m)]
 			if a < prev {
-				return w.coalesceScan(mask, addrs, sz, sb)
+				return w.coalesceScan(mask, addrs, sz)
 			}
 			prev = a
 			if s1 := (a + sz - 1) >> sh; s1 > last {
@@ -108,7 +108,7 @@ func (w *Warp) coalesce(mask Mask, addrs *Vec, size int) uint64 {
 		}
 		return n
 	}
-	return w.coalesceScan(mask, addrs, sz, sb)
+	return w.coalesceScan(mask, addrs, sz)
 }
 
 // coSlots sizes the warp's sector-dedup hash set: a power of two holding
@@ -120,7 +120,7 @@ const coSlots = 128
 // open-addressing set kept on the warp. Generation stamps make clearing
 // free — a slot is live only if its stamp matches the current call's — so
 // the cost is O(active lanes) instead of the reference's O(n²) rescan.
-func (w *Warp) coalesceScan(mask Mask, addrs *Vec, sz, sb uint64) uint64 {
+func (w *Warp) coalesceScan(mask Mask, addrs *Vec, sz uint64) (n uint64) {
 	w.coGen++
 	if w.coGen == 0 { // stamp wraparound: invalidate all slots once
 		for i := range w.coStamp {
@@ -129,13 +129,9 @@ func (w *Warp) coalesceScan(mask Mask, addrs *Vec, sz, sb uint64) uint64 {
 		w.coGen = 1
 	}
 	gen := w.coGen
-	var n uint64
 	for m := uint32(mask); m != 0; m &= m - 1 {
 		a := addrs[bits.TrailingZeros32(m)]
-		s0, s1 := a/sb, (a+sz-1)/sb
-		if w.sbPow2 {
-			s0, s1 = a>>w.sbShift, (a+sz-1)>>w.sbShift
-		}
+		s0, s1 := w.sector(a), w.sector(a+sz-1)
 		for s := s0; s <= s1; s++ {
 			h := (s * 0x9e3779b97f4a7c15) >> (64 - 7) // fibonacci hash to 7 bits
 			for w.coStamp[h] == gen && w.coSec[h] != s {
@@ -286,40 +282,33 @@ func (d *Device) casLoop(mask Mask, addrs, compare, val *Vec, size int, out *Vec
 	}
 }
 
-// addLoop resolves AtomicAdd lane by lane in lane order, mirroring casLoop.
-func (d *Device) addLoop(mask Mask, addrs, delta *Vec, size int, out *Vec) {
+// addLoop resolves AtomicAdd lane by lane in lane order, mirroring casLoop;
+// the prior values are not kept (no kernel reads them).
+func (d *Device) addLoop(mask Mask, addrs, delta *Vec, size int) {
 	mem := d.mem
 	switch size {
 	case 1:
 		for m := uint32(mask); m != 0; m &= m - 1 {
 			lane := bits.TrailingZeros32(m)
-			old := uint64(mem[addrs[lane]])
-			out[lane] = old
-			mem[addrs[lane]] = byte(old + delta[lane])
+			mem[addrs[lane]] += byte(delta[lane])
 		}
 	case 2:
 		for m := uint32(mask); m != 0; m &= m - 1 {
 			lane := bits.TrailingZeros32(m)
 			p := mem[addrs[lane]:]
-			old := uint64(binary.LittleEndian.Uint16(p))
-			out[lane] = old
-			binary.LittleEndian.PutUint16(p, uint16(old+delta[lane]))
+			binary.LittleEndian.PutUint16(p, binary.LittleEndian.Uint16(p)+uint16(delta[lane]))
 		}
 	case 4:
 		for m := uint32(mask); m != 0; m &= m - 1 {
 			lane := bits.TrailingZeros32(m)
 			p := mem[addrs[lane]:]
-			old := uint64(binary.LittleEndian.Uint32(p))
-			out[lane] = old
-			binary.LittleEndian.PutUint32(p, uint32(old+delta[lane]))
+			binary.LittleEndian.PutUint32(p, binary.LittleEndian.Uint32(p)+uint32(delta[lane]))
 		}
 	case 8:
 		for m := uint32(mask); m != 0; m &= m - 1 {
 			lane := bits.TrailingZeros32(m)
 			p := mem[addrs[lane]:]
-			old := binary.LittleEndian.Uint64(p)
-			out[lane] = old
-			binary.LittleEndian.PutUint64(p, old+delta[lane])
+			binary.LittleEndian.PutUint64(p, binary.LittleEndian.Uint64(p)+delta[lane])
 		}
 	default:
 		badSize(size)

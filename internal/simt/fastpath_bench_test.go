@@ -71,9 +71,10 @@ func BenchmarkLoadGlobalContiguous(b *testing.B) {
 		addrs[lane] = 4096 + uint64(8*lane)
 	}
 	benchWarp(b, 0, func(w *Warp) {
+		var v Vec
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			v := w.LoadGlobal(FullMask, &addrs, 8)
+			w.LoadGlobal(FullMask, &addrs, 8, &v)
 			coalesceSink += v[0]
 		}
 	})
@@ -102,9 +103,10 @@ func BenchmarkLoadGlobalLane0(b *testing.B) {
 	addrs[0] = 4096
 	m := LaneMask(0)
 	benchWarp(b, 0, func(w *Warp) {
+		var v Vec
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			v := w.LoadGlobal(m, &addrs, 4)
+			w.LoadGlobal(m, &addrs, 4, &v)
 			coalesceSink += v[0]
 		}
 	})
@@ -115,9 +117,10 @@ func BenchmarkLoadGlobalLane0(b *testing.B) {
 func BenchmarkLoadLocalUniform(b *testing.B) {
 	offs := Splat(16)
 	benchWarp(b, 64, func(w *Warp) {
+		var v Vec
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			v := w.LoadLocal(FullMask, &offs, 8)
+			w.LoadLocal(FullMask, &offs, 8, &v)
 			coalesceSink += v[0]
 		}
 	})
@@ -202,6 +205,7 @@ func BenchmarkLoadStrided(b *testing.B) {
 	}{{"run32", FullMask}, {"sparse", 0x80412009}} {
 		b.Run(c.name+"/vector", func(b *testing.B) {
 			benchWarp(b, 0, func(w *Warp) {
+				var v Vec
 				b.ReportAllocs()
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
@@ -209,7 +213,7 @@ func BenchmarkLoadStrided(b *testing.B) {
 					for lane := 0; lane < WarpSize; lane++ {
 						addrs[lane] = 4099 + uint64(lane)
 					}
-					v := w.LoadGlobal(c.mask, &addrs, 8)
+					w.LoadGlobal(c.mask, &addrs, 8, &v)
 					coalesceSink += v[31]
 				}
 			})

@@ -315,6 +315,26 @@ const (
 	numOpKinds  = 11
 )
 
+// outFill is what every out vector holds before an op writes to it: the
+// inactive lanes must still hold it afterwards (the contract on Vec).
+var outFill = func() (v Vec) {
+	for lane := range v {
+		v[lane] = 0xfeedface00000000 + uint64(lane)
+	}
+	return v
+}()
+
+// survive is the out vector an op leaves when the reference returned v: v in
+// the active lanes, outFill in the others.
+func survive(mask Mask, v Vec) Vec {
+	for lane := range v {
+		if !mask.Has(lane) {
+			v[lane] = outFill[lane]
+		}
+	}
+	return v
+}
+
 type warpOp struct {
 	kind  int // 0 ldG 1 stG 2 cas 3 add 4 ldL 5 stL 6 match 7 ballot, then the shaped ops above
 	mask  Mask
@@ -404,46 +424,42 @@ func decodeOps(data []byte) []warpOp {
 	return ops
 }
 
+// applyReal runs ops on the live warp. Every op starts from an out vector
+// holding outFill and the vector it leaves is the op's result: ops without
+// an output leave it alone, as the reference side does.
 func applyReal(w *Warp, ops []warpOp) []Vec {
 	outs := make([]Vec, 0, len(ops))
 	for i := range ops {
 		op := &ops[i]
+		out := outFill
 		switch op.kind {
 		case 0:
-			outs = append(outs, w.LoadGlobal(op.mask, &op.addrs, op.size))
+			w.LoadGlobal(op.mask, &op.addrs, op.size, &out)
 		case 1:
 			w.StoreGlobal(op.mask, &op.addrs, op.size, &op.vals)
-			outs = append(outs, Vec{})
 		case 2:
-			outs = append(outs, w.AtomicCAS(op.mask, &op.addrs, &op.cmp, &op.vals, op.size))
+			w.AtomicCAS(op.mask, &op.addrs, &op.cmp, &op.vals, op.size, &out)
 		case 3:
-			outs = append(outs, w.AtomicAdd(op.mask, &op.addrs, &op.vals, op.size))
+			w.AtomicAdd(op.mask, &op.addrs, &op.vals, op.size)
 		case 4:
-			outs = append(outs, w.LoadLocal(op.mask, &op.addrs, op.size))
+			w.LoadLocal(op.mask, &op.addrs, op.size, &out)
 		case 5:
 			w.StoreLocal(op.mask, &op.addrs, op.size, &op.vals)
-			outs = append(outs, Vec{})
 		case 6:
 			groups := w.MatchAny(op.mask, &op.vals)
-			var v Vec
 			for lane := range groups {
-				v[lane] = uint64(groups[lane])
+				out[lane] = uint64(groups[lane])
 			}
-			outs = append(outs, v)
 		case opFill:
 			w.FillGlobal(Ptr(op.base), op.n, op.size, op.vals[0], op.part, op.parts)
-			outs = append(outs, Vec{})
 		case opLdStrided:
-			var out Vec
 			w.LoadGlobalStrided(op.mask, op.base, op.stride, op.size, &out)
-			outs = append(outs, out)
 		case opStStrided:
 			w.StoreGlobalStrided(op.mask, op.base, op.stride, op.size, &op.vals)
-			outs = append(outs, Vec{})
 		default:
-			b := w.Ballot(op.mask, func(lane int) bool { return op.vals[lane]&1 == 1 })
-			outs = append(outs, Vec{uint64(b)})
+			out = Vec{uint64(w.Ballot(op.mask, func(lane int) bool { return op.vals[lane]&1 == 1 }))}
 		}
+		outs = append(outs, out)
 	}
 	return outs
 }
@@ -462,46 +478,43 @@ func (w *refWarp) refFill(base uint64, n, size int, val uint64, part, parts int)
 	}
 }
 
+// applyRef replays ops on the reference warp, a shaped op as the per-lane
+// instructions it stands for.
 func applyRef(w *refWarp, ops []warpOp) []Vec {
 	outs := make([]Vec, 0, len(ops))
 	for i := range ops {
 		op := &ops[i]
+		out := outFill
 		switch op.kind {
 		case 0:
-			outs = append(outs, w.loadGlobal(op.mask, &op.addrs, op.size))
+			out = survive(op.mask, w.loadGlobal(op.mask, &op.addrs, op.size))
 		case 1:
 			w.storeGlobal(op.mask, &op.addrs, op.size, &op.vals)
-			outs = append(outs, Vec{})
 		case 2:
-			outs = append(outs, w.atomicCAS(op.mask, &op.addrs, &op.cmp, &op.vals, op.size))
+			out = survive(op.mask, w.atomicCAS(op.mask, &op.addrs, &op.cmp, &op.vals, op.size))
 		case 3:
-			outs = append(outs, w.atomicAdd(op.mask, &op.addrs, &op.vals, op.size))
+			w.atomicAdd(op.mask, &op.addrs, &op.vals, op.size) // the live op keeps no prior values
 		case 4:
-			outs = append(outs, w.loadLocal(op.mask, &op.addrs, op.size))
+			out = survive(op.mask, w.loadLocal(op.mask, &op.addrs, op.size))
 		case 5:
 			w.storeLocal(op.mask, &op.addrs, op.size, &op.vals)
-			outs = append(outs, Vec{})
 		case 6:
 			groups := w.matchAny(op.mask, &op.vals)
-			var v Vec
 			for lane := range groups {
-				v[lane] = uint64(groups[lane])
+				out[lane] = uint64(groups[lane])
 			}
-			outs = append(outs, v)
 		case opFill:
 			w.refFill(op.base, op.n, op.size, op.vals[0], op.part, op.parts)
-			outs = append(outs, Vec{})
 		case opLdStrided:
 			addrs := op.laneAddrs()
-			outs = append(outs, w.loadGlobal(op.mask, &addrs, op.size))
+			out = survive(op.mask, w.loadGlobal(op.mask, &addrs, op.size))
 		case opStStrided:
 			addrs := op.laneAddrs()
 			w.storeGlobal(op.mask, &addrs, op.size, &op.vals)
-			outs = append(outs, Vec{})
 		default:
-			b := w.ballot(op.mask, func(lane int) bool { return op.vals[lane]&1 == 1 })
-			outs = append(outs, Vec{uint64(b)})
+			out = Vec{uint64(w.ballot(op.mask, func(lane int) bool { return op.vals[lane]&1 == 1 }))}
 		}
+		outs = append(outs, out)
 	}
 	return outs
 }
@@ -665,8 +678,8 @@ func TestShflGuard(t *testing.T) {
 // figure-suite hot path.
 func TestLaunchSteadyStateAllocs(t *testing.T) {
 	kern := func(w *Warp) {
-		addrs := Splat(0)
-		w.LoadGlobal(FullMask, &addrs, 8)
+		var addrs, v Vec
+		w.LoadGlobal(FullMask, &addrs, 8, &v)
 	}
 	for _, mode := range []struct {
 		name       string

@@ -137,11 +137,10 @@ func fillPattern(b []byte, size int, val uint64) {
 }
 
 // LoadGlobalStrided is LoadGlobal for lane-strided addresses: active lane l
-// loads size bytes at base + l·stride into out[l]; inactive lanes of out are
-// left as they were. Same counters as LoadGlobal on the address vector it
-// stands for. Arithmetic wraps, so base may lie "below zero" when the lanes
-// that would underflow are masked off; the active lanes' addresses
-// themselves must not wrap.
+// loads size bytes at base + l·stride into out[l]. Same counters as
+// LoadGlobal on the address vector it stands for. Arithmetic wraps, so base
+// may lie "below zero" when the lanes that would underflow are masked off;
+// the active lanes' addresses themselves must not wrap.
 func (w *Warp) LoadGlobalStrided(mask Mask, base, stride uint64, size int, out *Vec) {
 	w.ExecN(ILdGlobal, mask, 1)
 	w.stats.GlobalSectors += w.stridedSectors(mask, base, stride, size)

@@ -108,7 +108,8 @@ func TestLoadStoreGlobalPerLane(t *testing.T) {
 			vals[l] = uint64(l * l)
 		}
 		w.StoreGlobal(FullMask, &addrs, 8, &vals)
-		back := w.LoadGlobal(FullMask, &addrs, 8)
+		var back Vec
+		w.LoadGlobal(FullMask, &addrs, 8, &back)
 		for l := 0; l < WarpSize; l++ {
 			if back[l] != uint64(l*l) {
 				t.Errorf("lane %d: got %d", l, back[l])
@@ -151,7 +152,7 @@ func TestCoalescingContiguous(t *testing.T) {
 		for l := 0; l < WarpSize; l++ {
 			addrs[l] = uint64(p) + uint64(l*4)
 		}
-		w.LoadGlobal(FullMask, &addrs, 4)
+		w.LoadGlobal(FullMask, &addrs, 4, new(Vec))
 	})
 	// 32 lanes x 4B contiguous = 128B = 4 sectors of 32B.
 	if res.GlobalSectors != 4 {
@@ -167,7 +168,7 @@ func TestCoalescingStrided(t *testing.T) {
 		for l := 0; l < WarpSize; l++ {
 			addrs[l] = uint64(p) + uint64(l*64) // one sector apart
 		}
-		w.LoadGlobal(FullMask, &addrs, 4)
+		w.LoadGlobal(FullMask, &addrs, 4, new(Vec))
 	})
 	if res.GlobalSectors != 32 {
 		t.Errorf("strided loads: %d sectors, want 32", res.GlobalSectors)
@@ -179,7 +180,7 @@ func TestCoalescingSameAddress(t *testing.T) {
 	p, _ := d.Malloc(64)
 	res := launchOne(t, d, 0, func(w *Warp) {
 		addrs := Splat(uint64(p))
-		w.LoadGlobal(FullMask, &addrs, 8)
+		w.LoadGlobal(FullMask, &addrs, 8, new(Vec))
 	})
 	if res.GlobalSectors != 1 {
 		t.Errorf("broadcast load: %d sectors, want 1", res.GlobalSectors)
@@ -191,7 +192,7 @@ func TestCoalescingSectorStraddle(t *testing.T) {
 	p, _ := d.Malloc(128)
 	res := launchOne(t, d, 0, func(w *Warp) {
 		addrs := Splat(uint64(p) + 28) // 8B access crossing a 32B boundary
-		w.LoadGlobal(LaneMask(0), &addrs, 8)
+		w.LoadGlobal(LaneMask(0), &addrs, 8, new(Vec))
 	})
 	if res.GlobalSectors != 2 {
 		t.Errorf("straddling load: %d sectors, want 2", res.GlobalSectors)
@@ -210,7 +211,7 @@ func TestAtomicCASSemantics(t *testing.T) {
 		for l := 0; l < WarpSize; l++ {
 			vals[l] = uint64(100 + l)
 		}
-		old = w.AtomicCAS(FullMask, &addrs, &cmp, &vals, 8)
+		w.AtomicCAS(FullMask, &addrs, &cmp, &vals, 8, &old)
 	})
 	// Lane 0 wins deterministically; all later lanes observe lane 0's value.
 	if old[0] != 0 {
@@ -295,7 +296,8 @@ func TestLocalMemoryLaneIsolation(t *testing.T) {
 			vals[l] = uint64(l + 1)
 		}
 		w.StoreLocal(FullMask, &offs, 8, &vals)
-		back := w.LoadLocal(FullMask, &offs, 8)
+		var back Vec
+		w.LoadLocal(FullMask, &offs, 8, &back)
 		for l := 0; l < WarpSize; l++ {
 			if back[l] != uint64(l+1) {
 				t.Errorf("lane %d read %d, want %d (lanes share local memory?)", l, back[l], l+1)
@@ -444,7 +446,8 @@ func BenchmarkLaunchHashProbe(b *testing.B) {
 				addrs[l] = uint64(p) + uint64((w.ID*131+l*37)%(1<<20-8))
 			}
 			for step := 0; step < 16; step++ {
-				v := w.LoadGlobal(FullMask, &addrs, 8)
+				var v Vec
+				w.LoadGlobal(FullMask, &addrs, 8, &v)
 				for l := 0; l < WarpSize; l++ {
 					addrs[l] = uint64(p) + (v[l]*2654435761+uint64(l))%(1<<20-8)
 				}

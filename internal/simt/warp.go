@@ -44,7 +44,9 @@ func (m Mask) FirstLane() int {
 }
 
 // Vec is one 32-lane register: a value per lane. Sub-word quantities live
-// in the low bits, as in PTX.
+// in the low bits, as in PTX. A memory op that produces a value per lane
+// writes it through an out *Vec parameter: the active lanes are overwritten
+// and the inactive lanes are left as they were.
 type Vec [WarpSize]uint64
 
 // Splat returns a Vec with v in every lane.
@@ -122,16 +124,13 @@ func (w *Warp) ExecN(c InstrClass, mask Mask, n int) {
 }
 
 // LoadGlobal performs a per-lane global load of size bytes (1, 2, 4 or 8)
-// and returns the loaded values. It records one ld.global warp instruction,
-// the coalesced sector transactions, and one global latency on the warp's
-// dependent chain.
-func (w *Warp) LoadGlobal(mask Mask, addrs *Vec, size int) Vec {
+// into out. It records one ld.global warp instruction, the coalesced sector
+// transactions, and one global latency on the warp's dependent chain.
+func (w *Warp) LoadGlobal(mask Mask, addrs *Vec, size int, out *Vec) {
 	w.ExecN(ILdGlobal, mask, 1)
 	w.stats.GlobalSectors += w.coalesce(mask, addrs, size)
 	w.stats.MaxSerialMemChain += w.effGlobal
-	var out Vec
-	w.Dev.gather(mask, addrs, size, &out)
-	return out
+	w.Dev.gather(mask, addrs, size, out)
 }
 
 // StoreGlobal performs a per-lane global store of size bytes.
@@ -142,28 +141,25 @@ func (w *Warp) StoreGlobal(mask Mask, addrs *Vec, size int, vals *Vec) {
 }
 
 // AtomicCAS performs a per-lane compare-and-swap on global memory and
-// returns the value observed before the operation (CUDA atomicCAS
+// writes the value observed before the operation to out (CUDA atomicCAS
 // semantics). Lanes are resolved in lane order, which fixes a deterministic
 // winner when several lanes target the same address — the "thread
 // collision" situation of §3.3.
-func (w *Warp) AtomicCAS(mask Mask, addrs, compare, val *Vec, size int) Vec {
+func (w *Warp) AtomicCAS(mask Mask, addrs, compare, val *Vec, size int, out *Vec) {
 	w.ExecN(IAtomic, mask, 1)
 	w.stats.AtomicSectors += w.coalesce(mask, addrs, size)
 	w.stats.MaxSerialMemChain += w.effGlobal
-	var out Vec
-	w.Dev.casLoop(mask, addrs, compare, val, size, &out)
-	return out
+	w.Dev.casLoop(mask, addrs, compare, val, size, out)
 }
 
-// AtomicAdd performs a per-lane atomic add on global memory and returns the
-// prior values. Same-address lanes serialize in lane order.
-func (w *Warp) AtomicAdd(mask Mask, addrs, delta *Vec, size int) Vec {
+// AtomicAdd performs a per-lane atomic add on global memory. Same-address
+// lanes serialize in lane order. The prior values atomicAdd returns on CUDA
+// are not produced: no kernel here reads them.
+func (w *Warp) AtomicAdd(mask Mask, addrs, delta *Vec, size int) {
 	w.ExecN(IAtomic, mask, 1)
 	w.stats.AtomicSectors += w.coalesce(mask, addrs, size)
 	w.stats.MaxSerialMemChain += w.effGlobal
-	var out Vec
-	w.Dev.addLoop(mask, addrs, delta, size, &out)
-	return out
+	w.Dev.addLoop(mask, addrs, delta, size)
 }
 
 // localAddr maps a lane's private byte offset to the lane-major local arena.
@@ -171,19 +167,17 @@ func (w *Warp) localAddr(lane int, off uint64) uint64 {
 	return uint64(lane)*uint64(w.perLane) + off
 }
 
-// LoadLocal reads size bytes at each active lane's private offset. Local
-// memory is interleaved on real hardware so same-offset accesses coalesce
-// perfectly; transactions are counted accordingly.
-func (w *Warp) LoadLocal(mask Mask, offs *Vec, size int) Vec {
+// LoadLocal reads size bytes at each active lane's private offset into
+// out. Local memory is interleaved on real hardware so same-offset accesses
+// coalesce perfectly; transactions are counted accordingly.
+func (w *Warp) LoadLocal(mask Mask, offs *Vec, size int, out *Vec) {
 	w.ExecN(ILdLocal, mask, 1)
 	w.addLocalTraffic(mask, size)
 	w.stats.MaxSerialMemChain += w.effLocal
-	var out Vec
 	for m := uint32(mask); m != 0; m &= m - 1 {
 		lane := bits.TrailingZeros32(m)
 		out[lane] = loadLE(w.localMem[w.localAddr(lane, offs[lane]):], size)
 	}
-	return out
 }
 
 // StoreLocal writes size bytes at each active lane's private offset.
@@ -198,7 +192,7 @@ func (w *Warp) StoreLocal(mask Mask, offs *Vec, size int, vals *Vec) {
 
 func (w *Warp) addLocalTraffic(mask Mask, size int) {
 	bytes := uint64(mask.Count()) * uint64(size)
-	w.stats.LocalSectors += (bytes + w.sb - 1) / w.sb
+	w.stats.LocalSectors += w.sector(bytes + w.sb - 1)
 }
 
 // LocalBytesPerLane returns the private local-memory size each lane has.
