@@ -80,8 +80,9 @@ type Config struct {
 	NoSteal bool
 	// DeviceProvider, when set, supplies the device for each joining rank
 	// (the service wires the DevicePool in here so elastic jobs draw real
-	// pool capacity); nil falls back to a fresh simt.V100(). The
-	// provider keeps ownership: it takes its devices back after Run returns.
+	// pool capacity); nil falls back to a fresh simt.V100(), which the run
+	// closes when it ends. The provider keeps ownership: it takes its
+	// devices back after Run returns.
 	DeviceProvider func() (*simt.Device, error)
 }
 
@@ -157,6 +158,7 @@ func (c *Config) effectivePlan() (*faults.Plan, error) {
 // capacity; slots of joins that have not fired hold the zero value.
 type rank struct {
 	dev *simt.Device
+	own bool // the run created dev and closes it; a DeviceProvider's stays the provider's
 	// h2d0/d2h0 are the device's lifetime PCIe odometer when it was attached:
 	// a DeviceProvider may hand out a device earlier jobs have used, and the
 	// report wants this run's bytes only.
@@ -172,8 +174,8 @@ type rank struct {
 }
 
 // attach gives the slot its device and notes where its odometer stands.
-func (rk *rank) attach(dev *simt.Device) {
-	rk.dev, rk.deviceOK = dev, true
+func (rk *rank) attach(dev *simt.Device, own bool) {
+	rk.dev, rk.own, rk.deviceOK = dev, own, true
 	rk.h2d0, rk.d2h0 = dev.CumTraffic()
 }
 
@@ -190,6 +192,9 @@ type runtime struct {
 	policy shardPolicy
 	inj    *faults.Injector
 	ranks  []rank // one record per rank slot, up to capacity
+	// ownJoins: joiners' devices come from the default provider, so the run
+	// closes them like the initial ranks'.
+	ownJoins bool
 
 	// Accumulated across rounds (written only between concurrent phases).
 	rec      RecoveryStats
@@ -203,7 +208,8 @@ func newRuntime(cfg Config) (*runtime, error) {
 	if err != nil {
 		return nil, err
 	}
-	if cfg.DeviceProvider == nil {
+	ownJoins := cfg.DeviceProvider == nil
+	if ownJoins {
 		cfg.DeviceProvider = func() (*simt.Device, error) { return simt.NewDevice(simt.V100()), nil }
 	}
 	mem, err := NewMembership(cfg.Ranks, max(cfg.Ranks, plan.Capacity()), cfg.VirtualShards)
@@ -222,12 +228,25 @@ func newRuntime(cfg Config) (*runtime, error) {
 		policy: newShardPolicy(cfg.ShardPolicy, cfg.VirtualShards, mem),
 		inj:    faults.NewInjector(plan),
 		ranks:  make([]rank, mem.Capacity()),
+
+		ownJoins: ownJoins,
 	}
 	fabric.UseInjector(rt.inj)
 	for r := 0; r < cfg.Ranks; r++ {
-		rt.ranks[r].attach(simt.NewDevice(simt.V100()))
+		rt.ranks[r].attach(simt.NewDevice(simt.V100()), true)
 	}
 	return rt, nil
+}
+
+// Close implements locassm.Engine: it stops the warp pools of the devices
+// the run created — the initial ranks' and, without a DeviceProvider, the
+// joiners'. RunContext calls it when the run ends.
+func (rt *runtime) Close() {
+	for r := range rt.ranks {
+		if rk := &rt.ranks[r]; rk.own {
+			rk.dev.Close()
+		}
+	}
 }
 
 // scatterReads models the initial distribution of the input pairs from the
@@ -325,7 +344,7 @@ func (rt *runtime) admitJoins(round, k int, ctgs []*locassm.CtgWithReads, smap S
 		if err := rt.mem.Join(r, round); err != nil {
 			return err
 		}
-		rt.ranks[r].attach(dev)
+		rt.ranks[r].attach(dev, rt.ownJoins)
 		rt.elastic.Joins++
 	}
 	matrix, moved := movedOwners(ctgs, smap, before, rt.mem.Deal(), len(rt.ranks))
@@ -600,6 +619,7 @@ func RunContext(ctx context.Context, pairs []dna.PairedRead, cfg Config) (*pipel
 	if err != nil {
 		return nil, nil, err
 	}
+	defer rt.Close()
 	if err := rt.scatterReads(pairs); err != nil {
 		return nil, nil, err
 	}

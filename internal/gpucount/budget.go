@@ -133,8 +133,8 @@ func CountBudget(dev *simt.Device, seqs [][]byte, k int, cfg BudgetConfig) (*dbg
 	}
 	st.TableBytes = tabBytes
 
-	launch := func(name string, sequential bool, fn func(w *simt.Warp)) error {
-		res, lerr := dev.Launch(simt.KernelConfig{Name: name, Warps: reads.warps, Sequential: sequential}, fn)
+	launch := func(name string, kern, commit func(w *simt.Warp)) error {
+		res, lerr := dev.Launch(simt.KernelConfig{Name: name, Warps: reads.warps, Commit: commit}, kern)
 		if lerr != nil {
 			return lerr
 		}
@@ -150,14 +150,14 @@ func CountBudget(dev *simt.Device, seqs [][]byte, k int, cfg BudgetConfig) (*dbg
 	}
 
 	// Filter phase: one pass over every occurrence populates the
-	// counting-Bloom (shared cells ⇒ sequential launch, as for the table).
+	// counting-Bloom (shared cells ⇒ ordered commit, as for the table).
 	if plan.BloomCells > 0 {
-		if err := launch("kmer_bloom_clear", false, func(w *simt.Warp) {
+		if err := launch("kmer_bloom_clear", func(w *simt.Warp) {
 			clearWords(w, bloomBase, plan.BloomCells/2, reads.warps)
-		}); err != nil {
+		}, nil); err != nil {
 			return nil, st, err
 		}
-		if err := launch(fmt.Sprintf("kmer_bloom_k%d", k), true, bc.bloomKernel); err != nil {
+		if err := launch(fmt.Sprintf("kmer_bloom_k%d", k), bc.bloomKernel, bc.bloomCommit); err != nil {
 			return nil, st, err
 		}
 	}
@@ -196,30 +196,27 @@ type budgetCounter struct {
 // back into one host table sized for the round's occ occurrences.
 // Partitions are disjoint, so each k-mer is read back once; fp counts the
 // ones below MinCount (filter false positives).
-func (c *budgetCounter) runPasses(passes, occ int, launch func(string, bool, func(*simt.Warp)) error) (out *dbg.Table, rejected, fp int64, err error) {
+func (c *budgetCounter) runPasses(passes, occ int, launch func(name string, kern, commit func(*simt.Warp)) error) (out *dbg.Table, rejected, fp int64, err error) {
 	out = dbg.NewTable(c.k, occ)
 	rejects := make([]uint64, c.warps)
 	for pass := 0; pass < passes; pass++ {
-		if err := launch("kmer_budget_clear", false, func(w *simt.Warp) {
+		if err := launch("kmer_budget_clear", func(w *simt.Warp) {
 			clearWords(w, c.tab.base, c.tab.slots*entrySize(c.tab.words)/8, c.warps)
-		}); err != nil {
+		}, nil); err != nil {
 			return nil, 0, 0, err
 		}
-		kernErrs := make([]error, c.warps)
+		var kernErr error
 		name := fmt.Sprintf("kmer_budget_k%d_p%d.%d", c.k, pass, passes)
-		if err := launch(name, true, func(w *simt.Warp) {
+		if err := launch(name, func(w *simt.Warp) {
 			var b warpBatch
-			kernErrs[w.ID] = forEachBatch(w, &c.staged, &b, func() error {
-				return c.passBatch(w, &b, pass, passes, &rejects[w.ID])
+			forEachBatch(w, &c.staged, &b, func(h *handoff) {
+				c.passBatch(w, &b, h, pass, passes, &rejects[w.ID])
 			})
-		}); err != nil {
+		}, c.tab.committer(&kernErr)); err != nil {
 			return nil, 0, 0, err
 		}
-		// Scan in warp order so the reported error is deterministic.
-		for _, kerr := range kernErrs {
-			if kerr != nil {
-				return nil, 0, 0, kerr
-			}
+		if kernErr != nil {
+			return nil, 0, 0, fmt.Errorf("gpucount: pass %d/%d: %w", pass, passes, kernErr)
 		}
 		fp += c.readBack(out)
 	}
@@ -229,20 +226,33 @@ func (c *budgetCounter) runPasses(passes, occ int, launch func(string, bool, fun
 	return out, rejected, fp, nil
 }
 
-// bloomKernel adds every valid canonical k-mer occurrence to both
-// counting-Bloom cells. Cell counts bound the true count from above, so
-// the insert passes can reject below-MinCount k-mers with no false
-// negatives.
+// bloomKernel and bloomCommit add every valid canonical k-mer occurrence to
+// both counting-Bloom cells; the hand-off is a word per lane, both cells'
+// offsets in the filter (it is under 4 GiB). Cell counts bound the true count
+// from above, so the insert passes reject no k-mer that reaches MinCount.
 func (c *budgetCounter) bloomKernel(w *simt.Warp) {
 	var b warpBatch
 	var a0, a1 simt.Vec
-	forEachBatch(w, &c.staged, &b, func() error {
+	forEachBatch(w, &c.staged, &b, func(h *handoff) {
 		w.ExecN(simt.IInt, b.valid, 4) // two hashes + two mods
 		c.bloomAddrs(&b, b.valid, &a0, &a1)
-		w.AtomicAdd(b.valid, &a0, &oneVec, 4)
-		w.AtomicAdd(b.valid, &a1, &oneVec, 4)
-		return nil
+		for lane := range a0 {
+			h.words = append(h.words, a0[lane]-uint64(c.bloomBase)|(a1[lane]-uint64(c.bloomBase))<<32)
+		}
+		h.batches = append(h.batches, batchRec{b.mask, b.valid})
 	})
+}
+
+func (c *budgetCounter) bloomCommit(w *simt.Warp) {
+	h := w.Scratch.(*handoff)
+	var a0, a1 simt.Vec
+	for i, r := range h.batches {
+		for lane, v := range h.words[simt.WarpSize*i:][:simt.WarpSize] {
+			a0[lane], a1[lane] = uint64(c.bloomBase)+v&0xffffffff, uint64(c.bloomBase)+v>>32
+		}
+		w.AtomicAdd(r.lanes, &a0, &oneVec, 4)
+		w.AtomicAdd(r.lanes, &a1, &oneVec, 4)
+	}
 }
 
 // bloomAddrs writes the addresses of the two counting-Bloom cells of each
@@ -255,9 +265,10 @@ func (c *budgetCounter) bloomAddrs(b *warpBatch, lanes simt.Mask, a0, a1 *simt.V
 	}
 }
 
-// passBatch processes one warp-width of k-mers for one partitioned pass:
-// partition filter, Bloom admission, then the table insert.
-func (c *budgetCounter) passBatch(w *simt.Warp, b *warpBatch, pass, passes int, reject *uint64) error {
+// passBatch is the read-only half of one partitioned pass over one
+// warp-width of k-mers: partition filter, Bloom admission, then the slot
+// hash of the lanes the table's committer will insert.
+func (c *budgetCounter) passBatch(w *simt.Warp, b *warpBatch, h *handoff, pass, passes int, reject *uint64) {
 	valid := b.valid
 
 	// Partition filter: each distinct k-mer belongs to exactly one pass.
@@ -269,7 +280,7 @@ func (c *budgetCounter) passBatch(w *simt.Warp, b *warpBatch, pass, passes int, 
 			}
 		}
 		if valid == 0 {
-			return nil
+			return
 		}
 	}
 
@@ -288,21 +299,12 @@ func (c *budgetCounter) passBatch(w *simt.Warp, b *warpBatch, pass, passes int, 
 			}
 		}
 		if valid == 0 {
-			return nil
+			return
 		}
 	}
 
-	// Hash and insert into the shared per-pass table.
-	w.ExecN(simt.IInt, valid, 6)
-	var slotsV simt.Vec
-	for m := uint32(valid); m != 0; m &= m - 1 {
-		lane := bits.TrailingZeros32(m)
-		slotsV[lane] = b.keys[lane].HashK(c.k, hashSeed)
-	}
-	if err := c.tab.insert(w, b, valid, &slotsV); err != nil {
-		return fmt.Errorf("gpucount: pass %d/%d: %w", pass, passes, err)
-	}
-	return nil
+	// Hash for the insert into the shared per-pass table.
+	h.pushKeys(w, b, valid, c.tab.words, func(key kmer.Kmer) uint64 { return key.HashK(c.k, hashSeed) })
 }
 
 // readBack adds the device table's full entries to out and returns how

@@ -45,16 +45,34 @@ func TestGoldenCountAccounting(t *testing.T) {
 	}
 }
 
+// goldenReplan is TestCountBudgetSpillReplan's forced one-pass plan,
+// recorded at the parent of the ordered-commit launches (interleaved
+// kernels on one goroutine). A pass that overflows is discarded but its
+// modeled time stays in KernelTime, and each warp of it stops charging at
+// its first ErrTableFull — the split kernels must reproduce that sum.
+const goldenReplan = "kernels=30 kernelTime=1047650 passes=8 filtered=0 inserted=4000 fp=0 distinct=4000 replans=3"
+
+func budgetLine(tab interface{ Len() int }, st BudgetStats) string {
+	return fmt.Sprintf("kernels=%d kernelTime=%d passes=%d filtered=%d inserted=%d fp=%d distinct=%d",
+		st.Kernels, st.KernelTime, st.Passes, st.FilteredSingletons, st.Inserted, st.FPInserted, tab.Len())
+}
+
 func TestGoldenBudgetAccounting(t *testing.T) {
 	for _, k := range []int{21, 33} {
 		tab, st, err := CountBudget(testDev(), goldenFixture(), k, BudgetConfig{MemBudget: 1 << 18, MinCount: 2})
 		if err != nil {
 			t.Fatal(err)
 		}
-		got := fmt.Sprintf("kernels=%d kernelTime=%d passes=%d filtered=%d inserted=%d fp=%d distinct=%d",
-			st.Kernels, st.KernelTime, st.Passes, st.FilteredSingletons, st.Inserted, st.FPInserted, tab.Len())
-		if got != goldenBudget[k] {
+		if got := budgetLine(tab, st); got != goldenBudget[k] {
 			t.Errorf("CountBudget k=%d accounting moved:\n got %s\nwant %s", k, got, goldenBudget[k])
 		}
+	}
+	seqs := coveredReads(rand.New(rand.NewSource(7)), 40, 2, 0, 120)
+	tab, st, err := CountBudget(testDev(), seqs, 21, BudgetConfig{MemBudget: MinMemBudget, MinCount: 2, Passes: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := fmt.Sprintf("%s replans=%d", budgetLine(tab, st), st.SpillReplans); got != goldenReplan {
+		t.Errorf("forced re-plan accounting moved:\n got %s\nwant %s", got, goldenReplan)
 	}
 }

@@ -5,17 +5,20 @@
 // CAS-claim + linear-probing protocol the local-assembly tables use, and
 // warps map lanes to consecutive k-mers so the sequence loads coalesce.
 //
-// Unlike local assembly's warp-private tables, this table is shared by
-// every warp in the launch — the "distributed data structures" challenge
-// the conclusion names. The simulator executes such kernels sequentially
-// (KernelConfig.Sequential) because its parallel mode requires
-// warp-disjoint writes; the instruction and transaction accounting is
-// unaffected.
+// Unlike local assembly's warp-private tables, this table (and CountBudget's
+// Bloom cells) is shared by every warp in the launch — the "distributed data
+// structures" challenge the conclusion names. Such kernels are ordered-commit
+// launches (simt.KernelConfig.Commit, DESIGN.md §12): a warp's read-only half
+// (gathers, canonicalisation, partition filter, Bloom admission, slot hash)
+// runs on the device's warp pool and leaves a handoff; its Bloom adds or
+// table insert run in warp order on the launching goroutine, so every
+// counter, table layout and modeled time is the same on any number of cores.
 package gpucount
 
 import (
 	"fmt"
 	"math/bits"
+	"slices"
 
 	"mhm2sim/internal/dbg"
 	"mhm2sim/internal/dna"
@@ -117,33 +120,23 @@ func Count(dev *simt.Device, seqs [][]byte, k int) (map[uint64]*dbg.Info, simt.K
 		Name:  "kmer_count_clear",
 		Warps: st.warps,
 	}, func(w *simt.Warp) {
-		clearTable(w, tabBase, slots, st.warps)
+		clearWords(w, tabBase, slots*entryBytes/8, st.warps)
 	})
 	if err != nil {
 		return nil, simt.KernelResult{}, err
 	}
 
-	// Each warp records its first error in its own slot (race-free under
-	// parallel execution) and stops its own work.
-	kernErrs := make([]error, st.warps)
+	var kernErr error
 	res, err := dev.Launch(simt.KernelConfig{
-		Name:       fmt.Sprintf("kmer_count_k%d", k),
-		Warps:      st.warps,
-		Sequential: true, // shared table: see the package comment
-	}, func(w *simt.Warp) {
-		var b warpBatch
-		kernErrs[w.ID] = forEachBatch(w, &st, &b, func() error {
-			return countBatch(w, &b, tab, k)
-		})
-	})
+		Name:   fmt.Sprintf("kmer_count_k%d", k),
+		Warps:  st.warps,
+		Commit: tab.committer(&kernErr),
+	}, st.countKernel)
 	if err != nil {
 		return nil, simt.KernelResult{}, err
 	}
-	// Scan in warp order so the reported error is deterministic.
-	for _, kerr := range kernErrs {
-		if kerr != nil {
-			return nil, simt.KernelResult{}, kerr
-		}
+	if kernErr != nil {
+		return nil, simt.KernelResult{}, fmt.Errorf("gpucount: %w", kernErr)
 	}
 	res.Stats.Add(&clearRes.Stats)
 	res.Time += clearRes.Time
@@ -165,12 +158,8 @@ func Count(dev *simt.Device, seqs [][]byte, k int) (map[uint64]*dbg.Info, simt.K
 	return out, res, nil
 }
 
-// clearTable zeroes the table grid-cooperatively (state 0 = empty).
-func clearTable(w *simt.Warp, base simt.Ptr, slots, totalWarps int) {
-	clearWords(w, base, slots*entryBytes/8, totalWarps)
-}
-
-// clearWords zeroes a words×8-byte device region grid-cooperatively.
+// clearWords zeroes a words×8-byte device region grid-cooperatively (a
+// zeroed table entry is empty).
 func clearWords(w *simt.Warp, base simt.Ptr, words, totalWarps int) {
 	w.FillGlobal(base, words, 8, 0, w.ID, totalWarps)
 	w.ExecChunks(simt.ICtrl, words, w.ID, totalWarps) // loop bookkeeping, one per store
@@ -191,25 +180,55 @@ type warpBatch struct {
 	sc kmer.Scanner
 }
 
+// handoff is what the read-only half of a shared-structure kernel leaves in
+// w.Scratch for its commit. Per batch with a surviving lane: the batch and
+// survivor masks and (table kernels) the warp's charges so far. In words: the
+// Bloom kernel's vector of cell offsets per batch, or a table kernel's record
+// per surviving lane, in lane order — key words, slot hash, extension codes.
+type handoff struct {
+	batches []batchRec
+	stats   []simt.Stats
+	words   []uint64
+}
+
+type batchRec struct{ mask, lanes simt.Mask }
+
+// pushKeys hashes the lanes' slots and hands them to the table's committer.
+func (h *handoff) pushKeys(w *simt.Warp, b *warpBatch, lanes simt.Mask, words int, slot func(kmer.Kmer) uint64) {
+	w.ExecN(simt.IInt, lanes, 6)
+	for m := uint32(lanes); m != 0; m &= m - 1 {
+		lane := bits.TrailingZeros32(m)
+		h.words = append(append(h.words, b.keys[lane].W[:words]...), slot(b.keys[lane]),
+			uint64(uint8(b.lefts[lane]))|uint64(uint8(b.rights[lane]))<<8)
+	}
+	h.batches, h.stats = append(h.batches, batchRec{b.mask, lanes}), append(h.stats, w.Stats())
+}
+
 // forEachBatch maps warps to sequences grid-strided; within a sequence,
 // lanes take consecutive k-mers (coalesced gathers, as in the v2
 // local-assembly kernel). It runs the shared prologue (canonBatch) on every
-// warp-width of windows and calls fn on each batch that has a valid lane,
-// stopping the warp's work at fn's first error.
-func forEachBatch(w *simt.Warp, st *staged, b *warpBatch, fn func() error) error {
+// warp-width of windows and calls fn, with the warp's emptied handoff, on
+// each batch that has a valid lane.
+func forEachBatch(w *simt.Warp, st *staged, b *warpBatch, fn func(h *handoff)) {
+	h, _ := w.Scratch.(*handoff)
+	if h == nil {
+		h = new(handoff)
+		w.Scratch = h
+	}
+	nb := 0 // room for the warp's batches, each a vector of Bloom words or a pass's records
+	for si := w.ID; si < len(st.seqs); si += st.warps {
+		nb += len(st.seqs[si])/simt.WarpSize + 1
+	}
+	*h = handoff{slices.Grow(h.batches[:0], nb), slices.Grow(h.stats[:0], nb), slices.Grow(h.words[:0], simt.WarpSize*nb)}
 	for si := w.ID; si < len(st.seqs); si += st.warps {
 		seq := st.seqs[si]
 		for start := 0; start+st.k <= len(seq); start += simt.WarpSize {
 			canonBatch(w, b, seq, st.offs[si], start, st.seqBase, st.k)
-			if b.valid == 0 {
-				continue
-			}
-			if err := fn(); err != nil {
-				return err
+			if b.valid != 0 {
+				fn(h)
 			}
 		}
 	}
-	return nil
 }
 
 // canonBatch is the shared prologue of every counting kernel: it gathers
@@ -289,19 +308,16 @@ func canonBatch(w *simt.Warp, b *warpBatch, seq []byte, readOff, start int, seqB
 	}
 }
 
-// countBatch counts one batch into Count's one-word table, whose slot hash
-// mixes k into the key word (CountBudget's multi-word tables use HashK).
-func countBatch(w *simt.Warp, b *warpBatch, tab table, k int) error {
-	w.ExecN(simt.IInt, b.valid, 6)
-	var slotsV simt.Vec
-	for m := uint32(b.valid); m != 0; m &= m - 1 {
-		lane := bits.TrailingZeros32(m)
-		slotsV[lane] = murmur.Hash64Word(b.keys[lane].W[0], uint64(k), hashSeed)
-	}
-	if err := tab.insert(w, b, b.valid, &slotsV); err != nil {
-		return fmt.Errorf("gpucount: %w", err)
-	}
-	return nil
+// countKernel is the read-only half of Count's kernel. Its one-word table's
+// slot hash mixes k into the key word (CountBudget's multi-word tables use
+// HashK).
+func (st *staged) countKernel(w *simt.Warp) {
+	var b warpBatch
+	forEachBatch(w, st, &b, func(h *handoff) {
+		h.pushKeys(w, &b, b.valid, 1, func(key kmer.Kmer) uint64 {
+			return murmur.Hash64Word(key.W[0], uint64(st.k), hashSeed)
+		})
+	})
 }
 
 // table is a device hash table of CAS-claimed entries with words-word
@@ -319,17 +335,45 @@ var (
 	oneVec   = simt.Splat(1)
 )
 
-// insert counts the pending lanes' keys and extensions into the table,
-// probing linearly from each lane's slot hash: CAS-claim an empty entry and
-// write the key, or match the stored key, then bump the counters. It
-// returns gpuht.ErrTableFull if the table has no space left.
-func (t table) insert(w *simt.Warp, b *warpBatch, pending simt.Mask, slotsV *simt.Vec) error {
+// committer returns the write half of the table kernels: it inserts a warp's
+// handoff batch by batch and keeps the launch's first error, which is the
+// lowest warp's because commits run in warp order. A warp that meets a full
+// table stops there and is charged for its read-only half, which ran ahead,
+// only up to that batch — what the halves charged as one interleaved kernel.
+func (t table) committer(first *error) func(w *simt.Warp) {
+	return func(w *simt.Warp) {
+		h := w.Scratch.(*handoff)
+		kern, recs := w.TakeStats(), h.words
+		for i, r := range h.batches {
+			n := r.lanes.Count() * (t.words + 2)
+			if err := t.insert(w, r.mask, r.lanes, recs[:n]); err != nil {
+				if kern = h.stats[i]; *first == nil {
+					*first = err
+				}
+				break
+			}
+			recs = recs[n:]
+		}
+		w.Charge(&kern)
+	}
+}
+
+// insert counts the pending lanes' keys and extensions (recs: pushKeys'
+// records) into the table, probing linearly from each lane's slot hash:
+// CAS-claim an empty entry and write the key, or match the stored key, then
+// bump the counters. It returns gpuht.ErrTableFull if the table has no space
+// left.
+func (t table) insert(w *simt.Warp, batch, pending simt.Mask, recs []uint64) error {
 	slots := uint64(t.slots)
 	ebase := uint64(entrySize(t.words))
 	offL := uint64(offKey + 8*t.words)
 	offR := offL + 16
+	var rec [simt.WarpSize][]uint64 // lane's record
+	var slotsV simt.Vec
 	for m := uint32(pending); m != 0; m &= m - 1 {
-		slotsV[bits.TrailingZeros32(m)] %= slots
+		lane := bits.TrailingZeros32(m)
+		rec[lane], recs = recs[:t.words+2], recs[t.words+2:]
+		slotsV[lane] = rec[lane][t.words] % slots
 	}
 	// Loop bookkeeping under the constant batch mask batches into one ExecN
 	// flushed at both exits (bit-identical totals).
@@ -337,7 +381,7 @@ func (t table) insert(w *simt.Warp, b *warpBatch, pending simt.Mask, slotsV *sim
 	var entries, a, vals, observed simt.Vec
 	for guard := 0; pending != 0; guard++ {
 		if guard > t.slots {
-			w.ExecN(simt.ICtrl, b.mask, iters)
+			w.ExecN(simt.ICtrl, batch, iters)
 			return gpuht.ErrTableFull
 		}
 		for m := uint32(pending); m != 0; m &= m - 1 {
@@ -360,7 +404,7 @@ func (t table) insert(w *simt.Warp, b *warpBatch, pending simt.Mask, slotsV *sim
 				for m := uint32(claimed); m != 0; m &= m - 1 {
 					lane := bits.TrailingZeros32(m)
 					a[lane] = entries[lane] + offKey + uint64(8*wd)
-					vals[lane] = b.keys[lane].W[wd]
+					vals[lane] = rec[lane][wd]
 				}
 				w.StoreGlobal(claimed, &a, 8, &vals)
 			}
@@ -378,7 +422,7 @@ func (t table) insert(w *simt.Warp, b *warpBatch, pending simt.Mask, slotsV *sim
 				w.LoadGlobal(occupied, &a, 8, &vals)
 				w.Exec(simt.IInt, occupied)
 				for m := uint32(occupied); m != 0; m &= m - 1 {
-					if lane := bits.TrailingZeros32(m); vals[lane] != b.keys[lane].W[wd] {
+					if lane := bits.TrailingZeros32(m); vals[lane] != rec[lane][wd] {
 						eq &^= simt.LaneMask(lane)
 					}
 				}
@@ -391,13 +435,13 @@ func (t table) insert(w *simt.Warp, b *warpBatch, pending simt.Mask, slotsV *sim
 			for m := uint32(matched); m != 0; m &= m - 1 {
 				lane := bits.TrailingZeros32(m)
 				a[lane] = entries[lane] + offCount
-				if b.lefts[lane] >= 0 {
+				if left := int8(rec[lane][t.words+1]); left >= 0 {
 					lm |= simt.LaneMask(lane)
-					la[lane] = entries[lane] + offL + uint64(4*b.lefts[lane])
+					la[lane] = entries[lane] + offL + 4*uint64(left)
 				}
-				if b.rights[lane] >= 0 {
+				if right := int8(rec[lane][t.words+1] >> 8); right >= 0 {
 					rm |= simt.LaneMask(lane)
-					ra[lane] = entries[lane] + offR + uint64(4*b.rights[lane])
+					ra[lane] = entries[lane] + offR + 4*uint64(right)
 				}
 			}
 			w.AtomicAdd(matched, &a, &oneVec, 4)
@@ -420,7 +464,7 @@ func (t table) insert(w *simt.Warp, b *warpBatch, pending simt.Mask, slotsV *sim
 		}
 		iters++
 	}
-	w.ExecN(simt.ICtrl, b.mask, iters)
+	w.ExecN(simt.ICtrl, batch, iters)
 	return nil
 }
 

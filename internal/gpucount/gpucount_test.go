@@ -131,7 +131,7 @@ func BenchmarkGPUCountK21(b *testing.B) {
 	}
 }
 
-// TestCountBatchTableFullReturnsError drives countBatch against a 1-slot
+// TestCountBatchTableFullReturnsError drives Count's kernel against a 1-slot
 // table with distinct k-mers: the old panic("gpucount: table full") path
 // must now surface gpuht.ErrTableFull through the kernel error sink.
 func TestCountBatchTableFullReturnsError(t *testing.T) {
@@ -146,16 +146,20 @@ func TestCountBatchTableFullReturnsError(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	var batchErr error
-	_, err = d.Launch(simt.KernelConfig{Name: "tiny", Warps: 1, Sequential: true}, func(w *simt.Warp) {
-		clearTable(w, tab.base, tab.slots, 1)
-		var b warpBatch
-		batchErr = forEachBatch(w, &st, &b, func() error { return countBatch(w, &b, tab, k) })
-	})
+	var kernErr error
+	if _, err = d.Launch(simt.KernelConfig{Name: "clear", Warps: 1}, func(w *simt.Warp) {
+		clearWords(w, tab.base, tab.slots*entryBytes/8, 1)
+	}); err != nil {
+		t.Fatal(err)
+	}
+	_, err = d.Launch(simt.KernelConfig{
+		Name: "tiny", Warps: 1,
+		Commit: tab.committer(&kernErr),
+	}, st.countKernel)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !errors.Is(batchErr, gpuht.ErrTableFull) {
-		t.Fatalf("1-slot table returned %v, want gpuht.ErrTableFull", batchErr)
+	if !errors.Is(kernErr, gpuht.ErrTableFull) {
+		t.Fatalf("1-slot table returned %v, want gpuht.ErrTableFull", kernErr)
 	}
 }

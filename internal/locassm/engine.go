@@ -24,6 +24,12 @@ type Engine interface {
 	// the extensions. Every engine computes bit-identical Results for the
 	// same input — the package's central correctness property.
 	Assemble(k int, ctgs []*CtgWithReads) ([]Result, Stats, error)
+	// Close releases what the engine itself created: the devices of a gpu
+	// or multigpu engine built without one, whose parked warp pools would
+	// otherwise pin their arenas. A device the spec supplied stays its
+	// owner's, and the other engines have nothing to release. Whoever has
+	// NewEngine build an engine calls it when the run ends.
+	Close()
 }
 
 // Stats is the unified accounting every engine returns for one round.
@@ -162,6 +168,7 @@ func newCPUEngine(spec EngineSpec) (Engine, error) {
 }
 
 func (e *cpuEngine) Name() string { return EngineCPU }
+func (e *cpuEngine) Close()       {}
 
 func (e *cpuEngine) Assemble(_ int, ctgs []*CtgWithReads) ([]Result, Stats, error) {
 	cres, err := RunCPU(ctgs, e.cfg, e.workers)
@@ -174,6 +181,7 @@ func (e *cpuEngine) Assemble(_ int, ctgs []*CtgWithReads) ([]Result, Stats, erro
 // gpuEngine wraps the pipelined single-device batch driver.
 type gpuEngine struct {
 	drv *Driver
+	own bool // the engine created drv.Dev: the spec had no device
 }
 
 func newGPUEngine(spec EngineSpec) (Engine, error) {
@@ -185,10 +193,16 @@ func newGPUEngine(spec EngineSpec) (Engine, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &gpuEngine{drv: drv}, nil
+	return &gpuEngine{drv: drv, own: spec.Device == nil}, nil
 }
 
 func (e *gpuEngine) Name() string { return EngineGPU }
+
+func (e *gpuEngine) Close() {
+	if e.own {
+		e.drv.Dev.Close()
+	}
+}
 
 func (e *gpuEngine) Assemble(_ int, ctgs []*CtgWithReads) ([]Result, Stats, error) {
 	gres, err := e.drv.Run(ctgs)
@@ -219,6 +233,7 @@ func newMultiGPUEngine(spec EngineSpec) (Engine, error) {
 }
 
 func (e *multiGPUEngine) Name() string { return EngineMultiGPU }
+func (e *multiGPUEngine) Close()       { e.nd.Close() }
 
 func (e *multiGPUEngine) Assemble(_ int, ctgs []*CtgWithReads) ([]Result, Stats, error) {
 	nres, err := e.nd.Run(ctgs)

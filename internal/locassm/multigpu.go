@@ -33,6 +33,14 @@ func NewNodeDriver(gpus int, devCfg simt.DeviceConfig, cfg GPUConfig) (*NodeDriv
 	return nd, nil
 }
 
+// Close stops the warp pools of the node's devices, which NewNodeDriver
+// created.
+func (nd *NodeDriver) Close() {
+	for _, drv := range nd.Drivers {
+		drv.Dev.Close()
+	}
+}
+
 // NodeResult is a multi-GPU run outcome.
 type NodeResult struct {
 	Results []Result

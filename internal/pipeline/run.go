@@ -41,6 +41,9 @@ func RunContext(ctx context.Context, pairs []dna.PairedRead, cfg Config) (*Resul
 	if err != nil {
 		return nil, err
 	}
+	if cfg.Engine.Instance == nil {
+		defer eng.Close() // built here, not handed in
+	}
 	res := &Result{}
 	res.Work.InputReads = 2 * len(pairs)
 	for i := range pairs {
@@ -49,6 +52,12 @@ func RunContext(ctx context.Context, pairs []dna.PairedRead, cfg Config) (*Resul
 	st := &runState{
 		cfg: &cfg, res: res, eng: eng,
 		workers: par.Workers(cfg.Workers), pairs: pairs,
+	}
+	if cfg.MemBudget > 0 {
+		// The budget-counting device is the run's own: an open device keeps
+		// its warp pool parked and its arena pinned.
+		st.cdev = simt.NewDevice(simt.V100())
+		defer st.cdev.Close()
 	}
 	d := &stageDriver{ctx: ctx, res: res, obs: cfg.Observer}
 
@@ -133,7 +142,7 @@ type runState struct {
 	// stage's wall, which the driver reads to split that stage.
 	alnKernelShare float64
 
-	// Budget-mode state: the counting device (lazily built, reused across
+	// Budget-mode state: the counting device (the run's own, reused across
 	// rounds) and the OOM-event count already absorbed into the budget.
 	cdev    *simt.Device
 	seenOOM int
@@ -218,9 +227,6 @@ func (st *runState) countBudget(roundSeqs [][]byte, occ int) (*dbg.Table, error)
 	eff := st.cfg.MemBudget >> uint(pressure)
 	if eff < gpucount.MinMemBudget {
 		eff = gpucount.MinMemBudget
-	}
-	if st.cdev == nil {
-		st.cdev = simt.NewDevice(simt.V100())
 	}
 	st.cdev.FreeAll() // the previous round's structures are dead weight
 	bcfg := gpucount.BudgetConfig{MemBudget: eff, MinCount: st.cfg.MinCount}

@@ -69,6 +69,7 @@ func alignCandidates(reads []dna.Read, ctgs []dbg.Contig, cfg *Config, workers i
 		dev := cfg.Engine.Device
 		if dev == nil {
 			dev = simt.NewDevice(simt.V100())
+			defer dev.Close()
 		}
 		hits, found, batchWall, kernels, err := gpuAlignReads(dev, aln, ctgSeqs, reads, workers)
 		if err != nil {

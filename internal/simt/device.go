@@ -137,14 +137,14 @@ type Device struct {
 	totalD2H int64
 
 	// Persistent warp worker pool (see launch.go).
-	poolOnce  sync.Once
-	closeOnce sync.Once
-	pool      chan warpJob
+	poolOnce sync.Once
+	pool     chan warpJob
+	poolMu   sync.RWMutex // launches on the pool read-lock it, Close write-locks
+	closed   bool
 
-	// Launch-state and sequential warp-context pools: steady-state kernel
-	// launches reuse these instead of allocating (see launch.go).
-	lsPool  sync.Pool
-	ctxPool sync.Pool
+	// Launch states not in use (guarded by mu), reused so that steady-state
+	// launches allocate nothing. A sync.Pool misses when the goroutine changed P.
+	lsFree []*launchState
 
 	// fault, once injected, fails every subsequent Launch — the modeled
 	// equivalent of a device falling off the bus or exhausting memory
@@ -169,13 +169,6 @@ func (d *Device) ClearFault() {
 	d.mu.Lock()
 	d.fault = nil
 	d.mu.Unlock()
-}
-
-// faultErr returns the injected fault, if any.
-func (d *Device) faultErr() error {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return d.fault
 }
 
 // NewDevice creates a device with an empty arena.

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"slices"
 	"sync"
 )
 
@@ -11,6 +12,9 @@ import (
 // InjectFault: the modeled device is gone and the caller must fail over
 // (the dist runtime degrades the rank to its host engine).
 var ErrDeviceLost = errors.New("simt: device lost")
+
+// ErrDeviceClosed is returned by a Launch that needs the warp pool after Close.
+var ErrDeviceClosed = errors.New("simt: device closed")
 
 // KernelConfig describes one kernel launch.
 type KernelConfig struct {
@@ -25,64 +29,87 @@ type KernelConfig struct {
 	// Sequential forces warps to run on the calling goroutine, in warp
 	// order. The default runs warps on the device's persistent worker
 	// pool; kernels must only write device regions owned by their own
-	// warp (true of all kernels in this repository — one warp per contig
-	// extension).
+	// warp (the local-assembly kernels — one warp per contig extension)
+	// or leave their other writes to Commit.
 	Sequential bool
+	// Commit makes the launch ordered-commit (DESIGN.md §12): kern(w) runs
+	// on the pool in any order, then Commit(w) on the launching goroutine
+	// for warp 0, 1, 2, … one at a time. kern may read only device memory
+	// that no Commit of the launch writes, and leaves what it wants written
+	// in w.Scratch; besides the warp's counters nothing else passes on.
+	Commit func(w *Warp)
 }
 
-// warpCtx is a reusable warp execution context: the Warp value plus its
-// local/shared arenas. Each pool worker owns one (worker affinity, the
-// internal/par pattern), so steady-state launches allocate nothing — the
-// arenas are zeroed in place by Warp.reset instead of reallocated.
-type warpCtx struct {
-	w Warp
-}
+// An ordered launch gives the pool commitChunk consecutive warps per job and
+// keeps at most commitRing warps between kern and Commit. The launching
+// goroutine issues chunk c+commitRing only after committing chunk c, so a
+// ring slot has one generation in flight, a done channel holds at most one
+// token, and no worker ever blocks on one.
+const commitChunk, commitRing = 32, 4 * 32
 
 // launchState carries one Launch call's shared state to the pool workers.
 // It is pooled on the device so a launch allocates neither the state, the
-// per-warp stats slab, nor the completion group.
+// stats slab, the completion group, the caller-side warp context nor the ring.
 type launchState struct {
 	dev     *Device
 	kern    func(w *Warp)
 	perLane int
 	perWarp []Stats
 	wg      sync.WaitGroup
+	ctx     Warp
+	scratch [commitRing]any                         // each in-flight warp's Scratch
+	done    [commitRing / commitChunk]chan struct{} // a chunk's kern half has run
 }
 
 // runWarp executes one warp on the given context. Per-warp stats land in
 // per-warp slots, so the merged counters are deterministic regardless of
 // worker scheduling.
-func (ls *launchState) runWarp(id int, ctx *warpCtx) {
-	w := &ctx.w
+func (ls *launchState) runWarp(id int, w *Warp) {
 	w.reset(ls.dev, id, ls.perLane)
 	w.stats.Warps = 1
 	ls.kern(w)
 	ls.perWarp[id] = w.stats
 }
 
-// warpJob is one warp's execution request on the device worker pool.
+// warpJob is one warp's execution request on the device worker pool or,
+// with n > 0, the kern half of an ordered launch's n warps from id.
 type warpJob struct {
-	ls *launchState
-	id int
+	ls    *launchState
+	id, n int
+}
+
+// runChunk executes an ordered launch's job on a worker's context, each warp
+// on the Scratch its ring slot holds, and hands the chunk back.
+func (j warpJob) runChunk(w *Warp) {
+	for id := j.id; id < j.id+j.n; id++ {
+		s := &j.ls.scratch[id%commitRing]
+		w.Scratch = *s
+		j.ls.runWarp(id, w)
+		*s = w.Scratch
+	}
+	w.Scratch = nil
+	j.ls.done[j.id%commitRing/commitChunk] <- struct{}{}
 }
 
 // warpPool returns the device's persistent warp worker pool, creating it on
 // first use. The pool is created once per device and fed through a buffered
 // channel; concurrent Launches (pipelined batches, multiple streams) share
 // the same workers safely because every job carries its own launch state
-// and completion group. Each worker keeps a private warpCtx across jobs, so
-// per-warp arenas are reused instead of reallocated.
+// and completion group. Each worker keeps a private warp context across
+// jobs (worker affinity, the internal/par pattern), so per-warp arenas are
+// reused instead of reallocated.
 func (d *Device) warpPool() chan<- warpJob {
 	d.poolOnce.Do(func() {
 		workers := runtime.GOMAXPROCS(0)
-		if workers < 1 {
-			workers = 1
-		}
 		d.pool = make(chan warpJob, 8*workers)
 		for i := 0; i < workers; i++ {
 			go func() {
-				var ctx warpCtx
+				var ctx Warp
 				for j := range d.pool {
+					if j.n > 0 {
+						j.runChunk(&ctx)
+						continue
+					}
 					j.ls.runWarp(j.id, &ctx)
 					j.ls.wg.Done()
 				}
@@ -92,16 +119,17 @@ func (d *Device) warpPool() chan<- warpJob {
 	return d.pool
 }
 
-// Close stops the device's warp worker pool, if one was started. The device
-// remains usable for Sequential launches; calling Launch in parallel mode
-// after Close panics. Close is idempotent.
+// Close stops the device's warp worker pool, if one was started, once the
+// launches on it have finished; the device's creator calls it, or the parked
+// workers pin the arena. Launches that run on the caller (Sequential, one
+// warp) still work; one that needs the pool returns ErrDeviceClosed.
 func (d *Device) Close() {
-	d.poolOnce.Do(func() {}) // pool stays nil if never started
-	d.closeOnce.Do(func() {
-		if d.pool != nil {
-			close(d.pool)
-		}
-	})
+	d.poolMu.Lock()
+	defer d.poolMu.Unlock()
+	if !d.closed && d.pool != nil {
+		close(d.pool)
+	}
+	d.closed = true
 }
 
 // Launch executes kern once per warp and returns merged counters plus the
@@ -114,39 +142,68 @@ func (d *Device) Close() {
 // and warp contexts (including local-memory arenas) are pooled with worker
 // affinity and zeroed in place.
 func (d *Device) Launch(cfg KernelConfig, kern func(w *Warp)) (KernelResult, error) {
-	if err := d.faultErr(); err != nil {
-		return KernelResult{}, err
-	}
 	if cfg.Warps < 0 {
 		return KernelResult{}, fmt.Errorf("simt: negative warp count %d", cfg.Warps)
 	}
 	if cfg.LocalBytesPerLane < 0 {
 		return KernelResult{}, fmt.Errorf("simt: negative local bytes per lane %d", cfg.LocalBytesPerLane)
 	}
+	// Sequential and Commit are one caller-side in-order loop; an ordered
+	// launch runs the kern half on the pool ahead of it.
+	inOrder := cfg.Sequential || cfg.Warps <= 1 || cfg.Commit != nil
+	ordered := cfg.Commit != nil && !cfg.Sequential && cfg.Warps > commitChunk && runtime.GOMAXPROCS(0) > 1
+	var pool chan<- warpJob
+	if ordered || !inOrder {
+		// Close takes the write side: the pool cannot close under a send.
+		d.poolMu.RLock()
+		defer d.poolMu.RUnlock()
+		if d.closed {
+			return KernelResult{}, ErrDeviceClosed
+		}
+		pool = d.warpPool()
+	}
 
-	ls, _ := d.lsPool.Get().(*launchState)
+	var ls *launchState
+	d.mu.Lock()
+	err := d.fault
+	if n := len(d.lsFree); err == nil && n > 0 {
+		ls, d.lsFree = d.lsFree[n-1], d.lsFree[:n-1]
+	}
+	d.mu.Unlock()
+	if err != nil {
+		return KernelResult{}, err
+	}
 	if ls == nil {
 		ls = &launchState{}
+		for i := range ls.done {
+			ls.done[i] = make(chan struct{}, 1)
+		}
 	}
 	ls.dev, ls.kern, ls.perLane = d, kern, cfg.LocalBytesPerLane
-	if cap(ls.perWarp) < cfg.Warps {
-		ls.perWarp = make([]Stats, cfg.Warps)
-	} else {
-		// Every slot [0, Warps) is overwritten by runWarp; no clear needed.
-		ls.perWarp = ls.perWarp[:cfg.Warps]
-	}
+	// Every slot [0, Warps) is overwritten by runWarp; no clear needed.
+	ls.perWarp = slices.Grow(ls.perWarp[:0], cfg.Warps)[:cfg.Warps]
 
-	if cfg.Sequential || cfg.Warps <= 1 {
-		ctx, _ := d.ctxPool.Get().(*warpCtx)
-		if ctx == nil {
-			ctx = &warpCtx{}
-		}
+	if inOrder {
+		w, issued := &ls.ctx, 0
 		for id := 0; id < cfg.Warps; id++ {
-			ls.runWarp(id, ctx)
+			if !ordered {
+				ls.runWarp(id, w)
+			} else {
+				if id%commitChunk == 0 {
+					for ; issued < min(cfg.Warps, id+commitRing); issued += commitChunk {
+						pool <- warpJob{ls: ls, id: issued, n: min(commitChunk, cfg.Warps-issued)}
+					}
+					<-ls.done[id%commitRing/commitChunk]
+				}
+				w.reset(d, id, ls.perLane)
+				w.stats, w.Scratch = ls.perWarp[id], ls.scratch[id%commitRing]
+			}
+			if cfg.Commit != nil {
+				cfg.Commit(w)
+				ls.perWarp[id] = w.stats
+			}
 		}
-		d.ctxPool.Put(ctx)
 	} else {
-		pool := d.warpPool()
 		ls.wg.Add(cfg.Warps)
 		for id := 0; id < cfg.Warps; id++ {
 			pool <- warpJob{ls: ls, id: id}
@@ -162,6 +219,8 @@ func (d *Device) Launch(cfg KernelConfig, kern func(w *Warp)) (KernelResult, err
 	// Stats.Add maxes MaxSerialMemChain across warps and sums Warps.
 	res.Time, res.Bound = timeModel(d.Cfg, &res.Stats)
 	ls.dev, ls.kern = nil, nil
-	d.lsPool.Put(ls)
+	d.mu.Lock()
+	d.lsFree = append(d.lsFree, ls)
+	d.mu.Unlock()
 	return res, nil
 }

@@ -673,38 +673,41 @@ func TestShflGuard(t *testing.T) {
 }
 
 // TestLaunchSteadyStateAllocs is the CI allocation gate: once the device's
-// pools are warm, Launch must not allocate — in sequential and in parallel
-// mode. A regression here silently reintroduces per-launch garbage on the
-// figure-suite hot path.
+// launch states are warm, Launch must not allocate — in sequential, parallel
+// and ordered-commit mode (the ring and the Scratch records its slots hold
+// are pooled with the launch state). A regression here silently reintroduces
+// per-launch garbage on the figure-suite hot path.
 func TestLaunchSteadyStateAllocs(t *testing.T) {
 	kern := func(w *Warp) {
+		if w.Scratch == nil {
+			w.Scratch = new(int)
+		}
 		var addrs, v Vec
 		w.LoadGlobal(FullMask, &addrs, 8, &v)
 	}
-	for _, mode := range []struct {
-		name       string
-		sequential bool
-	}{{"sequential", true}, {"parallel", false}} {
-		t.Run(mode.name, func(t *testing.T) {
+	commit := func(w *Warp) { *w.Scratch.(*int) = w.ID }
+	for _, mode := range []KernelConfig{
+		{Name: "sequential", Warps: 64, Sequential: true},
+		{Name: "parallel", Warps: 64},
+		{Name: "ordered", Warps: 2*commitRing + 1, Commit: commit},
+	} {
+		t.Run(mode.Name, func(t *testing.T) {
 			dev := NewDevice(V100())
 			if _, err := dev.Malloc(4096); err != nil {
 				t.Fatal(err)
 			}
 			defer dev.Close()
-			cfg := KernelConfig{Name: "gate", Warps: 64, Sequential: mode.sequential, LocalBytesPerLane: 64}
+			mode.LocalBytesPerLane = 64
 			launch := func() {
-				if _, err := dev.Launch(cfg, kern); err != nil {
+				if _, err := dev.Launch(mode, kern); err != nil {
 					t.Fatal(err)
 				}
 			}
-			for i := 0; i < 100; i++ { // warm the launch-state and warp pools
+			for i := 0; i < 100; i++ { // warm the launch state and the warp pool
 				launch()
 			}
-			if raceEnabled {
-				t.Skip("sync.Pool drops items under -race; allocation gate not meaningful")
-			}
 			if avg := testing.AllocsPerRun(50, launch); avg > 0 {
-				t.Errorf("%s Launch allocates %.1f objects per call at steady state, want 0", mode.name, avg)
+				t.Errorf("%s Launch allocates %.1f objects per call at steady state, want 0", mode.Name, avg)
 			}
 		})
 	}

@@ -85,6 +85,9 @@ type Warp struct {
 	coSec   [coSlots]uint64
 	coStamp [coSlots]uint32
 	coGen   uint32
+	// Scratch is what an ordered launch's kern leaves for its Commit. It holds
+	// what an earlier warp or launch left there, to reuse as capacity only.
+	Scratch any
 }
 
 // reset (re)initializes a pooled warp context for one warp of one launch:
@@ -121,6 +124,25 @@ func (w *Warp) ExecN(c InstrClass, mask Mask, n int) {
 	w.stats.WarpInstrs[c] += uint64(n)
 	w.stats.ThreadInstrs[c] += uint64(n) * active
 	w.stats.PredicatedOff += uint64(n) * (WarpSize - active)
+}
+
+// Stats returns the warp's charges so far; TakeStats also clears them, and
+// Charge adds a share back — within a warp every counter is a sum, the
+// dependent-memory chain included. The commit half of an ordered launch whose
+// warp can stop early uses them to charge the kern half, which ran ahead,
+// only up to where the warp stopped.
+func (w *Warp) Stats() Stats { return w.stats }
+
+func (w *Warp) TakeStats() Stats {
+	s := w.stats
+	w.stats = Stats{}
+	return s
+}
+
+func (w *Warp) Charge(s *Stats) {
+	chain := w.stats.MaxSerialMemChain + s.MaxSerialMemChain
+	w.stats.Add(s)
+	w.stats.MaxSerialMemChain = chain
 }
 
 // LoadGlobal performs a per-lane global load of size bytes (1, 2, 4 or 8)
