@@ -106,12 +106,11 @@ func main() {
 	}
 
 	var grown, added int
-	for i, c := range work {
-		if n := len(cpu.Results[i].LeftExt) + len(cpu.Results[i].RightExt); n > 0 {
+	for _, r := range cpu.Results {
+		if n := len(r.LeftExt) + len(r.RightExt); n > 0 {
 			grown++
 			added += n
 		}
-		_ = c
 	}
 	fmt.Printf("\nextensions: %d of %d contigs grew, %d bases added\n", grown, len(work), added)
 }

@@ -112,12 +112,6 @@ func New(ctgs [][]byte, cfg Config) (*Aligner, error) {
 	return a, nil
 }
 
-// NumContigs returns the number of indexed contigs.
-func (a *Aligner) NumContigs() int { return len(a.ctgs) }
-
-// Contig returns an indexed contig's sequence.
-func (a *Aligner) Contig(id int) []byte { return a.ctgs[id] }
-
 // SeedTask is one banded-SW verification requested by the seeding phase:
 // align the (already oriented) read against contig CtgID around diagonal
 // Shift. The verification can run on the CPU (VerifyHit) or in bulk on the

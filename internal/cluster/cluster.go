@@ -37,36 +37,13 @@ const (
 	GPUsPerNode  = 6
 )
 
-// CPUCostModel assigns one Summit POWER9 core's cost to the local-assembly
-// operations (Algorithm 1 inserts, Algorithm 2 lookups/steps, per-table
-// setup). Values are nanoseconds per operation.
-type CPUCostModel struct {
-	InsertNS float64 // hash + insert of one k-mer into the table
-	LookupNS float64 // one walk-step table probe
-	WalkNS   float64 // non-probe per-step bookkeeping
-	BuildNS  float64 // per-table construction overhead
-}
-
-// DefaultCPUCost is calibrated so that the 64-node WA-share workload gives
-// the ≈7× GPU advantage of Fig 13 (see EXPERIMENTS.md for the calibration
-// record). The values are plausible for a std::unordered-style table on a
-// POWER9 core.
-func DefaultCPUCost() CPUCostModel {
-	return CPUCostModel{InsertNS: 55, LookupNS: 80, WalkNS: 10, BuildNS: 3000}
-}
-
-// Seconds converts work counts to single-core seconds.
-func (m CPUCostModel) Seconds(wc locassm.WorkCounts) float64 {
-	return (float64(wc.KmersInserted)*m.InsertNS +
-		float64(wc.Lookups)*m.LookupNS +
-		float64(wc.WalkSteps)*m.WalkNS +
-		float64(wc.TableBuilds)*m.BuildNS) * 1e-9
-}
-
 // Model extrapolates a measured local-assembly base workload.
 type Model struct {
-	Dev     simt.DeviceConfig
-	CPUCost CPUCostModel
+	Dev simt.DeviceConfig
+	// CPUCost is one Summit POWER9 core's cost model; FitScaling rescales
+	// it so that the 64-node WA-share workload gives the ≈7× GPU advantage
+	// of Fig 13.
+	CPUCost locassm.CPUCost
 
 	// Base workload measurements.
 	BaseItems    uint64             // extension warps in the base workload
@@ -82,7 +59,7 @@ func NewModel(dev simt.DeviceConfig, cpu *locassm.CPUResult, gpu *locassm.GPURes
 	if len(gpu.Kernels) == 0 {
 		return nil, fmt.Errorf("cluster: GPU result has no kernels")
 	}
-	m := &Model{Dev: dev, CPUCost: DefaultCPUCost(), BaseCPU: cpu.Counts}
+	m := &Model{Dev: dev, CPUCost: locassm.DefaultCPUCost(), BaseCPU: cpu.Counts}
 	for i := range gpu.Kernels {
 		m.BaseStats.Add(&gpu.Kernels[i].Stats)
 	}
@@ -141,7 +118,7 @@ func (m *Model) CPUNodeSeconds(f float64) float64 {
 		Lookups:       int64(float64(m.BaseCPU.Lookups) * f),
 		WalkSteps:     int64(float64(m.BaseCPU.WalkSteps) * f),
 	}
-	return m.CPUCost.Seconds(wc) / CoresPerNode
+	return m.CPUCost.NS(wc) * 1e-9 / CoresPerNode
 }
 
 // GPUNodeSeconds models one node: the share is split evenly over the six

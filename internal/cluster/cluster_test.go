@@ -245,12 +245,12 @@ func TestTwoNodeBreakdown(t *testing.T) {
 }
 
 func TestDefaultCPUCostPositive(t *testing.T) {
-	c := DefaultCPUCost()
+	c := locassm.DefaultCPUCost()
 	if c.InsertNS <= 0 || c.LookupNS <= 0 || c.WalkNS <= 0 || c.BuildNS <= 0 {
 		t.Error("non-positive default costs")
 	}
 	wc := locassm.WorkCounts{TableBuilds: 1, KmersInserted: 1000, Lookups: 100, WalkSteps: 100}
-	if c.Seconds(wc) <= 0 {
+	if c.NS(wc) <= 0 {
 		t.Error("zero seconds for non-zero work")
 	}
 }

@@ -34,9 +34,6 @@ func (u *UnionFind) Add(id int64) {
 	}
 }
 
-// Len returns the number of registered IDs.
-func (u *UnionFind) Len() int { return len(u.parent) }
-
 // Find returns the set representative of id: the smallest member of its
 // component. Unregistered IDs are added as singletons. Path halving keeps
 // chains short without disturbing the smallest-root invariant.
@@ -63,9 +60,6 @@ func (u *UnionFind) Union(a, b int64) {
 	}
 	u.parent[rb] = ra
 }
-
-// Same reports whether a and b are in one component.
-func (u *UnionFind) Same(a, b int64) bool { return u.Find(a) == u.Find(b) }
 
 // Components returns the full id → componentID map, where a component's ID
 // is its smallest member. Iteration order of the underlying map is

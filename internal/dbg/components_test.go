@@ -26,7 +26,7 @@ func TestUnionFindSmallestRoot(t *testing.T) {
 	if got := u.Find(55); got != 55 {
 		t.Errorf("singleton 55 has root %d", got)
 	}
-	if u.Same(55, 2) {
+	if u.Find(55) == u.Find(2) {
 		t.Error("singleton reported joined")
 	}
 }
@@ -64,7 +64,7 @@ func TestUnionFindPermutationInvariant(t *testing.T) {
 }
 
 // TestUnionFindTransitivity: chains of unions connect, disjoint chains do
-// not, and Components agrees with Same.
+// not, and Components agrees with Find.
 func TestUnionFindTransitivity(t *testing.T) {
 	u := NewUnionFind()
 	for id := int64(0); id < 10; id++ {
@@ -73,15 +73,15 @@ func TestUnionFindTransitivity(t *testing.T) {
 	u.Union(0, 1)
 	u.Union(1, 2)
 	u.Union(3, 4)
-	if !u.Same(0, 2) {
+	if u.Find(0) != u.Find(2) {
 		t.Error("0 and 2 should connect through 1")
 	}
-	if u.Same(2, 3) {
+	if u.Find(2) == u.Find(3) {
 		t.Error("2 and 3 joined without a union path")
 	}
 	comps := u.Components()
 	if comps[0] != comps[2] || comps[3] != comps[4] || comps[0] == comps[3] {
-		t.Errorf("Components disagrees with Same: %v", comps)
+		t.Errorf("Components disagrees with Find: %v", comps)
 	}
 	if len(comps) != 10 {
 		t.Errorf("Components holds %d ids, want 10", len(comps))

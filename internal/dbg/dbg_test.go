@@ -41,7 +41,7 @@ func TestCountBasics(t *testing.T) {
 	if tab.Len() != 3 {
 		t.Fatalf("got %d canonical k-mers", tab.Len())
 	}
-	km := kmer.MustFromString("ACGT")
+	km := mustKmer("ACGT")
 	info, isSelf, ok := tab.Lookup(km)
 	if !ok || !isSelf {
 		t.Fatal("ACGT not found or not canonical")
@@ -77,7 +77,7 @@ func TestCountExtensions(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	km := kmer.MustFromString("CGTA")
+	km := mustKmer("CGTA")
 	info, isSelf, ok := tab.Lookup(km)
 	if !ok {
 		t.Fatal("CGT missing")
@@ -291,4 +291,9 @@ func BenchmarkTraverse(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		tab.Contigs(c)
 	}
+}
+
+func mustKmer(s string) kmer.Kmer {
+	km, _ := kmer.FromBytes([]byte(s), len(s))
+	return km
 }

@@ -61,7 +61,7 @@ func checkTableMatchesMapRef(t *testing.T, reads [][]byte, k int, minCount uint3
 			want, wantSelf, wantOK := ref.Lookup(km)
 			if ok != wantOK || isSelf != wantSelf || (ok && *info != *want) {
 				t.Fatalf("k=%d workers=%d %s: got %+v self=%v ok=%v, reference %+v self=%v ok=%v",
-					k, workers, km.String(k), info, isSelf, ok, want, wantSelf, wantOK)
+					k, workers, string(km.Bytes(k)), info, isSelf, ok, want, wantSelf, wantOK)
 			}
 		}
 	}

@@ -244,15 +244,6 @@ func (m *componentShardMap) Shard(id int64) int {
 	return VirtualShard(id, m.shards)
 }
 
-// Component returns the component ID of a contig (hash fallback returns
-// the contig's own ID) — exported to tests through component_test helpers.
-func (m *componentShardMap) Component(id int64) int64 {
-	if c, ok := m.comp[id]; ok {
-		return c
-	}
-	return id
-}
-
 // componentPolicy is the component shard policy's per-run state: the current
 // residence rank of every routed read (reads live with their component
 // between rounds), the per-round component counts, and the accumulated wall

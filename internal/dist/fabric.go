@@ -236,9 +236,6 @@ func newFabric(mem *Membership, cfg FabricConfig) (*Fabric, error) {
 	return &Fabric{cfg: cfg, mem: mem, n: n, failedObs: make([]int, n)}, nil
 }
 
-// Ranks returns the number of connected ranks.
-func (f *Fabric) Ranks() int { return f.n }
-
 // UseInjector attaches a fault injector; exchanges from then on consult it
 // by ordinal for drops, corruptions, and latency spikes. A nil injector is
 // inert.
@@ -425,17 +422,6 @@ func (f *Fabric) TotalBytes() int64 {
 	var n int64
 	for _, st := range f.stages {
 		n += st.TotalBytes()
-	}
-	return n
-}
-
-// TotalLocalBytes sums rank-local bytes across every exchange.
-func (f *Fabric) TotalLocalBytes() int64 {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	var n int64
-	for _, st := range f.stages {
-		n += st.TotalLocalBytes()
 	}
 	return n
 }

@@ -102,11 +102,7 @@ func (m *Membership) Alive(r int) bool {
 	return r >= 0 && r < len(m.state) && m.state[r] == rankLive
 }
 
-// Live returns the ascending live rank IDs of the current epoch. The slice
-// is the epoch's cache — callers must not mutate it.
-func (m *Membership) Live() []int { return m.live }
-
-// LiveCount is len(Live()) without the slice.
+// LiveCount is the number of live ranks in the current epoch.
 func (m *Membership) LiveCount() int { return len(m.live) }
 
 // Deal returns the current epoch's shard→rank mapping. The deal is built

@@ -165,3 +165,6 @@ func BenchmarkShardDealRebuild(b *testing.B) {
 	}
 	_ = sink
 }
+
+// Live returns the ascending live rank IDs of the current epoch.
+func (m *Membership) Live() []int { return m.live }

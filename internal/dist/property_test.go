@@ -182,3 +182,18 @@ func TestAllgatherMatrixCoversAllRanks(t *testing.T) {
 		}
 	}
 }
+
+// OwnerRank maps a contig ID to the rank owning it under the static deal of
+// N ranks: what shardDeal.rankOf reduces to with every rank alive.
+func OwnerRank(ctgID int64, shards, ranks int) int {
+	return VirtualShard(ctgID, shards) % ranks
+}
+
+// liveAll returns the full live set 0..n-1.
+func liveAll(n int) []int {
+	live := make([]int, n)
+	for i := range live {
+		live[i] = i
+	}
+	return live
+}

@@ -172,3 +172,8 @@ func FuzzShardRedeal(f *testing.F) {
 		}
 	})
 }
+
+// ownerRank returns the live rank owning a contig.
+func (d *shardDeal) ownerRank(ctgID int64) int {
+	return d.rankOf(VirtualShard(ctgID, d.shards))
+}

@@ -136,12 +136,6 @@ func VirtualShard(ctgID int64, shards int) int {
 	return int(murmur.Hash64Word(uint64(ctgID), 0, shardSeed) % uint64(shards))
 }
 
-// OwnerRank maps a contig ID to the rank owning it under N ranks and the
-// given virtual-shard count.
-func OwnerRank(ctgID int64, shards, ranks int) int {
-	return VirtualShard(ctgID, shards) % ranks
-}
-
 // ReadHomeRank maps a read to the rank that holds (and aligned) it. The
 // ".merged" suffix the merge stage appends is stripped first, so a merged
 // read lives where its originating pair was scattered.
@@ -168,23 +162,9 @@ func newShardDeal(shards int, live []int) *shardDeal {
 	return &shardDeal{shards: shards, live: live}
 }
 
-// liveAll returns the full live set 0..n-1.
-func liveAll(n int) []int {
-	live := make([]int, n)
-	for i := range live {
-		live[i] = i
-	}
-	return live
-}
-
 // rankOf returns the live rank owning a virtual shard.
 func (d *shardDeal) rankOf(shard int) int {
 	return d.live[shard%len(d.live)]
-}
-
-// ownerRank returns the live rank owning a contig.
-func (d *shardDeal) ownerRank(ctgID int64) int {
-	return d.rankOf(VirtualShard(ctgID, d.shards))
 }
 
 // readHome returns the live rank holding a read: the same hash as

@@ -186,3 +186,12 @@ func TestShardPolicyValidation(t *testing.T) {
 		t.Error("unknown shard policy accepted")
 	}
 }
+
+// Component returns the component ID of a contig (a contig the map has not
+// seen is its own component).
+func (m *componentShardMap) Component(id int64) int64 {
+	if c, ok := m.comp[id]; ok {
+		return c
+	}
+	return id
+}

@@ -242,10 +242,3 @@ func Fig14(m *cluster.Model, f64 float64) string {
 	fmt.Fprintf(&b, "paper: ~42%% peak improvement at <=128 nodes, shrinking as communication dominates\n")
 	return b.String()
 }
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}

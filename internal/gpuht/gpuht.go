@@ -12,7 +12,6 @@
 package gpuht
 
 import (
-	"fmt"
 	"math/bits"
 
 	"mhm2sim/internal/murmur"
@@ -116,7 +115,7 @@ func hashBlocks(k int) int { return (k + 7) / 8 }
 
 // Read-only vectors the kernels pass by address: CAS, store and add
 // operands, and the lane-local offsets at which key block b is staged, for
-// every k Table.Validate accepts.
+// every k ≤ 255.
 var (
 	emptyVec = simt.Splat(Empty)
 	zeroVec  = simt.Splat(0)
@@ -268,15 +267,4 @@ func keysEqual(w *simt.Warp, mask simt.Mask, a, b keys, k int) simt.Mask {
 // entryAddr returns the address of the entry in slot (below Capacity).
 func (t Table) entryAddr(slot uint64) uint64 {
 	return uint64(t.Base) + slot*EntryBytes
-}
-
-// Validate checks table descriptor sanity.
-func (t Table) Validate() error {
-	if t.Capacity == 0 {
-		return fmt.Errorf("gpuht: zero-capacity table")
-	}
-	if t.K < 1 || t.K > 255 {
-		return fmt.Errorf("gpuht: bad k %d", t.K)
-	}
-	return nil
 }

@@ -275,53 +275,6 @@ func TestLookupMissing(t *testing.T) {
 	}
 }
 
-func TestInsertLaneMatchesBatch(t *testing.T) {
-	// v1 (single-lane) and v2 (warp) construction must build identical
-	// tables.
-	d := testDevice()
-	rng := rand.New(rand.NewSource(21))
-	read := make([]byte, 60)
-	for i := range read {
-		read[i] = dna.Alphabet[rng.Intn(4)]
-	}
-	reads := [][]byte{read}
-	k := 6
-	arena, offs := buildArena(t, d, reads)
-
-	tabA := newTable(t, d, arena, k, SlotsPerExtension(len(read), 1))
-	insertAll(t, d, tabA, reads, nil, offs)
-
-	tabB := newTable(t, d, arena, k, SlotsPerExtension(len(read), 1))
-	_, err := d.Launch(simt.KernelConfig{Name: "v1", Warps: 1}, func(w *simt.Warp) {
-		for i := 0; i+k <= len(read); i++ {
-			ext := byte(NoExt)
-			hiq := false
-			if i+k < len(read) {
-				c, _ := dna.Code(read[i+k])
-				ext, hiq = c, true
-			}
-			if err := tabB.InsertLane(w, 0, offs[0]+uint32(i), ext, hiq); err != nil {
-				t.Error(err)
-			}
-		}
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	keys := map[string]uint32{}
-	for i := 0; i+k <= len(read); i++ {
-		keys[string(read[i:i+k])] = offs[0] + uint32(i)
-	}
-	gotA := lookupAll(t, d, tabA, arena, keys)
-	gotB := lookupAll(t, d, tabB, arena, keys)
-	for key := range keys {
-		if gotA[key] != gotB[key] {
-			t.Errorf("key %s: batch %+v vs lane %+v", key, gotA[key], gotB[key])
-		}
-	}
-}
-
 func TestInsertRandomMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
 	for trial := 0; trial < 10; trial++ {
@@ -377,7 +330,7 @@ func TestVisitedCycleDetection(t *testing.T) {
 	vbase, _ := d.Malloc(VisitedBytes(slots))
 	vis := Visited{Base: vbase, Capacity: uint64(slots), BufBase: base, K: k}
 	_, err = d.Launch(simt.KernelConfig{Name: "visited", Warps: 1}, func(w *simt.Warp) {
-		ClearVisited(w, vbase, slots, 1)
+		ClearVisitedWarp(w, vbase, slots)
 		// First three k-mers are distinct: ACG, CGA, GAC.
 		for i := 0; i < 3; i++ {
 			seen, err := vis.InsertLane(w, 0, uint32(i))
@@ -486,14 +439,63 @@ func TestV2CoalescesBetterThanV1(t *testing.T) {
 	}
 }
 
-func TestTableValidate(t *testing.T) {
-	if (Table{Capacity: 0, K: 21}).Validate() == nil {
-		t.Error("zero capacity accepted")
+func TestInsertLaneMatchesBatch(t *testing.T) {
+	// Inserting a read's k-mers one lane at a time (v1's construction) and
+	// a warp at a time (v2's) must build identical tables.
+	d := testDevice()
+	rng := rand.New(rand.NewSource(21))
+	read := make([]byte, 60)
+	for i := range read {
+		read[i] = dna.Alphabet[rng.Intn(4)]
 	}
-	if (Table{Capacity: 8, K: 0}).Validate() == nil {
-		t.Error("k=0 accepted")
+	reads := [][]byte{read}
+	k := 6
+	arena, offs := buildArena(t, d, reads)
+
+	tabA := newTable(t, d, arena, k, SlotsPerExtension(len(read), 1))
+	insertAll(t, d, tabA, reads, nil, offs)
+
+	tabB := newTable(t, d, arena, k, SlotsPerExtension(len(read), 1))
+	_, err := d.Launch(simt.KernelConfig{Name: "v1", Warps: 1}, func(w *simt.Warp) {
+		for i := 0; i+k <= len(read); i++ {
+			ext := byte(NoExt)
+			hiq := false
+			if i+k < len(read) {
+				c, _ := dna.Code(read[i+k])
+				ext, hiq = c, true
+			}
+			if err := tabB.InsertLane(w, 0, offs[0]+uint32(i), ext, hiq); err != nil {
+				t.Error(err)
+			}
+		}
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
-	if (Table{Capacity: 8, K: 21}).Validate() != nil {
-		t.Error("valid table rejected")
+
+	keys := map[string]uint32{}
+	for i := 0; i+k <= len(read); i++ {
+		keys[string(read[i:i+k])] = offs[0] + uint32(i)
 	}
+	gotA := lookupAll(t, d, tabA, arena, keys)
+	gotB := lookupAll(t, d, tabB, arena, keys)
+	for key := range keys {
+		if gotA[key] != gotB[key] {
+			t.Errorf("key %s: batch %+v vs lane %+v", key, gotA[key], gotB[key])
+		}
+	}
+}
+
+// InsertLane inserts a single k-mer from one lane, all others predicated
+// off: what the v1 kernel's one-thread-per-table construction amounts to.
+func (t Table) InsertLane(w *simt.Warp, lane int, keyOff uint32, extBase byte, extHiQ bool) error {
+	m := simt.LaneMask(lane)
+	var keyOffs, extBases simt.Vec
+	keyOffs[lane] = uint64(keyOff)
+	extBases[lane] = uint64(extBase)
+	var hiq simt.Mask
+	if extHiQ {
+		hiq = m
+	}
+	return t.InsertBatch(w, m, &keyOffs, &extBases, hiq)
 }

@@ -156,18 +156,3 @@ func fieldAddrs(mask simt.Mask, entries *simt.Vec, off uint64, a *simt.Vec) *sim
 	}
 	return a
 }
-
-// InsertLane inserts a single k-mer from one lane (the v1 kernel's
-// one-thread-per-table construction). All other lanes are predicated off,
-// which is exactly the inefficiency Figs 8 and 10 quantify.
-func (t Table) InsertLane(w *simt.Warp, lane int, keyOff uint32, extBase byte, extHiQ bool) error {
-	m := simt.LaneMask(lane)
-	var keyOffs, extBases simt.Vec
-	keyOffs[lane] = uint64(keyOff)
-	extBases[lane] = uint64(extBase)
-	var hiq simt.Mask
-	if extHiQ {
-		hiq = m
-	}
-	return t.InsertBatch(w, m, &keyOffs, &extBases, hiq)
-}

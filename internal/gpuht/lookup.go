@@ -163,16 +163,6 @@ func ClearEntries(w *simt.Warp, base simt.Ptr, entries, totalWarps int) {
 // ClearVisitedWarp resets a run of visited-table slots to Empty using a
 // single warp's lanes.
 func ClearVisitedWarp(w *simt.Warp, base simt.Ptr, slots int) {
-	clearVisited(w, base, slots, 0, 1)
-}
-
-// ClearVisited resets a run of visited-table slots to Empty, warp-
-// cooperatively as in ClearEntries.
-func ClearVisited(w *simt.Warp, base simt.Ptr, slots, totalWarps int) {
-	clearVisited(w, base, slots, w.ID, totalWarps)
-}
-
-func clearVisited(w *simt.Warp, base simt.Ptr, slots, warpIdx, totalWarps int) {
-	w.FillGlobal(base, slots, 4, Empty, warpIdx, totalWarps)
-	w.ExecChunks(simt.ICtrl, slots, warpIdx, totalWarps) // loop bookkeeping, one per store
+	w.FillGlobal(base, slots, 4, Empty, 0, 1)
+	w.ExecChunks(simt.ICtrl, slots, 0, 1) // loop bookkeeping, one per store
 }

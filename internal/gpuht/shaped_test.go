@@ -134,9 +134,6 @@ func TestClearsMatchPerLaneLoops(t *testing.T) {
 				sameRun(t, "ClearEntries", a, b, arena, warps,
 					func(w *simt.Warp) { ClearEntries(w, base, entries, warps) },
 					func(w *simt.Warp) { refClearEntries(w, base, entries, warps) })
-				sameRun(t, "ClearVisited", a, b, arena, warps,
-					func(w *simt.Warp) { ClearVisited(w, base, entries, warps) },
-					func(w *simt.Warp) { refClearVisited(w, base, entries, w.ID, warps) })
 				sameRun(t, "ClearEntriesWarp", a, b, arena, 1,
 					func(w *simt.Warp) { ClearEntriesWarp(w, base, entries) },
 					func(w *simt.Warp) { refClearEntriesWarp(w, base, entries) })
@@ -343,7 +340,7 @@ func (t Table) refAbsKeys(keyOffs *simt.Vec) simt.Vec {
 func (t Table) refInsertBatch(w *simt.Warp, mask simt.Mask, own keys, keyOffs, extBases *simt.Vec, extHiQ simt.Mask) error {
 	hashes := refHashKmers(w, mask, own, t.K)
 
-	w.MatchAny(mask, &hashes)
+	w.Exec(simt.IMatch, mask) // match_any, costed; the groups were never read
 
 	slots := hashes
 	pending := mask
@@ -566,8 +563,8 @@ func TestInsertBatchMatchesParentLoop(t *testing.T) {
 	}
 }
 
-// TestStageOffsPastValidate hashes keys on both sides of the widest k
-// Table.Validate accepts (255: the last shared staging-offset vector) with
+// TestStageOffsPastValidate hashes keys on both sides of the widest k the
+// shared staging-offset vectors cover (255) with
 // enough local memory to stage every block: Visited, LaneTables and
 // LaneVisited take their K unchecked, and wider keys must hash as they did
 // when the offsets were built per call.

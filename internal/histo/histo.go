@@ -5,7 +5,6 @@ package histo
 import (
 	"fmt"
 	"math"
-	"sort"
 	"strings"
 )
 
@@ -52,11 +51,6 @@ func FromValues(title string, values []int) Histogram {
 	return h
 }
 
-// FromBuckets builds a histogram with explicit labels.
-func FromBuckets(title string, labels []string, counts []int64) Histogram {
-	return Histogram{Title: title, Labels: labels, Counts: counts}
-}
-
 // Render draws the histogram with bars scaled to width characters.
 func (h Histogram) Render(width int) string {
 	if width < 1 {
@@ -88,19 +82,4 @@ func (h Histogram) Render(width int) string {
 		fmt.Fprintf(&b, "  %-*s %8d %s\n", labelW, l, h.Counts[i], strings.Repeat("#", bar))
 	}
 	return b.String()
-}
-
-// Summary returns n, min, median, mean, max of the values.
-func Summary(values []int) (n int, minV, median int, mean float64, maxV int) {
-	n = len(values)
-	if n == 0 {
-		return 0, 0, 0, 0, 0
-	}
-	s := append([]int(nil), values...)
-	sort.Ints(s)
-	var sum int64
-	for _, v := range s {
-		sum += int64(v)
-	}
-	return n, s[0], s[n/2], float64(sum) / float64(n), s[n-1]
 }

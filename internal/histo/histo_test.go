@@ -38,7 +38,7 @@ func TestFromValuesEmpty(t *testing.T) {
 }
 
 func TestRenderScaling(t *testing.T) {
-	h := FromBuckets("t", []string{"a", "b", "c"}, []int64{100, 50, 1})
+	h := Histogram{Title: "t", Labels: []string{"a", "b", "c"}, Counts: []int64{100, 50, 1}}
 	out := h.Render(20)
 	lines := strings.Split(strings.TrimSpace(out), "\n")
 	if len(lines) != 4 {
@@ -49,18 +49,5 @@ func TestRenderScaling(t *testing.T) {
 	}
 	if !strings.Contains(lines[3], "#") {
 		t.Error("nonzero count rendered with no bar")
-	}
-}
-
-func TestSummary(t *testing.T) {
-	n, minV, med, mean, maxV := Summary([]int{5, 1, 9, 3, 7})
-	if n != 5 || minV != 1 || med != 5 || maxV != 9 {
-		t.Errorf("summary %d %d %d %f %d", n, minV, med, mean, maxV)
-	}
-	if mean != 5 {
-		t.Errorf("mean %f", mean)
-	}
-	if n, _, _, _, _ := Summary(nil); n != 0 {
-		t.Error("empty summary")
 	}
 }

@@ -60,16 +60,6 @@ func FromBytes(seq []byte, k int) (Kmer, bool) {
 	return km, true
 }
 
-// MustFromString packs a string, panicking on invalid input; intended for
-// tests and examples.
-func MustFromString(s string) Kmer {
-	km, ok := FromBytes([]byte(s), len(s))
-	if !ok {
-		panic(fmt.Sprintf("kmer: invalid k-mer %q", s))
-	}
-	return km
-}
-
 // Bytes unpacks the k-mer into ASCII bases.
 func (k Kmer) Bytes(klen int) []byte {
 	out := make([]byte, klen)
@@ -78,9 +68,6 @@ func (k Kmer) Bytes(klen int) []byte {
 	}
 	return out
 }
-
-// String unpacks assuming the caller's length; provided via Sprint helper.
-func (k Kmer) String(klen int) string { return string(k.Bytes(klen)) }
 
 // lastSlot locates base klen-1: the index of the last word covering klen
 // bases and the bit offset of that base inside it. Every bit of that word
@@ -122,16 +109,6 @@ func (k *Kmer) zeroFrom(word int) {
 func (k Kmer) Append(klen int, c byte) Kmer {
 	last, sh := lastSlot(klen)
 	k.appendAt(last, sh, c)
-	k.zeroFrom(last + 1)
-	return k
-}
-
-// Prepend drops the last base and prepends code c at position 0, producing
-// the next k-mer of a leftward walk. Only the words covering klen bases are
-// shifted.
-func (k Kmer) Prepend(klen int, c byte) Kmer {
-	last, sh := lastSlot(klen)
-	k.prependAt(last, sh, c)
 	k.zeroFrom(last + 1)
 	return k
 }
@@ -210,7 +187,7 @@ func (k Kmer) HashK(klen int, seed uint64) uint64 {
 
 // Scanner is the one rolling k-mer iterator: fed a sequence a base at a
 // time, it keeps the forward k-mer and its reverse complement in lock-step
-// (Append on one, Prepend of the complement on the other), so the canonical
+// (append on one, prepend of the complement on the other), so the canonical
 // form of every window costs a word compare, never a RevComp. It is a plain
 // value: no allocation, nothing to release.
 type Scanner struct {
@@ -272,13 +249,6 @@ func ForEach(seq []byte, k int, fn func(pos int, km Kmer)) {
 			fn(i-k+1, s.Forward())
 		}
 	}
-}
-
-// Count returns the number of valid k-mer windows in seq.
-func Count(seq []byte, k int) int {
-	n := 0
-	ForEach(seq, k, func(int, Kmer) { n++ })
-	return n
 }
 
 // Windows returns the number of k-base windows in seqs, ambiguous ones

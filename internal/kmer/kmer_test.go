@@ -146,12 +146,12 @@ func TestCanonicalProperties(t *testing.T) {
 }
 
 func TestHashEqualityAndSpread(t *testing.T) {
-	a := MustFromString("ACGTACGTACGTACGTACGTA")
-	b := MustFromString("ACGTACGTACGTACGTACGTA")
+	a := mustFromString("ACGTACGTACGTACGTACGTA")
+	b := mustFromString("ACGTACGTACGTACGTACGTA")
 	if a.Hash(1) != b.Hash(1) {
 		t.Error("equal k-mers hash differently")
 	}
-	c := MustFromString("ACGTACGTACGTACGTACGTC")
+	c := mustFromString("ACGTACGTACGTACGTACGTC")
 	if a.Hash(1) == c.Hash(1) {
 		t.Error("suspicious collision between distinct k-mers")
 	}
@@ -224,16 +224,16 @@ func TestForEachSkipsAmbiguous(t *testing.T) {
 	if strings.Join(got, ",") != strings.Join(want, ",") {
 		t.Errorf("got %v want %v", got, want)
 	}
-	if Count(seq, 4) != 3 {
-		t.Errorf("Count = %d, want 3", Count(seq, 4))
+	if count(seq, 4) != 3 {
+		t.Errorf("Count = %d, want 3", count(seq, 4))
 	}
 }
 
 func TestForEachShortInput(t *testing.T) {
-	if Count([]byte("ACG"), 4) != 0 {
+	if count([]byte("ACG"), 4) != 0 {
 		t.Error("short input should yield no windows")
 	}
-	if Count(nil, 4) != 0 {
+	if count(nil, 4) != 0 {
 		t.Error("nil input should yield no windows")
 	}
 }
@@ -241,7 +241,7 @@ func TestForEachShortInput(t *testing.T) {
 func TestClearTailIsolation(t *testing.T) {
 	// Two k-mers with the same klen prefix but built through different
 	// histories must be equal.
-	long := MustFromString("ACGTACGTACGTACGTACGTACGTACGTACGTACGT")
+	long := mustFromString("ACGTACGTACGTACGTACGTACGTACGTACGTACGT")
 	k := 8
 	var a Kmer
 	for i := 0; i < k; i++ {
@@ -254,7 +254,7 @@ func TestClearTailIsolation(t *testing.T) {
 }
 
 func BenchmarkAppendK21(b *testing.B) {
-	km := MustFromString("ACGTACGTACGTACGTACGTA")
+	km := mustFromString("ACGTACGTACGTACGTACGTA")
 	for i := 0; i < b.N; i++ {
 		km = km.Append(21, byte(i)&3)
 	}
@@ -269,8 +269,37 @@ func BenchmarkForEachK21Read150(b *testing.B) {
 }
 
 func BenchmarkHash(b *testing.B) {
-	km := MustFromString("ACGTACGTACGTACGTACGTA")
+	km := mustFromString("ACGTACGTACGTACGTACGTA")
 	for i := 0; i < b.N; i++ {
 		_ = km.Hash(uint64(i))
 	}
 }
+
+// mustFromString packs a k-mer literal.
+func mustFromString(s string) Kmer {
+	km, ok := FromBytes([]byte(s), len(s))
+	if !ok {
+		panic("invalid k-mer " + s)
+	}
+	return km
+}
+
+// count returns the number of valid k-mer windows ForEach visits in seq.
+func count(seq []byte, k int) int {
+	n := 0
+	ForEach(seq, k, func(int, Kmer) { n++ })
+	return n
+}
+
+// Prepend drops the last base and prepends code c at position 0, the
+// leftward mirror of Append: the step Scanner takes on its reverse
+// complement (prependAt), as a value method the tests can call.
+func (k Kmer) Prepend(klen int, c byte) Kmer {
+	last, sh := lastSlot(klen)
+	k.prependAt(last, sh, c)
+	k.zeroFrom(last + 1)
+	return k
+}
+
+// String unpacks the k-mer into an ASCII string.
+func (k Kmer) String(klen int) string { return string(k.Bytes(klen)) }

@@ -110,7 +110,7 @@ func BenchmarkAblationOverlap(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		ov, err := drv2.RunOverlapped(ctgs, DefaultCPUTime(42), 42)
+		ov, err := drv2.RunOverlapped(ctgs, DefaultCPUCost(), 42)
 		if err != nil {
 			b.Fatal(err)
 		}

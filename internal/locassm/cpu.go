@@ -1,12 +1,14 @@
 package locassm
 
 import (
+	"time"
+
 	"mhm2sim/internal/dna"
 	"mhm2sim/internal/par"
 )
 
-// WorkCounts tallies the algorithmic work of a local-assembly run; the
-// cluster model converts these counts into Summit-CPU time.
+// WorkCounts tallies the algorithmic work of a local-assembly run; CPUCost
+// converts these counts into modeled CPU time.
 type WorkCounts struct {
 	TableBuilds   int64 // hash-table constructions (one per mer size tried per side)
 	KmersInserted int64 // Algorithm 1 insertions
@@ -22,6 +24,42 @@ func (w *WorkCounts) Add(o WorkCounts) {
 	w.WalkSteps += o.WalkSteps
 }
 
+// CPUCost assigns one core's cost, in nanoseconds per operation, to the
+// local-assembly operations (Algorithm 1 inserts, Algorithm 2 lookups and
+// steps, per-table setup). It is the one CPU cost model: the cpu engine's
+// Busy and RunOverlapped's bin-2 split use DefaultCPUCost as is, and
+// cluster.Model rescales it against the paper's 64-node anchor.
+type CPUCost struct {
+	InsertNS float64 // hash + insert of one k-mer into the table
+	LookupNS float64 // one walk-step table probe
+	WalkNS   float64 // non-probe per-step bookkeeping
+	BuildNS  float64 // per-table construction overhead
+}
+
+// DefaultCPUCost is plausible for a std::unordered-style table on a POWER9
+// core, and is what cluster.Model.FitScaling starts from (EXPERIMENTS.md has
+// the calibration record).
+func DefaultCPUCost() CPUCost {
+	return CPUCost{InsertNS: 55, LookupNS: 80, WalkNS: 10, BuildNS: 3000}
+}
+
+// NS converts work counts to single-core nanoseconds.
+func (m CPUCost) NS(wc WorkCounts) float64 {
+	return float64(wc.KmersInserted)*m.InsertNS +
+		float64(wc.Lookups)*m.LookupNS +
+		float64(wc.WalkSteps)*m.WalkNS +
+		float64(wc.TableBuilds)*m.BuildNS
+}
+
+// Time is the modeled time of the work spread evenly over workers cores
+// (fewer than one counts as one).
+func (m CPUCost) Time(wc WorkCounts, workers int) time.Duration {
+	if workers < 1 {
+		workers = 1
+	}
+	return time.Duration(m.NS(wc) / float64(workers))
+}
+
 // CPUResult is the outcome of a CPU local-assembly run.
 type CPUResult struct {
 	Results []Result
@@ -35,6 +73,12 @@ type CPUResult struct {
 // across its whole share, so steady-state extends allocate nothing.
 // Results are returned in input order.
 func RunCPU(ctgs []*CtgWithReads, cfg Config, workers int) (*CPUResult, error) {
+	return runCPU(ctgs, cfg, workers, nil)
+}
+
+// runCPU is RunCPU; a non-nil perCtg (one slot per contig) also receives
+// each contig's own work counts, which RunOverlapped replays its cutoff over.
+func runCPU(ctgs []*CtgWithReads, cfg Config, workers int, perCtg []WorkCounts) (*CPUResult, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
@@ -50,7 +94,12 @@ func RunCPU(ctgs []*CtgWithReads, cfg Config, workers int) (*CPUResult, error) {
 			spaces[wk] = ws
 		}
 		for i := s.Lo; i < s.Hi; i++ {
-			res.Results[i] = extendContigCPU(ws, ctgs[i], &cfg, &counts[wk])
+			var wc WorkCounts
+			res.Results[i] = extendContigCPU(ws, ctgs[i], &cfg, &wc)
+			counts[wk].Add(wc)
+			if perCtg != nil {
+				perCtg[i] = wc
+			}
 		}
 	})
 

@@ -129,22 +129,24 @@ func (d *Driver) Run(ctgs []*CtgWithReads) (*GPUResult, error) {
 			total, d.Dev.Cfg.GlobalMemBytes)
 	}
 
-	// One slab region per side, sized to that side's largest batch and
-	// reused for every batch on that side. Allocating (and growing the
-	// arena to) the full footprint before anything launches is what lets
-	// kernels and copies overlap without the backing store moving.
+	// One slab per side, sized to that side's largest batch and reused for
+	// every batch on that side — §3.2's single flat allocation, carved in
+	// two. Allocating (and growing the arena to) the full footprint before
+	// anything launches is what lets kernels and copies overlap without the
+	// backing store moving.
 	dev := d.Dev
 	dev.FreeAll()
+	defer dev.FreeAll()
 	if err := dev.Prealloc(slabBytes[0] + slabBytes[1] + 64); err != nil {
 		return nil, err
 	}
-	var slabs [pipelineStreams]simt.Region
+	var slabs [pipelineStreams]simt.Ptr
 	for s := range slabs {
 		if slabBytes[s] == 0 {
 			continue
 		}
 		var err error
-		slabs[s], err = dev.AllocRegion(slabBytes[s])
+		slabs[s], err = dev.Malloc(slabBytes[s])
 		if err != nil {
 			return nil, err
 		}
@@ -173,9 +175,6 @@ func (d *Driver) Run(ctgs []*CtgWithReads) (*GPUResult, error) {
 				return nil, err
 			}
 		}
-	}
-	for s := range slabs {
-		slabs[s].Free()
 	}
 
 	// Merge per-side outputs in the fixed right-then-left order, so
@@ -239,7 +238,7 @@ func splitBatch(b *batchPlan, cfg *Config) [2]*batchPlan {
 // its footprint is a subset of the original and always fits the slab.
 // Successfully launched (sub-)batches are handed to emit in item order; the
 // returned count is how many splits happened.
-func (d *Driver) launchRecover(stream *simt.Stream, slab simt.Region, left bool, batch *batchPlan, arena *hostArena, depth int, emit func(launchedBatch)) (int, error) {
+func (d *Driver) launchRecover(stream *simt.Stream, slab simt.Ptr, left bool, batch *batchPlan, arena *hostArena, depth int, emit func(launchedBatch)) (int, error) {
 	lb, err := d.launchBatch(stream, slab, left, batch, arena)
 	if err == nil {
 		emit(lb)
@@ -268,7 +267,7 @@ func (d *Driver) launchRecover(stream *simt.Stream, slab simt.Region, left bool,
 
 // runSideSequential is the reference path: each batch is staged, launched,
 // and unpacked before the next one starts.
-func (d *Driver) runSideSequential(batches []*batchPlan, left bool, slab simt.Region, so *sideOut) error {
+func (d *Driver) runSideSequential(batches []*batchPlan, left bool, slab simt.Ptr, so *sideOut) error {
 	stream := d.Dev.NewStream()
 	for _, b := range batches {
 		arena := arenaPool.Get().(*hostArena)
@@ -288,7 +287,7 @@ func (d *Driver) runSideSequential(batches []*batchPlan, left bool, slab simt.Re
 // a pack goroutine fills staging arenas, a launch goroutine ships them and
 // runs kernels on this side's stream, and the caller's goroutine unpacks.
 // Bounded channels keep at most pipelineDepth batches queued per stage.
-func (d *Driver) runSidePipelined(batches []*batchPlan, left bool, slab simt.Region, so *sideOut) error {
+func (d *Driver) runSidePipelined(batches []*batchPlan, left bool, slab simt.Ptr, so *sideOut) error {
 	stream := d.Dev.NewStream()
 
 	staged := make(chan stagedBatch, pipelineDepth)

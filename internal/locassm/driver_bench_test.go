@@ -8,8 +8,8 @@ import (
 )
 
 // benchBatch builds one representative batch (right side of a 40-contig
-// workload) plus a slab region for it on a fresh device.
-func benchBatch(b *testing.B) (*Driver, *batchPlan, simt.Region) {
+// workload) plus a slab for it on a fresh device.
+func benchBatch(b *testing.B) (*Driver, *batchPlan, simt.Ptr) {
 	b.Helper()
 	rng := rand.New(rand.NewSource(42))
 	ctgs := randomWorkload(rng, 40)
@@ -23,7 +23,7 @@ func benchBatch(b *testing.B) (*Driver, *batchPlan, simt.Region) {
 		b.Fatal(err)
 	}
 	batch := batches[0]
-	slab, err := d.Dev.AllocRegion(batch.deviceBytes())
+	slab, err := d.Dev.Malloc(batch.deviceBytes())
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -37,7 +37,7 @@ func benchBatch(b *testing.B) (*Driver, *batchPlan, simt.Region) {
 func BenchmarkDriverStaging(b *testing.B) {
 	b.Run("perread", func(b *testing.B) {
 		d, batch, slab := benchBatch(b)
-		bases := batch.bases(slab.Base)
+		bases := batch.bases(slab)
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
@@ -52,7 +52,7 @@ func BenchmarkDriverStaging(b *testing.B) {
 	})
 	b.Run("arena", func(b *testing.B) {
 		d, batch, slab := benchBatch(b)
-		bases := batch.bases(slab.Base)
+		bases := batch.bases(slab)
 		stream := d.Dev.NewStream()
 		arena := arenaPool.Get().(*hostArena)
 		b.ReportAllocs()

@@ -156,15 +156,13 @@ func NewEngine(spec EngineSpec) (Engine, error) {
 type cpuEngine struct {
 	cfg     Config
 	workers int
-	model   CPUTimeModel
 }
 
 func newCPUEngine(spec EngineSpec) (Engine, error) {
 	if err := spec.Config.Validate(); err != nil {
 		return nil, err
 	}
-	w := par.Workers(spec.Workers)
-	return &cpuEngine{cfg: spec.Config, workers: w, model: DefaultCPUTime(w)}, nil
+	return &cpuEngine{cfg: spec.Config, workers: par.Workers(spec.Workers)}, nil
 }
 
 func (e *cpuEngine) Name() string { return EngineCPU }
@@ -175,7 +173,7 @@ func (e *cpuEngine) Assemble(_ int, ctgs []*CtgWithReads) ([]Result, Stats, erro
 	if err != nil {
 		return nil, Stats{}, err
 	}
-	return cres.Results, Stats{Counts: cres.Counts, Busy: e.model(cres.Counts)}, nil
+	return cres.Results, Stats{Counts: cres.Counts, Busy: DefaultCPUCost().Time(cres.Counts, e.workers)}, nil
 }
 
 // gpuEngine wraps the pipelined single-device batch driver.

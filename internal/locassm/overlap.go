@@ -1,9 +1,9 @@
 package locassm
 
 import (
-	"runtime"
-	"sync"
 	"time"
+
+	"mhm2sim/internal/par"
 )
 
 // This file implements the §4.3 / Fig 11 integration schedule: after
@@ -12,25 +12,6 @@ import (
 // returns to the CPU — while the CPU works through bin 2. When the GPU
 // returns, whatever remains of bin 2 is offloaded too. Bin 3 goes first
 // because GPUs fare better with more work per launch (latency hiding).
-
-// CPUTimeModel estimates how long a node's CPU implementation needs for
-// the given work counts; the overlap scheduler uses it to decide how much
-// of bin 2 the CPU finishes while the GPU processes bin 3.
-type CPUTimeModel func(WorkCounts) time.Duration
-
-// DefaultCPUTime returns a simple per-operation cost model for `workers`
-// cores (55 ns per insert, 80 ns per lookup — the same constants the
-// cluster model starts from before calibration).
-func DefaultCPUTime(workers int) CPUTimeModel {
-	if workers < 1 {
-		workers = 1
-	}
-	return func(wc WorkCounts) time.Duration {
-		ns := float64(wc.KmersInserted)*55 + float64(wc.Lookups)*80 +
-			float64(wc.WalkSteps)*10 + float64(wc.TableBuilds)*3000
-		return time.Duration(ns / float64(workers))
-	}
-}
 
 // OverlapResult is the outcome of the Fig 11 schedule.
 type OverlapResult struct {
@@ -50,13 +31,9 @@ type OverlapResult struct {
 
 // RunOverlapped executes local assembly with the Fig 11 schedule. Results
 // are bit-identical to Run/RunCPU (the schedule only changes who computes
-// what); cpuTime decides the CPU/GPU split of bin 2 (nil uses
-// DefaultCPUTime for the driver's worker count... callers should pass the
-// model they calibrate elsewhere).
-func (d *Driver) RunOverlapped(ctgs []*CtgWithReads, cpuTime CPUTimeModel, cpuWorkers int) (*OverlapResult, error) {
-	if cpuTime == nil {
-		cpuTime = DefaultCPUTime(cpuWorkers)
-	}
+// what); cost over cpuWorkers cores decides the CPU/GPU split of bin 2.
+func (d *Driver) RunOverlapped(ctgs []*CtgWithReads, cost CPUCost, cpuWorkers int) (*OverlapResult, error) {
+	cpuTime := func(wc WorkCounts) time.Duration { return cost.Time(wc, cpuWorkers) }
 	bins := MakeBins(ctgs, d.Cfg.SmallLimit)
 
 	out := &OverlapResult{Results: make([]Result, len(ctgs))}
@@ -87,11 +64,7 @@ func (d *Driver) RunOverlapped(ctgs []*CtgWithReads, cpuTime CPUTimeModel, cpuWo
 	// result) is bit-identical to the one-at-a-time schedule. Work past the
 	// cutoff inside the final chunk is speculative and discarded, exactly
 	// as a real overlapped driver over-decodes its last in-flight block.
-	workers := cpuWorkers
-	if workers < 1 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	chunk := 4 * workers
+	chunk := 4 * par.Workers(cpuWorkers)
 	cpuDone := 0
 loop:
 	for cpuDone < len(bins.Small) {
@@ -100,7 +73,11 @@ loop:
 			hi = len(bins.Small)
 		}
 		set := bins.Small[cpuDone:hi]
-		results, counts := cpuChunk(set, &d.Cfg.Config, workers)
+		counts := make([]WorkCounts, len(set))
+		cres, err := runCPU(set, d.Cfg.Config, cpuWorkers, counts)
+		if err != nil {
+			return nil, err
+		}
 		for j := range set {
 			next := out.CPUCounts
 			next.Add(counts[j])
@@ -108,7 +85,7 @@ loop:
 				break loop
 			}
 			out.CPUCounts = next
-			place(set[j:j+1], results[j:j+1])
+			place(set[j:j+1], cres.Results[j:j+1])
 			cpuDone++
 			if cpuTime(out.CPUCounts) > window {
 				break loop
@@ -138,35 +115,4 @@ loop:
 	}
 	out.ModelTime = cpuSpan + gpuRest.TotalTime()
 	return out, nil
-}
-
-// cpuChunk extends a chunk of contigs across `workers` goroutines,
-// returning per-contig results AND per-contig work counts (unlike RunCPU,
-// which only totals them) so the overlap scheduler can replay its cutoff
-// decision one contig at a time.
-func cpuChunk(ctgs []*CtgWithReads, cfg *Config, workers int) ([]Result, []WorkCounts) {
-	results := make([]Result, len(ctgs))
-	counts := make([]WorkCounts, len(ctgs))
-	if workers > len(ctgs) {
-		workers = len(ctgs)
-	}
-	var wg sync.WaitGroup
-	next := make(chan int, len(ctgs))
-	for i := range ctgs {
-		next <- i
-	}
-	close(next)
-	wg.Add(workers)
-	for wk := 0; wk < workers; wk++ {
-		go func() {
-			defer wg.Done()
-			ws := getWorkspace()
-			defer putWorkspace(ws)
-			for i := range next {
-				results[i] = extendContigCPU(ws, ctgs[i], cfg, &counts[i])
-			}
-		}()
-	}
-	wg.Wait()
-	return results, counts
 }

@@ -6,7 +6,6 @@ import (
 	"math/rand"
 	"sync/atomic"
 	"testing"
-	"time"
 
 	"mhm2sim/internal/gpuht"
 )
@@ -45,7 +44,7 @@ func TestRunOverlappedMatchesPlainRun(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ov, err := drv.RunOverlapped(ctgs, nil, 4)
+	ov, err := drv.RunOverlapped(ctgs, DefaultCPUCost(), 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -63,15 +62,13 @@ func TestRunOverlappedSplitsBin2(t *testing.T) {
 
 	// A slow CPU model: almost nothing finishes in the window, so nearly
 	// all of bin 2 goes to the GPU.
-	slow := func(wc WorkCounts) time.Duration {
-		return time.Duration(wc.KmersInserted) * time.Millisecond
-	}
+	slow := CPUCost{InsertNS: 1e6}
 	ovSlow, err := drv.RunOverlapped(ctgs, slow, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	// A fast CPU model: the CPU clears all of bin 2 inside the window.
-	fast := func(WorkCounts) time.Duration { return 0 }
+	fast := CPUCost{}
 	ovFast, err := drv.RunOverlapped(ctgs, fast, 64)
 	if err != nil {
 		t.Fatal(err)
@@ -95,7 +92,7 @@ func TestRunOverlappedSplitsBin2(t *testing.T) {
 func TestRunOverlappedAccounting(t *testing.T) {
 	ctgs := overlapWorkload(t)
 	drv := newTestDriver(t, true, 0)
-	ov, err := drv.RunOverlapped(ctgs, nil, 4)
+	ov, err := drv.RunOverlapped(ctgs, DefaultCPUCost(), 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -114,7 +111,7 @@ func TestRunOverlappedAccounting(t *testing.T) {
 	// The merged accounting covers the bin-2 remainder run whole: abort the
 	// schedule's last launch — the remainder run's, under a CPU model too
 	// slow to clear bin 2 — and the re-split it costs must be counted.
-	slow := func(wc WorkCounts) time.Duration { return time.Duration(wc.KmersInserted) * time.Millisecond }
+	slow := CPUCost{InsertNS: 1e6}
 	clean, err := drv.RunOverlapped(ctgs, slow, 1)
 	if err != nil {
 		t.Fatal(err)
@@ -139,16 +136,15 @@ func TestRunOverlappedAccounting(t *testing.T) {
 }
 
 func TestDefaultCPUTime(t *testing.T) {
-	m1 := DefaultCPUTime(1)
-	m4 := DefaultCPUTime(4)
+	m := DefaultCPUCost()
 	wc := WorkCounts{KmersInserted: 1_000_000, Lookups: 1000, WalkSteps: 1000, TableBuilds: 10}
-	if m1(wc) <= 0 {
+	if m.Time(wc, 1) <= 0 {
 		t.Fatal("zero time for real work")
 	}
-	if m4(wc)*4 != m1(wc) {
-		t.Errorf("worker scaling wrong: %v vs %v", m4(wc)*4, m1(wc))
+	if m.Time(wc, 4)*4 != m.Time(wc, 1) {
+		t.Errorf("worker scaling wrong: %v vs %v", m.Time(wc, 4)*4, m.Time(wc, 1))
 	}
-	if DefaultCPUTime(0)(wc) != m1(wc) {
+	if m.Time(wc, 0) != m.Time(wc, 1) {
 		t.Error("workers<1 should clamp to 1")
 	}
 }

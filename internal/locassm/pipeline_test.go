@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"strings"
 	"sync"
 	"testing"
 )
@@ -66,6 +67,30 @@ func TestPipelinedMatchesSequential(t *testing.T) {
 					t.Errorf("transfer time %v vs %v", pipe.TransferTime, seq.TransferTime)
 				}
 			})
+		}
+	}
+}
+
+// TestDriverLeavesDeviceEmpty: a run takes its two slabs from an empty heap
+// and gives both back, in either mode — on a workload with several batches
+// on each side, so both slabs were reused.
+func TestDriverLeavesDeviceEmpty(t *testing.T) {
+	ctgs := randomWorkload(rand.New(rand.NewSource(8300)), 20)
+	for _, mode := range []DriverMode{ModeSequential, ModePipelined} {
+		d := modeDriver(t, true, 1<<19, mode)
+		res, err := d.Run(ctgs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sides := map[string]int{}
+		for _, k := range res.Kernels {
+			sides[strings.Split(k.Kernel, "_")[1]]++
+		}
+		if sides["left"] < 2 || sides["right"] < 2 {
+			t.Fatalf("mode %d: workload not two-sided and multi-batch: %v", mode, sides)
+		}
+		if n := d.Dev.InUse(); n != 0 {
+			t.Errorf("mode %d: %d bytes still allocated after Run", mode, n)
 		}
 	}
 }

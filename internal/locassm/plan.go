@@ -51,10 +51,6 @@ type batchPlan struct {
 	outArena   int64
 }
 
-func (b *batchPlan) totalBytes() int64 {
-	return b.seqArena + b.qualArena + b.tableArena + b.visArena + b.walkArena + b.outArena
-}
-
 // planItem computes one item's exact sizes.
 func planItem(it *sideItem, cfg *Config) *itemPlan {
 	p := &itemPlan{item: it}

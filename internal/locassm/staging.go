@@ -112,13 +112,13 @@ type launchedBatch struct {
 // a single bulk copy, plus one copy per non-empty extension. Transfer time
 // is taken from this batch's traffic on the side's stream, so the total is
 // an order-independent sum over batches.
-func (d *Driver) launchBatch(stream *simt.Stream, slab simt.Region, left bool, batch *batchPlan, arena *hostArena) (launchedBatch, error) {
+func (d *Driver) launchBatch(stream *simt.Stream, slab simt.Ptr, left bool, batch *batchPlan, arena *hostArena) (launchedBatch, error) {
 	if d.Cfg.FaultHook != nil {
 		if err := d.Cfg.FaultHook(); err != nil {
 			return launchedBatch{}, err
 		}
 	}
-	bases := batch.bases(slab.Base)
+	bases := batch.bases(slab)
 	stream.MemcpyHtoD(bases.seqBase, arena.seq)
 	stream.MemcpyHtoD(bases.qualBase, arena.qual)
 	stream.MemcpyHtoD(bases.walks, arena.walks)

@@ -2,9 +2,9 @@
 // function by Austin Appleby that MetaHipMer's local assembly uses to place
 // k-mers into its warp-local hash tables (SC '21 paper, §3.3).
 //
-// Two variants are provided: Hash64A, the canonical 64-bit MurmurHash2
-// ("MurmurHash64A") used for hash-table placement, and Hash32, the original
-// 32-bit variant, kept for completeness and for smaller tables.
+// Hash64A is the canonical 64-bit MurmurHash2 ("MurmurHash64A") used for
+// hash-table placement; Hash64Word and the streaming block API are the same
+// function over inputs that are already words.
 package murmur
 
 // Hash64A computes the 64-bit MurmurHash2 ("MurmurHash64A") of data with the
@@ -87,52 +87,16 @@ func Hash64Word(w0, w1 uint64, seed uint64) uint64 {
 	return h
 }
 
-// Hash64Blocks computes Hash64A over the first n bytes of a buffer that the
-// caller has already gathered as little-endian uint64 blocks (as a GPU
-// kernel does with 8-byte vector loads). Bytes of the final partial block
-// beyond n are ignored, so callers may over-read up to 7 bytes. The result
-// is identical to Hash64A over the same n bytes.
-func Hash64Blocks(blocks []uint64, n int, seed uint64) uint64 {
-	const (
-		m = 0xc6a4a7935bd1e995
-		r = 47
-	)
-	if n < 0 || (n+7)/8 > len(blocks) {
-		panic("murmur: Hash64Blocks: n out of range")
-	}
-	h := seed ^ uint64(n)*m
-
-	full := n / 8
-	for i := 0; i < full; i++ {
-		k := blocks[i]
-		k *= m
-		k ^= k >> r
-		k *= m
-		h ^= k
-		h *= m
-	}
-
-	if rem := n & 7; rem != 0 {
-		tail := blocks[full] & (^uint64(0) >> uint(64-8*rem))
-		h ^= tail
-		h *= m
-	}
-
-	h ^= h >> r
-	h *= m
-	h ^= h >> r
-	return h
-}
-
 // Streaming block API: Hash64Init / Hash64Mix / Hash64Tail / Hash64Final
-// decompose Hash64Blocks so a caller that produces blocks incrementally (a
-// warp kernel gathering 8-byte vector loads) can fold each block into the
-// running state without materializing a slice. For any block sequence,
+// decompose Hash64A so a caller that produces little-endian 8-byte blocks
+// incrementally (a warp kernel gathering 8-byte vector loads) can fold each
+// block into the running state without materializing a slice. For the n
+// bytes the blocks hold,
 //
 //	h := Hash64Init(n, seed)
 //	h = Hash64Mix(h, block)       // for each of the n/8 full blocks
 //	h = Hash64Tail(h, last, n&7)  // when n is not a multiple of 8
-//	Hash64Final(h) == Hash64Blocks(blocks, n, seed)
+//	Hash64Final(h) == Hash64A(bytes, seed)
 
 const (
 	mix64 uint64 = 0xc6a4a7935bd1e995
@@ -165,42 +129,5 @@ func Hash64Final(h uint64) uint64 {
 	h ^= h >> rot64
 	h *= mix64
 	h ^= h >> rot64
-	return h
-}
-
-// Hash32 computes the original 32-bit MurmurHash2 of data with the given
-// seed, ported from Appleby's reference implementation.
-func Hash32(data []byte, seed uint32) uint32 {
-	const (
-		m = 0x5bd1e995
-		r = 24
-	)
-	h := seed ^ uint32(len(data))
-
-	i := 0
-	for ; len(data)-i >= 4; i += 4 {
-		k := uint32(data[i]) | uint32(data[i+1])<<8 | uint32(data[i+2])<<16 | uint32(data[i+3])<<24
-		k *= m
-		k ^= k >> r
-		k *= m
-		h *= m
-		h ^= k
-	}
-
-	switch len(data) - i {
-	case 3:
-		h ^= uint32(data[i+2]) << 16
-		fallthrough
-	case 2:
-		h ^= uint32(data[i+1]) << 8
-		fallthrough
-	case 1:
-		h ^= uint32(data[i])
-		h *= m
-	}
-
-	h ^= h >> 13
-	h *= m
-	h ^= h >> 15
 	return h
 }

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"fmt"
 	"io"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -63,7 +62,10 @@ func alignCandidates(reads []dna.Read, ctgs []dbg.Contig, cfg *Config, workers i
 		}
 	}
 
-	var aligned atomic.Int64
+	// Either branch fills hits/found by read index; the accept count and the
+	// classification below are sequential.
+	var hits []align.Hit
+	var found []bool
 	var kernelWall time.Duration // wall time of this stage spent in the aln kernel
 	if cfg.UseGPUAln {
 		dev := cfg.Engine.Device
@@ -71,38 +73,17 @@ func alignCandidates(reads []dna.Read, ctgs []dbg.Contig, cfg *Config, workers i
 			dev = simt.NewDevice(simt.V100())
 			defer dev.Close()
 		}
-		hits, found, batchWall, kernels, err := gpuAlignReads(dev, aln, ctgSeqs, reads, workers)
+		var kernels []simt.KernelResult
+		hits, found, kernelWall, kernels, err = gpuAlignReads(dev, aln, ctgSeqs, reads, workers)
 		if err != nil {
 			return nil, 0, err
 		}
-		for i := range reads {
-			if !found[i] {
-				continue
-			}
-			aligned.Add(1)
-			classify(hits[i], reads[i])
-		}
-		kernelWall = batchWall
 		res.Work.AlnGPUKernels = append(res.Work.AlnGPUKernels, kernels...)
 		for _, k := range kernels {
 			res.Work.AlnGPUKernelTime += k.Time
 		}
 	} else {
-		type cand struct {
-			hit  align.Hit
-			read dna.Read
-		}
-		candCh := make(chan cand, 1024)
-
-		var collectWG sync.WaitGroup
-		collectWG.Add(1)
-		go func() {
-			defer collectWG.Done()
-			for c := range candCh {
-				classify(c.hit, c.read)
-			}
-		}()
-
+		hits, found = make([]align.Hit, len(reads)), make([]bool, len(reads))
 		// Aligner.KernelTime is summed over concurrent workers, so it is
 		// CPU time and can exceed the stage's wall; the same sum over whole
 		// AlignRead calls turns it into a share of the parallel section.
@@ -110,28 +91,26 @@ func alignCandidates(reads []dna.Read, ctgs []dbg.Contig, cfg *Config, workers i
 		parStart := time.Now()
 		par.ForEach(workers, len(reads), func(i int) {
 			readStart := time.Now()
-			h, ok := aln.AlignRead(reads[i].Seq)
+			hits[i], found[i] = aln.AlignRead(reads[i].Seq)
 			busyNS.Add(int64(time.Since(readStart)))
-			if !ok {
-				return
-			}
-			aligned.Add(1)
-			candCh <- cand{hit: h, read: reads[i]}
 		})
-		close(candCh)
-		collectWG.Wait()
 		if busy := busyNS.Load(); busy > 0 {
 			kernelWall = time.Duration(float64(time.Since(parStart)) * float64(aln.KernelTime()) / float64(busy))
 		}
 	}
+	for i := range reads {
+		if found[i] {
+			res.Work.ReadsAligned++
+			classify(hits[i], reads[i])
+		}
+	}
 
-	// Keep candidate order deterministic despite concurrent alignment.
+	// Candidate lists go to local assembly sorted by read ID, then sequence.
 	for i := range withReads {
 		sortReads(withReads[i].LeftReads)
 		sortReads(withReads[i].RightReads)
 	}
 
-	res.Work.ReadsAligned += aligned.Load()
 	res.Work.AlnCells += aln.Cells()
 	var kernelShare float64
 	if kernelWall > 0 { // then the stage's wall, which contains it, is too

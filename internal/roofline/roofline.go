@@ -8,7 +8,6 @@ package roofline
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 	"time"
 
@@ -162,9 +161,4 @@ func Merge(name string, cfg simt.DeviceConfig, ks []simt.KernelResult) simt.Kern
 	}
 	_, out.Bound = simt.TimeFor(cfg, &out.Stats)
 	return out
-}
-
-// SortByName orders analyses deterministically.
-func SortByName(as []Analysis) {
-	sort.Slice(as, func(i, j int) bool { return as[i].Kernel < as[j].Kernel })
 }

@@ -120,11 +120,3 @@ func TestMerge(t *testing.T) {
 		t.Error("bound not recomputed")
 	}
 }
-
-func TestSortByName(t *testing.T) {
-	as := []Analysis{{Kernel: "z"}, {Kernel: "a"}}
-	SortByName(as)
-	if as[0].Kernel != "a" {
-		t.Error("not sorted")
-	}
-}

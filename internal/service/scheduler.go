@@ -555,20 +555,6 @@ func (s *Scheduler) persistResult(j *job, res *pipeline.Result, rep *dist.Report
 	return err
 }
 
-// QueueDepth returns the current number of queued jobs.
-func (s *Scheduler) QueueDepth() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.queued
-}
-
-// Running returns the current number of executing jobs.
-func (s *Scheduler) Running() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.running
-}
-
 // RenderMetrics writes the /metrics exposition.
 func (s *Scheduler) RenderMetrics(w io.Writer) {
 	pool := s.pool.Stats()

@@ -103,15 +103,10 @@ func (c DeviceConfig) PeakWarpGIPS() float64 {
 	return float64(c.SMs) * float64(c.SchedulersPerSM) * c.ClockGHz
 }
 
-// memSpan is a [off, end) extent of the device arena on the free list.
-type memSpan struct {
-	off, end Ptr
-}
-
 // Device is one simulated GPU: a global-memory arena plus transfer
 // accounting. Kernels run on it via Launch.
 //
-// Allocation (Malloc/AllocRegion/FreeAll) and the copy engines
+// Allocation (Malloc/FreeAll) and the copy engines
 // (MemcpyHtoD/MemcpyDtoH, streams) are safe for concurrent use, so a
 // pipelined driver may keep several batches in flight. Kernel memory
 // operations are deliberately lock-free; callers that overlap kernel
@@ -123,16 +118,11 @@ type Device struct {
 	mu        sync.Mutex
 	mem       []byte
 	heapOff   Ptr
-	highWater Ptr       // largest heap extent ever reached
-	frees     []memSpan // released regions, sorted by offset, coalesced
+	highWater Ptr // largest heap extent ever reached
 
-	// Host<->device traffic on the default stream since the last Traffic
-	// call, for driver-level PCIe accounting.
-	bytesH2D int64
-	bytesD2H int64
-	// Lifetime totals across the default stream and every explicit Stream,
-	// never reset — the per-device PCIe odometer a multi-rank runtime
-	// reads for its per-rank traffic report.
+	// Lifetime host<->device byte totals over every copy, direct or on a
+	// Stream, never reset — the per-device PCIe odometer a multi-rank
+	// runtime reads for its per-rank traffic report.
 	totalH2D int64
 	totalD2H int64
 
@@ -154,20 +144,13 @@ type Device struct {
 }
 
 // InjectFault marks the device as lost: every subsequent Launch returns the
-// given error (ErrDeviceLost when nil). Sticky until ClearFault.
+// given error (ErrDeviceLost when nil).
 func (d *Device) InjectFault(err error) {
 	if err == nil {
 		err = ErrDeviceLost
 	}
 	d.mu.Lock()
 	d.fault = err
-	d.mu.Unlock()
-}
-
-// ClearFault restores a faulted device (tests and recovery drills).
-func (d *Device) ClearFault() {
-	d.mu.Lock()
-	d.fault = nil
 	d.mu.Unlock()
 }
 
@@ -206,8 +189,8 @@ func (d *Device) ensureLocked(end Ptr) {
 
 // Prealloc grows the backing arena once to hold n bytes. Drivers call it
 // with their planned high-water footprint before overlapping kernel
-// execution with allocation: afterwards AllocRegion/Malloc within that
-// footprint never reallocate the arena, so in-flight kernels and copies
+// execution with allocation: afterwards a Malloc within that footprint
+// never reallocates the arena, so in-flight kernels and copies
 // stay valid.
 func (d *Device) Prealloc(n int64) error {
 	if n < 0 || n > d.Cfg.GlobalMemBytes {
@@ -240,80 +223,6 @@ func (d *Device) Malloc(n int64) (Ptr, error) {
 	return aligned, nil
 }
 
-// Region is one freeable device allocation from AllocRegion — the flat
-// per-batch footprint of the paper's driver (§3.2), with CUDA-style
-// cudaMalloc/cudaFree lifetime so several batches can be resident at once.
-type Region struct {
-	Base Ptr
-	Size int64
-	dev  *Device
-	span memSpan // rounded extent actually reserved
-}
-
-// AllocRegion allocates n bytes (64-byte aligned) that can be returned
-// individually with Region.Free, unlike the bump-only Malloc. Freed regions
-// are reused first-fit, so a pipelined driver cycling same-shaped batches
-// settles into a fixed footprint. Safe for concurrent use.
-func (d *Device) AllocRegion(n int64) (Region, error) {
-	if n < 0 {
-		return Region{}, fmt.Errorf("simt: negative allocation %d", n)
-	}
-	size := (Ptr(n) + 63) &^ 63
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	for i := range d.frees {
-		s := d.frees[i]
-		if s.end-s.off >= size {
-			if s.off+size == s.end {
-				d.frees = append(d.frees[:i], d.frees[i+1:]...)
-			} else {
-				d.frees[i].off += size
-			}
-			return Region{Base: s.off, Size: n, dev: d, span: memSpan{s.off, s.off + size}}, nil
-		}
-	}
-	aligned := (d.heapOff + 63) &^ 63
-	end := aligned + size
-	if int64(end) > d.Cfg.GlobalMemBytes {
-		return Region{}, fmt.Errorf("simt: out of device memory: want %d bytes at offset %d, capacity %d",
-			n, aligned, d.Cfg.GlobalMemBytes)
-	}
-	d.ensureLocked(end)
-	d.heapOff = end
-	return Region{Base: aligned, Size: n, dev: d, span: memSpan{aligned, end}}, nil
-}
-
-// Free returns the region to the device. Adjacent free spans coalesce, and
-// free space at the top of the heap rewinds the bump pointer.
-func (r Region) Free() {
-	if r.dev == nil || r.span.end == r.span.off {
-		return
-	}
-	d := r.dev
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	// Insert sorted by offset, merging with neighbors.
-	i := 0
-	for i < len(d.frees) && d.frees[i].off < r.span.off {
-		i++
-	}
-	d.frees = append(d.frees, memSpan{})
-	copy(d.frees[i+1:], d.frees[i:])
-	d.frees[i] = r.span
-	if i+1 < len(d.frees) && d.frees[i].end == d.frees[i+1].off {
-		d.frees[i].end = d.frees[i+1].end
-		d.frees = append(d.frees[:i+1], d.frees[i+2:]...)
-	}
-	if i > 0 && d.frees[i-1].end == d.frees[i].off {
-		d.frees[i-1].end = d.frees[i].end
-		d.frees = append(d.frees[:i], d.frees[i+1:]...)
-	}
-	for len(d.frees) > 0 && d.frees[len(d.frees)-1].end == d.heapOff {
-		d.heapOff = d.frees[len(d.frees)-1].off
-		d.frees = d.frees[:len(d.frees)-1]
-	}
-}
-
 // FreeAll resets the allocator (a bump allocator has no partial free; the
 // local-assembly driver reuses one big allocation exactly as the CUDA code
 // does). The backing arena is kept, so re-running a same-sized workload
@@ -321,7 +230,6 @@ func (r Region) Free() {
 func (d *Device) FreeAll() {
 	d.mu.Lock()
 	d.heapOff = 0
-	d.frees = nil
 	d.mu.Unlock()
 }
 
@@ -329,67 +237,34 @@ func (d *Device) FreeAll() {
 func (d *Device) InUse() int64 {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	used := int64(d.heapOff)
-	for _, s := range d.frees {
-		used -= int64(s.end - s.off)
-	}
-	return used
+	return int64(d.heapOff)
 }
 
-// copyHtoD/copyDtoH are the shared copy engines behind the device-level and
-// per-stream memcpys. The lock orders copies against arena growth; element
-// ranges of concurrent copies and kernels are disjoint by construction
-// (each batch owns its region).
-func (d *Device) copyHtoD(dst Ptr, src []byte) {
-	d.mu.Lock()
-	copy(d.mem[dst:int(dst)+len(src)], src)
-	d.totalH2D += int64(len(src))
-	d.mu.Unlock()
-}
-
-func (d *Device) copyDtoH(dst []byte, src Ptr) {
-	d.mu.Lock()
-	copy(dst, d.mem[src:int(src)+len(dst)])
-	d.totalD2H += int64(len(dst))
-	d.mu.Unlock()
-}
-
-// MemcpyHtoD copies host bytes to device memory, accounting PCIe traffic
-// on the default stream.
+// MemcpyHtoD copies host bytes to device memory and adds them to the PCIe
+// odometer. The lock orders copies against arena growth; element ranges of
+// concurrent copies and kernels are disjoint by construction (each batch
+// owns its slab).
 func (d *Device) MemcpyHtoD(dst Ptr, src []byte) {
 	d.mu.Lock()
 	copy(d.mem[dst:int(dst)+len(src)], src)
-	d.bytesH2D += int64(len(src))
 	d.totalH2D += int64(len(src))
 	d.mu.Unlock()
 }
 
-// MemcpyDtoH copies device bytes back to the host, accounting PCIe traffic
-// on the default stream.
+// MemcpyDtoH copies device bytes back to the host, mirroring MemcpyHtoD.
 func (d *Device) MemcpyDtoH(dst []byte, src Ptr) {
 	d.mu.Lock()
 	copy(dst, d.mem[src:int(src)+len(dst)])
-	d.bytesD2H += int64(len(dst))
 	d.totalD2H += int64(len(dst))
 	d.mu.Unlock()
 }
 
 // CumTraffic returns the device's lifetime host<->device byte totals,
-// including traffic issued on explicit Streams. Unlike Traffic, it never
-// resets — callers diff successive readings for interval accounting.
+// including traffic issued on Streams. It never resets — callers diff
+// successive readings for interval accounting.
 func (d *Device) CumTraffic() (h2d, d2h int64) {
 	d.mu.Lock()
 	h2d, d2h = d.totalH2D, d.totalD2H
-	d.mu.Unlock()
-	return h2d, d2h
-}
-
-// Traffic returns and clears the default stream's host<->device byte
-// counters. Copies issued on explicit Streams are accounted there instead.
-func (d *Device) Traffic() (h2d, d2h int64) {
-	d.mu.Lock()
-	h2d, d2h = d.bytesH2D, d.bytesD2H
-	d.bytesH2D, d.bytesD2H = 0, 0
 	d.mu.Unlock()
 	return h2d, d2h
 }
@@ -422,33 +297,10 @@ func badSize(size int) {
 	panic(fmt.Sprintf("simt: unsupported access size %d", size))
 }
 
-// load/store implement sized little-endian access for warp memory ops.
-func (d *Device) load(p Ptr, size int) uint64 {
-	switch size {
-	case 1:
-		return uint64(d.mem[p])
-	case 2:
-		return uint64(binary.LittleEndian.Uint16(d.mem[p:]))
-	case 4:
-		return uint64(binary.LittleEndian.Uint32(d.mem[p:]))
-	case 8:
-		return binary.LittleEndian.Uint64(d.mem[p:])
-	}
-	badSize(size)
-	return 0
-}
-
-func (d *Device) store(p Ptr, size int, v uint64) {
-	switch size {
-	case 1:
-		d.mem[p] = byte(v)
-	case 2:
-		binary.LittleEndian.PutUint16(d.mem[p:], uint16(v))
-	case 4:
-		binary.LittleEndian.PutUint32(d.mem[p:], uint32(v))
-	case 8:
-		binary.LittleEndian.PutUint64(d.mem[p:], v)
-	default:
+// checkSize is the size check of the ops whose per-lane decode (loadLE,
+// storeLE) does not make it: local, shared and shape-declared accesses.
+func checkSize(size int) {
+	if size != 1 && size != 2 && size != 4 && size != 8 {
 		badSize(size)
 	}
 }

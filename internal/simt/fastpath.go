@@ -16,99 +16,47 @@ import (
 
 // coalesce counts the distinct sectors touched by the active lanes.
 //
-// Tiers, cheapest first: a closed-form count for a single active lane (the
-// lane-0 mer-walk phase), a fused one-pass run count for non-decreasing
-// addresses (contiguous gathers, strided probes — the overwhelmingly
-// common shapes), and a hash-set general fallback for scattered addresses.
-// Power-of-two sector sizes (every real device) replace the per-lane
-// divisions with shifts. All tiers return exactly the distinct-sector
+// Three tiers, cheapest first: a closed-form count for a single active lane
+// (the lane-0 mer-walk phase), a fused one-pass run count for non-decreasing
+// addresses (contiguous gathers, strided probes — the overwhelmingly common
+// shapes), and a hash-set general fallback for scattered addresses. Sectors
+// are powers of two (Launch rejects a device whose SectorBytes is not), so
+// a sector index is a shift. All tiers return exactly the distinct-sector
 // count of the reference linear scan kept in oracle_test.go.
 func (w *Warp) coalesce(mask Mask, addrs *Vec, size int) uint64 {
 	if mask == 0 {
 		return 0
 	}
-	sb := w.sb
+	sh := w.sbShift
 	sz := uint64(size)
 	// Single active lane: one access, closed form.
 	if mask&(mask-1) == 0 {
 		a := addrs[mask.FirstLane()]
-		return (a+sz-1)/sb - a/sb + 1
+		return (a+sz-1)>>sh - a>>sh + 1
 	}
-	if w.sbPow2 {
-		// Sector ids of non-decreasing addresses appear in order, so one
-		// forward pass counts distinct sectors; the first out-of-order
-		// address bails to the hash-set tier.
-		sh := w.sbShift
-		m := uint32(mask)
-		prev := addrs[bits.TrailingZeros32(m)]
-		last := (prev + sz - 1) >> sh
-		n := last - prev>>sh + 1
-		for m &= m - 1; m != 0; m &= m - 1 {
-			a := addrs[bits.TrailingZeros32(m)]
-			if a < prev {
-				return w.coalesceScan(mask, addrs, sz)
-			}
-			prev = a
-			if s1 := (a + sz - 1) >> sh; s1 > last {
-				if s0 := a >> sh; s0 > last {
-					n += s1 - s0 + 1
-				} else {
-					n += s1 - last
-				}
-				last = s1
-			}
-		}
-		return n
-	}
-
-	// Generic sector size: one pass over the active lanes classifies the
-	// address sequence, then a closed form or ordered run count applies.
-	var lo, prev uint64
-	uniform, sorted, started := true, true, false
-	for m := uint32(mask); m != 0; m &= m - 1 {
+	// Sector ids of non-decreasing addresses appear in order, so one
+	// forward pass counts distinct sectors; the first out-of-order
+	// address bails to the hash-set tier.
+	m := uint32(mask)
+	prev := addrs[bits.TrailingZeros32(m)]
+	last := (prev + sz - 1) >> sh
+	n := last - prev>>sh + 1
+	for m &= m - 1; m != 0; m &= m - 1 {
 		a := addrs[bits.TrailingZeros32(m)]
-		if !started {
-			lo, prev, started = a, a, true
-			continue
-		}
-		if a != prev+sz {
-			uniform = false
-			if a < prev {
-				sorted = false
-				break
-			}
+		if a < prev {
+			return w.coalesceScan(mask, addrs, sz)
 		}
 		prev = a
-	}
-	if uniform {
-		// Contiguous run [lo, prev+sz): closed-form sector count.
-		return (prev+sz-1)/sb - lo/sb + 1
-	}
-	if sorted {
-		// Non-decreasing addresses: sector ids appear in order, so distinct
-		// sectors are counted in one forward pass.
-		var n, last uint64
-		started = false
-		for m := uint32(mask); m != 0; m &= m - 1 {
-			a := addrs[bits.TrailingZeros32(m)]
-			s0 := a / sb
-			s1 := (a + sz - 1) / sb
-			if !started {
-				n = s1 - s0 + 1
-				last, started = s1, true
-				continue
-			}
-			if s1 > last {
-				if s0 <= last {
-					s0 = last + 1
-				}
+		if s1 := (a + sz - 1) >> sh; s1 > last {
+			if s0 := a >> sh; s0 > last {
 				n += s1 - s0 + 1
-				last = s1
+			} else {
+				n += s1 - last
 			}
+			last = s1
 		}
-		return n
 	}
-	return w.coalesceScan(mask, addrs, sz)
+	return n
 }
 
 // coSlots sizes the warp's sector-dedup hash set: a power of two holding

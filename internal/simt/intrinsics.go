@@ -1,10 +1,9 @@
 package simt
 
-// Additional warp intrinsics beyond the set the local-assembly kernels
-// need: shuffle variants, warp-wide reductions and scans, and a per-block
-// shared-memory space. They complete the substrate for the "other modules"
-// the paper's conclusion plans to offload (k-mer analysis, alignment),
-// which lean on reductions and shared memory.
+// The warp intrinsics beyond the set the local-assembly kernels need:
+// the shuffle variants and the butterfly maximum of the alignment kernel
+// (gpualign), one of the "other modules" the paper's conclusion plans to
+// offload.
 
 // ShflUp shifts values down the lane order: lane i receives the value of
 // lane i−delta (__shfl_up_sync). Lanes below delta keep their own value.
@@ -57,30 +56,9 @@ func (w *Warp) ShflXor(mask Mask, vals *Vec, laneMask int) Vec {
 	return out
 }
 
-// ReduceAdd performs the canonical 5-step butterfly sum reduction and
-// returns the warp-wide sum of the active lanes' values in every active
-// lane. It executes (and costs) the same shuffle/add sequence a CUDA warp
+// ReduceMax returns the warp-wide maximum of the active lanes' values. It
+// executes (and costs) the 5-step shuffle/compare butterfly a CUDA warp
 // reduction does.
-func (w *Warp) ReduceAdd(mask Mask, vals *Vec) uint64 {
-	cur := *vals
-	// Inactive lanes contribute zero.
-	for lane := 0; lane < WarpSize; lane++ {
-		if !mask.Has(lane) {
-			cur[lane] = 0
-		}
-	}
-	for delta := WarpSize / 2; delta > 0; delta /= 2 {
-		other := w.ShflXor(FullMask, &cur, delta)
-		w.Exec(IInt, FullMask)
-		for lane := 0; lane < WarpSize; lane++ {
-			cur[lane] += other[lane]
-		}
-	}
-	return cur[0]
-}
-
-// ReduceMax returns the warp-wide maximum of the active lanes' values via
-// the same butterfly.
 func (w *Warp) ReduceMax(mask Mask, vals *Vec) uint64 {
 	cur := *vals
 	for lane := 0; lane < WarpSize; lane++ {
@@ -98,31 +76,4 @@ func (w *Warp) ReduceMax(mask Mask, vals *Vec) uint64 {
 		}
 	}
 	return cur[0]
-}
-
-// ScanAdd computes the inclusive prefix sum across active lanes (lower
-// lanes first), the Kogge-Stone warp scan: lane i receives the sum of
-// active lanes 0..i. Inactive lanes receive 0.
-func (w *Warp) ScanAdd(mask Mask, vals *Vec) Vec {
-	var cur Vec
-	for lane := 0; lane < WarpSize; lane++ {
-		if mask.Has(lane) {
-			cur[lane] = vals[lane]
-		}
-	}
-	for delta := 1; delta < WarpSize; delta *= 2 {
-		shifted := w.ShflUp(FullMask, &cur, delta)
-		w.Exec(IInt, FullMask)
-		for lane := WarpSize - 1; lane >= 0; lane-- {
-			if lane >= delta {
-				cur[lane] += shifted[lane]
-			}
-		}
-	}
-	for lane := 0; lane < WarpSize; lane++ {
-		if !mask.Has(lane) {
-			cur[lane] = 0
-		}
-	}
-	return cur
 }

@@ -1,9 +1,6 @@
 package simt
 
-import (
-	"math/rand"
-	"testing"
-)
+import "testing"
 
 func runWarpTest(t *testing.T, kern func(w *Warp)) Stats {
 	t.Helper()
@@ -59,29 +56,6 @@ func TestShflXor(t *testing.T) {
 	})
 }
 
-func TestReduceAdd(t *testing.T) {
-	rng := rand.New(rand.NewSource(1))
-	runWarpTest(t, func(w *Warp) {
-		var vals Vec
-		var want uint64
-		for i := range vals {
-			vals[i] = uint64(rng.Intn(1000))
-			want += vals[i]
-		}
-		if got := w.ReduceAdd(FullMask, &vals); got != want {
-			t.Errorf("ReduceAdd = %d, want %d", got, want)
-		}
-		// Masked: only even lanes.
-		var wantEven uint64
-		for i := 0; i < WarpSize; i += 2 {
-			wantEven += vals[i]
-		}
-		if got := w.ReduceAdd(0x55555555, &vals); got != wantEven {
-			t.Errorf("masked ReduceAdd = %d, want %d", got, wantEven)
-		}
-	})
-}
-
 func TestReduceMax(t *testing.T) {
 	runWarpTest(t, func(w *Warp) {
 		var vals Vec
@@ -99,35 +73,12 @@ func TestReduceMax(t *testing.T) {
 	})
 }
 
-func TestScanAdd(t *testing.T) {
-	runWarpTest(t, func(w *Warp) {
-		vals := Splat(1)
-		scan := w.ScanAdd(FullMask, &vals)
-		for lane := 0; lane < WarpSize; lane++ {
-			if scan[lane] != uint64(lane+1) {
-				t.Errorf("ScanAdd lane %d: %d, want %d", lane, scan[lane], lane+1)
-			}
-		}
-		// Masked scan: odd lanes only; inclusive over actives.
-		scan = w.ScanAdd(0xAAAAAAAA, &vals)
-		for lane := 0; lane < WarpSize; lane++ {
-			var want uint64
-			if lane%2 == 1 {
-				want = uint64(lane/2 + 1)
-			}
-			if scan[lane] != want {
-				t.Errorf("masked ScanAdd lane %d: %d, want %d", lane, scan[lane], want)
-			}
-		}
-	})
-}
-
 func TestIntrinsicsCountInstructions(t *testing.T) {
 	stats := runWarpTest(t, func(w *Warp) {
 		vals := Splat(2)
-		w.ReduceAdd(FullMask, &vals)
+		w.ReduceMax(FullMask, &vals)
 	})
-	// 5 butterfly steps: 5 shuffles + 5 adds.
+	// 5 butterfly steps: 5 shuffles + 5 compares.
 	if stats.WarpInstrs[IShfl] != 5 {
 		t.Errorf("shuffle count %d, want 5", stats.WarpInstrs[IShfl])
 	}

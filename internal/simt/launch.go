@@ -16,6 +16,11 @@ var ErrDeviceLost = errors.New("simt: device lost")
 // ErrDeviceClosed is returned by a Launch that needs the warp pool after Close.
 var ErrDeviceClosed = errors.New("simt: device closed")
 
+// ErrSectorBytes is returned by Launch on a device whose Cfg.SectorBytes is
+// not a power of two ≥ 8: sector indices are shifts, and an access (≤ 8
+// bytes) spans at most two sectors.
+var ErrSectorBytes = errors.New("simt: DeviceConfig.SectorBytes must be a power of two ≥ 8")
+
 // KernelConfig describes one kernel launch.
 type KernelConfig struct {
 	// Name labels the kernel in results and roofline output.
@@ -147,6 +152,9 @@ func (d *Device) Launch(cfg KernelConfig, kern func(w *Warp)) (KernelResult, err
 	}
 	if cfg.LocalBytesPerLane < 0 {
 		return KernelResult{}, fmt.Errorf("simt: negative local bytes per lane %d", cfg.LocalBytesPerLane)
+	}
+	if sb := d.Cfg.SectorBytes; sb < 8 || sb&(sb-1) != 0 {
+		return KernelResult{}, fmt.Errorf("%w, got %d", ErrSectorBytes, sb)
 	}
 	// Sequential and Commit are one caller-side in-order loop; an ordered
 	// launch runs the kern half on the pool ahead of it.

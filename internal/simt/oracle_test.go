@@ -9,7 +9,9 @@ package simt
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
+	"math"
 	"math/rand"
 	"testing"
 )
@@ -80,7 +82,7 @@ func (w *refWarp) loadGlobal(mask Mask, addrs *Vec, size int) Vec {
 	var out Vec
 	for lane := 0; lane < WarpSize; lane++ {
 		if mask.Has(lane) {
-			out[lane] = w.dev.load(Ptr(addrs[lane]), size)
+			out[lane] = refLoadLE(w.dev.mem[addrs[lane]:], size)
 		}
 	}
 	return out
@@ -91,7 +93,7 @@ func (w *refWarp) storeGlobal(mask Mask, addrs *Vec, size int, vals *Vec) {
 	w.stats.GlobalSectors += w.coalesce(mask, addrs, size)
 	for lane := 0; lane < WarpSize; lane++ {
 		if mask.Has(lane) {
-			w.dev.store(Ptr(addrs[lane]), size, vals[lane])
+			refStoreLE(w.dev.mem[addrs[lane]:], size, vals[lane])
 		}
 	}
 }
@@ -105,10 +107,10 @@ func (w *refWarp) atomicCAS(mask Mask, addrs, compare, val *Vec, size int) Vec {
 		if !mask.Has(lane) {
 			continue
 		}
-		old := w.dev.load(Ptr(addrs[lane]), size)
+		old := refLoadLE(w.dev.mem[addrs[lane]:], size)
 		out[lane] = old
 		if old == compare[lane] {
-			w.dev.store(Ptr(addrs[lane]), size, val[lane])
+			refStoreLE(w.dev.mem[addrs[lane]:], size, val[lane])
 		}
 	}
 	return out
@@ -123,9 +125,9 @@ func (w *refWarp) atomicAdd(mask Mask, addrs, delta *Vec, size int) Vec {
 		if !mask.Has(lane) {
 			continue
 		}
-		old := w.dev.load(Ptr(addrs[lane]), size)
+		old := refLoadLE(w.dev.mem[addrs[lane]:], size)
 		out[lane] = old
-		w.dev.store(Ptr(addrs[lane]), size, old+delta[lane])
+		refStoreLE(w.dev.mem[addrs[lane]:], size, old+delta[lane])
 	}
 	return out
 }
@@ -169,22 +171,6 @@ func (w *refWarp) storeLocal(mask Mask, offs *Vec, size int, vals *Vec) {
 			refStoreLE(w.localMem[w.localAddr(lane, offs[lane]):], size, vals[lane])
 		}
 	}
-}
-
-func (w *refWarp) matchAny(mask Mask, vals *Vec) [WarpSize]Mask {
-	w.execN(IMatch, mask, 1)
-	var out [WarpSize]Mask
-	for a := 0; a < WarpSize; a++ {
-		if !mask.Has(a) {
-			continue
-		}
-		for b := 0; b < WarpSize; b++ {
-			if mask.Has(b) && vals[b] == vals[a] {
-				out[a] |= LaneMask(b)
-			}
-		}
-	}
-	return out
 }
 
 func (w *refWarp) ballot(mask Mask, pred func(lane int) bool) Mask {
@@ -258,6 +244,17 @@ func TestCoalesceMatchesReference(t *testing.T) {
 		if got != want {
 			t.Errorf("%s: coalesce = %d, reference = %d", tc.name, got, want)
 		}
+	}
+
+	// Stamp wrap-around: the scan above left slots stamped with generation
+	// 1, 2, …; when the 32-bit generation wraps back to 1 they must read as
+	// empty, or the same sectors count as already seen.
+	desc := mk(func(l int) uint64 { return uint64(8 * (WarpSize - l)) })
+	w.coGen = 0
+	w.coalesce(FullMask, &desc, 8) // stamps its sectors with generation 1
+	w.coGen = math.MaxUint32
+	if got, want := w.coalesce(FullMask, &desc, 8), ref.coalesce(FullMask, &desc, 8); got != want || w.coGen != 1 {
+		t.Errorf("stamp wrap-around: coalesce = %d (generation %d), reference = %d", got, w.coGen, want)
 	}
 
 	// Shape-declared ops (shaped.go): each directed shape runs as a one-op
@@ -336,7 +333,7 @@ func survive(mask Mask, v Vec) Vec {
 }
 
 type warpOp struct {
-	kind  int // 0 ldG 1 stG 2 cas 3 add 4 ldL 5 stL 6 match 7 ballot, then the shaped ops above
+	kind  int // 0 ldG 1 stG 2 cas 3 add 4 ldL 5 stL 6, 7 ballot, then the shaped ops above
 	mask  Mask
 	addrs Vec
 	vals  Vec
@@ -445,11 +442,6 @@ func applyReal(w *Warp, ops []warpOp) []Vec {
 			w.LoadLocal(op.mask, &op.addrs, op.size, &out)
 		case 5:
 			w.StoreLocal(op.mask, &op.addrs, op.size, &op.vals)
-		case 6:
-			groups := w.MatchAny(op.mask, &op.vals)
-			for lane := range groups {
-				out[lane] = uint64(groups[lane])
-			}
 		case opFill:
 			w.FillGlobal(Ptr(op.base), op.n, op.size, op.vals[0], op.part, op.parts)
 		case opLdStrided:
@@ -498,11 +490,6 @@ func applyRef(w *refWarp, ops []warpOp) []Vec {
 			out = survive(op.mask, w.loadLocal(op.mask, &op.addrs, op.size))
 		case 5:
 			w.storeLocal(op.mask, &op.addrs, op.size, &op.vals)
-		case 6:
-			groups := w.matchAny(op.mask, &op.vals)
-			for lane := range groups {
-				out[lane] = uint64(groups[lane])
-			}
 		case opFill:
 			w.refFill(op.base, op.n, op.size, op.vals[0], op.part, op.parts)
 		case opLdStrided:
@@ -634,6 +621,61 @@ func TestLaunchNegativeLocalBytesPerLane(t *testing.T) {
 	})
 	if err == nil {
 		t.Fatal("Launch accepted negative LocalBytesPerLane")
+	}
+}
+
+// TestLaunchRejectsBadSectorBytes: NewDevice takes any DeviceConfig, so
+// Launch is where a sector size the interpreter cannot shift by is refused —
+// before any warp runs, instead of a division by zero inside the kernel.
+func TestLaunchRejectsBadSectorBytes(t *testing.T) {
+	for _, sb := range []int{0, 4, 24, 48, -32, 8, 32, 128} {
+		cfg := V100()
+		cfg.SectorBytes = sb
+		dev := NewDevice(cfg)
+		if _, err := dev.Malloc(4096); err != nil {
+			t.Fatal(err)
+		}
+		ran := false
+		_, err := dev.Launch(KernelConfig{Warps: 1}, func(w *Warp) {
+			ran = true
+			var addrs, out Vec
+			w.LoadGlobal(FullMask, &addrs, 8, &out)
+		})
+		if ok := sb >= 8 && sb&(sb-1) == 0; ok != (err == nil) || ok != ran || (!ok && !errors.Is(err, ErrSectorBytes)) {
+			t.Errorf("SectorBytes %d: err = %v, kernel ran = %v", sb, err, ran)
+		}
+	}
+}
+
+// TestUnsupportedAccessSizePanics: every sized memory op — global, strided,
+// local, shared, fill — refuses a size other than 1, 2, 4 or 8 through
+// badSize; none decodes it some other way.
+func TestUnsupportedAccessSizePanics(t *testing.T) {
+	var v, out Vec
+	ops := map[string]func(w *Warp){
+		"LoadGlobal":         func(w *Warp) { w.LoadGlobal(FullMask, &v, 3, &out) },
+		"AtomicAdd":          func(w *Warp) { w.AtomicAdd(FullMask, &v, &v, 16) },
+		"LoadGlobalStrided":  func(w *Warp) { w.LoadGlobalStrided(FullMask, 0, 8, 3, &out) },
+		"StoreGlobalStrided": func(w *Warp) { w.StoreGlobalStrided(FullMask, 0, 8, 0, &v) },
+		"FillGlobal":         func(w *Warp) { w.FillGlobal(0, 4, 5, 0, 0, 1) },
+		"LoadLocal":          func(w *Warp) { w.LoadLocal(FullMask, &v, 3, &out) },
+		"StoreLocal":         func(w *Warp) { w.StoreLocal(FullMask, &v, 6, &v) },
+		"LoadShared":         func(w *Warp) { w.LoadShared(FullMask, &v, 7) },
+		"StoreShared":        func(w *Warp) { w.StoreShared(FullMask, &v, -1, &v) },
+	}
+	for name, op := range ops {
+		dev := NewDevice(V100())
+		if _, err := dev.Malloc(4096); err != nil {
+			t.Fatal(err)
+		}
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s accepted an unsupported access size", name)
+				}
+			}()
+			_, _ = dev.Launch(KernelConfig{Warps: 1, Sequential: true, LocalBytesPerLane: 64}, op)
+		}()
 	}
 }
 

@@ -17,12 +17,7 @@ import (
 // refWarp ops it stands for.
 
 // sector returns the sector index holding byte address a.
-func (w *Warp) sector(a uint64) uint64 {
-	if w.sbPow2 {
-		return a >> w.sbShift
-	}
-	return a / w.sb
-}
+func (w *Warp) sector(a uint64) uint64 { return a >> w.sbShift }
 
 // spanSectors counts the sectors overlapped by the n > 0 bytes at a.
 func (w *Warp) spanSectors(a, n uint64) uint64 {
@@ -83,9 +78,7 @@ func (w *Warp) execShape(c InstrClass, full int, tail Mask) {
 // 32·size bytes are a whole number of sectors every full iteration sits at
 // the same offset within a sector and the count is one multiplication.
 func (w *Warp) FillGlobal(base Ptr, n, size int, val uint64, part, parts int) {
-	if size != 1 && size != 2 && size != 4 && size != 8 {
-		badSize(size)
-	}
+	checkSize(size)
 	full, tail := chunkShape(n, part, parts)
 	if full == 0 && tail == 0 {
 		return
@@ -142,12 +135,12 @@ func fillPattern(b []byte, size int, val uint64) {
 // may lie "below zero" when the lanes that would underflow are masked off;
 // the active lanes' addresses themselves must not wrap.
 func (w *Warp) LoadGlobalStrided(mask Mask, base, stride uint64, size int, out *Vec) {
+	checkSize(size)
 	w.ExecN(ILdGlobal, mask, 1)
 	w.stats.GlobalSectors += w.stridedSectors(mask, base, stride, size)
 	w.stats.MaxSerialMemChain += w.effGlobal
 	// Hoisted loops for the two sizes the kernels load this way (bytes and
-	// 8-byte key blocks); 2 and 4 go through Device.load, which also rejects
-	// any other size.
+	// 8-byte key blocks); 2 and 4 go through loadLE.
 	mem := w.Dev.mem
 	switch {
 	case size == 8 && mask == FullMask:
@@ -167,7 +160,7 @@ func (w *Warp) LoadGlobalStrided(mask Mask, base, stride uint64, size int, out *
 	default:
 		for m := uint32(mask); m != 0; m &= m - 1 {
 			lane := bits.TrailingZeros32(m)
-			out[lane] = w.Dev.load(Ptr(base+uint64(lane)*stride), size)
+			out[lane] = loadLE(mem[base+uint64(lane)*stride:], size)
 		}
 	}
 }
@@ -175,11 +168,13 @@ func (w *Warp) LoadGlobalStrided(mask Mask, base, stride uint64, size int, out *
 // StoreGlobalStrided is StoreGlobal for lane-strided addresses: active lane
 // l stores the low size bytes of vals[l] at base + l·stride, in lane order.
 func (w *Warp) StoreGlobalStrided(mask Mask, base, stride uint64, size int, vals *Vec) {
+	checkSize(size)
 	w.ExecN(IStGlobal, mask, 1)
 	w.stats.GlobalSectors += w.stridedSectors(mask, base, stride, size)
+	mem := w.Dev.mem
 	for m := uint32(mask); m != 0; m &= m - 1 {
 		lane := bits.TrailingZeros32(m)
-		w.Dev.store(Ptr(base+uint64(lane)*stride), size, vals[lane])
+		storeLE(mem[base+uint64(lane)*stride:], size, vals[lane])
 	}
 }
 

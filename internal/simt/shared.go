@@ -64,6 +64,7 @@ func bankConflicts(mask Mask, offs *Vec) int {
 // shared arena. Bank conflicts serialize the access and are charged as
 // additional replayed instructions.
 func (w *Warp) LoadShared(mask Mask, offs *Vec, size int) Vec {
+	checkSize(size)
 	replays := bankConflicts(mask, offs)
 	w.ExecN(ILdShared, mask, replays)
 	var out Vec
@@ -78,6 +79,7 @@ func (w *Warp) LoadShared(mask Mask, offs *Vec, size int) Vec {
 
 // StoreShared writes size bytes at each active lane's offset.
 func (w *Warp) StoreShared(mask Mask, offs *Vec, size int, vals *Vec) {
+	checkSize(size)
 	replays := bankConflicts(mask, offs)
 	w.ExecN(IStShared, mask, replays)
 	for lane := 0; lane < WarpSize; lane++ {

@@ -19,20 +19,17 @@ type Stream struct {
 // NewStream creates an independent copy stream on the device.
 func (d *Device) NewStream() *Stream { return &Stream{dev: d} }
 
-// Device returns the stream's device.
-func (s *Stream) Device() *Device { return s.dev }
-
 // MemcpyHtoD copies host bytes to device memory, accounting the traffic on
 // this stream only.
 func (s *Stream) MemcpyHtoD(dst Ptr, src []byte) {
-	s.dev.copyHtoD(dst, src)
+	s.dev.MemcpyHtoD(dst, src)
 	s.bytesH2D += int64(len(src))
 }
 
 // MemcpyDtoH copies device bytes back to the host, accounting the traffic
 // on this stream only.
 func (s *Stream) MemcpyDtoH(dst []byte, src Ptr) {
-	s.dev.copyDtoH(dst, src)
+	s.dev.MemcpyDtoH(dst, src)
 	s.bytesD2H += int64(len(dst))
 }
 

@@ -26,11 +26,6 @@ func TestStreamTrafficIsolated(t *testing.T) {
 	if h2d != 3 || d2h != 0 {
 		t.Errorf("stream2 traffic %d/%d, want 3/0", h2d, d2h)
 	}
-	// Stream copies must not leak into the default-stream counters.
-	h2d, d2h = d.Traffic()
-	if h2d != 0 || d2h != 0 {
-		t.Errorf("device traffic %d/%d, want 0/0", h2d, d2h)
-	}
 	// And clearing is per stream.
 	if h2d, _ := s1.Traffic(); h2d != 0 {
 		t.Error("stream Traffic did not reset")
@@ -42,72 +37,19 @@ func TestCumTrafficSpansStreams(t *testing.T) {
 	p, _ := d.Malloc(256)
 	s := d.NewStream()
 
-	d.MemcpyHtoD(p, []byte("0123456789")) // 10 on default stream
-	s.MemcpyHtoD(p+64, []byte("abcd"))    // 4 on explicit stream
+	d.MemcpyHtoD(p, []byte("0123456789")) // 10 directly
+	s.MemcpyHtoD(p+64, []byte("abcd"))    // 4 on a stream
 	s.MemcpyDtoH(make([]byte, 6), p)      // 6 back
-	d.MemcpyDtoH(make([]byte, 2), p)      // 2 back on default
+	d.MemcpyDtoH(make([]byte, 2), p)      // 2 back directly
 
 	h2d, d2h := d.CumTraffic()
 	if h2d != 14 || d2h != 8 {
 		t.Errorf("cumulative traffic %d/%d, want 14/8", h2d, d2h)
 	}
-	// The odometer survives the per-interval counters being drained.
-	d.Traffic()
+	// The odometer survives the stream's counters being drained.
 	s.Traffic()
 	if h2d, d2h = d.CumTraffic(); h2d != 14 || d2h != 8 {
 		t.Errorf("CumTraffic reset by Traffic: %d/%d", h2d, d2h)
-	}
-}
-
-func TestAllocRegionReuseAndRewind(t *testing.T) {
-	d := testDevice()
-	r1, err := d.AllocRegion(100)
-	if err != nil {
-		t.Fatal(err)
-	}
-	r2, err := d.AllocRegion(200)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r1.Base%64 != 0 || r2.Base%64 != 0 {
-		t.Errorf("regions not 64-byte aligned: %d, %d", r1.Base, r2.Base)
-	}
-	if r2.Base <= r1.Base {
-		t.Errorf("regions overlap: %d then %d", r1.Base, r2.Base)
-	}
-
-	// Freeing the first leaves a hole that a same-sized region reuses.
-	r1.Free()
-	r3, err := d.AllocRegion(90)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r3.Base != r1.Base {
-		t.Errorf("hole not reused: got %d, want %d", r3.Base, r1.Base)
-	}
-
-	// Freeing everything rewinds the bump pointer completely.
-	r3.Free()
-	r2.Free()
-	if d.InUse() != 0 {
-		t.Errorf("InUse after freeing all regions = %d", d.InUse())
-	}
-	r4, err := d.AllocRegion(64)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r4.Base != 0 {
-		t.Errorf("bump pointer did not rewind: next region at %d", r4.Base)
-	}
-}
-
-func TestAllocRegionOOM(t *testing.T) {
-	d := testDevice()
-	if _, err := d.AllocRegion(d.Cfg.GlobalMemBytes + 1); err == nil {
-		t.Error("allocation beyond capacity accepted")
-	}
-	if _, err := d.AllocRegion(-1); err == nil {
-		t.Error("negative allocation accepted")
 	}
 }
 
@@ -123,11 +65,9 @@ func TestPrealloc(t *testing.T) {
 	if int64(len(d.mem)) < 1<<20 {
 		t.Errorf("arena %d bytes after Prealloc(1 MiB)", len(d.mem))
 	}
-	r, err := d.AllocRegion(1 << 20)
-	if err != nil {
+	if _, err := d.Malloc(1 << 20); err != nil {
 		t.Fatal(err)
 	}
-	r.Free()
 }
 
 // TestConcurrentLaunchesShareWarpPool drives two kernel launches through

@@ -2,7 +2,6 @@ package simt
 
 import (
 	"encoding/binary"
-	"fmt"
 	"math/bits"
 )
 
@@ -74,9 +73,8 @@ type Warp struct {
 
 	// Per-launch device constants, cached by reset so the memory-op hot
 	// path never re-reads (or re-divides) the device config.
-	sb        uint64 // sector size
-	sbShift   uint   // log2(sb) when sbPow2
-	sbPow2    bool   // sector size is a power of two (shift, don't divide)
+	sb        uint64 // sector size, a power of two ≥ 8 (Launch checks)
+	sbShift   uint   // log2(sb)
 	effGlobal uint64 // effective global-latency chain cost per access
 	effLocal  uint64 // effective local-latency chain cost per access
 
@@ -99,7 +97,6 @@ func (w *Warp) reset(d *Device, id, perLane int) {
 	w.perLane = perLane
 	w.stats = Stats{}
 	w.sb = uint64(d.Cfg.SectorBytes)
-	w.sbPow2 = w.sb&(w.sb-1) == 0 && w.sb != 0
 	w.sbShift = uint(bits.TrailingZeros64(w.sb))
 	w.effGlobal = effLat(d.Cfg.GlobalLatency, d.Cfg.MemParallelism)
 	w.effLocal = effLat(d.Cfg.LocalLatency, d.Cfg.MemParallelism)
@@ -193,6 +190,7 @@ func (w *Warp) localAddr(lane int, off uint64) uint64 {
 // out. Local memory is interleaved on real hardware so same-offset accesses
 // coalesce perfectly; transactions are counted accordingly.
 func (w *Warp) LoadLocal(mask Mask, offs *Vec, size int, out *Vec) {
+	checkSize(size)
 	w.ExecN(ILdLocal, mask, 1)
 	w.addLocalTraffic(mask, size)
 	w.stats.MaxSerialMemChain += w.effLocal
@@ -204,6 +202,7 @@ func (w *Warp) LoadLocal(mask Mask, offs *Vec, size int, out *Vec) {
 
 // StoreLocal writes size bytes at each active lane's private offset.
 func (w *Warp) StoreLocal(mask Mask, offs *Vec, size int, vals *Vec) {
+	checkSize(size)
 	w.ExecN(IStLocal, mask, 1)
 	w.addLocalTraffic(mask, size)
 	for m := uint32(mask); m != 0; m &= m - 1 {
@@ -254,39 +253,13 @@ func (w *Warp) Ballot(mask Mask, pred func(lane int) bool) Mask {
 	return out
 }
 
-// MatchAny returns, for each active lane, the mask of active lanes holding
-// the same value (__match_any_sync) — the intrinsic the paper uses to find
-// thread collisions during hash-table insertion.
-func (w *Warp) MatchAny(mask Mask, vals *Vec) [WarpSize]Mask {
-	w.ExecN(IMatch, mask, 1)
-	var out [WarpSize]Mask
-	for ma := uint32(mask); ma != 0; ma &= ma - 1 {
-		a := bits.TrailingZeros32(ma)
-		if out[a] != 0 {
-			continue // already grouped by an earlier equal lane
-		}
-		var group Mask
-		for mb := ma; mb != 0; mb &= mb - 1 {
-			b := bits.TrailingZeros32(mb)
-			if vals[b] == vals[a] {
-				group |= LaneMask(b)
-			}
-		}
-		// Every member of the group shares the same match mask.
-		for g := uint32(group); g != 0; g &= g - 1 {
-			out[bits.TrailingZeros32(g)] = group
-		}
-	}
-	return out
-}
-
 // SyncWarp records a __syncwarp. Execution here is already lockstep; the
 // call documents and costs the synchronization points of the real kernel.
 func (w *Warp) SyncWarp(mask Mask) { w.ExecN(ISync, mask, 1) }
 
-// loadLE reads size little-endian bytes. The supported power-of-two sizes
-// decode with single machine loads; anything else falls back to the byte
-// loop.
+// loadLE reads size little-endian bytes: the one sized decode behind local,
+// shared and strided global accesses. The op has checked the size (checkSize),
+// so whatever is not 1, 2 or 4 is 8.
 func loadLE(b []byte, size int) uint64 {
 	switch size {
 	case 1:
@@ -295,14 +268,8 @@ func loadLE(b []byte, size int) uint64 {
 		return uint64(binary.LittleEndian.Uint16(b))
 	case 4:
 		return uint64(binary.LittleEndian.Uint32(b))
-	case 8:
-		return binary.LittleEndian.Uint64(b)
 	}
-	var v uint64
-	for i := size - 1; i >= 0; i-- {
-		v = v<<8 | uint64(b[i])
-	}
-	return v
+	return binary.LittleEndian.Uint64(b)
 }
 
 // storeLE writes size little-endian bytes, mirroring loadLE.
@@ -314,19 +281,7 @@ func storeLE(b []byte, size int, v uint64) {
 		binary.LittleEndian.PutUint16(b, uint16(v))
 	case 4:
 		binary.LittleEndian.PutUint32(b, uint32(v))
-	case 8:
-		binary.LittleEndian.PutUint64(b, v)
 	default:
-		for i := 0; i < size; i++ {
-			b[i] = byte(v >> uint(8*i))
-		}
-	}
-}
-
-func init() {
-	// The coalescing scratch array assumes sectors ≥ access size; all
-	// supported sizes are ≤ 8 < 32, but keep the invariant explicit.
-	if V100().SectorBytes < 8 {
-		panic(fmt.Sprintf("simt: sector size %d smaller than max access", V100().SectorBytes))
+		binary.LittleEndian.PutUint64(b, v)
 	}
 }
