@@ -249,6 +249,8 @@ func TestRejections(t *testing.T) {
 		{flags: "-mem-budget 1024", json: `{"mem_budget":1024}`, want: "minimum"},
 		{flags: "-rounds 33,21", json: `{"rounds":[33,21]}`, want: "strictly increasing"},
 		{flags: "-rounds 21,21", json: `{"rounds":[21,21]}`, want: "strictly increasing"},
+		{flags: "-rounds 21,129", json: `{"rounds":[21,129]}`, want: "outside [4,128]"},
+		{flags: "-rounds 3,21", json: `{"rounds":[3,21]}`, want: "outside [4,128]"},
 		{flags: "-rounds abc", json: `{"rounds":"abc"}`},
 		{flags: "-rounds 21,,33", json: `{"rounds":[21,null,33]}`},
 		{flags: "-rounds ,"},

@@ -79,6 +79,7 @@ func ModelFromWorkload(ctgs []*locassm.CtgWithReads, cfg locassm.Config) (*Model
 		return nil, err
 	}
 	dev := simt.NewDevice(simt.V100())
+	defer dev.Close()
 	drv, err := locassm.NewDriver(dev, locassm.GPUConfig{Config: cfg, WarpPerTable: true})
 	if err != nil {
 		return nil, err

@@ -3,7 +3,9 @@ package cluster
 import (
 	"math"
 	"math/rand"
+	"runtime"
 	"testing"
+	"time"
 
 	"mhm2sim/internal/dna"
 	"mhm2sim/internal/locassm"
@@ -50,6 +52,25 @@ func buildModel(t *testing.T, n int) (*Model, locassm.Config) {
 		t.Fatal(err)
 	}
 	return m, cfg
+}
+
+// TestModelFromWorkloadClosesItsDevice: the device the model is measured on
+// is the function's own; left open, its parked warp pool pins the arena.
+func TestModelFromWorkloadClosesItsDevice(t *testing.T) {
+	ctgs, cfg := buildWorkload(t, 6)
+	before := runtime.NumGoroutine()
+	for i := 0; i < 3; i++ {
+		if _, err := ModelFromWorkload(ctgs, cfg); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// Closed pools' workers exit on their own schedule.
+	for i := 0; i < 500 && runtime.NumGoroutine() > before; i++ {
+		time.Sleep(time.Millisecond)
+	}
+	if n := runtime.NumGoroutine(); n > before {
+		t.Errorf("goroutines %d → %d over three models", before, n)
+	}
 }
 
 func TestNewModelRequiresKernels(t *testing.T) {

@@ -244,25 +244,35 @@ func TestElasticStealTraffic(t *testing.T) {
 	}
 }
 
-// TestElasticDeviceProvider: joining ranks draw their devices from the
-// configured provider.
-func TestElasticDeviceProvider(t *testing.T) {
+// TestElasticDeviceSource: every device rank — the initial ones at start, a
+// joiner at its round — draws its device from the run's one source, and a
+// CPUAssembly run draws none.
+func TestElasticDeviceSource(t *testing.T) {
 	pairs := buildPairs(t)
-	cfg := testDistConfig(2)
-	cfg.Elastic = "join@r1:2"
-	var provided int
-	cfg.DeviceProvider = func() (*simt.Device, error) {
-		provided++
-		return simt.NewDevice(simt.V100()), nil
-	}
-	_, rep, err := Run(pairs, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if provided != 2 {
-		t.Errorf("provider called %d times, want 2", provided)
-	}
-	if rep.Elasticity.Joins != 2 {
-		t.Errorf("joins = %d, want 2", rep.Elasticity.Joins)
+	for _, tc := range []struct {
+		cpu  bool
+		want int
+	}{{false, 4}, {true, 0}} {
+		cfg := testDistConfig(2)
+		cfg.Elastic = "join@r1:2"
+		cfg.CPUAssembly = tc.cpu
+		var drawn []*simt.Device
+		cfg.Pipeline.Engine.Devices = func() (*simt.Device, error) {
+			drawn = append(drawn, simt.NewDevice(simt.V100()))
+			return drawn[len(drawn)-1], nil
+		}
+		_, rep, err := Run(pairs, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(drawn) != tc.want {
+			t.Errorf("CPUAssembly=%v: source called %d times, want %d", tc.cpu, len(drawn), tc.want)
+		}
+		if rep.Elasticity.Joins != 2 {
+			t.Errorf("CPUAssembly=%v: joins = %d, want 2", tc.cpu, rep.Elasticity.Joins)
+		}
+		for _, dev := range drawn {
+			dev.Close()
+		}
 	}
 }

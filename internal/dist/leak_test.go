@@ -7,6 +7,7 @@ import (
 
 	"mhm2sim/internal/locassm"
 	"mhm2sim/internal/pipeline"
+	"mhm2sim/internal/simt"
 )
 
 // settled returns the goroutine count and the live heap once both have
@@ -27,12 +28,15 @@ func settled() (goroutines int, heap uint64) {
 	return goroutines, heap
 }
 
-// TestRunsLeaveNothingBehind: whoever creates a device because its caller
-// supplied none closes it when the run ends (pipeline's budget-counting and
-// -gpualn devices, the gpu and multigpu engines' own, dist's rank devices).
-// A device left open keeps its warp pool parked, which pins the arena: before
-// the rule, four budget runs in one process went 4 → 10 goroutines and 13 →
-// 45 MB of live heap. Five more runs of each engine must leave both flat.
+// TestRunsLeaveNothingBehind: a run's devices come from one source. The
+// default one makes fresh devices and the run closes them (the gpu and
+// multigpu engines', -gpualn's, dist's rank devices; pipeline's
+// budget-counting device is the run's own in the same way). A device left
+// open keeps its warp pool parked, which pins the arena: before the rule,
+// four budget runs in one process went 4 → 10 goroutines and 13 → 45 MB of
+// live heap. A supplied source keeps its devices across runs, as the
+// daemon's pool does: every run leaves them launchable and FreeAll'd. Five
+// more runs of each kind must leave goroutines and live heap flat.
 func TestRunsLeaveNothingBehind(t *testing.T) {
 	// A tiny community and one round: the test is about what a run leaves
 	// behind, and CI repeats it under -race at three core counts.
@@ -48,28 +52,54 @@ func TestRunsLeaveNothingBehind(t *testing.T) {
 		cfg.Pipeline.Rounds = []int{21}
 		return cfg
 	}
-	pipe := func(name string, budget int64, gpuAln bool) func() error {
+	// kept is the supplied source's pool: made on demand, handed out in
+	// order from the start again by every run, closed by the subtest.
+	var kept []*simt.Device
+	supply := func(spec *locassm.EngineSpec) {
+		next := 0
+		spec.Devices = func() (*simt.Device, error) {
+			if next == len(kept) {
+				kept = append(kept, simt.NewDevice(simt.V100()))
+			}
+			next++
+			return kept[next-1], nil
+		}
+	}
+	pipe := func(name string, budget int64, gpuAln, supplied bool) func() error {
 		return func() error {
 			cfg := distConfig(1).Pipeline
 			cfg.Engine.Name, cfg.MemBudget, cfg.UseGPUAln = name, budget, gpuAln
+			if supplied {
+				supply(&cfg.Engine)
+			}
 			_, err := pipeline.Run(pairs, cfg)
 			return err
 		}
 	}
-	for _, tc := range []struct {
-		name string
-		run  func() error
-	}{
-		{"cpu+budget", pipe(locassm.EngineCPU, budget, false)},
-		{"gpu+gpualn", pipe(locassm.EngineGPU, 0, true)},
-		{"multigpu", pipe(locassm.EngineMultiGPU, 0, false)},
-		{"dist+budget", func() error {
+	dist := func(supplied bool) func() error {
+		return func() error {
 			cfg := distConfig(4)
 			cfg.Pipeline.MemBudget = budget
-			cfg.Elastic = "join@r0:1" // a joiner's device from the default provider
+			cfg.Elastic = "join@r0:1" // a joiner draws from the same source
+			if supplied {
+				supply(&cfg.Pipeline.Engine)
+			}
 			_, _, err := Run(pairs, cfg)
 			return err
-		}},
+		}
+	}
+	for _, tc := range []struct {
+		name     string
+		run      func() error
+		supplied int // devices the run draws from a supplied source
+	}{
+		{"cpu+budget", pipe(locassm.EngineCPU, budget, false, false), 0},
+		{"gpu+gpualn", pipe(locassm.EngineGPU, 0, true, false), 0},
+		{"multigpu", pipe(locassm.EngineMultiGPU, 0, false, false), 0},
+		{"dist+budget", dist(false), 0},
+		{"gpu+gpualn/supplied", pipe(locassm.EngineGPU, 0, true, true), 2},
+		{"multigpu/supplied", pipe(locassm.EngineMultiGPU, 0, false, true), locassm.DefaultNodeGPUs},
+		{"dist+budget/supplied", dist(true), 5},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			if err := tc.run(); err != nil { // warm: one-time allocations are not leaks
@@ -89,6 +119,17 @@ func TestRunsLeaveNothingBehind(t *testing.T) {
 			if h1 > h0+2<<20 {
 				t.Errorf("live heap %.1f → %.1f MB over five runs", float64(h0)/(1<<20), float64(h1)/(1<<20))
 			}
+			if tc.supplied > 0 && len(kept) != tc.supplied {
+				t.Errorf("the run drew %d devices from its source, want %d", len(kept), tc.supplied)
+			}
+			for i, dev := range kept {
+				_, err := dev.Launch(simt.KernelConfig{Name: "probe", Warps: 2}, func(*simt.Warp) {})
+				if err != nil || dev.InUse() != 0 {
+					t.Errorf("supplied device %d after the runs: launch %v, %d bytes in use", i, err, dev.InUse())
+				}
+				dev.Close()
+			}
+			kept = nil
 		})
 	}
 }

@@ -160,17 +160,18 @@ func TestMovedOwnersMatchesBothLoops(t *testing.T) {
 	}
 }
 
-// TestJoinedRankPCIeIsThisRunsTraffic: a DeviceProvider may hand a joining
-// rank a device that earlier work has used (the daemon's pool does); the
-// rank's reported PCIe bytes are what this run moved, not the device's
-// lifetime odometer.
+// TestJoinedRankPCIeIsThisRunsTraffic: the run's device source may hand a
+// rank, initial or joining, a device that earlier work has used (the daemon's
+// pool does); the rank's reported PCIe bytes are what this run moved, not the
+// device's lifetime odometer.
 func TestJoinedRankPCIeIsThisRunsTraffic(t *testing.T) {
 	pairs := buildPairs(t)
 	run := func(used bool) *Report {
 		cfg := testDistConfig(2)
 		cfg.Elastic = "join@r1:2"
-		cfg.DeviceProvider = func() (*simt.Device, error) {
+		cfg.Pipeline.Engine.Devices = func() (*simt.Device, error) {
 			dev := simt.NewDevice(simt.V100())
+			t.Cleanup(dev.Close)
 			if used {
 				p, err := dev.Malloc(1 << 16)
 				if err != nil {
@@ -191,8 +192,8 @@ func TestJoinedRankPCIeIsThisRunsTraffic(t *testing.T) {
 	fresh, used := run(false), run(true)
 	for r := range fresh.PerRank {
 		f, u := fresh.PerRank[r], used.PerRank[r]
-		if f.JoinedRound >= 0 && f.PCIeH2D == 0 {
-			t.Errorf("rank %d joined but moved no PCIe bytes", r)
+		if f.PCIeH2D == 0 {
+			t.Errorf("rank %d moved no PCIe bytes", r)
 		}
 		if f.PCIeH2D != u.PCIeH2D || f.PCIeD2H != u.PCIeD2H {
 			t.Errorf("rank %d: PCIe %d/%d on a fresh device, %d/%d on a used one",

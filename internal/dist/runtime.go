@@ -46,10 +46,11 @@ type Config struct {
 	// Pipeline configures the underlying assembly pipeline. dist.Run
 	// injects the runtime as its Engine.Name/Instance; the rest of the
 	// spec (walk Config, driver GPU) configures every rank's engines, each
-	// on its own simt.V100() (or host engine, below).
+	// on a device drawn from Engine.Devices — at start for the initial
+	// ranks, at its join round for a joiner — or on the host engine, below.
 	Pipeline pipeline.Config
 	// CPUAssembly runs each rank's local assembly on the host flat-table
-	// engine instead of its simulated GPU — the per-rank CPU baseline the
+	// engine and draws it no device — the per-rank CPU baseline the
 	// paper's speedups are measured against. Results are bit-identical to
 	// the GPU path; only the Busy accounting (modeled host time instead of
 	// kernel time) and the kernel lists (empty) change.
@@ -78,12 +79,6 @@ type Config struct {
 	// modeled round makespan under load imbalance (stragglers, joins)
 	// without changing any output byte.
 	NoSteal bool
-	// DeviceProvider, when set, supplies the device for each joining rank
-	// (the service wires the DevicePool in here so elastic jobs draw real
-	// pool capacity); nil falls back to a fresh simt.V100(), which the run
-	// closes when it ends. The provider keeps ownership: it takes its
-	// devices back after Run returns.
-	DeviceProvider func() (*simt.Device, error)
 }
 
 // DefaultConfig returns a distributed configuration over the default
@@ -157,11 +152,10 @@ func (c *Config) effectivePlan() (*faults.Plan, error) {
 // rank is one rank slot's record. The table is sized to the membership's
 // capacity; slots of joins that have not fired hold the zero value.
 type rank struct {
-	dev *simt.Device
-	own bool // the run created dev and closes it; a DeviceProvider's stays the provider's
+	dev *simt.Device // nil under CPUAssembly
 	// h2d0/d2h0 are the device's lifetime PCIe odometer when it was attached:
-	// a DeviceProvider may hand out a device earlier jobs have used, and the
-	// report wants this run's bytes only.
+	// the run's device source may hand out a device earlier jobs have used,
+	// and the report wants this run's bytes only.
 	h2d0, d2h0 int64
 	deviceOK   bool          // still assembling on its device
 	busy       time.Duration // modeled busy time, own and stolen work
@@ -173,10 +167,20 @@ type rank struct {
 	err      error
 }
 
-// attach gives the slot its device and notes where its odometer stands.
-func (rk *rank) attach(dev *simt.Device, own bool) {
-	rk.dev, rk.own, rk.deviceOK = dev, own, true
+// attachDevice draws rank r's device from the run's source and notes where
+// its odometer stands; under CPUAssembly the rank gets none.
+func (rt *runtime) attachDevice(r int) error {
+	if rt.cfg.CPUAssembly {
+		return nil
+	}
+	dev, err := rt.cfg.Pipeline.Engine.Devices()
+	if err != nil {
+		return fmt.Errorf("dist: no device for rank %d: %w", r, err)
+	}
+	rk := &rt.ranks[r]
+	rk.dev, rk.deviceOK = dev, true
 	rk.h2d0, rk.d2h0 = dev.CumTraffic()
+	return nil
 }
 
 // runtime is the live state of one distributed run. It implements
@@ -192,9 +196,9 @@ type runtime struct {
 	policy shardPolicy
 	inj    *faults.Injector
 	ranks  []rank // one record per rank slot, up to capacity
-	// ownJoins: joiners' devices come from the default provider, so the run
-	// closes them like the initial ranks'.
-	ownJoins bool
+	// release releases the run's device source, cfg.Pipeline.Engine.Devices:
+	// the ranks' devices and the pipeline's GPU-alignment device.
+	release func()
 
 	// Accumulated across rounds (written only between concurrent phases).
 	rec      RecoveryStats
@@ -207,10 +211,6 @@ func newRuntime(cfg Config) (*runtime, error) {
 	plan, err := cfg.effectivePlan()
 	if err != nil {
 		return nil, err
-	}
-	ownJoins := cfg.DeviceProvider == nil
-	if ownJoins {
-		cfg.DeviceProvider = func() (*simt.Device, error) { return simt.NewDevice(simt.V100()), nil }
 	}
 	mem, err := NewMembership(cfg.Ranks, max(cfg.Ranks, plan.Capacity()), cfg.VirtualShards)
 	if err != nil {
@@ -228,26 +228,22 @@ func newRuntime(cfg Config) (*runtime, error) {
 		policy: newShardPolicy(cfg.ShardPolicy, cfg.VirtualShards, mem),
 		inj:    faults.NewInjector(plan),
 		ranks:  make([]rank, mem.Capacity()),
-
-		ownJoins: ownJoins,
 	}
 	fabric.UseInjector(rt.inj)
+	rt.release = rt.cfg.Pipeline.Engine.ResolveDevices()
 	for r := 0; r < cfg.Ranks; r++ {
-		rt.ranks[r].attach(simt.NewDevice(simt.V100()), true)
+		if err := rt.attachDevice(r); err != nil {
+			rt.Close()
+			return nil, err
+		}
 	}
 	return rt, nil
 }
 
-// Close implements locassm.Engine: it stops the warp pools of the devices
-// the run created — the initial ranks' and, without a DeviceProvider, the
-// joiners'. RunContext calls it when the run ends.
-func (rt *runtime) Close() {
-	for r := range rt.ranks {
-		if rk := &rt.ranks[r]; rk.own {
-			rk.dev.Close()
-		}
-	}
-}
+// Close implements locassm.Engine: it releases the run's device source, which
+// closes the devices the default source made and leaves a supplier's alone.
+// RunContext calls it when the run ends.
+func (rt *runtime) Close() { rt.release() }
 
 // scatterReads models the initial distribution of the input pairs from the
 // I/O rank (rank 0) to each read's home rank — the FASTQ scatter every
@@ -262,9 +258,6 @@ func (rt *runtime) scatterReads(pairs []dna.PairedRead) error {
 	_, err := rt.fabric.Exchange("read scatter", matrix)
 	return err
 }
-
-// Name implements locassm.Engine.
-func (rt *runtime) Name() string { return locassm.EngineDist }
 
 // Assemble implements locassm.Engine: one contigging round's local
 // assembly, distributed, as the round's phases in order. Per the Engine
@@ -324,8 +317,8 @@ func (rt *runtime) applyMembership(round, k int, ctgs []*locassm.CtgWithReads, s
 	return deal, nil
 }
 
-// admitJoins applies the round's scheduled rank joins: each joiner gets a
-// device from cfg.DeviceProvider (the service's pool, else a fresh simulated
+// admitJoins applies the round's scheduled rank joins: each joiner draws a
+// device from the run's source (the service's pool, else a fresh simulated
 // one) and enters the membership. The re-deal hands it whole
 // virtual shards — whole components under the component policy — and the
 // owners it displaces ship it their contig records in one "join bootstrap"
@@ -337,14 +330,12 @@ func (rt *runtime) admitJoins(round, k int, ctgs []*locassm.CtgWithReads, smap S
 	}
 	before := rt.mem.Deal()
 	for _, r := range joins {
-		dev, err := rt.cfg.DeviceProvider()
-		if err != nil {
-			return fmt.Errorf("dist: no device for joining rank %d at round %d: %w", r, round, err)
+		if err := rt.attachDevice(r); err != nil {
+			return err
 		}
 		if err := rt.mem.Join(r, round); err != nil {
 			return err
 		}
-		rt.ranks[r].attach(dev, rt.ownJoins)
 		rt.elastic.Joins++
 	}
 	matrix, moved := movedOwners(ctgs, smap, before, rt.mem.Deal(), len(rt.ranks))
@@ -436,8 +427,8 @@ func (rt *runtime) assembleShards(round, k int, byShard [][]*locassm.CtgWithRead
 
 // runRank is one rank's share of assembleShards: live rank r, i-th of nl,
 // assembles shards i, i+nl, … (virtual shard s lives on live[s mod nl]) on
-// its own device's batch driver or, under CPUAssembly or after a device
-// fault, the host flat-table engine.
+// its own device's batch driver or, without a device (CPUAssembly, a device
+// fault), the host flat-table engine.
 func (rt *runtime) runRank(r, i, nl, round, k, cpuWorkers int, byShard [][]*locassm.CtgWithReads, outs []*shardOutcome) error {
 	rk := &rt.ranks[r]
 	rk.fellBack = false
@@ -446,7 +437,7 @@ func (rt *runtime) runRank(r, i, nl, round, k, cpuWorkers int, byShard [][]*loca
 		return err
 	}
 	eng := gpuEng
-	if rt.cfg.CPUAssembly || !rk.deviceOK {
+	if !rk.deviceOK {
 		eng = cpuEng
 	}
 	for s := i; s < len(byShard); s += nl {
@@ -471,9 +462,9 @@ func (rt *runtime) runRank(r, i, nl, round, k, cpuWorkers int, byShard [][]*loca
 }
 
 // rankEngines builds one round's engines for rank r: the device engine over
-// the rank's own GPU (with the round's injected kernel aborts wired into the
-// driver's fault hook), and the host flat-table engine it degrades to under
-// CPUAssembly or after a device loss.
+// the rank's own GPU while it has one (with the round's injected kernel
+// aborts wired into the driver's fault hook), and the host flat-table engine
+// it runs under CPUAssembly or degrades to after a device loss.
 func (rt *runtime) rankEngines(r, round, cpuWorkers int) (gpuEng, cpuEng locassm.Engine, err error) {
 	// Scheduled kernel aborts: the first aborts launches on this rank
 	// this round fail with a recoverable table fault, which the batch
@@ -488,14 +479,16 @@ func (rt *runtime) rankEngines(r, round, cpuWorkers int) (gpuEng, cpuEng locassm
 		}
 		return nil
 	}
-	gpuEng, err = locassm.NewEngine(locassm.EngineSpec{
-		Name:   locassm.EngineGPU,
-		Config: spec.Config,
-		GPU:    gcfg,
-		Device: rt.ranks[r].dev,
-	})
-	if err != nil {
-		return nil, nil, err
+	if rk := &rt.ranks[r]; rk.deviceOK {
+		gpuEng, err = locassm.NewEngine(locassm.EngineSpec{
+			Name:   locassm.EngineGPU,
+			Config: spec.Config,
+			GPU:    gcfg,
+			Device: rk.dev,
+		})
+		if err != nil {
+			return nil, nil, err
+		}
 	}
 	cpuEng, err = locassm.NewEngine(locassm.EngineSpec{
 		Name:    locassm.EngineCPU,
@@ -624,7 +617,7 @@ func RunContext(ctx context.Context, pairs []dna.PairedRead, cfg Config) (*pipel
 		return nil, nil, err
 	}
 
-	pcfg := cfg.Pipeline
+	pcfg := rt.cfg.Pipeline // with the run's device source resolved
 	pcfg.Engine.Name, pcfg.Engine.Instance = locassm.EngineDist, rt
 	if pcfg.MemBudget > 0 && pcfg.MemPressure == nil {
 		// Chaos OOM events become memory pressure on the counting budget

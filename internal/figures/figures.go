@@ -147,6 +147,7 @@ func RunRooflineOn(devCfg simt.DeviceConfig, work []*locassm.CtgWithReads, cfg l
 			return out, err
 		}
 		res, err := drv.Run(work)
+		dev.Close()
 		if err != nil {
 			return out, err
 		}

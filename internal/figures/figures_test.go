@@ -1,8 +1,15 @@
 package figures
 
 import (
+	"bytes"
+	"math/rand"
+	"runtime"
 	"strings"
 	"testing"
+	"time"
+
+	"mhm2sim/internal/dna"
+	"mhm2sim/internal/locassm"
 )
 
 func TestSetups(t *testing.T) {
@@ -20,6 +27,39 @@ func TestSetups(t *testing.T) {
 	}
 	if _, err := StandardSetup("bogus"); err == nil {
 		t.Error("bogus preset accepted")
+	}
+}
+
+// TestRunRooflineClosesItsDevices: the two devices the kernels are replayed
+// on are the function's own; left open, their parked warp pools pin the arenas.
+func TestRunRooflineClosesItsDevices(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	var work []*locassm.CtgWithReads
+	for i := 0; i < 6; i++ {
+		genome := make([]byte, 600)
+		for j := range genome {
+			genome[j] = dna.Alphabet[rng.Intn(4)]
+		}
+		c := &locassm.CtgWithReads{ID: int64(i), Seq: genome[200:400]}
+		for pos := 330; pos+80 <= 600; pos += 9 {
+			c.RightReads = append(c.RightReads, dna.Read{
+				ID: "r", Seq: genome[pos : pos+80], Qual: bytes.Repeat([]byte{dna.QualChar(35)}, 80),
+			})
+		}
+		work = append(work, c)
+	}
+	before := runtime.NumGoroutine()
+	for i := 0; i < 3; i++ {
+		if _, err := RunRoofline(work, locassm.DefaultConfig(), 1); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// Closed pools' workers exit on their own schedule.
+	for i := 0; i < 500 && runtime.NumGoroutine() > before; i++ {
+		time.Sleep(time.Millisecond)
+	}
+	if n := runtime.NumGoroutine(); n > before {
+		t.Errorf("goroutines %d → %d over three roofline runs", before, n)
 	}
 }
 

@@ -89,6 +89,22 @@ func (s *BudgetStats) Add(o BudgetStats) {
 	s.KernelTime += o.KernelTime
 }
 
+// Sub returns what s, a later reading of one accumulation, added since prev:
+// the fields Add sums, subtracted (budgets and footprints stay s's).
+func (s BudgetStats) Sub(prev BudgetStats) BudgetStats {
+	s.Passes -= prev.Passes
+	s.PlannedPasses -= prev.PlannedPasses
+	s.SpillPasses -= prev.SpillPasses
+	s.SpillReplans -= prev.SpillReplans
+	s.OOMReplans -= prev.OOMReplans
+	s.FilteredSingletons -= prev.FilteredSingletons
+	s.Inserted -= prev.Inserted
+	s.FPInserted -= prev.FPInserted
+	s.Kernels -= prev.Kernels
+	s.KernelTime -= prev.KernelTime
+	return s
+}
+
 // CountBudget runs memory-bounded k-mer counting on the device: a
 // counting-Bloom prefilter pass bounds every k-mer's total count from
 // above so occurrences that provably cannot reach MinCount never touch

@@ -197,7 +197,10 @@ type Scanner struct {
 	fwd, rc Kmer
 }
 
-// NewScanner returns a scanner for windows of k bases, 1 ≤ k ≤ MaxK.
+// NewScanner returns a scanner for windows of k bases, 1 ≤ k ≤ MaxK. The
+// panic is a caller's bug, never an input's: pipeline.Config.Validate holds a
+// run's rounds to [4, MaxK] (dbg and gpucount check again before scanning),
+// and the other callers pass a validated seed length and a constant.
 func NewScanner(k int) Scanner {
 	if k < 1 || k > MaxK {
 		panic(fmt.Sprintf("kmer: scanner k %d outside [1,%d]", k, MaxK))

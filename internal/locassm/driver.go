@@ -48,8 +48,6 @@ type GPUConfig struct {
 	// batch structure (and therefore modeled kernel time) is identical
 	// whether or not the pipeline is on.
 	MemBudget int64
-	// SmallLimit is the §3.1 bin-2/bin-3 boundary (0 = DefaultSmallLimit).
-	SmallLimit int
 	// Mode selects pipelined (default) or sequential batch processing.
 	Mode DriverMode
 	// FaultHook, when set, runs before every batch launch; a non-nil

@@ -16,19 +16,16 @@ import (
 // round, so adding an execution substrate means adding a case to
 // NewEngine, never touching the driver loop.
 type Engine interface {
-	// Name identifies the engine (one of the Engine* constants).
-	Name() string
 	// Assemble locally assembles the contigs of round k and returns the
 	// per-contig results in input order plus unified accounting. Engines
 	// must NOT mutate ctgs (in particular ctgs[i].Seq); the caller applies
 	// the extensions. Every engine computes bit-identical Results for the
 	// same input — the package's central correctness property.
 	Assemble(k int, ctgs []*CtgWithReads) ([]Result, Stats, error)
-	// Close releases what the engine itself created: the devices of a gpu
-	// or multigpu engine built without one, whose parked warp pools would
-	// otherwise pin their arenas. A device the spec supplied stays its
-	// owner's, and the other engines have nothing to release. Whoever has
-	// NewEngine build an engine calls it when the run ends.
+	// Close closes the devices the engine drew from the default source
+	// (EngineSpec.ResolveDevices); under a supplied source, and for the host
+	// engine, there is nothing to release. Whoever has NewEngine build an
+	// engine calls it when the run ends.
 	Close()
 }
 
@@ -94,8 +91,14 @@ type EngineSpec struct {
 	Workers int
 	// GPU configures the device batch driver (gpu and multigpu engines).
 	GPU GPUConfig
-	// Device is an existing device for the gpu engine (nil = a fresh
-	// simt.V100(), the paper's device; multigpu always builds its own).
+	// Devices is where the run's devices come from: the gpu engine, each
+	// multigpu driver, each device rank of a dist run and the -gpualn stage
+	// call it once, from the run's own goroutine, for a device to hold until
+	// the run ends. The supplier keeps its devices: a run leaves them
+	// FreeAll'd, never closed. nil = ResolveDevices' default.
+	Devices func() (*simt.Device, error)
+	// Device is shorthand for a Devices that supplies this one device to the
+	// gpu engine (a dist rank's engine over its device, bench/'s la_dump).
 	Device *simt.Device
 	// GPUs is the multigpu engine's device count (0 = DefaultNodeGPUs).
 	GPUs int
@@ -114,6 +117,31 @@ const MinDriverBudget = 4 << 20
 // DefaultNodeGPUs is the multigpu engine's default device count — the six
 // V100s of one Summit node (§4.1).
 const DefaultNodeGPUs = 6
+
+// ResolveDevices makes s.Devices non-nil and returns what releases the
+// devices drawn from it: nothing for a supplied source, and for the one
+// default — fresh simt.V100()s, the paper's device — a Close of each, since an
+// open device keeps its warp pool parked and its arena pinned. A run calls it
+// on its own copy of the spec, builds everything from that copy, and defers
+// release.
+func (s *EngineSpec) ResolveDevices() (release func()) {
+	if dev := s.Device; dev != nil && s.Devices == nil {
+		s.Devices = func() (*simt.Device, error) { return dev, nil }
+	}
+	if s.Devices != nil {
+		return func() {}
+	}
+	var made []*simt.Device
+	s.Devices = func() (*simt.Device, error) {
+		made = append(made, simt.NewDevice(simt.V100()))
+		return made[len(made)-1], nil
+	}
+	return func() {
+		for _, dev := range made {
+			dev.Close()
+		}
+	}
+}
 
 // gpuConfig resolves the device driver configuration: GPU under the spec's
 // walk Config and, when GPU sets none, its run-level memory budget.
@@ -165,8 +193,7 @@ func newCPUEngine(spec EngineSpec) (Engine, error) {
 	return &cpuEngine{cfg: spec.Config, workers: par.Workers(spec.Workers)}, nil
 }
 
-func (e *cpuEngine) Name() string { return EngineCPU }
-func (e *cpuEngine) Close()       {}
+func (e *cpuEngine) Close() {}
 
 func (e *cpuEngine) Assemble(_ int, ctgs []*CtgWithReads) ([]Result, Stats, error) {
 	cres, err := RunCPU(ctgs, e.cfg, e.workers)
@@ -178,29 +205,25 @@ func (e *cpuEngine) Assemble(_ int, ctgs []*CtgWithReads) ([]Result, Stats, erro
 
 // gpuEngine wraps the pipelined single-device batch driver.
 type gpuEngine struct {
-	drv *Driver
-	own bool // the engine created drv.Dev: the spec had no device
+	drv     *Driver
+	release func() // of the spec's device source
 }
 
 func newGPUEngine(spec EngineSpec) (Engine, error) {
-	dev := spec.Device
-	if dev == nil {
-		dev = simt.NewDevice(simt.V100())
-	}
-	drv, err := NewDriver(dev, spec.gpuConfig())
+	release := spec.ResolveDevices()
+	dev, err := spec.Devices()
 	if err != nil {
 		return nil, err
 	}
-	return &gpuEngine{drv: drv, own: spec.Device == nil}, nil
-}
-
-func (e *gpuEngine) Name() string { return EngineGPU }
-
-func (e *gpuEngine) Close() {
-	if e.own {
-		e.drv.Dev.Close()
+	drv, err := NewDriver(dev, spec.gpuConfig())
+	if err != nil {
+		release()
+		return nil, err
 	}
+	return &gpuEngine{drv: drv, release: release}, nil
 }
+
+func (e *gpuEngine) Close() { e.release() }
 
 func (e *gpuEngine) Assemble(_ int, ctgs []*CtgWithReads) ([]Result, Stats, error) {
 	gres, err := e.drv.Run(ctgs)
@@ -214,8 +237,8 @@ func (e *gpuEngine) Assemble(_ int, ctgs []*CtgWithReads) ([]Result, Stats, erro
 // node's devices and they run concurrently, so Busy is the slowest
 // device's modeled time rather than the sum.
 type multiGPUEngine struct {
-	nd   *NodeDriver
-	gpus int
+	nd      *NodeDriver
+	release func() // of the spec's device source
 }
 
 func newMultiGPUEngine(spec EngineSpec) (Engine, error) {
@@ -223,15 +246,16 @@ func newMultiGPUEngine(spec EngineSpec) (Engine, error) {
 	if gpus <= 0 {
 		gpus = DefaultNodeGPUs
 	}
-	nd, err := NewNodeDriver(gpus, simt.V100(), spec.gpuConfig())
+	release := spec.ResolveDevices()
+	nd, err := NewNodeDriver(gpus, spec.Devices, spec.gpuConfig())
 	if err != nil {
+		release()
 		return nil, err
 	}
-	return &multiGPUEngine{nd: nd, gpus: gpus}, nil
+	return &multiGPUEngine{nd: nd, release: release}, nil
 }
 
-func (e *multiGPUEngine) Name() string { return EngineMultiGPU }
-func (e *multiGPUEngine) Close()       { e.nd.Close() }
+func (e *multiGPUEngine) Close() { e.release() }
 
 func (e *multiGPUEngine) Assemble(_ int, ctgs []*CtgWithReads) ([]Result, Stats, error) {
 	nres, err := e.nd.Run(ctgs)

@@ -2,9 +2,12 @@ package locassm
 
 import (
 	"bytes"
+	"errors"
 	"math/rand"
 	"strings"
 	"testing"
+
+	"mhm2sim/internal/simt"
 )
 
 // cloneCtgs deep-copies a workload so one engine's run cannot leak state
@@ -49,8 +52,8 @@ func TestNewEngineDefaultIsCPU(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if eng.Name() != EngineCPU {
-		t.Errorf("NewEngine(\"\").Name() = %q, want cpu", eng.Name())
+	if _, ok := eng.(*cpuEngine); !ok {
+		t.Errorf("NewEngine(\"\") built a %T, want the cpu engine", eng)
 	}
 	if _, err := NewEngine(EngineSpec{Name: "auto", Config: testConfig()}); err == nil {
 		t.Error(`NewEngine("auto") accepted`)
@@ -92,9 +95,7 @@ func TestEnginesBitIdentical(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		if eng.Name() != name {
-			t.Errorf("%s: Name() = %q", name, eng.Name())
-		}
+		defer eng.Close()
 		ctgs := cloneCtgs(base)
 		res, st, err := eng.Assemble(21, ctgs)
 		if err != nil {
@@ -138,6 +139,58 @@ func TestEnginesBitIdentical(t *testing.T) {
 		t.Errorf("multigpu busy %v exceeds serialized total %v",
 			st.Busy, st.KernelTime+st.TransferTime)
 	}
+}
+
+// TestEngineDeviceSource: a device engine draws its devices from the spec's
+// source — one for gpu, GPUs for multigpu — and leaves a supplied source's
+// devices open and FreeAll'd; the default source's are closed by Close.
+func TestEngineDeviceSource(t *testing.T) {
+	ctgs := randomWorkload(rand.New(rand.NewSource(11)), 12)
+	needsPool := func(dev *simt.Device) error {
+		_, err := dev.Launch(simt.KernelConfig{Name: "probe", Warps: 2}, func(*simt.Warp) {})
+		return err
+	}
+	for name, want := range map[string]int{EngineGPU: 1, EngineMultiGPU: 3} {
+		var drawn []*simt.Device
+		spec := EngineSpec{Name: name, Config: testConfig(), GPU: GPUConfig{WarpPerTable: true}, GPUs: 3,
+			Devices: func() (*simt.Device, error) {
+				drawn = append(drawn, testDev())
+				return drawn[len(drawn)-1], nil
+			}}
+		eng, err := NewEngine(spec)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if _, _, err := eng.Assemble(21, ctgs); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		eng.Close()
+		if len(drawn) != want {
+			t.Errorf("%s drew %d devices, want %d", name, len(drawn), want)
+		}
+		for i, dev := range drawn {
+			if h2d, _ := dev.CumTraffic(); h2d == 0 {
+				t.Errorf("%s: supplied device %d moved no bytes", name, i)
+			}
+			if err := needsPool(dev); err != nil || dev.InUse() != 0 {
+				t.Errorf("%s: supplied device %d after Close: launch %v, %d bytes in use", name, i, err, dev.InUse())
+			}
+			dev.Close()
+		}
+	}
+
+	eng, err := NewEngine(EngineSpec{Name: EngineGPU, Config: testConfig()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := eng.Assemble(21, ctgs); err != nil {
+		t.Fatal(err)
+	}
+	eng.Close()
+	if err := needsPool(eng.(*gpuEngine).drv.Dev); !errors.Is(err, simt.ErrDeviceClosed) {
+		t.Errorf("default source's device after Close: launch %v, want ErrDeviceClosed", err)
+	}
+
 }
 
 // TestStatsAdd: accumulation covers every field.

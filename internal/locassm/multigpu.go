@@ -17,28 +17,25 @@ type NodeDriver struct {
 	Drivers []*Driver
 }
 
-// NewNodeDriver creates one driver per device with a shared configuration.
-func NewNodeDriver(gpus int, devCfg simt.DeviceConfig, cfg GPUConfig) (*NodeDriver, error) {
+// NewNodeDriver draws the node's devices from draw (they stay their
+// supplier's) and creates one driver per device with a shared configuration.
+func NewNodeDriver(gpus int, draw func() (*simt.Device, error), cfg GPUConfig) (*NodeDriver, error) {
 	if gpus < 1 {
 		return nil, fmt.Errorf("locassm: need at least one GPU, got %d", gpus)
 	}
 	nd := &NodeDriver{}
 	for i := 0; i < gpus; i++ {
-		drv, err := NewDriver(simt.NewDevice(devCfg), cfg)
+		dev, err := draw()
+		if err != nil {
+			return nil, err
+		}
+		drv, err := NewDriver(dev, cfg)
 		if err != nil {
 			return nil, err
 		}
 		nd.Drivers = append(nd.Drivers, drv)
 	}
 	return nd, nil
-}
-
-// Close stops the warp pools of the node's devices, which NewNodeDriver
-// created.
-func (nd *NodeDriver) Close() {
-	for _, drv := range nd.Drivers {
-		drv.Dev.Close()
-	}
 }
 
 // NodeResult is a multi-GPU run outcome.

@@ -8,10 +8,13 @@ import (
 	"mhm2sim/internal/simt"
 )
 
-func nodeDevCfg() simt.DeviceConfig {
-	cfg := simt.V100()
-	cfg.GlobalMemBytes = 1 << 28
-	return cfg
+// nodeDevs supplies a node's devices, closed when the test ends.
+func nodeDevs(t *testing.T) func() (*simt.Device, error) {
+	return func() (*simt.Device, error) {
+		dev := testDev()
+		t.Cleanup(dev.Close)
+		return dev, nil
+	}
 }
 
 func TestNodeDriverMatchesSingleGPU(t *testing.T) {
@@ -25,7 +28,7 @@ func TestNodeDriverMatchesSingleGPU(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	nd, err := NewNodeDriver(6, nodeDevCfg(), gcfg)
+	nd, err := NewNodeDriver(6, nodeDevs(t), gcfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -52,7 +55,7 @@ func TestNodeDriverBalancesLoad(t *testing.T) {
 		c, _ := makeCovered(rng, int64(i), 500, 150, 350, 70, 10)
 		ctgs = append(ctgs, c)
 	}
-	nd, err := NewNodeDriver(6, nodeDevCfg(), GPUConfig{Config: testConfig(), WarpPerTable: true})
+	nd, err := NewNodeDriver(6, nodeDevs(t), GPUConfig{Config: testConfig(), WarpPerTable: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -77,16 +80,16 @@ func TestNodeDriverBalancesLoad(t *testing.T) {
 }
 
 func TestNodeDriverValidation(t *testing.T) {
-	if _, err := NewNodeDriver(0, nodeDevCfg(), GPUConfig{Config: testConfig()}); err == nil {
+	if _, err := NewNodeDriver(0, nodeDevs(t), GPUConfig{Config: testConfig()}); err == nil {
 		t.Error("zero GPUs accepted")
 	}
-	if _, err := NewNodeDriver(2, nodeDevCfg(), GPUConfig{Config: Config{}}); err == nil {
+	if _, err := NewNodeDriver(2, nodeDevs(t), GPUConfig{Config: Config{}}); err == nil {
 		t.Error("invalid locassm config accepted")
 	}
 }
 
 func TestNodeDriverEmptyWorkload(t *testing.T) {
-	nd, err := NewNodeDriver(3, nodeDevCfg(), GPUConfig{Config: testConfig(), WarpPerTable: true})
+	nd, err := NewNodeDriver(3, nodeDevs(t), GPUConfig{Config: testConfig(), WarpPerTable: true})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -34,7 +34,7 @@ type OverlapResult struct {
 // what); cost over cpuWorkers cores decides the CPU/GPU split of bin 2.
 func (d *Driver) RunOverlapped(ctgs []*CtgWithReads, cost CPUCost, cpuWorkers int) (*OverlapResult, error) {
 	cpuTime := func(wc WorkCounts) time.Duration { return cost.Time(wc, cpuWorkers) }
-	bins := MakeBins(ctgs, d.Cfg.SmallLimit)
+	bins := MakeBins(ctgs, DefaultSmallLimit)
 
 	out := &OverlapResult{Results: make([]Result, len(ctgs))}
 	index := make(map[*CtgWithReads]int, len(ctgs))

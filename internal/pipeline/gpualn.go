@@ -75,6 +75,7 @@ func gpuAlignReads(dev *simt.Device, aln *align.Aligner, ctgSeqs [][]byte, reads
 	// Phase B: the device kernel.
 	kernelStart := time.Now()
 	dev.FreeAll()
+	defer dev.FreeAll() // the device may be its supplier's: leave nothing on it
 	results, kres, err := gpualign.BatchSW(dev, gpuTasks, band, aln.ScoringParams())
 	if err != nil {
 		return nil, nil, 0, nil, err

@@ -5,6 +5,8 @@ import (
 	"runtime"
 	"testing"
 	"time"
+
+	"mhm2sim/internal/gpucount"
 )
 
 // recordingObserver captures every stage callback in order.
@@ -70,62 +72,71 @@ func TestObserverStageOrder(t *testing.T) {
 }
 
 // TestObserverDeltas: each finish carries the stage's own timing and work
-// deltas, not cumulative totals.
+// deltas, not cumulative totals — the budget-counting stats of a MemBudget
+// run included.
 func TestObserverDeltas(t *testing.T) {
 	pairs := buildPairs(t)
-	cfg := testPipelineConfig()
-	obs := &recordingObserver{}
-	cfg.Observer = obs
-	res, err := Run(pairs, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	for _, budget := range []int64{0, 1 << 20} {
+		cfg := testPipelineConfig()
+		cfg.MemBudget = budget
+		obs := &recordingObserver{}
+		cfg.Observer = obs
+		res, err := Run(pairs, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
 
-	var sum Timings
-	mergedReads := 0
-	var distinct int64
-	for i, ev := range obs.finishes {
-		d := obs.timings[i]
-		// Every stage but alignment bills its delta to its own category.
-		if ev.Stage != StageAlignment {
-			if d.Wall[ev.Stage] <= 0 {
-				t.Errorf("%s: zero timing delta", ev.Name)
+		var sum Timings
+		mergedReads := 0
+		var distinct int64
+		var kmerBudget gpucount.BudgetStats
+		for i, ev := range obs.finishes {
+			d := obs.timings[i]
+			// Every stage but alignment bills its delta to its own category.
+			if ev.Stage != StageAlignment {
+				if d.Wall[ev.Stage] <= 0 {
+					t.Errorf("%s: zero timing delta", ev.Name)
+				}
+				if d.Total() != d.Wall[ev.Stage] {
+					t.Errorf("%s: delta spills into other categories: %+v", ev.Name, d.Wall)
+				}
+			} else if d.Wall[StageAlignment]+d.Wall[StageAlnKernel] <= 0 {
+				t.Errorf("alignment: zero timing delta")
 			}
-			if d.Total() != d.Wall[ev.Stage] {
-				t.Errorf("%s: delta spills into other categories: %+v", ev.Name, d.Wall)
+			for s := range d.Wall {
+				sum.Wall[s] += d.Wall[s]
 			}
-		} else if d.Wall[StageAlignment]+d.Wall[StageAlnKernel] <= 0 {
-			t.Errorf("alignment: zero timing delta")
-		}
-		for s := range d.Wall {
-			sum.Wall[s] += d.Wall[s]
-		}
-		mergedReads += obs.works[i].MergedReads
-		distinct += obs.works[i].DistinctKmers
+			mergedReads += obs.works[i].MergedReads
+			distinct += obs.works[i].DistinctKmers
+			kmerBudget.Add(obs.works[i].KmerBudget)
 
-		switch ev.Stage {
-		case StageLocalAssembly:
-			if obs.works[i].Locassm.TableBuilds <= 0 {
-				t.Errorf("round %d local assembly: no table builds in delta", ev.Round)
-			}
-		case StageContigGen:
-			if obs.works[i].ContigsGenerated != 0 {
-				// ContigsGenerated is only set after the round loop; stage
-				// deltas must not claim it.
-				t.Errorf("round %d contig generation: unexpected ContigsGenerated delta %d",
-					ev.Round, obs.works[i].ContigsGenerated)
+			switch ev.Stage {
+			case StageLocalAssembly:
+				if obs.works[i].Locassm.TableBuilds <= 0 {
+					t.Errorf("round %d local assembly: no table builds in delta", ev.Round)
+				}
+			case StageContigGen:
+				if obs.works[i].ContigsGenerated != 0 {
+					// ContigsGenerated is only set after the round loop; stage
+					// deltas must not claim it.
+					t.Errorf("round %d contig generation: unexpected ContigsGenerated delta %d",
+						ev.Round, obs.works[i].ContigsGenerated)
+				}
 			}
 		}
-	}
-	// Deltas reassemble the final record exactly.
-	if sum != res.Timings {
-		t.Errorf("timing deltas don't sum to the result: got %+v, want %+v", sum, res.Timings)
-	}
-	if mergedReads != res.Work.MergedReads {
-		t.Errorf("merged-read deltas sum to %d, want %d", mergedReads, res.Work.MergedReads)
-	}
-	if distinct != res.Work.DistinctKmers {
-		t.Errorf("distinct-kmer deltas sum to %d, want %d", distinct, res.Work.DistinctKmers)
+		// Deltas reassemble the final record exactly.
+		if sum != res.Timings {
+			t.Errorf("timing deltas don't sum to the result: got %+v, want %+v", sum, res.Timings)
+		}
+		if mergedReads != res.Work.MergedReads {
+			t.Errorf("merged-read deltas sum to %d, want %d", mergedReads, res.Work.MergedReads)
+		}
+		if distinct != res.Work.DistinctKmers {
+			t.Errorf("distinct-kmer deltas sum to %d, want %d", distinct, res.Work.DistinctKmers)
+		}
+		if (budget > 0) != (kmerBudget.Passes > 0) || kmerBudget != res.Work.KmerBudget {
+			t.Errorf("budget %d: counting deltas re-add to %+v, want %+v", budget, kmerBudget, res.Work.KmerBudget)
+		}
 	}
 }
 

@@ -16,6 +16,7 @@ import (
 	"mhm2sim/internal/align"
 	"mhm2sim/internal/dbg"
 	"mhm2sim/internal/gpucount"
+	"mhm2sim/internal/kmer"
 	"mhm2sim/internal/preprocess"
 )
 
@@ -146,10 +147,7 @@ type Config struct {
 	// inside the overlap. 0 means DefaultMergeMaxMismatchFrac; for exact
 	// overlaps use a fraction smaller than 1/MaxReadLen.
 	MergeMaxMismatchFrac float64
-	// EndZone is how close to a contig end an alignment must come for the
-	// read to become a local-assembly candidate (0: read length + 50).
-	EndZone int
-	Workers int
+	Workers              int
 
 	// Preprocess enables read preparation (adapter/quality trimming and
 	// filtering) before merging; nil disables it.
@@ -167,9 +165,10 @@ type Config struct {
 	// Engine is the run's one local-assembly spec: which substrate
 	// (Engine.Name, "" → cpu; the distributed runtime injects itself as
 	// Engine.Instance), the walk parameters (Engine.Config), the device
-	// driver's (Engine.GPU), and an existing device (Engine.Device, which
-	// GPU alignment shares; nil = a fresh V100 each). The pipeline fills
-	// two defaults into it: Workers and MemBudget below.
+	// driver's (Engine.GPU), and where the run's devices come from
+	// (Engine.Devices: the engine's and GPU alignment's; nil = fresh V100s
+	// the run closes). Where it sets no Workers or MemBudget, the run uses
+	// the two below.
 	Engine locassm.EngineSpec
 
 	// Observer, when non-nil, receives stage start/finish callbacks with
@@ -195,19 +194,6 @@ type Config struct {
 	// UseGPUAln runs the alignment stage's banded-SW verification on the
 	// device (the ADEPT role, internal/gpualign) instead of the CPU.
 	UseGPUAln bool
-}
-
-// resolveEngine builds the run's engine from its spec, filling the two
-// settings the pipeline owns into it where the spec sets none.
-func (c *Config) resolveEngine() (locassm.Engine, error) {
-	spec := c.Engine
-	if spec.Workers == 0 {
-		spec.Workers = c.Workers
-	}
-	if spec.MemBudget == 0 {
-		spec.MemBudget = c.MemBudget
-	}
-	return locassm.NewEngine(spec)
 }
 
 // mergeParams resolves the effective read-merging parameters.
@@ -247,6 +233,9 @@ func (c *Config) Validate() error {
 	}
 	prev := 0
 	for _, k := range c.Rounds {
+		if k < 4 || k > kmer.MaxK {
+			return fmt.Errorf("pipeline: round k %d outside [4,%d]", k, kmer.MaxK)
+		}
 		if k <= prev {
 			return fmt.Errorf("pipeline: rounds must be strictly increasing, got %v", c.Rounds)
 		}

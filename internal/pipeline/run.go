@@ -37,7 +37,16 @@ func RunContext(ctx context.Context, pairs []dna.PairedRead, cfg Config) (*Resul
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	eng, err := cfg.resolveEngine()
+	if cfg.Engine.Workers == 0 {
+		cfg.Engine.Workers = cfg.Workers
+	}
+	if cfg.Engine.MemBudget == 0 {
+		cfg.Engine.MemBudget = cfg.MemBudget
+	}
+	// One device source for the run: the engine and GPU alignment draw from
+	// cfg.Engine.Devices, and what the default source made is closed here.
+	defer cfg.Engine.ResolveDevices()()
+	eng, err := locassm.NewEngine(cfg.Engine)
 	if err != nil {
 		return nil, err
 	}
@@ -53,9 +62,14 @@ func RunContext(ctx context.Context, pairs []dna.PairedRead, cfg Config) (*Resul
 		cfg: &cfg, res: res, eng: eng,
 		workers: par.Workers(cfg.Workers), pairs: pairs,
 	}
+	if cfg.UseGPUAln { // one device for every round's aln kernel
+		if st.adev, err = cfg.Engine.Devices(); err != nil {
+			return nil, err
+		}
+	}
 	if cfg.MemBudget > 0 {
-		// The budget-counting device is the run's own: an open device keeps
-		// its warp pool parked and its arena pinned.
+		// The budget-counting device is the run's own, outside the device
+		// source: a daemon job's lease does not count it (ROADMAP item 8).
 		st.cdev = simt.NewDevice(simt.V100())
 		defer st.cdev.Close()
 	}
@@ -146,6 +160,8 @@ type runState struct {
 	// rounds) and the OOM-event count already absorbed into the budget.
 	cdev    *simt.Device
 	seenOOM int
+	adev    *simt.Device // the -gpualn kernel's device
+
 }
 
 // adoptContigs installs checkpointed contigs as if their rounds had run.
@@ -263,7 +279,7 @@ func (st *runState) contigGen() error {
 // alignment finds candidate reads per contig end (+ aln kernel) and
 // snapshots the local-assembly workload before extension mutates it.
 func (st *runState) alignment() error {
-	withReads, kernelShare, err := alignCandidates(st.reads, st.ctgs, st.cfg, st.workers, st.res)
+	withReads, kernelShare, err := alignCandidates(st.reads, st.ctgs, st.cfg, st.adev, st.workers, st.res)
 	st.alnKernelShare = kernelShare
 	if err != nil {
 		return err
@@ -289,15 +305,15 @@ func (st *runState) localAssembly() error {
 		return err
 	}
 	if len(results) != len(st.withReads) {
-		return fmt.Errorf("pipeline: engine %s returned %d results for %d contigs",
-			st.eng.Name(), len(results), len(st.withReads))
+		return fmt.Errorf("pipeline: engine %q returned %d results for %d contigs",
+			st.cfg.Engine.Name, len(results), len(st.withReads))
 	}
 	st.res.Work.GPUKernels = append(st.res.Work.GPUKernels, stats.Kernels...)
 	st.res.Work.GPUKernelTime += stats.KernelTime
 	st.res.Work.GPUTransferTime += stats.TransferTime
 	st.res.Work.Locassm.Add(stats.Counts)
 
-	bins := locassm.MakeBins(st.withReads, st.cfg.Engine.GPU.SmallLimit)
+	bins := locassm.MakeBins(st.withReads, locassm.DefaultSmallLimit)
 	st.res.Bins = append(st.res.Bins, RoundBins{
 		K: st.k, Zero: len(bins.Zero), Small: len(bins.Small), Large: len(bins.Large),
 	})

@@ -134,6 +134,7 @@ func (w WorkRecord) diff(prev WorkRecord) WorkRecord {
 	w.Preprocess.AdapterTrimmed -= prev.Preprocess.AdapterTrimmed
 	w.Preprocess.QualityTrimmed -= prev.Preprocess.QualityTrimmed
 	w.Preprocess.BasesRemoved -= prev.Preprocess.BasesRemoved
+	w.KmerBudget = w.KmerBudget.Sub(prev.KmerBudget)
 	w.CommTime -= prev.CommTime
 	w.CommBytes -= prev.CommBytes
 	w.CommMsgs -= prev.CommMsgs

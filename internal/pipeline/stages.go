@@ -20,8 +20,9 @@ import (
 // buckets end-zone hits into per-contig candidate-read lists. It also
 // returns the share of its own wall time spent in the aln kernel (banded
 // Smith-Waterman), by which the driver splits the stage between the
-// aln-kernel and alignment categories.
-func alignCandidates(reads []dna.Read, ctgs []dbg.Contig, cfg *Config, workers int, res *Result) ([]*locassm.CtgWithReads, float64, error) {
+// aln-kernel and alignment categories. alnDev is the device of the -gpualn
+// kernel (cfg.UseGPUAln).
+func alignCandidates(reads []dna.Read, ctgs []dbg.Contig, cfg *Config, alnDev *simt.Device, workers int, res *Result) ([]*locassm.CtgWithReads, float64, error) {
 	ctgSeqs := make([][]byte, len(ctgs))
 	withReads := make([]*locassm.CtgWithReads, len(ctgs))
 	for i := range ctgs {
@@ -34,15 +35,11 @@ func alignCandidates(reads []dna.Read, ctgs []dbg.Contig, cfg *Config, workers i
 		return nil, 0, err
 	}
 
-	endZone := cfg.EndZone
-	if endZone <= 0 {
-		maxRead := 0
-		for i := range reads {
-			if len(reads[i].Seq) > maxRead {
-				maxRead = len(reads[i].Seq)
-			}
-		}
-		endZone = maxRead + 50
+	// How close to a contig end an alignment must come for the read to
+	// become a local-assembly candidate: the longest read plus 50.
+	endZone := 50
+	for i := range reads {
+		endZone = max(endZone, len(reads[i].Seq)+50)
 	}
 
 	classify := func(h align.Hit, read dna.Read) {
@@ -68,13 +65,8 @@ func alignCandidates(reads []dna.Read, ctgs []dbg.Contig, cfg *Config, workers i
 	var found []bool
 	var kernelWall time.Duration // wall time of this stage spent in the aln kernel
 	if cfg.UseGPUAln {
-		dev := cfg.Engine.Device
-		if dev == nil {
-			dev = simt.NewDevice(simt.V100())
-			defer dev.Close()
-		}
 		var kernels []simt.KernelResult
-		hits, found, kernelWall, kernels, err = gpuAlignReads(dev, aln, ctgSeqs, reads, workers)
+		hits, found, kernelWall, kernels, err = gpuAlignReads(alnDev, aln, ctgSeqs, reads, workers)
 		if err != nil {
 			return nil, 0, err
 		}

@@ -56,8 +56,9 @@ sim -reads "$run/reads.fastq" -preprocess -estimate-insert=false -checkpoint "$r
 
 # The daemon: the daemon job's smoke (quota 429, results, metrics, cancel,
 # restart resume) on a private port, plus an elastic job (a mid-run join
-# leases a pool device) and one whose fault schedule no seed survives (the
-# scheduler retries it reseeded, then fails it).
+# leases a pool device), a multigpu job (its node is the lease) and one whose
+# fault schedule no seed survives (the scheduler retries it reseeded, then
+# fails it).
 addr=localhost:8097
 jid() { python3 -c 'import json,sys; print(json.load(sys.stdin)["id"])'; }
 state() { curl -s "$addr/v1/jobs/$1" | python3 -c 'import json,sys; print(json.load(sys.stdin)["state"])'; }
@@ -94,11 +95,15 @@ curl -s "$addr/metrics" | grep -q '^mhm2d_jobs_submitted_total'
 kill -TERM "$dpid"; wait "$dpid" || true
 daemon
 doomed=$(curl -s -X POST "$addr/v1/jobs" -d '{"tenant":"c","engine":"dist","ranks":2,"rounds":[21],"faults":"drop=8"}' | jid)
+multi=$(curl -s -X POST "$addr/v1/jobs" -d '{"tenant":"d","engine":"multigpu","gpus":2,"rounds":[21]}' | jid)
 poll "$j2"
 poll "$j3"
+poll "$multi"
 ! poll "$doomed"
 test "$(state "$doomed")" = failed
 curl -s "$addr/v1/jobs/$j2/contigs" | cmp "$run/ref.fasta" -
+# Every job is terminal: the gpu, dist and multigpu leases are all back.
+curl -s "$addr/metrics" | grep -qx 'mhm2d_devices_leased 0'
 kill -TERM "$dpid"; wait "$dpid" || true
 trap - EXIT
 

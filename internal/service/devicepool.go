@@ -48,8 +48,18 @@ func NewDevicePool(n int, cfg simt.DeviceConfig) *DevicePool {
 // Size returns the pool's device count.
 func (p *DevicePool) Size() int { return p.size }
 
-// Lease is a granted set of devices. Release returns them to the pool
-// exactly once.
+// Close closes the free devices (one that ever launched keeps its warp pool
+// parked until then); the scheduler calls it once every lease is back.
+func (p *DevicePool) Close() {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	for _, dev := range p.free {
+		dev.Close()
+	}
+}
+
+// Lease is a granted set of devices, the ones its job computes on whatever
+// the engine (DESIGN.md §13). Release returns them to the pool exactly once.
 type Lease struct {
 	Devices []*simt.Device
 	pool    *DevicePool
@@ -142,9 +152,48 @@ func (p *DevicePool) granted(t0 time.Time) {
 func (l *Lease) Release() {
 	l.once.Do(func() {
 		if len(l.Devices) > 0 {
+			l.replaceLost()
 			l.pool.release(l.Devices, l.t0)
 		}
 	})
+}
+
+// replaceLost swaps each device a fault schedule took (simt.Device.InjectFault)
+// for a fresh one, so whatever runs on these devices next — the job's retry,
+// or another job once they are released — meets no state from this run.
+func (l *Lease) replaceLost() {
+	for i, dev := range l.Devices {
+		if dev.Lost() {
+			dev.Close()
+			l.Devices[i] = simt.NewDevice(dev.Cfg)
+		}
+	}
+}
+
+// source is the device source of one run on the lease (EngineSpec.Devices):
+// the leased devices in order and then, for ranks that join mid-run, pool
+// capacity, which releaseGrown returns. TryAcquire never blocks: a pool too
+// contended to grow the job is a hard error, not a deadlocked round.
+func (l *Lease) source() (draw func() (*simt.Device, error), releaseGrown func()) {
+	next := 0
+	var grown []*Lease
+	draw = func() (*simt.Device, error) {
+		if next < len(l.Devices) {
+			next++
+			return l.Devices[next-1], nil
+		}
+		g := l.pool.TryAcquire(1)
+		if g == nil {
+			return nil, fmt.Errorf("service: device pool exhausted (size %d)", l.pool.Size())
+		}
+		grown = append(grown, g)
+		return g.Devices[0], nil
+	}
+	return draw, func() {
+		for _, g := range grown {
+			g.Release()
+		}
+	}
 }
 
 func (p *DevicePool) release(devs []*simt.Device, t0 time.Time) {

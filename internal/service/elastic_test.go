@@ -3,7 +3,6 @@ package service
 import (
 	"bytes"
 	"context"
-	"os"
 	"strings"
 	"testing"
 	"time"
@@ -89,38 +88,13 @@ func TestSchedulerElasticJob(t *testing.T) {
 	spec := tinySpec(5)
 	spec.Engine, spec.Ranks = "dist", 2
 	spec.Elastic = "join@r0:1"
-	ref := standaloneOutput(t, spec)
 
 	s, err := New(Config{DataDir: t.TempDir(), Workers: 1, QueueDepth: 4, Devices: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
 	s.Start()
-	id, err := s.Submit(spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	st := waitTerminal(t, s, id, 2*time.Minute)
-	if st.State != StateSucceeded {
-		t.Fatalf("elastic job: state %s: %s", st.State, st.Error)
-	}
-
-	path, err := s.OutputPath(id)
-	if err != nil {
-		t.Fatal(err)
-	}
-	out, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(out, ref) {
-		t.Fatal("elastic job output differs from standalone elastic run")
-	}
-
-	rep, err := s.Result(id)
-	if err != nil {
-		t.Fatal(err)
-	}
+	rep := runJob(t, s, spec) // FASTA and report equal the standalone run's
 	if rep.Dist == nil || rep.Dist.Elasticity == nil {
 		t.Fatal("persisted report is missing the elasticity section")
 	}
@@ -139,10 +113,6 @@ func TestSchedulerElasticJob(t *testing.T) {
 	}
 	if joined != 1 {
 		t.Fatalf("%d per-rank rows carry a join round, want 1", joined)
-	}
-
-	if ps := s.pool.Stats(); ps.Leased != 0 {
-		t.Fatalf("%d pool devices still leased after the job", ps.Leased)
 	}
 
 	var mbuf bytes.Buffer

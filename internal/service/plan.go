@@ -15,8 +15,8 @@ import (
 
 // Plan is a run a JobSpec denotes: its input and its configuration. A
 // front end attaches its host-side settings to the configuration — the
-// scheduler a checkpoint dir, an observer, a leased device, a join provider
-// and a reseeded fault plan; mhm2sim its -gpualn, -preprocess,
+// scheduler a checkpoint dir, an observer, the job's lease as the device
+// source and a reseeded fault plan; mhm2sim its -gpualn, -preprocess,
 // -estimate-insert, -workers, -checkpoint and -gpu — and calls Run.
 type Plan struct {
 	// Pairs is the input; Genomes the truth genomes it was sampled from

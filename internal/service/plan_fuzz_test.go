@@ -20,6 +20,7 @@ func FuzzJobSpecPlan(f *testing.F) {
 		`{"engine":"dist","ranks":2000000000}`,
 		`{"engine":"multigpu","gpus":-4}`,
 		`{"engine":"gpu","rounds":[55,33],"mem_budget":1}`,
+		`{"rounds":[21,129]}`,
 		`{"reads_path":"/nonexistent","preset":"nope","depth":-1}`,
 	} {
 		f.Add([]byte(seed))

@@ -12,7 +12,6 @@ import (
 
 	"mhm2sim/internal/atomicfile"
 	"mhm2sim/internal/dist"
-	"mhm2sim/internal/locassm"
 	"mhm2sim/internal/pipeline"
 	"mhm2sim/internal/report"
 	"mhm2sim/internal/simt"
@@ -460,14 +459,15 @@ func (s *Scheduler) executeWithRetry(ctx context.Context, j *job, lease *Lease) 
 		lastErr = err
 		if attempt < s.cfg.JobRetries {
 			s.met.Add("mhm2d_job_retries_total", 1)
+			lease.replaceLost()
 		}
 	}
 	return nil, nil, lastErr
 }
 
 // execute runs one attempt of the job: plan the spec, attach the
-// scheduler's host-side settings (checkpoint dir, observer, leased device,
-// join provider, reseeded fault plan), run.
+// scheduler's host-side settings (checkpoint dir, observer, the lease as the
+// run's device source, reseeded fault plan), run.
 func (s *Scheduler) execute(ctx context.Context, j *job, lease *Lease, attempt int) (*pipeline.Result, *dist.Report, error) {
 	plan, err := NewPlan(j.Spec)
 	if err != nil {
@@ -490,43 +490,16 @@ func (s *Scheduler) execute(ctx context.Context, j *job, lease *Lease, attempt i
 	j.Attempts++
 	s.mu.Unlock()
 
-	if j.Spec.Engine == locassm.EngineGPU {
-		// The leased pool device: N simulated GPUs multiplex across
-		// concurrent gpu-engine jobs through EngineSpec.
-		plan.Pipeline.Engine.Device = lease.Devices[0]
-	}
-	if dcfg := plan.Dist; dcfg != nil {
-		if dcfg.Faults != nil && attempt > 0 {
-			// Deterministic plans fail deterministically: a retry must draw
-			// a fresh schedule, as a real rerun lands on different timing.
-			dcfg.Faults, err = dcfg.Faults.Reseed(j.Spec.FaultSeed + int64(attempt))
-			if err != nil {
-				return nil, nil, err
-			}
-		}
-		if dcfg.Elastic != "" {
-			// Joining ranks draw real pool capacity mid-run. TryAcquire
-			// never blocks: a pool too contended to grow the job is a hard
-			// error (the runtime surfaces it), not a deadlocked round.
-			var joinLeases []*Lease
-			var joinMu sync.Mutex
-			dcfg.DeviceProvider = func() (*simt.Device, error) {
-				l := s.pool.TryAcquire(1)
-				if l == nil {
-					return nil, fmt.Errorf("service: device pool exhausted (size %d)", s.pool.Size())
-				}
-				joinMu.Lock()
-				joinLeases = append(joinLeases, l)
-				joinMu.Unlock()
-				return l.Devices[0], nil
-			}
-			defer func() {
-				joinMu.Lock()
-				defer joinMu.Unlock()
-				for _, l := range joinLeases {
-					l.Release()
-				}
-			}()
+	// The job computes on the devices it leased, whatever its engine.
+	draw, releaseGrown := lease.source()
+	defer releaseGrown()
+	plan.Pipeline.Engine.Devices = draw
+	if dcfg := plan.Dist; dcfg != nil && dcfg.Faults != nil && attempt > 0 {
+		// Deterministic plans fail deterministically: a retry must draw
+		// a fresh schedule, as a real rerun lands on different timing.
+		dcfg.Faults, err = dcfg.Faults.Reseed(j.Spec.FaultSeed + int64(attempt))
+		if err != nil {
+			return nil, nil, err
 		}
 	}
 	res, rep, err := plan.Run(ctx)
@@ -573,9 +546,10 @@ func (s *Scheduler) RenderMetrics(w io.Writer) {
 }
 
 // Shutdown stops the scheduler: no new admissions, running jobs are
-// canceled at their next stage boundary (their checkpoints survive), and
-// workers are joined. Queued and interrupted jobs stay persisted as
-// unfinished, so a new Scheduler over the same DataDir resumes them.
+// canceled at their next stage boundary (their checkpoints survive), workers
+// are joined and the device pool is closed. Queued and interrupted jobs stay
+// persisted as unfinished, so a new Scheduler over the same DataDir resumes
+// them.
 func (s *Scheduler) Shutdown(ctx context.Context) error {
 	s.mu.Lock()
 	s.draining = true
@@ -588,6 +562,7 @@ func (s *Scheduler) Shutdown(ctx context.Context) error {
 	}()
 	select {
 	case <-done:
+		s.pool.Close() // every lease is back
 		return nil
 	case <-ctx.Done():
 		return fmt.Errorf("service: shutdown timed out: %w", ctx.Err())

@@ -14,7 +14,6 @@ import (
 	"time"
 
 	"mhm2sim/internal/dist"
-	"mhm2sim/internal/pipeline"
 )
 
 // tinySpec builds a fast (<50ms) single-round job whose input is fully
@@ -31,19 +30,8 @@ func tinySpec(seed int64) JobSpec {
 // the reference the daemon's persisted outputs must match byte for byte.
 func standaloneOutput(t *testing.T, spec JobSpec) []byte {
 	t.Helper()
-	plan, err := NewPlan(spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, _, err := plan.Run(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	if err := pipeline.WriteFASTAOutputs(&buf, res); err != nil {
-		t.Fatal(err)
-	}
-	return buf.Bytes()
+	fasta, _ := standalone(t, spec)
+	return fasta
 }
 
 // waitTerminal polls until the job reaches a terminal state.

@@ -96,9 +96,11 @@ func (s JobSpec) withDefaults() JobSpec {
 	return s
 }
 
-// DeviceDemand is how many pool devices the job leases for its lifetime:
-// one for the gpu engine, GPUs for multigpu, Ranks for dist (each simulated
-// rank owns a device unless the job is CPU-only), zero for cpu.
+// DeviceDemand is how many pool devices the job leases for its lifetime and
+// computes on: one for the gpu engine, GPUs for multigpu, Ranks for dist (one
+// per initial rank; a joining rank's comes from the pool at its round), zero
+// for cpu. The budget-counting device of a mem_budget job is the run's own
+// and not counted.
 func (s *JobSpec) DeviceDemand() int {
 	switch s.Engine {
 	case locassm.EngineGPU:

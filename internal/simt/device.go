@@ -154,6 +154,13 @@ func (d *Device) InjectFault(err error) {
 	d.mu.Unlock()
 }
 
+// Lost reports whether a fault has been injected; nothing clears one.
+func (d *Device) Lost() bool {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	return d.fault != nil
+}
+
 // NewDevice creates a device with an empty arena.
 func NewDevice(cfg DeviceConfig) *Device {
 	return &Device{Cfg: cfg}
