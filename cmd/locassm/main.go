@@ -3,11 +3,12 @@
 // plus candidate reads) by running the upstream pipeline on a synthetic
 // preset, then executes local assembly with the CPU reference and both GPU
 // kernel versions, verifying bit-identical extensions and reporting the
-// modeled times.
+// modeled times and the instruction-roofline characterization (the tables
+// of Figs 8–10) of the kernels it just ran, on that workload as it is.
 //
 // Usage:
 //
-//	locassm -preset arcticsynth [-quick]
+//	locassm [-preset arcticsynth] [-quick] [-load dump]
 package main
 
 import (
@@ -18,6 +19,7 @@ import (
 
 	"mhm2sim/internal/figures"
 	"mhm2sim/internal/locassm"
+	"mhm2sim/internal/roofline"
 	"mhm2sim/internal/simt"
 )
 
@@ -39,19 +41,22 @@ func main() {
 	}
 
 	var work []*locassm.CtgWithReads
+	var source string
 	if *loadPath != "" {
 		work, err = locassm.LoadWorkloadFile(*loadPath)
 		if err != nil {
 			log.Fatal(err)
 		}
 		fmt.Printf("loaded workload dump %s\n", *loadPath)
+		source = "dump " + *loadPath
 	} else {
 		fmt.Println("building workload (running upstream pipeline)...")
-		res, err := setup.Run(false)
+		res, err := setup.Run()
 		if err != nil {
 			log.Fatal(err)
 		}
 		work = res.LAWorkload
+		source = fmt.Sprintf("%s k=%d dump", setup.Preset.Name, res.Bins[len(res.Bins)-1].K)
 	}
 	nReads := 0
 	for _, c := range work {
@@ -70,10 +75,11 @@ func main() {
 	fmt.Printf("\nCPU reference: %d table builds, %d k-mers inserted, %d lookups, %d walk steps\n",
 		cpu.Counts.TableBuilds, cpu.Counts.KmersInserted, cpu.Counts.Lookups, cpu.Counts.WalkSteps)
 
+	var analyses []roofline.Analysis
 	for _, v2 := range []bool{false, true} {
-		name := "GPU v1 (thread per table)"
+		name, kernel := "GPU v1 (thread per table)", "v1_thread_per_table"
 		if v2 {
-			name = "GPU v2 (warp per table)"
+			name, kernel = "GPU v2 (warp per table)", "v2_warp_per_table"
 		}
 		dev := simt.NewDevice(simt.V100())
 		drv, err := locassm.NewDriver(dev, locassm.GPUConfig{Config: cfg, WarpPerTable: v2})
@@ -103,7 +109,13 @@ func main() {
 		if mismatches > 0 {
 			log.Fatal("GPU results diverge from the CPU reference")
 		}
+		analyses = append(analyses, roofline.Analyze(dev.Cfg, roofline.Merge(kernel, dev.Cfg, gres.Kernels)))
 	}
+
+	fmt.Printf("\ninstruction roofline of these runs (%s, %d contigs, as it is: scale 1, one V100; model):\n", source, len(work))
+	fmt.Print(roofline.Table(analyses))
+	fmt.Println()
+	fmt.Print(roofline.BreakdownTable(analyses))
 
 	var grown, added int
 	for _, r := range cpu.Results {

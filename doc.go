@@ -6,6 +6,7 @@
 // instruction-roofline analyzer, and a Summit strong-scaling model.
 //
 // See README.md for the layout, DESIGN.md for the system inventory and
-// per-experiment index, and EXPERIMENTS.md for paper-vs-measured results.
-// The benchmarks in bench_test.go regenerate every evaluation figure.
+// per-experiment index, and EXPERIMENTS.md for paper-vs-measured results:
+// `go run ./cmd/figures` regenerates every evaluation figure, and with
+// `-fig check` scores each of the paper's claims against them.
 package mhm2sim

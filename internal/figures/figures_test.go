@@ -2,6 +2,7 @@ package figures
 
 import (
 	"bytes"
+	"math"
 	"math/rand"
 	"runtime"
 	"strings"
@@ -71,7 +72,7 @@ func TestAllFiguresRender(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := s.Run(false)
+	res, err := s.Run()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -123,5 +124,81 @@ func TestAllFiguresRender(t *testing.T) {
 	fig14 := Fig14(m, f64)
 	if !strings.Contains(fig14, "1024") {
 		t.Errorf("Fig14 missing node sweep:\n%s", fig14)
+	}
+
+	// The scorecard, filled from the same results. Its ranges are stated for
+	// the standard setups, so on the quick one only what holds on any
+	// workload is asserted: every row says what it was measured on, and the
+	// fitted rows measure what they were fitted to.
+	rows, err := Scorecard(Measured{Arctic: res, Roofline: rf, Scale: 1, WA: res, Model: m, F64: f64})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rows) < 25 {
+		t.Errorf("scorecard has %d rows, want one per claim of EXPERIMENTS.md", len(rows))
+	}
+	anchors := 0
+	for _, r := range rows {
+		if r.Fig == "" || r.Claim == "" || r.Paper == "" || r.Workload == "" || r.Clock == "" {
+			t.Errorf("row %+v: empty figure, claim, paper value, workload or clock", r)
+		}
+		if r.Kind == KnownDeviation && r.Cause == "" {
+			t.Errorf("%s, %s: a known deviation without its cause", r.Fig, r.Claim)
+		}
+		if r.Kind == Anchor {
+			anchors++
+			if r.Measured < r.Lo || r.Measured > r.Hi {
+				t.Errorf("anchor %s, %s measures %g, fitted to [%g, %g]", r.Fig, r.Claim, r.Measured, r.Lo, r.Hi)
+			}
+		}
+	}
+	if anchors == 0 {
+		t.Error("scorecard has no anchor row")
+	}
+	if rf.Mismatches != 0 {
+		t.Errorf("%d kernel results differ from the CPU reference's", rf.Mismatches)
+	}
+}
+
+// TestVerdictRule: an anchor never fails the run, wherever it lands; a
+// prediction outside its range fails it and is named; a known deviation that
+// lands inside the paper's range is reported as closed, not silently passed.
+func TestVerdictRule(t *testing.T) {
+	for _, tc := range []struct {
+		name     string
+		kind     Kind
+		measured float64
+		verdict  string
+		ok       bool
+	}{
+		{"anchor on its value", Anchor, 5, "— fitted", true},
+		{"anchor off its value", Anchor, 50, "— fitted", true},
+		{"prediction inside", Prediction, 4, "✓", true},
+		{"prediction on the bound", Prediction, 6, "✓", true},
+		{"prediction outside", Prediction, 6.5, "✗ FAILED", false},
+		{"prediction that is not a number", Prediction, math.NaN(), "✗ FAILED", false},
+		{"deviation still outside", KnownDeviation, 9, "✗ known deviation", true},
+		{"deviation closed", KnownDeviation, 5, "closed — update the row", false},
+	} {
+		r := Row{Fig: "Fig 0", Claim: tc.name, Measured: tc.measured, Lo: 4, Hi: 6, Kind: tc.kind, Cause: "a cause"}
+		verdict, ok := r.Verdict()
+		if verdict != tc.verdict || ok != tc.ok {
+			t.Errorf("%s: verdict %q ok=%v, want %q ok=%v", tc.name, verdict, ok, tc.verdict, tc.ok)
+		}
+		out, failed := RenderScorecard([]Row{r})
+		if !strings.Contains(out, tc.name) || !strings.Contains(out, tc.verdict) {
+			t.Errorf("%s: row or verdict missing from\n%s", tc.name, out)
+		}
+		if named := len(failed) == 1 && failed[0].Claim == tc.name; named == tc.ok {
+			t.Errorf("%s: failed rows %v, want it named exactly when it fails", tc.name, failed)
+		}
+		if tc.kind == KnownDeviation != strings.Contains(out, "a cause") {
+			t.Errorf("%s: the cause is printed for known deviations only:\n%s", tc.name, out)
+		}
+	}
+	// An open side of a range is printed as one.
+	out, _ := RenderScorecard([]Row{{Measured: 3, Lo: 1, Hi: math.Inf(1), Kind: Prediction}})
+	if !strings.Contains(out, "≥ 1") || !strings.Contains(out, "✓") {
+		t.Errorf("open range:\n%s", out)
 	}
 }

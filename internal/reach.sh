@@ -18,7 +18,7 @@ rm -rf "$out/cov" "$run"
 mkdir -p "$bin" "$out/cov" "$run"
 export GOCOVERDIR="$out/cov" GOTOOLCHAIN=local
 
-for m in bench cmd/figures cmd/locassm cmd/mhm2d cmd/mhm2sim cmd/readgen cmd/roofline; do
+for m in bench cmd/figures cmd/locassm cmd/mhm2d cmd/mhm2sim cmd/readgen; do
 	go build -cover -coverpkg=mhm2sim/... -o "$bin/$(basename $m)" "./$m"
 done
 
@@ -47,10 +47,9 @@ sim -reads "$run/reads.fastq" -preprocess -estimate-insert=false -checkpoint "$r
 	-cpuprofile "$run/cpu.prof" -memprofile "$run/mem.prof"
 sim -reads "$run/reads.fastq" -preprocess -estimate-insert=false -checkpoint "$run/ckpt" -rounds 21,33
 
-# The figure and kernel-study tools.
-"$bin/figures" -quick >"$run/figures.log"
-"$bin/roofline" -quick >"$run/roofline.log"
-"$bin/roofline" -quick -device a100 -scale 2 >>"$run/roofline.log"
+# The figure and kernel-study tools; the scorecard's exit code counts.
+"$bin/figures" -quick >"$run/figures.log" 2>&1
+"$bin/figures" -fig check >"$run/scorecard.md" 2>"$run/scorecard.log" || { cat "$run/scorecard.log"; echo "reach: figures -fig check failed"; exit 1; }
 "$bin/locassm" -quick >"$run/locassm.log"
 "$bin/locassm" -load "$run/la.dump" >>"$run/locassm.log"
 

@@ -75,28 +75,6 @@ func V100() DeviceConfig {
 	}
 }
 
-// A100 returns the configuration of an NVIDIA A100-SXM4-40GB, the successor
-// generation to the paper's V100 — useful for what-if roofline analysis of
-// the same kernels on newer hardware (peak 108·4·1.41 ≈ 609 warp GIPS,
-// 1.7× the HBM bandwidth).
-func A100() DeviceConfig {
-	return DeviceConfig{
-		Name:                 "A100-SXM4-40GB",
-		SMs:                  108,
-		SchedulersPerSM:      4,
-		MaxWarpsPerSM:        64,
-		ClockGHz:             1.41,
-		GlobalMemBytes:       40 << 30,
-		MemBWGBps:            1555,
-		SectorBytes:          32,
-		GlobalLatency:        400,
-		LocalLatency:         28,
-		MemParallelism:       10,
-		KernelLaunchOverhead: 10 * time.Microsecond,
-		PCIeGBps:             25,
-	}
-}
-
 // PeakWarpGIPS is the theoretical warp-instruction issue peak in billions
 // of warp instructions per second.
 func (c DeviceConfig) PeakWarpGIPS() float64 {

@@ -2,6 +2,7 @@ package simt
 
 import (
 	"math"
+	"math/bits"
 	"testing"
 )
 
@@ -250,6 +251,21 @@ func TestShflBroadcast(t *testing.T) {
 			}
 		}
 	})
+}
+
+// Ballot evaluates pred across active lanes and returns the vote mask
+// (__ballot_sync). No kernel of the pipeline votes with it, so it lives here,
+// with the test and the differential oracle that exercise the IBallot class.
+func (w *Warp) Ballot(mask Mask, pred func(lane int) bool) Mask {
+	w.ExecN(IBallot, mask, 1)
+	var out Mask
+	for m := uint32(mask); m != 0; m &= m - 1 {
+		lane := bits.TrailingZeros32(m)
+		if pred(lane) {
+			out |= LaneMask(lane)
+		}
+	}
+	return out
 }
 
 func TestBallot(t *testing.T) {

@@ -239,20 +239,6 @@ func (w *Warp) Shfl(mask Mask, vals *Vec, srcLane int) Vec {
 	return out
 }
 
-// Ballot evaluates pred across active lanes and returns the vote mask
-// (__ballot_sync).
-func (w *Warp) Ballot(mask Mask, pred func(lane int) bool) Mask {
-	w.ExecN(IBallot, mask, 1)
-	var out Mask
-	for m := uint32(mask); m != 0; m &= m - 1 {
-		lane := bits.TrailingZeros32(m)
-		if pred(lane) {
-			out |= LaneMask(lane)
-		}
-	}
-	return out
-}
-
 // SyncWarp records a __syncwarp. Execution here is already lockstep; the
 // call documents and costs the synchronization points of the real kernel.
 func (w *Warp) SyncWarp(mask Mask) { w.ExecN(ISync, mask, 1) }
