@@ -2,6 +2,8 @@ package align
 
 import (
 	"math/rand"
+	"slices"
+	"sync"
 	"testing"
 
 	"mhm2sim/internal/dna"
@@ -234,6 +236,45 @@ func TestAlignerCellsAccumulate(t *testing.T) {
 	a.AlignRead(ctgs[0][50:150])
 	if a.Cells() == 0 {
 		t.Error("aln-kernel cell counter did not advance")
+	}
+}
+
+// TestAlignReadConcurrent: hits and the work counter do not depend on how
+// many goroutines share the aligner.
+func TestAlignReadConcurrent(t *testing.T) {
+	rng := rand.New(rand.NewSource(14))
+	ctgs := [][]byte{randSeq(rng, 1500), randSeq(rng, 900)}
+	var reads [][]byte
+	for n := 0; n < 200; n++ {
+		ctg := ctgs[n%2]
+		at := rng.Intn(len(ctg) - 120)
+		read := append([]byte(nil), ctg[at:at+120]...)
+		read[rng.Intn(120)] = 'A'
+		if n%3 == 0 {
+			read = dna.RevComp(read)
+		}
+		reads = append(reads, read)
+	}
+	seq := buildTestAligner(t, ctgs)
+	want := make([]Hit, len(reads))
+	for i, r := range reads {
+		want[i], _ = seq.AlignRead(r)
+	}
+	con := buildTestAligner(t, ctgs)
+	got := make([]Hit, len(reads))
+	var wg sync.WaitGroup
+	for w := 0; w < 4; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := w; i < len(reads); i += 4 {
+				got[i], _ = con.AlignRead(reads[i])
+			}
+		}(w)
+	}
+	wg.Wait()
+	if !slices.Equal(got, want) || con.Cells() != seq.Cells() {
+		t.Fatalf("4 goroutines: %d cells, hits differ %v; one: %d cells", con.Cells(), !slices.Equal(got, want), seq.Cells())
 	}
 }
 

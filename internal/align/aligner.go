@@ -2,6 +2,7 @@ package align
 
 import (
 	"fmt"
+	"math/bits"
 	"slices"
 	"sync/atomic"
 	"time"
@@ -75,11 +76,63 @@ type seedLoc struct {
 	pos int32
 }
 
+// seedIndex maps a seed's Hash(0) to its occurrences as MetaCache-GPU lays
+// out k-mer → location lists: linear-probing slots, each owning a run
+// locs[lo:hi] of one array (lo == hi: free). A count pass claims the slots,
+// and a fill pass lays the runs out, each in (contig, position) order.
+type seedIndex struct {
+	slots []seedSlot
+	locs  []seedLoc
+}
+
+type seedSlot struct {
+	key    uint64
+	lo, hi uint32
+}
+
+func newSeedIndex(ctgs [][]byte, k int) (x seedIndex) {
+	n := kmer.Windows(ctgs, k)
+	size := 1 << bits.Len(uint(n+n/2))
+	x.slots = make([]seedSlot, size)
+	at, walk := make([]uint32, 0, n), make([]seedLoc, 0, n) // each occurrence's slot and location
+	for ci, ctg := range ctgs {
+		kmer.ForEach(ctg, k, func(pos int, km kmer.Kmer) {
+			h := km.Hash(0)
+			s := h & uint64(size-1)
+			for ; x.slots[s].hi != 0 && x.slots[s].key != h; s = (s + 1) & uint64(size-1) {
+			}
+			x.slots[s].key, x.slots[s].hi = h, x.slots[s].hi+1
+			at, walk = append(at, uint32(s)), append(walk, seedLoc{ctg: int32(ci), pos: int32(pos)})
+		})
+	}
+	off := uint32(0)
+	for s := range x.slots {
+		x.slots[s].lo, x.slots[s].hi, off = off, off, off+x.slots[s].hi
+	}
+	x.locs = make([]seedLoc, len(walk))
+	for i, s := range at {
+		x.locs[x.slots[s].hi] = walk[i]
+		x.slots[s].hi++
+	}
+	return x
+}
+
+// lookup returns the occurrences of the seed hashing to h.
+func (x *seedIndex) lookup(h uint64) []seedLoc {
+	mask := uint64(len(x.slots) - 1)
+	for s := h & mask; x.slots[s].lo != x.slots[s].hi; s = (s + 1) & mask {
+		if x.slots[s].key == h {
+			return x.locs[x.slots[s].lo:x.slots[s].hi]
+		}
+	}
+	return nil
+}
+
 // Aligner is a seed index over a set of contigs.
 type Aligner struct {
 	cfg   Config
 	ctgs  [][]byte
-	seeds map[uint64][]seedLoc
+	seeds seedIndex
 	// cells counts the SW DP cells in the band of every verification since
 	// construction, whether or not the host filled them (SWResult.Cells) —
 	// the measure of "aln kernel" work for the stage breakdown. swTimeNS
@@ -102,14 +155,7 @@ func New(ctgs [][]byte, cfg Config) (*Aligner, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	a := &Aligner{cfg: cfg, ctgs: ctgs, seeds: make(map[uint64][]seedLoc)}
-	for ci, ctg := range ctgs {
-		kmer.ForEach(ctg, cfg.SeedLen, func(pos int, km kmer.Kmer) {
-			h := km.Hash(0)
-			a.seeds[h] = append(a.seeds[h], seedLoc{ctg: int32(ci), pos: int32(pos)})
-		})
-	}
-	return a, nil
+	return &Aligner{cfg: cfg, ctgs: ctgs, seeds: newSeedIndex(ctgs, cfg.SeedLen)}, nil
 }
 
 // SeedTask is one banded-SW verification requested by the seeding phase:
@@ -127,30 +173,60 @@ type SeedTask struct {
 // orientation of a read; ties go to the smaller contig, then the smaller
 // diagonal. ok is false when no seed matches.
 func (a *Aligner) SeedOriented(seq []byte, isRC bool) (SeedTask, bool) {
-	stride := a.cfg.SeedStride
+	task, _, ok, _ := a.SeedStrands(seq)
+	task.RC = ok && isRC
+	return task, ok
+}
+
+// SeedStrands returns in one scanner roll what SeedOriented returns for seq
+// and for dna.RevComp(seq): the reverse window of position pos starts
+// len(seq)−k−pos bases into the latter, and votes where that is on the stride.
+func (a *Aligner) SeedStrands(seq []byte) (fwd, rev SeedTask, okF, okR bool) {
+	k, stride := a.cfg.SeedLen, a.cfg.SeedStride
 	if stride <= 0 {
-		stride = a.cfg.SeedLen
+		stride = k
 	}
-	// One key per vote, ordered by (ctg, shift): the diagonal is signed, so
-	// its sign bit is flipped. Sorted, equal votes are adjacent and the
-	// first longest run is the winner with its tie-break.
-	const signBit = 1 << 31
-	var buf [256]uint64
-	votes := buf[:0]
-	sc := kmer.NewScanner(a.cfg.SeedLen)
+	var fbuf, rbuf [256]uint64
+	fv, rv := fbuf[:0], rbuf[:0]
+	sc := kmer.NewScanner(k)
+	revPhase := ((len(seq)-k)%stride + stride) % stride
+	phase := ((1-k)%stride + stride) % stride // pos % stride of the window ending at base i
 	for i, b := range seq {
-		pos := i - a.cfg.SeedLen + 1
-		if !sc.Push(b) || pos%stride != 0 {
-			continue
+		if sc.Push(b) {
+			pos := i - k + 1
+			if phase == 0 {
+				fv = a.vote(fv, sc.Forward(), pos)
+			}
+			if phase == revPhase {
+				rv = a.vote(rv, sc.Reverse(), len(seq)-k-pos)
+			}
 		}
-		locs := a.seeds[sc.Forward().Hash(0)]
-		if len(locs) > a.cfg.MaxSeedHits {
-			continue
-		}
-		for _, l := range locs {
-			votes = append(votes, uint64(l.ctg)<<32|uint64(uint32(l.pos-int32(pos))^signBit))
+		if phase++; phase == stride {
+			phase = 0
 		}
 	}
+	fwd, okF = bestDiagonal(fv)
+	rev, okR = bestDiagonal(rv)
+	rev.RC = okR
+	return fwd, rev, okF, okR
+}
+
+const signBit = 1 << 31 // flipped in a vote's signed shift, so keys order as (ctg, shift)
+
+// vote appends a ctg<<32 | shift key per occurrence of the seed at pos, unless it is too repetitive.
+func (a *Aligner) vote(votes []uint64, km kmer.Kmer, pos int) []uint64 {
+	locs := a.seeds.lookup(km.Hash(0))
+	if len(locs) > a.cfg.MaxSeedHits {
+		return votes
+	}
+	for _, l := range locs {
+		votes = append(votes, uint64(l.ctg)<<32|uint64(uint32(l.pos-int32(pos))^signBit))
+	}
+	return votes
+}
+
+// bestDiagonal returns the first longest run of the sorted votes: the winner and its tie-break.
+func bestDiagonal(votes []uint64) (SeedTask, bool) {
 	if len(votes) == 0 {
 		return SeedTask{}, false
 	}
@@ -165,7 +241,7 @@ func (a *Aligner) SeedOriented(seq []byte, isRC bool) (SeedTask, bool) {
 			best, bestN = v, run
 		}
 	}
-	return SeedTask{CtgID: int(best >> 32), Shift: int(int32(uint32(best) ^ signBit)), RC: isRC}, true
+	return SeedTask{CtgID: int(best >> 32), Shift: int(int32(uint32(best) ^ signBit))}, true
 }
 
 // AcceptSW applies the acceptance thresholds to a completed banded-SW
@@ -203,10 +279,19 @@ func (a *Aligner) ScoringParams() Scoring { return a.cfg.Scoring }
 
 // AlignRead finds the best alignment of the read (either orientation)
 // against the indexed contigs. ok is false when nothing reaches the score
-// threshold.
+// threshold. The reverse complement is built (on the stack) only if it seeded.
 func (a *Aligner) AlignRead(seq []byte) (Hit, bool) {
-	fwd, okF := a.alignOriented(seq, false)
-	rc, okR := a.alignOriented(dna.RevComp(seq), true)
+	fwdTask, rcTask, okF, okR := a.SeedStrands(seq)
+	var fwd, rc Hit
+	if okF {
+		fwd, okF = a.VerifyHit(seq, fwdTask)
+	}
+	if okR {
+		var buf [256]byte
+		rcSeq := append(buf[:0], seq...)
+		dna.RevCompInPlace(rcSeq)
+		rc, okR = a.VerifyHit(rcSeq, rcTask)
+	}
 	switch {
 	case okF && (!okR || fwd.Score >= rc.Score):
 		return fwd, true
@@ -214,15 +299,6 @@ func (a *Aligner) AlignRead(seq []byte) (Hit, bool) {
 		return rc, true
 	}
 	return Hit{}, false
-}
-
-// alignOriented seeds and verifies one orientation.
-func (a *Aligner) alignOriented(seq []byte, isRC bool) (Hit, bool) {
-	task, ok := a.SeedOriented(seq, isRC)
-	if !ok {
-		return Hit{}, false
-	}
-	return a.VerifyHit(seq, task)
 }
 
 // EndCandidate classifies a hit for local assembly: does the aligned read

@@ -47,21 +47,19 @@ func BandedSW(query, target []byte, shift, band int, sc Scoring) SWResult {
 	if band < 1 {
 		band = 1
 	}
+	n, m := len(query), len(target)
+	res := SWResult{Cells: bandCells(n, m, shift, band)}
 	if ts, ok := exactPlacement(query, target, shift, band); ok {
-		return SWResult{
-			Score:  len(query) * sc.Match,
-			QStart: 0, QEnd: len(query),
-			TStart: ts, TEnd: ts + len(query),
-			Cells: containedBandCells(len(query), len(target), shift, band),
-		}
+		res.Score, res.QEnd = n*sc.Match, n
+		res.TStart, res.TEnd = ts, ts+n
+		return res
 	}
 
-	// A row holds cell w ∈ [0, width) at index w+1, between two sentinel
-	// cells that stay zero: the up move of the last cell and the left move
-	// of the first read them instead of testing w±1. A zero cell passes on
-	// nothing — a gap move out of it is negative, and a negative best is
-	// reset to a fresh start — so sentinels, cells outside the target and
-	// the all-zero row above row 0 need no special case.
+	// A row holds cell w ∈ [0, width) at index w+1 before a sentinel that
+	// stays zero for the last cell's up move. A zero cell passes on nothing —
+	// a gap move out of it is negative, and a negative best is reset to a
+	// fresh start — so sentinels, cells a row did not fill and the all-zero
+	// row above row 0 need no special case.
 	width := 2*band + 1
 	row := width + 2
 	var scoreArr [2 * (2*stackBand + 3)]int32
@@ -74,72 +72,107 @@ func BandedSW(query, target []byte, shift, band int, sc Scoring) SWResult {
 	prevP, curP := starts[:row], starts[row:2*row] // qs<<32 | ts of the local start
 
 	match, mismatch, gap := int32(sc.Match), int32(sc.Mismatch), int32(sc.Gap)
+	// Cells whose score plus Match per step left stays below floor are dead.
+	floor := int(diagonalScore(query, target, shift, match, mismatch))
 	var (
 		bestScore          int32
 		bestStart, bestEnd uint64 // i<<32 | j of the alignment's first and last cell
-		cells              int64
+		liveLo, liveHi     int    // the live cells of the row above
+		heldLo, heldHi     int    // the cells the row above wrote
 	)
 	for i := range query {
 		// Cell w of this row faces target[base+w]; [lo, hi) are the cells
-		// inside the target.
+		// inside the target. Once a fresh start in the first is dead, a live
+		// cell has a live neighbour above or to its left.
 		base := i + shift - band
-		lo, hi := max(0, -base), min(width, len(target)-base)
-		if hi-lo < width {
-			clear(curS) // cells outside [lo, hi) must read as zero
-			if hi <= lo {
-				prevS, curS, prevP, curP = curS, prevS, curP, prevP
-				continue
-			}
+		lo, hi := max(0, -base), min(width, m-base)
+		pruned := sc.Match*(1+min(n-1-i, m-1-base-lo)) < floor
+		if pruned {
+			lo = max(lo, liveLo-1)
 		}
-		n := hi - lo
-		cells += int64(n)
-
-		// A cell's up move comes from the cell that the next one has on its
-		// diagonal, so each cell of the row above is loaded once.
-		qi := query[i]
-		tRow := target[base+lo:][:n]
-		aboveS, aboveP := prevS[lo+2:][:n], prevP[lo+2:][:n]
-		outS, outP := curS[lo+1:][:n], curP[lo+1:][:n]
-		diagS, diagP := prevS[lo+1], prevP[lo+1]
-		leftS, leftP := curS[lo], curP[lo]
-		here := uint64(i)<<32 | uint64(base+lo)
-		for k := 0; k < n; k++ {
-			upS, upP := aboveS[k], aboveP[k]
-			s := mismatch
-			if qi == tRow[k] {
-				s = match
+		first, last, from, end := -1, -1, 0, 0
+		if lo < hi {
+			cnt := hi - lo
+			// A cell's up move comes from the cell that the next one has on
+			// its diagonal, so each cell of the row above is loaded once.
+			qi := query[i]
+			tRow := target[base+lo:][:cnt]
+			aboveS, aboveP := prevS[lo+2:][:cnt], prevP[lo+2:][:cnt]
+			outS, outP := curS[lo+1:][:cnt], curP[lo+1:][:cnt]
+			diagS, diagP := prevS[lo+1], prevP[lo+1]
+			leftS, leftP := int32(0), uint64(0)
+			here := uint64(i)<<32 | uint64(base+lo)
+			// The rows below and the target bases right of a cell bound its steps.
+			rowThr := floor - sc.Match*(n-1-i)
+			endThr := floor - sc.Match*(m-1-base-lo)
+			k := 0
+			for ; k < cnt; k++ {
+				upS, upP := aboveS[k], aboveP[k]
+				s := mismatch
+				if qi == tRow[k] {
+					s = match
+				}
+				v, p := diagS+s, diagP
+				if diagS == 0 {
+					p = here
+				}
+				if u := upS + gap; u > v {
+					v, p = u, upP
+				}
+				if l := leftS + gap; l > v {
+					v, p = l, leftP
+				}
+				if v < 0 {
+					v, p = 0, here
+				}
+				outS[k], outP[k] = v, p
+				if v > bestScore {
+					bestScore, bestStart, bestEnd = v, p, here
+				}
+				if int(v) >= max(rowThr, endThr) {
+					if first < 0 {
+						first = k
+					}
+					last = k
+				} else if pruned && lo+k >= liveHi {
+					k++
+					break // no neighbour above is live, and this one is dead
+				}
+				endThr += sc.Match
+				diagS, diagP, leftS, leftP = upS, upP, v, p
+				here++
 			}
-			v, p := diagS+s, diagP
-			if diagS == 0 {
-				p = here
-			}
-			if u := upS + gap; u > v {
-				v, p = u, upP
-			}
-			if l := leftS + gap; l > v {
-				v, p = l, leftP
-			}
-			if v < 0 {
-				v, p = 0, here
-			}
-			outS[k], outP[k] = v, p
-			if v > bestScore {
-				bestScore, bestStart, bestEnd = v, p, here
-			}
-			diagS, diagP, leftS, leftP = upS, upP, v, p
-			here++
+			from, end = lo, lo+k
 		}
+		clear(prevS[heldLo+1 : heldHi+1]) // it becomes the next row's store
+		heldLo, heldHi = from, end
 		prevS, curS, prevP, curP = curS, prevS, curP, prevP
+		if first < 0 && pruned {
+			break // nothing is left to extend, and the rows below are pruned too
+		}
+		liveLo, liveHi = lo+first, lo+last
 	}
-	if bestScore == 0 {
-		return SWResult{Cells: cells}
+	if bestScore > 0 {
+		res.Score = int(bestScore)
+		res.QStart, res.QEnd = int(bestStart>>32), int(bestEnd>>32)+1
+		res.TStart, res.TEnd = int(uint32(bestStart)), int(uint32(bestEnd))+1
 	}
-	return SWResult{
-		Score:  int(bestScore),
-		QStart: int(bestStart >> 32), QEnd: int(bestEnd>>32) + 1,
-		TStart: int(uint32(bestStart)), TEnd: int(uint32(bestEnd)) + 1,
-		Cells: cells,
+	return res
+}
+
+// diagonalScore is the best ungapped segment score on the seed diagonal
+// j = i + shift: an in-band path, so no more than the optimum.
+func diagonalScore(query, target []byte, shift int, match, mismatch int32) (best int32) {
+	var run int32
+	for i := max(0, -shift); i < min(len(query), len(target)-shift); i++ {
+		s := mismatch
+		if query[i] == target[i+shift] {
+			s = match
+		}
+		run = max(run, 0) + s
+		best = max(best, run)
 	}
+	return best
 }
 
 // exactPlacement reports whether the query sits in the target, whole and
@@ -163,13 +196,12 @@ func exactPlacement(query, target []byte, shift, band int) (tStart int, ok bool)
 	return shift, true
 }
 
-// containedBandCells is the number of in-band, in-target cells when the
-// seed diagonal lies inside the target (0 ≤ shift, shift+n ≤ tlen): every
-// row has its full width less what the band overhangs the target's left end
-// (band−shift cells in row 0, one fewer each row) and its right end
-// (n+shift+band−tlen cells in the last row, one fewer each row up).
-func containedBandCells(n, tlen, shift, band int) int64 {
-	return int64(n)*int64(2*band+1) - ramp(band-shift, n) - ramp(n+shift+band-tlen, n)
+// bandCells is the number of in-band, in-target cells of an n-row problem.
+// Row i holds clamp(u+tlen−i) − clamp(u−i) of them, with u = band−shift and
+// clamp(a) = min(W, max(0, a)) = max(0, a) − max(0, a−W): four ramps.
+func bandCells(n, tlen, shift, band int) int64 {
+	u, w := band-shift, 2*band+1
+	return ramp(u+tlen, n) - ramp(u+tlen-w, n) - ramp(u, n) + ramp(u-w, n)
 }
 
 // ramp sums max(0, a−i) over i ∈ [0, n).

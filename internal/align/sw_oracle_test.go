@@ -2,7 +2,9 @@ package align
 
 import (
 	"bytes"
+	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -10,6 +12,12 @@ import (
 // oracle: it fills every in-band cell, tests every bound per cell and knows
 // no shortcut.
 func referenceBandedSW(query, target []byte, shift, band int, sc Scoring) SWResult {
+	return referenceBandedSWVisit(query, target, shift, band, sc, nil)
+}
+
+// referenceBandedSWVisit is referenceBandedSW that also hands every filled
+// cell's row, band offset, target column and score to visit, if not nil.
+func referenceBandedSWVisit(query, target []byte, shift, band int, sc Scoring, visit func(i, w, j, score int)) SWResult {
 	if band < 1 {
 		band = 1
 	}
@@ -67,6 +75,9 @@ func referenceBandedSW(query, target []byte, shift, band int, sc Scoring) SWResu
 				bestScore, qs, ts = 0, i, j
 			}
 			cur[w] = cell{score: bestScore, qs: qs, ts: ts}
+			if visit != nil {
+				visit(i, w, j, bestScore)
+			}
 
 			if bestScore > best.Score {
 				best = SWResult{
@@ -186,12 +197,59 @@ func FuzzBandedSWMatchesReference(f *testing.F) {
 	})
 }
 
-// The seed corpus must reach both branches and both row stores, or the
-// fuzz target proves less than it says.
+// pruneShapes says, from the oracle's scores, what the dead-cell bound does
+// to a DP case: whether a row past the fresh-start rows starts right of its
+// first in-target cell (narrowed), whether such a row has no live cell
+// while rows are left (the early stop), and whether a cell under a live
+// diagonal neighbour is dead only by the target-end term of the bound.
+func pruneShapes(q, tg []byte, shift, band int, sc Scoring) (narrowed, stopped, endBound bool) {
+	n, m := len(q), len(tg)
+	floor := int(diagonalScore(q, tg, shift, int32(sc.Match), int32(sc.Mismatch)))
+	live := make([][]bool, n)
+	for i := range live {
+		live[i] = make([]bool, 2*band+1)
+	}
+	var deadByEnd [][2]int
+	referenceBandedSWVisit(q, tg, shift, band, sc, func(i, w, j, score int) {
+		rows, ends := n-1-i, m-1-j
+		live[i][w] = score+sc.Match*min(rows, ends) >= floor
+		if !live[i][w] && score+sc.Match*rows >= floor {
+			deadByEnd = append(deadByEnd, [2]int{i, w})
+		}
+	})
+	for _, c := range deadByEnd {
+		endBound = endBound || c[0] > 0 && live[c[0]-1][c[1]]
+	}
+	for i := 0; i < n; i++ {
+		base := i + shift - band
+		lo := max(0, -base)
+		if sc.Match*(1+min(n-1-i, m-1-base-lo)) >= floor {
+			continue // a fresh start may be live in row i
+		}
+		if i > 0 {
+			above := slices.Index(live[i-1], true)
+			narrowed = narrowed || above-1 > lo
+		}
+		if !slices.Contains(live[i], true) {
+			return narrowed, i < n-1, endBound
+		}
+	}
+	return narrowed, false, endBound
+}
+
+func count(b bool) int {
+	if b {
+		return 1
+	}
+	return 0
+}
+
+// The seed corpus must reach both branches, both row stores and what the
+// dead-cell bound prunes, or the fuzz target proves less than it says.
 func TestSeedCorpusCoversBothBranches(t *testing.T) {
-	var exact, dp, heap, tandem int
+	var exact, dp, heap, tandem, narrowed, stopped, endBound int
 	for _, c := range swSeedCases() {
-		q, tg, shift, band, _ := c.args()
+		q, tg, shift, band, sc := c.args()
 		ts, ok := exactPlacement(q, tg, shift, band)
 		switch {
 		case ok && ts != shift:
@@ -203,11 +261,19 @@ func TestSeedCorpusCoversBothBranches(t *testing.T) {
 			if band > stackBand {
 				heap++
 			}
+			nw, st, eb := pruneShapes(q, tg, shift, band, sc)
+			narrowed += count(nw)
+			stopped += count(st)
+			endBound += count(eb)
 		}
 	}
-	if exact < 50 || tandem < 50 || dp < 500 || heap < 50 {
-		t.Fatalf("corpus: %d exact, %d exact on a smaller diagonal, %d DP of which %d on heap rows", exact, tandem, dp, heap)
+	msg := fmt.Sprintf("corpus: %d exact, %d exact on a smaller diagonal, %d DP of which %d on heap rows; "+
+		"%d with a narrowed row, %d stopped early, %d with a cell dead by the target end",
+		exact, tandem, dp, heap, narrowed, stopped, endBound)
+	if exact < 50 || tandem < 50 || dp < 500 || heap < 50 || narrowed < 200 || stopped < 50 || endBound < 20 {
+		t.Fatal(msg)
 	}
+	t.Log(msg)
 }
 
 func TestExactPlacementPicksScanOrderDiagonal(t *testing.T) {
@@ -243,15 +309,17 @@ func TestExactPlacementPicksScanOrderDiagonal(t *testing.T) {
 	}
 }
 
+// TestBandCellsClosedForm: every placement, from the band wholly left of
+// the target to wholly right of it.
 func TestBandCellsClosedForm(t *testing.T) {
 	sc := DefaultScoring()
-	for n := 1; n <= 14; n++ {
+	for n := 0; n <= 14; n++ {
 		q := repeatUnit("A", n)
-		for tlen := n; tlen <= n+12; tlen++ {
+		for tlen := 0; tlen <= n+12; tlen++ {
 			tg := repeatUnit("C", tlen) // no match: the oracle only counts
-			for shift := 0; shift+n <= tlen; shift++ {
-				for band := 1; band <= 16; band++ {
-					got, want := containedBandCells(n, tlen, shift, band), referenceBandedSW(q, tg, shift, band, sc).Cells
+			for band := 1; band <= 16; band++ {
+				for shift := -n - band - 1; shift <= tlen+band+1; shift++ {
+					got, want := bandCells(n, tlen, shift, band), referenceBandedSW(q, tg, shift, band, sc).Cells
 					if got != want {
 						t.Fatalf("n %d, target %d, shift %d, band %d: closed form %d, counted %d", n, tlen, shift, band, got, want)
 					}

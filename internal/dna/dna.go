@@ -21,17 +21,18 @@ const (
 // Alphabet lists the ASCII bases in 2-bit code order.
 var Alphabet = [4]byte{'A', 'C', 'G', 'T'}
 
-// codeOf maps ASCII to the 2-bit code, with 0xff marking non-ACGT bytes.
-var codeOf [256]byte
+// codeOf maps ASCII to the 2-bit code, with 0xff marking non-ACGT bytes;
+// complementOf maps it to the complement's upper-case base, or 'N'.
+var codeOf, complementOf [256]byte
 
 func init() {
 	for i := range codeOf {
-		codeOf[i] = 0xff
+		codeOf[i], complementOf[i] = 0xff, 'N'
 	}
-	codeOf['A'], codeOf['a'] = BaseA, BaseA
-	codeOf['C'], codeOf['c'] = BaseC, BaseC
-	codeOf['G'], codeOf['g'] = BaseG, BaseG
-	codeOf['T'], codeOf['t'] = BaseT, BaseT
+	for c, b := range Alphabet {
+		codeOf[b], codeOf[b|0x20] = byte(c), byte(c)
+		complementOf[b], complementOf[b|0x20] = Alphabet[c^3], Alphabet[c^3]
+	}
 }
 
 // Code returns the 2-bit code of an ASCII base and whether the byte was a
@@ -46,20 +47,7 @@ func IsACGT(b byte) bool { return codeOf[b] != 0xff }
 
 // Complement returns the Watson-Crick complement of an ASCII base.
 // Non-ACGT bytes (e.g. 'N') complement to 'N'.
-func Complement(b byte) byte {
-	switch b {
-	case 'A', 'a':
-		return 'T'
-	case 'C', 'c':
-		return 'G'
-	case 'G', 'g':
-		return 'C'
-	case 'T', 't':
-		return 'A'
-	default:
-		return 'N'
-	}
-}
+func Complement(b byte) byte { return complementOf[b] }
 
 // RevComp returns the reverse complement of seq as a new slice.
 func RevComp(seq []byte) []byte {

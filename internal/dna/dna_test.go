@@ -32,6 +32,23 @@ func TestComplement(t *testing.T) {
 			t.Errorf("Complement(%q) = %q, want %q", b, got, want)
 		}
 	}
+	// Every byte: the table against the switch it replaced.
+	for i := 0; i < 256; i++ {
+		want := byte('N')
+		switch b := byte(i); b {
+		case 'A', 'a':
+			want = 'T'
+		case 'C', 'c':
+			want = 'G'
+		case 'G', 'g':
+			want = 'C'
+		case 'T', 't':
+			want = 'A'
+		}
+		if got := Complement(byte(i)); got != want {
+			t.Errorf("Complement(%#x) = %q, want %q", i, got, want)
+		}
+	}
 }
 
 func TestRevComp(t *testing.T) {

@@ -71,6 +71,83 @@ func TestFASTQErrors(t *testing.T) {
 	}
 }
 
+// A header with no name is an error that names its line, not a panic.
+func TestFASTQNamelessHeader(t *testing.T) {
+	for in, line := range map[string]string{
+		"@\nACGT\n+\nIIII\n":                         "line 1",
+		"@r1\nACGT\n+\nIIII\n@ \t \nACGT\n+\nIIII\n": "line 5",
+	} {
+		_, err := ReadFASTQ(strings.NewReader(in))
+		if err == nil || !strings.Contains(err.Error(), line) {
+			t.Errorf("input %q: error %v, want one naming %s", in, err, line)
+		}
+	}
+}
+
+func TestFASTANamelessHeader(t *testing.T) {
+	for in, line := range map[string]string{
+		">\nACGT\n":            "line 1",
+		">a\nAC\n\n> \t\nGT\n": "line 4",
+	} {
+		_, _, err := ReadFASTA(strings.NewReader(in))
+		if err == nil || !strings.Contains(err.Error(), line) {
+			t.Errorf("input %q: error %v, want one naming %s", in, err, line)
+		}
+	}
+}
+
+// FuzzReadInterleavedPairs: any input parses to an error or to pairs of
+// named reads with a quality per base, which write back and parse equal.
+func FuzzReadInterleavedPairs(f *testing.F) {
+	var valid bytes.Buffer
+	if err := WriteFASTQ(&valid, randomReads(rand.New(rand.NewSource(3)), 4)); err != nil {
+		f.Fatal(err)
+	}
+	for _, in := range []string{
+		valid.String(),
+		"@\nACGT\n+\nIIII\n@r2\nACGT\n+\nIIII\n",                   // nameless header
+		"@r1\nACGT\n+\nIIII\n@ \t \nACGT\n+\nIIII\n",               // header of blanks
+		"@r1\r\nACGT\r\n+\r\nIIII\r\n@r2\r\nTTGA\r\n+\r\nIIII\r\n", // CRLF line ends
+		"@r1\nACGT\n+\nIIII\n@r2\nACGT\n+\nII",                     // truncated record
+		"@r1\nACGT\n+\nIIII\n",                                     // odd read count
+	} {
+		f.Add([]byte(in))
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		pairs, err := ReadInterleavedPairs(bytes.NewReader(data))
+		if err != nil {
+			return
+		}
+		var reads []Read
+		for _, p := range pairs {
+			for _, r := range []Read{p.Fwd, p.Rev} {
+				if r.ID == "" || len(r.Seq) != len(r.Qual) {
+					t.Fatalf("read %+v: empty ID or %d bases with %d qualities", r, len(r.Seq), len(r.Qual))
+				}
+				reads = append(reads, r)
+			}
+		}
+		var buf bytes.Buffer
+		if err := WriteFASTQ(&buf, reads); err != nil {
+			t.Fatal(err)
+		}
+		back, err := ReadInterleavedPairs(&buf)
+		if err != nil {
+			t.Fatalf("written reads do not parse: %v", err)
+		}
+		if len(back) != len(pairs) {
+			t.Fatalf("%d pairs back, want %d", len(back), len(pairs))
+		}
+		for i := range pairs {
+			for _, rr := range [][2]Read{{back[i].Fwd, pairs[i].Fwd}, {back[i].Rev, pairs[i].Rev}} {
+				if rr[0].ID != rr[1].ID || !bytes.Equal(rr[0].Seq, rr[1].Seq) || !bytes.Equal(rr[0].Qual, rr[1].Qual) {
+					t.Fatalf("pair %d: read %+v came back as %+v", i, rr[1], rr[0])
+				}
+			}
+		}
+	})
+}
+
 func TestFASTQEmpty(t *testing.T) {
 	reads, err := ReadFASTQ(strings.NewReader(""))
 	if err != nil || len(reads) != 0 {

@@ -231,6 +231,9 @@ func (s *Scanner) Push(b byte) bool {
 // after a Push that returned true.
 func (s *Scanner) Forward() Kmer { return s.fwd }
 
+// Reverse returns the window's reverse complement, the window at len−k−pos of the sequence's.
+func (s *Scanner) Reverse() Kmer { return s.rc }
+
 // Canonical returns the lexicographically smaller of the window and its
 // reverse complement, plus whether the window as read was that one.
 func (s *Scanner) Canonical() (Kmer, bool) {

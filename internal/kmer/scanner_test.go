@@ -33,10 +33,12 @@ func refWindow(seq []byte, pos, k int) (canon Kmer, isSelf, valid bool) {
 
 // checkScanner feeds seq through a Scanner and asserts that at every
 // position its validity, canonical k-mer, orientation and hash equal the
-// per-window oracle's.
+// per-window oracle's, and its two strands the windows of seq and of its
+// reverse complement.
 func checkScanner(t *testing.T, seq []byte, k int) {
 	t.Helper()
 	s := NewScanner(k)
+	rc := dna.RevComp(seq)
 	for i, b := range seq {
 		valid := s.Push(b)
 		pos := i - k + 1
@@ -63,6 +65,9 @@ func checkScanner(t *testing.T, seq []byte, k int) {
 		}
 		if fwd, _ := FromBytes(seq[pos:], k); s.Forward() != fwd {
 			t.Fatalf("k=%d pos %d: forward %s, oracle %s", k, pos, s.Forward().String(k), fwd.String(k))
+		}
+		if rev, _ := FromBytes(rc[len(seq)-k-pos:], k); s.Reverse() != rev {
+			t.Fatalf("k=%d pos %d: reverse %s, oracle %s", k, pos, s.Reverse().String(k), rev.String(k))
 		}
 	}
 }

@@ -58,9 +58,11 @@ func TestCheckpointResumePoint(t *testing.T) {
 
 func TestCheckpointCorrupt(t *testing.T) {
 	dir := t.TempDir()
-	os.WriteFile(filepath.Join(dir, "contigs-k21.fasta"), []byte("not fasta\n>x"), 0o644)
-	if _, _, err := resumePoint(dir, []int{21}); err == nil {
-		t.Error("corrupt checkpoint accepted")
+	for _, torn := range []string{"not fasta\n>x", ">contig_0|depth=2\nACGT\n>"} {
+		os.WriteFile(filepath.Join(dir, "contigs-k21.fasta"), []byte(torn), 0o644)
+		if _, _, err := resumePoint(dir, []int{21}); err == nil {
+			t.Errorf("corrupt checkpoint %q accepted", torn)
+		}
 	}
 }
 

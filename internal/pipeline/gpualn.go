@@ -29,16 +29,17 @@ type alnTask struct {
 func gpuAlignReads(dev *simt.Device, aln *align.Aligner, ctgSeqs [][]byte, reads []dna.Read, workers int) ([]align.Hit, []bool, time.Duration, []simt.KernelResult, error) {
 	band := aln.Band()
 
-	// Phase A: seeding, both orientations.
+	// Phase A: seeding, both orientations in one roll; the reverse
+	// complement is built only for a strand that seeded.
 	taskLists := make([][]alnTask, len(reads))
 	par.ForEach(workers, len(reads), func(i int) {
 		seq := reads[i].Seq
-		if task, ok := aln.SeedOriented(seq, false); ok {
-			taskLists[i] = append(taskLists[i], alnTask{readIdx: i, seq: seq, seed: task})
+		fwd, rev, okF, okR := aln.SeedStrands(seq)
+		if okF {
+			taskLists[i] = append(taskLists[i], alnTask{readIdx: i, seq: seq, seed: fwd})
 		}
-		rc := dna.RevComp(seq)
-		if task, ok := aln.SeedOriented(rc, true); ok {
-			taskLists[i] = append(taskLists[i], alnTask{readIdx: i, seq: rc, seed: task})
+		if okR {
+			taskLists[i] = append(taskLists[i], alnTask{readIdx: i, seq: dna.RevComp(seq), seed: rev})
 		}
 	})
 
@@ -51,14 +52,8 @@ func gpuAlignReads(dev *simt.Device, aln *align.Aligner, ctgSeqs [][]byte, reads
 	for i := range taskLists {
 		for _, t := range taskLists[i] {
 			ctg := ctgSeqs[t.seed.CtgID]
-			winStart := t.seed.Shift - band - slack
-			if winStart < 0 {
-				winStart = 0
-			}
-			winEnd := t.seed.Shift + len(t.seq) + band + slack
-			if winEnd > len(ctg) {
-				winEnd = len(ctg)
-			}
+			winStart := max(0, t.seed.Shift-band-slack)
+			winEnd := min(len(ctg), t.seed.Shift+len(t.seq)+band+slack)
 			if winEnd <= winStart {
 				continue
 			}

@@ -2,8 +2,10 @@ package pipeline
 
 import (
 	"bytes"
+	"cmp"
 	"fmt"
 	"io"
+	"slices"
 	"sync/atomic"
 	"time"
 
@@ -97,10 +99,11 @@ func alignCandidates(reads []dna.Read, ctgs []dbg.Contig, cfg *Config, alnDev *s
 		}
 	}
 
-	// Candidate lists go to local assembly sorted by read ID, then sequence.
-	for i := range withReads {
-		sortReads(withReads[i].LeftReads)
-		sortReads(withReads[i].RightReads)
+	// Candidate lists go to local assembly stably sorted by read ID, then sequence.
+	byIDSeq := func(a, b dna.Read) int { return cmp.Or(cmp.Compare(a.ID, b.ID), bytes.Compare(a.Seq, b.Seq)) }
+	for _, c := range withReads {
+		slices.SortStableFunc(c.LeftReads, byIDSeq)
+		slices.SortStableFunc(c.RightReads, byIDSeq)
 	}
 
 	res.Work.AlnCells += aln.Cells()
@@ -109,25 +112,6 @@ func alignCandidates(reads []dna.Read, ctgs []dbg.Contig, cfg *Config, alnDev *s
 		kernelShare = float64(kernelWall) / float64(time.Since(t0))
 	}
 	return withReads, kernelShare, nil
-}
-
-func sortReads(rs []dna.Read) {
-	if len(rs) < 2 {
-		return
-	}
-	// Insertion sort by ID then sequence: candidate lists are short.
-	for i := 1; i < len(rs); i++ {
-		for j := i; j > 0 && readLess(&rs[j], &rs[j-1]); j-- {
-			rs[j], rs[j-1] = rs[j-1], rs[j]
-		}
-	}
-}
-
-func readLess(a, b *dna.Read) bool {
-	if a.ID != b.ID {
-		return a.ID < b.ID
-	}
-	return bytes.Compare(a.Seq, b.Seq) < 0
 }
 
 // runScaffolding aligns the original pairs against the final contigs,
