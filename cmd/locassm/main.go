@@ -12,7 +12,6 @@
 package main
 
 import (
-	"bytes"
 	"flag"
 	"fmt"
 	"log"
@@ -20,7 +19,6 @@ import (
 	"mhm2sim/internal/figures"
 	"mhm2sim/internal/locassm"
 	"mhm2sim/internal/roofline"
-	"mhm2sim/internal/simt"
 )
 
 func main() {
@@ -67,36 +65,15 @@ func main() {
 	fmt.Printf("workload: %d contigs, %d candidate reads; bins %.1f%%/%.1f%%/%.1f%%\n",
 		len(work), nReads, 100*z, 100*s, 100*l)
 
-	cfg := setup.Config.Engine.Config
-	cpu, err := locassm.RunCPU(work, cfg, 0)
+	rf, err := figures.RunRoofline(work, setup.Config.Engine.Config, 1)
 	if err != nil {
 		log.Fatal(err)
 	}
+	cpu := rf.CPU
 	fmt.Printf("\nCPU reference: %d table builds, %d k-mers inserted, %d lookups, %d walk steps\n",
 		cpu.Counts.TableBuilds, cpu.Counts.KmersInserted, cpu.Counts.Lookups, cpu.Counts.WalkSteps)
-
-	var analyses []roofline.Analysis
-	for _, v2 := range []bool{false, true} {
-		name, kernel := "GPU v1 (thread per table)", "v1_thread_per_table"
-		if v2 {
-			name, kernel = "GPU v2 (warp per table)", "v2_warp_per_table"
-		}
-		dev := simt.NewDevice(simt.V100())
-		drv, err := locassm.NewDriver(dev, locassm.GPUConfig{Config: cfg, WarpPerTable: v2})
-		if err != nil {
-			log.Fatal(err)
-		}
-		gres, err := drv.Run(work)
-		if err != nil {
-			log.Fatal(err)
-		}
-		mismatches := 0
-		for i := range work {
-			if !bytes.Equal(cpu.Results[i].LeftExt, gres.Results[i].LeftExt) ||
-				!bytes.Equal(cpu.Results[i].RightExt, gres.Results[i].RightExt) {
-				mismatches++
-			}
-		}
+	for i, name := range []string{"GPU v1 (thread per table)", "GPU v2 (warp per table)"} {
+		gres := rf.Runs[i]
 		var instrs uint64
 		for _, k := range gres.Kernels {
 			instrs += k.TotalWarpInstrs()
@@ -104,13 +81,13 @@ func main() {
 		fmt.Printf("\n%s:\n", name)
 		fmt.Printf("  model kernel time %v + transfers %v (%d launches, %d batches)\n",
 			gres.KernelTime.Round(1e3), gres.TransferTime.Round(1e3), len(gres.Kernels), gres.Batches)
-		fmt.Printf("  warp instructions %d; extensions identical to CPU: %v (%d mismatches)\n",
-			instrs, mismatches == 0, mismatches)
-		if mismatches > 0 {
-			log.Fatal("GPU results diverge from the CPU reference")
-		}
-		analyses = append(analyses, roofline.Analyze(dev.Cfg, roofline.Merge(kernel, dev.Cfg, gres.Kernels)))
+		fmt.Printf("  warp instructions %d\n", instrs)
 	}
+	fmt.Printf("\nextensions identical to CPU: %v (%d mismatches over both versions)\n", rf.Mismatches == 0, rf.Mismatches)
+	if rf.Mismatches > 0 {
+		log.Fatal("GPU results diverge from the CPU reference")
+	}
+	analyses := []roofline.Analysis{rf.V1, rf.V2}
 
 	fmt.Printf("\ninstruction roofline of these runs (%s, %d contigs, as it is: scale 1, one V100; model):\n", source, len(work))
 	fmt.Print(roofline.Table(analyses))

@@ -119,7 +119,7 @@ func parseFlags(args []string, stderr io.Writer) (*options, error) {
 	fs.BoolVar(&spec.NoSteal, "nosteal", false, "disable intra-round work stealing in the dist engine")
 	fs.StringVar(&opts.jsonPath, "json", "", "write a machine-readable run report to this path")
 	fs.StringVar(&opts.out, "out", "", "write contigs+scaffolds FASTA here")
-	fs.IntVar(&opts.workers, "workers", 0, "CPU worker goroutines (0 = GOMAXPROCS)")
+	fs.IntVar(&opts.workers, "workers", 0, "CPU worker goroutines of the process, spread over the ranks under -engine=dist (0 = GOMAXPROCS)")
 	fs.BoolVar(&opts.evalQuality, "quality", false, "evaluate the assembly against the preset's truth genomes")
 	fs.StringVar(&opts.checkpoint, "checkpoint", "", "checkpoint directory (resume completed rounds)")
 	fs.BoolVar(&opts.doPreprocess, "preprocess", false, "adapter/quality-trim and filter reads first")
@@ -176,7 +176,6 @@ func (o *options) plan() (*service.Plan, error) {
 		// Without -gpu the ranks assemble on the host flat-table engine,
 		// mirroring the single-rank CPU path.
 		plan.Dist.CPUAssembly = !o.gpu
-		plan.Dist.CPUWorkers = o.workers
 	}
 	return plan, nil
 }

@@ -30,8 +30,8 @@ func settled() (goroutines int, heap uint64) {
 
 // TestRunsLeaveNothingBehind: a run's devices come from one source. The
 // default one makes fresh devices and the run closes them (the gpu and
-// multigpu engines', -gpualn's, dist's rank devices; pipeline's
-// budget-counting device is the run's own in the same way). A device left
+// multigpu engines', -gpualn's, dist's rank devices and the budget-counting
+// device). A device left
 // open keeps its warp pool parked, which pins the arena: before the rule,
 // four budget runs in one process went 4 → 10 goroutines and 13 → 45 MB of
 // live heap. A supplied source keeps its devices across runs, as the
@@ -97,9 +97,10 @@ func TestRunsLeaveNothingBehind(t *testing.T) {
 		{"gpu+gpualn", pipe(locassm.EngineGPU, 0, true, false), 0},
 		{"multigpu", pipe(locassm.EngineMultiGPU, 0, false, false), 0},
 		{"dist+budget", dist(false), 0},
+		{"cpu+budget/supplied", pipe(locassm.EngineCPU, budget, false, true), 1},
 		{"gpu+gpualn/supplied", pipe(locassm.EngineGPU, 0, true, true), 2},
 		{"multigpu/supplied", pipe(locassm.EngineMultiGPU, 0, false, true), locassm.DefaultNodeGPUs},
-		{"dist+budget/supplied", dist(true), 5},
+		{"dist+budget/supplied", dist(true), 6}, // 4 ranks, the joiner, the counting device
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			if err := tc.run(); err != nil { // warm: one-time allocations are not leaks

@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	goruntime "runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -13,6 +12,7 @@ import (
 	"mhm2sim/internal/faults"
 	"mhm2sim/internal/gpuht"
 	"mhm2sim/internal/locassm"
+	"mhm2sim/internal/par"
 	"mhm2sim/internal/pipeline"
 	"mhm2sim/internal/simt"
 )
@@ -45,9 +45,11 @@ type Config struct {
 	Fabric FabricConfig
 	// Pipeline configures the underlying assembly pipeline. dist.Run
 	// injects the runtime as its Engine.Name/Instance; the rest of the
-	// spec (walk Config, driver GPU) configures every rank's engines, each
-	// on a device drawn from Engine.Devices — at start for the initial
-	// ranks, at its join round for a joiner — or on the host engine, below.
+	// resolved spec (Pipeline.EngineSpec: walk Config, driver GPU and
+	// budget) configures every rank's engines, each on a device drawn from
+	// Engine.Devices — at start for the initial ranks, at its join round for
+	// a joiner — or on the host engine, whose workers are the process's
+	// bound (Pipeline.Workers, 0 = GOMAXPROCS) spread over the rank slots.
 	Pipeline pipeline.Config
 	// CPUAssembly runs each rank's local assembly on the host flat-table
 	// engine and draws it no device — the per-rank CPU baseline the
@@ -55,11 +57,6 @@ type Config struct {
 	// the GPU path; only the Busy accounting (modeled host time instead of
 	// kernel time) and the kernel lists (empty) change.
 	CPUAssembly bool
-	// CPUWorkers bounds each rank's host-engine worker goroutines, under
-	// CPUAssembly or after a device fallback (0 = GOMAXPROCS spread evenly
-	// across ranks). It is the rank's modeled core count, so it is not
-	// Pipeline.Workers, which bounds the whole process.
-	CPUWorkers int
 	// Faults is an optional seeded fault schedule (nil = fault-free run).
 	// The runtime consults it at round boundaries (rank crashes), before
 	// launches (device faults, kernel aborts), and inside fabric exchanges
@@ -220,6 +217,7 @@ func newRuntime(cfg Config) (*runtime, error) {
 	if err != nil {
 		return nil, err
 	}
+	cfg.Pipeline.Engine = cfg.Pipeline.EngineSpec()
 	rt := &runtime{
 		cfg:    cfg,
 		plan:   plan,
@@ -400,17 +398,13 @@ func (rt *runtime) exchangeReads(k int, ctgs []*locassm.CtgWithReads, smap Shard
 // non-empty shard. Writes rec.DeviceFallbacks (and, through runRank, the
 // falling-back rank's deviceOK).
 func (rt *runtime) assembleShards(round, k int, byShard [][]*locassm.CtgWithReads, deal *shardDeal) ([]*shardOutcome, error) {
-	cpuWorkers := rt.cfg.CPUWorkers
-	if cpuWorkers < 1 {
-		cpuWorkers = max(1, goruntime.GOMAXPROCS(0)/len(rt.ranks))
-	}
 	outs := make([]*shardOutcome, len(byShard)) // each shard written only by its owner
 	var wg sync.WaitGroup
 	wg.Add(len(deal.live))
 	for i, r := range deal.live {
 		go func(i, r int) {
 			defer wg.Done()
-			rt.ranks[r].err = rt.runRank(r, i, len(deal.live), round, k, cpuWorkers, byShard, outs)
+			rt.ranks[r].err = rt.runRank(r, i, len(deal.live), round, k, byShard, outs)
 		}(i, r)
 	}
 	wg.Wait()
@@ -429,10 +423,10 @@ func (rt *runtime) assembleShards(round, k int, byShard [][]*locassm.CtgWithRead
 // assembles shards i, i+nl, … (virtual shard s lives on live[s mod nl]) on
 // its own device's batch driver or, without a device (CPUAssembly, a device
 // fault), the host flat-table engine.
-func (rt *runtime) runRank(r, i, nl, round, k, cpuWorkers int, byShard [][]*locassm.CtgWithReads, outs []*shardOutcome) error {
+func (rt *runtime) runRank(r, i, nl, round, k int, byShard [][]*locassm.CtgWithReads, outs []*shardOutcome) error {
 	rk := &rt.ranks[r]
 	rk.fellBack = false
-	gpuEng, cpuEng, err := rt.rankEngines(r, round, cpuWorkers)
+	gpuEng, cpuEng, err := rt.rankEngines(r, round)
 	if err != nil {
 		return err
 	}
@@ -461,40 +455,33 @@ func (rt *runtime) runRank(r, i, nl, round, k, cpuWorkers int, byShard [][]*loca
 	return nil
 }
 
-// rankEngines builds one round's engines for rank r: the device engine over
-// the rank's own GPU while it has one (with the round's injected kernel
-// aborts wired into the driver's fault hook), and the host flat-table engine
-// it runs under CPUAssembly or degrades to after a device loss.
-func (rt *runtime) rankEngines(r, round, cpuWorkers int) (gpuEng, cpuEng locassm.Engine, err error) {
+// rankEngines builds one round's engines for rank r from the run's resolved
+// spec: the device engine over the rank's own GPU while it has one (with the
+// round's injected kernel aborts wired into the driver's fault hook), and the
+// host flat-table engine it runs under CPUAssembly or degrades to after a
+// device loss, on the process's workers spread over the rank slots.
+func (rt *runtime) rankEngines(r, round int) (gpuEng, cpuEng locassm.Engine, err error) {
 	// Scheduled kernel aborts: the first aborts launches on this rank
 	// this round fail with a recoverable table fault, which the batch
 	// driver answers by re-splitting the batch.
 	var abortsLeft atomic.Int32
 	abortsLeft.Store(int32(rt.inj.KernelAborts(r, round)))
 	spec := rt.cfg.Pipeline.Engine
-	gcfg := spec.GPU
-	gcfg.FaultHook = func() error {
+	spec.GPU.FaultHook = func() error {
 		if abortsLeft.Add(-1) >= 0 {
 			return fmt.Errorf("dist: injected kernel abort: %w", gpuht.ErrTableFull)
 		}
 		return nil
 	}
 	if rk := &rt.ranks[r]; rk.deviceOK {
-		gpuEng, err = locassm.NewEngine(locassm.EngineSpec{
-			Name:   locassm.EngineGPU,
-			Config: spec.Config,
-			GPU:    gcfg,
-			Device: rk.dev,
-		})
-		if err != nil {
+		gspec := spec
+		gspec.Name, gspec.Device, gspec.Devices = locassm.EngineGPU, rk.dev, nil
+		if gpuEng, err = locassm.NewEngine(gspec); err != nil {
 			return nil, nil, err
 		}
 	}
-	cpuEng, err = locassm.NewEngine(locassm.EngineSpec{
-		Name:    locassm.EngineCPU,
-		Config:  spec.Config,
-		Workers: cpuWorkers,
-	})
+	spec.Name, spec.Workers = locassm.EngineCPU, max(1, par.Workers(spec.Workers)/len(rt.ranks))
+	cpuEng, err = locassm.NewEngine(spec)
 	return gpuEng, cpuEng, err
 }
 

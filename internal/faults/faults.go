@@ -437,39 +437,6 @@ func (p *Plan) String() string {
 	return strings.Join(parts, "; ")
 }
 
-// Spec reconstructs the kind=count spec string the plan's events amount
-// to, in the canonical kind order ("rank-crash=1,oom=2"). Empty plans
-// yield "".
-func (p *Plan) Spec() string {
-	if p == nil {
-		return ""
-	}
-	counts := make(map[Kind]int)
-	for _, ev := range p.Events {
-		counts[ev.Kind]++
-	}
-	var parts []string
-	for _, s := range specNames {
-		if n := counts[s.kind]; n > 0 {
-			parts = append(parts, fmt.Sprintf("%s=%d", s.name, n))
-		}
-	}
-	return strings.Join(parts, ",")
-}
-
-// Reseed materializes a fresh plan with the same fault mix and run shape
-// but a different seed. Because plans are deterministic, retrying a run
-// that exhausted its retry budgets under the *same* plan fails identically
-// forever; a job-level retry (internal/service) must reseed so the new
-// attempt draws a different schedule — exactly as a real rerun lands on
-// different hardware and timing.
-func (p *Plan) Reseed(seed int64) (*Plan, error) {
-	if p == nil {
-		return nil, nil
-	}
-	return NewPlan(p.Spec(), seed, p.Ranks, p.Rounds)
-}
-
 // Injector answers runtime queries against a plan. All methods are safe on
 // a nil receiver (no faults) and safe for concurrent use: queries are pure
 // lookups, so answers do not depend on call order.

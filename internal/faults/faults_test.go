@@ -168,50 +168,3 @@ func TestPlanString(t *testing.T) {
 		t.Errorf("String() = %q", s)
 	}
 }
-
-func TestPlanSpecRoundTrip(t *testing.T) {
-	spec := "rank-crash=1,oom=2,drop=1,straggler=1"
-	p, err := NewPlan(spec, 42, 4, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := p.Spec(); got != spec {
-		t.Errorf("Spec() = %q, want %q", got, spec)
-	}
-	var nilPlan *Plan
-	if nilPlan.Spec() != "" {
-		t.Error("nil plan Spec not empty")
-	}
-}
-
-// TestPlanReseed: a reseeded plan keeps the fault mix and run shape but
-// draws a fresh schedule — the property job-level retries depend on, since
-// retrying the identical deterministic plan fails identically.
-func TestPlanReseed(t *testing.T) {
-	p, err := NewPlan("rank-crash=1,oom=2,drop=2", 42, 8, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	q, err := p.Reseed(43)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if q.Spec() != p.Spec() || q.Ranks != p.Ranks || q.Rounds != p.Rounds {
-		t.Errorf("reseed changed the mix/shape: %q %dx%d vs %q %dx%d",
-			q.Spec(), q.Ranks, q.Rounds, p.Spec(), p.Ranks, p.Rounds)
-	}
-	if q.Seed == p.Seed {
-		t.Error("reseed kept the seed")
-	}
-	same, err := p.Reseed(42)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if same.String() != p.String() {
-		t.Error("reseed with the original seed is not reproducible")
-	}
-	var nilPlan *Plan
-	if np, err := nilPlan.Reseed(7); np != nil || err != nil {
-		t.Errorf("nil plan Reseed = %v, %v", np, err)
-	}
-}

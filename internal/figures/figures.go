@@ -119,6 +119,10 @@ type RooflineResults struct {
 	// extensions differ from the CPU reference's: the roofline of a kernel
 	// that computes something else would describe nothing.
 	Mismatches int
+	// CPU is the reference run; Runs are the v1 and v2 driver runs the
+	// analyses merge, for a caller that reports them as they are.
+	CPU  *locassm.CPUResult
+	Runs [2]*locassm.GPUResult
 }
 
 // RunRoofline executes the standalone local-assembly kernels (as on the
@@ -140,8 +144,9 @@ func RunRoofline(work []*locassm.CtgWithReads, cfg locassm.Config, scale float64
 	if err != nil {
 		return out, err
 	}
+	out.CPU = cpu
 	devCfg := simt.V100()
-	for _, v2 := range []bool{false, true} {
+	for i, v2 := range []bool{false, true} {
 		dev := simt.NewDevice(devCfg)
 		var res *locassm.GPUResult
 		drv, err := locassm.NewDriver(dev, locassm.GPUConfig{Config: cfg, WarpPerTable: v2})
@@ -152,9 +157,10 @@ func RunRoofline(work []*locassm.CtgWithReads, cfg locassm.Config, scale float64
 		if err != nil {
 			return out, err
 		}
-		for i := range res.Results {
-			if !bytes.Equal(cpu.Results[i].LeftExt, res.Results[i].LeftExt) ||
-				!bytes.Equal(cpu.Results[i].RightExt, res.Results[i].RightExt) {
+		out.Runs[i] = res
+		for j := range res.Results {
+			if !bytes.Equal(cpu.Results[j].LeftExt, res.Results[j].LeftExt) ||
+				!bytes.Equal(cpu.Results[j].RightExt, res.Results[j].RightExt) {
 				out.Mismatches++
 			}
 		}

@@ -74,7 +74,7 @@ type Measured struct {
 	F64      float64          //   giving this per-node share at 64 nodes
 }
 
-// The three deviations ROADMAP item 4 is to close, each stated once.
+// The three causes of the known deviations, each stated once.
 const (
 	causeNoTail = "the synthetic community has no long tail of low-abundance organisms and junk contigs " +
 		"(the abundance skew of real metagenomes, Georganas et al.), so the surviving contigs are disproportionately well covered"
@@ -249,7 +249,7 @@ func RenderScorecard(rows []Row) (string, []Row) {
 			b.WriteString("|\n")
 		}
 	}
-	b.WriteString("\nKnown deviations (ROADMAP item 4 is to close them; a row that lands inside the paper's range fails the run until it is rewritten):\n")
+	b.WriteString("\nKnown deviations, by cause (a row that lands inside the paper's range fails the run until it is rewritten):\n")
 	for _, c := range causes {
 		fmt.Fprintf(&b, "- %s: %s.\n", strings.Join(deviating[c], "; "), c)
 	}

@@ -54,7 +54,7 @@ func LoadWorkload(r io.Reader) ([]*CtgWithReads, error) {
 	if n < 0 {
 		return nil, fmt.Errorf("locassm: negative contig count %d", n)
 	}
-	out := make([]*CtgWithReads, 0, n)
+	var out []*CtgWithReads // grown by append: n is the file's word, not a size to trust
 	for i := 0; i < n; i++ {
 		var c CtgWithReads
 		if err := dec.Decode(&c); err != nil {

@@ -2,8 +2,10 @@ package locassm
 
 import (
 	"bytes"
+	"encoding/gob"
 	"math/rand"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
 )
@@ -89,4 +91,64 @@ func TestLoadRejectsGarbage(t *testing.T) {
 	if err != nil || len(back) != 0 {
 		t.Errorf("empty dump mishandled: %v %d", err, len(back))
 	}
+}
+
+// FuzzLoadWorkload: any input yields an error or a workload that survives a
+// dump and a reload unchanged, and a loader that preallocates nothing from
+// the file's own words — a 40-byte dump claiming 2^40 contigs used to end the
+// process with a fatal out-of-memory error.
+func FuzzLoadWorkload(f *testing.F) {
+	header := func(magic string, n int) []byte {
+		var buf bytes.Buffer
+		enc := gob.NewEncoder(&buf)
+		if err := enc.Encode(magic); err != nil {
+			f.Fatal(err)
+		}
+		if err := enc.Encode(n); err != nil {
+			f.Fatal(err)
+		}
+		return buf.Bytes()
+	}
+	var valid bytes.Buffer
+	if err := DumpWorkload(&valid, randomWorkload(rand.New(rand.NewSource(502)), 2)); err != nil {
+		f.Fatal(err)
+	}
+	for _, in := range [][]byte{
+		valid.Bytes(),
+		{},                                 // empty input
+		header("mhm2sim-lassm-dump-v0", 0), // bad magic
+		header(dumpMagic, 1<<40),           // huge count
+		header(dumpMagic, -1),              // negative count
+		valid.Bytes()[:valid.Len()*2/3],    // truncated contig
+	} {
+		f.Add(in)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		ctgs, err := LoadWorkload(bytes.NewReader(data))
+		runtime.ReadMemStats(&after)
+		// gob caps a slice's up-front allocation at a few MiB before it
+		// has read the elements; the rest is proportional to the input.
+		if grew := after.TotalAlloc - before.TotalAlloc; grew > 32<<20+64*uint64(len(data)) {
+			t.Fatalf("loading %d bytes allocated %d", len(data), grew)
+		}
+		if err != nil {
+			return
+		}
+		var once, twice bytes.Buffer
+		if err := DumpWorkload(&once, ctgs); err != nil {
+			t.Fatal(err)
+		}
+		back, err := LoadWorkload(bytes.NewReader(once.Bytes()))
+		if err != nil {
+			t.Fatalf("reloading a dump of a loaded workload: %v", err)
+		}
+		if err := DumpWorkload(&twice, back); err != nil {
+			t.Fatal(err)
+		}
+		if len(back) != len(ctgs) || !bytes.Equal(once.Bytes(), twice.Bytes()) {
+			t.Fatalf("%d contigs came back as %d, or dump differently", len(ctgs), len(back))
+		}
+	})
 }

@@ -92,26 +92,21 @@ type EngineSpec struct {
 	// GPU configures the device batch driver (gpu and multigpu engines).
 	GPU GPUConfig
 	// Devices is where the run's devices come from: the gpu engine, each
-	// multigpu driver, each device rank of a dist run and the -gpualn stage
-	// call it once, from the run's own goroutine, for a device to hold until
-	// the run ends. The supplier keeps its devices: a run leaves them
-	// FreeAll'd, never closed. nil = ResolveDevices' default.
+	// multigpu driver, each device rank of a dist run, the -gpualn stage and
+	// budget counting call it once, from the run's own goroutine, for a
+	// device to hold until the run ends. The supplier keeps its devices: a
+	// run leaves them FreeAll'd, never closed. nil = ResolveDevices' default.
 	Devices func() (*simt.Device, error)
 	// Device is shorthand for a Devices that supplies this one device to the
 	// gpu engine (a dist rank's engine over its device, bench/'s la_dump).
 	Device *simt.Device
 	// GPUs is the multigpu engine's device count (0 = DefaultNodeGPUs).
 	GPUs int
-	// MemBudget is the run-level device memory budget in bytes (the
-	// pipeline's -mem-budget). When set and GPU.MemBudget is not, it caps
-	// the batch driver's footprint too — floored at MinDriverBudget so a
-	// counting-sized budget never shrinks batches below a single item.
-	MemBudget int64
 }
 
 // MinDriverBudget floors the local-assembly driver budget derived from a
-// run-level memory budget: counting budgets go down to 64 KiB, but the
-// driver must always fit one batch item per stream.
+// run-level memory budget (pipeline.Config.EngineSpec): counting budgets go
+// down to 64 KiB, but the driver must always fit one batch item per stream.
 const MinDriverBudget = 4 << 20
 
 // DefaultNodeGPUs is the multigpu engine's default device count — the six
@@ -144,16 +139,10 @@ func (s *EngineSpec) ResolveDevices() (release func()) {
 }
 
 // gpuConfig resolves the device driver configuration: GPU under the spec's
-// walk Config and, when GPU sets none, its run-level memory budget.
+// walk Config.
 func (s *EngineSpec) gpuConfig() GPUConfig {
 	gcfg := s.GPU
 	gcfg.Config = s.Config
-	if s.MemBudget > 0 && gcfg.MemBudget == 0 {
-		gcfg.MemBudget = s.MemBudget
-		if gcfg.MemBudget < MinDriverBudget {
-			gcfg.MemBudget = MinDriverBudget
-		}
-	}
 	return gcfg
 }
 

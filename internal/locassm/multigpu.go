@@ -1,7 +1,9 @@
 package locassm
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sync"
 	"time"
 
@@ -61,12 +63,9 @@ func (nd *NodeDriver) Run(ctgs []*CtgWithReads) (*NodeResult, error) {
 	for i := range order {
 		order[i] = i
 	}
-	// Insertion sort by descending read count (stable, deterministic).
-	for i := 1; i < len(order); i++ {
-		for j := i; j > 0 && ctgs[order[j]].NumReads() > ctgs[order[j-1]].NumReads(); j-- {
-			order[j], order[j-1] = order[j-1], order[j]
-		}
-	}
+	slices.SortStableFunc(order, func(a, b int) int {
+		return cmp.Compare(ctgs[b].NumReads(), ctgs[a].NumReads()) // descending
+	})
 	for _, idx := range order {
 		g := 0
 		for d := 1; d < n; d++ {

@@ -147,7 +147,9 @@ type Config struct {
 	// inside the overlap. 0 means DefaultMergeMaxMismatchFrac; for exact
 	// overlaps use a fraction smaller than 1/MaxReadLen.
 	MergeMaxMismatchFrac float64
-	Workers              int
+	// Workers bounds the run's worker goroutines (0 = GOMAXPROCS): every
+	// stage's and the host engine's, which a dist run spreads over its ranks.
+	Workers int
 
 	// Preprocess enables read preparation (adapter/quality trimming and
 	// filtering) before merging; nil disables it.
@@ -165,10 +167,10 @@ type Config struct {
 	// Engine is the run's one local-assembly spec: which substrate
 	// (Engine.Name, "" → cpu; the distributed runtime injects itself as
 	// Engine.Instance), the walk parameters (Engine.Config), the device
-	// driver's (Engine.GPU), and where the run's devices come from
-	// (Engine.Devices: the engine's and GPU alignment's; nil = fresh V100s
-	// the run closes). Where it sets no Workers or MemBudget, the run uses
-	// the two below.
+	// driver's (Engine.GPU), and where every device of the run comes from
+	// (Engine.Devices: the engine's, GPU alignment's and budget counting's;
+	// nil = fresh V100s the run closes). Its worker count and driver budget
+	// are the run's: EngineSpec fills them from Workers and MemBudget.
 	Engine locassm.EngineSpec
 
 	// Observer, when non-nil, receives stage start/finish callbacks with
@@ -182,7 +184,7 @@ type Config struct {
 	// dedicated device) instead of the unbounded host map, so inputs
 	// whose k-mer tables outgrow memory still assemble. Must be ≥
 	// gpucount.MinMemBudget. The budget also caps the local-assembly
-	// driver via EngineSpec.MemBudget.
+	// driver (see EngineSpec).
 	MemBudget int64
 	// MemPressure, when set alongside MemBudget, reports how many device
 	// OOM events have fired by the given round (sticky); each one halves
@@ -194,6 +196,22 @@ type Config struct {
 	// UseGPUAln runs the alignment stage's banded-SW verification on the
 	// device (the ADEPT role, internal/gpualign) instead of the CPU.
 	UseGPUAln bool
+}
+
+// EngineSpec returns Engine with the run's settings resolved into it: the
+// host engine's Workers and, under a MemBudget, the device driver's budget —
+// floored at locassm.MinDriverBudget, so a counting-sized budget never
+// shrinks a batch below one item — each where Engine sets none. Every engine
+// of the run is built from it, the dist runtime's rank engines included.
+func (c *Config) EngineSpec() locassm.EngineSpec {
+	spec := c.Engine
+	if spec.Workers == 0 {
+		spec.Workers = c.Workers
+	}
+	if c.MemBudget > 0 && spec.GPU.MemBudget == 0 {
+		spec.GPU.MemBudget = max(c.MemBudget, locassm.MinDriverBudget)
+	}
+	return spec
 }
 
 // mergeParams resolves the effective read-merging parameters.

@@ -37,14 +37,10 @@ func RunContext(ctx context.Context, pairs []dna.PairedRead, cfg Config) (*Resul
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	if cfg.Engine.Workers == 0 {
-		cfg.Engine.Workers = cfg.Workers
-	}
-	if cfg.Engine.MemBudget == 0 {
-		cfg.Engine.MemBudget = cfg.MemBudget
-	}
-	// One device source for the run: the engine and GPU alignment draw from
-	// cfg.Engine.Devices, and what the default source made is closed here.
+	cfg.Engine = cfg.EngineSpec()
+	// One device source for the run: the engine, GPU alignment and budget
+	// counting draw from cfg.Engine.Devices, and what the default source
+	// made is closed here.
 	defer cfg.Engine.ResolveDevices()()
 	eng, err := locassm.NewEngine(cfg.Engine)
 	if err != nil {
@@ -67,11 +63,10 @@ func RunContext(ctx context.Context, pairs []dna.PairedRead, cfg Config) (*Resul
 			return nil, err
 		}
 	}
-	if cfg.MemBudget > 0 {
-		// The budget-counting device is the run's own, outside the device
-		// source: a daemon job's lease does not count it (ROADMAP item 8).
-		st.cdev = simt.NewDevice(simt.V100())
-		defer st.cdev.Close()
+	if cfg.MemBudget > 0 { // one device for every round's budget counting
+		if st.cdev, err = cfg.Engine.Devices(); err != nil {
+			return nil, err
+		}
 	}
 	d := &stageDriver{ctx: ctx, res: res, obs: cfg.Observer}
 
@@ -156,7 +151,7 @@ type runState struct {
 	// stage's wall, which the driver reads to split that stage.
 	alnKernelShare float64
 
-	// Budget-mode state: the counting device (the run's own, reused across
+	// Budget-mode state: the counting device (drawn once, reused across
 	// rounds) and the OOM-event count already absorbed into the budget.
 	cdev    *simt.Device
 	seenOOM int
@@ -244,7 +239,8 @@ func (st *runState) countBudget(roundSeqs [][]byte, occ int) (*dbg.Table, error)
 	if eff < gpucount.MinMemBudget {
 		eff = gpucount.MinMemBudget
 	}
-	st.cdev.FreeAll() // the previous round's structures are dead weight
+	st.cdev.FreeAll()
+	defer st.cdev.FreeAll() // the device may be its supplier's: leave nothing on it
 	bcfg := gpucount.BudgetConfig{MemBudget: eff, MinCount: st.cfg.MinCount}
 	table, stats, err := gpucount.CountBudget(st.cdev, roundSeqs, st.k, bcfg)
 	if err != nil {

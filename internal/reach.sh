@@ -57,7 +57,8 @@ sim -reads "$run/reads.fastq" -preprocess -estimate-insert=false -checkpoint "$r
 # restart resume) on a private port, plus an elastic job (a mid-run join
 # leases a pool device), a multigpu job (its node is the lease) and one whose
 # fault schedule no seed survives (the scheduler retries it reseeded, then
-# fails it).
+# fails it). Five devices: a gpu job's one runs beside the elastic budget
+# job's three (two ranks and the counting device) and its joiner's.
 addr=localhost:8097
 jid() { python3 -c 'import json,sys; print(json.load(sys.stdin)["id"])'; }
 state() { curl -s "$addr/v1/jobs/$1" | python3 -c 'import json,sys; print(json.load(sys.stdin)["state"])'; }
@@ -69,7 +70,7 @@ poll() {
 	return 1
 }
 daemon() {
-	"$bin/mhm2d" -addr ":8097" -data "$run/daemon" -workers 2 -devices 4 -queue 3 -tenant-quota 2 >>"$run/daemon.log" 2>&1 &
+	"$bin/mhm2d" -addr ":8097" -data "$run/daemon" -workers 2 -devices 5 -queue 3 -tenant-quota 2 >>"$run/daemon.log" 2>&1 &
 	dpid=$!
 	for _ in $(seq 50); do curl -sf "$addr/healthz" >/dev/null && return 0; sleep 0.2; done
 	echo "reach: mhm2d did not come up"; exit 1

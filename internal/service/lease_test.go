@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"mhm2sim/internal/gpucount"
 	"mhm2sim/internal/pipeline"
 	"mhm2sim/internal/report"
 	"mhm2sim/internal/simt"
@@ -95,9 +96,10 @@ func shutdown(t *testing.T, s *Scheduler) {
 	}
 }
 
-// TestJobsComputeOnLeasedDevices: a dist job's ranks and a multigpu job's
-// node run on the devices the job leased — not on fresh ones beside an idle
-// lease — and the outputs equal the standalone runs'.
+// TestJobsComputeOnLeasedDevices: a dist job's ranks, a multigpu job's node
+// and a mem_budget gpu job's engine and k-mer counting run on the devices the
+// job leased — not on fresh ones beside an idle lease — and the outputs equal
+// the standalone runs'.
 func TestJobsComputeOnLeasedDevices(t *testing.T) {
 	s, err := New(Config{DataDir: t.TempDir(), Workers: 1, QueueDepth: 4, Devices: 2})
 	if err != nil {
@@ -110,7 +112,9 @@ func TestJobsComputeOnLeasedDevices(t *testing.T) {
 	dist, multi := tinySpec(7), tinySpec(7)
 	dist.Engine, dist.Ranks = "dist", 2
 	multi.Engine, multi.GPUs = "multigpu", 2
-	for _, spec := range []JobSpec{dist, multi} {
+	budget := tinySpec(7)
+	budget.Engine, budget.MemBudget = "gpu", gpucount.MinMemBudget
+	for _, spec := range []JobSpec{dist, multi, budget} {
 		var before [2]int64
 		for i, dev := range devs {
 			before[i], _ = dev.CumTraffic()

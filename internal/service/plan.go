@@ -15,9 +15,9 @@ import (
 
 // Plan is a run a JobSpec denotes: its input and its configuration. A
 // front end attaches its host-side settings to the configuration — the
-// scheduler a checkpoint dir, an observer, the job's lease as the device
-// source and a reseeded fault plan; mhm2sim its -gpualn, -preprocess,
-// -estimate-insert, -workers, -checkpoint and -gpu — and calls Run.
+// scheduler a checkpoint dir, an observer and the job's lease as the device
+// source; mhm2sim its -gpualn, -preprocess, -estimate-insert, -workers,
+// -checkpoint and -gpu — and calls Run.
 type Plan struct {
 	// Pairs is the input; Genomes the truth genomes it was sampled from
 	// (preset inputs only, nil for a FASTQ).

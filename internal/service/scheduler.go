@@ -465,11 +465,19 @@ func (s *Scheduler) executeWithRetry(ctx context.Context, j *job, lease *Lease) 
 	return nil, nil, lastErr
 }
 
+// attemptPlan plans attempt k of a job: its spec with the fault seed moved
+// by k. Deterministic plans fail deterministically, so a retry must draw a
+// fresh schedule, as a real rerun lands on different timing.
+func attemptPlan(spec JobSpec, attempt int) (*Plan, error) {
+	spec.FaultSeed += int64(attempt)
+	return NewPlan(spec)
+}
+
 // execute runs one attempt of the job: plan the spec, attach the
 // scheduler's host-side settings (checkpoint dir, observer, the lease as the
-// run's device source, reseeded fault plan), run.
+// run's device source), run.
 func (s *Scheduler) execute(ctx context.Context, j *job, lease *Lease, attempt int) (*pipeline.Result, *dist.Report, error) {
-	plan, err := NewPlan(j.Spec)
+	plan, err := attemptPlan(j.Spec, attempt)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -494,14 +502,6 @@ func (s *Scheduler) execute(ctx context.Context, j *job, lease *Lease, attempt i
 	draw, releaseGrown := lease.source()
 	defer releaseGrown()
 	plan.Pipeline.Engine.Devices = draw
-	if dcfg := plan.Dist; dcfg != nil && dcfg.Faults != nil && attempt > 0 {
-		// Deterministic plans fail deterministically: a retry must draw
-		// a fresh schedule, as a real rerun lands on different timing.
-		dcfg.Faults, err = dcfg.Faults.Reseed(j.Spec.FaultSeed + int64(attempt))
-		if err != nil {
-			return nil, nil, err
-		}
-	}
 	res, rep, err := plan.Run(ctx)
 	if rep != nil {
 		s.met.Add("mhm2d_elastic_joins_total", float64(rep.Elasticity.Joins))

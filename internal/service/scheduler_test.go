@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -14,6 +15,7 @@ import (
 	"time"
 
 	"mhm2sim/internal/dist"
+	"mhm2sim/internal/faults"
 )
 
 // tinySpec builds a fast (<50ms) single-round job whose input is fully
@@ -320,6 +322,33 @@ func TestSchedulerFaultRetry(t *testing.T) {
 	defer cancel()
 	if err := s.Shutdown(ctx); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestRetryPlansFromSpec: attempt k of a job plans its spec with the fault
+// seed moved by k, so each retry draws a fresh schedule of the same mix —
+// retrying the identical deterministic plan would fail identically.
+func TestRetryPlansFromSpec(t *testing.T) {
+	spec := tinySpec(5).withDefaults()
+	spec.Engine, spec.Ranks, spec.Faults = "dist", 4, "rank-crash=1,kernel-abort=2,drop=2"
+	var first string
+	for k := 0; k < 3; k++ {
+		plan, err := attemptPlan(spec, k)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := faults.NewPlan(spec.Faults, spec.FaultSeed+int64(k), spec.Ranks, len(spec.Rounds))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(plan.Dist.Faults, want) {
+			t.Errorf("attempt %d plans %v, want %v", k, plan.Dist.Faults, want)
+		}
+		if k == 0 {
+			first = plan.Dist.Faults.String()
+		} else if plan.Dist.Faults.String() == first {
+			t.Errorf("attempt %d draws attempt 0's schedule %q", k, first)
+		}
 	}
 }
 

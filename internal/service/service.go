@@ -47,14 +47,15 @@ type JobSpec struct {
 	// Engine selects the local-assembly substrate: cpu (default), gpu,
 	// multigpu, or dist.
 	Engine string `json:"engine,omitempty"`
-	// GPUs is the multigpu engine's device demand (0 = 2 at service scale).
+	// GPUs is the multigpu engine's device demand (0 = locassm.DefaultNodeGPUs,
+	// one Summit node; a pool smaller than that refuses the job at admission).
 	GPUs int `json:"gpus,omitempty"`
 	// Ranks is the dist engine's rank count (engine=dist requires ≥ 2).
 	Ranks int `json:"ranks,omitempty"`
 	// Faults injects a seeded chaos schedule (dist engine only). A job
 	// whose schedule exhausts the runtime's retry budgets fails with
-	// dist.ErrUnrecoverable and is retried by the scheduler under a
-	// reseeded plan (see Config.JobRetries).
+	// dist.ErrUnrecoverable and is retried by the scheduler, attempt k
+	// planned with FaultSeed+k (see Config.JobRetries).
 	Faults    string `json:"faults,omitempty"`
 	FaultSeed int64  `json:"fault_seed,omitempty"`
 	// Shard selects the dist engine's contig → shard map: "hash" (default)
@@ -86,9 +87,7 @@ func (s JobSpec) withDefaults() JobSpec {
 		s.Engine = locassm.EngineCPU
 	}
 	if s.Engine == locassm.EngineMultiGPU && s.GPUs <= 0 {
-		// At service scale a whole six-GPU Summit node per job would
-		// monopolize the default pool; two devices keeps jobs multiplexing.
-		s.GPUs = 2
+		s.GPUs = locassm.DefaultNodeGPUs
 	}
 	if s.FaultSeed == 0 {
 		s.FaultSeed = 42
@@ -99,18 +98,21 @@ func (s JobSpec) withDefaults() JobSpec {
 // DeviceDemand is how many pool devices the job leases for its lifetime and
 // computes on: one for the gpu engine, GPUs for multigpu, Ranks for dist (one
 // per initial rank; a joining rank's comes from the pool at its round), zero
-// for cpu. The budget-counting device of a mem_budget job is the run's own
-// and not counted.
+// for cpu — plus, under a mem_budget, the one its k-mer counting runs on.
 func (s *JobSpec) DeviceDemand() int {
+	n := 0
+	if s.MemBudget > 0 {
+		n = 1
+	}
 	switch s.Engine {
 	case locassm.EngineGPU:
-		return 1
+		n++
 	case locassm.EngineMultiGPU:
-		return s.GPUs
+		n += s.GPUs
 	case locassm.EngineDist:
-		return s.Ranks
+		n += s.Ranks
 	}
-	return 0
+	return n
 }
 
 // State is a job's lifecycle position.
