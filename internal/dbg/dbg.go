@@ -69,7 +69,7 @@ func Count(seqs [][]byte, cfg Config) (*Table, error) {
 	}
 	workers := par.Workers(cfg.Workers)
 	occ := kmer.Windows(seqs, cfg.K)
-	t := newTable(cfg.K, workers, occ)
+	t := newTable(cfg.K, workers, occ/occPerSlot)
 
 	// A worker's share of a batch, spread over the owners, plus a quarter:
 	// a bin that still overflows (uneven chunks) grows by append.

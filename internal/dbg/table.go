@@ -14,9 +14,9 @@ const (
 	maxLoadDen = 3
 )
 
-// occPerSlot sizes a fresh table: one slot per this many k-mer occurrences
-// of the round it will count. Deep, clean input never grows from there;
-// error-rich input doubles once or twice.
+// occPerSlot sizes a fresh table: Count expects one distinct k-mer per this
+// many occurrences of the round it counts. Deep, clean input never grows
+// from there; error-rich input doubles once or twice.
 const occPerSlot = 4
 
 // Table holds counted canonical k-mers: one open-addressing, linear-probing
@@ -42,19 +42,20 @@ type partition struct {
 // the empty slot every probe needs to terminate.
 func slotsFor(n int) int { return n*maxLoadDen/maxLoadNum + 1 }
 
-func newTable(k, parts, occ int) *Table {
+// newTable returns an empty table with room for about distinct k-mers.
+func newTable(k, parts, distinct int) *Table {
 	t := &Table{K: k, words: (k + 31) / 32, parts: make([]partition, parts)}
 	for i := range t.parts {
 		t.parts[i] = partition{k: k, words: t.words}
-		t.parts[i].rebuild(slotsFor(occ/(occPerSlot*parts)), 1)
+		t.parts[i].rebuild(slotsFor(distinct/parts), 1)
 	}
 	return t
 }
 
-// NewTable returns an empty table for a round of occ k-mer occurrences that
-// are counted elsewhere: the GPU budget counter reads its device entries
-// back with Add, so traversal sees one table however it was counted.
-func NewTable(k, occ int) *Table { return newTable(k, 1, occ) }
+// NewTable returns an empty table for about distinct k-mers that are counted
+// elsewhere: the GPU budget counter reads its device entries back with Add,
+// so traversal sees one table however it was counted.
+func NewTable(k, distinct int) *Table { return newTable(k, 1, distinct) }
 
 // Add sums info into the record of a canonical k-mer. Not for concurrent
 // use.

@@ -1,6 +1,7 @@
 package gpucount
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"math/bits"
@@ -120,7 +121,16 @@ func (s BudgetStats) Sub(prev BudgetStats) BudgetStats {
 // If a pass overflows its table despite the 2x headroom (extreme
 // hash-range imbalance), the run restarts with doubled passes — a spill
 // re-plan — rather than failing with ErrTableFull.
+//
+// Only the first launch that walks the reads records their prologue; the
+// later launches replay it.
 func CountBudget(dev *simt.Device, seqs [][]byte, k int, cfg BudgetConfig) (*dbg.Table, BudgetStats, error) {
+	return CountBudgetContext(context.Background(), dev, seqs, k, cfg)
+}
+
+// CountBudgetContext is CountBudget with cancellation: ctx is checked before
+// every launch, and the returned error wraps ctx.Err().
+func CountBudgetContext(ctx context.Context, dev *simt.Device, seqs [][]byte, k int, cfg BudgetConfig) (*dbg.Table, BudgetStats, error) {
 	var st BudgetStats
 	occ := kmer.Windows(seqs, k)
 	plan, err := PlanFor(occ, k, cfg) // validates k and the budget
@@ -130,6 +140,13 @@ func CountBudget(dev *simt.Device, seqs [][]byte, k int, cfg BudgetConfig) (*dbg
 	st.Effective = cfg.MemBudget
 	st.PlannedPasses = plan.Passes
 
+	// One arena growth for the reads (a read of n windows has n+k−1 bytes),
+	// the filter and the table, instead of one per allocation. A footprint
+	// beyond the device is left to the Mallocs below to report.
+	st.BloomBytes = int64(plan.BloomCells) * 4
+	st.TableBytes = int64(plan.TableSlots) * int64(entrySize(kmerWords(k)))
+	_ = dev.Prealloc(dev.InUse() + int64(occ+len(seqs)*k) + st.BloomBytes + st.TableBytes + 256)
+
 	reads, err := stageReads(dev, seqs, k)
 	if err != nil {
 		return nil, st, err
@@ -137,30 +154,32 @@ func CountBudget(dev *simt.Device, seqs [][]byte, k int, cfg BudgetConfig) (*dbg
 
 	var bloomBase simt.Ptr
 	if plan.BloomCells > 0 {
-		if bloomBase, err = dev.Malloc(int64(plan.BloomCells) * 4); err != nil {
+		if bloomBase, err = dev.Malloc(st.BloomBytes); err != nil {
 			return nil, st, err
 		}
-		st.BloomBytes = int64(plan.BloomCells) * 4
 	}
-	tab := table{slots: plan.TableSlots, words: kmerWords(k)}
-	tabBytes := int64(tab.slots) * int64(entrySize(tab.words))
-	if tab.base, err = dev.Malloc(tabBytes); err != nil {
+	tabBase, err := dev.Malloc(st.TableBytes)
+	if err != nil {
 		return nil, st, err
 	}
-	st.TableBytes = tabBytes
 
 	launch := func(name string, kern, commit func(w *simt.Warp)) error {
+		if err := ctx.Err(); err != nil {
+			return fmt.Errorf("gpucount: canceled before %s: %w", name, err)
+		}
 		res, lerr := dev.Launch(simt.KernelConfig{Name: name, Warps: reads.warps, Commit: commit}, kern)
 		if lerr != nil {
 			return lerr
 		}
 		st.Kernels++
 		st.KernelTime += res.Time
+		launchTap(res)
 		return nil
 	}
 
 	bc := &budgetCounter{
-		staged: reads, dev: dev, tab: tab,
+		staged: reads, dev: dev, tab: newTable(tabBase, plan.TableSlots, kmerWords(k)),
+		rec:       newRecord(seqs, k),
 		bloomBase: bloomBase, cells: uint64(plan.BloomCells),
 		minCount: cfg.MinCount,
 	}
@@ -176,12 +195,13 @@ func CountBudget(dev *simt.Device, seqs [][]byte, k int, cfg BudgetConfig) (*dbg
 		if err := launch(fmt.Sprintf("kmer_bloom_k%d", k), bc.bloomKernel, bc.bloomCommit); err != nil {
 			return nil, st, err
 		}
+		bc.rec.full = true
 	}
 
 	passes := plan.Passes
 	var out *dbg.Table
 	for {
-		out, st.FilteredSingletons, st.FPInserted, err = bc.runPasses(passes, occ, launch)
+		out, st.FilteredSingletons, st.FPInserted, err = bc.runPasses(passes, launch)
 		if err == nil {
 			break
 		}
@@ -197,23 +217,27 @@ func CountBudget(dev *simt.Device, seqs [][]byte, k int, cfg BudgetConfig) (*dbg
 	return out, st, nil
 }
 
+// launchTap sees every counting launch's result (tests pin them).
+var launchTap = func(simt.KernelResult) {}
+
 // budgetCounter carries the device layout shared by the budget kernels.
 type budgetCounter struct {
 	staged
 	dev       *simt.Device
 	tab       table
+	rec       *record
 	bloomBase simt.Ptr
 	cells     uint64
 	minCount  uint32
 }
 
 // runPasses executes one counting pass per partition against the shared
-// device table (cleared between passes) and reads every pass's entries
-// back into one host table sized for the round's occ occurrences.
-// Partitions are disjoint, so each k-mer is read back once; fp counts the
-// ones below MinCount (filter false positives).
-func (c *budgetCounter) runPasses(passes, occ int, launch func(name string, kern, commit func(*simt.Warp)) error) (out *dbg.Table, rejected, fp int64, err error) {
-	out = dbg.NewTable(c.k, occ)
+// device table (cleared between passes) and reads every pass's claimed
+// entries back into one host table, sized at the first read-back for that
+// pass's share times the passes. Partitions are disjoint, so each k-mer is
+// read back once; fp counts the ones below MinCount (filter false
+// positives).
+func (c *budgetCounter) runPasses(passes int, launch func(name string, kern, commit func(*simt.Warp)) error) (out *dbg.Table, rejected, fp int64, err error) {
 	rejects := make([]uint64, c.warps)
 	for pass := 0; pass < passes; pass++ {
 		if err := launch("kmer_budget_clear", func(w *simt.Warp) {
@@ -221,20 +245,34 @@ func (c *budgetCounter) runPasses(passes, occ int, launch func(name string, kern
 		}, nil); err != nil {
 			return nil, 0, 0, err
 		}
+		clear(c.tab.claimed)
 		var kernErr error
 		name := fmt.Sprintf("kmer_budget_k%d_p%d.%d", c.k, pass, passes)
 		if err := launch(name, func(w *simt.Warp) {
 			var b warpBatch
-			forEachBatch(w, &c.staged, &b, func(h *handoff) {
+			forEachBatch(w, &c.staged, &b, c.rec, func(h *handoff) {
 				c.passBatch(w, &b, h, pass, passes, &rejects[w.ID])
 			})
 		}, c.tab.committer(&kernErr)); err != nil {
 			return nil, 0, 0, err
 		}
+		c.rec.full = true
 		if kernErr != nil {
 			return nil, 0, 0, fmt.Errorf("gpucount: pass %d/%d: %w", pass, passes, kernErr)
 		}
-		fp += c.readBack(out)
+		if out == nil {
+			claims := 0
+			for _, word := range c.tab.claimed {
+				claims += bits.OnesCount64(word)
+			}
+			out = dbg.NewTable(c.k, claims*passes*9/8) // an eighth over, so it seldom grows
+		}
+		c.tab.forEachClaimed(c.dev, func(km kmer.Kmer, info dbg.Info) {
+			out.Add(km, info)
+			if info.Count < c.minCount {
+				fp++
+			}
+		})
 	}
 	for _, r := range rejects {
 		rejected += int64(r)
@@ -249,7 +287,7 @@ func (c *budgetCounter) runPasses(passes, occ int, launch func(name string, kern
 func (c *budgetCounter) bloomKernel(w *simt.Warp) {
 	var b warpBatch
 	var a0, a1 simt.Vec
-	forEachBatch(w, &c.staged, &b, func(h *handoff) {
+	forEachBatch(w, &c.staged, &b, c.rec, func(h *handoff) {
 		w.ExecN(simt.IInt, b.valid, 4) // two hashes + two mods
 		c.bloomAddrs(&b, b.valid, &a0, &a1)
 		for lane := range a0 {
@@ -288,10 +326,16 @@ func (c *budgetCounter) passBatch(w *simt.Warp, b *warpBatch, h *handoff, pass, 
 	valid := b.valid
 
 	// Partition filter: each distinct k-mer belongs to exactly one pass.
+	// Pass 0 of a plan stores each window's pass; later passes read it.
 	if passes > 1 {
 		w.Exec(simt.IInt, valid) // partition hash + compare
+		part := c.rec.part[b.win:]
 		for m := uint32(valid); m != 0; m &= m - 1 {
-			if lane := bits.TrailingZeros32(m); b.keys[lane].HashK(c.k, partitionSeed)%uint64(passes) != uint64(pass) {
+			lane := bits.TrailingZeros32(m)
+			if pass == 0 {
+				part[lane] = uint32(b.keys[lane].HashK(c.k, partitionSeed) % uint64(passes))
+			}
+			if part[lane] != uint32(pass) {
 				valid &^= simt.LaneMask(lane)
 			}
 		}
@@ -321,31 +365,4 @@ func (c *budgetCounter) passBatch(w *simt.Warp, b *warpBatch, h *handoff, pass, 
 
 	// Hash for the insert into the shared per-pass table.
 	h.pushKeys(w, b, valid, c.tab.words, func(key kmer.Kmer) uint64 { return key.HashK(c.k, hashSeed) })
-}
-
-// readBack adds the device table's full entries to out and returns how
-// many of them are below MinCount.
-func (c *budgetCounter) readBack(out *dbg.Table) (fp int64) {
-	words, eb := c.tab.words, entrySize(c.tab.words)
-	offL := simt.Ptr(offKey + 8*words)
-	for s := 0; s < c.tab.slots; s++ {
-		e := c.tab.base + simt.Ptr(s*eb)
-		if c.dev.ReadU32(e+offState) != stateFull {
-			continue
-		}
-		var km kmer.Kmer
-		for wd := 0; wd < words; wd++ {
-			km.W[wd] = c.dev.ReadU64(e + offKey + simt.Ptr(8*wd))
-		}
-		info := dbg.Info{Count: c.dev.ReadU32(e + offCount)}
-		for b := 0; b < 4; b++ {
-			info.Left[b] = c.dev.ReadU32(e + offL + simt.Ptr(4*b))
-			info.Right[b] = c.dev.ReadU32(e + offL + 16 + simt.Ptr(4*b))
-		}
-		out.Add(km, info)
-		if info.Count < c.minCount {
-			fp++
-		}
-	}
-	return fp
 }

@@ -1,6 +1,7 @@
 package gpucount
 
 import (
+	"context"
 	"errors"
 	"math/rand"
 	"reflect"
@@ -242,6 +243,30 @@ func BenchmarkMultiPassCount(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if _, _, err := CountBudget(testDev(), seqs, 21, cfg); err != nil {
 			b.Fatal(err)
+		}
+	}
+}
+
+// TestCountBudgetCancel cancels a count from inside its first launch: the
+// count returns an error wrapping context.Canceled after at most one more
+// launch, with the filter on and off.
+func TestCountBudgetCancel(t *testing.T) {
+	defer func(tap func(simt.KernelResult)) { launchTap = tap }(launchTap)
+	for _, minCount := range []uint32{1, 2} {
+		ctx, cancel := context.WithCancel(context.Background())
+		launches := 0
+		launchTap = func(simt.KernelResult) {
+			if launches++; launches == 1 {
+				cancel()
+			}
+		}
+		_, _, err := CountBudgetContext(ctx, testDev(), goldenFixture(), 21, BudgetConfig{MemBudget: MinMemBudget, MinCount: minCount})
+		cancel()
+		if !errors.Is(err, context.Canceled) {
+			t.Errorf("MinCount %d: canceled count returned %v, want context.Canceled", minCount, err)
+		}
+		if launches > 2 {
+			t.Errorf("MinCount %d: %d launches ran, want the canceling one and at most one more", minCount, launches)
 		}
 	}
 }

@@ -3,7 +3,11 @@ package gpucount
 import (
 	"fmt"
 	"math/rand"
+	"os"
+	"strings"
 	"testing"
+
+	"mhm2sim/internal/simt"
 )
 
 // goldenFixture is a fixed read set that reaches every branch of the
@@ -75,4 +79,54 @@ func TestGoldenBudgetAccounting(t *testing.T) {
 	if got := fmt.Sprintf("%s replans=%d", budgetLine(tab, st), st.SpillReplans); got != goldenReplan {
 		t.Errorf("forced re-plan accounting moved:\n got %s\nwant %s", got, goldenReplan)
 	}
+}
+
+// goldenLaunchRuns are the counts whose every launch testdata/
+// budget_launches.golden pins, as recorded at the parent of the prologue
+// record: two Bloom-on counts of eight passes with singletons, and two
+// forced re-plans with singletons present, with and without the filter. In
+// the re-plans the record is filled by a launch whose pass is discarded, and
+// each plan stores its own partition.
+var goldenLaunchRuns = []struct {
+	name string
+	k    int
+	cfg  BudgetConfig
+}{
+	{"bloom k=21", 21, BudgetConfig{MemBudget: 1 << 18, MinCount: 2}},
+	{"bloom k=33", 33, BudgetConfig{MemBudget: 1 << 18, MinCount: 2}},
+	{"replan bloom k=21", 21, BudgetConfig{MemBudget: MinMemBudget, MinCount: 2, Passes: 1}},
+	{"replan nobloom k=21", 21, BudgetConfig{MemBudget: MinMemBudget, MinCount: 1, Passes: 1}},
+}
+
+// TestGoldenBudgetLaunches pins every launch's KernelResult (counters and
+// modeled time) of goldenLaunchRuns, one line per launch under a line per run.
+func TestGoldenBudgetLaunches(t *testing.T) {
+	want, err := os.ReadFile("testdata/budget_launches.golden")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func(tap func(simt.KernelResult)) { launchTap = tap }(launchTap)
+	var got strings.Builder
+	for _, run := range goldenLaunchRuns {
+		var lines []string
+		launchTap = func(r simt.KernelResult) { lines = append(lines, fmt.Sprintf("%+v time=%d", r.Stats, r.Time)) }
+		tab, st, err := CountBudget(testDev(), goldenFixture(), run.k, run.cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fmt.Fprintf(&got, "# %s: %s replans=%d\n", run.name, budgetLine(tab, st), st.SpillReplans)
+		for _, l := range lines {
+			got.WriteString(l + "\n")
+		}
+	}
+	if got.String() == string(want) {
+		return
+	}
+	g, w := strings.Split(got.String(), "\n"), strings.Split(string(want), "\n")
+	for i := range min(len(g), len(w)) {
+		if g[i] != w[i] {
+			t.Fatalf("launch line %d moved:\n got %s\nwant %s", i+1, g[i], w[i])
+		}
+	}
+	t.Fatalf("%d launch lines, want %d", len(g), len(w))
 }

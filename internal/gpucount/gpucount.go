@@ -41,8 +41,6 @@ const (
 	offState = 0
 	offCount = 4
 	offKey   = 8
-	offLeft  = 16
-	offRight = 32
 
 	stateEmpty = 0
 	stateFull  = 2
@@ -112,7 +110,7 @@ func Count(dev *simt.Device, seqs [][]byte, k int) (map[uint64]*dbg.Info, simt.K
 	if err != nil {
 		return nil, simt.KernelResult{}, err
 	}
-	tab := table{base: tabBase, slots: slots, words: 1}
+	tab := newTable(tabBase, slots, 1)
 
 	// The clear is its own launch: inside the counting kernel a later
 	// warp's clear would wipe earlier warps' inserts.
@@ -141,20 +139,8 @@ func Count(dev *simt.Device, seqs [][]byte, k int) (map[uint64]*dbg.Info, simt.K
 	res.Stats.Add(&clearRes.Stats)
 	res.Time += clearRes.Time
 
-	// Read the table back.
 	out := make(map[uint64]*dbg.Info)
-	for s := 0; s < slots; s++ {
-		e := tabBase + simt.Ptr(s*entryBytes)
-		if dev.ReadU32(e+offState) != stateFull {
-			continue
-		}
-		info := &dbg.Info{Count: dev.ReadU32(e + offCount)}
-		for b := 0; b < 4; b++ {
-			info.Left[b] = dev.ReadU32(e + offLeft + simt.Ptr(4*b))
-			info.Right[b] = dev.ReadU32(e + offRight + simt.Ptr(4*b))
-		}
-		out[dev.ReadU64(e+offKey)] = info
-	}
+	tab.forEachClaimed(dev, func(km kmer.Kmer, info dbg.Info) { out[km.W[0]] = &info })
 	return out, res, nil
 }
 
@@ -171,14 +157,19 @@ func clearWords(w *simt.Warp, base simt.Ptr, words, totalWarps int) {
 // oriented to it (−1 when absent/ambiguous). A kernel declares one and
 // forEachBatch refills it batch after batch.
 type warpBatch struct {
-	mask, valid   simt.Mask
+	lanes
 	keys          [simt.WarpSize]kmer.Kmer
 	lefts, rights [simt.WarpSize]int
+	win           int // the record index of lane 0's window (CountBudget only)
 	// sc rolls along the read across its batches: a batch's lanes hold
 	// consecutive windows and the next batch starts where this one ended,
 	// so each lane adds exactly one base, the last of its window.
 	sc kmer.Scanner
 }
+
+// lanes are a batch's lanes in use, those with a valid window, and those
+// with a left and with a right neighbour base.
+type lanes struct{ mask, valid, left, right simt.Mask }
 
 // handoff is what the read-only half of a shared-structure kernel leaves in
 // w.Scratch for its commit. Per batch with a surviving lane: the batch and
@@ -206,10 +197,11 @@ func (h *handoff) pushKeys(w *simt.Warp, b *warpBatch, lanes simt.Mask, words in
 
 // forEachBatch maps warps to sequences grid-strided; within a sequence,
 // lanes take consecutive k-mers (coalesced gathers, as in the v2
-// local-assembly kernel). It runs the shared prologue (canonBatch) on every
-// warp-width of windows and calls fn, with the warp's emptied handoff, on
-// each batch that has a valid lane.
-func forEachBatch(w *simt.Warp, st *staged, b *warpBatch, fn func(h *handoff)) {
+// local-assembly kernel). It runs the shared prologue on every warp-width of
+// windows and calls fn, with the warp's emptied handoff, on each batch that
+// has a valid lane. The prologue is canonBatch, which also fills rec when
+// there is one, or rec's replay once an earlier launch has filled it.
+func forEachBatch(w *simt.Warp, st *staged, b *warpBatch, rec *record, fn func(h *handoff)) {
 	h, _ := w.Scratch.(*handoff)
 	if h == nil {
 		h = new(handoff)
@@ -223,11 +215,92 @@ func forEachBatch(w *simt.Warp, st *staged, b *warpBatch, fn func(h *handoff)) {
 	for si := w.ID; si < len(st.seqs); si += st.warps {
 		seq := st.seqs[si]
 		for start := 0; start+st.k <= len(seq); start += simt.WarpSize {
-			canonBatch(w, b, seq, st.offs[si], start, st.seqBase, st.k)
+			if rec != nil && rec.full {
+				rec.replay(w, b, si, start)
+			} else {
+				before := w.Stats()
+				canonBatch(w, b, seq, st.offs[si], start, st.seqBase, st.k)
+				rec.save(w, b, &before, si, start)
+			}
 			if b.valid != 0 {
 				fn(h)
 			}
 		}
+	}
+}
+
+// record is a CountBudget call's host copy of its first walk's prologue,
+// which every later launch of the call replays (DESIGN.md §15): per batch the
+// lane masks and the sectors and chain canonBatch charged, per window its key
+// words, extension codes and pass. A warp writes only its own reads' entries.
+type record struct {
+	words, nblk int
+	full        bool  // an earlier launch filled it
+	winOff      []int // per read: the index of its first window
+	batchOff    []int // per read: the index of its first batch
+	batches     []batchCost
+	keys        []uint64 // words per window
+	exts        []uint8  // left and right code, a nibble each (0xf: none)
+	part        []uint32 // written by pass 0 of each plan with more than one pass
+}
+
+type batchCost struct {
+	lanes
+	sectors, chain uint32
+}
+
+func newRecord(seqs [][]byte, k int) *record {
+	r := &record{words: kmerWords(k), nblk: (k + 7) / 8, winOff: make([]int, len(seqs)), batchOff: make([]int, len(seqs))}
+	windows, nb := 0, 0
+	for i, s := range seqs {
+		r.winOff[i], r.batchOff[i] = windows, nb
+		n := max(len(s)-k+1, 0)
+		windows, nb = windows+n, nb+(n+simt.WarpSize-1)/simt.WarpSize
+	}
+	r.batches, r.keys = make([]batchCost, nb), make([]uint64, windows*r.words)
+	r.exts, r.part = make([]uint8, windows), make([]uint32, windows)
+	return r
+}
+
+// save stores the batch canonBatch just filled and what it charged since
+// before; without a record it does nothing.
+func (r *record) save(w *simt.Warp, b *warpBatch, before *simt.Stats, si, start int) {
+	if r == nil {
+		return
+	}
+	after := w.Stats()
+	r.batches[r.batchOff[si]+start/simt.WarpSize] = batchCost{b.lanes,
+		uint32(after.GlobalSectors - before.GlobalSectors), uint32(after.MaxSerialMemChain - before.MaxSerialMemChain)}
+	b.win = r.winOff[si] + start
+	for m := uint32(b.valid); m != 0; m &= m - 1 {
+		lane := bits.TrailingZeros32(m)
+		copy(r.keys[(b.win+lane)*r.words:][:r.words], b.keys[lane].W[:r.words])
+		r.exts[b.win+lane] = uint8(b.lefts[lane])&0xf | uint8(b.rights[lane])<<4
+	}
+}
+
+// replay charges a batch's prologue as canonBatch charged it — the same
+// instructions under the same masks, then one Charge of its sectors and
+// chain, which are per-warp sums — and fills b's valid lanes from the record.
+func (r *record) replay(w *simt.Warp, b *warpBatch, si, start int) {
+	c := &r.batches[r.batchOff[si]+start/simt.WarpSize]
+	w.ExecN(simt.ILdGlobal, c.mask, r.nblk)
+	if c.left != 0 {
+		w.Exec(simt.ILdGlobal, c.left)
+	}
+	if c.right != 0 {
+		w.Exec(simt.ILdGlobal, c.right)
+	}
+	w.ExecN(simt.IInt, c.mask, 3*r.nblk+6)
+	w.Charge(&simt.Stats{GlobalSectors: uint64(c.sectors), MaxSerialMemChain: uint64(c.chain)})
+	b.lanes, b.win = c.lanes, r.winOff[si]+start
+	for m := uint32(b.valid); m != 0; m &= m - 1 {
+		lane := bits.TrailingZeros32(m)
+		for wd, v := range r.keys[(b.win+lane)*r.words:][:r.words] {
+			b.keys[lane].W[wd] = v
+		}
+		ext := int8(r.exts[b.win+lane])
+		b.lefts[lane], b.rights[lane] = int(ext<<4>>4), int(ext>>4)
 	}
 }
 
@@ -264,6 +337,7 @@ func canonBatch(w *simt.Warp, b *warpBatch, seq []byte, readOff, start int, seqB
 	if start == 0 {
 		leftMask &^= 1
 	}
+	b.left, b.right = leftMask, rightMask
 	var leftBytes, rightBytes simt.Vec
 	if leftMask != 0 {
 		// first−1 wraps below zero for a read at the very start of the
@@ -313,7 +387,7 @@ func canonBatch(w *simt.Warp, b *warpBatch, seq []byte, readOff, start int, seqB
 // HashK).
 func (st *staged) countKernel(w *simt.Warp) {
 	var b warpBatch
-	forEachBatch(w, st, &b, func(h *handoff) {
+	forEachBatch(w, st, &b, nil, func(h *handoff) {
 		h.pushKeys(w, &b, b.valid, 1, func(key kmer.Kmer) uint64 {
 			return murmur.Hash64Word(key.W[0], uint64(st.k), hashSeed)
 		})
@@ -321,11 +395,38 @@ func (st *staged) countKernel(w *simt.Warp) {
 }
 
 // table is a device hash table of CAS-claimed entries with words-word
-// keys, shared by every warp of a launch.
+// keys, shared by every warp of a launch. Its host-side bitmap marks the
+// slots the committer claimed since it was last cleared, so read-back visits
+// only those.
 type table struct {
-	base  simt.Ptr
-	slots int
-	words int
+	base    simt.Ptr
+	slots   int
+	words   int
+	claimed []uint64
+}
+
+func newTable(base simt.Ptr, slots, words int) table {
+	return table{base: base, slots: slots, words: words, claimed: make([]uint64, (slots+63)/64)}
+}
+
+// forEachClaimed reads the claimed slots' entries back, in slot order.
+func (t table) forEachClaimed(dev *simt.Device, fn func(km kmer.Kmer, info dbg.Info)) {
+	eb, offL := entrySize(t.words), simt.Ptr(offKey+8*t.words)
+	for i, word := range t.claimed {
+		for ; word != 0; word &= word - 1 {
+			e := t.base + simt.Ptr((64*i+bits.TrailingZeros64(word))*eb)
+			var km kmer.Kmer
+			for wd := 0; wd < t.words; wd++ {
+				km.W[wd] = dev.ReadU64(e + offKey + simt.Ptr(8*wd))
+			}
+			info := dbg.Info{Count: dev.ReadU32(e + offCount)}
+			for b := 0; b < 4; b++ {
+				info.Left[b] = dev.ReadU32(e + offL + simt.Ptr(4*b))
+				info.Right[b] = dev.ReadU32(e + offL + 16 + simt.Ptr(4*b))
+			}
+			fn(km, info)
+		}
+	}
 }
 
 // Read-only operands of the counting kernels' CAS and adds.
@@ -395,6 +496,7 @@ func (t table) insert(w *simt.Warp, batch, pending simt.Mask, recs []uint64) err
 		for m := uint32(pending); m != 0; m &= m - 1 {
 			if lane := bits.TrailingZeros32(m); observed[lane] == stateEmpty {
 				claimed |= simt.LaneMask(lane)
+				t.claimed[slotsV[lane]/64] |= 1 << (slotsV[lane] % 64)
 			}
 		}
 		occupied := pending &^ claimed

@@ -141,10 +141,11 @@ func TestCountBatchTableFullReturnsError(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tab := table{slots: 1, words: 1}
-	if tab.base, err = d.Malloc(entryBytes); err != nil {
+	base, err := d.Malloc(entryBytes)
+	if err != nil {
 		t.Fatal(err)
 	}
+	tab := newTable(base, 1, 1)
 
 	var kernErr error
 	if _, err = d.Launch(simt.KernelConfig{Name: "clear", Warps: 1}, func(w *simt.Warp) {

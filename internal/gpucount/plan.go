@@ -122,14 +122,3 @@ func PlanFor(occ, k int, cfg BudgetConfig) (Plan, error) {
 	}
 	return Plan{Passes: passes, TableSlots: int(slots), BloomCells: cells}, nil
 }
-
-// PlanPasses returns just the planned pass count — callers that compare a
-// run's executed passes against the unconstrained-budget plan (to report
-// spill passes) use this without building the full plan.
-func PlanPasses(occ, k int, cfg BudgetConfig) (int, error) {
-	p, err := PlanFor(occ, k, cfg)
-	if err != nil {
-		return 0, err
-	}
-	return p.Passes, nil
-}

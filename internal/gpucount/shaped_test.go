@@ -142,51 +142,86 @@ func TestClearWordsMatchesPerLaneLoop(t *testing.T) {
 
 // TestCanonBatchMatchesPerLaneLoop walks the golden fixture (ambiguous and
 // lowercase bases, reads shorter than k, batch boundaries; its first read
-// sits at device address 0, so the left-neighbour base underflows) through
-// both prologues and compares every batch and the kernel's counters.
+// sits at device address 0, so the left-neighbour base underflows) plus a
+// one-window read through three prologues — canonBatch, the per-lane loop,
+// and a replay of the record a canonBatch launch filled — and compares every
+// batch, the warp's counters after it, and the kernel's counters.
 func TestCanonBatchMatchesPerLaneLoop(t *testing.T) {
-	type prologue func(*simt.Warp, *warpBatch, []byte, int, int, simt.Ptr, int)
+	type prologue func(w *simt.Warp, b *warpBatch, st *staged, rec *record, si, start int)
+	canon := func(w *simt.Warp, b *warpBatch, st *staged, rec *record, si, start int) {
+		before := w.Stats()
+		canonBatch(w, b, st.seqs[si], st.offs[si], start, st.seqBase, st.k)
+		rec.save(w, b, &before, si, start)
+	}
+	prologues := []prologue{
+		func(w *simt.Warp, b *warpBatch, st *staged, _ *record, si, start int) {
+			canon(w, b, st, nil, si, start)
+		},
+		func(w *simt.Warp, b *warpBatch, st *staged, _ *record, si, start int) {
+			refCanonBatch(w, b, st.seqs[si], st.offs[si], start, st.seqBase, st.k)
+		},
+		func(w *simt.Warp, b *warpBatch, _ *staged, rec *record, si, start int) {
+			rec.replay(w, b, si, start)
+		},
+	}
+	type snapshot struct {
+		b     warpBatch
+		stats simt.Stats
+	}
 	for _, k := range []int{5, 21, 32, 33, 55} {
-		var res [2]simt.KernelResult
-		var batches [2][]warpBatch
-		for i, canon := range []prologue{canonBatch, refCanonBatch} {
+		seqs := append(goldenFixture(), randReads(rand.New(rand.NewSource(int64(k))), 1, k)...)
+		var res [3]simt.KernelResult
+		var batches [3][]snapshot
+		for i, run := range prologues {
 			dev := testDev()
-			st, err := stageReads(dev, goldenFixture(), k)
+			st, err := stageReads(dev, seqs, k)
 			if err != nil {
 				t.Fatal(err)
 			}
 			if st.seqBase != 0 {
 				t.Fatalf("reads staged at %d, want 0 (the underflow case)", st.seqBase)
 			}
-			res[i], err = dev.Launch(simt.KernelConfig{Name: "prologue", Warps: 1, Sequential: true}, func(w *simt.Warp) {
-				var b warpBatch
-				for si, seq := range st.seqs {
-					for start := 0; start+k <= len(seq); start += simt.WarpSize {
-						canon(w, &b, seq, st.offs[si], start, st.seqBase, k)
-						// Lanes outside valid keep whatever an earlier batch left.
-						out := warpBatch{mask: b.mask, valid: b.valid}
-						for lane := 0; lane < simt.WarpSize; lane++ {
-							if b.valid.Has(lane) {
-								out.keys[lane], out.lefts[lane], out.rights[lane] = b.keys[lane], b.lefts[lane], b.rights[lane]
+			walk := func(p prologue, rec *record, out *[]snapshot) (simt.KernelResult, error) {
+				return dev.Launch(simt.KernelConfig{Name: "prologue", Warps: 1, Sequential: true}, func(w *simt.Warp) {
+					var b warpBatch
+					for si, seq := range st.seqs {
+						for start := 0; start+k <= len(seq); start += simt.WarpSize {
+							p(w, &b, &st, rec, si, start)
+							// Lanes outside valid keep whatever an earlier batch left.
+							s := snapshot{b: warpBatch{lanes: lanes{mask: b.mask, valid: b.valid}}, stats: w.Stats()}
+							for lane := 0; lane < simt.WarpSize; lane++ {
+								if b.valid.Has(lane) {
+									s.b.keys[lane], s.b.lefts[lane], s.b.rights[lane] = b.keys[lane], b.lefts[lane], b.rights[lane]
+								}
 							}
+							*out = append(*out, s)
 						}
-						batches[i] = append(batches[i], out)
 					}
+				})
+			}
+			var rec *record
+			if i == 2 {
+				rec = newRecord(seqs, k)
+				if _, err := walk(canon, rec, new([]snapshot)); err != nil {
+					t.Fatal(err)
 				}
-			})
-			if err != nil {
+				rec.full = true
+			}
+			if res[i], err = walk(run, rec, &batches[i]); err != nil {
 				t.Fatal(err)
 			}
 		}
-		if res[0] != res[1] {
-			t.Errorf("k=%d: kernel results differ\nlive %+v\nref  %+v", k, res[0], res[1])
-		}
-		if len(batches[0]) != len(batches[1]) {
-			t.Fatalf("k=%d: %d batches, reference %d", k, len(batches[0]), len(batches[1]))
-		}
-		for i := range batches[0] {
-			if batches[0][i] != batches[1][i] {
-				t.Fatalf("k=%d: batch %d differs", k, i)
+		for i, name := range []string{"per-lane loop", "replay"} {
+			if res[0] != res[i+1] {
+				t.Errorf("k=%d: %s: kernel results differ\nlive %+v\n%s %+v", k, name, res[0], name, res[i+1])
+			}
+			if len(batches[0]) != len(batches[i+1]) {
+				t.Fatalf("k=%d: %d batches, %s %d", k, len(batches[0]), name, len(batches[i+1]))
+			}
+			for j := range batches[0] {
+				if batches[0][j] != batches[i+1][j] {
+					t.Fatalf("k=%d: %s: batch %d differs:\nlive %+v\n%s %+v", k, name, j, batches[0][j], name, batches[i+1][j])
+				}
 			}
 		}
 	}

@@ -4,8 +4,11 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"slices"
 	"testing"
 	"time"
+
+	"mhm2sim/internal/gpucount"
 )
 
 // cancelAfterObserver cancels the run's context from inside the n-th
@@ -116,5 +119,46 @@ func TestCancelBeforeStart(t *testing.T) {
 	}
 	if len(obs.starts) != 0 {
 		t.Errorf("%d stages started under a canceled context", len(obs.starts))
+	}
+}
+
+// cancelInStageObserver cancels the run's context as soon as the given stage
+// starts, and records which stages finished.
+type cancelInStageObserver struct {
+	cancel   context.CancelFunc
+	stage    Stage
+	finishes []Stage
+}
+
+func (o *cancelInStageObserver) StageStart(ev StageEvent) {
+	if ev.Stage == o.stage {
+		o.cancel()
+	}
+}
+
+func (o *cancelInStageObserver) StageFinish(ev StageEvent, _ time.Duration, _ Timings, _ WorkRecord) {
+	o.finishes = append(o.finishes, ev.Stage)
+}
+
+// TestCancelInsideBudgetCounting cancels a run under the smallest memory
+// budget while its first k-mer analysis is under way: budget counting checks
+// the context per launch, so the stage returns without finishing its passes
+// and the round never completes.
+func TestCancelInsideBudgetCounting(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	obs := &cancelInStageObserver{cancel: cancel, stage: StageKmerAnalysis}
+	cfg := testPipelineConfig()
+	cfg.MemBudget = gpucount.MinMemBudget
+	cfg.Observer = obs
+	res, err := RunContext(ctx, buildPairs(t), cfg)
+	if err == nil || res != nil {
+		t.Fatalf("canceled run completed: %v", err)
+	}
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("error does not wrap context.Canceled: %v", err)
+	}
+	if want := []Stage{StageMergeReads}; !slices.Equal(obs.finishes, want) {
+		t.Errorf("stages finished %v, want only %v: k-mer analysis ran to its end", obs.finishes, want)
 	}
 }

@@ -55,7 +55,7 @@ func RunContext(ctx context.Context, pairs []dna.PairedRead, cfg Config) (*Resul
 		res.Work.InputBases += int64(len(pairs[i].Fwd.Seq) + len(pairs[i].Rev.Seq))
 	}
 	st := &runState{
-		cfg: &cfg, res: res, eng: eng,
+		ctx: ctx, cfg: &cfg, res: res, eng: eng,
 		workers: par.Workers(cfg.Workers), pairs: pairs,
 	}
 	if cfg.UseGPUAln { // one device for every round's aln kernel
@@ -131,6 +131,7 @@ func RunContext(ctx context.Context, pairs []dna.PairedRead, cfg Config) (*Resul
 // monolithic loop this way is what lets the driver treat every stage
 // uniformly.
 type runState struct {
+	ctx     context.Context // the run's; budget counting checks it per launch
 	cfg     *Config
 	res     *Result
 	eng     locassm.Engine
@@ -242,7 +243,7 @@ func (st *runState) countBudget(roundSeqs [][]byte, occ int) (*dbg.Table, error)
 	st.cdev.FreeAll()
 	defer st.cdev.FreeAll() // the device may be its supplier's: leave nothing on it
 	bcfg := gpucount.BudgetConfig{MemBudget: eff, MinCount: st.cfg.MinCount}
-	table, stats, err := gpucount.CountBudget(st.cdev, roundSeqs, st.k, bcfg)
+	table, stats, err := gpucount.CountBudgetContext(st.ctx, st.cdev, roundSeqs, st.k, bcfg)
 	if err != nil {
 		return nil, err
 	}
@@ -254,8 +255,8 @@ func (st *runState) countBudget(roundSeqs [][]byte, occ int) (*dbg.Table, error)
 	// Spill passes: everything beyond the plan at the full configured
 	// budget, i.e. the extra passes degradation cost this round.
 	full := gpucount.BudgetConfig{MemBudget: st.cfg.MemBudget, MinCount: st.cfg.MinCount}
-	if planned, perr := gpucount.PlanPasses(occ, st.k, full); perr == nil && stats.Passes > planned {
-		stats.SpillPasses = stats.Passes - planned
+	if plan, perr := gpucount.PlanFor(occ, st.k, full); perr == nil && stats.Passes > plan.Passes {
+		stats.SpillPasses = stats.Passes - plan.Passes
 	}
 	st.res.Work.KmerBudget.Add(stats)
 	return table, nil
