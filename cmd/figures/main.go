@@ -9,10 +9,9 @@
 //	Fig 12  2-node arcticsynth breakdown
 //	Fig 13  local-assembly strong scaling on Summit
 //	Fig 14  whole-pipeline strong scaling on Summit
-//	check   the scorecard: one row per claim of the paper — paper value,
-//	        measured value, workload, clock, accepted range, verdict. Exits
-//	        1 naming each failed prediction. EXPERIMENTS.md carries this
-//	        output verbatim and CI diffs the two.
+//	check   the scorecard (a row per paper claim: values, workload, clock,
+//	        range, verdict), then the exact ledger (a line per modeled number).
+//	        Exits 1 naming each failed prediction; CI diffs both against EXPERIMENTS.md.
 //
 // Usage:
 //
@@ -173,6 +172,9 @@ func main() {
 		must(err)
 		out, failed := figures.RenderScorecard(rows)
 		fmt.Print(out)
+		ledger, err := figures.Ledger(got)
+		must(err)
+		fmt.Print("<!-- ledger:begin -->\n" + ledger + "<!-- ledger:end -->\n")
 		for _, r := range failed {
 			verdict, _ := r.Verdict()
 			log.Printf("%s, %s: %.4g%s against [%.4g, %.4g] — %s", r.Fig, r.Claim, r.Measured, r.Unit, r.Lo, r.Hi, verdict)

@@ -46,7 +46,7 @@ func main() {
 			log.Fatal(err)
 		}
 		fmt.Printf("loaded workload dump %s\n", *loadPath)
-		source = "dump " + *loadPath
+		source = "dump:" + *loadPath
 	} else {
 		fmt.Println("building workload (running upstream pipeline)...")
 		res, err := setup.Run()
@@ -54,7 +54,7 @@ func main() {
 			log.Fatal(err)
 		}
 		work = res.LAWorkload
-		source = fmt.Sprintf("%s k=%d dump", setup.Preset.Name, res.Bins[len(res.Bins)-1].K)
+		source = fmt.Sprintf("%s:k%d-dump", setup.Preset.Name, res.Bins[len(res.Bins)-1].K)
 	}
 	nReads := 0
 	for _, c := range work {
@@ -69,20 +69,11 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	cpu := rf.CPU
-	fmt.Printf("\nCPU reference: %d table builds, %d k-mers inserted, %d lookups, %d walk steps\n",
-		cpu.Counts.TableBuilds, cpu.Counts.KmersInserted, cpu.Counts.Lookups, cpu.Counts.WalkSteps)
-	for i, name := range []string{"GPU v1 (thread per table)", "GPU v2 (warp per table)"} {
-		gres := rf.Runs[i]
-		var instrs uint64
-		for _, k := range gres.Kernels {
-			instrs += k.TotalWarpInstrs()
-		}
-		fmt.Printf("\n%s:\n", name)
-		fmt.Printf("  model kernel time %v + transfers %v (%d launches, %d batches)\n",
-			gres.KernelTime.Round(1e3), gres.TransferTime.Round(1e3), len(gres.Kernels), gres.Batches)
-		fmt.Printf("  warp instructions %d\n", instrs)
+	ledger, err := figures.RooflineLedger(rf, source)
+	if err != nil {
+		log.Fatal(err)
 	}
+	fmt.Print("\ncounters of the CPU reference and both kernel versions (the exact ledger's roofline lines):\n" + ledger)
 	fmt.Printf("\nextensions identical to CPU: %v (%d mismatches over both versions)\n", rf.Mismatches == 0, rf.Mismatches)
 	if rf.Mismatches > 0 {
 		log.Fatal("GPU results diverge from the CPU reference")
@@ -95,7 +86,7 @@ func main() {
 	fmt.Print(roofline.BreakdownTable(analyses))
 
 	var grown, added int
-	for _, r := range cpu.Results {
+	for _, r := range rf.CPU.Results {
 		if n := len(r.LeftExt) + len(r.RightExt); n > 0 {
 			grown++
 			added += n

@@ -46,7 +46,6 @@ type Model struct {
 	CPUCost locassm.CPUCost
 
 	// Base workload measurements.
-	BaseItems    uint64             // extension warps in the base workload
 	BaseCPU      locassm.WorkCounts // CPU reference work on the base workload
 	BaseStats    simt.Stats         // merged GPU kernel counters
 	BaseLaunches int                // kernel launches in the base run
@@ -63,7 +62,6 @@ func NewModel(dev simt.DeviceConfig, cpu *locassm.CPUResult, gpu *locassm.GPURes
 	for i := range gpu.Kernels {
 		m.BaseStats.Add(&gpu.Kernels[i].Stats)
 	}
-	m.BaseItems = m.BaseStats.Warps
 	m.BaseLaunches = len(gpu.Kernels)
 	// Recover transferred bytes from the modeled transfer time.
 	m.BaseBytes = int64(gpu.TransferTime.Seconds() * dev.PCIeGBps * 1e9)

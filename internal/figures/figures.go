@@ -1,7 +1,7 @@
 // Package figures regenerates every table and figure of the paper's
-// evaluation section (the per-experiment index lives in DESIGN.md §4) and
-// scores each of the paper's claims against them (Scorecard). cmd/figures
-// prints both; EXPERIMENTS.md carries the scorecard verbatim.
+// evaluation section (the per-experiment index lives in DESIGN.md §4), scores
+// each of the paper's claims against them (Scorecard) and lists every modeled
+// number behind them (Ledger). EXPERIMENTS.md carries the last two verbatim.
 package figures
 
 import (

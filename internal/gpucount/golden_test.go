@@ -34,11 +34,6 @@ func goldenFixture() [][]byte {
 // Count takes one-word keys only, so its k = 33 row does not exist.
 const goldenCountK21 = "{Kernel:kmer_count_k21 WarpInstrs:[14201 0 6862 3955 6239 0 0 4777 0 0 0 608 0 0] ThreadInstrs:[326043 0 213757 84332 187152 0 0 61083 0 0 0 7966 0 0] PredicatedOff:292211 GlobalSectors:66961 LocalSectors:0 AtomicSectors:61070 Warps:304 MaxSerialMemChain:4840} time=24764"
 
-var goldenBudget = map[int]string{
-	21: "kernels=18 kernelTime=200599 passes=8 filtered=2042 inserted=4948 fp=971 distinct=4948",
-	33: "kernels=18 kernelTime=200960 passes=8 filtered=1883 inserted=4243 fp=758 distinct=4243",
-}
-
 func TestGoldenCountAccounting(t *testing.T) {
 	_, res, err := Count(testDev(), goldenFixture(), 21)
 	if err != nil {
@@ -61,16 +56,9 @@ func budgetLine(tab interface{ Len() int }, st BudgetStats) string {
 		st.Kernels, st.KernelTime, st.Passes, st.FilteredSingletons, st.Inserted, st.FPInserted, tab.Len())
 }
 
+// TestGoldenBudgetAccounting pins goldenReplan. The fixture's Bloom-on
+// counts are pinned, header and launches, by TestGoldenBudgetLaunches.
 func TestGoldenBudgetAccounting(t *testing.T) {
-	for _, k := range []int{21, 33} {
-		tab, st, err := CountBudget(testDev(), goldenFixture(), k, BudgetConfig{MemBudget: 1 << 18, MinCount: 2})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got := budgetLine(tab, st); got != goldenBudget[k] {
-			t.Errorf("CountBudget k=%d accounting moved:\n got %s\nwant %s", k, got, goldenBudget[k])
-		}
-	}
 	seqs := coveredReads(rand.New(rand.NewSource(7)), 40, 2, 0, 120)
 	tab, st, err := CountBudget(testDev(), seqs, 21, BudgetConfig{MemBudget: MinMemBudget, MinCount: 2, Passes: 1})
 	if err != nil {

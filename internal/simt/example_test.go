@@ -13,6 +13,8 @@ import (
 // do: one warp per 4 KiB block of a DNA sequence counts bases with coalesced
 // one-byte loads and flushes its counts with atomic adds; the host reads the
 // histogram back and the launch's instruction-roofline characterization.
+// Every warp adds to the one shared histogram, a write no warp owns, so the
+// launch is Sequential: pool warps may write only their own regions.
 func Example() {
 	dev := simt.NewDevice(simt.V100())
 	defer dev.Close()
@@ -33,7 +35,7 @@ func Example() {
 	}
 
 	const bytesPerWarp = 4096
-	res, err := dev.Launch(simt.KernelConfig{Name: "basehist", Warps: len(seq) / bytesPerWarp}, func(w *simt.Warp) {
+	res, err := dev.Launch(simt.KernelConfig{Name: "basehist", Warps: len(seq) / bytesPerWarp, Sequential: true}, func(w *simt.Warp) {
 		base := uint64(seqPtr) + uint64(w.ID*bytesPerWarp)
 		var local [4]uint64
 		for off := 0; off < bytesPerWarp; off += simt.WarpSize {
