@@ -196,6 +196,7 @@ type runtime struct {
 	// release releases the run's device source, cfg.Pipeline.Engine.Devices:
 	// the ranks' devices and the pipeline's GPU-alignment device.
 	release func()
+	ctx     context.Context // the run's; Assemble checks it before every phase
 
 	// Accumulated across rounds (written only between concurrent phases).
 	rec      RecoveryStats
@@ -226,6 +227,7 @@ func newRuntime(cfg Config) (*runtime, error) {
 		policy: newShardPolicy(cfg.ShardPolicy, cfg.VirtualShards, mem),
 		inj:    faults.NewInjector(plan),
 		ranks:  make([]rank, mem.Capacity()),
+		ctx:    context.Background(),
 	}
 	fabric.UseInjector(rt.inj)
 	rt.release = rt.cfg.Pipeline.Engine.ResolveDevices()
@@ -265,25 +267,49 @@ func (rt *runtime) scatterReads(pairs []dna.PairedRead) error {
 func (rt *runtime) Assemble(k int, ctgs []*locassm.CtgWithReads) ([]locassm.Result, locassm.Stats, error) {
 	round := rt.rounds // 0-based, for the injector
 	rt.rounds++
+	if err := rt.stopped("membership", k); err != nil {
+		return nil, locassm.Stats{}, err
+	}
 	smap := rt.policy.roundShardMap(k, ctgs)
 	deal, err := rt.applyMembership(round, k, ctgs, smap)
+	if err == nil {
+		err = rt.stopped("read exchange", k)
+	}
 	if err != nil {
 		return nil, locassm.Stats{}, err
 	}
 	if err := rt.exchangeReads(k, ctgs, smap, deal); err != nil {
 		return nil, locassm.Stats{}, err
 	}
+	if err := rt.stopped("shard assembly", k); err != nil {
+		return nil, locassm.Stats{}, err
+	}
 	byShard, shardIdx := shardContigs(ctgs, smap, rt.cfg.VirtualShards)
 	outs, err := rt.assembleShards(round, k, byShard, deal)
+	if err == nil {
+		err = rt.stopped("work steal", k)
+	}
 	if err != nil {
 		return nil, locassm.Stats{}, err
 	}
 	makespan, err := rt.scheduleSteals(round, k, byShard, outs, deal)
+	if err == nil {
+		err = rt.stopped("gather and allgather", k)
+	}
 	if err != nil {
 		return nil, locassm.Stats{}, err
 	}
 	results, stats := rt.gatherShards(len(ctgs), outs, shardIdx, deal, makespan)
 	return results, stats, rt.allgatherContigs(k, ctgs, results, smap, deal)
+}
+
+// stopped returns, once the run's context is done, an error naming the
+// phase of round k the run stops before and wrapping ctx.Err().
+func (rt *runtime) stopped(phase string, k int) error {
+	if err := rt.ctx.Err(); err != nil {
+		return fmt.Errorf("dist: canceled before %s k=%d: %w", phase, k, err)
+	}
+	return nil
 }
 
 // applyMembership is the round boundary: it admits the scheduled joins
@@ -586,10 +612,13 @@ func Run(pairs []dna.PairedRead, cfg Config) (*pipeline.Result, *Report, error) 
 	return RunContext(context.Background(), pairs, cfg)
 }
 
-// RunContext is Run with cancellation, forwarded to the pipeline stage
-// driver: a canceled distributed run stops at the next stage boundary
-// (fabric exchanges in flight complete first, since they execute inside
-// the local-assembly stage).
+// RunContext is Run with cancellation. The pipeline stage driver checks ctx
+// at every stage boundary, and inside the local-assembly stage each round
+// checks it before every phase (membership, read exchange, shard assembly,
+// work steal, gather and allgather): a canceled run stops at the next of
+// these, and an exchange or a shard assembly in flight completes first.
+// The returned error wraps ctx.Err() and, from inside a round, names the
+// phase it stopped before.
 func RunContext(ctx context.Context, pairs []dna.PairedRead, cfg Config) (*pipeline.Result, *Report, error) {
 	cfg = cfg.withDefaults()
 	if err := cfg.Validate(); err != nil {
@@ -600,6 +629,12 @@ func RunContext(ctx context.Context, pairs []dna.PairedRead, cfg Config) (*pipel
 		return nil, nil, err
 	}
 	defer rt.Close()
+	return rt.run(ctx, pairs)
+}
+
+// run is RunContext on a built runtime.
+func (rt *runtime) run(ctx context.Context, pairs []dna.PairedRead) (*pipeline.Result, *Report, error) {
+	rt.ctx = ctx
 	if err := rt.scatterReads(pairs); err != nil {
 		return nil, nil, err
 	}

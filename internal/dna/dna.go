@@ -2,9 +2,9 @@
 // the assembler: base codes, reverse complements, Phred quality scores, and
 // sequencing reads.
 //
-// Sequences are kept as plain ASCII byte slices (the representation the
-// local-assembly hash tables index into with pointer-compressed keys), with
-// optional 2-bit packing for the k-mer layer.
+// Sequences are kept as plain ASCII byte slices. Pack2Bit packs them at
+// 2 bits per base: the layout the local-assembly kernels stage candidate
+// reads in and their hash tables' pointer-compressed keys index into.
 package dna
 
 import "fmt"
@@ -25,11 +25,15 @@ var Alphabet = [4]byte{'A', 'C', 'G', 'T'}
 // complementOf maps it to the complement's upper-case base, or 'N'.
 var codeOf, complementOf [256]byte
 
+// packOf is codeOf for upper-case bases only (see Packable).
+var packOf [256]byte
+
 func init() {
 	for i := range codeOf {
-		codeOf[i], complementOf[i] = 0xff, 'N'
+		codeOf[i], complementOf[i], packOf[i] = 0xff, 'N', 0xff
 	}
 	for c, b := range Alphabet {
+		packOf[b] = byte(c)
 		codeOf[b], codeOf[b|0x20] = byte(c), byte(c)
 		complementOf[b], complementOf[b|0x20] = Alphabet[c^3], Alphabet[c^3]
 	}
@@ -160,18 +164,49 @@ type PairedRead struct {
 	InsertSize int
 }
 
-// Pack2Bit packs seq (ACGT only) into 2-bit codes, 4 bases per byte,
-// little-endian within the byte. It returns an error on ambiguous bases.
-func Pack2Bit(seq []byte) ([]byte, error) {
-	out := make([]byte, (len(seq)+3)/4)
-	for i, b := range seq {
-		c, ok := Code(b)
-		if !ok {
-			return nil, fmt.Errorf("dna: cannot 2-bit pack ambiguous base %q at %d", b, i)
+// Packable reports whether Pack2Bit can pack seq: whether it holds only
+// upper-case A, C, G and T. Lower case and ambiguity codes say more than
+// two bits can.
+func Packable(seq []byte) bool {
+	for _, b := range seq {
+		if packOf[b] == 0xff {
+			return false
 		}
-		out[i/4] |= c << uint((i%4)*2)
 	}
-	return out, nil
+	return true
+}
+
+// PackWord packs the first n ≤ 8 bytes of the little-endian word x into
+// their 2-bit codes (byte i's in bits 2i), and reports whether all n are
+// Packable. It works on the whole word at once: upper-case A, C, G, T are
+// 0x41, 0x43, 0x47, 0x54, whose bits 1 and 2 xor to their codes.
+func PackWord(x uint64, n int) (uint64, bool) {
+	const lo = 0x0101010101010101
+	c := (x>>1 ^ x>>2) & (3 * lo)
+	b0, b1 := c&lo, c>>1&lo
+	want := 0x41*lo + 2*b0 + 6*b1 + 11*(b0&b1) // the byte each code stands for
+	keep := ^uint64(0) >> (64 - 8*uint(n))
+	c = (c | c>>6) & 0x000f000f000f000f
+	c = (c | c>>12) & 0x000000ff000000ff
+	c = (c | c>>24) & 0xffff
+	return c & (1<<(2*uint(n)) - 1), (x^want)&keep == 0
+}
+
+// Pack2Bit ORs the 2-bit codes of seq into dst from base offset at on: four
+// bases per byte, base i of the stream in bits 2(i%4) of byte i/4, so a
+// little-endian word holds 32 consecutive bases. The span's bytes must be
+// zero beforehand. It reports false, with the span partly written, if seq
+// is not Packable.
+func Pack2Bit(dst []byte, at int, seq []byte) bool {
+	for i, b := range seq {
+		c := packOf[b]
+		if c == 0xff {
+			return false
+		}
+		p := at + i
+		dst[p/4] |= c << uint((p%4)*2)
+	}
+	return true
 }
 
 // Unpack2Bit expands packed 2-bit codes back into n ASCII bases.

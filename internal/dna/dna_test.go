@@ -152,16 +152,16 @@ func TestCloneIsDeep(t *testing.T) {
 }
 
 func TestPack2BitRoundTrip(t *testing.T) {
-	f := func(raw []byte) bool {
+	f := func(raw []byte, at uint8) bool {
 		seq := make([]byte, len(raw))
 		for i, b := range raw {
 			seq[i] = Alphabet[b%4]
 		}
-		packed, err := Pack2Bit(seq)
-		if err != nil {
+		packed := make([]byte, (int(at)+len(seq)+3)/4)
+		if !Pack2Bit(packed, int(at), seq) {
 			return false
 		}
-		return bytes.Equal(Unpack2Bit(packed, len(seq)), seq)
+		return bytes.Equal(Unpack2Bit(packed, int(at)+len(seq))[at:], seq)
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
@@ -169,8 +169,32 @@ func TestPack2BitRoundTrip(t *testing.T) {
 }
 
 func TestPack2BitRejectsAmbiguous(t *testing.T) {
-	if _, err := Pack2Bit([]byte("ACNGT")); err == nil {
-		t.Error("expected error for 'N'")
+	for _, seq := range []string{"ACNGT", "ACgT", "ACRT"} {
+		if Packable([]byte(seq)) || Pack2Bit(make([]byte, 2), 0, []byte(seq)) {
+			t.Errorf("%s packed", seq)
+		}
+	}
+	if !Packable([]byte("ACGT")) {
+		t.Error("ACGT not packable")
+	}
+	// PackWord agrees with Pack2Bit on every byte, at every length.
+	for b := 0; b < 256; b++ {
+		for n := 1; n <= 8; n++ {
+			seq := append(bytes.Repeat([]byte("T"), n-1), byte(b))
+			var x uint64
+			for i, c := range seq {
+				x |= uint64(c) << (8 * i)
+			}
+			packed := make([]byte, 2)
+			ok := Pack2Bit(packed, 0, seq)
+			if n < 8 {
+				x |= 0xdead << (8 * n) // bytes past n do not count
+			}
+			got, gotOK := PackWord(x, n)
+			if gotOK != ok || ok && got != uint64(packed[0])|uint64(packed[1])<<8 {
+				t.Fatalf("byte %#x at %d: PackWord %#x %v, Pack2Bit %x %v", b, n, got, gotOK, packed, ok)
+			}
+		}
 	}
 }
 

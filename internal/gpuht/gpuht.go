@@ -2,8 +2,9 @@
 // simt device (§3.2–3.3): open addressing with linear probing, CAS-claimed
 // slots, match_any-based thread-collision resolution, and pointer-compressed
 // keys — entries store a 4-byte offset into the candidate-reads arena
-// instead of the k-mer bytes themselves (Fig 6), cutting per-key memory by
-// ~k/4 and letting key loads ride the reads already resident in memory.
+// instead of the k-mer itself (Fig 6), letting key loads ride the reads
+// already resident in memory. The arena holds reads 2-bit packed: a 4-byte
+// offset stands for ⌈k/4⌉ bytes of key, and loading one takes 1–2 words.
 //
 // The package also implements the §3.2 sizing policy: one flat allocation
 // holds every per-extension table, with per-table slot counts of
@@ -11,16 +12,11 @@
 // (l−k+1)/l ≤ (300−21+1)/300 ≈ 0.93.
 package gpuht
 
-import (
-	"math/bits"
-
-	"mhm2sim/internal/murmur"
-	"mhm2sim/internal/simt"
-)
+import "mhm2sim/internal/simt"
 
 // Entry layout (32 bytes, two sectors per four entries):
 //
-//	offset 0  u32  keyOff  — k-mer start offset in the reads arena; Empty if unclaimed
+//	offset 0  u32  keyOff  — k-mer start offset in a reads arena (see Packed); Empty if unclaimed
 //	offset 4  u32  count   — occurrences of the k-mer
 //	offset 8  4×u16 extHi  — high-quality counts of the following base (A,C,G,T)
 //	offset 16 4×u16 extLo  — low-quality counts
@@ -41,6 +37,15 @@ const (
 
 	// hashSeed seeds murmur for table placement.
 	hashSeed = 0x5eed1ab5
+
+	// Packed flags a key offset that counts bases into the packed arena
+	// (Table.PackBase); an offset without it counts bytes into the raw
+	// arena (Table.SeqBase).
+	Packed = 1 << 31
+
+	// MaxK is the widest k-mer a table keys (locassm.Config caps its mer
+	// ladder there): 4 packed words, or 16 raw blocks.
+	MaxK = 128
 )
 
 // Ext is the extension object stored per k-mer: occurrence count plus
@@ -52,11 +57,13 @@ type Ext struct {
 }
 
 // Table describes one extension's k-mer hash table inside the flat
-// allocation. Keys are offsets into the reads arena starting at SeqBase.
+// allocation. Keys are offsets into the packed reads arena at PackBase
+// (dna.Pack2Bit's layout; see Packed) or the raw one at SeqBase. K ≤ MaxK.
 type Table struct {
 	Base     simt.Ptr
 	Capacity uint64
 	SeqBase  simt.Ptr
+	PackBase simt.Ptr
 	K        int
 }
 
@@ -108,160 +115,6 @@ func LoadFactor(l, k int) float64 {
 		return 0
 	}
 	return float64(l-k+1) / float64(l)
-}
-
-// hashBlocks is the number of 8-byte vector loads needed per key.
-func hashBlocks(k int) int { return (k + 7) / 8 }
-
-// Read-only vectors the kernels pass by address: CAS, store and add
-// operands, and the lane-local offsets at which key block b is staged, for
-// every k ≤ 255.
-var (
-	emptyVec = simt.Splat(Empty)
-	zeroVec  = simt.Splat(0)
-	oneVec   = simt.Splat(1)
-
-	stageOffs = func() (v [(255 + 7) / 8]simt.Vec) {
-		for b := range v {
-			v[b] = simt.Splat(uint64(8 * b))
-		}
-		return v
-	}()
-)
-
-// stageOff returns the lane-local offsets of key block b. Visited,
-// LaneTables and LaneVisited put no bound on k, so a block past the shared
-// vectors gets its offsets built in spill.
-func stageOff(b int, spill *simt.Vec) *simt.Vec {
-	if b < len(stageOffs) {
-		return &stageOffs[b]
-	}
-	*spill = simt.Splat(uint64(8 * b))
-	return spill
-}
-
-// keys says where each lane's k-mer bytes start: at addrs[lane], or — when
-// run is set — at base+lane, the shape the v2 kernel is designed around
-// (consecutive lanes on consecutive k-mers of one read, Fig 7). A run's
-// block loads are issued lane-strided, so the simulator neither builds nor
-// re-analyses an address vector per load; the instruction stream and every
-// counter are those of the address form.
-type keys struct {
-	addrs *simt.Vec
-	base  uint64
-	run   bool
-}
-
-// keysAt locates the k-mers that start offs[lane] bytes into the arena at
-// base: as a run when the active lanes' offsets are one (≤ 31 compares),
-// otherwise by the addresses it writes to addrs.
-func keysAt(mask simt.Mask, base simt.Ptr, offs, addrs *simt.Vec) keys {
-	if first, ok := runOf(mask, offs); ok {
-		return keys{base: uint64(base) + first, run: true}
-	}
-	for m := uint32(mask); m != 0; m &= m - 1 {
-		lane := bits.TrailingZeros32(m)
-		addrs[lane] = uint64(base) + offs[lane]
-	}
-	return keys{addrs: addrs}
-}
-
-// runOf reports whether the active lanes' values are v[lane] = base + lane
-// for one base, and returns it (wrapping: the base of a run whose low lanes
-// are inactive may lie below zero).
-func runOf(mask simt.Mask, v *simt.Vec) (base uint64, ok bool) {
-	m := uint32(mask)
-	first := bits.TrailingZeros32(m)
-	base = v[first] - uint64(first)
-	for m &= m - 1; m != 0; m &= m - 1 {
-		if lane := bits.TrailingZeros32(m); v[lane] != base+uint64(lane) {
-			return 0, false
-		}
-	}
-	return base, true
-}
-
-// loadBlock loads the 8 bytes at byte offset off of each active lane's key.
-func (ks keys) loadBlock(w *simt.Warp, mask simt.Mask, off uint64, out *simt.Vec) {
-	if ks.run {
-		w.LoadGlobalStrided(mask, ks.base+off, 1, 8, out)
-		return
-	}
-	var a simt.Vec
-	for m := uint32(mask); m != 0; m &= m - 1 {
-		lane := bits.TrailingZeros32(m)
-		a[lane] = ks.addrs[lane] + off
-	}
-	w.LoadGlobal(mask, &a, 8, out)
-}
-
-// hashKmers gathers each active lane's k-mer bytes with 8-byte vector loads
-// and writes the murmur hash per lane to out. Consecutive lanes pointing at
-// consecutive k-mers of one read overlap heavily, so these loads coalesce —
-// the v2 improvement visible in the roofline (Fig 9).
-//
-// The arena must have at least 7 bytes of slack after any k-mer (the
-// over-read is masked out of the hash).
-func hashKmers(w *simt.Warp, mask simt.Mask, ks keys, k int, out *simt.Vec) {
-	nblk := hashBlocks(k)
-	full := k / 8
-	rem := k & 7
-	// Stream each gathered block straight into the murmur state instead of
-	// materializing per-lane word slices (which cost one allocation per
-	// active lane per call on this hot path).
-	init := murmur.Hash64Init(k, hashSeed)
-	for m := uint32(mask); m != 0; m &= m - 1 {
-		out[bits.TrailingZeros32(m)] = init
-	}
-	var loaded, spill simt.Vec
-	for b := 0; b < nblk; b++ {
-		ks.loadBlock(w, mask, uint64(8*b), &loaded)
-		// The real kernel stages the key words in per-thread (local
-		// memory) arrays before mixing — the local traffic §4.2 reports.
-		if w.LocalBytesPerLane() >= 8*(b+1) {
-			off := stageOff(b, &spill)
-			w.StoreLocal(mask, off, 8, &loaded)
-			w.LoadLocal(mask, off, 8, &loaded)
-		}
-		for m := uint32(mask); m != 0; m &= m - 1 {
-			lane := bits.TrailingZeros32(m)
-			if b < full {
-				out[lane] = murmur.Hash64Mix(out[lane], loaded[lane])
-			} else {
-				out[lane] = murmur.Hash64Tail(out[lane], loaded[lane], rem)
-			}
-		}
-	}
-	// Mixing arithmetic: ~4 integer ops per block plus finalization.
-	w.ExecN(simt.IInt, mask, 4*nblk+3)
-
-	for m := uint32(mask); m != 0; m &= m - 1 {
-		lane := bits.TrailingZeros32(m)
-		out[lane] = murmur.Hash64Final(out[lane])
-	}
-}
-
-// keysEqual compares, per active lane, the k bytes of key a against the k
-// bytes of key b using 8-byte vector loads, returning the equality mask.
-func keysEqual(w *simt.Warp, mask simt.Mask, a, b keys, k int) simt.Mask {
-	nblk := hashBlocks(k)
-	eq := mask
-	var va, vb simt.Vec
-	for blk := 0; blk < nblk && eq != 0; blk++ {
-		a.loadBlock(w, eq, uint64(8*blk), &va)
-		b.loadBlock(w, eq, uint64(8*blk), &vb)
-		w.ExecN(simt.IInt, eq, 2) // mask + compare
-		keep := uint64(^uint64(0))
-		if rem := k - 8*blk; rem < 8 {
-			keep = ^uint64(0) >> uint(64-8*rem)
-		}
-		for m := uint32(eq); m != 0; m &= m - 1 {
-			if lane := bits.TrailingZeros32(m); (va[lane]^vb[lane])&keep != 0 {
-				eq &^= simt.LaneMask(lane)
-			}
-		}
-	}
-	return eq
 }
 
 // entryAddr returns the address of the entry in slot (below Capacity).

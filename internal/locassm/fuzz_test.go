@@ -107,3 +107,102 @@ func FuzzFlatMatchesMapRef(f *testing.F) {
 		}
 	})
 }
+
+// FuzzDeviceMatchesCPU checks both device kernels (v1, v2) against RunCPU
+// on fuzzed mer ladders and contigs whose reads and tails carry N,
+// lower-case and IUPAC bytes: the impure k-mers the device keys by their
+// raw bytes while every other k-mer is 2-bit packed. The device budget
+// holds one or two items per side, so every run stages several batches.
+// Seeds: shape 0 is all pure (rate 0); shape 1 ends each tail in an N that
+// the reads over it carry too; shape 2 adds a lower-case copy of a read.
+func FuzzDeviceMatchesCPU(f *testing.F) {
+	f.Add(int64(1), uint8(0), uint8(0))
+	f.Add(int64(2), uint8(1), uint8(0))
+	f.Add(int64(3), uint8(2), uint8(0))
+	f.Add(int64(4), uint8(0), uint8(40))
+	f.Add(int64(5), uint8(3), uint8(200))
+
+	f.Fuzz(func(t *testing.T, seed int64, shape, rate uint8) {
+		rng := rand.New(rand.NewSource(seed))
+		cfg := testConfig()
+		cfg.MinMer = 5 + rng.Intn(30)
+		cfg.MerStep = 1 + rng.Intn(8)
+		cfg.MaxMer = min(cfg.MinMer+cfg.MerStep*rng.Intn(5), 70)
+		cfg.StartMer = cfg.MinMer + cfg.MerStep*rng.Intn(1+(cfg.MaxMer-cfg.MinMer)/cfg.MerStep)
+		cfg.MaxWalkLen = 1 + rng.Intn(150)
+		cfg.MaxReadLen = 150
+		// impure replaces a byte, at the fuzzed rate, with one the
+		// device cannot pack.
+		impure := func(s []byte) {
+			for i := range s {
+				if rng.Intn(512) < int(rate) {
+					s[i] = "NnRYKMSWBDHVacgt"[rng.Intn(16)]
+				}
+			}
+		}
+		var ctgs []*CtgWithReads
+		for id := 0; id < 2+rng.Intn(5); id++ {
+			genome := make([]byte, 250+rng.Intn(250))
+			for i := range genome {
+				genome[i] = dna.Alphabet[rng.Intn(4)]
+			}
+			lo := 60 + rng.Intn(60)
+			hi := len(genome) - 60 - rng.Intn(60)
+			if shape == 1 {
+				genome[hi-1] = 'N'
+			}
+			c := &CtgWithReads{ID: int64(id), Seq: append([]byte(nil), genome[lo:hi]...)}
+			impure(c.Seq)
+			readLen := cfg.MaxMer + rng.Intn(150-cfg.MaxMer+1)
+			for pos := 0; pos+readLen <= len(genome); pos += 5 + rng.Intn(20) {
+				r := readFromString(string(genome[pos : pos+readLen]))
+				impure(r.Seq)
+				for i := range r.Qual {
+					r.Qual[i] = dna.QualChar(rng.Intn(dna.MaxQual + 1))
+				}
+				switch {
+				case pos+readLen > hi && pos < hi:
+					c.RightReads = append(c.RightReads, r)
+				case pos < lo && pos+readLen > lo:
+					c.LeftReads = append(c.LeftReads, r)
+				}
+			}
+			if shape == 2 && len(c.RightReads) > 0 {
+				lc := c.RightReads[0].Clone()
+				lc.Seq = bytes.ToLower(lc.Seq)
+				c.RightReads = append(c.RightReads, lc)
+			}
+			ctgs = append(ctgs, c)
+		}
+
+		cpu, err := RunCPU(ctgs, cfg, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		budget := int64(0)
+		for _, left := range []bool{false, true} {
+			for _, it := range buildSideItems(ctgs, &cfg, left) {
+				budget = max(budget, planItem(it, &cfg).bytes())
+			}
+		}
+		for _, v2 := range []bool{false, true} {
+			dev := testDev()
+			d, err := NewDriver(dev, GPUConfig{Config: cfg, WarpPerTable: v2, MemBudget: 3 * budget})
+			if err != nil {
+				t.Fatal(err)
+			}
+			gpu, err := d.Run(ctgs)
+			dev.Close()
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := range ctgs {
+				c, g := cpu.Results[i], gpu.Results[i]
+				if c.ID != g.ID || !bytes.Equal(c.LeftExt, g.LeftExt) || !bytes.Equal(c.RightExt, g.RightExt) ||
+					c.LeftState != g.LeftState || c.RightState != g.RightState || c.Iters != g.Iters {
+					t.Fatalf("v2=%v contig %d:\n cpu %+v\n gpu %+v", v2, i, c, g)
+				}
+			}
+		}
+	})
+}

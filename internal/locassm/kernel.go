@@ -10,6 +10,7 @@ import (
 
 // batchDev holds the device base addresses of one staged batch's arenas.
 type batchDev struct {
+	packBase simt.Ptr
 	seqBase  simt.Ptr
 	qualBase simt.Ptr
 	tables   simt.Ptr
@@ -74,6 +75,7 @@ func extensionKernelV2(plan *batchPlan, dev batchDev, cfg *Config, errs []error)
 				Base:     dev.tables + simt.Ptr(p.tableOff),
 				Capacity: uint64(p.tableSlots),
 				SeqBase:  dev.seqBase,
+				PackBase: dev.packBase,
 				K:        mer,
 			}
 			vis := gpuht.Visited{
@@ -127,29 +129,31 @@ func extensionKernelV2(plan *batchPlan, dev batchDev, cfg *Config, errs []error)
 }
 
 // buildTableV2 implements Algorithm 1 warp-cooperatively: the warp's lanes
-// map to contiguous k-mers of each candidate read (Fig 7) so the key
-// gathers coalesce, and all 32 threads participate in table construction
-// (Fig 5).
+// map to contiguous k-mers of each candidate read (Fig 7), so one segment
+// load serves all 32 keys, and all 32 threads participate in table
+// construction (Fig 5).
 func buildTableV2(w *simt.Warp, table gpuht.Table, p *itemPlan, dev batchDev, cfg *Config) error {
 	// Per-chunk loop bookkeeping runs under the full mask regardless of the
 	// chunk's active lanes, so it batches into one ExecN per call.
 	k := table.K
 	chunks := 0
 	var keyOffs, extBases simt.Vec
+	var own gpuht.Keys
 	for ri := range p.item.reads {
 		rlen := len(p.item.reads[ri].Seq)
 		nk := rlen - k + 1
 		if nk <= 0 {
 			continue
 		}
-		readOff := uint64(p.readOffs[ri])
+		keyOff, readOff := uint64(p.keyOffs[ri]), uint64(p.readOffs[ri])
 		for start := 0; start < nk; start += simt.WarpSize {
 			mask := simt.PrefixMask(nk - start)
 			for lane := 0; lane < simt.WarpSize && start+lane < nk; lane++ {
-				keyOffs[lane] = readOff + uint64(start+lane)
+				keyOffs[lane] = keyOff + uint64(start+lane)
 			}
-			hiq := loadExtEvidence(w, mask, start, k, rlen, readOff, dev, cfg, &extBases)
-			if err := table.InsertBatch(w, mask, &keyOffs, &extBases, hiq); err != nil {
+			table.LoadKeys(w, mask, &keyOffs, &own)
+			hiq := loadExtEvidence(w, mask, start, k, rlen, keyOff, readOff, &own, dev, cfg, &extBases)
+			if err := table.InsertKeys(w, mask, &own, &keyOffs, &extBases, hiq); err != nil {
 				w.ExecN(simt.ICtrl, simt.FullMask, chunks)
 				return err
 			}
@@ -160,13 +164,14 @@ func buildTableV2(w *simt.Warp, table gpuht.Table, p *itemPlan, dev batchDev, cf
 	return nil
 }
 
-// loadExtEvidence loads, for the k-mers at positions start, start+1, … of a
+// loadExtEvidence finds, for the k-mers at positions start, start+1, … of a
 // read (one per active lane; mask is a lane prefix), the following base and
-// its quality from the device arenas, writing the active lanes' 2-bit
-// extension codes (NoExt for read-suffix k-mers or ambiguous bases) to
-// extBases and returning the high-quality lane mask. Consecutive lanes read
-// consecutive bytes, so both loads are lane-strided by one.
-func loadExtEvidence(w *simt.Warp, mask simt.Mask, start, k, rlen int, readOff uint64, dev batchDev, cfg *Config, extBases *simt.Vec) simt.Mask {
+// its quality, writing the active lanes' 2-bit extension codes (NoExt for
+// read-suffix k-mers or ambiguous bases) to extBases and returning the
+// high-quality lane mask. A packed read's next bases came with its key
+// segment (own.Next); a raw read's are loaded. Consecutive lanes read
+// consecutive bytes, so the loads are lane-strided by one.
+func loadExtEvidence(w *simt.Warp, mask simt.Mask, start, k, rlen int, keyOff, readOff uint64, own *gpuht.Keys, dev batchDev, cfg *Config, extBases *simt.Vec) simt.Mask {
 	var hiq simt.Mask
 	for m := uint32(mask); m != 0; m &= m - 1 {
 		extBases[bits.TrailingZeros32(m)] = gpuht.NoExt
@@ -178,14 +183,20 @@ func loadExtEvidence(w *simt.Warp, mask simt.Mask, start, k, rlen int, readOff u
 	if hasExt == 0 {
 		return hiq
 	}
-	next := readOff + uint64(start+k) // arena offset of lane 0's following base
+	next := uint64(start + k) // read offset of lane 0's following base
+	packed := keyOff&gpuht.Packed != 0
 	var baseBytes, qualBytes simt.Vec
-	w.LoadGlobalStrided(hasExt, uint64(dev.seqBase)+next, 1, 1, &baseBytes)
-	w.LoadGlobalStrided(hasExt, uint64(dev.qualBase)+next, 1, 1, &qualBytes)
+	if !packed {
+		w.LoadGlobalStrided(hasExt, uint64(dev.seqBase)+keyOff+next, 1, 1, &baseBytes)
+	}
+	w.LoadGlobalStrided(hasExt, uint64(dev.qualBase)+readOff+next, 1, 1, &qualBytes)
 	w.ExecN(simt.IInt, hasExt, 2) // code conversion + quality compare
 	for m := uint32(hasExt); m != 0; m &= m - 1 {
 		lane := bits.TrailingZeros32(m)
-		c, ok := dna.Code(byte(baseBytes[lane]))
+		c, ok := byte(own.Next[lane]), true
+		if !packed {
+			c, ok = dna.Code(byte(baseBytes[lane]))
+		}
 		if !ok {
 			continue
 		}

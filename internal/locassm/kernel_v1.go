@@ -58,7 +58,7 @@ func extensionKernelV1(plan *batchPlan, dev batchDev, cfg *Config, errs []error)
 			var tables gpuht.LaneTables
 			var vis gpuht.LaneVisited
 			var tBases, tCaps, vBases, vCaps [simt.WarpSize]uint64
-			tables.SeqBase = dev.seqBase
+			tables.SeqBase, tables.PackBase = dev.seqBase, dev.packBase
 			for lane := 0; lane < simt.WarpSize; lane++ {
 				if !iterMask.Has(lane) {
 					continue
@@ -139,8 +139,8 @@ func buildTablesV1(w *simt.Warp, mask simt.Mask, ls *[simt.WarpSize]*laneState, 
 
 	building := mask
 	for building != 0 {
-		var stepMask, hasNext simt.Mask
-		var keyOffs, seqAddrs, qualAddrs simt.Vec
+		var stepMask, hasNext, raw simt.Mask
+		var keyOffs, seqAddrs, qualAddrs, nextPos simt.Vec
 		for lane := 0; lane < simt.WarpSize; lane++ {
 			if !building.Has(lane) {
 				continue
@@ -151,13 +151,18 @@ func buildTablesV1(w *simt.Warp, mask simt.Mask, ls *[simt.WarpSize]*laneState, 
 			}
 			st := ls[lane]
 			stepMask |= simt.LaneMask(lane)
-			off := uint64(st.p.readOffs[cur[lane].ri]) + uint64(cur[lane].ki)
-			keyOffs[lane] = off
-			r := st.p.item.reads[cur[lane].ri]
-			if cur[lane].ki+st.mer < len(r.Seq) {
+			ri, ki := cur[lane].ri, uint64(cur[lane].ki)
+			keyOffs[lane] = uint64(st.p.keyOffs[ri]) + ki
+			if ki+uint64(st.mer) < uint64(len(st.p.item.reads[ri].Seq)) {
+				// The next base: its byte in the packed arena, or in the raw one.
 				hasNext |= simt.LaneMask(lane)
-				seqAddrs[lane] = uint64(dev.seqBase) + off + uint64(st.mer)
-				qualAddrs[lane] = uint64(dev.qualBase) + off + uint64(st.mer)
+				nextPos[lane] = uint64(st.p.readOffs[ri]) + ki + uint64(st.mer)
+				seqAddrs[lane] = uint64(dev.packBase) + nextPos[lane]/4
+				if keyOffs[lane]&gpuht.Packed == 0 {
+					raw |= simt.LaneMask(lane)
+					seqAddrs[lane] = uint64(dev.seqBase) + keyOffs[lane] + uint64(st.mer)
+				}
+				qualAddrs[lane] = uint64(dev.qualBase) + nextPos[lane]
 			}
 			cur[lane].ki++
 		}
@@ -176,7 +181,11 @@ func buildTablesV1(w *simt.Warp, mask simt.Mask, ls *[simt.WarpSize]*laneState, 
 				if !hasNext.Has(lane) {
 					continue
 				}
-				if c, ok := dna.Code(byte(baseBytes[lane])); ok {
+				c, ok := byte(baseBytes[lane]>>(2*(nextPos[lane]%4)))&3, true
+				if raw.Has(lane) {
+					c, ok = dna.Code(byte(baseBytes[lane]))
+				}
+				if ok {
 					extBases[lane] = uint64(c)
 					if dna.QualScore(byte(qualBytes[lane])) >= cfg.QualCutoff {
 						hiq |= simt.LaneMask(lane)

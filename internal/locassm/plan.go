@@ -22,8 +22,10 @@ type sideItem struct {
 type itemPlan struct {
 	item *sideItem
 
-	readOffs []uint32 // per-read offset in the seq/qual arenas
-	seqBytes int64
+	readOffs []uint32 // per-read offset in bases: in the packed and qual arenas
+	keyOffs  []uint32 // per-read key offset of its first k-mer (gpuht.Packed, or the raw arena's)
+	bases    int64
+	rawBytes int64 // bytes of the reads packing would lose, staged raw
 
 	tableSlots   int
 	visitedSlots int
@@ -43,7 +45,8 @@ type itemPlan struct {
 type batchPlan struct {
 	items []*itemPlan
 
-	seqArena   int64 // bytes of read sequence (shared arena)
+	packArena  int64 // 2-bit packed reads, in whole words
+	seqArena   int64 // raw bytes of the reads that are not dna.Packable
 	qualArena  int64
 	tableArena int64
 	visArena   int64
@@ -56,12 +59,17 @@ func planItem(it *sideItem, cfg *Config) *itemPlan {
 	p := &itemPlan{item: it}
 	maxLen := 0
 	p.readOffs = make([]uint32, len(it.reads))
+	p.keyOffs = make([]uint32, len(it.reads))
 	for i := range it.reads {
-		p.readOffs[i] = uint32(p.seqBytes)
-		p.seqBytes += int64(len(it.reads[i].Seq))
-		if len(it.reads[i].Seq) > maxLen {
-			maxLen = len(it.reads[i].Seq)
+		seq := it.reads[i].Seq
+		p.readOffs[i] = uint32(p.bases)
+		p.keyOffs[i] = gpuht.Packed | uint32(p.bases)
+		if !dna.Packable(seq) {
+			p.keyOffs[i] = uint32(p.rawBytes)
+			p.rawBytes += int64(len(seq))
 		}
+		p.bases += int64(len(seq))
+		maxLen = max(maxLen, len(seq))
 	}
 	// §3.2: l·r slots rather than (l−k+1)·r caps the load factor at
 	// (l−k+1)/l ≈ 0.93 while avoiding per-k resizing.
@@ -72,7 +80,7 @@ func planItem(it *sideItem, cfg *Config) *itemPlan {
 }
 
 func (p *itemPlan) bytes() int64 {
-	return p.seqBytes*2 + // seq + qual
+	return (p.bases+3)/4 + p.bases + p.rawBytes + // packed + qual + raw
 		gpuht.Bytes(p.tableSlots) +
 		gpuht.VisitedBytes(p.visitedSlots) +
 		int64(p.walkBytes) +
@@ -108,23 +116,31 @@ func packBatches(items []*sideItem, cfg *Config, budget int64) ([]*batchPlan, er
 	return batches, nil
 }
 
-// layoutBatch assigns arena-relative offsets. Each arena is padded by 8
-// bytes so vector gathers may over-read safely.
+// layoutBatch assigns arena-relative offsets. Each byte arena is padded by
+// 8 bytes and the packed one by a word, so vector gathers may over-read
+// safely.
 func layoutBatch(b *batchPlan) {
-	var seq, table, vis, walk, out int64
+	var bases, raw, table, vis, walk, out int64
 	for _, p := range b.items {
 		for i := range p.readOffs {
-			p.readOffs[i] += uint32(seq)
+			p.readOffs[i] += uint32(bases)
+			if p.keyOffs[i]&gpuht.Packed != 0 {
+				p.keyOffs[i] += uint32(bases)
+			} else {
+				p.keyOffs[i] += uint32(raw)
+			}
 		}
 		p.tableOff, p.visitedOff, p.walkOff, p.outOff = table, vis, walk, out
-		seq += p.seqBytes
+		bases += p.bases
+		raw += p.rawBytes
 		table += gpuht.Bytes(p.tableSlots)
 		vis += gpuht.VisitedBytes(p.visitedSlots)
 		walk += int64(p.walkBytes)
 		out += outStride
 	}
-	b.seqArena = seq + 8
-	b.qualArena = seq + 8
+	b.packArena = 8 * ((bases+31)/32 + 1)
+	b.seqArena = raw + 8
+	b.qualArena = bases + 8
 	b.tableArena = table
 	b.visArena = vis
 	b.walkArena = walk + 8

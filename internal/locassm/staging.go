@@ -6,12 +6,14 @@ import (
 	"time"
 
 	"mhm2sim/internal/dna"
+	"mhm2sim/internal/gpuht"
 	"mhm2sim/internal/simt"
 )
 
 // This file is the staging half of the pipelined driver: each batch's
-// reads, qualities, and walk-buffer tails are packed into one reusable
-// host arena and shipped with a single MemcpyHtoD per arena (and the
+// reads (2-bit packed, dna.Pack2Bit, save the few packing would lose,
+// which go raw), qualities, and walk-buffer tails are staged into one
+// reusable host arena and shipped with a single MemcpyHtoD per arena (and the
 // outputs come back in one bulk MemcpyDtoH), replacing the per-read copies
 // of the original driver — the Go analogue of the paper's flat §3.2
 // allocation crossing PCIe as one transfer.
@@ -21,10 +23,10 @@ import (
 // have returned.
 func align64(n int64) int64 { return (n + 63) &^ 63 }
 
-// deviceBytes is the batch's device footprint when its six arenas are
+// deviceBytes is the batch's device footprint when its seven arenas are
 // packed back-to-back at 64-byte alignment inside one slab region.
 func (b *batchPlan) deviceBytes() int64 {
-	return align64(b.seqArena) + align64(b.qualArena) + align64(b.tableArena) +
+	return align64(b.packArena) + align64(b.seqArena) + align64(b.qualArena) + align64(b.tableArena) +
 		align64(b.visArena) + align64(b.walkArena) + align64(b.outArena)
 }
 
@@ -37,6 +39,7 @@ func (b *batchPlan) bases(base simt.Ptr) batchDev {
 		p += simt.Ptr(align64(n))
 		return cur
 	}
+	dev.packBase = next(b.packArena)
 	dev.seqBase = next(b.seqArena)
 	dev.qualBase = next(b.qualArena)
 	dev.tables = next(b.tableArena)
@@ -49,8 +52,9 @@ func (b *batchPlan) bases(base simt.Ptr) batchDev {
 // hostArena is one batch's pinned-host-style staging buffers, pooled
 // across batches and sides so steady state allocates nothing per batch.
 type hostArena struct {
-	seq   []byte // read bases, at their arena offsets
-	qual  []byte // read qualities, same offsets
+	pack  []byte // packed read bases, at their base offsets
+	seq   []byte // raw read bases of the reads packing would lose
+	qual  []byte // read qualities, at their base offsets
 	walks []byte // walk-buffer image: zeroes with each item's tail in place
 	outs  []byte // output records read back in one copy
 }
@@ -66,26 +70,29 @@ func grownTo(b []byte, n int) []byte {
 	return b[:n]
 }
 
-// stage packs one batch into the arena: sequences and qualities at their
+// stage fills the arena with one batch: sequences and qualities at their
 // planned offsets, and a zeroed walk image holding each item's contig
-// tail. Zeroing the walk image keeps device memory content independent of
-// whatever batch previously occupied the slab.
+// tail. Zeroing the packed and walk images keeps device memory content
+// independent of whatever batch previously occupied the slab.
 func (a *hostArena) stage(b *batchPlan) {
-	seqLen := int(b.seqArena - 8) // content bytes; the +8 is gather slack
-	a.seq = grownTo(a.seq, seqLen)
-	a.qual = grownTo(a.qual, seqLen)
-	walkLen := int(b.walkArena - 8)
-	a.walks = grownTo(a.walks, walkLen)
-	for i := range a.walks {
-		a.walks[i] = 0
-	}
+	a.pack = grownTo(a.pack, int(b.packArena))
+	clear(a.pack)
+	a.seq = grownTo(a.seq, int(b.seqArena-8)) // content bytes; the +8 is gather slack
+	a.qual = grownTo(a.qual, int(b.qualArena-8))
+	a.walks = grownTo(a.walks, int(b.walkArena-8))
+	clear(a.walks)
 	n := len(b.items)
 	a.outs = grownTo(a.outs, (n-1)*outStride+6)
 
 	for _, p := range b.items {
 		for ri := range p.item.reads {
-			copy(a.seq[p.readOffs[ri]:], p.item.reads[ri].Seq)
-			copy(a.qual[p.readOffs[ri]:], p.item.reads[ri].Qual)
+			r := &p.item.reads[ri]
+			if key := p.keyOffs[ri]; key&gpuht.Packed == 0 {
+				copy(a.seq[key:], r.Seq)
+			} else {
+				dna.Pack2Bit(a.pack, int(p.readOffs[ri]), r.Seq)
+			}
+			copy(a.qual[p.readOffs[ri]:], r.Qual)
 		}
 		copy(a.walks[p.walkOff:], p.item.tail)
 	}
@@ -119,6 +126,7 @@ func (d *Driver) launchBatch(stream *simt.Stream, slab simt.Ptr, left bool, batc
 		}
 	}
 	bases := batch.bases(slab)
+	stream.MemcpyHtoD(bases.packBase, arena.pack)
 	stream.MemcpyHtoD(bases.seqBase, arena.seq)
 	stream.MemcpyHtoD(bases.qualBase, arena.qual)
 	stream.MemcpyHtoD(bases.walks, arena.walks)

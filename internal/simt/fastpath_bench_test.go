@@ -64,7 +64,7 @@ func BenchmarkCoalesce(b *testing.B) {
 }
 
 // BenchmarkLoadGlobalContiguous measures the full-warp contiguous 8-byte
-// load — the key-block gather pattern (gpuht hashKmers) that dominates table builds.
+// load — the raw key-block gather pattern (gpuht loadRaw, hashBytes).
 func BenchmarkLoadGlobalContiguous(b *testing.B) {
 	var addrs Vec
 	for lane := 0; lane < WarpSize; lane++ {
@@ -197,7 +197,7 @@ func BenchmarkFill(b *testing.B) {
 // BenchmarkLoadStrided measures the 8-byte key-block load of consecutive
 // k-mers (lane l at base+l) through LoadGlobal on an address vector and
 // through LoadGlobalStrided, on the full warp and on a sparse mask (the
-// lanes still comparing in keysEqual).
+// lanes still comparing in gpuht.bytesEqual).
 func BenchmarkLoadStrided(b *testing.B) {
 	for _, c := range []struct {
 		name string
