@@ -110,9 +110,10 @@ func Count(seqs [][]byte, cfg Config) (*Table, error) {
 // low half of the k-mer's hash (what the owner probes from, so it is
 // computed once per occurrence) with the left and right adjacent bases in
 // the three bits above it and the three above those (0 when absent or
-// ambiguous, else 2-bit code + 1), then the key words.
+// ambiguous, else 2-bit code + 1), then the key words. A record is appended
+// five words wide, the most it has, and the bin cut back to its stride.
 func (t *Table) scan(seq []byte, bins [][]uint64) {
-	k := t.K
+	k, stride := t.K, 1+t.words
 	sc := kmer.NewScanner(k)
 	for i, b := range seq {
 		if !sc.Push(b) {
@@ -136,9 +137,10 @@ func (t *Table) scan(seq []byte, bins [][]uint64) {
 			// (code^3)+1 = 5−(code+1), and 0 (absent) to 0.
 			left, right = (5-right)%5, (5-left)%5
 		}
-		h := canon.HashK(k, 0)
-		o := t.owner(h)
-		bins[o] = append(append(bins[o], h&0xffffffff|left<<32|right<<35), canon.W[:t.words]...)
+		h := kmer.HashWords(canon.W[:t.words], 0)
+		o, w := t.owner(h), &canon.W
+		b := bins[o]
+		bins[o] = append(b, h&0xffffffff|left<<32|right<<35, w[0], w[1], w[2], w[3])[:len(b)+stride]
 	}
 }
 

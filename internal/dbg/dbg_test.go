@@ -2,6 +2,7 @@ package dbg
 
 import (
 	"bytes"
+	"fmt"
 	"math/rand"
 	"reflect"
 	"strings"
@@ -267,11 +268,16 @@ func TestWorkersConsistency(t *testing.T) {
 	}
 }
 
-func BenchmarkCountK21(b *testing.B) {
+func BenchmarkCountK21(b *testing.B) { benchCount(b, 21) }
+
+// BenchmarkCountK55 counts two-word keys, the widest of the default rounds.
+func BenchmarkCountK55(b *testing.B) { benchCount(b, 55) }
+
+func benchCount(b *testing.B, k int) {
 	rng := rand.New(rand.NewSource(1))
 	g := randGenome(rng, 5000)
 	reads := tile(g, 150, 10)
-	c := cfg(21)
+	c := cfg(k)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := Count(reads, c); err != nil {
@@ -281,16 +287,30 @@ func BenchmarkCountK21(b *testing.B) {
 }
 
 func BenchmarkTraverse(b *testing.B) {
-	rng := rand.New(rand.NewSource(2))
-	g := randGenome(rng, 5000)
-	reads := tile(g, 150, 10)
-	c := cfg(21)
-	tab, _ := Count(reads, c)
-	tab.Filter(2)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		tab.Contigs(c)
+	for _, k := range []int{21, 55} {
+		b.Run(fmt.Sprintf("k=%d", k), func(b *testing.B) {
+			rng := rand.New(rand.NewSource(2))
+			g := randGenome(rng, 5000)
+			reads := tile(g, 150, 10)
+			c := cfg(k)
+			tab, _ := Count(reads, c)
+			tab.Filter(2)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				tab.Contigs(c)
+			}
+		})
 	}
+}
+
+// sorted returns every k-mer of the table, located, in Contigs' start order.
+func (t *Table) sorted() []cursor {
+	var cs []cursor
+	for _, s := range t.startOrder() {
+		p, i := &t.parts[s.slot>>32], int(uint32(s.slot))
+		cs = append(cs, cursor{km: p.kmerAt(i), part: int(s.slot >> 32), idx: i, info: &p.info[i], isSelf: true})
+	}
+	return cs
 }
 
 func mustKmer(s string) kmer.Kmer {

@@ -1,10 +1,11 @@
 package dbg
 
 import (
+	"cmp"
 	"slices"
-	"sort"
 
 	"mhm2sim/internal/kmer"
+	"mhm2sim/internal/par"
 )
 
 // A partition is grown (doubled) by the insert that would take it past
@@ -32,10 +33,10 @@ type Table struct {
 }
 
 type partition struct {
-	k, words int
-	keys     []uint64 // words per slot; all zero in an empty slot
-	info     []Info   // Count == 0 marks an empty slot
-	n        int      // occupied slots
+	words int
+	keys  []uint64 // words per slot; all zero in an empty slot
+	info  []Info   // Count == 0 marks an empty slot
+	n     int      // occupied slots
 }
 
 // slotsFor returns the capacity that holds n k-mers at the load bound, with
@@ -46,7 +47,7 @@ func slotsFor(n int) int { return n*maxLoadDen/maxLoadNum + 1 }
 func newTable(k, parts, distinct int) *Table {
 	t := &Table{K: k, words: (k + 31) / 32, parts: make([]partition, parts)}
 	for i := range t.parts {
-		t.parts[i] = partition{k: k, words: t.words}
+		t.parts[i] = partition{words: t.words}
 		t.parts[i].rebuild(slotsFor(distinct/parts), 1)
 	}
 	return t
@@ -120,8 +121,11 @@ func (t *Table) locate(km kmer.Kmer) (cursor, bool) {
 func (p *partition) find(key []uint64, h uint32) (int, bool) {
 	w := p.words
 	for i := int(uint64(h) * uint64(len(p.info)) >> 32); ; {
-		slot := p.keys[i*w : i*w+w]
-		if slices.Equal(slot, key) {
+		slot, j := p.keyAt(i), 0
+		for j < w && slot[j] == key[j] {
+			j++
+		}
+		if j == w {
 			// Equal keys on an empty slot: key is all 'A' and unseen.
 			return i, p.info[i].Count != 0
 		}
@@ -150,10 +154,13 @@ func (p *partition) upsert(key []uint64, h uint32) *Info {
 	return &p.info[i]
 }
 
+// keyAt returns the key words of slot i.
+func (p *partition) keyAt(i int) []uint64 { return p.keys[i*p.words:][:p.words] }
+
 // kmerAt unpacks the key of slot i.
 func (p *partition) kmerAt(i int) kmer.Kmer {
 	var km kmer.Kmer
-	copy(km.W[:], p.keys[i*p.words:(i+1)*p.words])
+	copy(km.W[:], p.keyAt(i))
 	return km
 }
 
@@ -165,8 +172,8 @@ func (p *partition) rebuild(capacity int, minCount uint32) {
 	p.keys, p.info, p.n = make([]uint64, capacity*p.words), make([]Info, capacity), 0
 	for i := range old.info {
 		if old.info[i].Count >= minCount {
-			km := old.kmerAt(i)
-			*p.upsert(km.W[:p.words], uint32(km.HashK(p.k, 0))) = old.info[i]
+			key := old.keyAt(i)
+			*p.upsert(key, uint32(kmer.HashWords(key, 0))) = old.info[i]
 		}
 	}
 }
@@ -175,11 +182,12 @@ func (p *partition) rebuild(capacity int, minCount uint32) {
 // the singleton-error filter of the k-mer analysis stage. Each partition
 // is rebuilt from its survivors at the load bound, which is also what
 // shrinks the table (four to six times on error-rich reads) before
-// traversal.
+// traversal. Partitions are rebuilt concurrently, each by one goroutine, as
+// Count's drain already treats them as owned.
 func (t *Table) Filter(minCount uint32) int {
 	minCount = max(minCount, 1)
-	dropped := 0
-	for i := range t.parts {
+	before := t.Len()
+	par.ForEach(len(t.parts), len(t.parts), func(i int) {
 		p := &t.parts[i]
 		keep := 0
 		for j := range p.info {
@@ -187,23 +195,34 @@ func (t *Table) Filter(minCount uint32) int {
 				keep++
 			}
 		}
-		dropped += p.n - keep
 		p.rebuild(slotsFor(keep), minCount)
-	}
-	return dropped
+	})
+	return before - t.Len()
 }
 
-// sorted returns every k-mer of the table in lexicographic order.
-func (t *Table) sorted() []cursor {
-	cs := make([]cursor, 0, t.Len())
+// startSlot is a k-mer's place in the start order: its key's first word
+// and its slot, partition<<32 | index.
+type startSlot struct{ w0, slot uint64 }
+
+// startOrder returns every occupied slot in the lexicographic order of the
+// k-mers they hold. Keys that share a first word (only when K > 32) are
+// ordered by their other words, read from the table.
+func (t *Table) startOrder() []startSlot {
+	order := make([]startSlot, 0, t.Len())
 	for pi := range t.parts {
 		p := &t.parts[pi]
 		for i := range p.info {
 			if p.info[i].Count != 0 {
-				cs = append(cs, cursor{km: p.kmerAt(i), part: pi, idx: i, info: &p.info[i], isSelf: true})
+				order = append(order, startSlot{p.keys[i*p.words], uint64(pi)<<32 | uint64(i)})
 			}
 		}
 	}
-	sort.Slice(cs, func(i, j int) bool { return cs[i].km.Less(cs[j].km) })
-	return cs
+	key := func(s startSlot) []uint64 { return t.parts[s.slot>>32].keyAt(int(uint32(s.slot))) }
+	slices.SortFunc(order, func(a, b startSlot) int {
+		if a.w0 != b.w0 || t.words == 1 {
+			return cmp.Compare(a.w0, b.w0)
+		}
+		return slices.Compare(key(a), key(b))
+	})
+	return order
 }

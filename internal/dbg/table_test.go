@@ -73,12 +73,14 @@ func checkTableMatchesMapRef(t *testing.T, reads [][]byte, k int, minCount uint3
 
 // FuzzTableMatchesMapRef differentially checks the owner-partitioned flat
 // table against the map implementation it replaced (mapref_test.go).
+// Its seeds select each k of ks once: one to four key words, both sides of
+// every word boundary.
 func FuzzTableMatchesMapRef(f *testing.F) {
-	for seed, k := range []uint8{4, 21, 32, 33, 55, 64, 65, 128} {
-		f.Add(int64(seed), k, uint8(seed), uint8(seed), uint16(300), uint8(40), uint8(seed*3))
+	ks := []int{4, 21, 32, 33, 55, 64, 65, 96, 97, 128}
+	for seed := range ks {
+		f.Add(int64(seed), uint8(seed), uint8(seed), uint8(seed), uint16(300), uint8(40), uint8(seed*3))
 	}
 	f.Fuzz(func(t *testing.T, seed int64, kSel, minSel, workerSel uint8, genomeLen uint16, nReads, ambig uint8) {
-		ks := []int{4, 21, 32, 33, 55, 64, 65, 128}
 		k := ks[int(kSel)%len(ks)]
 		minCount := uint32(minSel%3) + 1
 		workers := []int{1, 2, 3, 8}[workerSel%4]
@@ -86,6 +88,26 @@ func FuzzTableMatchesMapRef(f *testing.F) {
 		reads := fuzzReads(rng, int(genomeLen%2048), int(nReads), k+rng.Intn(2*k), int(ambig%32))
 		checkTableMatchesMapRef(t, reads, k, minCount, workers)
 	})
+}
+
+// TestKeysSharingFirstWord gives every read the same first 32 bases, 16 of
+// them A so that each read's first k-mer is canonical as read and the
+// smallest of its path: keys that differ only past their first word must
+// not meet in a probe, and the start order, which IDs the contigs, must
+// rank them by their later words.
+func TestKeysSharingFirstWord(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	prefix := append(bytes.Repeat([]byte("A"), 16), randGenome(rng, 16)...)
+	for _, k := range []int{33, 55, 97} {
+		var reads [][]byte
+		for i := 0; i < 40; i++ {
+			r := append(append([]byte(nil), prefix...), randGenome(rng, 2*k)...)
+			reads = append(reads, r, r)
+		}
+		for _, workers := range []int{1, 3} {
+			checkTableMatchesMapRef(t, reads, k, 2, workers)
+		}
+	}
 }
 
 // mapRefAllocBytes is what the map implementation (mapref_test.go) allocates

@@ -66,10 +66,12 @@ func (t *Table) Contigs(cfg Config) []Contig {
 	var out []Contig
 	var id int64
 
-	for _, start := range t.sorted() {
-		if seen[start.part][start.idx] {
+	for _, s := range t.startOrder() {
+		pi, i := int(s.slot>>32), int(uint32(s.slot))
+		if seen[pi][i] {
 			continue
 		}
+		start := cursor{km: t.parts[pi].kmerAt(i), part: pi, idx: i, info: &t.parts[pi].info[i], isSelf: true}
 		seq, counts, n := t.walkBothWays(start, cfg.MinCount, seen)
 		if len(seq) < minCtg {
 			continue

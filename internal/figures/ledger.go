@@ -2,6 +2,7 @@ package figures
 
 import (
 	"context"
+	"crypto/sha256"
 	"encoding/json"
 	"fmt"
 	"slices"
@@ -22,9 +23,11 @@ var hostClocks = []string{"stages_ns", "total_ns", "component_pass_ns"}
 
 // Ledger renders the exact ledger (DESIGN.md §4): one sorted "name value
 // clock workload" line per modeled number of m's runs, of CI's soil budget
-// count and of CI's chaos smoke, each source marshalled as it is.
+// count and of CI's chaos smoke, each source marshalled as it is, and the
+// digest of each of those four assemblies' FASTA.
 func Ledger(m Measured) (string, error) {
-	var runs [2]*report.Report
+	var runs [2]*pipeline.Result
+	var reps [2]*report.Report
 	for i, spec := range []service.JobSpec{
 		{Preset: "soil", Rounds: []int{21}, MemBudget: 128 << 20},
 		{Engine: locassm.EngineDist, Ranks: 8, Rounds: []int{21, 33}, Faults: "rank-crash=1,oom=2", FaultSeed: 42},
@@ -37,7 +40,7 @@ func Ledger(m Measured) (string, error) {
 		if err != nil {
 			return "", err
 		}
-		runs[i] = report.Build(res, rep)
+		runs[i], reps[i] = res, report.Build(res, rep)
 	}
 	// Fig 12's other stages split the host's wall times; its local assembly is the model's.
 	cpu2, gpu2, f2, err := twoNode(m.Model, m.Arctic.Timings)
@@ -50,8 +53,12 @@ func Ledger(m Measured) (string, error) {
 	l.roofline(m.Roofline, "arcticsynth:last-dump")
 	l.add("arctic", "arcticsynth", report.Build(m.Arctic, nil))
 	l.add("wa", "WA", report.Build(m.WA, nil))
-	l.add("soil", "soil:k21:mem-budget=128MiB", runs[0])
-	l.add("chaos", "arcticsynth:k21,33:dist8-gpu:rank-crash=1,oom=2:seed42", runs[1])
+	l.add("soil", "soil:k21:mem-budget=128MiB", reps[0])
+	l.add("chaos", "arcticsynth:k21,33:dist8-gpu:rank-crash=1,oom=2:seed42", reps[1])
+	l.fasta("arctic", "arcticsynth", m.Arctic)
+	l.fasta("wa", "WA", m.WA)
+	l.fasta("soil", "soil:k21:mem-budget=128MiB", runs[0])
+	l.fasta("chaos", "arcticsynth:k21,33:dist8-gpu:rank-crash=1,oom=2:seed42", runs[1])
 	l.add("cluster", wa, struct{ F64, Scale float64 }{m.F64, m.Scale})
 	l.add("cluster.model", wa, m.Model)
 	l.add("cluster.la", wa, m.Model.LAScaling(ScalingNodes, m.F64))
@@ -100,6 +107,16 @@ func (l *ledger) add(name, workload string, v any) {
 		l.err = fmt.Errorf("ledger %s: %w", name, err)
 	}
 	l.lines = flatten(l.lines, name, workload, tree)
+}
+
+// fasta adds the sha-256 of res's assembly as mhm2sim -out writes it: the
+// bytes every cmp in CI compares, pinned outright.
+func (l *ledger) fasta(name, workload string, res *pipeline.Result) {
+	h := sha256.New()
+	if err := pipeline.WriteFASTAOutputs(h, res); err != nil && l.err == nil {
+		l.err = fmt.Errorf("ledger %s: %w", name, err)
+	}
+	l.lines = append(l.lines, fmt.Sprintf("%s.fasta_sha256 %x count %s", name, h.Sum(nil), workload))
 }
 
 // render sorts the lines: by name, as a space sorts below a name's characters.

@@ -361,8 +361,8 @@ func canonBatch(w *simt.Warp, b *warpBatch, seq []byte, readOff, start int, seqB
 		if !b.sc.Push(byte(loaded[lane] >> sh)) {
 			continue
 		}
-		var isSelf bool
-		b.keys[lane], isSelf = b.sc.Canonical()
+		canon, isSelf := b.sc.Canonical()
+		b.keys[lane] = *canon
 		left, right := -1, -1
 		if leftMask.Has(lane) {
 			if c, ok := dna.Code(byte(leftBytes[lane])); ok {
