@@ -2,6 +2,7 @@ package kmer
 
 import (
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -119,8 +120,9 @@ func TestLessMatchesLexicographic(t *testing.T) {
 		ka, _ := FromBytes(a, k)
 		kb, _ := FromBytes(b, k)
 		want := string(a) < string(b)
-		if got := ka.Less(kb); got != want {
-			t.Fatalf("k=%d: Less(%q,%q)=%v want %v", k, a, b, got, want)
+		last, _ := lastSlot(k)
+		if got := ka.less(&kb, last); got != want {
+			t.Fatalf("k=%d: less(%q,%q)=%v want %v", k, a, b, got, want)
 		}
 	}
 }
@@ -139,7 +141,7 @@ func TestCanonicalProperties(t *testing.T) {
 		if isSelf && canon != km {
 			t.Fatalf("isSelf=true but canon differs")
 		}
-		if canon.RevComp(k).Less(canon) {
+		if rc := canon.RevComp(k); slices.Compare(rc.W[:], canon.W[:]) < 0 {
 			t.Fatalf("canonical form is not minimal")
 		}
 	}
