@@ -90,35 +90,6 @@ func BenchmarkAblationBinning(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationOverlap compares Fig 11's bin-3-first-with-CPU-overlap
-// schedule against a fully serial GPU offload.
-func BenchmarkAblationOverlap(b *testing.B) {
-	ctgs := ablationWorkload(b)
-	cfg := GPUConfig{Config: testConfigB(), WarpPerTable: true}
-	for i := 0; i < b.N; i++ {
-		dev := simt.NewDevice(simt.V100())
-		drv, err := NewDriver(dev, cfg)
-		if err != nil {
-			b.Fatal(err)
-		}
-		serial, err := drv.Run(ctgs)
-		if err != nil {
-			b.Fatal(err)
-		}
-		dev2 := simt.NewDevice(simt.V100())
-		drv2, err := NewDriver(dev2, cfg)
-		if err != nil {
-			b.Fatal(err)
-		}
-		ov, err := drv2.RunOverlapped(ctgs, DefaultCPUCost(), 42)
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(float64(serial.TotalTime().Microseconds()), "serial-us")
-		b.ReportMetric(float64(ov.ModelTime.Microseconds()), "overlap-us")
-	}
-}
-
 // BenchmarkAblationPointerKeys quantifies Fig 6: device bytes for the
 // batch's hash tables with pointer-compressed keys (4-byte offsets inside
 // 32-byte entries) versus storing the k-mer bytes in every entry.

@@ -1,13 +1,16 @@
 package locassm
 
-// Binning (§3.1): contigs are sorted into three bins by candidate-read
+// Binning (§3.1): the paper sorts contigs into three bins by candidate-read
 // count before offloading, so that warps in one kernel launch have
 // comparable work and fast contigs don't stall behind slow ones.
 //
 //	bin 1: zero reads        — returned unchanged, never offloaded
 //	bin 2: 1..SmallLimit-1   — small kernel
-//	bin 3: ≥ SmallLimit      — large kernel, launched first and overlapped
-//	                           with CPU work on bin 2 (§4.3)
+//	bin 3: ≥ SmallLimit      — large kernel
+//
+// No engine launches the bins apart: Driver.Run takes every contig with
+// reads in one unbinned schedule (DESIGN.md §1). MakeBins measures the bins
+// (Fig 3's shares) and BenchmarkAblationBinning prices not binning.
 const DefaultSmallLimit = 10
 
 // Bins holds the three §3.1 bins.

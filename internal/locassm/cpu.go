@@ -27,8 +27,8 @@ func (w *WorkCounts) Add(o WorkCounts) {
 // CPUCost assigns one core's cost, in nanoseconds per operation, to the
 // local-assembly operations (Algorithm 1 inserts, Algorithm 2 lookups and
 // steps, per-table setup). It is the one CPU cost model: the cpu engine's
-// Busy and RunOverlapped's bin-2 split use DefaultCPUCost as is, and
-// cluster.Model rescales it against the paper's 64-node anchor.
+// Busy uses DefaultCPUCost as is, and cluster.Model rescales it against the
+// paper's 64-node anchor.
 type CPUCost struct {
 	InsertNS float64 // hash + insert of one k-mer into the table
 	LookupNS float64 // one walk-step table probe
@@ -73,12 +73,6 @@ type CPUResult struct {
 // across its whole share, so steady-state extends allocate nothing.
 // Results are returned in input order.
 func RunCPU(ctgs []*CtgWithReads, cfg Config, workers int) (*CPUResult, error) {
-	return runCPU(ctgs, cfg, workers, nil)
-}
-
-// runCPU is RunCPU; a non-nil perCtg (one slot per contig) also receives
-// each contig's own work counts, which RunOverlapped replays its cutoff over.
-func runCPU(ctgs []*CtgWithReads, cfg Config, workers int, perCtg []WorkCounts) (*CPUResult, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
@@ -97,9 +91,6 @@ func runCPU(ctgs []*CtgWithReads, cfg Config, workers int, perCtg []WorkCounts) 
 			var wc WorkCounts
 			res.Results[i] = extendContigCPU(ws, ctgs[i], &cfg, &wc)
 			counts[wk].Add(wc)
-			if perCtg != nil {
-				perCtg[i] = wc
-			}
 		}
 	})
 

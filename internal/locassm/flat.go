@@ -15,7 +15,7 @@ import (
 // keys, Fig 6) ported back to the CPU the way MetaHipMer2's C++ host tables
 // work. It replaces the map[string]gpuht.Ext reference implementation
 // (kept as a test-only oracle in mapref_test.go) on every host path:
-// RunCPU, RunOverlapped's bin-2 replay, and the dist per-rank CPU drivers.
+// RunCPU, the cpu engine, and the dist per-rank CPU drivers.
 //
 // Three structures make the engine allocation-free in steady state:
 //

@@ -53,6 +53,35 @@ func TestResplitRecoversAndMatches(t *testing.T) {
 	}
 }
 
+// TestResplitLastLaunchAccounted: aborting a run's last launch costs exactly
+// one re-split and one extra launch (its two halves), and the run's
+// accounting counts both.
+func TestResplitLastLaunchAccounted(t *testing.T) {
+	ctgs := randomWorkload(rand.New(rand.NewSource(14)), 12)
+	drv := newTestDriver(t, true, 0)
+	clean, err := drv.Run(ctgs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var launches atomic.Int32
+	drv.Cfg.FaultHook = func() error {
+		if int(launches.Add(1)) == len(clean.Kernels) {
+			return fmt.Errorf("injected: %w", gpuht.ErrTableFull)
+		}
+		return nil
+	}
+	faulted, err := drv.Run(ctgs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if clean.Resplits != 0 || faulted.Resplits != 1 {
+		t.Errorf("re-splits: clean %d, last launch aborted %d; want 0, 1", clean.Resplits, faulted.Resplits)
+	}
+	if got, want := len(faulted.Kernels), len(clean.Kernels)+1; got != want {
+		t.Errorf("aborted launch re-ran as %d launches in all, want %d", got, want)
+	}
+}
+
 // TestResplitSurrendersWhenExhausted: a hook that fails every launch must
 // make the driver give up with the underlying fault preserved, not loop
 // forever.

@@ -22,10 +22,7 @@ func TestSchedulerMemBudgetJob(t *testing.T) {
 	ref := standaloneOutput(t, spec)
 
 	dataDir := t.TempDir()
-	s, err := New(Config{DataDir: dataDir, Workers: 1, QueueDepth: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
+	s := newScheduler(t, Config{DataDir: dataDir, Workers: 1, QueueDepth: 4})
 	s.Start()
 	id, err := s.Submit(spec)
 	if err != nil {

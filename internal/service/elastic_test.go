@@ -89,10 +89,7 @@ func TestSchedulerElasticJob(t *testing.T) {
 	spec.Engine, spec.Ranks = "dist", 2
 	spec.Elastic = "join@r0:1"
 
-	s, err := New(Config{DataDir: t.TempDir(), Workers: 1, QueueDepth: 4, Devices: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
+	s := newScheduler(t, Config{DataDir: t.TempDir(), Workers: 1, QueueDepth: 4, Devices: 4})
 	s.Start()
 	rep := runJob(t, s, spec) // FASTA and report equal the standalone run's
 	if rep.Dist == nil || rep.Dist.Elasticity == nil {

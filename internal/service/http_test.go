@@ -36,16 +36,8 @@ func postJob(t *testing.T, srv *httptest.Server, spec JobSpec) (*http.Response, 
 // TestHTTPAPI drives the full client flow against a live scheduler:
 // submit → poll → result → contigs, plus every error-path status code.
 func TestHTTPAPI(t *testing.T) {
-	s, err := New(Config{DataDir: t.TempDir(), Workers: 2, QueueDepth: 4, TenantMaxActive: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
+	s := newScheduler(t, Config{DataDir: t.TempDir(), Workers: 2, QueueDepth: 4, TenantMaxActive: 3})
 	s.Start()
-	defer func() {
-		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-		defer cancel()
-		s.Shutdown(ctx)
-	}()
 	srv := httptest.NewServer(NewHandler(s))
 	defer srv.Close()
 
@@ -159,10 +151,7 @@ func TestHTTPAPI(t *testing.T) {
 // 429, result-before-ready as 409, cancel as 204.
 func TestHTTPBackpressure(t *testing.T) {
 	// Workers never started: jobs stay queued.
-	s, err := New(Config{DataDir: t.TempDir(), Workers: 1, QueueDepth: 3, TenantMaxActive: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
+	s := newScheduler(t, Config{DataDir: t.TempDir(), Workers: 1, QueueDepth: 3, TenantMaxActive: 2})
 	srv := httptest.NewServer(NewHandler(s))
 	defer srv.Close()
 
@@ -240,10 +229,7 @@ func TestHTTPBackpressure(t *testing.T) {
 // 400 that sizes nothing from the number — it used to replay every join
 // (gigabytes, tens of seconds) before any bound was checked.
 func TestSubmitBodyBounds(t *testing.T) {
-	s, err := New(Config{DataDir: t.TempDir(), QueueDepth: 4}) // never started: admission only
-	if err != nil {
-		t.Fatal(err)
-	}
+	s := newScheduler(t, Config{DataDir: t.TempDir(), QueueDepth: 4}) // never started: admission only
 	srv := httptest.NewServer(NewHandler(s))
 	defer srv.Close()
 	post := func(body io.Reader) int {

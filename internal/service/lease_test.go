@@ -96,17 +96,27 @@ func shutdown(t *testing.T, s *Scheduler) {
 	}
 }
 
+// newScheduler is the one constructor the tests share: it builds a
+// scheduler over cfg and shuts it down when the test ends — before the
+// test's TempDir goes, since it was registered later — so no worker is left
+// writing under a removed directory. Callers start it themselves.
+func newScheduler(t *testing.T, cfg Config) *Scheduler {
+	t.Helper()
+	s, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { shutdown(t, s) })
+	return s
+}
+
 // TestJobsComputeOnLeasedDevices: a dist job's ranks, a multigpu job's node
 // and a mem_budget gpu job's engine and k-mer counting run on the devices the
 // job leased — not on fresh ones beside an idle lease — and the outputs equal
 // the standalone runs'.
 func TestJobsComputeOnLeasedDevices(t *testing.T) {
-	s, err := New(Config{DataDir: t.TempDir(), Workers: 1, QueueDepth: 4, Devices: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
+	s := newScheduler(t, Config{DataDir: t.TempDir(), Workers: 1, QueueDepth: 4, Devices: 2})
 	s.Start()
-	defer shutdown(t, s)
 	devs := append([]*simt.Device(nil), s.pool.free...)
 
 	dist, multi := tinySpec(7), tinySpec(7)
@@ -134,12 +144,8 @@ func TestJobsComputeOnLeasedDevices(t *testing.T) {
 // first job's recovery counters are the standalone run's (runJob compares the
 // whole report).
 func TestLostDeviceIsNotLeasedAgain(t *testing.T) {
-	s, err := New(Config{DataDir: t.TempDir(), Workers: 1, QueueDepth: 4, Devices: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
+	s := newScheduler(t, Config{DataDir: t.TempDir(), Workers: 1, QueueDepth: 4, Devices: 2})
 	s.Start()
-	defer shutdown(t, s)
 	first := append([]*simt.Device(nil), s.pool.free...)
 
 	chaos := tinySpec(9)
@@ -174,10 +180,7 @@ func TestLostDeviceIsNotLeasedAgain(t *testing.T) {
 // leaves the goroutine count where it was.
 func TestShutdownLeavesNothingBehind(t *testing.T) {
 	before := runtime.NumGoroutine()
-	s, err := New(Config{DataDir: t.TempDir(), Workers: 2, QueueDepth: 4, Devices: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
+	s := newScheduler(t, Config{DataDir: t.TempDir(), Workers: 2, QueueDepth: 4, Devices: 3})
 	s.Start()
 	gpu, dist := tinySpec(4), tinySpec(4)
 	gpu.Engine = "gpu"

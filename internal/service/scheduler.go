@@ -76,7 +76,8 @@ func (c Config) withDefaults() Config {
 // handle that cancels it while it runs.
 type job struct {
 	Status
-	cancel context.CancelFunc // non-nil while running
+	cancel    context.CancelFunc // non-nil while running
+	finishing bool               // canceled while queued, terminal status being written
 }
 
 // Scheduler is the job scheduler over the assembly engines: a bounded queue
@@ -101,6 +102,8 @@ type Scheduler struct {
 
 	queue chan *job
 	wg    sync.WaitGroup
+
+	persistHook func(Status) // tests only: runs before each terminal status write
 }
 
 // New builds a scheduler over cfg.DataDir, loading persisted jobs:
@@ -292,10 +295,12 @@ func (s *Scheduler) Cancel(id string) error {
 	}
 	switch j.State {
 	case StateQueued:
-		s.finishLocked(j, StateCanceled, "canceled while queued")
-		st := j.Status
+		claimed := !j.finishing // a concurrent Cancel may be finishing it
+		j.finishing = true
 		s.mu.Unlock()
-		s.persistTerminal(st)
+		if claimed {
+			s.finish(j, StateCanceled, "canceled while queued")
+		}
 		return nil
 	case StateRunning:
 		cancel := j.cancel
@@ -310,15 +315,22 @@ func (s *Scheduler) Cancel(id string) error {
 	}
 }
 
-// finishLocked moves a job to a terminal state (caller holds the mutex and
-// persists the terminal status afterwards, outside the lock). A job
-// canceled while queued keeps its queue slot counted until a worker drains
-// the stale channel entry — otherwise the admission counter and the
+// finish moves a job to a terminal state. It writes the terminal status
+// first and only then publishes it under the mutex, so whoever sees the job
+// terminal — a client, a restarted daemon — finds its status.json on disk.
+// A job canceled while queued keeps its queue slot counted until a worker
+// drains the stale channel entry — otherwise the admission counter and the
 // channel occupancy diverge and a later Submit blocks on a full channel.
-func (s *Scheduler) finishLocked(j *job, state State, errMsg string) {
-	j.State = state
-	j.Error = errMsg
-	j.FinishTime = time.Now()
+func (s *Scheduler) finish(j *job, state State, errMsg string) {
+	s.mu.Lock()
+	st := j.Status
+	s.mu.Unlock()
+	st.State, st.Error, st.FinishTime = state, errMsg, time.Now()
+	s.persistTerminal(st)
+
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	j.Status = st
 	tenant := j.Spec.Tenant
 	s.active[tenant]--
 	var run time.Duration
@@ -330,10 +342,13 @@ func (s *Scheduler) finishLocked(j *job, state State, errMsg string) {
 	s.met.Add("mhm2d_run_seconds_total", float64(run), "tenant", tenant)
 }
 
-// persistTerminal writes the terminal status file (best effort: the job
-// outcome is already visible in memory; a write failure only costs the
-// record across a restart, where the job would re-run).
+// persistTerminal writes the terminal status file (best effort: a write
+// failure only costs the record across a restart, where the job would
+// re-run).
 func (s *Scheduler) persistTerminal(st Status) {
+	if s.persistHook != nil {
+		s.persistHook(st)
+	}
 	_ = saveStatus(s.cfg.DataDir, st)
 }
 
@@ -345,7 +360,7 @@ func (s *Scheduler) runJob(j *job) {
 	// the job context, including a cancel that lands while we are still
 	// blocked waiting for devices.
 	s.mu.Lock()
-	if j.State != StateQueued { // canceled while queued: drain the slot
+	if j.State != StateQueued || j.finishing { // canceled while queued: drain the slot
 		s.queued--
 		s.mu.Unlock()
 		return
@@ -391,6 +406,7 @@ func (s *Scheduler) settle(j *job, res *pipeline.Result, rep *dist.Report, runEr
 	s.running--
 	s.mu.Unlock()
 
+	state := StateFailed
 	switch {
 	case runErr == nil:
 		if kb := res.Work.KmerBudget; kb.Passes > 0 {
@@ -398,8 +414,9 @@ func (s *Scheduler) settle(j *job, res *pipeline.Result, rep *dist.Report, runEr
 			s.met.Add("mhm2d_kmer_filtered_singletons_total", float64(kb.FilteredSingletons))
 			s.met.Add("mhm2d_kmer_oom_replans_total", float64(kb.OOMReplans))
 		}
+		state = StateSucceeded
 		if err := s.persistResult(j, res, rep); err != nil {
-			runErr = err
+			state, runErr = StateFailed, err
 		}
 	case errors.Is(runErr, context.Canceled):
 		if s.baseCtx.Err() != nil {
@@ -408,23 +425,13 @@ func (s *Scheduler) settle(j *job, res *pipeline.Result, rep *dist.Report, runEr
 			s.interrupted(j, runErr)
 			return
 		}
-		s.mu.Lock()
-		s.finishLocked(j, StateCanceled, runErr.Error())
-		st := j.Status
-		s.mu.Unlock()
-		s.persistTerminal(st)
-		return
+		state = StateCanceled
 	}
-
-	s.mu.Lock()
-	if runErr == nil {
-		s.finishLocked(j, StateSucceeded, "")
-	} else {
-		s.finishLocked(j, StateFailed, runErr.Error())
+	errMsg := ""
+	if runErr != nil {
+		errMsg = runErr.Error()
 	}
-	st := j.Status
-	s.mu.Unlock()
-	s.persistTerminal(st)
+	s.finish(j, state, errMsg)
 }
 
 // interrupted handles a job stopped by daemon shutdown (or a lease aborted

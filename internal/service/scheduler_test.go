@@ -80,12 +80,7 @@ func TestSchedulerStress(t *testing.T) {
 	}
 
 	dataDir := t.TempDir()
-	s, err := New(Config{
-		DataDir: dataDir, Workers: 6, QueueDepth: queueDepth, Devices: 4,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
+	s := newScheduler(t, Config{DataDir: dataDir, Workers: 6, QueueDepth: queueDepth, Devices: 4})
 	s.Start()
 
 	engines := []string{"cpu", "gpu", "multigpu", "dist"}
@@ -162,22 +157,13 @@ func TestSchedulerStress(t *testing.T) {
 			t.Errorf("metrics missing %q:\n%s", want, m)
 		}
 	}
-
-	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-	defer cancel()
-	if err := s.Shutdown(ctx); err != nil {
-		t.Fatal(err)
-	}
 }
 
 // TestSchedulerAdmission: tenant quotas and the bounded queue both reject
 // with their sentinel errors (the HTTP layer's 429s). The scheduler is
 // never started, so admitted jobs stay queued.
 func TestSchedulerAdmission(t *testing.T) {
-	s, err := New(Config{DataDir: t.TempDir(), QueueDepth: 3, TenantMaxActive: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
+	s := newScheduler(t, Config{DataDir: t.TempDir(), QueueDepth: 3, TenantMaxActive: 2})
 	a := tinySpec(1)
 	a.Tenant = "a"
 	if _, err := s.Submit(a); err != nil {
@@ -224,10 +210,7 @@ func TestSchedulerAdmission(t *testing.T) {
 // TestSchedulerCancel covers both cancel paths: a queued job is terminally
 // canceled in place; a running job stops at its next stage boundary.
 func TestSchedulerCancel(t *testing.T) {
-	s, err := New(Config{DataDir: t.TempDir(), Workers: 1, QueueDepth: 8})
-	if err != nil {
-		t.Fatal(err)
-	}
+	s := newScheduler(t, Config{DataDir: t.TempDir(), Workers: 1, QueueDepth: 8})
 	// Queued cancel (workers not started yet).
 	id, err := s.Submit(tinySpec(1))
 	if err != nil {
@@ -279,12 +262,65 @@ func TestSchedulerCancel(t *testing.T) {
 	if !strings.Contains(st.Error, "canceled") {
 		t.Errorf("cancel error: %q", st.Error)
 	}
+}
 
-	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-	defer cancel()
-	if err := s.Shutdown(ctx); err != nil {
+// TestTerminalStatusWrittenBeforeVisible: both paths that end a job — a
+// cancel of a queued job and a worker settling a run — write status.json
+// before Status reports the terminal state. A hook holds each write open;
+// while it is held the job must not look terminal.
+func TestTerminalStatusWrittenBeforeVisible(t *testing.T) {
+	dataDir := t.TempDir()
+	s := newScheduler(t, Config{DataDir: dataDir, Workers: 1, QueueDepth: 4})
+	writing := make(chan Status, 2) // one per job the test ends
+	release, stop := make(chan struct{}), make(chan struct{})
+	t.Cleanup(func() { close(stop) }) // before the shutdown, on a failed run
+	s.persistHook = func(st Status) {
+		writing <- st
+		select {
+		case <-release:
+		case <-stop:
+		}
+	}
+	held := func(id string, want State) {
+		t.Helper()
+		if st := <-writing; st.ID != id || st.State != want {
+			t.Fatalf("status write for %s %s, want %s %s", st.ID, st.State, id, want)
+		}
+		if st, _ := s.Status(id); st.State.Terminal() {
+			t.Errorf("job %s reports %s before its status.json is written", id, st.State)
+		}
+		release <- struct{}{}
+	}
+	written := func(id string) {
+		t.Helper()
+		if _, err := os.Stat(filepath.Join(jobDir(dataDir, id), statusFile)); err != nil {
+			t.Errorf("job %s is terminal without a status file: %v", id, err)
+		}
+	}
+
+	queued, err := s.Submit(tinySpec(1))
+	if err != nil {
 		t.Fatal(err)
 	}
+	canceled := make(chan error, 1)
+	go func() { canceled <- s.Cancel(queued) }()
+	held(queued, StateCanceled)
+	if err := <-canceled; err != nil {
+		t.Fatal(err)
+	}
+	if st, _ := s.Status(queued); st.State != StateCanceled {
+		t.Fatalf("queued cancel returned with the job %s", st.State)
+	}
+	written(queued)
+
+	s.Start()
+	id, err := s.Submit(tinySpec(2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	held(id, StateSucceeded)
+	waitTerminal(t, s, id, time.Minute)
+	written(id)
 }
 
 // TestSchedulerFaultRetry: a dist job whose chaos schedule is
@@ -294,10 +330,7 @@ func TestSchedulerCancel(t *testing.T) {
 // drop events (each failing an exchange 1–2 times) always overload one
 // exchange past the budget, whatever the seed draws.
 func TestSchedulerFaultRetry(t *testing.T) {
-	s, err := New(Config{DataDir: t.TempDir(), Workers: 1, QueueDepth: 4, JobRetries: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
+	s := newScheduler(t, Config{DataDir: t.TempDir(), Workers: 1, QueueDepth: 4, JobRetries: 2})
 	s.Start()
 	spec := tinySpec(5)
 	spec.Engine = "dist"
@@ -316,12 +349,6 @@ func TestSchedulerFaultRetry(t *testing.T) {
 	}
 	if st.Attempts != 3 { // initial + JobRetries reseeded retries
 		t.Errorf("attempts = %d, want 3", st.Attempts)
-	}
-
-	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-	defer cancel()
-	if err := s.Shutdown(ctx); err != nil {
-		t.Fatal(err)
 	}
 }
 
@@ -365,10 +392,7 @@ func TestSchedulerRestartResume(t *testing.T) {
 		Depth: 14, Rounds: []int{21, 33, 45, 55}}
 	want := standaloneOutput(t, spec)
 
-	s1, err := New(Config{DataDir: dataDir, Workers: 1, QueueDepth: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
+	s1 := newScheduler(t, Config{DataDir: dataDir, Workers: 1, QueueDepth: 4})
 	s1.Start()
 	id, err := s1.Submit(spec)
 	if err != nil {
@@ -396,10 +420,7 @@ func TestSchedulerRestartResume(t *testing.T) {
 	}
 
 	// "Restart the daemon": a fresh scheduler over the same directory.
-	s2, err := New(Config{DataDir: dataDir, Workers: 1, QueueDepth: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
+	s2 := newScheduler(t, Config{DataDir: dataDir, Workers: 1, QueueDepth: 4})
 	if n := s2.Resumable(); n != 1 {
 		t.Fatalf("resumable jobs after restart: %d", n)
 	}
@@ -433,10 +454,7 @@ func TestSchedulerRestartResume(t *testing.T) {
 	if err := s2.Shutdown(ctx2); err != nil {
 		t.Fatal(err)
 	}
-	s3, err := New(Config{DataDir: dataDir, Workers: 1, QueueDepth: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
+	s3 := newScheduler(t, Config{DataDir: dataDir, Workers: 1, QueueDepth: 4})
 	if n := s3.Resumable(); n != 0 {
 		t.Fatalf("finished job re-queued on restart: %d resumable", n)
 	}
@@ -452,18 +470,8 @@ func TestSchedulerRestartResume(t *testing.T) {
 // never changes it.
 func TestSchedulerShardPolicy(t *testing.T) {
 	dataDir := t.TempDir()
-	s, err := New(Config{DataDir: dataDir, Workers: 2, QueueDepth: 8})
-	if err != nil {
-		t.Fatal(err)
-	}
+	s := newScheduler(t, Config{DataDir: dataDir, Workers: 2, QueueDepth: 8})
 	s.Start()
-	defer func() {
-		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-		defer cancel()
-		if err := s.Shutdown(ctx); err != nil {
-			t.Error(err)
-		}
-	}()
 
 	// Component sharding targets the dist engine; unknown policies bounce.
 	bad := tinySpec(9)

@@ -12,10 +12,7 @@ import (
 // times, category by category) and the record a restarted daemon loads.
 func TestFinishedJobStatus(t *testing.T) {
 	dataDir := t.TempDir()
-	s1, err := New(Config{DataDir: dataDir, Workers: 1, Devices: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
+	s1 := newScheduler(t, Config{DataDir: dataDir, Workers: 1, Devices: 1})
 	s1.Start()
 	spec := tinySpec(3)
 	spec.Engine = "gpu"
@@ -51,10 +48,7 @@ func TestFinishedJobStatus(t *testing.T) {
 	if err := s1.Shutdown(ctx); err != nil {
 		t.Fatal(err)
 	}
-	s2, err := New(Config{DataDir: dataDir, Workers: 1, Devices: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
+	s2 := newScheduler(t, Config{DataDir: dataDir, Workers: 1, Devices: 1})
 	st2, err := s2.Status(id)
 	if err != nil {
 		t.Fatal(err)
