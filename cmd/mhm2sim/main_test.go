@@ -363,9 +363,6 @@ func TestJSONReportRoundTrip(t *testing.T) {
 	if jr.Assembly.Contigs == 0 || jr.TotalNS <= 0 {
 		t.Errorf("assembly summary empty: %+v", jr.Assembly)
 	}
-	if jr.StagesNS["communication"] <= 0 {
-		t.Error("communication stage time missing from JSON")
-	}
 	if jr.GPU == nil || jr.GPU.Kernels == 0 {
 		t.Error("GPU summary missing from distributed run JSON")
 	}

@@ -26,6 +26,7 @@ import (
 	"math"
 	"time"
 
+	"mhm2sim/internal/clock"
 	"mhm2sim/internal/locassm"
 	"mhm2sim/internal/pipeline"
 	"mhm2sim/internal/simt"
@@ -94,7 +95,7 @@ func ModelFromWorkload(ctgs []*locassm.CtgWithReads, cfg locassm.Config) (*Model
 // overheads and PCIe transfers. The per-warp dependent chain does not
 // scale, which floors the time when f is small — the §4.4 "less work per
 // GPU" effect.
-func (m *Model) GPUSeconds(f float64) float64 {
+func (m *Model) GPUSeconds(f float64) clock.Cluster {
 	stats := m.BaseStats.Scaled(f)
 	t, _ := simt.TimeFor(m.Dev, &stats)
 	kernel := t - m.Dev.KernelLaunchOverhead // TimeFor includes one launch
@@ -103,26 +104,26 @@ func (m *Model) GPUSeconds(f float64) float64 {
 	if launches < 1 {
 		launches = 1
 	}
-	overhead := time.Duration(launches) * m.Dev.KernelLaunchOverhead
-	transfer := time.Duration(float64(m.BaseBytes) * f / (m.Dev.PCIeGBps * 1e9) * float64(time.Second))
-	return (kernel + overhead + transfer).Seconds()
+	overhead := clock.Device(launches) * m.Dev.KernelLaunchOverhead
+	transfer := clock.Device(float64(m.BaseBytes) * f / (m.Dev.PCIeGBps * 1e9) * float64(time.Second))
+	return clock.Cluster((kernel + overhead + transfer).Seconds())
 }
 
 // CPUNodeSeconds models one node's cores executing f copies of the base
 // workload with the embarrassingly parallel CPU implementation (§2.3).
-func (m *Model) CPUNodeSeconds(f float64) float64 {
+func (m *Model) CPUNodeSeconds(f float64) clock.Cluster {
 	wc := locassm.WorkCounts{
 		TableBuilds:   int64(float64(m.BaseCPU.TableBuilds) * f),
 		KmersInserted: int64(float64(m.BaseCPU.KmersInserted) * f),
 		Lookups:       int64(float64(m.BaseCPU.Lookups) * f),
 		WalkSteps:     int64(float64(m.BaseCPU.WalkSteps) * f),
 	}
-	return m.CPUCost.NS(wc) * 1e-9 / CoresPerNode
+	return clock.Cluster(m.CPUCost.NS(wc) * 1e-9 / CoresPerNode)
 }
 
 // GPUNodeSeconds models one node: the share is split evenly over the six
 // GPUs, which run concurrently.
-func (m *Model) GPUNodeSeconds(f float64) float64 {
+func (m *Model) GPUNodeSeconds(f float64) clock.Cluster {
 	return m.GPUSeconds(f / GPUsPerNode)
 }
 
@@ -141,7 +142,7 @@ func (m *Model) FitScaling(r64, r1024 float64) (float64, error) {
 	}
 	want := r64 / r1024
 	g := func(f float64) float64 {
-		return 16 * m.GPUNodeSeconds(f/16) / m.GPUNodeSeconds(f)
+		return float64(16 * m.GPUNodeSeconds(f/16) / m.GPUNodeSeconds(f))
 	}
 	lo, hi := 1e-3, 1e7
 	if g(lo) < want || g(hi) > want {
@@ -159,7 +160,7 @@ func (m *Model) FitScaling(r64, r1024 float64) (float64, error) {
 	f64 := math.Sqrt(lo * hi)
 
 	// Rescale CPU costs so the 64-node ratio hits r64.
-	cur := m.CPUNodeSeconds(f64) / m.GPUNodeSeconds(f64)
+	cur := float64(m.CPUNodeSeconds(f64) / m.GPUNodeSeconds(f64))
 	scale := r64 / cur
 	m.CPUCost.InsertNS *= scale
 	m.CPUCost.LookupNS *= scale
@@ -172,7 +173,7 @@ func (m *Model) FitScaling(r64, r1024 float64) (float64, error) {
 // yields the given CPU/GPU ratio — used to place the arcticsynth 2-node
 // point of Fig 12 on the same curve.
 func (m *Model) FitRatio(target float64) (float64, error) {
-	r := func(f float64) float64 { return m.CPUNodeSeconds(f) / m.GPUNodeSeconds(f) }
+	r := func(f float64) float64 { return float64(m.CPUNodeSeconds(f) / m.GPUNodeSeconds(f)) }
 	lo, hi := 1e-4, 1e7
 	if r(lo) > target || r(hi) < target {
 		return 0, fmt.Errorf("cluster: ratio %0.2f outside model range [%0.2f, %0.2f]",
@@ -192,8 +193,8 @@ func (m *Model) FitRatio(target float64) (float64, error) {
 // LAPoint is one Fig 13 sample.
 type LAPoint struct {
 	Nodes   int
-	CPUSec  float64
-	GPUSec  float64
+	CPUSec  clock.Cluster
+	GPUSec  clock.Cluster
 	Speedup float64
 }
 
@@ -211,7 +212,7 @@ func (m *Model) LAScaling(nodes []int, f64 float64) []LAPoint {
 			GPUSec: m.GPUNodeSeconds(f),
 		}
 		if p.GPUSec > 0 {
-			p.Speedup = p.CPUSec / p.GPUSec
+			p.Speedup = float64(p.CPUSec / p.GPUSec)
 		}
 		out = append(out, p)
 	}
@@ -256,11 +257,11 @@ var (
 // PipelinePoint is one Fig 14 sample.
 type PipelinePoint struct {
 	Nodes      int
-	CPUSec     float64 // total pipeline, CPU local assembly
-	GPUSec     float64 // total pipeline, GPU local assembly
-	SpeedupPct float64 // (CPU/GPU − 1) × 100
-	LACPUSec   float64
-	LAGPUSec   float64
+	CPUSec     clock.Cluster // total pipeline, CPU local assembly
+	GPUSec     clock.Cluster // total pipeline, GPU local assembly
+	SpeedupPct float64       // (CPU/GPU − 1) × 100
+	LACPUSec   clock.Cluster
+	LAGPUSec   clock.Cluster
 }
 
 // PipelineScaling produces the Fig 14 series. The local-assembly entries
@@ -270,7 +271,7 @@ type PipelinePoint struct {
 func (m *Model) PipelineScaling(nodes []int, f64 float64) []PipelinePoint {
 	laAnchor := WAShares[pipeline.StageLocalAssembly] * WATotalCPU64Sec
 	base := m.CPUNodeSeconds(f64)
-	scale := laAnchor / base // units calibration (documented in DESIGN.md)
+	scale := clock.Cluster(laAnchor) / base // units calibration (documented in DESIGN.md)
 
 	out := make([]PipelinePoint, 0, len(nodes))
 	for _, n := range nodes {
@@ -282,14 +283,14 @@ func (m *Model) PipelineScaling(nodes []int, f64 float64) []PipelinePoint {
 			if s == pipeline.StageLocalAssembly {
 				continue
 			}
-			st := WAShares[s] * WATotalCPU64Sec * math.Pow(64/float64(n), Exponents[s])
+			st := clock.Cluster(WAShares[s] * WATotalCPU64Sec * math.Pow(64/float64(n), Exponents[s]))
 			p.CPUSec += st
 			p.GPUSec += st
 		}
 		p.CPUSec += p.LACPUSec
 		p.GPUSec += p.LAGPUSec
 		if p.GPUSec > 0 {
-			p.SpeedupPct = (p.CPUSec/p.GPUSec - 1) * 100
+			p.SpeedupPct = float64(p.CPUSec/p.GPUSec-1) * 100
 		}
 		out = append(out, p)
 	}
@@ -298,8 +299,8 @@ func (m *Model) PipelineScaling(nodes []int, f64 float64) []PipelinePoint {
 
 // Breakdown is a per-stage time split (Fig 2 / Fig 12).
 type Breakdown struct {
-	TotalSec float64
-	StageSec [pipeline.NumStages]float64
+	TotalSec clock.Cluster
+	StageSec [pipeline.NumStages]clock.Cluster
 }
 
 // Percent returns a stage's share of the total.
@@ -307,7 +308,7 @@ func (b *Breakdown) Percent(s pipeline.Stage) float64 {
 	if b.TotalSec == 0 {
 		return 0
 	}
-	return 100 * b.StageSec[s] / b.TotalSec
+	return float64(100 * b.StageSec[s] / b.TotalSec)
 }
 
 // WABreakdown64 produces the Fig 2a/2b pair: the 64-node WA stage
@@ -315,7 +316,7 @@ func (b *Breakdown) Percent(s pipeline.Stage) float64 {
 // GPU LA time comes from the measured model ratio.
 func (m *Model) WABreakdown64(f64 float64) (cpu, gpu Breakdown) {
 	for s := pipeline.Stage(0); s < pipeline.NumStages; s++ {
-		cpu.StageSec[s] = WAShares[s] * WATotalCPU64Sec
+		cpu.StageSec[s] = clock.Cluster(WAShares[s] * WATotalCPU64Sec)
 		gpu.StageSec[s] = cpu.StageSec[s]
 	}
 	ratio := m.CPUNodeSeconds(f64) / m.GPUNodeSeconds(f64)
@@ -333,23 +334,18 @@ func (m *Model) WABreakdown64(f64 float64) (cpu, gpu Breakdown) {
 // pipeline timings t (scaled to fill the remainder); the GPU bar divides
 // local assembly by the measured model ratio at factor f2.
 func (m *Model) TwoNodeBreakdown(t pipeline.Timings, totalSec, laShare, f2 float64) (cpu, gpu Breakdown) {
-	laCPU := totalSec * laShare
-	rest := totalSec - laCPU
+	laCPU := clock.Cluster(totalSec * laShare)
+	rest := clock.Cluster(totalSec) - laCPU
 
 	// Distribute the remainder proportionally to measured stage times.
-	var measuredRest time.Duration
-	for s := pipeline.Stage(0); s < pipeline.NumStages; s++ {
-		if s != pipeline.StageLocalAssembly {
-			measuredRest += t.Wall[s]
-		}
-	}
+	measuredRest := t.Total() - t.Wall[pipeline.StageLocalAssembly]
 	for s := pipeline.Stage(0); s < pipeline.NumStages; s++ {
 		if s == pipeline.StageLocalAssembly {
 			cpu.StageSec[s] = laCPU
 			continue
 		}
 		if measuredRest > 0 {
-			cpu.StageSec[s] = rest * float64(t.Wall[s]) / float64(measuredRest)
+			cpu.StageSec[s] = rest * clock.Cluster(t.Wall[s]) / clock.Cluster(measuredRest) // Fig 12's host split
 		}
 	}
 	gpu = cpu

@@ -83,7 +83,7 @@ func TestCPUNodeSecondsLinear(t *testing.T) {
 	m, _ := buildModel(t, 10)
 	a := m.CPUNodeSeconds(1)
 	b := m.CPUNodeSeconds(2)
-	if math.Abs(b-2*a) > 1e-9 {
+	if math.Abs(float64(b-2*a)) > 1e-9 {
 		t.Errorf("CPU time not linear: %g vs 2×%g", b, a)
 	}
 	if a <= 0 {
@@ -96,7 +96,7 @@ func TestGPUSecondsFloorAndLinearRegimes(t *testing.T) {
 	// Deep floor: shrinking the workload further barely changes time.
 	tiny := m.GPUSeconds(0.01)
 	tinier := m.GPUSeconds(0.005)
-	if rel := math.Abs(tiny-tinier) / tiny; rel > 0.05 {
+	if rel := math.Abs(float64(tiny-tinier)) / float64(tiny); rel > 0.05 {
 		t.Errorf("no latency floor: %g vs %g", tiny, tinier)
 	}
 	// Linear regime: large workloads scale proportionally.
@@ -130,7 +130,7 @@ func TestLAScalingShape(t *testing.T) {
 	}
 	for i := 1; i < len(pts); i++ {
 		// CPU halves each doubling (perfect strong scaling).
-		if r := pts[i-1].CPUSec / pts[i].CPUSec; math.Abs(r-2) > 1e-3 {
+		if r := float64(pts[i-1].CPUSec / pts[i].CPUSec); math.Abs(r-2) > 1e-3 {
 			t.Errorf("CPU scaling at %d nodes: factor %f", pts[i].Nodes, r)
 		}
 		// GPU advantage never grows with node count.
@@ -164,7 +164,7 @@ func TestFitRatio(t *testing.T) {
 		t.Fatal(err)
 	}
 	got := m.CPUNodeSeconds(f) / m.GPUNodeSeconds(f)
-	if math.Abs(got-4.3) > 0.1 {
+	if math.Abs(float64(got)-4.3) > 0.1 {
 		t.Errorf("FitRatio landed at %f, want 4.3", got)
 	}
 }
@@ -177,7 +177,7 @@ func TestPipelineScalingAnchors(t *testing.T) {
 	}
 	pts := m.PipelineScaling([]int{64, 128, 256, 512, 1024}, f64)
 	// 64-node totals match the paper's anchors: 2128 s CPU, ≈1495 s GPU.
-	if math.Abs(pts[0].CPUSec-2128) > 1 {
+	if math.Abs(float64(pts[0].CPUSec)-2128) > 1 {
 		t.Errorf("64-node CPU total %f, want 2128", pts[0].CPUSec)
 	}
 	if pts[0].GPUSec < 1400 || pts[0].GPUSec > 1600 {
@@ -208,7 +208,7 @@ func TestWABreakdown64(t *testing.T) {
 		t.Fatal(err)
 	}
 	cpu, gpu := m.WABreakdown64(f64)
-	if math.Abs(cpu.TotalSec-2128) > 1 {
+	if math.Abs(float64(cpu.TotalSec)-2128) > 1 {
 		t.Errorf("CPU total %f", cpu.TotalSec)
 	}
 	laPct := cpu.Percent(pipeline.StageLocalAssembly)
@@ -246,16 +246,16 @@ func TestTwoNodeBreakdown(t *testing.T) {
 		tm.Wall[s] = 100
 	}
 	cpu, gpu := m.TwoNodeBreakdown(tm, 460, 0.14, f2)
-	if math.Abs(cpu.TotalSec-460) > 0.5 {
+	if math.Abs(float64(cpu.TotalSec)-460) > 0.5 {
 		t.Errorf("CPU total %f, want 460", cpu.TotalSec)
 	}
 	la := cpu.StageSec[pipeline.StageLocalAssembly]
-	if math.Abs(la-460*0.14) > 0.5 {
+	if math.Abs(float64(la)-460*0.14) > 0.5 {
 		t.Errorf("LA seconds %f", la)
 	}
 	gpuLA := gpu.StageSec[pipeline.StageLocalAssembly]
 	ratio := la / gpuLA
-	if math.Abs(ratio-4.3) > 0.2 {
+	if math.Abs(float64(ratio)-4.3) > 0.2 {
 		t.Errorf("2-node LA speedup %f, want 4.3", ratio)
 	}
 	// Overall improvement ≈ 12% (paper).

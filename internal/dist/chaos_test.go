@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"mhm2sim/internal/clock"
 	"mhm2sim/internal/faults"
 )
 
@@ -205,12 +206,12 @@ func TestFabricPartialDefaults(t *testing.T) {
 	}
 	// Explicit non-default values survive defaulting untouched.
 	cfg.Fabric = FabricConfig{
-		LatencyPerMsg:   time.Microsecond,
+		LatencyPerMsg:   clock.Fabric(time.Microsecond),
 		BandwidthGBps:   1,
 		AggBufferBytes:  1 << 10,
-		ExchangeTimeout: time.Millisecond,
+		ExchangeTimeout: clock.Fabric(time.Millisecond),
 		MaxRetries:      7,
-		RetryBackoff:    time.Microsecond,
+		RetryBackoff:    clock.Fabric(time.Microsecond),
 	}
 	if got := cfg.withDefaults().Fabric; got != cfg.Fabric {
 		t.Errorf("fully-set config mutated by defaulting: %+v", got)

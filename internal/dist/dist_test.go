@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"mhm2sim/internal/clock"
 	"mhm2sim/internal/dna"
 	"mhm2sim/internal/pipeline"
 	"mhm2sim/internal/synth"
@@ -80,9 +81,8 @@ func TestDistMatchesSingleRank(t *testing.T) {
 			t.Errorf("ranks=%d: comm accounting empty: %d bytes, %d msgs",
 				n, res.Work.CommBytes, res.Work.CommMsgs)
 		}
-		if res.Timings.Wall[pipeline.StageComm] != rep.CommTime {
-			t.Errorf("ranks=%d: StageComm %v ≠ report comm %v",
-				n, res.Timings.Wall[pipeline.StageComm], rep.CommTime)
+		if res.Work.CommTime != rep.CommTime {
+			t.Errorf("ranks=%d: work comm %v ≠ report comm %v", n, res.Work.CommTime, rep.CommTime)
 		}
 	}
 }
@@ -98,8 +98,8 @@ func TestDistSingleRankAllLocal(t *testing.T) {
 	if rep.CommTime != 0 {
 		t.Errorf("single rank modeled comm time %v", rep.CommTime)
 	}
-	if res.Timings.Wall[pipeline.StageComm] != 0 {
-		t.Errorf("single rank StageComm %v", res.Timings.Wall[pipeline.StageComm])
+	if res.Work.CommTime != 0 {
+		t.Errorf("single rank work comm %v", res.Work.CommTime)
 	}
 }
 
@@ -129,7 +129,7 @@ func TestDistReport(t *testing.T) {
 		t.Fatalf("report header: %d ranks, %d shards, %d rounds",
 			rep.Ranks, rep.VirtualShards, rep.Rounds)
 	}
-	if rep.Wall <= 0 || rep.Wall < rep.CommTime {
+	if rep.Wall <= 0 || rep.Wall < clock.Machine(rep.CommTime) {
 		t.Errorf("wall %v inconsistent with comm %v", rep.Wall, rep.CommTime)
 	}
 	eff := rep.Efficiency()
@@ -141,9 +141,8 @@ func TestDistReport(t *testing.T) {
 		if rs.Busy > 0 {
 			busy++
 		}
-		if rs.Busy+rs.Comm+rs.Idle > rep.Wall {
-			t.Errorf("rank %d: busy+comm+idle %v exceeds wall %v",
-				rs.Rank, rs.Busy+rs.Comm+rs.Idle, rep.Wall)
+		if total := rs.Busy + clock.Machine(rs.Comm) + rs.Idle; total > rep.Wall {
+			t.Errorf("rank %d: busy+comm+idle %v exceeds wall %v", rs.Rank, total, rep.Wall)
 		}
 		if rs.PCIeH2D <= 0 || rs.PCIeD2H <= 0 {
 			t.Errorf("rank %d: no PCIe traffic (%d/%d)", rs.Rank, rs.PCIeH2D, rs.PCIeD2H)

@@ -21,6 +21,7 @@ import (
 	"sync"
 	"time"
 
+	"mhm2sim/internal/clock"
 	"mhm2sim/internal/faults"
 )
 
@@ -36,7 +37,7 @@ var ErrUnrecoverable = errors.New("dist: unrecoverable fault")
 // hits).
 type FabricConfig struct {
 	// LatencyPerMsg is α: the per-message software+wire latency.
-	LatencyPerMsg time.Duration
+	LatencyPerMsg clock.Fabric
 	// BandwidthGBps is β: per-rank injection bandwidth in GB/s.
 	BandwidthGBps float64
 	// AggBufferBytes is the aggregating-store buffer size: bytes destined
@@ -46,7 +47,7 @@ type FabricConfig struct {
 	// ExchangeTimeout is the modeled time a dropped exchange attempt costs
 	// before the collective declares it failed and retries. 0 =
 	// DefaultExchangeTimeout.
-	ExchangeTimeout time.Duration
+	ExchangeTimeout clock.Fabric
 	// MaxRetries bounds retry attempts per exchange; an exchange still
 	// failing after MaxRetries retries surfaces ErrUnrecoverable. 0 =
 	// DefaultMaxRetries.
@@ -54,18 +55,18 @@ type FabricConfig struct {
 	// RetryBackoff is the base of the bounded exponential backoff between
 	// retry attempts (doubled per attempt, capped at
 	// RetryBackoff << maxBackoffShift). 0 = DefaultRetryBackoff.
-	RetryBackoff time.Duration
+	RetryBackoff clock.Fabric
 }
 
 // Default fabric parameters, loosely a Summit-class EDR InfiniBand port:
 // ~2 µs end-to-end message latency and 12.5 GB/s (100 Gbit/s) per rank.
 const (
-	DefaultLatencyPerMsg   = 2 * time.Microsecond
+	DefaultLatencyPerMsg   = clock.Fabric(2 * time.Microsecond)
 	DefaultBandwidthGBps   = 12.5
 	DefaultAggBufferBytes  = 1 << 20
-	DefaultExchangeTimeout = 10 * time.Millisecond
+	DefaultExchangeTimeout = clock.Fabric(10 * time.Millisecond)
 	DefaultMaxRetries      = 3
-	DefaultRetryBackoff    = time.Millisecond
+	DefaultRetryBackoff    = clock.Fabric(time.Millisecond)
 
 	// maxBackoffShift caps the exponential backoff at base << shift.
 	maxBackoffShift = 6
@@ -146,13 +147,13 @@ type StageTraffic struct {
 	// max(inject, eject) since sends and receives overlap on full-duplex
 	// ports. Time is the exchange wall time — the slowest rank, since an
 	// all-to-all is a collective barrier.
-	PerRank []time.Duration
-	Time    time.Duration
+	PerRank []clock.Fabric
+	Time    clock.Fabric
 	// Retries counts failed attempts of this exchange (injected drops or
 	// corruptions) before the successful one; RetryTime is the modeled time
 	// those attempts and their backoff cost, already folded into Time.
 	Retries   int
-	RetryTime time.Duration
+	RetryTime clock.Fabric
 }
 
 // TotalBytes sums the network bytes of the exchange (each byte counted
@@ -210,7 +211,7 @@ type Fabric struct {
 	stages    []*StageTraffic
 	failedObs []int // failed exchange attempts each rank observed while alive
 	retries   int
-	retryTime time.Duration
+	retryTime clock.Fabric
 }
 
 // NewFabric creates a standalone fabric connecting n ranks, all members for
@@ -251,7 +252,7 @@ func (f *Fabric) FailedAttempts(r int) int {
 
 // Retries returns the total failed exchange attempts recovered by retry and
 // the modeled time they cost.
-func (f *Fabric) Retries() (int, time.Duration) {
+func (f *Fabric) Retries() (int, clock.Fabric) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	return f.retries, f.retryTime
@@ -291,7 +292,7 @@ func (f *Fabric) Exchange(stage string, matrix [][]int64) (*StageTraffic, error)
 		Recv:       make([]int64, f.n),
 		Msgs:       make([]int64, f.n),
 		LocalBytes: make([]int64, f.n),
-		PerRank:    make([]time.Duration, f.n),
+		PerRank:    make([]clock.Fabric, f.n),
 	}
 	inMsgs := make([]int64, f.n) // messages ejected at each rank
 	for src := range matrix {
@@ -315,10 +316,10 @@ func (f *Fabric) Exchange(stage string, matrix [][]int64) (*StageTraffic, error)
 	}
 	bytesPerSec := f.cfg.BandwidthGBps * 1e9
 	for r := 0; r < f.n; r++ {
-		inject := time.Duration(float64(st.Msgs[r]))*f.cfg.LatencyPerMsg +
-			time.Duration(float64(st.Sent[r])/bytesPerSec*float64(time.Second))
-		eject := time.Duration(float64(inMsgs[r]))*f.cfg.LatencyPerMsg +
-			time.Duration(float64(st.Recv[r])/bytesPerSec*float64(time.Second))
+		inject := clock.Fabric(float64(st.Msgs[r]))*f.cfg.LatencyPerMsg +
+			clock.Fabric(float64(st.Sent[r])/bytesPerSec*float64(time.Second))
+		eject := clock.Fabric(float64(inMsgs[r]))*f.cfg.LatencyPerMsg +
+			clock.Fabric(float64(st.Recv[r])/bytesPerSec*float64(time.Second))
 		st.PerRank[r] = inject
 		if eject > inject {
 			st.PerRank[r] = eject
@@ -333,16 +334,16 @@ func (f *Fabric) Exchange(stage string, matrix [][]int64) (*StageTraffic, error)
 	f.mu.Unlock()
 	if factor := f.inj.ExchangeDelay(ordinal); factor != 1 {
 		for r := range st.PerRank {
-			st.PerRank[r] = time.Duration(float64(st.PerRank[r]) * factor)
+			st.PerRank[r] = clock.Fabric(float64(st.PerRank[r]) * factor)
 		}
-		st.Time = time.Duration(float64(st.Time) * factor)
+		st.Time = clock.Fabric(float64(st.Time) * factor)
 	}
 	if fails, corrupt := f.inj.ExchangeFailures(ordinal); fails > 0 {
 		if fails > f.cfg.MaxRetries {
 			return nil, fmt.Errorf("dist: exchange %d (%s) still failing after %d of %d injected failures: %w",
 				ordinal, stage, f.cfg.MaxRetries, fails, ErrUnrecoverable)
 		}
-		var penalty time.Duration
+		var penalty clock.Fabric
 		backoff := f.cfg.RetryBackoff
 		maxBackoff := f.cfg.RetryBackoff << maxBackoffShift
 		for a := 0; a < fails; a++ {
@@ -391,10 +392,10 @@ func (f *Fabric) Stages() []StageTraffic {
 
 // TotalTime sums the modeled wall time of every recorded exchange (the
 // exchanges are collectives separated by compute, so they serialize).
-func (f *Fabric) TotalTime() time.Duration {
+func (f *Fabric) TotalTime() clock.Fabric {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	var t time.Duration
+	var t clock.Fabric
 	for _, st := range f.stages {
 		t += st.Time
 	}
@@ -403,7 +404,7 @@ func (f *Fabric) TotalTime() time.Duration {
 
 // RankTotals returns, for one rank, its accumulated comm time, network
 // bytes sent and received, and messages injected across every exchange.
-func (f *Fabric) RankTotals(r int) (comm time.Duration, sent, recv, msgs int64) {
+func (f *Fabric) RankTotals(r int) (comm clock.Fabric, sent, recv, msgs int64) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	for _, st := range f.stages {

@@ -3,6 +3,8 @@ package dist
 import (
 	"testing"
 	"time"
+
+	"mhm2sim/internal/clock"
 )
 
 func testFabric(t *testing.T, n int, cfg FabricConfig) *Fabric {
@@ -16,7 +18,7 @@ func testFabric(t *testing.T, n int, cfg FabricConfig) *Fabric {
 
 func TestFabricAlphaBetaModel(t *testing.T) {
 	cfg := FabricConfig{
-		LatencyPerMsg:  10 * time.Microsecond,
+		LatencyPerMsg:  clock.Fabric(10 * time.Microsecond),
 		BandwidthGBps:  1, // 1 GB/s: 1e9 bytes take 1 s
 		AggBufferBytes: 1 << 20,
 	}
@@ -35,7 +37,7 @@ func TestFabricAlphaBetaModel(t *testing.T) {
 	if st.Sent[0] != 5<<19 || st.Recv[1] != 5<<19 {
 		t.Errorf("sent/recv accounting: %d/%d", st.Sent[0], st.Recv[1])
 	}
-	wantWire := time.Duration(float64(5<<19) / 1e9 * float64(time.Second))
+	wantWire := clock.Fabric(float64(5<<19) / 1e9 * float64(time.Second))
 	want := 3*cfg.LatencyPerMsg + wantWire
 	if st.PerRank[0] != want {
 		t.Errorf("rank 0 time %v, want %v", st.PerRank[0], want)
@@ -76,7 +78,7 @@ func TestFabricFullDuplexOverlap(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	oneWay := time.Duration(1000.0 / 1e9 * float64(time.Second))
+	oneWay := clock.Fabric(1000.0 / 1e9 * float64(time.Second))
 	if st.PerRank[0] != oneWay || st.PerRank[1] != oneWay {
 		t.Errorf("duplex swap per-rank %v/%v, want %v", st.PerRank[0], st.PerRank[1], oneWay)
 	}
@@ -120,7 +122,7 @@ func TestFabricValidation(t *testing.T) {
 		t.Error("zero bandwidth accepted")
 	}
 	bad = DefaultFabricConfig()
-	bad.LatencyPerMsg = -time.Second
+	bad.LatencyPerMsg = clock.Fabric(-time.Second)
 	if _, err := NewFabric(2, bad); err == nil {
 		t.Error("negative latency accepted")
 	}

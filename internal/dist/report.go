@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"strings"
 	"time"
+
+	"mhm2sim/internal/clock"
 )
 
 // RankStats is one rank's share of a distributed run. The JSON names are the
@@ -16,13 +18,14 @@ type RankStats struct {
 	// round an elastic rank joined at (-1 for initial members).
 	Alive       bool `json:"alive"`
 	JoinedRound int  `json:"joined_round"`
-	// Busy is the modeled GPU time (kernels + PCIe) the rank's device
-	// spent on its shards; Comm its modeled time inside fabric exchanges;
-	// Idle the rest of the modeled wall clock (waiting on the slowest
-	// rank at collectives).
-	Busy time.Duration `json:"busy_ns"`
-	Comm time.Duration `json:"comm_ns"`
-	Idle time.Duration `json:"idle_ns"`
+	// Busy is the rank's modeled compute on its shards, own and stolen:
+	// device time (kernels + PCIe) on a device rank, CPU-model time on a
+	// host rank or after a fallback to the host. Comm is its modeled time
+	// inside fabric exchanges; Idle the rest of the modeled wall clock
+	// (waiting on the slowest rank at collectives).
+	Busy clock.Machine `json:"busy_ns"`
+	Comm clock.Fabric  `json:"comm_ns"`
+	Idle clock.Machine `json:"idle_ns"`
 	// BytesSent/BytesRecv are network bytes; Msgs aggregated messages.
 	BytesSent int64 `json:"bytes_sent"`
 	BytesRecv int64 `json:"bytes_recv"`
@@ -48,8 +51,8 @@ type RecoveryStats struct {
 	// ExchangeRetries counts failed exchange attempts recovered by retry;
 	// RetryTime is the modeled time they cost (timeouts, full corrupt
 	// transfers, and backoff).
-	ExchangeRetries int           `json:"exchange_retries"`
-	RetryTime       time.Duration `json:"retry_time_ns"`
+	ExchangeRetries int          `json:"exchange_retries"`
+	RetryTime       clock.Fabric `json:"retry_time_ns"`
 	// Evictions counts ranks removed by injected crashes; RecoveredBytes
 	// the contig bytes whose ownership moved to a survivor.
 	Evictions      int   `json:"evictions"`
@@ -99,8 +102,8 @@ type ElasticityStats struct {
 	// NoStealWall / StealWall are the run's summed round makespans without
 	// and with stealing, computed in the same pass; their ratio is the
 	// stealing speedup of the modeled compute wall.
-	NoStealWall time.Duration `json:"nosteal_wall_ns"`
-	StealWall   time.Duration `json:"steal_wall_ns"`
+	NoStealWall clock.Machine `json:"nosteal_wall_ns"`
+	StealWall   clock.Machine `json:"steal_wall_ns"`
 }
 
 // Any reports whether the run was elastic or stole any work.
@@ -138,9 +141,9 @@ type Report struct {
 	ComponentPassTime time.Duration
 	// Wall is the modeled distributed wall clock: per-round slowest-rank
 	// compute plus every collective exchange.
-	Wall time.Duration
+	Wall clock.Machine
 	// CommTime is the modeled time of all fabric exchanges.
-	CommTime time.Duration
+	CommTime clock.Fabric
 	PerRank  []RankStats
 	// Stages holds every fabric exchange in execution order.
 	Stages []StageTraffic
@@ -170,7 +173,7 @@ func (rt *runtime) report() *Report {
 	rep.Elasticity.Epochs = rt.mem.Epoch() + 1
 	rep.Elasticity.EpochLive = rt.mem.EpochLiveCounts()
 	rep.Recovery.ExchangeRetries, rep.Recovery.RetryTime = rt.fabric.Retries()
-	rep.Wall = rt.compWall + rep.CommTime
+	rep.Wall = rt.compWall + clock.Machine(rep.CommTime) // dist's round wall
 	rep.PerRank = make([]RankStats, rep.Capacity)
 	for r, rk := range rt.ranks {
 		rs := RankStats{
@@ -188,7 +191,7 @@ func (rt *runtime) report() *Report {
 			h2d, d2h := rk.dev.CumTraffic()
 			rs.PCIeH2D, rs.PCIeD2H = h2d-rk.h2d0, d2h-rk.d2h0
 		}
-		if idle := rep.Wall - rs.Busy - rs.Comm; idle > 0 {
+		if idle := rep.Wall - rs.Busy - clock.Machine(rs.Comm); idle > 0 { // rank idle
 			rs.Idle = idle
 		}
 		rep.PerRank[r] = rs
@@ -207,7 +210,7 @@ func (r *Report) Efficiency() float64 {
 	if r.Wall <= 0 || n == 0 {
 		return 0
 	}
-	var busy time.Duration
+	var busy clock.Machine
 	for _, rs := range r.PerRank {
 		busy += rs.Busy
 	}

@@ -6,8 +6,8 @@ import (
 	"fmt"
 	"sync"
 	"sync/atomic"
-	"time"
 
+	"mhm2sim/internal/clock"
 	"mhm2sim/internal/dna"
 	"mhm2sim/internal/faults"
 	"mhm2sim/internal/gpuht"
@@ -155,7 +155,7 @@ type rank struct {
 	// and the report wants this run's bytes only.
 	h2d0, d2h0 int64
 	deviceOK   bool          // still assembling on its device
-	busy       time.Duration // modeled busy time, own and stolen work
+	busy       clock.Machine // modeled busy time, own and stolen work
 	kernels    int           // kernel launches
 	owned      int           // contigs owned in the last round
 	// Round scratch, written by the rank's own goroutine in assembleShards
@@ -201,7 +201,7 @@ type runtime struct {
 	// Accumulated across rounds (written only between concurrent phases).
 	rec      RecoveryStats
 	elastic  ElasticityStats
-	compWall time.Duration // Σ over rounds of the round makespans
+	compWall clock.Machine // Σ over rounds of the round makespans
 	rounds   int
 }
 
@@ -519,9 +519,9 @@ func (rt *runtime) rankEngines(r, round int) (gpuEng, cpuEng locassm.Engine, err
 // "work steal" exchange. Writes rec.Stragglers, elastic.Steals/
 // StolenBatches/StolenBytes/NoStealWall/StealWall, each rank's busy time and
 // compWall.
-func (rt *runtime) scheduleSteals(round, k int, byShard [][]*locassm.CtgWithReads, outs []*shardOutcome, deal *shardDeal) (time.Duration, error) {
+func (rt *runtime) scheduleSteals(round, k int, byShard [][]*locassm.CtgWithReads, outs []*shardOutcome, deal *shardDeal) (clock.Machine, error) {
 	n := len(rt.ranks)
-	cost := make([]time.Duration, len(byShard))
+	cost := make([]clock.Machine, len(byShard))
 	bytes := make([]int64, len(byShard))
 	for s, out := range outs {
 		if out != nil {
@@ -567,7 +567,7 @@ func (rt *runtime) scheduleSteals(round, k int, byShard [][]*locassm.CtgWithRead
 // so accounting and kernel lists are identical for every rank count. Ranks
 // overlap, so the round's busy wall is the makespan, not the sum. Writes
 // each rank's kernel count and rec.BatchResplits.
-func (rt *runtime) gatherShards(nCtgs int, outs []*shardOutcome, shardIdx [][]int, deal *shardDeal, makespan time.Duration) ([]locassm.Result, locassm.Stats) {
+func (rt *runtime) gatherShards(nCtgs int, outs []*shardOutcome, shardIdx [][]int, deal *shardDeal, makespan clock.Machine) ([]locassm.Result, locassm.Stats) {
 	results := make([]locassm.Result, nCtgs)
 	var stats locassm.Stats
 	for s, out := range outs {
@@ -604,10 +604,7 @@ func (rt *runtime) allgatherContigs(k int, ctgs []*locassm.CtgWithReads, results
 // Run executes the pipeline distributed across cfg.Ranks simulated ranks
 // and returns the gathered result — bit-identical in contigs, scaffolds,
 // and kernel launch lists to the same Config run at Ranks=1 — together
-// with the strong-scaling report. The modeled communication time is folded
-// into the result's Timings under pipeline.StageComm and into
-// Work.CommTime, the way the simt device folds modeled PCIe time into
-// Work.GPUTransferTime.
+// with the strong-scaling report.
 func Run(pairs []dna.PairedRead, cfg Config) (*pipeline.Result, *Report, error) {
 	return RunContext(context.Background(), pairs, cfg)
 }
@@ -653,9 +650,7 @@ func (rt *runtime) run(ctx context.Context, pairs []dna.PairedRead) (*pipeline.R
 	rt.rec.OOMReplans += res.Work.KmerBudget.OOMReplans
 	rt.rec.SpillPasses += res.Work.KmerBudget.SpillPasses
 
-	commTime := rt.fabric.TotalTime()
-	res.Timings.Add(pipeline.StageComm, commTime)
-	res.Work.CommTime = commTime
+	res.Work.CommTime = rt.fabric.TotalTime()
 	res.Work.CommBytes = rt.fabric.TotalBytes()
 	res.Work.CommMsgs = rt.fabric.TotalMsgs()
 	return res, rt.report(), nil

@@ -13,7 +13,8 @@ package dist
 
 import (
 	"sort"
-	"time"
+
+	"mhm2sim/internal/clock"
 )
 
 // stealRec is one modeled steal: the thief claimed the victim's tail batch
@@ -30,9 +31,9 @@ type stealOutcome struct {
 	// time. noStealMakespan is the same round scheduled without stealing —
 	// always ≥ makespan — computed in the same pass so the report can show
 	// the win without a second run.
-	busy            []time.Duration
-	makespan        time.Duration
-	noStealMakespan time.Duration
+	busy            []clock.Machine
+	makespan        clock.Machine
+	noStealMakespan clock.Machine
 	steals          []stealRec
 }
 
@@ -48,10 +49,10 @@ type stealOutcome struct {
 // makespan: the stolen makespan is always ≤ the no-steal one. The whole
 // simulation is a pure function of (deal, cost, factor), independent of
 // goroutine scheduling — determinism by construction.
-func stealSchedule(deal *shardDeal, cost []time.Duration, bytes []int64,
+func stealSchedule(deal *shardDeal, cost []clock.Machine, bytes []int64,
 	factor []float64, capacity int, enabled bool) stealOutcome {
 	live := deal.live
-	out := stealOutcome{busy: make([]time.Duration, capacity)}
+	out := stealOutcome{busy: make([]clock.Machine, capacity)}
 
 	// Per-rank queues ordered by ascending cost (ties by shard ID, so the
 	// order is canonical): the owner consumes its cheap batches head-first
@@ -70,15 +71,15 @@ func stealSchedule(deal *shardDeal, cost []time.Duration, bytes []int64,
 	for _, q := range queue {
 		sort.SliceStable(q, func(i, j int) bool { return cost[q[i]] < cost[q[j]] })
 	}
-	scaled := func(s, r int) time.Duration {
+	scaled := func(s, r int) clock.Machine {
 		if f := factor[r]; f != 1 {
-			return time.Duration(float64(cost[s]) * f)
+			return clock.Machine(float64(cost[s]) * f)
 		}
 		return cost[s]
 	}
 
 	for _, r := range live {
-		var total time.Duration
+		var total clock.Machine
 		for _, s := range queue[r] {
 			total += scaled(s, r)
 		}
@@ -97,13 +98,13 @@ func stealSchedule(deal *shardDeal, cost []time.Duration, bytes []int64,
 	// left (queues only shrink, so "no beneficial steal" is permanent).
 	head := make(map[int]int, len(live))
 	tail := make(map[int]int, len(live))
-	busyUntil := make(map[int]time.Duration, len(live))
+	busyUntil := make(map[int]clock.Machine, len(live))
 	done := make(map[int]bool, len(live))
 	for _, r := range live {
 		tail[r] = len(queue[r])
 		out.busy[r] = 0
 	}
-	completion := func(r int) time.Duration {
+	completion := func(r int) clock.Machine {
 		c := busyUntil[r]
 		for i := head[r]; i < tail[r]; i++ {
 			c += scaled(queue[r][i], r)
@@ -135,7 +136,7 @@ func stealSchedule(deal *shardDeal, cost []time.Duration, bytes []int64,
 		}
 		// Idle: pick the most-loaded victim by projected completion.
 		victim := -1
-		var victimDone time.Duration
+		var victimDone clock.Machine
 		for _, v := range live {
 			if v == actor || head[v] >= tail[v] {
 				continue

@@ -5,11 +5,13 @@ import (
 	"reflect"
 	"testing"
 	"time"
+
+	"mhm2sim/internal/clock"
 )
 
 // uniformCosts gives every virtual shard the same unit cost and byte size.
-func uniformCosts(shards int, unit time.Duration) ([]time.Duration, []int64) {
-	cost := make([]time.Duration, shards)
+func uniformCosts(shards int, unit clock.Machine) ([]clock.Machine, []int64) {
+	cost := make([]clock.Machine, shards)
 	bytes := make([]int64, shards)
 	for s := range cost {
 		cost[s] = unit
@@ -31,7 +33,7 @@ func onesFactor(n int) []float64 {
 // equals the no-steal one exactly.
 func TestStealBalancedNoSteals(t *testing.T) {
 	deal := newShardDeal(DefaultVirtualShards, liveAll(8))
-	cost, bytes := uniformCosts(DefaultVirtualShards, time.Millisecond)
+	cost, bytes := uniformCosts(DefaultVirtualShards, clock.Machine(time.Millisecond))
 	out := stealSchedule(deal, cost, bytes, onesFactor(8), 8, true)
 	if len(out.steals) != 0 {
 		t.Errorf("balanced round produced %d steals", len(out.steals))
@@ -40,7 +42,7 @@ func TestStealBalancedNoSteals(t *testing.T) {
 		t.Errorf("balanced makespan %v ≠ no-steal %v", out.makespan, out.noStealMakespan)
 	}
 	// 32 shards over 8 ranks = 4 per rank.
-	if want := 4 * time.Millisecond; out.makespan != want {
+	if want := clock.Machine(4 * time.Millisecond); out.makespan != want {
 		t.Errorf("makespan %v, want %v", out.makespan, want)
 	}
 }
@@ -50,7 +52,7 @@ func TestStealBalancedNoSteals(t *testing.T) {
 // ranks, and the stolen makespan beats the no-steal one by at least 1.5×.
 func TestStealStragglerSpeedup(t *testing.T) {
 	deal := newShardDeal(DefaultVirtualShards, liveAll(8))
-	cost, bytes := uniformCosts(DefaultVirtualShards, time.Millisecond)
+	cost, bytes := uniformCosts(DefaultVirtualShards, clock.Machine(time.Millisecond))
 	factor := onesFactor(8)
 	factor[0] = 8
 	out := stealSchedule(deal, cost, bytes, factor, 8, true)
@@ -58,7 +60,7 @@ func TestStealStragglerSpeedup(t *testing.T) {
 		t.Fatal("8× straggler produced no steals")
 	}
 	// No-steal: rank 0 serializes its 4 shards at 8 ms each = 32 ms.
-	if want := 32 * time.Millisecond; out.noStealMakespan != want {
+	if want := clock.Machine(32 * time.Millisecond); out.noStealMakespan != want {
 		t.Errorf("no-steal makespan %v, want %v", out.noStealMakespan, want)
 	}
 	if 2*out.noStealMakespan < 3*out.makespan {
@@ -79,7 +81,7 @@ func TestStealStragglerSpeedup(t *testing.T) {
 // accounting — per-rank Σ scaled cost, makespan the max — with no steals.
 func TestStealDisabled(t *testing.T) {
 	deal := newShardDeal(DefaultVirtualShards, liveAll(4))
-	cost, bytes := uniformCosts(DefaultVirtualShards, time.Millisecond)
+	cost, bytes := uniformCosts(DefaultVirtualShards, clock.Machine(time.Millisecond))
 	factor := onesFactor(4)
 	factor[2] = 3
 	out := stealSchedule(deal, cost, bytes, factor, 4, false)
@@ -90,7 +92,7 @@ func TestStealDisabled(t *testing.T) {
 		t.Errorf("disabled makespan %v ≠ no-steal %v", out.makespan, out.noStealMakespan)
 	}
 	// Rank 2 owns 8 of 32 shards at 3 ms each.
-	if want := 24 * time.Millisecond; out.makespan != want {
+	if want := clock.Machine(24 * time.Millisecond); out.makespan != want {
 		t.Errorf("makespan %v, want %v", out.makespan, want)
 	}
 }
@@ -110,13 +112,13 @@ func TestStealNeverWorse(t *testing.T) {
 			}
 		}
 		deal := newShardDeal(DefaultVirtualShards, live)
-		cost := make([]time.Duration, DefaultVirtualShards)
+		cost := make([]clock.Machine, DefaultVirtualShards)
 		bytes := make([]int64, DefaultVirtualShards)
 		for s := range cost {
 			if rng.Intn(8) == 0 {
 				continue // empty shard this round
 			}
-			cost[s] = time.Duration(1+rng.Intn(2000)) * time.Microsecond
+			cost[s] = clock.Machine(1+rng.Intn(2000)) * clock.Machine(time.Microsecond)
 			bytes[s] = int64(rng.Intn(1 << 16))
 		}
 		factor := onesFactor(n)
@@ -174,7 +176,7 @@ func TestStealMatrix(t *testing.T) {
 // runtime's accounting path.
 func BenchmarkStealScheduling(b *testing.B) {
 	deal := newShardDeal(DefaultVirtualShards, liveAll(8))
-	cost, bytes := uniformCosts(DefaultVirtualShards, time.Millisecond)
+	cost, bytes := uniformCosts(DefaultVirtualShards, clock.Machine(time.Millisecond))
 	factor := onesFactor(8)
 	factor[0] = 8
 	b.ReportAllocs()

@@ -250,13 +250,13 @@ var ScalingNodes = []int{64, 128, 256, 512, 1024}
 // Fig13 renders the local-assembly scaling series.
 func Fig13(m *cluster.Model, f64 float64) string {
 	laAnchor := cluster.WAShares[pipeline.StageLocalAssembly] * cluster.WATotalCPU64Sec
-	scale := laAnchor / m.CPUNodeSeconds(f64)
+	scale := laAnchor / float64(m.CPUNodeSeconds(f64))
 	var b strings.Builder
 	fmt.Fprintf(&b, "Fig 13 — local assembly CPU vs GPU on Summit, WA dataset (model)\n")
 	fmt.Fprintf(&b, "%6s %12s %12s %9s\n", "nodes", "CPU (s)", "GPU (s)", "speedup")
 	for _, p := range m.LAScaling(ScalingNodes, f64) {
 		fmt.Fprintf(&b, "%6d %12.0f %12.0f %8.2fx\n",
-			p.Nodes, p.CPUSec*scale, p.GPUSec*scale, p.Speedup)
+			p.Nodes, float64(p.CPUSec)*scale, float64(p.GPUSec)*scale, p.Speedup)
 	}
 	fmt.Fprintf(&b, "paper: >7x at 64 nodes, deteriorating to 2.65x at 1024 nodes\n")
 	return b.String()

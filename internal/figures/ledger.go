@@ -1,14 +1,18 @@
 package figures
 
 import (
+	"cmp"
 	"context"
 	"crypto/sha256"
-	"encoding/json"
 	"fmt"
+	"math"
+	"reflect"
 	"slices"
 	"strconv"
 	"strings"
+	"time"
 
+	"mhm2sim/internal/clock"
 	"mhm2sim/internal/locassm"
 	"mhm2sim/internal/pipeline"
 	"mhm2sim/internal/report"
@@ -17,13 +21,9 @@ import (
 	"mhm2sim/internal/simt"
 )
 
-// hostClocks are the report fields read off the host's wall clock, the only
-// values in a report that vary run to run. The ledger drops them.
-var hostClocks = []string{"stages_ns", "total_ns", "component_pass_ns"}
-
 // Ledger renders the exact ledger (DESIGN.md §4): one sorted "name value
 // clock workload" line per modeled number of m's runs, of CI's soil budget
-// count and of CI's chaos smoke, each source marshalled as it is, and the
+// count and of CI's chaos smoke, each source flattened as it is, and the
 // digest of each of those four assemblies' FASTA.
 func Ledger(m Measured) (string, error) {
 	var runs [2]*pipeline.Result
@@ -64,7 +64,10 @@ func Ledger(m Measured) (string, error) {
 	l.add("cluster.la", wa, m.Model.LAScaling(ScalingNodes, m.F64))
 	l.add("cluster.pipeline", wa, m.Model.PipelineScaling(ScalingNodes, m.F64))
 	l.add("cluster.wa64", wa, map[string]any{"cpu": cpu64, "gpu": gpu64})
-	l.add("cluster.twonode", wa, struct{ F2, LACPUSec, LAGPUSec float64 }{f2, cpu2.StageSec[la], gpu2.StageSec[la]})
+	l.add("cluster.twonode", wa, struct {
+		F2                 float64
+		LACPUSec, LAGPUSec clock.Cluster
+	}{f2, cpu2.StageSec[la], gpu2.StageSec[la]})
 	return l.render()
 }
 
@@ -75,7 +78,7 @@ func RooflineLedger(r RooflineResults, workload string) (string, error) {
 	return l.render()
 }
 
-// ledger collects lines; err is the first source that did not marshal.
+// ledger collects lines; err is the first assembly that did not write.
 type ledger struct {
 	lines []string
 	err   error
@@ -94,19 +97,71 @@ func (l *ledger) roofline(r RooflineResults, workload string) {
 	}
 }
 
-// add marshals v with encoding/json and flattens it below name.
+// add flattens v below name (DESIGN.md §4): a line per number and boolean,
+// named by its path as encoding/json names it (tag name, omitempty, "-",
+// embedded structs promoted), with list elements as "[i]". Strings give no
+// line, and neither does a time.Duration: a host clock, which varies run to
+// run. Whole numbers print whole, others at %.9g.
 func (l *ledger) add(name, workload string, v any) {
-	b, err := json.Marshal(v)
-	var tree any
-	if err == nil {
-		dec := json.NewDecoder(strings.NewReader(string(b)))
-		dec.UseNumber() // integers stay exact
-		err = dec.Decode(&tree)
+	l.walk(name, workload, reflect.ValueOf(v))
+}
+
+func (l *ledger) walk(name, workload string, v reflect.Value) {
+	switch v.Kind() {
+	case reflect.Pointer, reflect.Interface:
+		if !v.IsNil() {
+			l.walk(name, workload, v.Elem())
+		}
+	case reflect.Map:
+		for it := v.MapRange(); it.Next(); {
+			l.walk(name+"."+fmt.Sprint(it.Key()), workload, it.Value())
+		}
+	case reflect.Slice, reflect.Array:
+		for i := range v.Len() {
+			l.walk(name+"["+strconv.Itoa(i)+"]", workload, v.Index(i))
+		}
+	case reflect.Struct:
+		for i := range v.NumField() {
+			f, fv := v.Type().Field(i), v.Field(i)
+			tag := f.Tag.Get("json")
+			key, opts, _ := strings.Cut(tag, ",")
+			switch kind := fv.Kind(); {
+			case tag == "-", !f.IsExported() && !f.Anonymous: // not encoded
+			case strings.Contains(opts, "omitempty") && fv.IsZero() && kind != reflect.Struct && kind != reflect.Array: // omitted
+			case f.Anonymous && key == "":
+				l.walk(name, workload, fv)
+			default:
+				l.walk(name+"."+cmp.Or(key, f.Name), workload, fv)
+			}
+		}
+	default:
+		l.line(name, workload, v)
 	}
-	if err != nil && l.err == nil {
-		l.err = fmt.Errorf("ledger %s: %w", name, err)
+}
+
+// line adds the line of a number or boolean; other kinds, and a
+// time.Duration, give none. The clock is the type's label (clock.Labels), or
+// "count".
+func (l *ledger) line(name, workload string, v reflect.Value) {
+	var s string
+	switch {
+	case v.Type() == reflect.TypeFor[time.Duration]():
+		return
+	case v.Kind() == reflect.Bool:
+		s = strconv.FormatBool(v.Bool())
+	case v.CanInt():
+		s = strconv.FormatInt(v.Int(), 10)
+	case v.CanUint():
+		s = strconv.FormatUint(v.Uint(), 10)
+	case v.CanFloat():
+		s = strconv.FormatFloat(v.Float(), 'f', -1, 64)
+		if f := v.Float(); f != math.Trunc(f) || math.Abs(f) >= 1e21 {
+			s = fmt.Sprintf("%.9g", f)
+		}
+	default:
+		return
 	}
-	l.lines = flatten(l.lines, name, workload, tree)
+	l.lines = append(l.lines, name+" "+s+" "+cmp.Or(clock.Labels[v.Type()], "count")+" "+workload)
 }
 
 // fasta adds the sha-256 of res's assembly as mhm2sim -out writes it: the
@@ -123,44 +178,4 @@ func (l *ledger) fasta(name, workload string, res *pipeline.Result) {
 func (l *ledger) render() (string, error) {
 	slices.Sort(l.lines)
 	return strings.Join(l.lines, "\n") + "\n", l.err
-}
-
-// flatten appends a line per number and boolean of a decoded JSON value,
-// named by its path: keys join with ".", list elements are "[i]". Strings and
-// nulls are labels. Integers print whole, other numbers at %.9g.
-func flatten(lines []string, name, workload string, x any) []string {
-	switch x := x.(type) {
-	case map[string]any:
-		for k, v := range x {
-			if !slices.Contains(hostClocks, k) {
-				lines = flatten(lines, name+"."+k, workload, v)
-			}
-		}
-	case []any:
-		for i, v := range x {
-			lines = flatten(lines, name+"["+strconv.Itoa(i)+"]", workload, v)
-		}
-	case json.Number, bool:
-		s := fmt.Sprint(x)
-		if f, err := strconv.ParseFloat(s, 64); err == nil && strings.ContainsAny(s, ".eE") {
-			s = fmt.Sprintf("%.9g", f)
-		}
-		lines = append(lines, name+" "+s+" "+clockOf(name)+" "+workload)
-	}
-	return lines
-}
-
-// clockOf is the ledger's clock rule (DESIGN.md §4). A duration's name ends
-// in _ns or Time, or is Busy, or is dist's efficiency (a ratio of them).
-func clockOf(name string) string {
-	key := name[strings.LastIndexByte(name, '.')+1:]
-	switch {
-	case strings.HasPrefix(name, "cluster."):
-		return "cluster-model"
-	case !strings.HasSuffix(key, "_ns") && !strings.HasSuffix(key, "Time") && key != "Busy" && key != "efficiency":
-		return "count"
-	case strings.Contains(name, ".dist."):
-		return "fabric-model"
-	}
-	return "device-model"
 }

@@ -113,9 +113,9 @@ func Scorecard(m Measured) ([]Row, error) {
 	wa := dump("WA", m.WA)
 	cpu64, gpu64 := m.Model.WABreakdown64(m.F64)
 	fig, workload, clock = "Fig 2", fmt.Sprintf("%s ×%.4g per node, 64 nodes", wa, m.F64), "cluster-model"
-	anchor("total, CPU local assembly", "2128 s", cpu64.TotalSec, " s", cluster.WATotalCPU64Sec)
+	anchor("total, CPU local assembly", "2128 s", float64(cpu64.TotalSec), " s", cluster.WATotalCPU64Sec)
 	anchor("local-assembly share, CPU", "34%", cpu64.Percent(la), "%", 100*cluster.WAShares[la])
-	predict("total, GPU local assembly", "1495 s", gpu64.TotalSec, " s", 1450, 1540)
+	predict("total, GPU local assembly", "1495 s", float64(gpu64.TotalSec), " s", 1450, 1540)
 	predict("local-assembly share, GPU", "6%", gpu64.Percent(la), "%", 5, 8)
 
 	bins := m.Arctic.Bins
@@ -173,15 +173,15 @@ func Scorecard(m Measured) ([]Row, error) {
 		return nil, err
 	}
 	fig, workload, clock = "Fig 12", fmt.Sprintf("%s ×%.4g per node, 2 nodes", wa, f2), "cluster-model"
-	anchor("local-assembly speedup", "4.3×", cpu2.StageSec[la]/gpu2.StageSec[la], "×", 4.3)
+	anchor("local-assembly speedup", "4.3×", float64(cpu2.StageSec[la]/gpu2.StageSec[la]), "×", 4.3)
 	anchor("local-assembly share of the CPU run", "~14%", cpu2.Percent(la), "%", 14)
-	predict("overall improvement", "~12%", (cpu2.TotalSec/gpu2.TotalSec-1)*100, "%", 10, 14)
+	predict("overall improvement", "~12%", float64(cpu2.TotalSec/gpu2.TotalSec-1)*100, "%", 10, 14)
 
 	laPts, pipePts := m.Model.LAScaling(ScalingNodes, m.F64), m.Model.PipelineScaling(ScalingNodes, m.F64)
 	last := len(ScalingNodes) - 1
 	fig, workload = "Fig 13", fmt.Sprintf("%s ×%.4g·64/N per node", wa, m.F64)
-	anchor("CPU local assembly, 64 nodes", "≈700–730 s", pipePts[0].LACPUSec, " s", cluster.WAShares[la]*cluster.WATotalCPU64Sec)
-	predict("CPU local assembly, 1024 nodes", "≈45 s", pipePts[last].LACPUSec, " s", 40, 50)
+	anchor("CPU local assembly, 64 nodes", "≈700–730 s", float64(pipePts[0].LACPUSec), " s", cluster.WAShares[la]*cluster.WATotalCPU64Sec)
+	predict("CPU local assembly, 1024 nodes", "≈45 s", float64(pipePts[last].LACPUSec), " s", 40, 50)
 	anchor("GPU speedup, 64 nodes", "> 7×", laPts[0].Speedup, "×", 7.2)
 	for i, paper := range []struct {
 		text   string

@@ -5,8 +5,8 @@ import (
 	"errors"
 	"fmt"
 	"math/bits"
-	"time"
 
+	"mhm2sim/internal/clock"
 	"mhm2sim/internal/dbg"
 	"mhm2sim/internal/gpuht"
 	"mhm2sim/internal/kmer"
@@ -52,7 +52,7 @@ type BudgetStats struct {
 	// filter, passes), kept separate from the local-assembly kernel list
 	// so engine-level reporting is unchanged by budget mode.
 	Kernels    int
-	KernelTime time.Duration
+	KernelTime clock.Device
 }
 
 // FPRate returns the filter false-positive rate among inserted k-mers.

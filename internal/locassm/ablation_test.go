@@ -85,8 +85,8 @@ func BenchmarkAblationBinning(b *testing.B) {
 		}
 		binned := r2.TotalTime() + r3.TotalTime()
 
-		b.ReportMetric(float64(mixed.TotalTime().Microseconds()), "mixed-us")
-		b.ReportMetric(float64(binned.Microseconds()), "binned-us")
+		b.ReportMetric(float64(mixed.TotalTime()/1e3), "mixed-us")
+		b.ReportMetric(float64(binned/1e3), "binned-us")
 	}
 }
 

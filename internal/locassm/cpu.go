@@ -1,8 +1,7 @@
 package locassm
 
 import (
-	"time"
-
+	"mhm2sim/internal/clock"
 	"mhm2sim/internal/dna"
 	"mhm2sim/internal/par"
 )
@@ -53,11 +52,11 @@ func (m CPUCost) NS(wc WorkCounts) float64 {
 
 // Time is the modeled time of the work spread evenly over workers cores
 // (fewer than one counts as one).
-func (m CPUCost) Time(wc WorkCounts, workers int) time.Duration {
+func (m CPUCost) Time(wc WorkCounts, workers int) clock.CPUModel {
 	if workers < 1 {
 		workers = 1
 	}
-	return time.Duration(m.NS(wc) / float64(workers))
+	return clock.CPUModel(m.NS(wc) / float64(workers))
 }
 
 // CPUResult is the outcome of a CPU local-assembly run.

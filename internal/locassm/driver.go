@@ -4,8 +4,8 @@ import (
 	"errors"
 	"fmt"
 	"sync"
-	"time"
 
+	"mhm2sim/internal/clock"
 	"mhm2sim/internal/gpuht"
 	"mhm2sim/internal/simt"
 )
@@ -68,7 +68,7 @@ type GPUResult struct {
 
 // TotalTime is the modeled GPU wall-clock: kernels plus PCIe transfers
 // (launch overhead is inside each kernel's time).
-func (r *GPUResult) TotalTime() time.Duration { return r.KernelTime + r.TransferTime }
+func (r *GPUResult) TotalTime() clock.Device { return r.KernelTime + r.TransferTime }
 
 // Driver owns a device and runs local assembly on it, performing the
 // CPU-side data packing, batch planning, kernel launches, and result
@@ -193,7 +193,7 @@ func (d *Driver) Run(ctgs []*CtgWithReads) (*GPUResult, error) {
 			}
 		}
 	}
-	res.Busy = res.TotalTime()
+	res.Busy = clock.Machine(res.TotalTime())
 	return res, nil
 }
 

@@ -2,8 +2,8 @@ package locassm
 
 import (
 	"fmt"
-	"time"
 
+	"mhm2sim/internal/clock"
 	"mhm2sim/internal/par"
 	"mhm2sim/internal/simt"
 )
@@ -40,10 +40,10 @@ type Stats struct {
 	// Kernels holds one entry per device kernel launch, in launch order.
 	Kernels []simt.KernelResult
 	// KernelTime/TransferTime are the modeled device time components.
-	KernelTime   time.Duration
-	TransferTime time.Duration
+	KernelTime   clock.Device
+	TransferTime clock.Device
 	// Busy is the engine's modeled busy wall-clock for the round.
-	Busy time.Duration
+	Busy clock.Machine
 	// Resplits counts batches that failed with a recoverable table fault
 	// and were halved and retried; Batches counts staged batches.
 	Resplits int
@@ -189,7 +189,7 @@ func (e *cpuEngine) Assemble(_ int, ctgs []*CtgWithReads) ([]Result, Stats, erro
 	if err != nil {
 		return nil, Stats{}, err
 	}
-	return cres.Results, Stats{Counts: cres.Counts, Busy: DefaultCPUCost().Time(cres.Counts, e.workers)}, nil
+	return cres.Results, Stats{Counts: cres.Counts, Busy: clock.Machine(DefaultCPUCost().Time(cres.Counts, e.workers))}, nil
 }
 
 // gpuEngine wraps the pipelined single-device batch driver.
@@ -255,6 +255,6 @@ func (e *multiGPUEngine) Assemble(_ int, ctgs []*CtgWithReads) ([]Result, Stats,
 	for _, g := range nres.PerGPU {
 		stats.Add(g.Stats)
 	}
-	stats.Busy = nres.NodeTime // devices overlap: the max, not the sum Add made
+	stats.Busy = clock.Machine(nres.NodeTime) // devices overlap: the max, not the sum Add made
 	return nres.Results, stats, nil
 }

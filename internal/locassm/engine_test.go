@@ -7,6 +7,7 @@ import (
 	"strings"
 	"testing"
 
+	"mhm2sim/internal/clock"
 	"mhm2sim/internal/simt"
 )
 
@@ -135,7 +136,7 @@ func TestEnginesBitIdentical(t *testing.T) {
 	}
 	// Devices overlap on a node: busy time is the slowest device, which
 	// cannot exceed the serialized kernel+transfer total.
-	if st := stats[EngineMultiGPU]; st.Busy > st.KernelTime+st.TransferTime {
+	if st := stats[EngineMultiGPU]; st.Busy > clock.Machine(st.KernelTime+st.TransferTime) {
 		t.Errorf("multigpu busy %v exceeds serialized total %v",
 			st.Busy, st.KernelTime+st.TransferTime)
 	}

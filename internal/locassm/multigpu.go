@@ -5,8 +5,8 @@ import (
 	"fmt"
 	"slices"
 	"sync"
-	"time"
 
+	"mhm2sim/internal/clock"
 	"mhm2sim/internal/simt"
 )
 
@@ -46,7 +46,7 @@ type NodeResult struct {
 	// PerGPU holds each device's own result (kernel stats, model times).
 	PerGPU []*GPUResult
 	// NodeTime is the modeled node wall time: max over devices.
-	NodeTime time.Duration
+	NodeTime clock.Device
 }
 
 // Run shards the contigs over the devices and executes them concurrently.

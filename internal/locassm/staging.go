@@ -3,8 +3,8 @@ package locassm
 import (
 	"fmt"
 	"sync"
-	"time"
 
+	"mhm2sim/internal/clock"
 	"mhm2sim/internal/dna"
 	"mhm2sim/internal/gpuht"
 	"mhm2sim/internal/simt"
@@ -111,7 +111,7 @@ type launchedBatch struct {
 	arena    *hostArena
 	exts     [][]byte // per-item extension bytes, rightward orientation
 	kres     simt.KernelResult
-	transfer time.Duration
+	transfer clock.Device
 }
 
 // launchBatch ships one staged batch to the device (one copy per input

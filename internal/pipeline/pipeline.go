@@ -9,6 +9,7 @@ import (
 	"fmt"
 	"time"
 
+	"mhm2sim/internal/clock"
 	"mhm2sim/internal/locassm"
 	"mhm2sim/internal/scaffold"
 	"mhm2sim/internal/simt"
@@ -32,18 +33,12 @@ const (
 	StageLocalAssembly
 	StageScaffolding
 	StageFileIO
-	// StageComm is the modeled inter-rank communication time of a
-	// distributed run (internal/dist): all-to-all read exchanges and contig
-	// allgathers through the simulated fabric. Single-rank runs record
-	// zero here, exactly as a one-node MPI job spends nothing on the wire.
-	StageComm
 	NumStages
 )
 
 var stageNames = [NumStages]string{
 	"merge reads", "k-mer analysis", "contig generation", "alignment",
 	"aln kernel", "local assembly", "scaffolding", "file I/O",
-	"communication",
 }
 
 // String names the stage as in Fig 2's legend.
@@ -88,10 +83,10 @@ type WorkRecord struct {
 	CandidateCtgs    int   // contigs entering local assembly (last round)
 	Locassm          locassm.WorkCounts
 	GPUKernels       []simt.KernelResult
-	GPUKernelTime    time.Duration
-	GPUTransferTime  time.Duration
+	GPUKernelTime    clock.Device
+	GPUTransferTime  clock.Device
 	AlnGPUKernels    []simt.KernelResult
-	AlnGPUKernelTime time.Duration
+	AlnGPUKernelTime clock.Device
 	ScaffoldPairs    int64
 	IOBytes          int64
 	Preprocess       preprocess.Stats
@@ -104,7 +99,7 @@ type WorkRecord struct {
 	// traffic of a distributed run (internal/dist), the way
 	// GPUTransferTime accounts modeled PCIe time. Zero for single-rank
 	// runs.
-	CommTime  time.Duration
+	CommTime  clock.Fabric
 	CommBytes int64
 	CommMsgs  int64
 	// EstimatedInsert is the inferred library insert size (0 when

@@ -9,8 +9,10 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"time"
 
 	"mhm2sim/internal/atomicfile"
+	"mhm2sim/internal/clock"
 	"mhm2sim/internal/dist"
 	"mhm2sim/internal/pipeline"
 	"mhm2sim/internal/quality"
@@ -21,16 +23,16 @@ import (
 const SchemaVersion = "mhm2sim-report/v1"
 
 // Report is the machine-readable run summary. All durations are
-// nanoseconds.
+// nanoseconds, typed by their clock (time.Duration: the host's wall).
 type Report struct {
-	Schema   string               `json:"schema"`
-	StagesNS map[string]int64     `json:"stages_ns"`
-	TotalNS  int64                `json:"total_ns"`
-	Assembly Assembly             `json:"assembly"`
-	Bins     []pipeline.RoundBins `json:"bins"`
-	GPU      *GPU                 `json:"gpu,omitempty"`
-	Kmer     *Kmer                `json:"kmer,omitempty"`
-	Dist     *Dist                `json:"dist,omitempty"`
+	Schema   string                   `json:"schema"`
+	StagesNS map[string]time.Duration `json:"stages_ns"`
+	TotalNS  time.Duration            `json:"total_ns"`
+	Assembly Assembly                 `json:"assembly"`
+	Bins     []pipeline.RoundBins     `json:"bins"`
+	GPU      *GPU                     `json:"gpu,omitempty"`
+	Kmer     *Kmer                    `json:"kmer,omitempty"`
+	Dist     *Dist                    `json:"dist,omitempty"`
 }
 
 // Assembly summarizes the contig set (lengths sorted descending).
@@ -47,29 +49,29 @@ type Assembly struct {
 
 // GPU summarizes the device local-assembly kernels of the run.
 type GPU struct {
-	KernelTimeNS   int64 `json:"kernel_time_ns"`
-	TransferTimeNS int64 `json:"transfer_time_ns"`
-	Kernels        int   `json:"kernels"`
+	KernelTimeNS   clock.Device `json:"kernel_time_ns"`
+	TransferTimeNS clock.Device `json:"transfer_time_ns"`
+	Kernels        int          `json:"kernels"`
 }
 
 // Kmer summarizes memory-bounded k-mer counting (present only when the
 // run had a -mem-budget): the pass plan, the Bloom prefilter's work and
 // false-positive rate, and the degradation counters.
 type Kmer struct {
-	MemBudgetBytes     int64   `json:"mem_budget_bytes"`
-	EffectiveBytes     int64   `json:"effective_budget_bytes"`
-	Passes             int     `json:"passes"`
-	PlannedPasses      int     `json:"planned_passes"`
-	SpillPasses        int     `json:"spill_passes,omitempty"`
-	SpillReplans       int     `json:"spill_replans,omitempty"`
-	OOMReplans         int     `json:"oom_replans,omitempty"`
-	FilteredSingletons int64   `json:"filtered_singletons"`
-	Inserted           int64   `json:"inserted_kmers"`
-	FilterFPRate       float64 `json:"filter_fp_rate"`
-	TableBytes         int64   `json:"table_bytes"`
-	BloomBytes         int64   `json:"bloom_bytes"`
-	Kernels            int     `json:"kernels"`
-	KernelTimeNS       int64   `json:"kernel_time_ns"`
+	MemBudgetBytes     int64        `json:"mem_budget_bytes"`
+	EffectiveBytes     int64        `json:"effective_budget_bytes"`
+	Passes             int          `json:"passes"`
+	PlannedPasses      int          `json:"planned_passes"`
+	SpillPasses        int          `json:"spill_passes,omitempty"`
+	SpillReplans       int          `json:"spill_replans,omitempty"`
+	OOMReplans         int          `json:"oom_replans,omitempty"`
+	FilteredSingletons int64        `json:"filtered_singletons"`
+	Inserted           int64        `json:"inserted_kmers"`
+	FilterFPRate       float64      `json:"filter_fp_rate"`
+	TableBytes         int64        `json:"table_bytes"`
+	BloomBytes         int64        `json:"bloom_bytes"`
+	Kernels            int          `json:"kernels"`
+	KernelTimeNS       clock.Device `json:"kernel_time_ns"`
 }
 
 // Dist is the per-rank comm/compute breakdown of a multi-rank run.
@@ -83,10 +85,10 @@ type Dist struct {
 	ShardPolicy   string `json:"shard_policy,omitempty"`
 	// Components is the per-round connected-component count (component
 	// policy only); ComponentPassNS the accumulated pass wall time.
-	Components      []int `json:"components,omitempty"`
-	ComponentPassNS int64 `json:"component_pass_ns,omitempty"`
-	WallNS          int64 `json:"wall_ns"`
-	CommTimeNS      int64 `json:"comm_time_ns"`
+	Components      []int         `json:"components,omitempty"`
+	ComponentPassNS time.Duration `json:"component_pass_ns,omitempty"`
+	WallNS          clock.Machine `json:"wall_ns"`
+	CommTimeNS      clock.Fabric  `json:"comm_time_ns"`
 	// CommBytes is remote (wire) bytes; LocalBytes the rank-local bytes
 	// that never left their rank; Locality = local/(local+remote).
 	CommBytes  int64   `json:"comm_bytes"`
@@ -108,12 +110,12 @@ type Dist struct {
 
 // StageComm is one fabric exchange's traffic split.
 type StageComm struct {
-	Stage       string  `json:"stage"`
-	RemoteBytes int64   `json:"remote_bytes"`
-	LocalBytes  int64   `json:"local_bytes"`
-	Msgs        int64   `json:"msgs"`
-	TimeNS      int64   `json:"time_ns"`
-	Locality    float64 `json:"locality"`
+	Stage       string       `json:"stage"`
+	RemoteBytes int64        `json:"remote_bytes"`
+	LocalBytes  int64        `json:"local_bytes"`
+	Msgs        int64        `json:"msgs"`
+	TimeNS      clock.Fabric `json:"time_ns"`
+	Locality    float64      `json:"locality"`
 }
 
 // ComputeAssembly derives the assembly summary from a pipeline result.
@@ -131,18 +133,18 @@ func ComputeAssembly(res *pipeline.Result) Assembly {
 func Build(res *pipeline.Result, rep *dist.Report) *Report {
 	r := &Report{
 		Schema:   SchemaVersion,
-		StagesNS: make(map[string]int64, int(pipeline.NumStages)),
-		TotalNS:  int64(res.Timings.Total()),
+		StagesNS: make(map[string]time.Duration, int(pipeline.NumStages)),
+		TotalNS:  res.Timings.Total(),
 		Assembly: ComputeAssembly(res),
 		Bins:     res.Bins,
 	}
 	for s := pipeline.Stage(0); s < pipeline.NumStages; s++ {
-		r.StagesNS[s.String()] = int64(res.Timings.Wall[s])
+		r.StagesNS[s.String()] = res.Timings.Wall[s]
 	}
 	if len(res.Work.GPUKernels) > 0 {
 		r.GPU = &GPU{
-			KernelTimeNS:   int64(res.Work.GPUKernelTime),
-			TransferTimeNS: int64(res.Work.GPUTransferTime),
+			KernelTimeNS:   res.Work.GPUKernelTime,
+			TransferTimeNS: res.Work.GPUTransferTime,
 			Kernels:        len(res.Work.GPUKernels),
 		}
 	}
@@ -161,7 +163,7 @@ func Build(res *pipeline.Result, rep *dist.Report) *Report {
 			TableBytes:         kb.TableBytes,
 			BloomBytes:         kb.BloomBytes,
 			Kernels:            kb.Kernels,
-			KernelTimeNS:       int64(kb.KernelTime),
+			KernelTimeNS:       kb.KernelTime,
 		}
 	}
 	if rep != nil {
@@ -172,9 +174,9 @@ func Build(res *pipeline.Result, rep *dist.Report) *Report {
 			Rounds:          rep.Rounds,
 			ShardPolicy:     rep.ShardPolicy,
 			Components:      rep.Components,
-			ComponentPassNS: int64(rep.ComponentPassTime),
-			WallNS:          int64(rep.Wall),
-			CommTimeNS:      int64(rep.CommTime),
+			ComponentPassNS: rep.ComponentPassTime,
+			WallNS:          rep.Wall,
+			CommTimeNS:      rep.CommTime,
 			CommBytes:       res.Work.CommBytes,
 			LocalBytes:      rep.LocalBytes(),
 			Locality:        rep.Locality(),
@@ -189,7 +191,7 @@ func Build(res *pipeline.Result, rep *dist.Report) *Report {
 				RemoteBytes: st.TotalBytes(),
 				LocalBytes:  st.TotalLocalBytes(),
 				Msgs:        st.TotalMsgs(),
-				TimeNS:      int64(st.Time),
+				TimeNS:      st.Time,
 				Locality:    st.Locality(),
 			})
 		}

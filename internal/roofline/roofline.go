@@ -11,13 +11,14 @@ import (
 	"strings"
 	"time"
 
+	"mhm2sim/internal/clock"
 	"mhm2sim/internal/simt"
 )
 
 // Analysis is the roofline characterization of one kernel.
 type Analysis struct {
 	Kernel string
-	Time   time.Duration
+	Time   clock.Device
 	Bound  string
 
 	// WarpGIPS is achieved performance: executed warp instructions per

@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"mhm2sim/internal/clock"
 	"mhm2sim/internal/simt"
 )
 
@@ -23,7 +24,7 @@ func fakeResult(name string, warps, instrs, globalTx, localTx uint64, active uin
 	k.GlobalSectors = globalTx
 	k.LocalSectors = localTx
 	k.MaxSerialMemChain = 1000
-	k.Time = 10 * time.Millisecond
+	k.Time = clock.Device(10 * time.Millisecond)
 	k.Bound = "issue"
 	return k
 }
@@ -113,7 +114,7 @@ func TestMerge(t *testing.T) {
 	if m.TotalWarpInstrs() != ks[0].TotalWarpInstrs()+ks[1].TotalWarpInstrs() {
 		t.Error("instrs not summed")
 	}
-	if m.Time != 20*time.Millisecond {
+	if m.Time != clock.Device(20*time.Millisecond) {
 		t.Errorf("time %v", m.Time)
 	}
 	if m.Bound == "" {

@@ -41,7 +41,7 @@ func modeled(t *testing.T, r *report.Report) string {
 	t.Helper()
 	c := *r
 	c.TotalNS = 0
-	c.StagesNS = map[string]int64{"communication": r.StagesNS["communication"]}
+	c.StagesNS = nil
 	if r.Dist != nil {
 		d := *r.Dist
 		d.ComponentPassNS = 0

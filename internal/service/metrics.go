@@ -106,7 +106,7 @@ func (m *Metrics) Render(w io.Writer, live map[string]float64) {
 // exactly as in the job's report. One observer per pipeline execution.
 type stageObserver struct {
 	met    *Metrics
-	stages map[string]int64
+	stages map[string]time.Duration
 }
 
 func (o *stageObserver) StageStart(pipeline.StageEvent) {}
@@ -115,7 +115,7 @@ func (o *stageObserver) StageFinish(_ pipeline.StageEvent, _ time.Duration, timi
 	for s, d := range timings.Wall {
 		if d > 0 {
 			name := pipeline.Stage(s).String()
-			o.stages[name] += int64(d)
+			o.stages[name] += d
 			o.met.Add("mhm2d_stage_seconds_total", float64(d), "stage", metricName(name))
 		}
 	}

@@ -498,7 +498,7 @@ func (s *Scheduler) execute(ctx context.Context, j *job, lease *Lease, attempt i
 		j.Resumes++
 		s.mu.Unlock()
 	}
-	stages := make(map[string]int64)
+	stages := make(map[string]time.Duration)
 	plan.Pipeline.Observer = &stageObserver{met: s.met, stages: stages}
 
 	s.mu.Lock()

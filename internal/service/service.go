@@ -168,7 +168,6 @@ type Status struct {
 	// StagesNS are the wall times of the (last) pipeline execution per
 	// timing category, billed from the Observer's Timings deltas: the same
 	// values as the job's report stages_ns, alignment split from aln kernel
-	// included. The report alone has "communication" — modeled fabric time
-	// that dist adds after the pipeline has returned.
-	StagesNS map[string]int64 `json:"stages_ns,omitempty"`
+	// included.
+	StagesNS map[string]time.Duration `json:"stages_ns,omitempty"`
 }

@@ -23,6 +23,8 @@ import (
 	"fmt"
 	"sync"
 	"time"
+
+	"mhm2sim/internal/clock"
 )
 
 // WarpSize is the number of lanes per warp, as on all CUDA hardware.
@@ -47,8 +49,8 @@ type DeviceConfig struct {
 	// outstanding memory requests the scoreboard overlaps, which divides
 	// the effective per-access latency on the dependent chain.
 	MemParallelism int
-	// KernelLaunchOverhead is the host-side cost per kernel launch.
-	KernelLaunchOverhead time.Duration
+	// KernelLaunchOverhead is the modeled device time of one kernel launch.
+	KernelLaunchOverhead clock.Device
 	// PCIeGBps is the host<->device copy bandwidth, GB/s.
 	PCIeGBps float64
 }
@@ -70,7 +72,7 @@ func V100() DeviceConfig {
 		GlobalLatency:        440,
 		LocalLatency:         28,
 		MemParallelism:       8,
-		KernelLaunchOverhead: 10 * time.Microsecond,
+		KernelLaunchOverhead: clock.Device(10 * time.Microsecond),
 		PCIeGBps:             12,
 	}
 }
@@ -255,12 +257,12 @@ func (d *Device) CumTraffic() (h2d, d2h int64) {
 }
 
 // TransferTime converts a transfer size to PCIe copy time.
-func (d *Device) TransferTime(bytes int64) time.Duration {
+func (d *Device) TransferTime(bytes int64) clock.Device {
 	if bytes <= 0 {
 		return 0
 	}
 	sec := float64(bytes) / (d.Cfg.PCIeGBps * 1e9)
-	return time.Duration(sec * float64(time.Second))
+	return clock.Device(sec * float64(time.Second))
 }
 
 // Host-side (uncounted) accessors, used to stage inputs and read results.

@@ -1,6 +1,10 @@
 package simt
 
-import "time"
+import (
+	"time"
+
+	"mhm2sim/internal/clock"
+)
 
 // InstrClass classifies warp instructions the way the instruction-roofline
 // methodology does (integer, floating point, memory by space, control,
@@ -134,7 +138,7 @@ type KernelResult struct {
 	Stats
 	// Time is the modeled kernel execution time (excludes transfers,
 	// includes launch overhead).
-	Time time.Duration
+	Time clock.Device
 	// Bound names the limiting term of the model: "issue", "bandwidth",
 	// "latency", or "launch".
 	Bound string
@@ -165,7 +169,7 @@ func (s Stats) Scaled(f float64) Stats {
 // TimeFor exposes the kernel time model: it converts counters to modeled
 // execution time under the device configuration, returning the limiting
 // bound ("issue", "bandwidth", "latency", or "launch").
-func TimeFor(cfg DeviceConfig, s *Stats) (time.Duration, string) {
+func TimeFor(cfg DeviceConfig, s *Stats) (clock.Device, string) {
 	return timeModel(cfg, s)
 }
 
@@ -180,7 +184,7 @@ func TimeFor(cfg DeviceConfig, s *Stats) (time.Duration, string) {
 // Small grids are latency-bound (few chains to overlap), which is exactly
 // why the paper feeds the GPU its largest bin first (§4.3) and why the
 // advantage shrinks at 1024 nodes when per-GPU work collapses (Fig 13).
-func timeModel(cfg DeviceConfig, s *Stats) (time.Duration, string) {
+func timeModel(cfg DeviceConfig, s *Stats) (clock.Device, string) {
 	clockHz := cfg.ClockGHz * 1e9
 
 	issueCycles := float64(s.TotalWarpInstrs()) / float64(cfg.SMs*cfg.SchedulersPerSM)
@@ -206,7 +210,7 @@ func timeModel(cfg DeviceConfig, s *Stats) (time.Duration, string) {
 	if tLat > t {
 		t, bound = tLat, "latency"
 	}
-	total := time.Duration(t*float64(time.Second)) + cfg.KernelLaunchOverhead
+	total := clock.Device(t*float64(time.Second)) + cfg.KernelLaunchOverhead
 	if t*float64(time.Second) < float64(cfg.KernelLaunchOverhead) {
 		bound = "launch"
 	}
