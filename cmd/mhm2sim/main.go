@@ -15,15 +15,15 @@
 //	multigpu  one node's GPUs (see -gpus), workload sharded across devices
 //	dist      multi-rank runtime over a modeled comm fabric (requires
 //	          -ranks > 1); prints a Fig 9-style strong-scaling breakdown.
-//	          Ranks assemble on the host engine unless -gpu gives each its
-//	          own simulated device.
+//	          Each rank has its own simulated device unless -host-ranks
+//	          puts every rank on the host engine.
 //
 // Usage:
 //
 //	mhm2sim -preset arcticsynth [-engine cpu|gpu|multigpu] [-rounds 21,33,55] [-out asm.fasta]
 //	mhm2sim -reads reads.fastq -engine gpu
 //	mhm2sim -engine multigpu -gpus 6
-//	mhm2sim -engine dist -ranks 4 -gpu -json run.json
+//	mhm2sim -engine dist -ranks 4 -json run.json
 //	mhm2sim -preset soil -engine dist -ranks 8 -shard component
 //	mhm2sim -engine dist -ranks 8 -faults rank-crash=1,oom=2 -fault-seed 42
 //	mhm2sim -engine dist -ranks 4 -elastic join@r1:2,leave@r2:1
@@ -43,9 +43,8 @@
 // -elastic grows and shrinks the rank set mid-run ("join@r1:2,leave@r2:1"):
 // joins admit fresh ranks at round boundaries with an epoch-versioned
 // re-deal, leaves retire the highest-numbered live rank. Idle ranks steal
-// tail batches from the most-loaded rank every round unless -nosteal is
-// set. Elastic schedules, like fault schedules, never change an output
-// byte (DESIGN.md §16).
+// tail batches from the most-loaded rank every round. Elastic schedules,
+// like fault schedules, never change an output byte (DESIGN.md §16).
 package main
 
 import (
@@ -78,7 +77,6 @@ import (
 type options struct {
 	spec service.JobSpec
 
-	gpu          bool
 	gpuAln       bool
 	doPreprocess bool
 	estInsert    bool
@@ -104,7 +102,6 @@ func parseFlags(args []string, stderr io.Writer) (*options, error) {
 	fs.StringVar(&spec.Preset, "preset", "arcticsynth", "dataset preset (ignored when -reads is set)")
 	fs.StringVar(&spec.ReadsPath, "reads", "", "FASTQ file of paired reads (fwd,rev interleaved)")
 	fs.StringVar(&spec.Engine, "engine", locassm.EngineCPU, "local-assembly engine: cpu|gpu|multigpu|dist")
-	fs.BoolVar(&opts.gpu, "gpu", false, "under -engine=dist, give every rank a simulated GPU (default: ranks assemble on the host engine)")
 	fs.IntVar(&spec.GPUs, "gpus", locassm.DefaultNodeGPUs, "devices for -engine=multigpu (default: one Summit node's six V100s)")
 	fs.BoolVar(&opts.gpuAln, "gpualn", false, "run the alignment SW kernel on the device (ADEPT role)")
 	fs.Func("rounds", "comma-separated contigging k values (default 21,33,55)", func(v string) (err error) {
@@ -112,11 +109,11 @@ func parseFlags(args []string, stderr io.Writer) (*options, error) {
 		return err
 	})
 	fs.IntVar(&spec.Ranks, "ranks", 1, "simulated ranks for -engine=dist (≥ 2 there)")
+	fs.BoolVar(&spec.HostRanks, "host-ranks", false, "under -engine=dist, assemble on the host engine instead of a simulated GPU per rank")
 	fs.StringVar(&spec.Shard, "shard", dist.ShardHash, "contig → shard map for the dist engine: hash|component (component co-locates whole dBG components)")
 	fs.StringVar(&spec.Faults, "faults", "", "inject a seeded fault schedule, e.g. rank-crash=1,oom=2,drop=1 (requires the dist engine)")
 	fs.Int64Var(&spec.FaultSeed, "fault-seed", 42, "seed of the injected fault schedule")
 	fs.StringVar(&spec.Elastic, "elastic", "", "elastic membership schedule, e.g. join@r1:2,leave@r2:1 (requires the dist engine)")
-	fs.BoolVar(&spec.NoSteal, "nosteal", false, "disable intra-round work stealing in the dist engine")
 	fs.StringVar(&opts.jsonPath, "json", "", "write a machine-readable run report to this path")
 	fs.StringVar(&opts.out, "out", "", "write contigs+scaffolds FASTA here")
 	fs.IntVar(&opts.workers, "workers", 0, "CPU worker goroutines of the process, spread over the ranks under -engine=dist (0 = GOMAXPROCS)")
@@ -140,18 +137,14 @@ func parseFlags(args []string, stderr io.Writer) (*options, error) {
 	return opts, nil
 }
 
-// validate is the spec's own validation plus the three rules only the
-// command line can break: in a JSON spec ranks 0 and gpus 0 mean "unset",
-// and -gpu is this front end's setting, not the spec's.
+// validate is the spec's own validation plus the two rules only the command
+// line can break: in a JSON spec ranks 0 and gpus 0 mean "unset".
 func (o *options) validate() error {
 	if o.spec.Ranks < 1 {
 		return fmt.Errorf("-ranks must be ≥ 1, got %d", o.spec.Ranks)
 	}
 	if o.spec.GPUs < 1 {
 		return fmt.Errorf("-gpus must be ≥ 1, got %d", o.spec.GPUs)
-	}
-	if o.gpu && o.spec.Engine != locassm.EngineDist {
-		return fmt.Errorf("-gpu gives the ranks of -engine=dist their own devices; a single-GPU run is -engine=gpu")
 	}
 	return o.spec.Validate()
 }
@@ -171,11 +164,6 @@ func (o *options) plan() (*service.Plan, error) {
 	if o.doPreprocess {
 		pp := preprocess.DefaultConfig()
 		cfg.Preprocess = &pp
-	}
-	if plan.Dist != nil {
-		// Without -gpu the ranks assemble on the host flat-table engine,
-		// mirroring the single-rank CPU path.
-		plan.Dist.CPUAssembly = !o.gpu
 	}
 	return plan, nil
 }

@@ -62,9 +62,7 @@ func writeTinyFASTQ(t *testing.T) string {
 
 // TestCLIAndSpecPlanIdentically: a flag line and the JSON spec a daemon
 // client would POST for the same run yield deeply equal plans — input and
-// configuration — so the two front ends cannot assemble differently. Dist
-// rows carry -gpu because a daemon job's ranks own (leased) devices; the
-// last check pins that host ranks are the flag's only other value.
+// configuration — so the two front ends cannot assemble differently.
 func TestCLIAndSpecPlanIdentically(t *testing.T) {
 	reads := writeTinyFASTQ(t)
 	rows := []struct {
@@ -79,15 +77,15 @@ func TestCLIAndSpecPlanIdentically(t *testing.T) {
 		{"-rounds 21,33", `{"rounds":[21,33]}`},
 		{"-mem-budget 8388608", `{"mem_budget":8388608}`},
 		{"-engine gpu -mem-budget 65536 -rounds 21", `{"engine":"gpu","mem_budget":65536,"rounds":[21]}`},
-		{"-engine dist -ranks 4 -gpu", `{"engine":"dist","ranks":4}`},
-		{"-engine dist -ranks 8 -gpu -shard hash", `{"engine":"dist","ranks":8,"shard":"hash"}`},
-		{"-engine dist -ranks 8 -gpu -shard component", `{"engine":"dist","ranks":8,"shard":"component"}`},
-		{"-engine dist -ranks 8 -gpu -faults rank-crash=1,oom=2 -fault-seed 7",
+		{"-engine dist -ranks 4", `{"engine":"dist","ranks":4}`},
+		{"-engine dist -ranks 8 -shard hash", `{"engine":"dist","ranks":8,"shard":"hash"}`},
+		{"-engine dist -ranks 8 -shard component", `{"engine":"dist","ranks":8,"shard":"component"}`},
+		{"-engine dist -ranks 8 -faults rank-crash=1,oom=2 -fault-seed 7",
 			`{"engine":"dist","ranks":8,"faults":"rank-crash=1,oom=2","fault_seed":7}`},
-		{"-engine dist -ranks 2 -gpu -faults drop=1", `{"engine":"dist","ranks":2,"faults":"drop=1","fault_seed":42}`},
-		{"-engine dist -ranks 4 -gpu -elastic join@r1:2,leave@r2:1 -nosteal",
-			`{"engine":"dist","ranks":4,"elastic":"join@r1:2,leave@r2:1","nosteal":true}`},
-		{"-engine dist -ranks 4 -gpu -rounds 21,33 -elastic join@r1:2 -faults straggler=2 -fault-seed 7 -shard component -mem-budget 134217728",
+		{"-engine dist -ranks 2 -faults drop=1", `{"engine":"dist","ranks":2,"faults":"drop=1","fault_seed":42}`},
+		{"-engine dist -ranks 4 -elastic join@r1:2,leave@r2:1 -host-ranks",
+			`{"engine":"dist","ranks":4,"elastic":"join@r1:2,leave@r2:1","host_ranks":true}`},
+		{"-engine dist -ranks 4 -rounds 21,33 -elastic join@r1:2 -faults straggler=2 -fault-seed 7 -shard component -mem-budget 134217728",
 			`{"engine":"dist","ranks":4,"rounds":[21,33],"elastic":"join@r1:2","faults":"straggler=2","fault_seed":7,"shard":"component","mem_budget":134217728}`},
 	}
 	for _, row := range rows {
@@ -121,26 +119,6 @@ func TestCLIAndSpecPlanIdentically(t *testing.T) {
 		}
 	}
 
-	// Without -gpu the ranks assemble on the host: that one field, nothing else.
-	opts, err := parseFlags([]string{"-reads", reads, "-engine", "dist", "-ranks", "4"}, io.Discard)
-	if err != nil {
-		t.Fatal(err)
-	}
-	host, err := opts.plan()
-	if err != nil {
-		t.Fatal(err)
-	}
-	device, err := service.NewPlan(service.JobSpec{ReadsPath: reads, Engine: "dist", Ranks: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !host.Dist.CPUAssembly || device.Dist.CPUAssembly {
-		t.Fatalf("CPUAssembly: flags %v, spec %v", host.Dist.CPUAssembly, device.Dist.CPUAssembly)
-	}
-	host.Dist.CPUAssembly = false
-	if !reflect.DeepEqual(host, device) {
-		t.Error("-gpu changes more than Dist.CPUAssembly")
-	}
 }
 
 // TestPresetPlanCarriesTruthGenomes: a preset plan from the flag line
@@ -170,7 +148,7 @@ func TestPresetPlanCarriesTruthGenomes(t *testing.T) {
 // the plan, and nothing else about the plan moves.
 func TestHostSideSettings(t *testing.T) {
 	reads := writeTinyFASTQ(t)
-	opts, err := parseFlags([]string{"-reads", reads, "-engine", "dist", "-ranks", "2",
+	opts, err := parseFlags([]string{"-reads", reads, "-engine", "dist", "-ranks", "2", "-host-ranks",
 		"-gpualn", "-preprocess", "-estimate-insert=false", "-workers", "3", "-checkpoint", "ck",
 		"-json", "out.json", "-cpuprofile", "cpu.pprof", "-memprofile", "mem.pprof"}, io.Discard)
 	if err != nil {
@@ -193,7 +171,6 @@ func TestHostSideSettings(t *testing.T) {
 	want.Pipeline.EstimateInsert = false
 	want.Pipeline.Workers = 3
 	want.Pipeline.CheckpointDir = "ck"
-	want.Dist.CPUAssembly = true
 	if !reflect.DeepEqual(got, want) {
 		t.Errorf("host-side settings:\n got %+v\nwant %+v", got.Dist, want.Dist)
 	}
@@ -224,8 +201,9 @@ func TestRejections(t *testing.T) {
 		{flags: "-engine gpu -ranks 2", json: `{"engine":"gpu","ranks":2}`, want: "engine=dist"},
 		{flags: "-engine dist", json: `{"engine":"dist"}`, want: "ranks ≥ 2"},
 		{flags: "-engine dist -ranks 1", json: `{"engine":"dist","ranks":1}`, want: "ranks ≥ 2"},
-		{flags: "-gpu", want: "-engine=gpu"},
-		{flags: "-engine gpu -gpu", want: "-engine=dist"},
+		{flags: "-host-ranks", json: `{"host_ranks":true}`, want: "host_ranks requires engine=dist"},
+		{flags: "-gpu", want: "-gpu"},
+		{flags: "-nosteal", json: `{"engine":"dist","ranks":2,"nosteal":true}`, want: "nosteal"},
 		{flags: "-engine dist -ranks 2000000000", json: `{"engine":"dist","ranks":2000000000}`, want: "ceiling"},
 		{flags: "-engine multigpu -gpus 2000000000", json: `{"engine":"multigpu","gpus":2000000000}`, want: "ceiling"},
 		{flags: "-engine dist -ranks 33", json: `{"engine":"dist","ranks":33}`, want: "virtual shards"},

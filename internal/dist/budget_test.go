@@ -10,12 +10,12 @@ import (
 	"mhm2sim/internal/locassm"
 )
 
-// heavyShard is 300 contigs, each with 161 60-bp reads over its right end —
+// heavyShard is 100 contigs, each with 161 60-bp reads over its right end —
 // enough candidate reads that the driver's memory budget decides how the
 // shard splits into batches.
 func heavyShard() []*locassm.CtgWithReads {
 	rng := rand.New(rand.NewSource(30))
-	ctgs := make([]*locassm.CtgWithReads, 300)
+	ctgs := make([]*locassm.CtgWithReads, 100)
 	for i := range ctgs {
 		genome := make([]byte, 400)
 		for j := range genome {
@@ -38,6 +38,7 @@ func heavyShard() []*locassm.CtgWithReads {
 // engine, both built from the one resolved spec — the rank does not fall back
 // to the driver's whole-device default.
 func TestRankEnginesHonourBudget(t *testing.T) {
+	t.Parallel()
 	shard := heavyShard()
 	cfg := DefaultConfig(2)
 	cfg.Pipeline.MemBudget = gpucount.MinMemBudget

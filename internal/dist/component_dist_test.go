@@ -22,48 +22,13 @@ func runDistShard(t *testing.T, pairs []dna.PairedRead, ranks int, policy string
 	return res.Contigs, res.Scaffolds, rep
 }
 
-// TestDistComponentMatchesSingleRank: the component policy preserves the
-// core determinism guarantee — contigs and scaffolds bit-identical to the
-// single-rank run for N ∈ {2,3,8}, and identical to the hash policy's
-// output too (the shard map relocates work, never changes it).
-func TestDistComponentMatchesSingleRank(t *testing.T) {
-	pairs := buildPairs(t)
-	baseC, baseS, _ := runDistShard(t, pairs, 1, ShardComponent)
-	hashC, hashS, _ := runDistShard(t, pairs, 3, ShardHash)
-	if !reflect.DeepEqual(baseC, hashC) || !reflect.DeepEqual(baseS, hashS) {
-		t.Fatal("hash-policy output differs from single-rank component run")
-	}
-	for _, n := range []int{2, 3, 8} {
-		ctgs, scaffs, rep := runDistShard(t, pairs, n, ShardComponent)
-		if !reflect.DeepEqual(ctgs, baseC) {
-			t.Errorf("ranks=%d: component-policy contigs differ from single-rank run", n)
-		}
-		if !reflect.DeepEqual(scaffs, baseS) {
-			t.Errorf("ranks=%d: component-policy scaffolds differ from single-rank run", n)
-		}
-		if rep.ShardPolicy != ShardComponent {
-			t.Errorf("ranks=%d: report policy %q", n, rep.ShardPolicy)
-		}
-		if len(rep.Components) != rep.Rounds {
-			t.Errorf("ranks=%d: %d component counts for %d rounds", n, len(rep.Components), rep.Rounds)
-		}
-		for r, c := range rep.Components {
-			if c <= 0 {
-				t.Errorf("ranks=%d round %d: %d components", n, r, c)
-			}
-		}
-		if rep.ComponentPassTime <= 0 {
-			t.Errorf("ranks=%d: no component pass time recorded", n)
-		}
-	}
-}
-
 // TestDistComponentKernelListsMatchHash: the kernel launch lists — the
 // unit of batch planning — are a function of the shard map only, so they
 // are identical across rank counts under the component policy (though
 // legitimately different from the hash policy's lists, which pack shards
 // differently).
 func TestDistComponentKernelListsMatchHash(t *testing.T) {
+	t.Parallel()
 	pairs := buildPairs(t)
 	cfg := testDistConfig(1)
 	cfg.ShardPolicy = ShardComponent
@@ -83,34 +48,6 @@ func TestDistComponentKernelListsMatchHash(t *testing.T) {
 		}
 		if !reflect.DeepEqual(res.Work.GPUKernels, base.Work.GPUKernels) {
 			t.Errorf("ranks=%d: component-policy kernel list differs from single-rank run", n)
-		}
-	}
-}
-
-// TestDistComponentChaos: the chaos invariant holds under component
-// sharding — a recoverable fault schedule still yields bit-identical
-// output, because the eviction re-deal moves whole shards, and shards hold
-// whole components.
-func TestDistComponentChaos(t *testing.T) {
-	pairs := buildPairs(t)
-	baseC, baseS, _ := runDistShard(t, pairs, 1, ShardComponent)
-	for _, spec := range []string{"rank-crash=1", "oom=1", "drop=2,corrupt=1"} {
-		for _, n := range []int{2, 4, 8} {
-			cfg := chaosConfig(t, n, spec, 42)
-			cfg.ShardPolicy = ShardComponent
-			res, rep, err := Run(pairs, cfg)
-			if err != nil {
-				t.Fatalf("%s ranks=%d: %v", spec, n, err)
-			}
-			if !reflect.DeepEqual(res.Contigs, baseC) {
-				t.Errorf("%s ranks=%d: contigs differ from fault-free run", spec, n)
-			}
-			if !reflect.DeepEqual(res.Scaffolds, baseS) {
-				t.Errorf("%s ranks=%d: scaffolds differ from fault-free run", spec, n)
-			}
-			if !rep.Recovery.Any() {
-				t.Errorf("%s ranks=%d: no recovery machinery fired", spec, n)
-			}
 		}
 	}
 }
@@ -148,6 +85,7 @@ func TestComponentRedealMovesWholeComponents(t *testing.T) {
 // exchange+allgather bytes than the hash policy, with bit-identical
 // output. (The full-size ≥5× criterion runs in CI's bench-smoke job.)
 func TestComponentLocalityOnSoil(t *testing.T) {
+	t.Parallel()
 	p := synth.SoilPreset()
 	p.Com.NumGenomes = 12
 	_, pairs, err := p.Build()

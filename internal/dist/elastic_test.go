@@ -1,7 +1,6 @@
 package dist
 
 import (
-	"fmt"
 	"reflect"
 	"strings"
 	"testing"
@@ -20,92 +19,6 @@ func assertSameAssembly(t *testing.T, label string, res, base *pipeline.Result) 
 	}
 	if !reflect.DeepEqual(res.Scaffolds, base.Scaffolds) {
 		t.Errorf("%s: scaffolds differ from fault-free single-rank run", label)
-	}
-}
-
-// TestElasticJoinMatchesSingleRank: converging elastic schedules — joins,
-// join+leave mixes, with and without stealing, under both shard policies
-// and in memory-budget mode — all yield bit-identical contigs and
-// scaffolds to the fault-free single-rank run, with the elasticity
-// counters visible in the report and the work record.
-func TestElasticJoinMatchesSingleRank(t *testing.T) {
-	pairs := buildPairs(t)
-	base, _, err := Run(pairs, testDistConfig(1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(base.Contigs) == 0 {
-		t.Fatal("fault-free baseline produced no contigs")
-	}
-
-	// The budget variant is here for the elastic × budget path, not for the
-	// counting passes themselves (gpucount's tests own those): one rank
-	// count, at a budget that still splits every round's count into several
-	// passes. At the 96 KiB floor it ran 720 passes per rank count and was
-	// three quarters of tier-1's wall time.
-	const minPassesPerRound = 3
-	allRanks := []int{2, 4, 8}
-	variants := []struct {
-		name    string
-		elastic string
-		mutate  func(*Config)
-		joins   int
-		ranks   []int
-	}{
-		{"join", "join@r1:2", nil, 2, allRanks},
-		{"join-round0", "join@r0:1", nil, 1, allRanks},
-		{"join-leave", "join@r0:2,leave@r1:1", nil, 2, allRanks},
-		{"join-nosteal", "join@r1:2", func(c *Config) { c.NoSteal = true }, 2, allRanks},
-		{"join-component", "join@r1:1", func(c *Config) { c.ShardPolicy = ShardComponent }, 1, allRanks},
-		{"join-budget", "join@r1:1", func(c *Config) { c.Pipeline.MemBudget = 4 << 20 }, 1, []int{4}},
-	}
-	for _, v := range variants {
-		for _, n := range v.ranks {
-			t.Run(fmt.Sprintf("%s/ranks=%d", v.name, n), func(t *testing.T) {
-				cfg := testDistConfig(n)
-				cfg.Elastic = v.elastic
-				if v.mutate != nil {
-					v.mutate(&cfg)
-				}
-				res, rep, err := Run(pairs, cfg)
-				if err != nil {
-					t.Fatal(err)
-				}
-				assertSameAssembly(t, v.name, res, base)
-				if cfg.Pipeline.MemBudget > 0 {
-					if got, want := res.Work.KmerBudget.Passes, minPassesPerRound*len(cfg.Pipeline.Rounds); got < want {
-						t.Errorf("budget run counted in %d passes over %d rounds, want ≥ %d: the budget no longer forces multi-pass counting",
-							got, len(cfg.Pipeline.Rounds), want)
-					}
-				}
-				if rep.Elasticity.Joins != v.joins {
-					t.Errorf("report joins = %d, want %d", rep.Elasticity.Joins, v.joins)
-				}
-				if rep.Elasticity.RebalancedBytes == 0 {
-					t.Error("joins admitted but no bootstrap bytes rebalanced")
-				}
-				wantEpochs := 1 + strings.Count(v.elastic, "@") // each join/leave is one epoch
-				if strings.Contains(v.elastic, ":2") {
-					wantEpochs++ // a count-2 entry is two membership changes
-				}
-				if rep.Elasticity.Epochs != wantEpochs {
-					t.Errorf("epochs = %d, want %d (schedule %q)", rep.Elasticity.Epochs, wantEpochs, v.elastic)
-				}
-				if rep.Capacity != n+v.joins {
-					t.Errorf("capacity = %d, want %d", rep.Capacity, n+v.joins)
-				}
-				// Joined ranks carry their round in the per-rank table.
-				joined := 0
-				for _, rs := range rep.PerRank {
-					if rs.JoinedRound >= 0 {
-						joined++
-					}
-				}
-				if joined != v.joins {
-					t.Errorf("%d ranks report a join round, want %d", joined, v.joins)
-				}
-			})
-		}
 	}
 }
 
@@ -155,65 +68,6 @@ func stragglerPlan(ranks, rounds int, factor float64) *faults.Plan {
 		})
 	}
 	return p
-}
-
-// TestChaosStealMatrix is the acceptance-criteria matrix: an 8× straggler
-// on rank 0 at N ∈ {2,4,8}, stealing on vs off. Output is bit-identical
-// both ways (and to the fault-free single-rank run); with stealing the
-// report shows nonzero steals and epochs and a strictly lower modeled
-// round wall; at N=8 the improvement is at least the pinned 1.5×.
-func TestChaosStealMatrix(t *testing.T) {
-	pairs := buildPairs(t)
-	base, _, err := Run(pairs, testDistConfig(1))
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	for _, n := range []int{2, 4, 8} {
-		var walls [2]struct {
-			steal, noSteal int64
-		}
-		for i, noSteal := range []bool{false, true} {
-			cfg := testDistConfig(n)
-			cfg.Faults = stragglerPlan(n, len(cfg.Pipeline.Rounds), 8)
-			cfg.NoSteal = noSteal
-			res, rep, err := Run(pairs, cfg)
-			if err != nil {
-				t.Fatalf("ranks=%d nosteal=%v: %v", n, noSteal, err)
-			}
-			assertSameAssembly(t, fmt.Sprintf("ranks=%d nosteal=%v", n, noSteal), res, base)
-			if rep.Elasticity.Epochs == 0 {
-				t.Errorf("ranks=%d nosteal=%v: zero epochs reported", n, noSteal)
-			}
-			if noSteal {
-				if rep.Elasticity.Steals != 0 || rep.Elasticity.StolenBatches != 0 {
-					t.Errorf("ranks=%d: stealing disabled but %d steals recorded", n, rep.Elasticity.Steals)
-				}
-			} else {
-				if rep.Elasticity.Steals == 0 || rep.Elasticity.StolenBatches == 0 {
-					t.Errorf("ranks=%d: straggler under stealing but steals=%d batches=%d",
-						n, rep.Elasticity.Steals, rep.Elasticity.StolenBatches)
-				}
-				if rep.Elasticity.StealWall >= rep.Elasticity.NoStealWall {
-					t.Errorf("ranks=%d: steal wall %v not below no-steal wall %v",
-						n, rep.Elasticity.StealWall, rep.Elasticity.NoStealWall)
-				}
-			}
-			walls[i].steal = int64(rep.Elasticity.StealWall)
-			walls[i].noSteal = int64(rep.Elasticity.NoStealWall)
-		}
-		// The no-steal accounting of both runs agrees (same plan, same
-		// costs), so the on/off comparison is apples-to-apples.
-		if walls[0].noSteal != walls[1].noSteal {
-			t.Errorf("ranks=%d: no-steal walls disagree across runs: %d vs %d",
-				n, walls[0].noSteal, walls[1].noSteal)
-		}
-		if n == 8 {
-			if speedup := float64(walls[0].noSteal) / float64(walls[0].steal); speedup < 1.5 {
-				t.Errorf("ranks=8: steal speedup %.2fx below the 1.5x acceptance bar", speedup)
-			}
-		}
-	}
 }
 
 // TestElasticStealTraffic: the steal and join-bootstrap exchanges appear

@@ -126,10 +126,9 @@ type Report struct {
 	// Ranks is the initial rank count; Capacity the rank ID ceiling after
 	// scheduled joins (equal to Ranks for a static run). PerRank has
 	// Capacity entries.
-	Ranks         int
-	Capacity      int
-	VirtualShards int
-	Rounds        int
+	Ranks    int
+	Capacity int
+	Rounds   int
 	// ShardPolicy is the contig → shard map the run used ("hash" or
 	// "component").
 	ShardPolicy string
@@ -158,16 +157,15 @@ type Report struct {
 // report assembles the Report after the pipeline has finished.
 func (rt *runtime) report() *Report {
 	rep := &Report{
-		Ranks:         rt.cfg.Ranks,
-		Capacity:      rt.mem.Capacity(),
-		VirtualShards: rt.cfg.VirtualShards,
-		Rounds:        rt.rounds,
-		ShardPolicy:   rt.cfg.ShardPolicy,
-		CommTime:      rt.fabric.TotalTime(),
-		Stages:        rt.fabric.Stages(),
-		Faults:        rt.plan.String(),
-		Recovery:      rt.rec,
-		Elasticity:    rt.elastic,
+		Ranks:       rt.cfg.Ranks,
+		Capacity:    rt.mem.Capacity(),
+		Rounds:      rt.rounds,
+		ShardPolicy: rt.cfg.ShardPolicy,
+		CommTime:    rt.fabric.TotalTime(),
+		Stages:      rt.fabric.Stages(),
+		Faults:      rt.plan.String(),
+		Recovery:    rt.rec,
+		Elasticity:  rt.elastic,
 	}
 	rep.Components, rep.ComponentPassTime = rt.policy.components()
 	rep.Elasticity.Epochs = rt.mem.Epoch() + 1
@@ -251,7 +249,7 @@ func (r *Report) Locality() float64 {
 func (r *Report) String() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "distributed run: %d ranks, %d virtual shards (%s), %d rounds; modeled wall %v (comm %v, efficiency %.1f%%)\n",
-		r.Ranks, r.VirtualShards, r.ShardPolicy, r.Rounds, r.Wall.Round(time.Microsecond),
+		r.Ranks, DefaultVirtualShards, r.ShardPolicy, r.Rounds, r.Wall.Round(time.Microsecond),
 		r.CommTime.Round(time.Microsecond), 100*r.Efficiency())
 	if r.ShardPolicy == ShardComponent {
 		fmt.Fprintf(&b, "  components per round: %v (pass time %v)\n",

@@ -30,10 +30,6 @@ type Config struct {
 	// Ranks is the number of simulated ranks (processes), each owning one
 	// device and a slice of the contigs and reads.
 	Ranks int
-	// VirtualShards is the number of hash shards dealt across ranks
-	// (0 = DefaultVirtualShards). It must not change between runs that
-	// are expected to produce identical kernel launch lists.
-	VirtualShards int
 	// ShardPolicy selects the contig → virtual-shard map: ShardHash
 	// (default, "") hashes contig IDs; ShardComponent runs a per-round
 	// connected-components pass and assigns whole de Bruijn components to
@@ -71,11 +67,6 @@ type Config struct {
 	// schedule, every elastic schedule yields bit-identical contigs and
 	// scaffolds to the fault-free single-rank run.
 	Elastic string
-	// NoSteal disables intra-round work stealing. By default idle ranks
-	// claim tail batches from the most-loaded live rank, which lowers the
-	// modeled round makespan under load imbalance (stragglers, joins)
-	// without changing any output byte.
-	NoSteal bool
 }
 
 // DefaultConfig returns a distributed configuration over the default
@@ -89,9 +80,6 @@ func DefaultConfig(ranks int) Config {
 // the default latency, buffering, and retry budget instead of having the
 // partial struct silently replaced wholesale.
 func (c Config) withDefaults() Config {
-	if c.VirtualShards == 0 {
-		c.VirtualShards = DefaultVirtualShards
-	}
 	if c.ShardPolicy == "" {
 		c.ShardPolicy = ShardHash
 	}
@@ -104,9 +92,9 @@ func (c *Config) Validate() error {
 	if c.Ranks < 1 {
 		return fmt.Errorf("dist: need ≥ 1 rank, got %d", c.Ranks)
 	}
-	if c.VirtualShards < c.Ranks {
+	if DefaultVirtualShards < c.Ranks {
 		return fmt.Errorf("dist: %d virtual shards cannot cover %d ranks (ranks would idle)",
-			c.VirtualShards, c.Ranks)
+			DefaultVirtualShards, c.Ranks)
 	}
 	if c.ShardPolicy != ShardHash && c.ShardPolicy != ShardComponent {
 		return fmt.Errorf("dist: unknown shard policy %q (%s|%s)",
@@ -210,7 +198,7 @@ func newRuntime(cfg Config) (*runtime, error) {
 	if err != nil {
 		return nil, err
 	}
-	mem, err := NewMembership(cfg.Ranks, max(cfg.Ranks, plan.Capacity()), cfg.VirtualShards)
+	mem, err := NewMembership(cfg.Ranks, max(cfg.Ranks, plan.Capacity()), DefaultVirtualShards)
 	if err != nil {
 		return nil, err
 	}
@@ -224,7 +212,7 @@ func newRuntime(cfg Config) (*runtime, error) {
 		plan:   plan,
 		fabric: fabric,
 		mem:    mem,
-		policy: newShardPolicy(cfg.ShardPolicy, cfg.VirtualShards, mem),
+		policy: newShardPolicy(cfg.ShardPolicy, DefaultVirtualShards, mem),
 		inj:    faults.NewInjector(plan),
 		ranks:  make([]rank, mem.Capacity()),
 		ctx:    context.Background(),
@@ -284,7 +272,7 @@ func (rt *runtime) Assemble(k int, ctgs []*locassm.CtgWithReads) ([]locassm.Resu
 	if err := rt.stopped("shard assembly", k); err != nil {
 		return nil, locassm.Stats{}, err
 	}
-	byShard, shardIdx := shardContigs(ctgs, smap, rt.cfg.VirtualShards)
+	byShard, shardIdx := shardContigs(ctgs, smap, DefaultVirtualShards)
 	outs, err := rt.assembleShards(round, k, byShard, deal)
 	if err == nil {
 		err = rt.stopped("work steal", k)
@@ -541,7 +529,7 @@ func (rt *runtime) scheduleSteals(round, k int, byShard [][]*locassm.CtgWithRead
 			factor[r] = f
 		}
 	}
-	sim := stealSchedule(deal, cost, bytes, factor, n, !rt.cfg.NoSteal)
+	sim := stealSchedule(deal, cost, bytes, factor, n)
 	if len(sim.steals) > 0 {
 		flows := make(map[[2]int]bool)
 		for _, st := range sim.steals {

@@ -23,9 +23,9 @@ import (
 // stays common to both, including the re-deal over survivors after an
 // eviction.
 
-// DefaultVirtualShards is the default virtual-shard count. It bounds the
+// DefaultVirtualShards is every run's virtual-shard count. It bounds the
 // useful rank count and fixes the batch granularity of the distributed
-// local assembly.
+// local assembly, so runs at any rank count plan the same kernel launches.
 const DefaultVirtualShards = 32
 
 // Shard-map policies: how contigs are assigned to virtual shards.

@@ -1,7 +1,7 @@
 // Intra-round work stealing, modeled. The actual shard execution never
 // moves — every virtual shard runs on its deal owner, which is what keeps
-// contigs, scaffolds, and kernel launch lists bit-identical with stealing
-// on or off — but the *round makespan* is no longer "slowest rank's whole
+// contigs, scaffolds, and kernel launch lists bit-identical whatever the
+// schedule — but the *round makespan* is no longer "slowest rank's whole
 // queue": after the shards execute, a deterministic list-scheduling
 // simulation replays the round over the per-shard modeled costs, letting
 // idle ranks claim tail batches from the most-loaded rank, and the
@@ -50,7 +50,7 @@ type stealOutcome struct {
 // simulation is a pure function of (deal, cost, factor), independent of
 // goroutine scheduling — determinism by construction.
 func stealSchedule(deal *shardDeal, cost []clock.Machine, bytes []int64,
-	factor []float64, capacity int, enabled bool) stealOutcome {
+	factor []float64, capacity int) stealOutcome {
 	live := deal.live
 	out := stealOutcome{busy: make([]clock.Machine, capacity)}
 
@@ -88,7 +88,7 @@ func stealSchedule(deal *shardDeal, cost []clock.Machine, bytes []int64,
 			out.noStealMakespan = total
 		}
 	}
-	if !enabled || len(live) < 2 {
+	if len(live) < 2 {
 		out.makespan = out.noStealMakespan
 		return out
 	}

@@ -34,7 +34,7 @@ func onesFactor(n int) []float64 {
 func TestStealBalancedNoSteals(t *testing.T) {
 	deal := newShardDeal(DefaultVirtualShards, liveAll(8))
 	cost, bytes := uniformCosts(DefaultVirtualShards, clock.Machine(time.Millisecond))
-	out := stealSchedule(deal, cost, bytes, onesFactor(8), 8, true)
+	out := stealSchedule(deal, cost, bytes, onesFactor(8), 8)
 	if len(out.steals) != 0 {
 		t.Errorf("balanced round produced %d steals", len(out.steals))
 	}
@@ -55,7 +55,7 @@ func TestStealStragglerSpeedup(t *testing.T) {
 	cost, bytes := uniformCosts(DefaultVirtualShards, clock.Machine(time.Millisecond))
 	factor := onesFactor(8)
 	factor[0] = 8
-	out := stealSchedule(deal, cost, bytes, factor, 8, true)
+	out := stealSchedule(deal, cost, bytes, factor, 8)
 	if len(out.steals) == 0 {
 		t.Fatal("8× straggler produced no steals")
 	}
@@ -77,30 +77,10 @@ func TestStealStragglerSpeedup(t *testing.T) {
 	}
 }
 
-// TestStealDisabled: the enabled=false path must reproduce the old
-// accounting — per-rank Σ scaled cost, makespan the max — with no steals.
-func TestStealDisabled(t *testing.T) {
-	deal := newShardDeal(DefaultVirtualShards, liveAll(4))
-	cost, bytes := uniformCosts(DefaultVirtualShards, clock.Machine(time.Millisecond))
-	factor := onesFactor(4)
-	factor[2] = 3
-	out := stealSchedule(deal, cost, bytes, factor, 4, false)
-	if len(out.steals) != 0 {
-		t.Fatalf("disabled stealing still stole %d batches", len(out.steals))
-	}
-	if out.makespan != out.noStealMakespan {
-		t.Errorf("disabled makespan %v ≠ no-steal %v", out.makespan, out.noStealMakespan)
-	}
-	// Rank 2 owns 8 of 32 shards at 3 ms each.
-	if want := clock.Machine(24 * time.Millisecond); out.makespan != want {
-		t.Errorf("makespan %v, want %v", out.makespan, want)
-	}
-}
-
 // TestStealNeverWorse is the guard property: across seeded random costs,
-// factors, and live sets, the stolen makespan never exceeds the no-steal
-// one, stolen busy time conserves total work, and repeated runs are
-// bit-identical (determinism).
+// factors, and live sets, the no-steal makespan is the largest live rank's
+// Σ of its dealt shards' scaled costs, the stolen makespan never exceeds
+// it, and repeated runs are bit-identical (determinism).
 func TestStealNeverWorse(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
 	for trial := 0; trial < 200; trial++ {
@@ -128,12 +108,25 @@ func TestStealNeverWorse(t *testing.T) {
 			}
 		}
 
-		out := stealSchedule(deal, cost, bytes, factor, n, true)
+		out := stealSchedule(deal, cost, bytes, factor, n)
+		var noSteal clock.Machine
+		for _, r := range live {
+			var sum clock.Machine
+			for s := range cost {
+				if deal.rankOf(s) == r {
+					sum += clock.Machine(float64(cost[s]) * factor[r])
+				}
+			}
+			noSteal = max(noSteal, sum)
+		}
+		if out.noStealMakespan != noSteal {
+			t.Fatalf("trial %d: no-steal makespan %v, want the largest rank's Σ scaled cost %v", trial, out.noStealMakespan, noSteal)
+		}
 		if out.makespan > out.noStealMakespan {
 			t.Fatalf("trial %d: stolen makespan %v exceeds no-steal %v (live %v, factor %v)",
 				trial, out.makespan, out.noStealMakespan, live, factor)
 		}
-		again := stealSchedule(deal, cost, bytes, factor, n, true)
+		again := stealSchedule(deal, cost, bytes, factor, n)
 		if out.makespan != again.makespan || !reflect.DeepEqual(out.steals, again.steals) ||
 			!reflect.DeepEqual(out.busy, again.busy) {
 			t.Fatalf("trial %d: steal schedule is not deterministic", trial)
@@ -182,7 +175,7 @@ func BenchmarkStealScheduling(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		out := stealSchedule(deal, cost, bytes, factor, 8, true)
+		out := stealSchedule(deal, cost, bytes, factor, 8)
 		if len(out.steals) == 0 {
 			b.Fatal("no steals")
 		}

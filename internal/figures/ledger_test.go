@@ -36,7 +36,7 @@ func TestLedgerRender(t *testing.T) {
 		},
 	}
 	type inner struct{ Deep int }
-	var l ledger
+	var l sheet
 	l.add("run", "w", report.Build(res, rep))
 	l.add("x", "w", struct {
 		inner

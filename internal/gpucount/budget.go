@@ -14,45 +14,47 @@ import (
 )
 
 // BudgetStats is the accounting of one memory-bounded counting run (or,
-// via Add, of every budget round of a pipeline run).
+// via Add, of every budget round of a pipeline run), and the report's kmer
+// section under its JSON names.
 type BudgetStats struct {
 	// Configured is the caller-requested budget in bytes; Effective is
 	// the budget actually applied after OOM degradation shrank it.
 	// CountBudget itself only knows Effective (it is handed the shrunk
 	// value); the pipeline fills Configured and the OOM fields.
-	Configured int64
-	Effective  int64
+	Configured int64 `json:"mem_budget_bytes"`
+	Effective  int64 `json:"effective_budget_bytes"`
 	// Passes is the executed partitioned-pass count; PlannedPasses is
 	// the up-front plan at the effective budget. SpillPasses counts the
 	// passes beyond the plan at the *configured* budget — the extra work
 	// graceful degradation (OOM shrink or spill re-plans) cost.
-	Passes        int
-	PlannedPasses int
-	SpillPasses   int
+	Passes        int `json:"passes"`
+	PlannedPasses int `json:"planned_passes"`
+	SpillPasses   int `json:"spill_passes,omitempty"`
 	// SpillReplans counts in-run re-plans: a pass overflowed its table
 	// (hash-range imbalance beyond the 2x headroom) and the whole count
 	// restarted with doubled passes.
-	SpillReplans int
+	SpillReplans int `json:"spill_replans,omitempty"`
 	// OOMReplans counts chaos DeviceOOM events absorbed by shrinking the
 	// effective budget instead of falling back to the host path.
-	OOMReplans int
+	OOMReplans int `json:"oom_replans,omitempty"`
 	// FilteredSingletons counts k-mer occurrences the Bloom prefilter
 	// rejected (their k-mer provably cannot reach MinCount). Inserted
 	// counts distinct k-mers that entered the table; FPInserted is the
 	// subset that were filter false positives (exact count < MinCount),
 	// i.e. wasted slots — the filter's only failure mode.
-	FilteredSingletons int64
-	Inserted           int64
-	FPInserted         int64
+	FilteredSingletons int64 `json:"filtered_singletons"`
+	Inserted           int64 `json:"inserted_kmers"`
+	FPInserted         int64 `json:"-"`
 	// TableBytes/BloomBytes are the device footprints of the two
 	// counting structures; their sum is ≤ the effective budget.
-	TableBytes int64
-	BloomBytes int64
-	// Kernels and KernelTime account every counting launch (clear,
+	TableBytes int64 `json:"table_bytes"`
+	BloomBytes int64 `json:"bloom_bytes"`
+	// Kernels, KernelTime and Stats account every counting launch (clear,
 	// filter, passes), kept separate from the local-assembly kernel list
 	// so engine-level reporting is unchanged by budget mode.
-	Kernels    int
-	KernelTime clock.Device
+	Kernels    int          `json:"kernels"`
+	KernelTime clock.Device `json:"kernel_time_ns"`
+	Stats      simt.Stats   `json:"stats"`
 }
 
 // FPRate returns the filter false-positive rate among inserted k-mers.
@@ -88,10 +90,12 @@ func (s *BudgetStats) Add(o BudgetStats) {
 	}
 	s.Kernels += o.Kernels
 	s.KernelTime += o.KernelTime
+	s.Stats.Add(&o.Stats)
 }
 
 // Sub returns what s, a later reading of one accumulation, added since prev:
-// the fields Add sums, subtracted (budgets and footprints stay s's).
+// the fields Add sums, subtracted (budgets, footprints and the longest
+// memory chain stay s's).
 func (s BudgetStats) Sub(prev BudgetStats) BudgetStats {
 	s.Passes -= prev.Passes
 	s.PlannedPasses -= prev.PlannedPasses
@@ -103,6 +107,15 @@ func (s BudgetStats) Sub(prev BudgetStats) BudgetStats {
 	s.FPInserted -= prev.FPInserted
 	s.Kernels -= prev.Kernels
 	s.KernelTime -= prev.KernelTime
+	for i := range s.Stats.WarpInstrs {
+		s.Stats.WarpInstrs[i] -= prev.Stats.WarpInstrs[i]
+		s.Stats.ThreadInstrs[i] -= prev.Stats.ThreadInstrs[i]
+	}
+	s.Stats.PredicatedOff -= prev.Stats.PredicatedOff
+	s.Stats.GlobalSectors -= prev.Stats.GlobalSectors
+	s.Stats.LocalSectors -= prev.Stats.LocalSectors
+	s.Stats.AtomicSectors -= prev.Stats.AtomicSectors
+	s.Stats.Warps -= prev.Stats.Warps
 	return s
 }
 
@@ -173,6 +186,7 @@ func CountBudgetContext(ctx context.Context, dev *simt.Device, seqs [][]byte, k 
 		}
 		st.Kernels++
 		st.KernelTime += res.Time
+		st.Stats.Add(&res.Stats)
 		launchTap(res)
 		return nil
 	}

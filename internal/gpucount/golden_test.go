@@ -1,12 +1,12 @@
 package gpucount
 
 import (
-	"fmt"
 	"math/rand"
-	"os"
-	"strings"
 	"testing"
 
+	"mhm2sim/internal/clock"
+	"mhm2sim/internal/ledger"
+	"mhm2sim/internal/ledger/ledgertest"
 	"mhm2sim/internal/simt"
 )
 
@@ -27,94 +27,73 @@ func goldenFixture() [][]byte {
 	return seqs
 }
 
-// The values below were recorded at the parent of the rolling-scanner
-// change (per-lane FromBytes+Canonical extraction). They pin the claim that
-// only host arithmetic changed: every simulated instruction, sector, modeled
-// time, pass count and filter statistic is bit-identical.
-// Count takes one-word keys only, so its k = 33 row does not exist.
-const goldenCountK21 = "{Kernel:kmer_count_k21 WarpInstrs:[14201 0 6862 3955 6239 0 0 4777 0 0 0 608 0 0] ThreadInstrs:[326043 0 213757 84332 187152 0 0 61083 0 0 0 7966 0 0] PredicatedOff:292211 GlobalSectors:66961 LocalSectors:0 AtomicSectors:61070 Warps:304 MaxSerialMemChain:4840} time=24764"
+// The goldens pin every modeled number of fixed counts as ledger lines.
+// They were recorded at the parents of three changes that had to leave them
+// all as they were: the rolling scanner (per-lane FromBytes+Canonical
+// extraction before it), the ordered-commit launches, and the budget
+// count's prologue record.
 
+// TestGoldenCountAccounting pins Count's one launch at k = 21 (it takes
+// one-word keys only, so k = 33 has no row).
 func TestGoldenCountAccounting(t *testing.T) {
 	_, res, err := Count(testDev(), goldenFixture(), 21)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := fmt.Sprintf("%+v time=%d", res.Stats, res.Time); got != goldenCountK21 {
-		t.Errorf("Count k=21 accounting moved:\n got %s\nwant %s", got, goldenCountK21)
-	}
+	ledgertest.Golden(t, "testdata/count_accounting.golden.ledger", ledger.Render(ledger.Append(nil, "count.k21", "fixture", res)))
 }
 
-// goldenReplan is TestCountBudgetSpillReplan's forced one-pass plan,
-// recorded at the parent of the ordered-commit launches (interleaved
-// kernels on one goroutine). A pass that overflows is discarded but its
-// modeled time stays in KernelTime, and each warp of it stops charging at
-// its first ErrTableFull — the split kernels must reproduce that sum.
-const goldenReplan = "kernels=30 kernelTime=1047650 passes=8 filtered=0 inserted=4000 fp=0 distinct=4000 replans=3"
-
-func budgetLine(tab interface{ Len() int }, st BudgetStats) string {
-	return fmt.Sprintf("kernels=%d kernelTime=%d passes=%d filtered=%d inserted=%d fp=%d distinct=%d",
-		st.Kernels, st.KernelTime, st.Passes, st.FilteredSingletons, st.Inserted, st.FPInserted, tab.Len())
+// goldenRuns are the budget counts the launch golden pins: two Bloom-on
+// counts of eight passes with singletons, and two forced one-pass plans
+// that overflow and re-plan, with singletons present, with and without the
+// filter. A discarded pass's modeled time stays in KernelTime, and each of
+// its warps stops charging at its first ErrTableFull.
+var goldenRuns = []struct {
+	name string
+	k    int
+	cfg  BudgetConfig
+}{
+	{"bloom.k21", 21, BudgetConfig{MemBudget: 1 << 18, MinCount: 2}},
+	{"bloom.k33", 33, BudgetConfig{MemBudget: 1 << 18, MinCount: 2}},
+	{"replan.bloom.k21", 21, BudgetConfig{MemBudget: MinMemBudget, MinCount: 2, Passes: 1}},
+	{"replan.nobloom.k21", 21, BudgetConfig{MemBudget: MinMemBudget, MinCount: 1, Passes: 1}},
 }
 
-// TestGoldenBudgetAccounting pins goldenReplan. The fixture's Bloom-on
-// counts are pinned, header and launches, by TestGoldenBudgetLaunches.
+// budgetLines are a budget count's ledger lines: its stats under their
+// report names, the counting launches' summed counters among them, the
+// filter's false positives the report leaves out, and its table's
+// distinct k-mers.
+func budgetLines(lines []string, name string, tab interface{ Len() int }, st BudgetStats) []string {
+	lines = ledger.Append(lines, name, "fixture", st)
+	lines = ledger.Append(lines, name+".fp_inserted", "fixture", st.FPInserted)
+	return ledger.Append(lines, name+".distinct", "fixture", tab.Len())
+}
+
+// TestGoldenBudgetAccounting pins TestCountBudgetSpillReplan's forced
+// one-pass plan over reads without singletons.
 func TestGoldenBudgetAccounting(t *testing.T) {
 	seqs := coveredReads(rand.New(rand.NewSource(7)), 40, 2, 0, 120)
 	tab, st, err := CountBudget(testDev(), seqs, 21, BudgetConfig{MemBudget: MinMemBudget, MinCount: 2, Passes: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := fmt.Sprintf("%s replans=%d", budgetLine(tab, st), st.SpillReplans); got != goldenReplan {
-		t.Errorf("forced re-plan accounting moved:\n got %s\nwant %s", got, goldenReplan)
-	}
+	ledgertest.Golden(t, "testdata/budget_accounting.golden.ledger", ledger.Render(budgetLines(nil, "replan", tab, st)))
 }
 
-// goldenLaunchRuns are the counts whose every launch testdata/
-// budget_launches.golden pins, as recorded at the parent of the prologue
-// record: two Bloom-on counts of eight passes with singletons, and two
-// forced re-plans with singletons present, with and without the filter. In
-// the re-plans the record is filled by a launch whose pass is discarded, and
-// each plan stores its own partition.
-var goldenLaunchRuns = []struct {
-	name string
-	k    int
-	cfg  BudgetConfig
-}{
-	{"bloom k=21", 21, BudgetConfig{MemBudget: 1 << 18, MinCount: 2}},
-	{"bloom k=33", 33, BudgetConfig{MemBudget: 1 << 18, MinCount: 2}},
-	{"replan bloom k=21", 21, BudgetConfig{MemBudget: MinMemBudget, MinCount: 2, Passes: 1}},
-	{"replan nobloom k=21", 21, BudgetConfig{MemBudget: MinMemBudget, MinCount: 1, Passes: 1}},
-}
-
-// TestGoldenBudgetLaunches pins every launch's KernelResult (counters and
-// modeled time) of goldenLaunchRuns, one line per launch under a line per run.
+// TestGoldenBudgetLaunches pins goldenRuns: each count's stats and every
+// launch's modeled time, in launch order.
 func TestGoldenBudgetLaunches(t *testing.T) {
-	want, err := os.ReadFile("testdata/budget_launches.golden")
-	if err != nil {
-		t.Fatal(err)
-	}
 	defer func(tap func(simt.KernelResult)) { launchTap = tap }(launchTap)
-	var got strings.Builder
-	for _, run := range goldenLaunchRuns {
-		var lines []string
-		launchTap = func(r simt.KernelResult) { lines = append(lines, fmt.Sprintf("%+v time=%d", r.Stats, r.Time)) }
+	var lines []string
+	for _, run := range goldenRuns {
+		var times []clock.Device
+		launchTap = func(r simt.KernelResult) { times = append(times, r.Time) }
 		tab, st, err := CountBudget(testDev(), goldenFixture(), run.k, run.cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
-		fmt.Fprintf(&got, "# %s: %s replans=%d\n", run.name, budgetLine(tab, st), st.SpillReplans)
-		for _, l := range lines {
-			got.WriteString(l + "\n")
-		}
+		lines = budgetLines(lines, run.name, tab, st)
+		lines = ledger.Append(lines, run.name+".launch_time_ns", "fixture", times)
 	}
-	if got.String() == string(want) {
-		return
-	}
-	g, w := strings.Split(got.String(), "\n"), strings.Split(string(want), "\n")
-	for i := range min(len(g), len(w)) {
-		if g[i] != w[i] {
-			t.Fatalf("launch line %d moved:\n got %s\nwant %s", i+1, g[i], w[i])
-		}
-	}
-	t.Fatalf("%d launch lines, want %d", len(g), len(w))
+	ledgertest.Golden(t, "testdata/budget_launches.golden.ledger", ledger.Render(lines))
 }

@@ -1,6 +1,7 @@
 package gpuht
 
 import (
+	"bytes"
 	"math"
 	"math/rand"
 	"testing"
@@ -355,27 +356,36 @@ func TestVisitedCycleDetection(t *testing.T) {
 	}
 }
 
+// TestClearEntriesResets: ClearEntries run by any number of warps resets
+// exactly its entries to an Empty key and zero counters, wherever the
+// arena starts, and leaves the bytes after them as they were.
 func TestClearEntriesResets(t *testing.T) {
-	d := testDevice()
-	slots := 37 // not a multiple of warp size
-	base, _ := d.Malloc(Bytes(slots))
-	// Scribble garbage.
-	for i := 0; i < slots*EntryBytes; i++ {
-		d.WriteBytes(base+simt.Ptr(i), []byte{0xab})
-	}
-	_, err := d.Launch(simt.KernelConfig{Name: "clear", Warps: 3}, func(w *simt.Warp) {
-		ClearEntries(w, base, slots, 3)
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < slots; i++ {
-		e := simt.Ptr(uint64(base) + uint64(i)*EntryBytes)
-		if d.ReadU32(e+offKeyOff) != Empty {
-			t.Fatalf("entry %d key not Empty", i)
-		}
-		if d.ReadU32(e+offCount) != 0 || d.ReadU64(e+offExtHi) != 0 || d.ReadU64(e+offExtLo) != 0 {
-			t.Fatalf("entry %d counters not zero", i)
+	for _, entries := range []int{0, 1, 31, 32, 33, 100} {
+		for _, warps := range []int{1, 3} {
+			for _, base := range []simt.Ptr{64, 72} { // 72 moves the stores' sector phase
+				d := testDevice()
+				end := base + simt.Ptr(entries*EntryBytes)
+				if _, err := d.Malloc(int64(end) + 64); err != nil {
+					t.Fatal(err)
+				}
+				d.WriteBytes(0, bytes.Repeat([]byte{0xab}, int(end)+64))
+				if _, err := d.Launch(simt.KernelConfig{Name: "clear", Warps: warps}, func(w *simt.Warp) {
+					ClearEntries(w, base, entries, warps)
+				}); err != nil {
+					t.Fatal(err)
+				}
+				for i := 0; i < entries; i++ {
+					e := base + simt.Ptr(i*EntryBytes)
+					if d.ReadU32(e+offKeyOff) != Empty || d.ReadU32(e+offCount) != 0 ||
+						d.ReadU64(e+offExtHi) != 0 || d.ReadU64(e+offExtLo) != 0 {
+						t.Fatalf("%d entries, %d warps, base %d: entry %d not reset", entries, warps, base, i)
+					}
+				}
+				if !bytes.Equal(d.ReadBytes(end, 64), bytes.Repeat([]byte{0xab}, 64)) ||
+					!bytes.Equal(d.ReadBytes(0, int(base)), bytes.Repeat([]byte{0xab}, int(base))) {
+					t.Errorf("%d entries, %d warps, base %d: a byte outside the entries changed", entries, warps, base)
+				}
+			}
 		}
 	}
 }

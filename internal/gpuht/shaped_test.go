@@ -1,13 +1,11 @@
 package gpuht
 
-// The table clears and the raw key loads are issued through simt's
-// shape-declared ops (DESIGN.md §12, "Shape-declared ops"); the per-lane
-// loops the clears replaced are kept here, verbatim, as their oracle. The
-// packed keys have two load forms of different shapes (a run's segment
-// load, a gather's per-lane words), so what the tests below pin is their
-// meaning: every form loads the same words, hashes the same, and
-// InsertBatch builds the table a lane-at-a-time loop and the byte-keyed
-// loop it replaced build.
+// The raw key loads are issued through simt's shape-declared ops
+// (DESIGN.md §12, "Shape-declared ops"). The packed keys have two load forms
+// of different shapes (a run's segment load, a gather's per-lane words), so
+// what the tests below pin is their meaning: every form loads the same
+// words, hashes the same, and InsertBatch builds the table a lane-at-a-time
+// loop and the byte-keyed loop it replaced build.
 
 import (
 	"bytes"
@@ -20,133 +18,6 @@ import (
 	"mhm2sim/internal/dna"
 	"mhm2sim/internal/simt"
 )
-
-func refClearEntriesWarp(w *simt.Warp, base simt.Ptr, entries int) {
-	totalWords := entries * EntryBytes / 8
-	ones := simt.Splat(^uint64(0))
-	for first := 0; first < totalWords; first += simt.WarpSize {
-		var mask simt.Mask
-		var addrs simt.Vec
-		for lane := 0; lane < simt.WarpSize; lane++ {
-			word := first + lane
-			if word >= totalWords {
-				break
-			}
-			mask |= simt.LaneMask(lane)
-			addrs[lane] = uint64(base) + uint64(word)*8
-		}
-		if mask == 0 {
-			continue
-		}
-		w.StoreGlobal(mask, &addrs, 8, &ones)
-		w.Exec(simt.ICtrl, mask)
-	}
-}
-
-func refClearEntries(w *simt.Warp, base simt.Ptr, entries, totalWarps int) {
-	emptyKey := simt.Splat(uint64(Empty))
-	zero := simt.Splat(0)
-	for first := w.ID * simt.WarpSize; first < entries; first += totalWarps * simt.WarpSize {
-		var mask simt.Mask
-		var a0, a8, a16, a24 simt.Vec
-		for lane := 0; lane < simt.WarpSize; lane++ {
-			idx := first + lane
-			if idx >= entries {
-				break
-			}
-			mask |= simt.LaneMask(lane)
-			e := uint64(base) + uint64(idx)*EntryBytes
-			a0[lane], a8[lane], a16[lane], a24[lane] = e, e+8, e+16, e+24
-		}
-		if mask == 0 {
-			continue
-		}
-		w.StoreGlobal(mask, &a0, 8, &emptyKey)
-		w.StoreGlobal(mask, &a8, 8, &zero)
-		w.StoreGlobal(mask, &a16, 8, &zero)
-		w.StoreGlobal(mask, &a24, 8, &zero)
-		w.Exec(simt.ICtrl, mask)
-	}
-}
-
-func refClearVisited(w *simt.Warp, base simt.Ptr, slots, warpIdx, totalWarps int) {
-	empty := simt.Splat(uint64(Empty))
-	for first := warpIdx * simt.WarpSize; first < slots; first += totalWarps * simt.WarpSize {
-		var mask simt.Mask
-		var addrs simt.Vec
-		for lane := 0; lane < simt.WarpSize; lane++ {
-			idx := first + lane
-			if idx >= slots {
-				break
-			}
-			mask |= simt.LaneMask(lane)
-			addrs[lane] = uint64(base) + uint64(idx)*4
-		}
-		if mask == 0 {
-			continue
-		}
-		w.StoreGlobal(mask, &addrs, 4, &empty)
-		w.Exec(simt.ICtrl, mask)
-	}
-}
-
-// twoDevices returns two devices whose first n bytes (allocated) hold the
-// same random data.
-func twoDevices(t *testing.T, n int, seed int64) (a, b *simt.Device) {
-	t.Helper()
-	junk := make([]byte, n)
-	rand.New(rand.NewSource(seed)).Read(junk)
-	devs := [2]*simt.Device{testDevice(), testDevice()}
-	for _, d := range devs {
-		if _, err := d.Malloc(int64(n)); err != nil {
-			t.Fatal(err)
-		}
-		d.WriteBytes(0, junk)
-	}
-	return devs[0], devs[1]
-}
-
-// sameRun launches live on a and ref on b and fails unless results and the
-// first n bytes of memory agree.
-func sameRun(t *testing.T, name string, a, b *simt.Device, n, warps int, live, ref func(w *simt.Warp)) {
-	t.Helper()
-	cfg := simt.KernelConfig{Name: name, Warps: warps, Sequential: true, LocalBytesPerLane: 64}
-	got, err := a.Launch(cfg, live)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := b.Launch(cfg, ref)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got != want {
-		t.Errorf("%s: kernel results differ\nlive %+v\nref  %+v", name, got, want)
-	}
-	if !bytes.Equal(a.ReadBytes(0, n), b.ReadBytes(0, n)) {
-		t.Errorf("%s: device memory differs", name)
-	}
-}
-
-func TestClearsMatchPerLaneLoops(t *testing.T) {
-	const arena = 3600*EntryBytes + 256
-	for _, entries := range []int{0, 1, 7, 8, 31, 32, 33, 100, 3600} {
-		for _, warps := range []int{1, 2, 3} {
-			// An unaligned base moves the stores' sector phase.
-			for _, base := range []simt.Ptr{64, 72} {
-				a, b := twoDevices(t, arena, int64(entries))
-				sameRun(t, "ClearEntries", a, b, arena, warps,
-					func(w *simt.Warp) { ClearEntries(w, base, entries, warps) },
-					func(w *simt.Warp) { refClearEntries(w, base, entries, warps) })
-				sameRun(t, "ClearEntriesWarp", a, b, arena, 1,
-					func(w *simt.Warp) { ClearEntriesWarp(w, base, entries) },
-					func(w *simt.Warp) { refClearEntriesWarp(w, base, entries) })
-				sameRun(t, "ClearVisitedWarp", a, b, arena, 1,
-					func(w *simt.Warp) { ClearVisitedWarp(w, base, entries) },
-					func(w *simt.Warp) { refClearVisited(w, base, entries, 0, 1) })
-			}
-		}
-	}
-}
 
 // buildArenas stages reads the way the local-assembly driver does: the
 // packable ones 2-bit packed (a word of slack after them), the others raw

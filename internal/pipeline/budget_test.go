@@ -14,14 +14,7 @@ import (
 // the unbounded host count, because the filter drops only sub-MinCount
 // k-mers the error filter would drop anyway and pass counts are exact.
 func TestBudgetRunBitIdentical(t *testing.T) {
-	pairs := buildPairs(t)
-	base, err := Run(pairs, testPipelineConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(base.Contigs) == 0 {
-		t.Fatal("baseline run degenerate: no contigs")
-	}
+	pairs, base := buildPairs(t), reference(t)
 
 	cfg := testPipelineConfig()
 	cfg.MemBudget = 8 << 20

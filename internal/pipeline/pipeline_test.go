@@ -3,10 +3,10 @@ package pipeline
 import (
 	"bytes"
 	"strings"
+	"sync"
 	"testing"
 
 	"mhm2sim/internal/dna"
-	"mhm2sim/internal/locassm"
 	"mhm2sim/internal/preprocess"
 	"mhm2sim/internal/synth"
 )
@@ -28,13 +28,34 @@ func testPipelineConfig() Config {
 	return cfg
 }
 
+// buildPairs is smallPreset's reads, built once per test binary. Runs never
+// write to their input.
 func buildPairs(t testing.TB) []dna.PairedRead {
 	t.Helper()
-	_, pairs, err := smallPreset().Build()
-	if err != nil {
-		t.Fatal(err)
+	fixture.pairsOnce.Do(func() { _, fixture.pairs, fixture.pairsErr = smallPreset().Build() })
+	if fixture.pairsErr != nil {
+		t.Fatal(fixture.pairsErr)
 	}
-	return pairs
+	return fixture.pairs
+}
+
+// reference is the cpu engine's run of testPipelineConfig on buildPairs,
+// run once per test binary: the assembly every engine must reproduce.
+func reference(t testing.TB) *Result {
+	t.Helper()
+	pairs := buildPairs(t)
+	fixture.refOnce.Do(func() { fixture.ref, fixture.refErr = Run(pairs, testPipelineConfig()) })
+	if fixture.refErr != nil {
+		t.Fatal(fixture.refErr)
+	}
+	return fixture.ref
+}
+
+var fixture struct {
+	pairsOnce, refOnce sync.Once
+	pairs              []dna.PairedRead
+	ref                *Result
+	pairsErr, refErr   error
 }
 
 func TestMergePairsOverlap(t *testing.T) {
@@ -140,11 +161,7 @@ func TestStageString(t *testing.T) {
 }
 
 func TestPipelineEndToEndCPU(t *testing.T) {
-	pairs := buildPairs(t)
-	res, err := Run(pairs, testPipelineConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
+	pairs, res := buildPairs(t), reference(t)
 	if len(res.Contigs) == 0 {
 		t.Fatal("no contigs assembled")
 	}
@@ -188,32 +205,6 @@ func TestPipelineEndToEndCPU(t *testing.T) {
 		if b.Zero+b.Small+b.Large == 0 {
 			t.Errorf("round k=%d: empty bins", b.K)
 		}
-	}
-}
-
-func TestPipelineGPUMatchesCPUContigs(t *testing.T) {
-	pairs := buildPairs(t)
-
-	cpuRes, err := Run(pairs, testPipelineConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	gcfg := testPipelineConfig()
-	gcfg.Engine.Name = locassm.EngineGPU
-	gpuRes, err := Run(pairs, gcfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(cpuRes.Contigs) != len(gpuRes.Contigs) {
-		t.Fatalf("contig counts differ: %d vs %d", len(cpuRes.Contigs), len(gpuRes.Contigs))
-	}
-	for i := range cpuRes.Contigs {
-		if !bytes.Equal(cpuRes.Contigs[i].Seq, gpuRes.Contigs[i].Seq) {
-			t.Fatalf("contig %d differs between CPU and GPU local assembly", i)
-		}
-	}
-	if gpuRes.Work.GPUKernelTime <= 0 || len(gpuRes.Work.GPUKernels) == 0 {
-		t.Error("GPU work record not populated")
 	}
 }
 

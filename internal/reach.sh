@@ -34,14 +34,14 @@ done
 # mhm2sim: the smoke lines of ci.yml's test, daemon, chaos, elastic and
 # mem-budget jobs (on the default preset), then lines that set the flags
 # those leave alone.
-sim -engine dist -ranks 4 -gpu -rounds 21,33 -json "$run/dist.json"
+sim -engine dist -ranks 4 -rounds 21,33 -json "$run/dist.json"
 sim -preset arcticsynth -engine gpu -rounds 21,33 -out "$run/ref.fasta" -json "$run/ref.json"
-sim -engine dist -ranks 8 -gpu -rounds 21,33 -faults rank-crash=1,oom=2 -fault-seed 42 -json "$run/chaos.json"
-sim -engine dist -ranks 4 -gpu -rounds 21,33 -elastic "join@r1:2" -faults straggler=2 -fault-seed 7 -json "$run/elastic.json"
+sim -engine dist -ranks 8 -rounds 21,33 -faults rank-crash=1,oom=2 -fault-seed 42 -json "$run/chaos.json"
+sim -engine dist -ranks 4 -rounds 21,33 -elastic "join@r1:2" -faults straggler=2 -fault-seed 7 -json "$run/elastic.json"
 sim -rounds 21,33 -mem-budget 134217728 -out "$run/budget.fasta"
 sim -engine multigpu -gpus 2 -gpualn -rounds 21,33 -mem-budget 134217728 -quality -dump-la "$run/la.dump"
-sim -engine dist -ranks 4 -shard component -nosteal -elastic "join@r1:1,leave@r2:1" -workers 2
-sim -engine dist -ranks 4 -gpu -rounds 21,33 -mem-budget 134217728 -faults drop=2,corrupt=1,delay=2,kernel-abort=1 -fault-seed 3
+sim -engine dist -ranks 4 -shard component -host-ranks -elastic "join@r1:1,leave@r2:1" -workers 2
+sim -engine dist -ranks 4 -rounds 21,33 -mem-budget 134217728 -faults drop=2,corrupt=1,delay=2,kernel-abort=1 -fault-seed 3
 "$bin/readgen" -preset arcticsynth -depth 8 -seed 5 -out "$run/reads.fastq" -genomes "$run/genomes.fasta" >/dev/null
 sim -reads "$run/reads.fastq" -preprocess -estimate-insert=false -checkpoint "$run/ckpt" -rounds 21,33 \
 	-cpuprofile "$run/cpu.prof" -memprofile "$run/mem.prof"

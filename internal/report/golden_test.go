@@ -2,18 +2,15 @@ package report
 
 import (
 	"bytes"
-	"flag"
-	"os"
 	"testing"
 	"time"
 
 	"mhm2sim/internal/clock"
 	"mhm2sim/internal/dist"
 	"mhm2sim/internal/gpucount"
+	"mhm2sim/internal/ledger/ledgertest"
 	"mhm2sim/internal/simt"
 )
-
-var updateGolden = flag.Bool("update", false, "rewrite testdata/report.golden.json")
 
 // goldenReport is the report of one fixed run with every optional section present: GPU
 // kernels, a budget-mode k-mer count, and an elastic, faulted dist report.
@@ -30,7 +27,7 @@ func goldenReport() *Report {
 		TableBytes: 3 << 20, BloomBytes: 1 << 20, Kernels: 9, KernelTime: clock.Device(2 * time.Millisecond),
 	}
 	rep := &dist.Report{
-		Ranks: 2, Capacity: 3, VirtualShards: 32, Rounds: 2,
+		Ranks: 2, Capacity: 3, Rounds: 2,
 		ShardPolicy: dist.ShardComponent, Components: []int{5, 4},
 		ComponentPassTime: 300 * time.Microsecond,
 		Wall:              clock.Machine(10 * time.Millisecond), CommTime: clock.Fabric(2 * time.Millisecond),
@@ -71,17 +68,5 @@ func TestReportGolden(t *testing.T) {
 	if err := goldenReport().Encode(&got); err != nil {
 		t.Fatal(err)
 	}
-	const path = "testdata/report.golden.json"
-	if *updateGolden {
-		if err := os.WriteFile(path, got.Bytes(), 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
-	want, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(got.Bytes(), want) {
-		t.Errorf("report encoding changed:\n%s\nwant:\n%s", got.Bytes(), want)
-	}
+	ledgertest.Golden(t, "testdata/report.golden.json", got.String())
 }

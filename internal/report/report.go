@@ -14,6 +14,7 @@ import (
 	"mhm2sim/internal/atomicfile"
 	"mhm2sim/internal/clock"
 	"mhm2sim/internal/dist"
+	"mhm2sim/internal/gpucount"
 	"mhm2sim/internal/pipeline"
 	"mhm2sim/internal/quality"
 )
@@ -58,20 +59,8 @@ type GPU struct {
 // run had a -mem-budget): the pass plan, the Bloom prefilter's work and
 // false-positive rate, and the degradation counters.
 type Kmer struct {
-	MemBudgetBytes     int64        `json:"mem_budget_bytes"`
-	EffectiveBytes     int64        `json:"effective_budget_bytes"`
-	Passes             int          `json:"passes"`
-	PlannedPasses      int          `json:"planned_passes"`
-	SpillPasses        int          `json:"spill_passes,omitempty"`
-	SpillReplans       int          `json:"spill_replans,omitempty"`
-	OOMReplans         int          `json:"oom_replans,omitempty"`
-	FilteredSingletons int64        `json:"filtered_singletons"`
-	Inserted           int64        `json:"inserted_kmers"`
-	FilterFPRate       float64      `json:"filter_fp_rate"`
-	TableBytes         int64        `json:"table_bytes"`
-	BloomBytes         int64        `json:"bloom_bytes"`
-	Kernels            int          `json:"kernels"`
-	KernelTimeNS       clock.Device `json:"kernel_time_ns"`
+	gpucount.BudgetStats
+	FilterFPRate float64 `json:"filter_fp_rate"`
 }
 
 // Dist is the per-rank comm/compute breakdown of a multi-rank run.
@@ -149,28 +138,13 @@ func Build(res *pipeline.Result, rep *dist.Report) *Report {
 		}
 	}
 	if kb := res.Work.KmerBudget; kb.Passes > 0 {
-		r.Kmer = &Kmer{
-			MemBudgetBytes:     kb.Configured,
-			EffectiveBytes:     kb.Effective,
-			Passes:             kb.Passes,
-			PlannedPasses:      kb.PlannedPasses,
-			SpillPasses:        kb.SpillPasses,
-			SpillReplans:       kb.SpillReplans,
-			OOMReplans:         kb.OOMReplans,
-			FilteredSingletons: kb.FilteredSingletons,
-			Inserted:           kb.Inserted,
-			FilterFPRate:       kb.FPRate(),
-			TableBytes:         kb.TableBytes,
-			BloomBytes:         kb.BloomBytes,
-			Kernels:            kb.Kernels,
-			KernelTimeNS:       kb.KernelTime,
-		}
+		r.Kmer = &Kmer{kb, kb.FPRate()}
 	}
 	if rep != nil {
 		jd := &Dist{
 			Ranks:           rep.Ranks,
 			Capacity:        rep.Capacity,
-			VirtualShards:   rep.VirtualShards,
+			VirtualShards:   dist.DefaultVirtualShards,
 			Rounds:          rep.Rounds,
 			ShardPolicy:     rep.ShardPolicy,
 			Components:      rep.Components,

@@ -101,8 +101,8 @@ func TestReportKmerSection(t *testing.T) {
 	if err := json.Unmarshal(data, &back); err != nil {
 		t.Fatal(err)
 	}
-	if back.Kmer == nil || back.Kmer.Passes != 6 || back.Kmer.MemBudgetBytes != 8<<20 ||
-		back.Kmer.EffectiveBytes != 4<<20 || back.Kmer.FilteredSingletons != 1234 {
+	if back.Kmer == nil || back.Kmer.Passes != 6 || back.Kmer.Configured != 8<<20 ||
+		back.Kmer.Effective != 4<<20 || back.Kmer.FilteredSingletons != 1234 {
 		t.Errorf("kmer section did not round-trip: %+v", back.Kmer)
 	}
 }

@@ -19,7 +19,7 @@ import (
 func TestSchedulerMemBudgetJob(t *testing.T) {
 	spec := tinySpec(3)
 	spec.MemBudget = gpucount.MinMemBudget
-	ref := standaloneOutput(t, spec)
+	ref, _ := standalone(t, spec)
 
 	dataDir := t.TempDir()
 	s := newScheduler(t, Config{DataDir: dataDir, Workers: 1, QueueDepth: 4})

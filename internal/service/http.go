@@ -25,12 +25,15 @@ const MaxSpecBytes = 1 << 20
 //
 // Admission rejections map to 429 (queue full, tenant over quota) and 503
 // (draining) so clients can back off and retry — the HTTP face of the
-// scheduler's backpressure. A submitted body past MaxSpecBytes is a 413.
+// scheduler's backpressure. A submitted body past MaxSpecBytes is a 413; one
+// with a field JobSpec does not have is a 400.
 func NewHandler(s *Scheduler) http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /v1/jobs", func(w http.ResponseWriter, r *http.Request) {
 		var spec JobSpec
-		if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, MaxSpecBytes)).Decode(&spec); err != nil {
+		dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, MaxSpecBytes))
+		dec.DisallowUnknownFields() // a misspelt or retired field would silently run a different job
+		if err := dec.Decode(&spec); err != nil {
 			code := http.StatusBadRequest
 			var tooLarge *http.MaxBytesError
 			if errors.As(err, &tooLarge) {

@@ -7,6 +7,8 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"runtime"
 	"strings"
 	"testing"
@@ -250,6 +252,25 @@ func TestSubmitBodyBounds(t *testing.T) {
 	padded := `{"tenant":"` + strings.Repeat("a", MaxSpecBytes/2) + `","rounds":[21]}`
 	if code := post(strings.NewReader(padded)); code != http.StatusAccepted {
 		t.Errorf("well-formed %d-byte body: status %d, want 202", len(padded), code)
+	}
+
+	// A field JobSpec does not have, misspelt or retired, is refused rather
+	// than silently dropped; a spec persisted before the field went still
+	// loads, so its job resumes.
+	for _, spec := range []string{`{"engin":"gpu"}`, `{"engine":"dist","ranks":2,"nosteal":true}`} {
+		if code := post(strings.NewReader(spec)); code != http.StatusBadRequest {
+			t.Errorf("%s: status %d, want 400", spec, code)
+		}
+	}
+	dir := t.TempDir()
+	if err := os.MkdirAll(jobDir(dir, formatJobID(1)), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(jobDir(dir, formatJobID(1)), specFile), []byte(`{"engine":"dist","ranks":2,"nosteal":true}`), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if jobs, _, err := loadJobs(dir); err != nil || len(jobs) != 1 || jobs[0].Spec.Ranks != 2 {
+		t.Errorf("persisted spec with a retired field: %+v, %v", jobs, err)
 	}
 
 	post(strings.NewReader(`{"engine":"nope"}`)) // warm the connection and handler

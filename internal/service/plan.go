@@ -16,8 +16,8 @@ import (
 // Plan is a run a JobSpec denotes: its input and its configuration. A
 // front end attaches its host-side settings to the configuration — the
 // scheduler a checkpoint dir, an observer and the job's lease as the device
-// source; mhm2sim its -gpualn, -preprocess, -estimate-insert, -workers,
-// -checkpoint and -gpu — and calls Run.
+// source; mhm2sim its -gpualn, -preprocess, -estimate-insert, -workers and
+// -checkpoint — and calls Run.
 type Plan struct {
 	// Pairs is the input; Genomes the truth genomes it was sampled from
 	// (preset inputs only, nil for a FASTQ).
@@ -94,6 +94,8 @@ func (s JobSpec) check() error {
 			distOnly = "elastic"
 		case s.Shard != "" && s.Shard != dist.ShardHash:
 			distOnly = "shard=" + s.Shard
+		case s.HostRanks:
+			distOnly = "host_ranks"
 		}
 		if distOnly != "" {
 			return fmt.Errorf("service: %s requires engine=dist with ranks ≥ 2, got engine %q", distOnly, s.Engine)
@@ -146,7 +148,7 @@ func (s JobSpec) translate() (*Plan, error) {
 		dcfg.ShardPolicy = s.Shard
 	}
 	dcfg.Elastic = s.Elastic
-	dcfg.NoSteal = s.NoSteal
+	dcfg.CPUAssembly = s.HostRanks
 	if s.Faults != "" {
 		var err error
 		dcfg.Faults, err = faults.NewPlan(s.Faults, s.FaultSeed, s.Ranks, len(cfg.Rounds))

@@ -20,6 +20,9 @@ func FuzzJobSpecPlan(f *testing.F) {
 		`{"engine":"dist","ranks":2000000000}`,
 		`{"engine":"multigpu","gpus":-4}`,
 		`{"engine":"gpu","rounds":[55,33],"mem_budget":1}`,
+		`{"engine":"dist","ranks":3,"host_ranks":true,"mem_budget":65536}`,
+		`{"engine":"cpu","host_ranks":true}`,
+		`{"engine":"dist","ranks":2,"nosteal":true}`,
 		`{"rounds":[21,129]}`,
 		`{"reads_path":"/nonexistent","preset":"nope","depth":-1}`,
 	} {
@@ -54,6 +57,24 @@ func FuzzJobSpecPlan(f *testing.F) {
 		}
 		if (plan.Dist != nil) != (spec.Engine == "dist") {
 			t.Fatalf("engine %q planned with Dist=%v", spec.Engine, plan.Dist != nil)
+		}
+		if plan.Dist == nil {
+			return
+		}
+		if plan.Dist.CPUAssembly != spec.HostRanks {
+			t.Fatalf("host_ranks=%v planned with CPUAssembly=%v", spec.HostRanks, plan.Dist.CPUAssembly)
+		}
+		// A dist job leases a device per rank unless its ranks run on the
+		// host, and one more for budget counting.
+		want := spec.Ranks
+		if spec.HostRanks {
+			want = 0
+		}
+		if spec.MemBudget > 0 {
+			want++
+		}
+		if got := spec.DeviceDemand(); got != want {
+			t.Fatalf("%s demands %d devices, want %d", body, got, want)
 		}
 	})
 }

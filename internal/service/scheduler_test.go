@@ -27,15 +27,6 @@ func tinySpec(seed int64) JobSpec {
 	}
 }
 
-// standaloneOutput runs the spec's input through the batch pipeline (no
-// scheduler, no daemon) and returns the serialized contigs + scaffolds —
-// the reference the daemon's persisted outputs must match byte for byte.
-func standaloneOutput(t *testing.T, spec JobSpec) []byte {
-	t.Helper()
-	fasta, _ := standalone(t, spec)
-	return fasta
-}
-
 // waitTerminal polls until the job reaches a terminal state.
 func waitTerminal(t *testing.T, s *Scheduler, id string, timeout time.Duration) Status {
 	t.Helper()
@@ -76,7 +67,7 @@ func TestSchedulerStress(t *testing.T) {
 	// same bytes.
 	ref := make(map[int64][]byte, inputs)
 	for seed := int64(1); seed <= inputs; seed++ {
-		ref[seed] = standaloneOutput(t, tinySpec(seed))
+		ref[seed], _ = standalone(t, tinySpec(seed))
 	}
 
 	dataDir := t.TempDir()
@@ -390,7 +381,7 @@ func TestSchedulerRestartResume(t *testing.T) {
 	dataDir := t.TempDir()
 	spec := JobSpec{Seed: 11, Genomes: 3, MinGenomeLen: 6000, MaxGenomeLen: 9000,
 		Depth: 14, Rounds: []int{21, 33, 45, 55}}
-	want := standaloneOutput(t, spec)
+	want, _ := standalone(t, spec)
 
 	s1 := newScheduler(t, Config{DataDir: dataDir, Workers: 1, QueueDepth: 4})
 	s1.Start()
@@ -489,7 +480,7 @@ func TestSchedulerShardPolicy(t *testing.T) {
 	spec := tinySpec(9)
 	spec.Engine = "dist"
 	spec.Ranks = 4
-	want := standaloneOutput(t, spec)
+	want, _ := standalone(t, spec)
 	outputs := make(map[string][]byte)
 	for _, policy := range []string{dist.ShardHash, dist.ShardComponent} {
 		spec.Shard = policy

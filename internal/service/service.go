@@ -52,6 +52,9 @@ type JobSpec struct {
 	GPUs int `json:"gpus,omitempty"`
 	// Ranks is the dist engine's rank count (engine=dist requires ≥ 2).
 	Ranks int `json:"ranks,omitempty"`
+	// HostRanks runs every dist rank's local assembly on the host
+	// flat-table engine instead of a device of its own (dist engine only).
+	HostRanks bool `json:"host_ranks,omitempty"`
 	// Faults injects a seeded chaos schedule (dist engine only). A job
 	// whose schedule exhausts the runtime's retry budgets fails with
 	// dist.ErrUnrecoverable and is retried by the scheduler, attempt k
@@ -69,10 +72,8 @@ type JobSpec struct {
 	MemBudget int64 `json:"mem_budget,omitempty"`
 	// Elastic is a membership schedule ("join@r1:2,leave@r2:1", dist engine
 	// only; see DESIGN.md §16): joining ranks draw their devices from the
-	// daemon's pool mid-run and return them when the job finishes. NoSteal
-	// disables intra-round work stealing.
+	// daemon's pool mid-run and return them when the job finishes.
 	Elastic string `json:"elastic,omitempty"`
-	NoSteal bool   `json:"nosteal,omitempty"`
 }
 
 // withDefaults fills the defaulted fields.
@@ -98,7 +99,8 @@ func (s JobSpec) withDefaults() JobSpec {
 // DeviceDemand is how many pool devices the job leases for its lifetime and
 // computes on: one for the gpu engine, GPUs for multigpu, Ranks for dist (one
 // per initial rank; a joining rank's comes from the pool at its round), zero
-// for cpu — plus, under a mem_budget, the one its k-mer counting runs on.
+// for cpu and for host ranks — plus, under a mem_budget, the one its k-mer
+// counting runs on.
 func (s *JobSpec) DeviceDemand() int {
 	n := 0
 	if s.MemBudget > 0 {
@@ -110,7 +112,9 @@ func (s *JobSpec) DeviceDemand() int {
 	case locassm.EngineMultiGPU:
 		n += s.GPUs
 	case locassm.EngineDist:
-		n += s.Ranks
+		if !s.HostRanks {
+			n += s.Ranks
+		}
 	}
 	return n
 }

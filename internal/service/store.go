@@ -117,6 +117,8 @@ func loadJobs(dataDir string) ([]loadedJob, int, error) {
 			// nothing can be resumed from it.
 			continue
 		}
+		// Leniently: a spec an older daemon persisted with a field JobSpec
+		// has since dropped still resumes.
 		var spec JobSpec
 		if err := json.Unmarshal(specB, &spec); err != nil {
 			return nil, 0, fmt.Errorf("service: corrupt spec for %s: %w", id, err)
