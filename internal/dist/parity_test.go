@@ -25,9 +25,10 @@ import (
 // recovery counter, the elastic schedule's joins and epochs, the budget's
 // passes, and stealing's win over a straggler.
 //
-// Each row belongs to the test named in its test field; those tests are
-// one-line entry points, so a -run selection still picks the guarantee it
-// named before the table replaced their loops.
+// Each row belongs to the test named in its test field. Those tests are
+// one-line entry points that keep the suite's test IDs as they were before
+// the table replaced their loops, and CI selects rows by them. A row sits
+// under a name that names one of its factors (entryFactor).
 
 // Fault and elastic schedules of the table.
 const (
@@ -90,17 +91,36 @@ func TestChaosBudgetOOMSpill(t *testing.T)              { parity(t) }
 func TestChaosStealMatrix(t *testing.T)                 { parity(t) }
 func TestElasticJoinMatchesSingleRank(t *testing.T)     { parity(t) }
 
+// entryFactor is the factor each entry point's name promises of its rows.
+var entryFactor = map[string]func(parityRow) bool{
+	"TestDistMatchesSingleRank":            func(parityRow) bool { return true },
+	"TestDistComponentMatchesSingleRank":   func(r parityRow) bool { return r.shard == ShardComponent },
+	"TestDistCPUAssemblyMatchesGPU":        func(r parityRow) bool { return r.host },
+	"TestDistCPUAssemblyMatchesSingleRank": func(r parityRow) bool { return r.host },
+	"TestChaosInvariant":                   func(r parityRow) bool { return r.faults != "" },
+	"TestDistComponentChaos":               func(r parityRow) bool { return r.shard == ShardComponent && r.faults != "" },
+	"TestChaosBudgetOOMSpill":              func(r parityRow) bool { return r.faults == oom && r.budget > 0 },
+	"TestChaosStealMatrix":                 func(r parityRow) bool { return r.faults == straggler },
+	"TestElasticJoinMatchesSingleRank":     func(r parityRow) bool { return r.elastic != "" },
+}
+
 // TestParityRowsArePairwise: for any two factors, every pair of their
-// values is some row's, and no row loses a device it does not have.
+// values is some row's, no row loses a device it does not have, and every
+// entry point runs rows that carry the factor its name names.
 func TestParityRowsArePairwise(t *testing.T) {
 	levels := [][]any{{2, 3, 4, 8}, {ShardHash, ShardComponent}, {false, true},
 		{"", crash, oom, drop, straggler}, {"", join2, join0, joinLeave}, {int64(0), int64(budget)}}
 	factors := func(r parityRow) []any { return []any{r.ranks, r.shard, r.host, r.faults, r.elastic, r.budget} }
 	seen := make(map[[4]any]bool)
+	entries := make(map[string]bool)
 	for _, r := range parityRows {
 		if r.host && r.faults == oom && r.budget == 0 {
 			t.Errorf("%s: an oom on host ranks without a budget has no device to take", r)
 		}
+		if carries := entryFactor[r.test]; carries == nil || !carries(r) {
+			t.Errorf("%s: runs under %s, which does not name one of its factors", r, r.test)
+		}
+		entries[r.test] = true
 		f := factors(r)
 		for i := range f {
 			for j := i + 1; j < len(f); j++ {
@@ -119,6 +139,11 @@ func TestParityRowsArePairwise(t *testing.T) {
 			}
 		}
 	}
+	for name := range entryFactor {
+		if !entries[name] {
+			t.Errorf("no parity row runs under %s", name)
+		}
+	}
 }
 
 // parity runs the rows of the calling test, in parallel with the other
@@ -126,12 +151,10 @@ func TestParityRowsArePairwise(t *testing.T) {
 func parity(t *testing.T) {
 	t.Parallel()
 	pairs, base, _ := baseline(t)
-	ran := 0
 	for _, row := range parityRows {
 		if row.test != t.Name() {
 			continue
 		}
-		ran++
 		t.Run(row.label(), func(t *testing.T) {
 			t.Parallel()
 			res, rep, err := Run(pairs, row.config(t))
@@ -140,9 +163,6 @@ func parity(t *testing.T) {
 			}
 			row.check(t, base, res, rep)
 		})
-	}
-	if ran == 0 {
-		t.Fatal("no parity row belongs to this test")
 	}
 }
 

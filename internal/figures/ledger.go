@@ -43,67 +43,51 @@ func Ledger(m Measured) (string, error) {
 	}
 	cpu64, gpu64 := m.Model.WABreakdown64(m.F64)
 	la, wa := pipeline.StageLocalAssembly, "WA:last-dump"
-	var l sheet
-	l.roofline(m.Roofline, "arcticsynth:last-dump")
-	l.add("arctic", "arcticsynth", report.Build(m.Arctic, nil))
-	l.add("wa", "WA", report.Build(m.WA, nil))
-	l.add("soil", "soil:k21:mem-budget=128MiB", reps[0])
-	l.add("chaos", "arcticsynth:k21,33:dist8-gpu:rank-crash=1,oom=2:seed42", reps[1])
-	l.fasta("arctic", "arcticsynth", m.Arctic)
-	l.fasta("wa", "WA", m.WA)
-	l.fasta("soil", "soil:k21:mem-budget=128MiB", runs[0])
-	l.fasta("chaos", "arcticsynth:k21,33:dist8-gpu:rank-crash=1,oom=2:seed42", runs[1])
-	l.add("cluster", wa, struct{ F64, Scale float64 }{m.F64, m.Scale})
-	l.add("cluster.model", wa, m.Model)
-	l.add("cluster.la", wa, m.Model.LAScaling(ScalingNodes, m.F64))
-	l.add("cluster.pipeline", wa, m.Model.PipelineScaling(ScalingNodes, m.F64))
-	l.add("cluster.wa64", wa, map[string]any{"cpu": cpu64, "gpu": gpu64})
-	l.add("cluster.twonode", wa, struct {
+	soil, chaos := "soil:k21:mem-budget=128MiB", "arcticsynth:k21,33:dist8-gpu:rank-crash=1,oom=2:seed42"
+	lines := rooflineLines(nil, m.Roofline, "arcticsynth:last-dump")
+	lines = ledger.Append(lines, "arctic", "arcticsynth", report.Build(m.Arctic, nil))
+	lines = ledger.Append(lines, "wa", "WA", report.Build(m.WA, nil))
+	lines = ledger.Append(lines, "soil", soil, reps[0])
+	lines = ledger.Append(lines, "chaos", chaos, reps[1])
+	lines = ledger.Append(lines, "cluster", wa, struct{ F64, Scale float64 }{m.F64, m.Scale})
+	lines = ledger.Append(lines, "cluster.model", wa, m.Model)
+	lines = ledger.Append(lines, "cluster.la", wa, m.Model.LAScaling(ScalingNodes, m.F64))
+	lines = ledger.Append(lines, "cluster.pipeline", wa, m.Model.PipelineScaling(ScalingNodes, m.F64))
+	lines = ledger.Append(lines, "cluster.wa64", wa, map[string]any{"cpu": cpu64, "gpu": gpu64})
+	lines = ledger.Append(lines, "cluster.twonode", wa, struct {
 		F2                 float64
 		LACPUSec, LAGPUSec clock.Cluster
 	}{f2, cpu2.StageSec[la], gpu2.StageSec[la]})
-	return l.render()
+	// The sha-256 of each assembly as mhm2sim -out writes it: the bytes
+	// every cmp in CI compares, pinned outright.
+	for _, a := range []struct {
+		name, workload string
+		res            *pipeline.Result
+	}{{"arctic", "arcticsynth", m.Arctic}, {"wa", "WA", m.WA}, {"soil", soil, runs[0]}, {"chaos", chaos, runs[1]}} {
+		h := sha256.New()
+		if err := pipeline.WriteFASTAOutputs(h, a.res); err != nil {
+			return "", fmt.Errorf("ledger %s: %w", a.name, err)
+		}
+		lines = append(lines, fmt.Sprintf("%s.fasta_sha256 %x count %s", a.name, h.Sum(nil), a.workload))
+	}
+	return ledger.Render(lines), nil
 }
 
 // RooflineLedger renders the ledger's lines of a roofline sweep.
-func RooflineLedger(r RooflineResults, workload string) (string, error) {
-	var l sheet
-	l.roofline(r, workload)
-	return l.render()
+func RooflineLedger(r RooflineResults, workload string) string {
+	return ledger.Render(rooflineLines(nil, r, workload))
 }
 
-// sheet collects the ledger's lines; err is the first assembly that did not write.
-type sheet struct {
-	lines []string
-	err   error
-}
-
-// roofline adds the CPU reference's work counts and, per kernel version, the
+// rooflineLines adds the CPU reference's work counts and, per kernel version, the
 // driver's totals and its launches' stats summed, unscaled.
-func (l *sheet) roofline(r RooflineResults, workload string) {
-	l.add("roofline.cpu", workload, r.CPU.Counts)
+func rooflineLines(lines []string, r RooflineResults, workload string) []string {
+	lines = ledger.Append(lines, "roofline.cpu", workload, r.CPU.Counts)
 	for i, name := range []string{"roofline.v1", "roofline.v2"} {
 		run := r.Runs[i].Stats
-		l.add(name, workload, roofline.Merge("", simt.V100(), run.Kernels).Stats)
-		l.add(name+".Launches", workload, len(run.Kernels))
+		lines = ledger.Append(lines, name, workload, roofline.Merge("", simt.V100(), run.Kernels).Stats)
+		lines = ledger.Append(lines, name+".Launches", workload, len(run.Kernels))
 		run.Kernels = nil // per-run sums, not per-launch lists
-		l.add(name, workload, run)
+		lines = ledger.Append(lines, name, workload, run)
 	}
+	return lines
 }
-
-// add flattens v below name (ledger.Append).
-func (l *sheet) add(name, workload string, v any) {
-	l.lines = ledger.Append(l.lines, name, workload, v)
-}
-
-// fasta adds the sha-256 of res's assembly as mhm2sim -out writes it: the
-// bytes every cmp in CI compares, pinned outright.
-func (l *sheet) fasta(name, workload string, res *pipeline.Result) {
-	h := sha256.New()
-	if err := pipeline.WriteFASTAOutputs(h, res); err != nil && l.err == nil {
-		l.err = fmt.Errorf("ledger %s: %w", name, err)
-	}
-	l.lines = append(l.lines, fmt.Sprintf("%s.fasta_sha256 %x count %s", name, h.Sum(nil), workload))
-}
-
-func (l *sheet) render() (string, error) { return ledger.Render(l.lines), l.err }

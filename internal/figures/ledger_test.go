@@ -10,6 +10,7 @@ import (
 	"mhm2sim/internal/clock"
 	"mhm2sim/internal/cluster"
 	"mhm2sim/internal/dist"
+	"mhm2sim/internal/ledger"
 	"mhm2sim/internal/locassm"
 	"mhm2sim/internal/pipeline"
 	"mhm2sim/internal/report"
@@ -36,9 +37,8 @@ func TestLedgerRender(t *testing.T) {
 		},
 	}
 	type inner struct{ Deep int }
-	var l sheet
-	l.add("run", "w", report.Build(res, rep))
-	l.add("x", "w", struct {
+	lines := ledger.Append(nil, "run", "w", report.Build(res, rep))
+	lines = ledger.Append(lines, "x", "w", struct {
 		inner
 		Third, Whole float64
 		Big          uint64
@@ -48,11 +48,8 @@ func TestLedgerRender(t *testing.T) {
 		Skip         int `json:"-"`
 		Gone         int `json:"gone,omitempty"`
 	}{inner{1}, 1.0 / 3, 100, math.MaxUint64, 5, 1.5, map[string][]time.Duration{"a": {time.Second}}, 1, 0})
-	out, err := l.render()
-	if err != nil {
-		t.Fatal(err)
-	}
-	lines := strings.Split(strings.TrimSuffix(out, "\n"), "\n")
+	out := ledger.Render(lines)
+	lines = strings.Split(strings.TrimSuffix(out, "\n"), "\n")
 	for i, l := range lines {
 		for _, absent := range []string{"stages_ns", "total_ns", "component_pass_ns", "x.Host", "x.Skip", "x.gone"} {
 			if strings.Contains(l, absent) {

@@ -14,8 +14,9 @@ import (
 )
 
 // BudgetStats is the accounting of one memory-bounded counting run (or,
-// via Add, of every budget round of a pipeline run), and the report's kmer
-// section under its JSON names.
+// via Add, of every budget round of a pipeline run). Its JSON names, and
+// Counters', are the report's kmer section (report.SchemaVersion): renaming
+// one is a schema change.
 type BudgetStats struct {
 	// Configured is the caller-requested budget in bytes; Effective is
 	// the budget actually applied after OOM degradation shrank it.
@@ -54,7 +55,22 @@ type BudgetStats struct {
 	// so engine-level reporting is unchanged by budget mode.
 	Kernels    int          `json:"kernels"`
 	KernelTime clock.Device `json:"kernel_time_ns"`
-	Stats      simt.Stats   `json:"stats"`
+	Stats      Counters     `json:"stats"`
+}
+
+// Counters are simt.Stats summed over launches, under the report's names.
+// A sum has no kernel name, so Kernel is not encoded. The two types convert
+// into each other, so a counter added to simt.Stats fails to compile here.
+type Counters struct {
+	Kernel            string                       `json:"-"`
+	WarpInstrs        [simt.NumInstrClasses]uint64 `json:"warp_instrs"`
+	ThreadInstrs      [simt.NumInstrClasses]uint64 `json:"thread_instrs"`
+	PredicatedOff     uint64                       `json:"predicated_off"`
+	GlobalSectors     uint64                       `json:"global_sectors"`
+	LocalSectors      uint64                       `json:"local_sectors"`
+	AtomicSectors     uint64                       `json:"atomic_sectors"`
+	Warps             uint64                       `json:"warps"`
+	MaxSerialMemChain uint64                       `json:"max_serial_mem_chain"`
 }
 
 // FPRate returns the filter false-positive rate among inserted k-mers.
@@ -90,7 +106,7 @@ func (s *BudgetStats) Add(o BudgetStats) {
 	}
 	s.Kernels += o.Kernels
 	s.KernelTime += o.KernelTime
-	s.Stats.Add(&o.Stats)
+	(*simt.Stats)(&s.Stats).Add((*simt.Stats)(&o.Stats))
 }
 
 // Sub returns what s, a later reading of one accumulation, added since prev:
@@ -107,15 +123,7 @@ func (s BudgetStats) Sub(prev BudgetStats) BudgetStats {
 	s.FPInserted -= prev.FPInserted
 	s.Kernels -= prev.Kernels
 	s.KernelTime -= prev.KernelTime
-	for i := range s.Stats.WarpInstrs {
-		s.Stats.WarpInstrs[i] -= prev.Stats.WarpInstrs[i]
-		s.Stats.ThreadInstrs[i] -= prev.Stats.ThreadInstrs[i]
-	}
-	s.Stats.PredicatedOff -= prev.Stats.PredicatedOff
-	s.Stats.GlobalSectors -= prev.Stats.GlobalSectors
-	s.Stats.LocalSectors -= prev.Stats.LocalSectors
-	s.Stats.AtomicSectors -= prev.Stats.AtomicSectors
-	s.Stats.Warps -= prev.Stats.Warps
+	(*simt.Stats)(&s.Stats).Sub((*simt.Stats)(&prev.Stats))
 	return s
 }
 
@@ -186,7 +194,7 @@ func CountBudgetContext(ctx context.Context, dev *simt.Device, seqs [][]byte, k 
 		}
 		st.Kernels++
 		st.KernelTime += res.Time
-		st.Stats.Add(&res.Stats)
+		(*simt.Stats)(&st.Stats).Add(&res.Stats)
 		launchTap(res)
 		return nil
 	}

@@ -4,7 +4,6 @@ import (
 	"math/rand"
 	"testing"
 
-	"mhm2sim/internal/clock"
 	"mhm2sim/internal/ledger"
 	"mhm2sim/internal/ledger/ledgertest"
 	"mhm2sim/internal/simt"
@@ -81,19 +80,19 @@ func TestGoldenBudgetAccounting(t *testing.T) {
 }
 
 // TestGoldenBudgetLaunches pins goldenRuns: each count's stats and every
-// launch's modeled time, in launch order.
+// launch's counters and modeled time, in launch order.
 func TestGoldenBudgetLaunches(t *testing.T) {
 	defer func(tap func(simt.KernelResult)) { launchTap = tap }(launchTap)
 	var lines []string
 	for _, run := range goldenRuns {
-		var times []clock.Device
-		launchTap = func(r simt.KernelResult) { times = append(times, r.Time) }
+		var launches []simt.KernelResult
+		launchTap = func(r simt.KernelResult) { launches = append(launches, r) }
 		tab, st, err := CountBudget(testDev(), goldenFixture(), run.k, run.cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
 		lines = budgetLines(lines, run.name, tab, st)
-		lines = ledger.Append(lines, run.name+".launch_time_ns", "fixture", times)
+		lines = ledger.Append(lines, run.name+".launch", "fixture", launches)
 	}
 	ledgertest.Golden(t, "testdata/budget_launches.golden.ledger", ledger.Render(lines))
 }

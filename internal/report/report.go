@@ -57,7 +57,10 @@ type GPU struct {
 
 // Kmer summarizes memory-bounded k-mer counting (present only when the
 // run had a -mem-budget): the pass plan, the Bloom prefilter's work and
-// false-positive rate, and the degradation counters.
+// false-positive rate, the degradation counters and the counting launches'
+// summed counters. Like Dist's recovery and per-rank rows, the accounting
+// is the counter's own struct, encoded as it is; gpucount.BudgetStats owns
+// those JSON names.
 type Kmer struct {
 	gpucount.BudgetStats
 	FilterFPRate float64 `json:"filter_fp_rate"`

@@ -92,6 +92,20 @@ func (s *Stats) Add(o *Stats) {
 	}
 }
 
+// Sub takes o, an earlier reading of the same accumulation, out of s: the
+// counters Add sums. MaxSerialMemChain, a maximum, stays s's.
+func (s *Stats) Sub(o *Stats) {
+	for i := 0; i < NumInstrClasses; i++ {
+		s.WarpInstrs[i] -= o.WarpInstrs[i]
+		s.ThreadInstrs[i] -= o.ThreadInstrs[i]
+	}
+	s.PredicatedOff -= o.PredicatedOff
+	s.GlobalSectors -= o.GlobalSectors
+	s.LocalSectors -= o.LocalSectors
+	s.AtomicSectors -= o.AtomicSectors
+	s.Warps -= o.Warps
+}
+
 // TotalWarpInstrs sums warp instructions over all classes.
 func (s *Stats) TotalWarpInstrs() uint64 {
 	var n uint64
