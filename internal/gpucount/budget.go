@@ -84,9 +84,7 @@ func (s BudgetStats) FPRate() float64 {
 // Add accumulates o into s (Configured/Effective keep the most
 // constrained round; footprints keep the peak).
 func (s *BudgetStats) Add(o BudgetStats) {
-	if o.Configured > s.Configured {
-		s.Configured = o.Configured
-	}
+	s.Configured = max(s.Configured, o.Configured)
 	if s.Effective == 0 || (o.Effective > 0 && o.Effective < s.Effective) {
 		s.Effective = o.Effective
 	}
@@ -98,12 +96,7 @@ func (s *BudgetStats) Add(o BudgetStats) {
 	s.FilteredSingletons += o.FilteredSingletons
 	s.Inserted += o.Inserted
 	s.FPInserted += o.FPInserted
-	if o.TableBytes > s.TableBytes {
-		s.TableBytes = o.TableBytes
-	}
-	if o.BloomBytes > s.BloomBytes {
-		s.BloomBytes = o.BloomBytes
-	}
+	s.TableBytes, s.BloomBytes = max(s.TableBytes, o.TableBytes), max(s.BloomBytes, o.BloomBytes)
 	s.Kernels += o.Kernels
 	s.KernelTime += o.KernelTime
 	(*simt.Stats)(&s.Stats).Add((*simt.Stats)(&o.Stats))
@@ -141,10 +134,10 @@ func (s BudgetStats) Sub(prev BudgetStats) BudgetStats {
 //
 // If a pass overflows its table despite the 2x headroom (extreme
 // hash-range imbalance), the run restarts with doubled passes — a spill
-// re-plan — rather than failing with ErrTableFull.
+// re-plan — rather than failing with ErrTableFull, up to maxPasses.
 //
-// Only the first launch that walks the reads records their prologue; the
-// later launches replay it.
+// Only the first launch that walks the reads records their prologue and
+// hashes each window; the later launches replay it.
 func CountBudget(dev *simt.Device, seqs [][]byte, k int, cfg BudgetConfig) (*dbg.Table, BudgetStats, error) {
 	return CountBudgetContext(context.Background(), dev, seqs, k, cfg)
 }
@@ -221,21 +214,18 @@ func CountBudgetContext(ctx context.Context, dev *simt.Device, seqs [][]byte, k 
 	}
 
 	passes := plan.Passes
-	var out *dbg.Table
-	for {
-		out, st.FilteredSingletons, st.FPInserted, err = bc.runPasses(passes, launch)
-		if err == nil {
-			break
+	out, rejected, fp, err := bc.runPasses(passes, launch)
+	for errors.Is(err, gpuht.ErrTableFull) {
+		if passes *= 2; passes > maxPasses {
+			return nil, st, &PassBoundError{occ, k, passes, cfg.MemBudget}
 		}
-		if errors.Is(err, gpuht.ErrTableFull) && passes <= occ {
-			passes *= 2
-			st.SpillReplans++
-			continue
-		}
+		st.SpillReplans++
+		out, rejected, fp, err = bc.runPasses(passes, launch)
+	}
+	if err != nil {
 		return nil, st, err
 	}
-	st.Passes = passes
-	st.Inserted = int64(out.Len())
+	st.Passes, st.FilteredSingletons, st.FPInserted, st.Inserted = passes, rejected, fp, int64(out.Len())
 	return out, st, nil
 }
 
@@ -302,18 +292,37 @@ func (c *budgetCounter) runPasses(passes int, launch func(name string, kern, com
 	return out, rejected, fp, nil
 }
 
+// Every placement of a window's k-mer is a multiply-shift reduction of its
+// one hash (record.save): its pass of the high word, its first Bloom cell of
+// the low word, its second cell and its table slot of two odd-multiplier
+// remixes, which spread a pass's keys (their high words are close) over the
+// whole filter and table.
+const remixCell, remixSlot = 0x9e3779b97f4a7c15, 0xd6e8feb86659fd93
+
+// reduce maps x, uniform over 64 bits, onto [0, n).
+func reduce(x, n uint64) uint64 {
+	hi, _ := bits.Mul64(x, n)
+	return hi
+}
+
+// cellAddrs returns the addresses of the two counting-Bloom cells of the key
+// hashed to h.
+func (c *budgetCounter) cellAddrs(h uint64) (uint64, uint64) {
+	base := uint64(c.bloomBase)
+	return base + reduce(h<<32, c.cells)*4, base + reduce(h*remixCell, c.cells)*4
+}
+
 // bloomKernel and bloomCommit add every valid canonical k-mer occurrence to
 // both counting-Bloom cells; the hand-off is a word per lane, both cells'
 // offsets in the filter (it is under 4 GiB). Cell counts bound the true count
 // from above, so the insert passes reject no k-mer that reaches MinCount.
 func (c *budgetCounter) bloomKernel(w *simt.Warp) {
 	var b warpBatch
-	var a0, a1 simt.Vec
 	forEachBatch(w, &c.staged, &b, c.rec, func(h *handoff) {
-		w.ExecN(simt.IInt, b.valid, 4) // two hashes + two mods
-		c.bloomAddrs(&b, b.valid, &a0, &a1)
-		for lane := range a0 {
-			h.words = append(h.words, a0[lane]-uint64(c.bloomBase)|(a1[lane]-uint64(c.bloomBase))<<32)
+		w.ExecN(simt.IInt, b.valid, 4) // one hash, a remix, two multiply-shifts
+		for _, x := range b.hash {
+			a0, a1 := c.cellAddrs(x)
+			h.words = append(h.words, a0-uint64(c.bloomBase)|(a1-uint64(c.bloomBase))<<32)
 		}
 		h.batches = append(h.batches, batchRec{b.mask, b.valid})
 	})
@@ -331,33 +340,20 @@ func (c *budgetCounter) bloomCommit(w *simt.Warp) {
 	}
 }
 
-// bloomAddrs writes the addresses of the two counting-Bloom cells of each
-// lane's key to a0 and a1.
-func (c *budgetCounter) bloomAddrs(b *warpBatch, lanes simt.Mask, a0, a1 *simt.Vec) {
-	for m := uint32(lanes); m != 0; m &= m - 1 {
-		lane := bits.TrailingZeros32(m)
-		a0[lane] = uint64(c.bloomBase) + b.keys[lane].HashK(c.k, bloomSeed0)%c.cells*4
-		a1[lane] = uint64(c.bloomBase) + b.keys[lane].HashK(c.k, bloomSeed1)%c.cells*4
-	}
-}
-
 // passBatch is the read-only half of one partitioned pass over one
-// warp-width of k-mers: partition filter, Bloom admission, then the slot
-// hash of the lanes the table's committer will insert.
+// warp-width of k-mers: partition filter, Bloom admission, then the first
+// slot of the lanes the table's committer will insert.
 func (c *budgetCounter) passBatch(w *simt.Warp, b *warpBatch, h *handoff, pass, passes int, reject *uint64) {
 	valid := b.valid
 
-	// Partition filter: each distinct k-mer belongs to exactly one pass.
-	// Pass 0 of a plan stores each window's pass; later passes read it.
+	// Partition filter: each distinct k-mer belongs to exactly one pass, the
+	// recorded high word of its hash reduced onto the passes. Doubling the
+	// passes splits each pass in two.
 	if passes > 1 {
-		w.Exec(simt.IInt, valid) // partition hash + compare
+		w.Exec(simt.IInt, valid) // multiply-shift + compare
 		part := c.rec.part[b.win:]
 		for m := uint32(valid); m != 0; m &= m - 1 {
-			lane := bits.TrailingZeros32(m)
-			if pass == 0 {
-				part[lane] = uint32(b.keys[lane].HashK(c.k, partitionSeed) % uint64(passes))
-			}
-			if part[lane] != uint32(pass) {
+			if lane := bits.TrailingZeros32(m); reduce(uint64(part[lane])<<32, uint64(passes)) != uint64(pass) {
 				valid &^= simt.LaneMask(lane)
 			}
 		}
@@ -365,12 +361,18 @@ func (c *budgetCounter) passBatch(w *simt.Warp, b *warpBatch, h *handoff, pass, 
 			return
 		}
 	}
+	if c.rec.full {
+		c.rec.load(b, valid) // only this pass's lanes of a replayed batch
+	}
 
 	// Bloom admission: estimate = min of the two cells; below MinCount
 	// the k-mer provably cannot survive the error filter.
 	if c.cells > 0 {
 		var a0, a1, c0, c1 simt.Vec
-		c.bloomAddrs(b, valid, &a0, &a1)
+		for m := uint32(valid); m != 0; m &= m - 1 {
+			lane := bits.TrailingZeros32(m)
+			a0[lane], a1[lane] = c.cellAddrs(b.hash[lane])
+		}
 		w.LoadGlobal(valid, &a0, 4, &c0)
 		w.LoadGlobal(valid, &a1, 4, &c1)
 		w.Exec(simt.IInt, valid) // min + compare
@@ -385,6 +387,6 @@ func (c *budgetCounter) passBatch(w *simt.Warp, b *warpBatch, h *handoff, pass, 
 		}
 	}
 
-	// Hash for the insert into the shared per-pass table.
-	h.pushKeys(w, b, valid, c.tab.words, func(key kmer.Kmer) uint64 { return key.HashK(c.k, hashSeed) })
+	// First slot of the insert into the shared per-pass table.
+	h.pushKeys(w, b, valid, c.tab.words, func(lane int) uint64 { return reduce(b.hash[lane]*remixSlot, uint64(c.tab.slots)) })
 }

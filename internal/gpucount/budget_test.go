@@ -5,6 +5,7 @@ import (
 	"errors"
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 
 	"mhm2sim/internal/dbg"
@@ -104,6 +105,21 @@ func TestPlanFor(t *testing.T) {
 	}
 	if _, err := PlanFor(100, kmer.MaxK+1, BudgetConfig{MemBudget: MinMemBudget, MinCount: 2}); err == nil {
 		t.Error("k>MaxK accepted")
+	}
+
+	// A plan of more than maxPasses passes is refused with the numbers that
+	// ask for it: 10⁸ windows at the minimum budget would be ≈ 200k
+	// launches over every read.
+	var bound *PassBoundError
+	_, err = PlanFor(100_000_000, 21, BudgetConfig{MemBudget: MinMemBudget, MinCount: 2})
+	if !errors.As(err, &bound) || bound.Occ != 100_000_000 || bound.K != 21 || bound.Budget != MinMemBudget || bound.Passes <= maxPasses {
+		t.Errorf("10⁸ windows at the minimum budget: %v, want a PassBoundError naming them", err)
+	}
+	if _, err := PlanFor(1000, 21, BudgetConfig{MemBudget: MinMemBudget, MinCount: 2, Passes: maxPasses + 1}); !errors.As(err, &bound) {
+		t.Errorf("a %d-pass override: %v, want a PassBoundError", maxPasses+1, err)
+	}
+	if _, err := PlanFor(1000, 21, BudgetConfig{MemBudget: MinMemBudget, MinCount: 2, Passes: maxPasses}); err != nil {
+		t.Errorf("a %d-pass override: %v", maxPasses, err)
 	}
 }
 
@@ -221,6 +237,95 @@ func TestCountBudgetSpillReplan(t *testing.T) {
 	}
 	tab.Filter(2)
 	tablesEqual(t, tab, hostFiltered(t, seqs, 21, 2), seqs, 21)
+}
+
+// TestCountBudgetReplanStopsAtBound forces a plan just over half the pass
+// bound onto as many windows, so each pass's table has three slots for about
+// one distinct k-mer: the first pass that overflows would double the plan
+// past maxPasses, so the count stops there with a PassBoundError instead of
+// doubling on.
+func TestCountBudgetReplanStopsAtBound(t *testing.T) {
+	seqs := randReads(rand.New(rand.NewSource(11)), 3, 21+maxPasses/6) // 3·(maxPasses/6+1) = maxPasses/2+1 windows
+	_, _, err := CountBudget(testDev(), seqs, 21, BudgetConfig{MemBudget: MinMemBudget, MinCount: 1, Passes: maxPasses/2 + 1})
+	var bound *PassBoundError
+	if !errors.As(err, &bound) || bound.Passes != 2*(maxPasses/2+1) || bound.Occ != kmer.Windows(seqs, 21) {
+		t.Fatalf("overflowing a %d-pass plan returned %v, want a PassBoundError for %d passes", maxPasses/2+1, err, 2*(maxPasses/2+1))
+	}
+}
+
+// TestCountBudgetOneHash checks the one-hash derivation. On the record a
+// device walk of the reads fills, every occurrence of a canonical k-mer
+// carries the same high word, so for passes ∈ {1, 2, 3, 7} each distinct
+// k-mer lands in exactly one pass; a spill doubling to 14 splits pass p into
+// 2p and 2p+1; and no pass holds more than 1.2× the mean of distinct k-mers.
+// Counts under those plans, with every repeated k-mer exactly at MinCount,
+// equal the host's after Filter: the Bloom filter has no false negatives at
+// k ∈ {21, 33, 55}.
+func TestCountBudgetOneHash(t *testing.T) {
+	const minCount = 3
+	seqs := coveredReads(rand.New(rand.NewSource(29)), 60, minCount, 40, 150)
+	for _, k := range []int{21, 33, 55} {
+		dev := testDev()
+		reads, err := stageReads(dev, seqs, k)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rec := newRecord(seqs, k)
+		if _, err := dev.Launch(simt.KernelConfig{Name: "walk", Warps: reads.warps}, func(w *simt.Warp) {
+			var b warpBatch
+			forEachBatch(w, &reads, &b, rec, func(*handoff) {})
+		}); err != nil {
+			t.Fatal(err)
+		}
+		high := map[kmer.Kmer]uint32{} // distinct canonical k-mer → its hash's high word
+		for si, seq := range seqs {
+			for start := 0; start+k <= len(seq); start += simt.WarpSize {
+				c := rec.batches[rec.batchOff[si]+start/simt.WarpSize]
+				for lane := 0; lane < simt.WarpSize; lane++ {
+					if !c.valid.Has(lane) {
+						continue
+					}
+					win := rec.winOff[si] + start + lane
+					var km kmer.Kmer
+					copy(km.W[:], rec.keys[win*rec.words:][:rec.words])
+					if hi, seen := high[km]; seen && hi != rec.part[win] {
+						t.Fatalf("k=%d: two occurrences of one k-mer carry high words %#x and %#x", k, hi, rec.part[win])
+					}
+					high[km] = rec.part[win]
+				}
+			}
+		}
+		if host := hostFiltered(t, seqs, k, 1); len(high) != host.Len() {
+			t.Fatalf("k=%d: the record holds %d distinct keys, the host table %d", k, len(high), host.Len())
+		}
+		passOf := func(hi uint32, passes int) int { return int(reduce(uint64(hi)<<32, uint64(passes))) }
+		for _, passes := range []int{1, 2, 3, 7, 14} {
+			per := make([]int, passes)
+			for _, hi := range high {
+				p := passOf(hi, passes)
+				if passes == 14 && p/2 != passOf(hi, 7) {
+					t.Fatalf("k=%d: doubling 7 passes moved a k-mer from pass %d to %d", k, passOf(hi, 7), p)
+				}
+				per[p]++
+			}
+			if mean := float64(len(high)) / float64(passes); float64(slices.Max(per)) > 1.2*mean {
+				t.Errorf("k=%d, %d passes: %v distinct k-mers per pass, over 1.2× the mean %.0f", k, passes, per, mean)
+			}
+		}
+
+		want := hostFiltered(t, seqs, k, minCount)
+		for _, passes := range []int{1, 2, 3, 7} {
+			tab, st, err := CountBudget(testDev(), seqs, k, BudgetConfig{MemBudget: 1 << 20, MinCount: minCount, Passes: passes})
+			if err != nil {
+				t.Fatalf("k=%d, %d passes: %v", k, passes, err)
+			}
+			if st.Passes != passes || st.FilteredSingletons == 0 {
+				t.Errorf("k=%d: a %d-pass plan ran %d passes and filtered %d occurrences", k, passes, st.Passes, st.FilteredSingletons)
+			}
+			tab.Filter(minCount)
+			tablesEqual(t, tab, want, seqs, k)
+		}
+	}
 }
 
 func BenchmarkBloomPrefilter(b *testing.B) {

@@ -114,10 +114,7 @@ func Count(dev *simt.Device, seqs [][]byte, k int) (map[uint64]*dbg.Info, simt.K
 
 	// The clear is its own launch: inside the counting kernel a later
 	// warp's clear would wipe earlier warps' inserts.
-	clearRes, err := dev.Launch(simt.KernelConfig{
-		Name:  "kmer_count_clear",
-		Warps: st.warps,
-	}, func(w *simt.Warp) {
+	clearRes, err := dev.Launch(simt.KernelConfig{Name: "kmer_count_clear", Warps: st.warps}, func(w *simt.Warp) {
 		clearWords(w, tabBase, slots*entryBytes/8, st.warps)
 	})
 	if err != nil {
@@ -125,11 +122,8 @@ func Count(dev *simt.Device, seqs [][]byte, k int) (map[uint64]*dbg.Info, simt.K
 	}
 
 	var kernErr error
-	res, err := dev.Launch(simt.KernelConfig{
-		Name:   fmt.Sprintf("kmer_count_k%d", k),
-		Warps:  st.warps,
-		Commit: tab.committer(&kernErr),
-	}, st.countKernel)
+	cfg := simt.KernelConfig{Name: fmt.Sprintf("kmer_count_k%d", k), Warps: st.warps, Commit: tab.committer(&kernErr)}
+	res, err := dev.Launch(cfg, st.countKernel(slots))
 	if err != nil {
 		return nil, simt.KernelResult{}, err
 	}
@@ -160,7 +154,8 @@ type warpBatch struct {
 	lanes
 	keys          [simt.WarpSize]kmer.Kmer
 	lefts, rights [simt.WarpSize]int
-	win           int // the record index of lane 0's window (CountBudget only)
+	win           int                   // CountBudget: the record index of lane 0's window
+	hash          [simt.WarpSize]uint64 // CountBudget: each valid lane's one hash (record.save, load)
 	// sc rolls along the read across its batches: a batch's lanes hold
 	// consecutive windows and the next batch starts where this one ended,
 	// so each lane adds exactly one base, the last of its window.
@@ -175,7 +170,7 @@ type lanes struct{ mask, valid, left, right simt.Mask }
 // w.Scratch for its commit. Per batch with a surviving lane: the batch and
 // survivor masks and (table kernels) the warp's charges so far. In words: the
 // Bloom kernel's vector of cell offsets per batch, or a table kernel's record
-// per surviving lane, in lane order — key words, slot hash, extension codes.
+// per surviving lane, in lane order — key words, first slot, extension codes.
 type handoff struct {
 	batches []batchRec
 	stats   []simt.Stats
@@ -184,12 +179,12 @@ type handoff struct {
 
 type batchRec struct{ mask, lanes simt.Mask }
 
-// pushKeys hashes the lanes' slots and hands them to the table's committer.
-func (h *handoff) pushKeys(w *simt.Warp, b *warpBatch, lanes simt.Mask, words int, slot func(kmer.Kmer) uint64) {
+// pushKeys hands the lanes' keys and first slots to the table's committer.
+func (h *handoff) pushKeys(w *simt.Warp, b *warpBatch, lanes simt.Mask, words int, slot func(lane int) uint64) {
 	w.ExecN(simt.IInt, lanes, 6)
 	for m := uint32(lanes); m != 0; m &= m - 1 {
 		lane := bits.TrailingZeros32(m)
-		h.words = append(append(h.words, b.keys[lane].W[:words]...), slot(b.keys[lane]),
+		h.words = append(append(h.words, b.keys[lane].W[:words]...), slot(lane),
 			uint64(uint8(b.lefts[lane]))|uint64(uint8(b.rights[lane]))<<8)
 	}
 	h.batches, h.stats = append(h.batches, batchRec{b.mask, lanes}), append(h.stats, w.Stats())
@@ -232,7 +227,8 @@ func forEachBatch(w *simt.Warp, st *staged, b *warpBatch, rec *record, fn func(h
 // record is a CountBudget call's host copy of its first walk's prologue,
 // which every later launch of the call replays (DESIGN.md §15): per batch the
 // lane masks and the sectors and chain canonBatch charged, per window its key
-// words, extension codes and pass. A warp writes only its own reads' entries.
+// words, extension codes and the high word of its hash, which picks its pass.
+// A warp writes only its own reads' entries.
 type record struct {
 	words, nblk int
 	full        bool  // an earlier launch filled it
@@ -241,7 +237,7 @@ type record struct {
 	batches     []batchCost
 	keys        []uint64 // words per window
 	exts        []uint8  // left and right code, a nibble each (0xf: none)
-	part        []uint32 // written by pass 0 of each plan with more than one pass
+	part        []uint32
 }
 
 type batchCost struct {
@@ -263,7 +259,7 @@ func newRecord(seqs [][]byte, k int) *record {
 }
 
 // save stores the batch canonBatch just filled and what it charged since
-// before; without a record it does nothing.
+// before, and hashes its valid lanes' keys; without a record it does nothing.
 func (r *record) save(w *simt.Warp, b *warpBatch, before *simt.Stats, si, start int) {
 	if r == nil {
 		return
@@ -274,14 +270,17 @@ func (r *record) save(w *simt.Warp, b *warpBatch, before *simt.Stats, si, start 
 	b.win = r.winOff[si] + start
 	for m := uint32(b.valid); m != 0; m &= m - 1 {
 		lane := bits.TrailingZeros32(m)
-		copy(r.keys[(b.win+lane)*r.words:][:r.words], b.keys[lane].W[:r.words])
+		key := b.keys[lane].W[:r.words]
+		copy(r.keys[(b.win+lane)*r.words:][:r.words], key)
 		r.exts[b.win+lane] = uint8(b.lefts[lane])&0xf | uint8(b.rights[lane])<<4
+		b.hash[lane] = kmer.HashWords(key, hashSeed)
+		r.part[b.win+lane] = uint32(b.hash[lane] >> 32)
 	}
 }
 
 // replay charges a batch's prologue as canonBatch charged it — the same
 // instructions under the same masks, then one Charge of its sectors and
-// chain, which are per-warp sums — and fills b's valid lanes from the record.
+// chain, which are per-warp sums — and sets b's masks; load fills the lanes.
 func (r *record) replay(w *simt.Warp, b *warpBatch, si, start int) {
 	c := &r.batches[r.batchOff[si]+start/simt.WarpSize]
 	w.ExecN(simt.ILdGlobal, c.mask, r.nblk)
@@ -294,13 +293,18 @@ func (r *record) replay(w *simt.Warp, b *warpBatch, si, start int) {
 	w.ExecN(simt.IInt, c.mask, 3*r.nblk+6)
 	w.Charge(&simt.Stats{GlobalSectors: uint64(c.sectors), MaxSerialMemChain: uint64(c.chain)})
 	b.lanes, b.win = c.lanes, r.winOff[si]+start
-	for m := uint32(b.valid); m != 0; m &= m - 1 {
+}
+
+// load copies the lanes' key words and extension codes of a replayed batch
+// out of the record and hashes their keys again.
+func (r *record) load(b *warpBatch, lanes simt.Mask) {
+	for m := uint32(lanes); m != 0; m &= m - 1 {
 		lane := bits.TrailingZeros32(m)
-		for wd, v := range r.keys[(b.win+lane)*r.words:][:r.words] {
-			b.keys[lane].W[wd] = v
-		}
+		key := r.keys[(b.win+lane)*r.words:][:r.words]
+		copy(b.keys[lane].W[:], key)
 		ext := int8(r.exts[b.win+lane])
 		b.lefts[lane], b.rights[lane] = int(ext<<4>>4), int(ext>>4)
+		b.hash[lane] = kmer.HashWords(key, hashSeed)
 	}
 }
 
@@ -382,16 +386,18 @@ func canonBatch(w *simt.Warp, b *warpBatch, seq []byte, readOff, start int, seqB
 	}
 }
 
-// countKernel is the read-only half of Count's kernel. Its one-word table's
-// slot hash mixes k into the key word (CountBudget's multi-word tables use
-// HashK).
-func (st *staged) countKernel(w *simt.Warp) {
-	var b warpBatch
-	forEachBatch(w, st, &b, nil, func(h *handoff) {
-		h.pushKeys(w, &b, b.valid, 1, func(key kmer.Kmer) uint64 {
-			return murmur.Hash64Word(key.W[0], uint64(st.k), hashSeed)
+// countKernel is the read-only half of Count's kernel over a table of the
+// given slots. Its one-word keys' slot hash mixes k into the key word
+// (CountBudget's multi-word tables reduce their one HashK).
+func (st *staged) countKernel(slots int) func(w *simt.Warp) {
+	return func(w *simt.Warp) {
+		var b warpBatch
+		forEachBatch(w, st, &b, nil, func(h *handoff) {
+			h.pushKeys(w, &b, b.valid, 1, func(lane int) uint64 {
+				return murmur.Hash64Word(b.keys[lane].W[0], uint64(st.k), hashSeed) % uint64(slots)
+			})
 		})
-	})
+	}
 }
 
 // table is a device hash table of CAS-claimed entries with words-word
@@ -460,7 +466,7 @@ func (t table) committer(first *error) func(w *simt.Warp) {
 }
 
 // insert counts the pending lanes' keys and extensions (recs: pushKeys'
-// records) into the table, probing linearly from each lane's slot hash:
+// records) into the table, probing linearly from each lane's first slot:
 // CAS-claim an empty entry and write the key, or match the stored key, then
 // bump the counters. It returns gpuht.ErrTableFull if the table has no space
 // left.
@@ -474,7 +480,7 @@ func (t table) insert(w *simt.Warp, batch, pending simt.Mask, recs []uint64) err
 	for m := uint32(pending); m != 0; m &= m - 1 {
 		lane := bits.TrailingZeros32(m)
 		rec[lane], recs = recs[:t.words+2], recs[t.words+2:]
-		slotsV[lane] = rec[lane][t.words] % slots
+		slotsV[lane] = rec[lane][t.words]
 	}
 	// Loop bookkeeping under the constant batch mask batches into one ExecN
 	// flushed at both exits (bit-identical totals).

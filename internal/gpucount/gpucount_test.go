@@ -156,7 +156,7 @@ func TestCountBatchTableFullReturnsError(t *testing.T) {
 	_, err = d.Launch(simt.KernelConfig{
 		Name: "tiny", Warps: 1,
 		Commit: tab.committer(&kernErr),
-	}, st.countKernel)
+	}, st.countKernel(tab.slots))
 	if err != nil {
 		t.Fatal(err)
 	}

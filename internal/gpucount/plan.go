@@ -23,19 +23,24 @@ import (
 const MinMemBudget = 1 << 16
 
 const (
-	// partitionSeed seeds the canonical-hash partitioner that assigns
-	// each distinct k-mer to exactly one counting pass. It is deliberately
-	// distinct from hashSeed (the probe hash) and the Bloom seeds so the
-	// four hash streams are independent.
-	partitionSeed = 0x9e3779b97f4a7c15
-	// bloomSeed0/bloomSeed1 seed the two counting-Bloom hash functions.
-	bloomSeed0 = 0xb100f11e
-	bloomSeed1 = 0x5eedcafe
-
 	// minBloomCells floors the filter size so tiny inputs still get a
 	// filter with a measurable (not catastrophic) false-positive rate.
 	minBloomCells = 1024
+	// maxPasses bounds the passes of a plan or a spill re-plan: each pass
+	// is a launch over every read.
+	maxPasses = 1024
 )
+
+// PassBoundError is the refusal of a plan, or a spill re-plan, of more than
+// maxPasses passes.
+type PassBoundError struct {
+	Occ, K, Passes int
+	Budget         int64
+}
+
+func (e *PassBoundError) Error() string {
+	return fmt.Sprintf("gpucount: %d k-mer windows at k=%d need %d passes under a %d-byte budget, more than %d", e.Occ, e.K, e.Passes, e.Budget, maxPasses)
+}
 
 // kmerWords returns the packed 64-bit words covering k bases.
 func kmerWords(k int) int { return (k + 31) / 32 }
@@ -82,23 +87,14 @@ func PlanFor(occ, k int, cfg BudgetConfig) (Plan, error) {
 	if cfg.MemBudget < MinMemBudget {
 		return Plan{}, fmt.Errorf("gpucount: memory budget %d below minimum %d", cfg.MemBudget, MinMemBudget)
 	}
-	if occ < 1 {
-		occ = 1
-	}
+	occ = max(occ, 1)
 	budget := cfg.MemBudget
 	var cells int
 	if cfg.MinCount >= 2 {
 		// Filter sizing: two cells per worst-case occurrence keeps the
 		// per-hash load ≤ 0.5, capped at a quarter of the budget so the
 		// table always keeps the lion's share.
-		bloomBytes := budget / 4
-		if need := int64(occ) * 8; bloomBytes > need {
-			bloomBytes = need
-		}
-		cells = int(bloomBytes / 4)
-		if cells < minBloomCells {
-			cells = minBloomCells
-		}
+		cells = max(int(min(budget/4, int64(occ)*8)/4), minBloomCells)
 		cells += cells & 1 // even cell count keeps the region 8-byte aligned
 		budget -= int64(cells) * 4
 	}
@@ -112,13 +108,9 @@ func PlanFor(occ, k int, cfg BudgetConfig) (Plan, error) {
 	if passes <= 0 {
 		passes = int((int64(occ) + perPass - 1) / perPass)
 	}
-	if passes < 1 {
-		passes = 1
+	if passes > maxPasses {
+		return Plan{}, &PassBoundError{occ, k, passes, cfg.MemBudget}
 	}
 	per := (occ + passes - 1) / passes
-	slots := int64(2*per + 1)
-	if slots > maxSlots {
-		slots = maxSlots
-	}
-	return Plan{Passes: passes, TableSlots: int(slots), BloomCells: cells}, nil
+	return Plan{Passes: passes, TableSlots: int(min(int64(2*per+1), maxSlots)), BloomCells: cells}, nil
 }

@@ -42,6 +42,11 @@ sim -rounds 21,33 -mem-budget 134217728 -out "$run/budget.fasta"
 sim -engine multigpu -gpus 2 -gpualn -rounds 21,33 -mem-budget 134217728 -quality -dump-la "$run/la.dump"
 sim -engine dist -ranks 4 -shard component -host-ranks -elastic "join@r1:1,leave@r2:1" -workers 2
 sim -engine dist -ranks 4 -rounds 21,33 -mem-budget 134217728 -faults drop=2,corrupt=1,delay=2,kernel-abort=1 -fault-seed 3
+# A budget the first round's reads alone would need more counting passes for
+# than gpucount allows is refused before the run.
+if "$bin/mhm2sim" -rounds 21 -mem-budget 65536 >"$run/bound.log" 2>&1 || ! grep -q "passes under a 65536-byte budget" "$run/bound.log"; then
+	cat "$run/bound.log"; echo "reach: mhm2sim ran a budget over the pass bound"; exit 1
+fi
 "$bin/readgen" -preset arcticsynth -depth 8 -seed 5 -out "$run/reads.fastq" -genomes "$run/genomes.fasta" >/dev/null
 sim -reads "$run/reads.fastq" -preprocess -estimate-insert=false -checkpoint "$run/ckpt" -rounds 21,33 \
 	-cpuprofile "$run/cpu.prof" -memprofile "$run/mem.prof"

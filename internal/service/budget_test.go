@@ -2,7 +2,10 @@ package service
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
+	"net/http"
+	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"strings"
@@ -63,5 +66,37 @@ func TestSchedulerMemBudgetJob(t *testing.T) {
 	}
 	if strings.Contains(m, "mhm2d_kmer_filtered_singletons_total 0\n") {
 		t.Fatal("metrics did not accumulate filtered singletons")
+	}
+}
+
+// TestSchedulerMemBudgetPassBound: a budget whose first round's reads alone
+// would plan more counting passes than gpucount allows is refused at
+// admission, POST /v1/jobs answering 400 with the numbers, and no job is
+// queued; the same spec under a budget that fits is accepted.
+func TestSchedulerMemBudgetPassBound(t *testing.T) {
+	s := newScheduler(t, Config{DataDir: t.TempDir(), QueueDepth: 4}) // never started: admission only
+	srv := httptest.NewServer(NewHandler(s))
+	defer srv.Close()
+
+	spec := tinySpec(1)
+	spec.MinGenomeLen, spec.MaxGenomeLen, spec.Depth = 10000, 10000, 200
+	spec.MemBudget = gpucount.MinMemBudget
+	_, err := NewPlan(spec)
+	var bound *gpucount.PassBoundError
+	if !errors.As(err, &bound) || bound.K != 21 || bound.Budget != gpucount.MinMemBudget {
+		t.Fatalf("NewPlan at depth %g under the minimum budget: %v, want a PassBoundError", spec.Depth, err)
+	}
+	t.Log(err)
+	resp, _ := postJob(t, srv, spec)
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("over-bound budget job: status %d, want 400", resp.StatusCode)
+	}
+	if jobs := s.List(); len(jobs) != 0 {
+		t.Fatalf("a refused job was queued: %+v", jobs)
+	}
+
+	spec.MemBudget = 64 << 20
+	if resp, id := postJob(t, srv, spec); resp.StatusCode != http.StatusAccepted || id == "" {
+		t.Fatalf("the same job under a budget that fits: status %d", resp.StatusCode)
 	}
 }

@@ -8,6 +8,7 @@ import (
 	"mhm2sim/internal/dist"
 	"mhm2sim/internal/dna"
 	"mhm2sim/internal/faults"
+	"mhm2sim/internal/gpucount"
 	"mhm2sim/internal/locassm"
 	"mhm2sim/internal/pipeline"
 	"mhm2sim/internal/synth"
@@ -32,7 +33,9 @@ type Plan struct {
 	Pipeline *pipeline.Config
 }
 
-// NewPlan validates the spec, translates it and loads its input.
+// NewPlan validates the spec, translates it and loads its input, and
+// refuses a memory budget its first round's reads already plan too many
+// counting passes for.
 func NewPlan(spec JobSpec) (*Plan, error) {
 	spec = spec.withDefaults()
 	p, err := spec.translate()
@@ -43,7 +46,29 @@ func NewPlan(spec JobSpec) (*Plan, error) {
 	if err != nil {
 		return nil, err
 	}
+	if err := p.budgetPasses(); err != nil {
+		return nil, err
+	}
 	return p, nil
+}
+
+// budgetPasses plans the first round's counting under the memory budget,
+// if there is one, and returns gpucount.PlanFor's refusal of too many passes.
+// The round counts the merged reads, which the run has yet to make; a pair
+// merges into a read at least as long as its longer mate, or stays two
+// reads, so the longer mates' windows are a floor and the check refuses no
+// spec that would plan within the bound.
+func (p *Plan) budgetPasses() error {
+	cfg := p.Pipeline
+	if cfg.MemBudget == 0 {
+		return nil
+	}
+	k, occ := cfg.Rounds[0], 0
+	for i := range p.Pairs {
+		occ += max(len(p.Pairs[i].Fwd.Seq), len(p.Pairs[i].Rev.Seq), k-1) - k + 1
+	}
+	_, err := gpucount.PlanFor(occ, k, gpucount.BudgetConfig{MemBudget: cfg.MemBudget, MinCount: cfg.MinCount})
+	return err
 }
 
 // Run executes the plan: the only dispatch between the single-process

@@ -185,6 +185,13 @@ func (s *Scheduler) Submit(spec JobSpec) (string, error) {
 	if err := spec.Validate(); err != nil {
 		return "", err
 	}
+	if spec.MemBudget > 0 {
+		// Only the input tells whether the budget plans a bounded number
+		// of counting passes, so a budget job's input is loaded here too.
+		if _, err := NewPlan(spec); err != nil {
+			return "", err
+		}
+	}
 	if d := spec.DeviceDemand(); d > s.pool.Size() {
 		return "", fmt.Errorf("service: job needs %d devices, pool has %d", d, s.pool.Size())
 	}
