@@ -77,7 +77,6 @@ import (
 type options struct {
 	spec service.JobSpec
 
-	gpuAln       bool
 	doPreprocess bool
 	estInsert    bool
 	workers      int
@@ -103,7 +102,6 @@ func parseFlags(args []string, stderr io.Writer) (*options, error) {
 	fs.StringVar(&spec.ReadsPath, "reads", "", "FASTQ file of paired reads (fwd,rev interleaved)")
 	fs.StringVar(&spec.Engine, "engine", locassm.EngineCPU, "local-assembly engine: cpu|gpu|multigpu|dist")
 	fs.IntVar(&spec.GPUs, "gpus", locassm.DefaultNodeGPUs, "devices for -engine=multigpu (default: one Summit node's six V100s)")
-	fs.BoolVar(&opts.gpuAln, "gpualn", false, "run the alignment SW kernel on the device (ADEPT role)")
 	fs.Func("rounds", "comma-separated contigging k values (default 21,33,55)", func(v string) (err error) {
 		spec.Rounds, err = parseRounds(v)
 		return err
@@ -157,7 +155,6 @@ func (o *options) plan() (*service.Plan, error) {
 		return nil, err
 	}
 	cfg := plan.Pipeline
-	cfg.UseGPUAln = o.gpuAln
 	cfg.EstimateInsert = o.estInsert
 	cfg.Workers = o.workers
 	cfg.CheckpointDir = o.checkpoint

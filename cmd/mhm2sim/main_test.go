@@ -149,7 +149,7 @@ func TestPresetPlanCarriesTruthGenomes(t *testing.T) {
 func TestHostSideSettings(t *testing.T) {
 	reads := writeTinyFASTQ(t)
 	opts, err := parseFlags([]string{"-reads", reads, "-engine", "dist", "-ranks", "2", "-host-ranks",
-		"-gpualn", "-preprocess", "-estimate-insert=false", "-workers", "3", "-checkpoint", "ck",
+		"-preprocess", "-estimate-insert=false", "-workers", "3", "-checkpoint", "ck",
 		"-json", "out.json", "-cpuprofile", "cpu.pprof", "-memprofile", "mem.pprof"}, io.Discard)
 	if err != nil {
 		t.Fatal(err)
@@ -166,7 +166,6 @@ func TestHostSideSettings(t *testing.T) {
 		t.Fatal(err)
 	}
 	pp := preprocess.DefaultConfig()
-	want.Pipeline.UseGPUAln = true
 	want.Pipeline.Preprocess = &pp
 	want.Pipeline.EstimateInsert = false
 	want.Pipeline.Workers = 3

@@ -415,25 +415,3 @@ func (f *Fabric) RankTotals(r int) (comm clock.Fabric, sent, recv, msgs int64) {
 	}
 	return comm, sent, recv, msgs
 }
-
-// TotalBytes and TotalMsgs sum network traffic across every exchange.
-func (f *Fabric) TotalBytes() int64 {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	var n int64
-	for _, st := range f.stages {
-		n += st.TotalBytes()
-	}
-	return n
-}
-
-// TotalMsgs sums aggregated messages across every exchange.
-func (f *Fabric) TotalMsgs() int64 {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	var n int64
-	for _, st := range f.stages {
-		n += st.TotalMsgs()
-	}
-	return n
-}

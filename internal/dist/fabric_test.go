@@ -94,14 +94,12 @@ func TestFabricAccumulation(t *testing.T) {
 	if _, err := f.Exchange("b", m); err != nil {
 		t.Fatal(err)
 	}
-	if got := f.TotalBytes(); got != 200 {
+	rep := Report{Stages: f.Stages()}
+	if len(rep.Stages) != 2 {
+		t.Errorf("stages %d, want 2", len(rep.Stages))
+	}
+	if got := rep.RemoteBytes(); got != 200 {
 		t.Errorf("total bytes %d, want 200", got)
-	}
-	if got := f.TotalMsgs(); got != 2 {
-		t.Errorf("total msgs %d, want 2", got)
-	}
-	if len(f.Stages()) != 2 {
-		t.Errorf("stages %d, want 2", len(f.Stages()))
 	}
 	comm, sent, recv, msgs := f.RankTotals(0)
 	if sent != 200 || recv != 0 || msgs != 2 || comm <= 0 {

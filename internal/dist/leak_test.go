@@ -30,11 +30,10 @@ func settled() (goroutines int, heap uint64) {
 
 // TestRunsLeaveNothingBehind: a run's devices come from one source. The
 // default one makes fresh devices and the run closes them (the gpu and
-// multigpu engines', -gpualn's, dist's rank devices and the budget-counting
-// device). A device left
-// open keeps its warp pool parked, which pins the arena: before the rule,
-// four budget runs in one process went 4 → 10 goroutines and 13 → 45 MB of
-// live heap. A supplied source keeps its devices across runs, as the
+// multigpu engines', dist's rank devices and the budget-counting device). A
+// device left open keeps its warp pool parked, which pins the arena: before
+// the rule, four budget runs in one process went 4 → 10 goroutines and
+// 13 → 45 MB of live heap. A supplied source keeps its devices across runs, as the
 // daemon's pool does: every run leaves them launchable and FreeAll'd. Five
 // more runs of each kind must leave goroutines and live heap flat.
 func TestRunsLeaveNothingBehind(t *testing.T) {
@@ -65,10 +64,10 @@ func TestRunsLeaveNothingBehind(t *testing.T) {
 			return kept[next-1], nil
 		}
 	}
-	pipe := func(name string, budget int64, gpuAln, supplied bool) func() error {
+	pipe := func(name string, budget int64, supplied bool) func() error {
 		return func() error {
 			cfg := distConfig(1).Pipeline
-			cfg.Engine.Name, cfg.MemBudget, cfg.UseGPUAln = name, budget, gpuAln
+			cfg.Engine.Name, cfg.MemBudget = name, budget
 			if supplied {
 				supply(&cfg.Engine)
 			}
@@ -93,13 +92,13 @@ func TestRunsLeaveNothingBehind(t *testing.T) {
 		run      func() error
 		supplied int // devices the run draws from a supplied source
 	}{
-		{"cpu+budget", pipe(locassm.EngineCPU, budget, false, false), 0},
-		{"gpu+gpualn", pipe(locassm.EngineGPU, 0, true, false), 0},
-		{"multigpu", pipe(locassm.EngineMultiGPU, 0, false, false), 0},
+		{"cpu+budget", pipe(locassm.EngineCPU, budget, false), 0},
+		{"gpu", pipe(locassm.EngineGPU, 0, false), 0},
+		{"multigpu", pipe(locassm.EngineMultiGPU, 0, false), 0},
 		{"dist+budget", dist(false), 0},
-		{"cpu+budget/supplied", pipe(locassm.EngineCPU, budget, false, true), 1},
-		{"gpu+gpualn/supplied", pipe(locassm.EngineGPU, 0, true, true), 2},
-		{"multigpu/supplied", pipe(locassm.EngineMultiGPU, 0, false, true), locassm.DefaultNodeGPUs},
+		{"cpu+budget/supplied", pipe(locassm.EngineCPU, budget, true), 1},
+		{"gpu/supplied", pipe(locassm.EngineGPU, 0, true), 1},
+		{"multigpu/supplied", pipe(locassm.EngineMultiGPU, 0, true), locassm.DefaultNodeGPUs},
 		{"dist+budget/supplied", dist(true), 6}, // 4 ranks, the joiner, the counting device
 	} {
 		t.Run(tc.name, func(t *testing.T) {

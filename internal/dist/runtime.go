@@ -637,9 +637,5 @@ func (rt *runtime) run(ctx context.Context, pairs []dna.PairedRead) (*pipeline.R
 	}
 	rt.rec.OOMReplans += res.Work.KmerBudget.OOMReplans
 	rt.rec.SpillPasses += res.Work.KmerBudget.SpillPasses
-
-	res.Work.CommTime = rt.fabric.TotalTime()
-	res.Work.CommBytes = rt.fabric.TotalBytes()
-	res.Work.CommMsgs = rt.fabric.TotalMsgs()
 	return res, rt.report(), nil
 }

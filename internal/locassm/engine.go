@@ -92,9 +92,9 @@ type EngineSpec struct {
 	// GPU configures the device batch driver (gpu and multigpu engines).
 	GPU GPUConfig
 	// Devices is where the run's devices come from: the gpu engine, each
-	// multigpu driver, each device rank of a dist run, the -gpualn stage and
-	// budget counting call it once, from the run's own goroutine, for a
-	// device to hold until the run ends. The supplier keeps its devices: a
+	// multigpu driver, each device rank of a dist run and budget counting
+	// call it once, from the run's own goroutine, for a device to hold until
+	// the run ends. The supplier keeps its devices: a
 	// run leaves them FreeAll'd, never closed. nil = ResolveDevices' default.
 	Devices func() (*simt.Device, error)
 	// Device is shorthand for a Devices that supplies this one device to the

@@ -2,11 +2,13 @@ package pipeline
 
 import (
 	"fmt"
+	"reflect"
 	"runtime"
 	"testing"
 	"time"
 
 	"mhm2sim/internal/gpucount"
+	"mhm2sim/internal/locassm"
 )
 
 // recordingObserver captures every stage callback in order.
@@ -87,8 +89,8 @@ func TestObserverDeltas(t *testing.T) {
 		}
 
 		var sum Timings
-		mergedReads := 0
-		var distinct int64
+		var occurrences int64
+		var las locassm.WorkCounts
 		var kmerBudget gpucount.BudgetStats
 		for i, ev := range obs.finishes {
 			d := obs.timings[i]
@@ -106,38 +108,72 @@ func TestObserverDeltas(t *testing.T) {
 			for s := range d.Wall {
 				sum.Wall[s] += d.Wall[s]
 			}
-			mergedReads += obs.works[i].MergedReads
-			distinct += obs.works[i].DistinctKmers
+			occurrences += obs.works[i].KmerOccurrences
+			las.Add(obs.works[i].Locassm)
 			kmerBudget.Add(obs.works[i].KmerBudget)
 
-			switch ev.Stage {
-			case StageLocalAssembly:
-				if obs.works[i].Locassm.TableBuilds <= 0 {
-					t.Errorf("round %d local assembly: no table builds in delta", ev.Round)
-				}
-			case StageContigGen:
-				if obs.works[i].ContigsGenerated != 0 {
-					// ContigsGenerated is only set after the round loop; stage
-					// deltas must not claim it.
-					t.Errorf("round %d contig generation: unexpected ContigsGenerated delta %d",
-						ev.Round, obs.works[i].ContigsGenerated)
-				}
+			if ev.Stage == StageLocalAssembly && obs.works[i].Locassm.TableBuilds <= 0 {
+				t.Errorf("round %d local assembly: no table builds in delta", ev.Round)
 			}
 		}
 		// Deltas reassemble the final record exactly.
 		if sum != res.Timings {
 			t.Errorf("timing deltas don't sum to the result: got %+v, want %+v", sum, res.Timings)
 		}
-		if mergedReads != res.Work.MergedReads {
-			t.Errorf("merged-read deltas sum to %d, want %d", mergedReads, res.Work.MergedReads)
+		if occurrences != res.Work.KmerOccurrences {
+			t.Errorf("k-mer occurrence deltas sum to %d, want %d", occurrences, res.Work.KmerOccurrences)
 		}
-		if distinct != res.Work.DistinctKmers {
-			t.Errorf("distinct-kmer deltas sum to %d, want %d", distinct, res.Work.DistinctKmers)
+		if las != res.Work.Locassm {
+			t.Errorf("local-assembly deltas sum to %+v, want %+v", las, res.Work.Locassm)
 		}
 		if (budget > 0) != (kmerBudget.Passes > 0) || kmerBudget != res.Work.KmerBudget {
 			t.Errorf("budget %d: counting deltas re-add to %+v, want %+v", budget, kmerBudget, res.Work.KmerBudget)
 		}
 	}
+}
+
+// TestWorkRecordDiffCoversEveryField: diff turns every counter of a
+// WorkRecord into a delta and every kernel list into its new launches. A
+// field diff leaves out would hand observers the cumulative value instead.
+// Each numeric leaf is 1 before and 3 after, each slice of length 1 and 3;
+// the delta must be 2 and of length 2 everywhere. KmerBudget is exempt:
+// BudgetStats.Sub has its own rules (TestObserverDeltas checks them).
+func TestWorkRecordDiffCoversEveryField(t *testing.T) {
+	// leaves calls leaf on every numeric field and slice under v, by path.
+	var leaves func(path string, v reflect.Value, leaf func(string, reflect.Value))
+	leaves = func(path string, v reflect.Value, leaf func(string, reflect.Value)) {
+		if v.Kind() != reflect.Struct {
+			leaf(path, v)
+			return
+		}
+		for i := 0; i < v.NumField(); i++ {
+			if name := v.Type().Field(i).Name; path != "" || name != "KmerBudget" {
+				leaves(path+"."+name, v.Field(i), leaf)
+			}
+		}
+	}
+	fill := func(n int) WorkRecord {
+		var w WorkRecord
+		leaves("", reflect.ValueOf(&w).Elem(), func(path string, v reflect.Value) {
+			switch v.Kind() {
+			case reflect.Int, reflect.Int64:
+				v.SetInt(int64(n))
+			case reflect.Slice:
+				v.Set(reflect.MakeSlice(v.Type(), n, n))
+			default:
+				t.Fatalf("%s: no fill for a %s", path, v.Type())
+			}
+		})
+		return w
+	}
+	d := fill(3).diff(fill(1))
+	leaves("", reflect.ValueOf(d), func(path string, v reflect.Value) {
+		if v.Kind() == reflect.Slice && v.Len() != 2 {
+			t.Errorf("%s: delta of a 1 → 3 list has %d entries, want 2", path, v.Len())
+		} else if v.Kind() != reflect.Slice && v.Int() != 2 {
+			t.Errorf("%s: delta of 1 → 3 is %d, want 2", path, v.Int())
+		}
+	})
 }
 
 // TestAlignmentSplitAnyCoreCount: the alignment stage's two categories are

@@ -66,42 +66,34 @@ func (t *Timings) Total() time.Duration {
 	return sum
 }
 
-// WorkRecord counts the work of one pipeline run: what reports, the
-// daemon's metrics and the benchmark read. (The cluster model does not:
-// it scales Result.LAWorkload re-run through locassm, see
-// internal/cluster.)
+// WorkRecord counts the work of one pipeline run. Each field has a reader
+// outside the tests, or is the reference a named test checks a live path
+// against (DESIGN.md §11):
+//   - KmerOccurrences: the benchmark's pipeline.kmer_occurrences;
+//   - Locassm: the dist parity rows' host-work check against one host rank;
+//   - GPUKernels, GPUKernelTime, GPUTransferTime: the report's gpu section
+//     and mhm2sim's kernel table;
+//   - IOBytes: TestCancelResumeEveryStageBoundary's resume accounting;
+//   - Preprocess, EstimatedInsert: mhm2sim's summary lines;
+//   - KmerBudget: the report's kmer section, the daemon's metrics, the dist
+//     runtime's recovery stats and the benchmark.
+//
+// The cluster model reads none of it: it scales Result.LAWorkload re-run
+// through locassm (internal/cluster). A distributed run's fabric traffic is
+// in its dist.Report, not here.
 type WorkRecord struct {
-	InputReads       int
-	InputBases       int64
-	MergedReads      int
-	KmerOccurrences  int64 // k-mer insertions across all rounds
-	DistinctKmers    int64
-	ContigsGenerated int
-	ContigBases      int64
-	ReadsAligned     int64
-	AlnCells         int64 // Smith-Waterman DP cells
-	CandidateCtgs    int   // contigs entering local assembly (last round)
-	Locassm          locassm.WorkCounts
-	GPUKernels       []simt.KernelResult
-	GPUKernelTime    clock.Device
-	GPUTransferTime  clock.Device
-	AlnGPUKernels    []simt.KernelResult
-	AlnGPUKernelTime clock.Device
-	ScaffoldPairs    int64
-	IOBytes          int64
-	Preprocess       preprocess.Stats
+	KmerOccurrences int64 // k-mer insertions across all rounds
+	Locassm         locassm.WorkCounts
+	GPUKernels      []simt.KernelResult
+	GPUKernelTime   clock.Device
+	GPUTransferTime clock.Device
+	IOBytes         int64
+	Preprocess      preprocess.Stats
 	// KmerBudget accumulates the memory-bounded counting accounting over
 	// all rounds (zero value when MemBudget is unset). It is deliberately
 	// separate from GPUKernels: budget counting runs on its own device
 	// and must not flip engine-level GPU reporting on or off.
 	KmerBudget gpucount.BudgetStats
-	// CommTime/CommBytes/CommMsgs account the modeled inter-rank fabric
-	// traffic of a distributed run (internal/dist), the way
-	// GPUTransferTime accounts modeled PCIe time. Zero for single-rank
-	// runs.
-	CommTime  clock.Fabric
-	CommBytes int64
-	CommMsgs  int64
 	// EstimatedInsert is the inferred library insert size (0 when
 	// estimation was off or had too few observations).
 	EstimatedInsert int
@@ -163,7 +155,7 @@ type Config struct {
 	// (Engine.Name, "" → cpu; the distributed runtime injects itself as
 	// Engine.Instance), the walk parameters (Engine.Config), the device
 	// driver's (Engine.GPU), and where every device of the run comes from
-	// (Engine.Devices: the engine's, GPU alignment's and budget counting's;
+	// (Engine.Devices: the engine's and budget counting's;
 	// nil = fresh V100s the run closes). Its worker count and driver budget
 	// are the run's: EngineSpec fills them from Workers and MemBudget.
 	Engine locassm.EngineSpec
@@ -187,10 +179,6 @@ type Config struct {
 	// distributed runtime wires to its chaos injector in place of the
 	// device→host fallback.
 	MemPressure func(round int) int
-
-	// UseGPUAln runs the alignment stage's banded-SW verification on the
-	// device (the ADEPT role, internal/gpualign) instead of the CPU.
-	UseGPUAln bool
 }
 
 // EngineSpec returns Engine with the run's settings resolved into it: the

@@ -161,7 +161,7 @@ func TestStageString(t *testing.T) {
 }
 
 func TestPipelineEndToEndCPU(t *testing.T) {
-	pairs, res := buildPairs(t), reference(t)
+	res := reference(t)
 	if len(res.Contigs) == 0 {
 		t.Fatal("no contigs assembled")
 	}
@@ -192,9 +192,7 @@ func TestPipelineEndToEndCPU(t *testing.T) {
 	}
 	// Work record populated.
 	w := res.Work
-	if w.InputReads != 2*len(pairs) || w.MergedReads == 0 || w.KmerOccurrences == 0 ||
-		w.DistinctKmers == 0 || w.ReadsAligned == 0 || w.AlnCells == 0 ||
-		w.Locassm.KmersInserted == 0 || w.IOBytes == 0 {
+	if w.KmerOccurrences == 0 || w.Locassm.KmersInserted == 0 || w.IOBytes == 0 {
 		t.Errorf("work record incomplete: %+v", w)
 	}
 	// Bin stats recorded per round.

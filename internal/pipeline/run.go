@@ -38,9 +38,9 @@ func RunContext(ctx context.Context, pairs []dna.PairedRead, cfg Config) (*Resul
 		return nil, err
 	}
 	cfg.Engine = cfg.EngineSpec()
-	// One device source for the run: the engine, GPU alignment and budget
-	// counting draw from cfg.Engine.Devices, and what the default source
-	// made is closed here.
+	// One device source for the run: the engine and budget counting draw
+	// from cfg.Engine.Devices, and what the default source made is closed
+	// here.
 	defer cfg.Engine.ResolveDevices()()
 	eng, err := locassm.NewEngine(cfg.Engine)
 	if err != nil {
@@ -50,18 +50,9 @@ func RunContext(ctx context.Context, pairs []dna.PairedRead, cfg Config) (*Resul
 		defer eng.Close() // built here, not handed in
 	}
 	res := &Result{}
-	res.Work.InputReads = 2 * len(pairs)
-	for i := range pairs {
-		res.Work.InputBases += int64(len(pairs[i].Fwd.Seq) + len(pairs[i].Rev.Seq))
-	}
 	st := &runState{
 		ctx: ctx, cfg: &cfg, res: res, eng: eng,
 		workers: par.Workers(cfg.Workers), pairs: pairs,
-	}
-	if cfg.UseGPUAln { // one device for every round's aln kernel
-		if st.adev, err = cfg.Engine.Devices(); err != nil {
-			return nil, err
-		}
 	}
 	if cfg.MemBudget > 0 { // one device for every round's budget counting
 		if st.cdev, err = cfg.Engine.Devices(); err != nil {
@@ -112,10 +103,6 @@ func RunContext(ctx context.Context, pairs []dna.PairedRead, cfg Config) (*Resul
 		}
 	}
 	res.Contigs = st.ctgs
-	res.Work.ContigsGenerated = len(st.ctgs)
-	for i := range st.ctgs {
-		res.Work.ContigBases += int64(len(st.ctgs[i].Seq))
-	}
 
 	if err := d.exec(outerEvent(StageScaffolding), nil, st.scaffolding); err != nil {
 		return nil, err
@@ -156,8 +143,6 @@ type runState struct {
 	// rounds) and the OOM-event count already absorbed into the budget.
 	cdev    *simt.Device
 	seenOOM int
-	adev    *simt.Device // the -gpualn kernel's device
-
 }
 
 // adoptContigs installs checkpointed contigs as if their rounds had run.
@@ -188,7 +173,6 @@ func (st *runState) mergeReads() error {
 	}
 	minOverlap, maxMismatchFrac := st.cfg.mergeParams()
 	st.reads = mergePairs(pairs, minOverlap, maxMismatchFrac)
-	st.res.Work.MergedReads = len(st.reads)
 	st.seqs = make([][]byte, len(st.reads))
 	for i := range st.reads {
 		st.seqs[i] = st.reads[i].Seq
@@ -220,7 +204,6 @@ func (st *runState) kmerAnalysis() error {
 	}
 	st.res.Work.KmerOccurrences += int64(occ)
 	table.Filter(st.cfg.MinCount)
-	st.res.Work.DistinctKmers += int64(table.Len())
 	st.table = table
 	return nil
 }
@@ -276,7 +259,7 @@ func (st *runState) contigGen() error {
 // alignment finds candidate reads per contig end (+ aln kernel) and
 // snapshots the local-assembly workload before extension mutates it.
 func (st *runState) alignment() error {
-	withReads, kernelShare, err := alignCandidates(st.reads, st.ctgs, st.cfg, st.adev, st.workers, st.res)
+	withReads, kernelShare, err := alignCandidates(st.reads, st.ctgs, st.cfg, st.workers)
 	st.alnKernelShare = kernelShare
 	if err != nil {
 		return err
@@ -314,7 +297,6 @@ func (st *runState) localAssembly() error {
 	st.res.Bins = append(st.res.Bins, RoundBins{
 		K: st.k, Zero: len(bins.Zero), Small: len(bins.Small), Large: len(bins.Large),
 	})
-	st.res.Work.CandidateCtgs = len(st.withReads)
 
 	// The extended contigs feed the next round (and the final output).
 	for i := range st.withReads {
@@ -339,12 +321,11 @@ func (st *runState) saveCheckpoint() error {
 // scaffolding joins the final contigs into scaffolds using the original
 // pairs.
 func (st *runState) scaffolding() error {
-	scaffolds, pairsUsed, estInsert, err := runScaffolding(st.pairs, st.ctgSeqs, st.cfg, st.workers)
+	scaffolds, estInsert, err := runScaffolding(st.pairs, st.ctgSeqs, st.cfg, st.workers)
 	if err != nil {
 		return err
 	}
 	st.res.Scaffolds = scaffolds
-	st.res.Work.ScaffoldPairs = pairsUsed
 	st.res.Work.EstimatedInsert = estInsert
 	return nil
 }

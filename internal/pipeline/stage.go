@@ -107,16 +107,7 @@ func (t Timings) diff(prev Timings) Timings {
 // subtracted, kernel lists are sliced to the newly appended launches
 // (views into the live lists — read-only for observers).
 func (w WorkRecord) diff(prev WorkRecord) WorkRecord {
-	w.InputReads -= prev.InputReads
-	w.InputBases -= prev.InputBases
-	w.MergedReads -= prev.MergedReads
 	w.KmerOccurrences -= prev.KmerOccurrences
-	w.DistinctKmers -= prev.DistinctKmers
-	w.ContigsGenerated -= prev.ContigsGenerated
-	w.ContigBases -= prev.ContigBases
-	w.ReadsAligned -= prev.ReadsAligned
-	w.AlnCells -= prev.AlnCells
-	w.CandidateCtgs -= prev.CandidateCtgs
 	w.Locassm.TableBuilds -= prev.Locassm.TableBuilds
 	w.Locassm.KmersInserted -= prev.Locassm.KmersInserted
 	w.Locassm.Lookups -= prev.Locassm.Lookups
@@ -124,9 +115,6 @@ func (w WorkRecord) diff(prev WorkRecord) WorkRecord {
 	w.GPUKernels = w.GPUKernels[len(prev.GPUKernels):]
 	w.GPUKernelTime -= prev.GPUKernelTime
 	w.GPUTransferTime -= prev.GPUTransferTime
-	w.AlnGPUKernels = w.AlnGPUKernels[len(prev.AlnGPUKernels):]
-	w.AlnGPUKernelTime -= prev.AlnGPUKernelTime
-	w.ScaffoldPairs -= prev.ScaffoldPairs
 	w.IOBytes -= prev.IOBytes
 	w.Preprocess.PairsIn -= prev.Preprocess.PairsIn
 	w.Preprocess.PairsOut -= prev.Preprocess.PairsOut
@@ -135,9 +123,6 @@ func (w WorkRecord) diff(prev WorkRecord) WorkRecord {
 	w.Preprocess.QualityTrimmed -= prev.Preprocess.QualityTrimmed
 	w.Preprocess.BasesRemoved -= prev.Preprocess.BasesRemoved
 	w.KmerBudget = w.KmerBudget.Sub(prev.KmerBudget)
-	w.CommTime -= prev.CommTime
-	w.CommBytes -= prev.CommBytes
-	w.CommMsgs -= prev.CommMsgs
 	w.EstimatedInsert -= prev.EstimatedInsert
 	return w
 }

@@ -15,16 +15,14 @@ import (
 	"mhm2sim/internal/locassm"
 	"mhm2sim/internal/par"
 	"mhm2sim/internal/scaffold"
-	"mhm2sim/internal/simt"
 )
 
 // alignCandidates aligns every merged read against the round's contigs and
 // buckets end-zone hits into per-contig candidate-read lists. It also
 // returns the share of its own wall time spent in the aln kernel (banded
 // Smith-Waterman), by which the driver splits the stage between the
-// aln-kernel and alignment categories. alnDev is the device of the -gpualn
-// kernel (cfg.UseGPUAln).
-func alignCandidates(reads []dna.Read, ctgs []dbg.Contig, cfg *Config, alnDev *simt.Device, workers int, res *Result) ([]*locassm.CtgWithReads, float64, error) {
+// aln-kernel and alignment categories.
+func alignCandidates(reads []dna.Read, ctgs []dbg.Contig, cfg *Config, workers int) ([]*locassm.CtgWithReads, float64, error) {
 	ctgSeqs := make([][]byte, len(ctgs))
 	withReads := make([]*locassm.CtgWithReads, len(ctgs))
 	for i := range ctgs {
@@ -61,40 +59,25 @@ func alignCandidates(reads []dna.Read, ctgs []dbg.Contig, cfg *Config, alnDev *s
 		}
 	}
 
-	// Either branch fills hits/found by read index; the accept count and the
-	// classification below are sequential.
-	var hits []align.Hit
-	var found []bool
+	// Reads align in parallel into hits/found by read index; the
+	// classification below is sequential.
+	hits, found := make([]align.Hit, len(reads)), make([]bool, len(reads))
+	// Aligner.KernelTime is summed over concurrent workers, so it is CPU
+	// time and can exceed the stage's wall; the same sum over whole
+	// AlignRead calls turns it into a share of the parallel section.
+	var busyNS atomic.Int64
+	parStart := time.Now()
+	par.ForEach(workers, len(reads), func(i int) {
+		readStart := time.Now()
+		hits[i], found[i] = aln.AlignRead(reads[i].Seq)
+		busyNS.Add(int64(time.Since(readStart)))
+	})
 	var kernelWall time.Duration // wall time of this stage spent in the aln kernel
-	if cfg.UseGPUAln {
-		var kernels []simt.KernelResult
-		hits, found, kernelWall, kernels, err = gpuAlignReads(alnDev, aln, ctgSeqs, reads, workers)
-		if err != nil {
-			return nil, 0, err
-		}
-		res.Work.AlnGPUKernels = append(res.Work.AlnGPUKernels, kernels...)
-		for _, k := range kernels {
-			res.Work.AlnGPUKernelTime += k.Time
-		}
-	} else {
-		hits, found = make([]align.Hit, len(reads)), make([]bool, len(reads))
-		// Aligner.KernelTime is summed over concurrent workers, so it is
-		// CPU time and can exceed the stage's wall; the same sum over whole
-		// AlignRead calls turns it into a share of the parallel section.
-		var busyNS atomic.Int64
-		parStart := time.Now()
-		par.ForEach(workers, len(reads), func(i int) {
-			readStart := time.Now()
-			hits[i], found[i] = aln.AlignRead(reads[i].Seq)
-			busyNS.Add(int64(time.Since(readStart)))
-		})
-		if busy := busyNS.Load(); busy > 0 {
-			kernelWall = time.Duration(float64(time.Since(parStart)) * float64(aln.KernelTime()) / float64(busy))
-		}
+	if busy := busyNS.Load(); busy > 0 {
+		kernelWall = time.Duration(float64(time.Since(parStart)) * float64(aln.KernelTime()) / float64(busy))
 	}
 	for i := range reads {
 		if found[i] {
-			res.Work.ReadsAligned++
 			classify(hits[i], reads[i])
 		}
 	}
@@ -106,7 +89,6 @@ func alignCandidates(reads []dna.Read, ctgs []dbg.Contig, cfg *Config, alnDev *s
 		slices.SortStableFunc(c.RightReads, byIDSeq)
 	}
 
-	res.Work.AlnCells += aln.Cells()
 	var kernelShare float64
 	if kernelWall > 0 { // then the stage's wall, which contains it, is too
 		kernelShare = float64(kernelWall) / float64(time.Since(t0))
@@ -117,10 +99,10 @@ func alignCandidates(reads []dna.Read, ctgs []dbg.Contig, cfg *Config, alnDev *s
 // runScaffolding aligns the original pairs against the final contigs,
 // optionally estimates the library insert size from proper pairs, and
 // joins spanning pairs into scaffolds.
-func runScaffolding(pairs []dna.PairedRead, ctgSeqs [][]byte, cfg *Config, workers int) ([]scaffold.Scaffold, int64, int, error) {
+func runScaffolding(pairs []dna.PairedRead, ctgSeqs [][]byte, cfg *Config, workers int) ([]scaffold.Scaffold, int, error) {
 	aln, err := align.New(ctgSeqs, cfg.Align)
 	if err != nil {
-		return nil, 0, 0, err
+		return nil, 0, err
 	}
 	lens := make([]int, len(ctgSeqs))
 	for i := range ctgSeqs {
@@ -159,20 +141,18 @@ func runScaffolding(pairs []dna.PairedRead, ctgSeqs [][]byte, cfg *Config, worke
 
 	// Phase 3: votes and joining.
 	var all []scaffold.Link
-	var used int64
 	for i := range hits {
 		if !hits[i].ok {
 			continue
 		}
 		if v, ok := scaffold.PairVote(hits[i].h1, hits[i].h2, lens, insertMean); ok {
 			all = append(all, v)
-			used++
 		}
 	}
 	scfg := cfg.Scaffold
 	scfg.InsertMean = insertMean
 	scs, err := scaffold.Build(ctgSeqs, all, scfg)
-	return scs, used, estimated, err
+	return scs, estimated, err
 }
 
 // writeOutputs serializes contigs and scaffolds as FASTA, returning bytes

@@ -39,7 +39,7 @@ sim -preset arcticsynth -engine gpu -rounds 21,33 -out "$run/ref.fasta" -json "$
 sim -engine dist -ranks 8 -rounds 21,33 -faults rank-crash=1,oom=2 -fault-seed 42 -json "$run/chaos.json"
 sim -engine dist -ranks 4 -rounds 21,33 -elastic "join@r1:2" -faults straggler=2 -fault-seed 7 -json "$run/elastic.json"
 sim -rounds 21,33 -mem-budget 134217728 -out "$run/budget.fasta"
-sim -engine multigpu -gpus 2 -gpualn -rounds 21,33 -mem-budget 134217728 -quality -dump-la "$run/la.dump"
+sim -engine multigpu -gpus 2 -rounds 21,33 -mem-budget 134217728 -quality -dump-la "$run/la.dump"
 sim -engine dist -ranks 4 -shard component -host-ranks -elastic "join@r1:1,leave@r2:1" -workers 2
 sim -engine dist -ranks 4 -rounds 21,33 -mem-budget 134217728 -faults drop=2,corrupt=1,delay=2,kernel-abort=1 -fault-seed 3
 # A budget the first round's reads alone would need more counting passes for

@@ -19,7 +19,6 @@ func goldenReport() *Report {
 	res.Timings.Wall[0], res.Timings.Wall[3] = 7*time.Millisecond, 11*time.Millisecond
 	res.Work.GPUKernels = []simt.KernelResult{{}, {}, {}}
 	res.Work.GPUKernelTime, res.Work.GPUTransferTime = clock.Device(900*time.Microsecond), clock.Device(40*time.Microsecond)
-	res.Work.CommBytes, res.Work.CommMsgs = 4096, 12
 	res.Work.KmerBudget = gpucount.BudgetStats{
 		Configured: 8 << 20, Effective: 4 << 20,
 		Passes: 6, PlannedPasses: 3, SpillPasses: 3, SpillReplans: 1, OOMReplans: 1,

@@ -154,10 +154,9 @@ func Build(res *pipeline.Result, rep *dist.Report) *Report {
 			ComponentPassNS: rep.ComponentPassTime,
 			WallNS:          rep.Wall,
 			CommTimeNS:      rep.CommTime,
-			CommBytes:       res.Work.CommBytes,
+			CommBytes:       rep.RemoteBytes(),
 			LocalBytes:      rep.LocalBytes(),
 			Locality:        rep.Locality(),
-			CommMsgs:        res.Work.CommMsgs,
 			Efficiency:      rep.Efficiency(),
 			PerRank:         rep.PerRank,
 		}
@@ -171,6 +170,7 @@ func Build(res *pipeline.Result, rep *dist.Report) *Report {
 				TimeNS:      st.Time,
 				Locality:    st.Locality(),
 			})
+			jd.CommMsgs += st.TotalMsgs()
 		}
 		if rep.Recovery.Any() {
 			jd.Faults = rep.Faults

@@ -249,15 +249,16 @@ func TestSubmitBodyBounds(t *testing.T) {
 	if code := post(strings.NewReader(huge)); code != http.StatusRequestEntityTooLarge {
 		t.Errorf("%d-byte body: status %d, want 413", len(huge), code)
 	}
-	padded := `{"tenant":"` + strings.Repeat("a", MaxSpecBytes/2) + `","rounds":[21]}`
+	padded := `{"tenant":"a",` + strings.Repeat(" ", MaxSpecBytes/2) + `"rounds":[21]}`
 	if code := post(strings.NewReader(padded)); code != http.StatusAccepted {
 		t.Errorf("well-formed %d-byte body: status %d, want 202", len(padded), code)
 	}
 
 	// A field JobSpec does not have, misspelt or retired, is refused rather
-	// than silently dropped; a spec persisted before the field went still
+	// than silently dropped, and so is a tenant /metrics could not label a
+	// sample with unescaped; a spec persisted before the field went still
 	// loads, so its job resumes.
-	for _, spec := range []string{`{"engin":"gpu"}`, `{"engine":"dist","ranks":2,"nosteal":true}`} {
+	for _, spec := range []string{`{"engin":"gpu"}`, `{"engine":"dist","ranks":2,"nosteal":true}`, `{"tenant":"a\tb"}`} {
 		if code := post(strings.NewReader(spec)); code != http.StatusBadRequest {
 			t.Errorf("%s: status %d, want 400", spec, code)
 		}

@@ -17,7 +17,7 @@ import (
 // Plan is a run a JobSpec denotes: its input and its configuration. A
 // front end attaches its host-side settings to the configuration — the
 // scheduler a checkpoint dir, an observer and the job's lease as the device
-// source; mhm2sim its -gpualn, -preprocess, -estimate-insert, -workers and
+// source; mhm2sim its -preprocess, -estimate-insert, -workers and
 // -checkpoint — and calls Run.
 type Plan struct {
 	// Pairs is the input; Genomes the truth genomes it was sampled from
@@ -99,10 +99,23 @@ func BuildInput(spec JobSpec) ([]dna.PairedRead, pipeline.Config, error) {
 	return p.Pairs, *p.Pipeline, nil
 }
 
+// maxTenantLen bounds a tenant name.
+const maxTenantLen = 64
+
 // check holds the rules no translated configuration can express: which
-// engine a field belongs to, and the size ceiling on what arrives from
-// outside the program.
+// engine a field belongs to, the size ceiling on what arrives from outside
+// the program, and the tenant's alphabet — the tenant labels /metrics
+// samples, so it must render there without an escape the Prometheus text
+// format does not define.
 func (s JobSpec) check() error {
+	if len(s.Tenant) == 0 || len(s.Tenant) > maxTenantLen {
+		return fmt.Errorf("service: tenant of %d bytes (want 1–%d)", len(s.Tenant), maxTenantLen)
+	}
+	for i := 0; i < len(s.Tenant); i++ {
+		if c := s.Tenant[i]; !('a' <= c && c <= 'z' || 'A' <= c && c <= 'Z' || '0' <= c && c <= '9' || c == '.' || c == '_' || c == '-') {
+			return fmt.Errorf("service: tenant byte %d is %#x, not one of [A-Za-z0-9._-]", i, c)
+		}
+	}
 	if s.Ranks > faults.MaxRanks || s.GPUs > faults.MaxRanks {
 		return fmt.Errorf("service: ranks %d / gpus %d exceed the %d ceiling", s.Ranks, s.GPUs, faults.MaxRanks)
 	}

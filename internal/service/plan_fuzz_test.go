@@ -3,6 +3,7 @@ package service
 import (
 	"encoding/json"
 	"runtime"
+	"strings"
 	"testing"
 )
 
@@ -25,6 +26,8 @@ func FuzzJobSpecPlan(f *testing.F) {
 		`{"engine":"dist","ranks":2,"nosteal":true}`,
 		`{"rounds":[21,129]}`,
 		`{"reads_path":"/nonexistent","preset":"nope","depth":-1}`,
+		`{"tenant":"a\tb"}`,
+		`{"tenant":"team-1.prod_x"}`,
 	} {
 		f.Add([]byte(seed))
 	}
@@ -46,6 +49,14 @@ func FuzzJobSpecPlan(f *testing.F) {
 		}
 		if err != nil {
 			return
+		}
+		tenant := spec.withDefaults().Tenant
+		var metrics strings.Builder
+		m := NewMetrics()
+		m.Add("t", 1, "tenant", tenant)
+		m.Render(&metrics, nil)
+		if want := "t{tenant=\"" + tenant + "\"} 1\n"; !strings.Contains(metrics.String(), want) {
+			t.Fatalf("accepted tenant %q renders escaped:\n%s", tenant, metrics.String())
 		}
 		if err := plan.Pipeline.Validate(); err != nil {
 			t.Fatalf("accepted %s, but its pipeline config is invalid: %v", body, err)

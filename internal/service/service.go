@@ -27,7 +27,8 @@ import (
 // stress tests assert against standalone runs). NewPlan turns it into the
 // run it denotes.
 type JobSpec struct {
-	// Tenant attributes the job for quotas and metrics ("" = "default").
+	// Tenant attributes the job for quotas and metrics ("" = "default"):
+	// 1–64 bytes of [A-Za-z0-9._-].
 	Tenant string `json:"tenant,omitempty"`
 	// Preset names the synthetic community ("" = "arcticsynth"); ignored
 	// when ReadsPath is set.
