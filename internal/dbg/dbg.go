@@ -16,7 +16,8 @@ import (
 type Config struct {
 	K int
 	// MinCount is the error filter: k-mers with fewer occurrences are
-	// dropped (2 removes singletons, as MetaHipMer does).
+	// dropped (2 removes singletons, as MetaHipMer does). At most
+	// MaxExtCount.
 	MinCount uint32
 	// MinCtgLen drops contigs shorter than this after traversal
 	// (0 defaults to 2·K).
@@ -30,23 +31,24 @@ func (c *Config) Validate() error {
 	if c.K < 4 || c.K > kmer.MaxK {
 		return fmt.Errorf("dbg: k %d outside [4,%d]", c.K, kmer.MaxK)
 	}
-	if c.MinCount < 1 {
-		return fmt.Errorf("dbg: MinCount must be ≥ 1")
+	if c.MinCount < 1 || c.MinCount > MaxExtCount {
+		return fmt.Errorf("dbg: MinCount %d outside [1,%d]", c.MinCount, MaxExtCount)
 	}
 	return nil
 }
 
-// ExtCounts counts observations of each base (2-bit code order) adjacent to
-// a k-mer.
-type ExtCounts [4]uint32
+// MaxExtCount is where an extension count saturates, and the largest
+// MinCount: min(e, 255) ≥ m exactly when e ≥ m for m ≤ 255, so traversal,
+// which only compares extension counts with MinCount, sees no difference.
+const MaxExtCount = 255
 
-// Info is the per-canonical-k-mer record.
+// Info is the per-canonical-k-mer record. Count is exact (Depth sums it);
+// Left and Right count each base (2-bit code order) seen before/after the
+// k-mer in its canonical orientation, saturating at MaxExtCount, so
+// MinCount may not exceed MaxExtCount.
 type Info struct {
-	Count uint32
-	// Left and Right count the bases observed before/after the k-mer in
-	// its canonical orientation.
-	Left  ExtCounts
-	Right ExtCounts
+	Count       uint32
+	Left, Right [4]uint8
 }
 
 // scanBatch bounds the k-mer occurrences binned between two drains, so the
@@ -149,13 +151,9 @@ func (p *partition) drain(bin []uint64) {
 	stride := 1 + p.words
 	for j := 0; j+stride <= len(bin); j += stride {
 		meta := bin[j]
-		info := p.upsert(bin[j+1:j+stride], uint32(meta))
-		info.Count++
-		if l := meta >> 32 & 7; l != 0 {
-			info.Left[l-1]++
-		}
-		if r := meta >> 35 & 7; r != 0 {
-			info.Right[r-1]++
-		}
+		rec := p.upsert(bin[j+1:j+stride], uint32(meta))
+		rec[0]++
+		l, r := meta>>32&7, meta>>35&7 // code+1 c ≥ 1: 1<<(8c)>>8 is byte c−1; 0 adds nothing
+		rec[1] = addExt(rec[1], 1<<(8*l)>>8|1<<(8*r)>>8<<32)
 	}
 }

@@ -79,17 +79,18 @@ func TestCountExtensions(t *testing.T) {
 		t.Fatal(err)
 	}
 	km := mustKmer("CGTA")
-	info, isSelf, ok := tab.Lookup(km)
-	if !ok {
-		t.Fatal("CGT missing")
-	}
-	right := orientedRight(info, isSelf)
-	left := orientedLeft(info, isSelf)
-	if left[dna.BaseA] != 1 {
-		t.Errorf("left exts %v, want A observed once", left)
-	}
-	if right[dna.BaseA] != 1 {
-		t.Errorf("right exts %v, want A observed once", right)
+	for _, km := range []kmer.Kmer{km, km.RevComp(4)} { // TACG has T on both sides in TTACGT
+		c, ok := tab.locate(km)
+		if !ok {
+			t.Fatalf("%s missing", km.Bytes(4))
+		}
+		want := uint64(1)<<(8*dna.BaseA) | uint64(1)<<(32+8*dna.BaseA)
+		if !c.isSelf {
+			want = uint64(1)<<(8*dna.BaseT) | uint64(1)<<(32+8*dna.BaseT)
+		}
+		if e := tab.ext(c); e != want {
+			t.Errorf("%s: extension bytes %#x, want %#x", km.Bytes(4), e, want)
+		}
 	}
 }
 
@@ -219,18 +220,22 @@ func TestCountValidation(t *testing.T) {
 }
 
 func TestUniqueExt(t *testing.T) {
-	if b, ok := uniqueExt(ExtCounts{0, 5, 0, 0}, 2); !ok || b != 1 {
+	// Base b's count is byte b.
+	if b, ok := uniqueExt(0x0500, 2); !ok || b != 1 {
 		t.Error("unique C not detected")
 	}
-	if _, ok := uniqueExt(ExtCounts{3, 5, 0, 0}, 2); ok {
+	if _, ok := uniqueExt(0x0503, 2); ok {
 		t.Error("two viable bases treated as unique")
 	}
-	if _, ok := uniqueExt(ExtCounts{1, 1, 1, 1}, 2); ok {
+	if _, ok := uniqueExt(0x01010101, 2); ok {
 		t.Error("all-below-threshold treated as unique")
 	}
 	// Threshold boundary.
-	if b, ok := uniqueExt(ExtCounts{0, 0, 2, 1}, 2); !ok || b != 2 {
+	if b, ok := uniqueExt(0x01020000, 2); !ok || b != 2 {
 		t.Error("threshold boundary wrong")
+	}
+	if b, ok := uniqueExt(0xff000000, MaxExtCount); !ok || b != 3 {
+		t.Error("saturated count below MaxExtCount")
 	}
 }
 
@@ -256,7 +261,8 @@ func TestWorkersConsistency(t *testing.T) {
 				t.Fatalf("%s, %d workers: %d k-mers, want %d", name, workers, tw.Len(), t1.Len())
 			}
 			for _, cur := range t1.sorted() {
-				if info, _, ok := tw.Lookup(cur.km); !ok || *info != *cur.info {
+				want, _, _ := t1.Lookup(cur.km)
+				if info, _, ok := tw.Lookup(cur.km); !ok || info != want {
 					t.Fatalf("%s, %d workers: table content changed", name, workers)
 				}
 			}
@@ -307,8 +313,8 @@ func BenchmarkTraverse(b *testing.B) {
 func (t *Table) sorted() []cursor {
 	var cs []cursor
 	for _, s := range t.startOrder() {
-		p, i := &t.parts[s.slot>>32], int(uint32(s.slot))
-		cs = append(cs, cursor{km: p.kmerAt(i), part: int(s.slot >> 32), idx: i, info: &p.info[i], isSelf: true})
+		p, i := int(s.slot>>32), int(uint32(s.slot))
+		cs = append(cs, cursor{km: t.parts[p].kmerAt(i), part: p, idx: i, isSelf: true})
 	}
 	return cs
 }

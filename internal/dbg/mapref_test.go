@@ -1,9 +1,11 @@
 package dbg
 
 // The map-based Count / Filter / Contigs that the owner-partitioned flat
-// table replaced, kept verbatim (64 mutex-guarded shard maps, a merge, a
-// visited map plus an onPath map per walk) as the oracle for
-// FuzzTableMatchesMapRef and the allocation gate.
+// table replaced (64 mutex-guarded shard maps, a merge, a visited map plus
+// an onPath map per walk), kept as the oracle for FuzzTableMatchesMapRef.
+// Its records keep exact extension counts, where the flat table's saturate
+// at MaxExtCount, so the oracle also checks that saturation changes no
+// contig.
 
 import (
 	"runtime"
@@ -18,7 +20,49 @@ import (
 // refTable is the map-backed table the flat one replaced.
 type refTable struct {
 	K int
-	m map[kmer.Kmer]*Info
+	m map[kmer.Kmer]*refInfo
+}
+
+// refInfo is the map implementation's record: Info with exact extension
+// counts.
+type refInfo struct {
+	Count       uint32
+	Left, Right [4]uint32
+}
+
+// saturated returns the Info the flat table holds for the same occurrences.
+func (r *refInfo) saturated() Info {
+	info := Info{Count: r.Count}
+	for b := range 4 {
+		info.Left[b] = uint8(min(r.Left[b], MaxExtCount))
+		info.Right[b] = uint8(min(r.Right[b], MaxExtCount))
+	}
+	return info
+}
+
+// refOriented returns the right and left extension counts in the walker's
+// orientation (isSelf = the walker holds the canonical form).
+func refOriented(info *refInfo, isSelf bool) (right, left [4]uint32) {
+	if isSelf {
+		return info.Right, info.Left
+	}
+	r, l := info.Left, info.Right
+	return [4]uint32{r[3], r[2], r[1], r[0]}, [4]uint32{l[3], l[2], l[1], l[0]}
+}
+
+// refUniqueExt returns the single base with count ≥ minCount, if exactly
+// one exists.
+func refUniqueExt(e [4]uint32, minCount uint32) (byte, bool) {
+	found := -1
+	for b := range e {
+		if e[b] >= minCount {
+			if found >= 0 {
+				return 0, false
+			}
+			found = b
+		}
+	}
+	return byte(found), found >= 0
 }
 
 // Len returns the number of distinct canonical k-mers.
@@ -26,7 +70,7 @@ func (t *refTable) Len() int { return len(t.m) }
 
 // Lookup returns the info for a k-mer (any orientation) plus whether the
 // given orientation is the canonical one.
-func (t *refTable) Lookup(km kmer.Kmer) (*Info, bool, bool) {
+func (t *refTable) Lookup(km kmer.Kmer) (*refInfo, bool, bool) {
 	canon, isSelf := km.Canonical(t.K)
 	info, ok := t.m[canon]
 	return info, isSelf, ok
@@ -48,11 +92,11 @@ func refCount(seqs [][]byte, cfg Config) (*refTable, error) {
 
 	type shard struct {
 		mu sync.Mutex
-		m  map[kmer.Kmer]*Info
+		m  map[kmer.Kmer]*refInfo
 	}
 	shards := make([]shard, refCountShards)
 	for i := range shards {
-		shards[i].m = make(map[kmer.Kmer]*Info)
+		shards[i].m = make(map[kmer.Kmer]*refInfo)
 	}
 
 	var wg sync.WaitGroup
@@ -67,7 +111,7 @@ func refCount(seqs [][]byte, cfg Config) (*refTable, error) {
 					s.mu.Lock()
 					info := s.m[canon]
 					if info == nil {
-						info = &Info{}
+						info = &refInfo{}
 						s.m[canon] = info
 					}
 					info.Count++
@@ -88,7 +132,7 @@ func refCount(seqs [][]byte, cfg Config) (*refTable, error) {
 	close(next)
 	wg.Wait()
 
-	merged := make(map[kmer.Kmer]*Info)
+	merged := make(map[kmer.Kmer]*refInfo)
 	for i := range shards {
 		for k, v := range shards[i].m {
 			merged[k] = v
@@ -253,7 +297,8 @@ func (t *refTable) step(cur kmer.Kmer, minCount uint32) (kmer.Kmer, bool) {
 	if !ok {
 		return kmer.Kmer{}, false
 	}
-	b, uniq := uniqueExt(orientedRight(info, isSelf), minCount)
+	right, _ := refOriented(info, isSelf)
+	b, uniq := refUniqueExt(right, minCount)
 	if !uniq {
 		return kmer.Kmer{}, false
 	}
@@ -262,7 +307,8 @@ func (t *refTable) step(cur kmer.Kmer, minCount uint32) (kmer.Kmer, bool) {
 	if !ok {
 		return kmer.Kmer{}, false
 	}
-	back, uniqN := uniqueExt(orientedLeft(infoN, isSelfN), minCount)
+	_, left := refOriented(infoN, isSelfN)
+	back, uniqN := refUniqueExt(left, minCount)
 	if !uniqN || back != cur.Get(0) {
 		return kmer.Kmer{}, false
 	}

@@ -2,6 +2,8 @@ package dbg
 
 import (
 	"cmp"
+	"encoding/binary"
+	"math/bits"
 	"slices"
 
 	"mhm2sim/internal/kmer"
@@ -21,8 +23,8 @@ const (
 const occPerSlot = 4
 
 // Table holds counted canonical k-mers: one open-addressing, linear-probing
-// hash table over the packed words that cover K, with each k-mer's Info
-// stored inline. It is split into partitions by the high half of
+// hash table over the packed words that cover K, with each k-mer's record
+// stored beside its key. It is split into partitions by the high half of
 // HashK(K, 0) — one per counting worker, each written by that worker alone
 // — and the low half picks the home slot inside the partition (both by
 // multiply-shift, so neither size has to be a power of two).
@@ -32,11 +34,15 @@ type Table struct {
 	parts []partition
 }
 
+// A partition is one array of slots, stride = words+2 uint64s each: the key
+// words, then the record — the count, and a byte per extension count
+// (Left's bases in bytes 0–3, Right's in 4–7). An empty slot is all zero;
+// its count tells it from the all-'A' k-mer, whose key is also all zero.
 type partition struct {
-	words int
-	keys  []uint64 // words per slot; all zero in an empty slot
-	info  []Info   // Count == 0 marks an empty slot
-	n     int      // occupied slots
+	words, stride int
+	slots         []uint64
+	size          int // slots
+	n             int // occupied slots
 }
 
 // slotsFor returns the capacity that holds n k-mers at the load bound, with
@@ -47,7 +53,7 @@ func slotsFor(n int) int { return n*maxLoadDen/maxLoadNum + 1 }
 func newTable(k, parts, distinct int) *Table {
 	t := &Table{K: k, words: (k + 31) / 32, parts: make([]partition, parts)}
 	for i := range t.parts {
-		t.parts[i] = partition{words: t.words}
+		t.parts[i] = partition{words: t.words, stride: t.words + 2}
 		t.parts[i].rebuild(slotsFor(distinct/parts), 1)
 	}
 	return t
@@ -58,19 +64,26 @@ func newTable(k, parts, distinct int) *Table {
 // so traversal sees one table however it was counted.
 func NewTable(k, distinct int) *Table { return newTable(k, 1, distinct) }
 
-// Add sums info into the record of a canonical k-mer. Not for concurrent
-// use.
+// Add sums info into the record of a canonical k-mer, extension counts
+// saturating at MaxExtCount. Not for concurrent use.
 func (t *Table) Add(canon kmer.Kmer, info Info) {
 	if info.Count == 0 {
 		return
 	}
 	h := canon.HashK(t.K, 0)
 	rec := t.parts[t.owner(h)].upsert(canon.W[:t.words], uint32(h))
-	rec.Count += info.Count
-	for b := range rec.Left {
-		rec.Left[b] += info.Left[b]
-		rec.Right[b] += info.Right[b]
-	}
+	rec[0] += uint64(info.Count)
+	rec[1] = addExt(rec[1], uint64(binary.LittleEndian.Uint32(info.Left[:]))|uint64(binary.LittleEndian.Uint32(info.Right[:]))<<32)
+}
+
+// addExt adds extension words byte by byte, saturating at MaxExtCount: the
+// low seven bits of each byte add apart, bit 7 and the carry out of it
+// follow from the operands' bit 7 and that sum, and a carry sets 0xff.
+func addExt(a, b uint64) uint64 {
+	const hi = 0x8080808080808080
+	s := a&^hi + b&^hi
+	carry := (a&b | (a|b)&s) & hi
+	return s ^ (a^b)&hi | carry>>7*0xff
 }
 
 // owner returns the partition that holds k-mers hashing to h.
@@ -85,77 +98,92 @@ func (t *Table) Len() int {
 	return n
 }
 
-// Lookup returns the info for a k-mer (any orientation) plus whether the
-// given orientation is the canonical one.
-func (t *Table) Lookup(km kmer.Kmer) (*Info, bool, bool) {
-	c, ok := t.locate(km)
-	return c.info, c.isSelf, ok
+// Lookup returns the info for a k-mer (any orientation; zero when absent)
+// plus whether the given orientation is the canonical one.
+func (t *Table) Lookup(km kmer.Kmer) (Info, bool, bool) {
+	c, ok := t.locate(km) // an absent k-mer's slot is the empty one its probe stopped on
+	p := &t.parts[c.part]
+	rec := p.slot(c.idx)[p.words:]
+	info := Info{Count: uint32(rec[0])}
+	binary.LittleEndian.PutUint32(info.Left[:], uint32(rec[1]))
+	binary.LittleEndian.PutUint32(info.Right[:], uint32(rec[1]>>32))
+	return info, c.isSelf, ok
 }
 
 // cursor is a k-mer in a walker's orientation together with the slot
-// (partition, index) and record of its canonical form.
+// (partition, index) of its canonical form.
 type cursor struct {
 	km        kmer.Kmer
 	part, idx int
-	info      *Info
 	isSelf    bool // km is the canonical orientation
 }
 
-// locate finds km, in any orientation; the cursor's record is nil when the
-// table does not hold it.
+// locate finds km, in any orientation.
 func (t *Table) locate(km kmer.Kmer) (cursor, bool) {
 	canon, isSelf := km.Canonical(t.K)
 	h := canon.HashK(t.K, 0)
 	c := cursor{km: km, part: t.owner(h), isSelf: isSelf}
-	p := &t.parts[c.part]
 	var ok bool
-	if c.idx, ok = p.find(canon.W[:t.words], uint32(h)); ok {
-		c.info = &p.info[c.idx]
-	}
+	c.idx, ok = t.parts[c.part].find(canon.W[:t.words], uint32(h))
 	return c, ok
 }
 
+// ext returns the extension counts of the cursor's k-mer in the walker's
+// orientation: base b's before it in byte b, after it in byte 4+b.
+// Reversing the bytes of the canonical record swaps the sides and
+// complements the bases (A<->T, C<->G).
+func (t *Table) ext(c cursor) uint64 {
+	p := &t.parts[c.part]
+	e := p.slot(c.idx)[p.words+1]
+	if !c.isSelf {
+		e = bits.ReverseBytes64(e)
+	}
+	return e
+}
+
 // find returns the slot holding key, or else the empty slot a probe from
-// h's home slot reaches first. Keys are compared before records are read,
-// so only the slot the probe stops on costs a second cache line.
+// h's home slot reaches first. A slot's count sits right after its key
+// words, so a probe reads both from one cache line.
 func (p *partition) find(key []uint64, h uint32) (int, bool) {
 	w := p.words
-	for i := int(uint64(h) * uint64(len(p.info)) >> 32); ; {
-		slot, j := p.keyAt(i), 0
+	for i := int(uint64(h) * uint64(p.size) >> 32); ; {
+		slot, j := p.slot(i), 0
 		for j < w && slot[j] == key[j] {
 			j++
 		}
-		if j == w {
-			// Equal keys on an empty slot: key is all 'A' and unseen.
-			return i, p.info[i].Count != 0
+		if j == w || slot[w] == 0 { // an empty slot matches only an all-'A' key
+			return i, slot[w] != 0
 		}
-		if slot[0] == 0 && p.info[i].Count == 0 {
-			return i, false
-		}
-		if i++; i == len(p.info) {
+		if i++; i == p.size {
 			i = 0
 		}
 	}
 }
 
 // upsert returns key's record, first claiming a slot for it if it has
-// none. A claimed record has Count 0: the caller adds at least one
-// occurrence.
-func (p *partition) upsert(key []uint64, h uint32) *Info {
+// none. A claimed record is zero: the caller adds at least one occurrence.
+func (p *partition) upsert(key []uint64, h uint32) []uint64 {
 	i, ok := p.find(key, h)
+	if !ok && (p.n+1)*maxLoadDen > p.size*maxLoadNum {
+		p.rebuild(2*p.size, 1)
+		i, _ = p.find(key, h)
+	}
+	s := p.slot(i)
 	if !ok {
-		if (p.n+1)*maxLoadDen > len(p.info)*maxLoadNum {
-			p.rebuild(2*len(p.info), 1)
-			i, _ = p.find(key, h)
-		}
-		copy(p.keys[i*p.words:], key)
+		copy(s, key)
 		p.n++
 	}
-	return &p.info[i]
+	return s[p.words:]
 }
 
+// slot returns the words of slot i: its key, then its record.
+func (p *partition) slot(i int) []uint64 { return p.slots[i*p.stride:][:p.stride] }
+
 // keyAt returns the key words of slot i.
-func (p *partition) keyAt(i int) []uint64 { return p.keys[i*p.words:][:p.words] }
+func (p *partition) keyAt(i int) []uint64 { return p.slot(i)[:p.words] }
+
+// count returns the count of slot i, 0 when it is empty.
+func (p *partition) count(i int) uint64 { return p.slot(i)[p.words] }
 
 // kmerAt unpacks the key of slot i.
 func (p *partition) kmerAt(i int) kmer.Kmer {
@@ -164,16 +192,17 @@ func (p *partition) kmerAt(i int) kmer.Kmer {
 	return km
 }
 
-// rebuild moves the records with Count ≥ minCount (≥ 1: every occupied
-// slot) into fresh arrays of the given capacity, which must hold them
+// rebuild moves the records with count ≥ minCount (≥ 1: every occupied
+// slot) into a fresh array of the given capacity, which must hold them
 // within the load bound.
-func (p *partition) rebuild(capacity int, minCount uint32) {
+func (p *partition) rebuild(size int, minCount uint32) {
 	old := *p
-	p.keys, p.info, p.n = make([]uint64, capacity*p.words), make([]Info, capacity), 0
-	for i := range old.info {
-		if old.info[i].Count >= minCount {
-			key := old.keyAt(i)
-			*p.upsert(key, uint32(kmer.HashWords(key, 0))) = old.info[i]
+	p.slots, p.size, p.n = make([]uint64, size*p.stride), size, 0
+	for s := old.slots; len(s) > 0; s = s[p.stride:] {
+		if s[p.words] >= uint64(minCount) {
+			key := s[:p.words]
+			rec := p.upsert(key, uint32(kmer.HashWords(key, 0)))
+			rec[0], rec[1] = s[p.words], s[p.words+1]
 		}
 	}
 }
@@ -190,8 +219,8 @@ func (t *Table) Filter(minCount uint32) int {
 	par.ForEach(len(t.parts), len(t.parts), func(i int) {
 		p := &t.parts[i]
 		keep := 0
-		for j := range p.info {
-			if p.info[j].Count >= minCount {
+		for s := p.slots; len(s) > 0; s = s[p.stride:] {
+			if s[p.words] >= uint64(minCount) {
 				keep++
 			}
 		}
@@ -211,9 +240,9 @@ func (t *Table) startOrder() []startSlot {
 	order := make([]startSlot, 0, t.Len())
 	for pi := range t.parts {
 		p := &t.parts[pi]
-		for i := range p.info {
-			if p.info[i].Count != 0 {
-				order = append(order, startSlot{p.keys[i*p.words], uint64(pi)<<32 | uint64(i)})
+		for i := range p.size {
+			if p.count(i) != 0 {
+				order = append(order, startSlot{p.keyAt(i)[0], uint64(pi)<<32 | uint64(i)})
 			}
 		}
 	}

@@ -9,51 +9,24 @@ type Contig struct {
 	Depth float64 // mean k-mer count along the path
 }
 
-// orientedRight returns the extension counts following the k-mer in the
-// walker's orientation (isSelf = the walker holds the canonical form).
-func orientedRight(info *Info, isSelf bool) ExtCounts {
-	if isSelf {
-		return info.Right
-	}
-	return flip(info.Left)
-}
-
-// orientedLeft is the mirror of orientedRight.
-func orientedLeft(info *Info, isSelf bool) ExtCounts {
-	if isSelf {
-		return info.Left
-	}
-	return flip(info.Right)
-}
-
-// flip complements an extension-count vector (A<->T, C<->G).
-func flip(e ExtCounts) ExtCounts {
-	return ExtCounts{e[3], e[2], e[1], e[0]}
-}
-
-// uniqueExt returns the single base with count ≥ minCount, if exactly one
-// exists.
-func uniqueExt(e ExtCounts, minCount uint32) (byte, bool) {
-	found := -1
-	for b := 0; b < 4; b++ {
-		if e[b] >= minCount {
-			if found >= 0 {
-				return 0, false
-			}
-			found = b
+// uniqueExt returns the single base whose byte in e (base b in byte b) is
+// ≥ minCount, if exactly one is.
+func uniqueExt(e, minCount uint32) (byte, bool) {
+	n, found := 0, 0
+	for b := range 4 {
+		if e>>(8*b)&0xff >= minCount {
+			n, found = n+1, b
 		}
 	}
-	if found < 0 {
-		return 0, false
-	}
-	return byte(found), true
+	return byte(found), n == 1
 }
 
 // Contigs traverses every maximal unambiguously connected path and returns
 // the resulting contigs, deterministically (start k-mers are processed in
 // sorted order). Each k-mer is consumed by at most one contig: seen flags
 // every slot a walk has stepped on, which covers both "already in an
-// earlier contig" and "already on this path".
+// earlier contig" and "already on this path". cfg.MinCount must pass
+// Validate: extension counts saturate at MaxExtCount.
 func (t *Table) Contigs(cfg Config) []Contig {
 	minCtg := cfg.MinCtgLen
 	if minCtg <= 0 {
@@ -61,7 +34,7 @@ func (t *Table) Contigs(cfg Config) []Contig {
 	}
 	seen := make([][]bool, len(t.parts))
 	for i := range seen {
-		seen[i] = make([]bool, len(t.parts[i].info))
+		seen[i] = make([]bool, t.parts[i].size)
 	}
 	var out []Contig
 	var id int64
@@ -71,7 +44,7 @@ func (t *Table) Contigs(cfg Config) []Contig {
 		if seen[pi][i] {
 			continue
 		}
-		start := cursor{km: t.parts[pi].kmerAt(i), part: pi, idx: i, info: &t.parts[pi].info[i], isSelf: true}
+		start := cursor{km: t.parts[pi].kmerAt(i), part: pi, idx: i, isSelf: true}
 		seq, counts, n := t.walkBothWays(start, cfg.MinCount, seen)
 		if len(seq) < minCtg {
 			continue
@@ -95,7 +68,7 @@ func (t *Table) Contigs(cfg Config) []Contig {
 func (t *Table) walkBothWays(start cursor, minCount uint32, seen [][]bool) (seq []byte, counts uint64, n int) {
 	k := t.K
 	seen[start.part][start.idx] = true
-	counts, n = uint64(start.info.Count), 1
+	counts, n = t.parts[start.part].count(start.idx), 1
 	extend := func(cur cursor, ext []byte) []byte {
 		for {
 			next, ok := t.step(cur, minCount)
@@ -103,7 +76,7 @@ func (t *Table) walkBothWays(start cursor, minCount uint32, seen [][]bool) (seq 
 				return ext
 			}
 			seen[next.part][next.idx] = true
-			counts += uint64(next.info.Count)
+			counts += t.parts[next.part].count(next.idx)
 			n++
 			ext = append(ext, dna.Alphabet[next.km.Get(k-1)])
 			cur = next
@@ -112,8 +85,7 @@ func (t *Table) walkBothWays(start cursor, minCount uint32, seen [][]bool) (seq 
 	seq = extend(start, start.km.Bytes(k))
 
 	// Leftward: walk rightward on the reverse complement, then flip.
-	rc := start
-	rc.km = start.km.RevComp(k)
+	rc := cursor{km: start.km.RevComp(k), part: start.part, idx: start.idx}
 	rc.isSelf = rc.km == start.km
 	if leftExt := extend(rc, nil); len(leftExt) > 0 {
 		seq = append(dna.RevComp(leftExt), seq...)
@@ -124,9 +96,9 @@ func (t *Table) walkBothWays(start cursor, minCount uint32, seen [][]bool) (seq 
 // step advances one base rightward from cur when the junction is fully
 // unambiguous: cur's right extension is unique, the successor exists, and
 // the successor's unique left extension points back at cur. The successor
-// comes back located, so the next step starts from its record.
+// comes back located, so the next step starts from its slot.
 func (t *Table) step(cur cursor, minCount uint32) (cursor, bool) {
-	b, uniq := uniqueExt(orientedRight(cur.info, cur.isSelf), minCount)
+	b, uniq := uniqueExt(uint32(t.ext(cur)>>32), minCount)
 	if !uniq {
 		return cursor{}, false
 	}
@@ -134,6 +106,6 @@ func (t *Table) step(cur cursor, minCount uint32) (cursor, bool) {
 	if !ok {
 		return cursor{}, false
 	}
-	back, uniqN := uniqueExt(orientedLeft(next.info, next.isSelf), minCount)
+	back, uniqN := uniqueExt(uint32(t.ext(next)), minCount)
 	return next, uniqN && back == cur.km.Get(0)
 }

@@ -51,8 +51,8 @@ func tablesEqual(t *testing.T, got, want *dbg.Table, seqs [][]byte, k int) {
 			if gok != wok {
 				t.Fatalf("k=%d pos %d: presence mismatch (got %v, want %v)", k, pos, gok, wok)
 			}
-			if gok && *gi != *wi {
-				t.Fatalf("k=%d pos %d: info mismatch: %+v vs %+v", k, pos, *gi, *wi)
+			if gok && gi != wi {
+				t.Fatalf("k=%d pos %d: info mismatch: %+v vs %+v", k, pos, gi, wi)
 			}
 		})
 	}

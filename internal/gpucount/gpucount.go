@@ -427,8 +427,8 @@ func (t table) forEachClaimed(dev *simt.Device, fn func(km kmer.Kmer, info dbg.I
 			}
 			info := dbg.Info{Count: dev.ReadU32(e + offCount)}
 			for b := 0; b < 4; b++ {
-				info.Left[b] = dev.ReadU32(e + offL + simt.Ptr(4*b))
-				info.Right[b] = dev.ReadU32(e + offL + 16 + simt.Ptr(4*b))
+				info.Left[b] = uint8(min(dev.ReadU32(e+offL+simt.Ptr(4*b)), dbg.MaxExtCount))
+				info.Right[b] = uint8(min(dev.ReadU32(e+offL+16+simt.Ptr(4*b)), dbg.MaxExtCount))
 			}
 			fn(km, info)
 		}

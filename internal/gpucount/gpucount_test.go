@@ -50,7 +50,7 @@ func refTable(t *testing.T, seqs [][]byte, k int) map[uint64]*dbg.Info {
 			if !ok {
 				t.Fatalf("reference lookup failed at %d", pos)
 			}
-			ref[canon.W[0]] = info
+			ref[canon.W[0]] = &info
 		})
 	}
 	return ref

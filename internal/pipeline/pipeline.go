@@ -122,7 +122,8 @@ type Config struct {
 	// Rounds lists the contigging k values, smallest first (MetaHipMer
 	// iterates k = 21, 33, 55, 77, 99 on 150 bp data).
 	Rounds []int
-	// MinCount is the k-mer error-filter threshold.
+	// MinCount is the k-mer error-filter threshold, at most
+	// dbg.MaxExtCount.
 	MinCount uint32
 	Align    align.Config
 	Scaffold scaffold.Config
@@ -242,8 +243,8 @@ func (c *Config) Validate() error {
 		}
 		prev = k
 	}
-	if c.MinCount < 1 {
-		return fmt.Errorf("pipeline: MinCount must be ≥ 1")
+	if c.MinCount < 1 || c.MinCount > dbg.MaxExtCount {
+		return fmt.Errorf("pipeline: MinCount %d outside [1,%d] (extension counts saturate at dbg.MaxExtCount)", c.MinCount, dbg.MaxExtCount)
 	}
 	if c.MemBudget < 0 {
 		return fmt.Errorf("pipeline: MemBudget %d is negative", c.MemBudget)

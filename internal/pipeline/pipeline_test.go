@@ -95,10 +95,17 @@ func TestConfigValidation(t *testing.T) {
 	if cfg.Validate() == nil {
 		t.Error("non-increasing rounds accepted")
 	}
+	for _, m := range []uint32{0, 256} {
+		cfg = testPipelineConfig()
+		cfg.MinCount = m
+		if cfg.Validate() == nil {
+			t.Errorf("MinCount %d accepted", m)
+		}
+	}
 	cfg = testPipelineConfig()
-	cfg.MinCount = 0
-	if cfg.Validate() == nil {
-		t.Error("MinCount 0 accepted")
+	cfg.MinCount = 255
+	if err := cfg.Validate(); err != nil {
+		t.Errorf("MinCount 255 refused: %v", err)
 	}
 	cfg = testPipelineConfig()
 	cfg.MergeMinOverlap = -1
