@@ -55,34 +55,45 @@ type Info struct {
 // bins stay cache-sized however large the input is.
 const scanBatch = 1 << 15
 
+// A Counter counts round after round of k-mers in memory that lives for
+// the run, not the round: Count reuses the slot arrays of the table last
+// handed back by Release, and the bins of one Count serve the next. Not
+// for concurrent use.
+type Counter struct {
+	free [][]uint64 // the released table's slot arrays, by partition
+	bins [][]uint64 // bins[span*owners+owner], kept empty between batches
+}
+
+// Release hands t's slot arrays to the next Count; t is unusable after.
+func (c *Counter) Release(t *Table) {
+	c.free = c.free[:0]
+	for _, p := range t.parts {
+		c.free = append(c.free, p.slots)
+	}
+	t.parts = nil
+}
+
+// Count is Counter.Count on a fresh Counter.
+func Count(seqs [][]byte, cfg Config) (*Table, error) { return new(Counter).Count(seqs, cfg) }
+
 // Count tallies canonical k-mers and their extensions across sequences the
 // way MetaHipMer's k-mer analysis does between ranks: the table has one
 // partition per worker, and counting alternates two barriered phases over
-// batches of sequences. In the scan phase every worker appends the
-// occurrences it finds to bins[worker][owner]; in the drain phase every
-// owner empties the bins addressed to it into its own partition. A bin has
-// one writer in the first phase and one reader in the second and a
-// partition is only ever touched by its owner, so nothing is locked and
-// nothing is merged at the end; counts are commutative sums, so the table
-// is the same at any worker count.
-func Count(seqs [][]byte, cfg Config) (*Table, error) {
+// batches of sequences. In the scan phase each fixed span of a batch
+// (par.SpanSize) appends the occurrences it finds to its bins, one per
+// owner; in the drain phase every owner empties the bins addressed to it
+// into its own partition. A bin has one writer in the first phase and one
+// reader in the second and a partition is only ever touched by its owner,
+// so nothing is locked and nothing is merged at the end; counts are
+// commutative sums, so the table is the same at any worker count, and
+// since spans, not workers, index the bins, so is what they allocate.
+func (c *Counter) Count(seqs [][]byte, cfg Config) (*Table, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
 	workers := par.Workers(cfg.Workers)
-	occ := kmer.Windows(seqs, cfg.K)
-	t := newTable(cfg.K, workers, occ/occPerSlot)
-
-	// A worker's share of a batch, spread over the owners, plus a quarter:
-	// a bin that still overflows (uneven chunks) grows by append.
-	share := min(occ, scanBatch) / (workers * workers)
-	bins := make([][][]uint64, workers)
-	for w := range bins {
-		bins[w] = make([][]uint64, workers)
-		for o := range bins[w] {
-			bins[w][o] = make([]uint64, 0, (share+share/4+1)*(1+t.words))
-		}
-	}
+	t := newTable(cfg.K, workers, kmer.Windows(seqs, cfg.K)/occPerSlot, c.free)
+	c.free = nil
 	for lo := 0; lo < len(seqs); {
 		hi, n := lo+1, kmer.Windows(seqs[lo:lo+1], cfg.K)
 		for ; hi < len(seqs); hi++ {
@@ -90,16 +101,27 @@ func Count(seqs [][]byte, cfg Config) (*Table, error) {
 				break
 			}
 		}
-		par.ForEachSpan(workers, hi-lo, 0, func(w int, s par.Span) {
-			for _, seq := range seqs[lo+s.Lo : lo+s.Hi] {
-				t.scan(seq, bins[w])
+		chunk := par.SpanSize(hi-lo, workers)
+		nbins := (hi - lo + chunk - 1) / chunk * workers
+		c.bins = append(c.bins, make([][]uint64, max(nbins-len(c.bins), 0))...)
+		par.ForEachSpan(workers, hi-lo, chunk, func(_ int, s par.Span) {
+			span, bins := seqs[lo+s.Lo:lo+s.Hi], c.bins[s.Lo/chunk*workers:][:workers]
+			// A bin too small for its share of the span is re-made with a
+			// quarter to spare; one that overflows still grows by append.
+			share := kmer.Windows(span, cfg.K) / workers
+			for o, b := range bins {
+				if cap(b) < (share+1)*(1+t.words) {
+					bins[o] = make([]uint64, 0, (share+share/4+1)*(1+t.words))
+				}
+			}
+			for _, seq := range span {
+				t.scan(seq, bins)
 			}
 		})
 		par.ForEachSpan(workers, workers, 1, func(_ int, s par.Span) {
-			owner := s.Lo
-			for w := range bins {
-				t.parts[owner].drain(bins[w][owner])
-				bins[w][owner] = bins[w][owner][:0]
+			for i := s.Lo; i < nbins; i += workers {
+				t.parts[s.Lo].drain(c.bins[i])
+				c.bins[i] = c.bins[i][:0]
 			}
 		})
 		lo = hi

@@ -49,12 +49,17 @@ type partition struct {
 // the empty slot every probe needs to terminate.
 func slotsFor(n int) int { return n*maxLoadDen/maxLoadNum + 1 }
 
-// newTable returns an empty table with room for about distinct k-mers.
-func newTable(k, parts, distinct int) *Table {
+// newTable returns an empty table with room for about distinct k-mers. Its
+// partition i reuses free[i] when that array is large enough.
+func newTable(k, parts, distinct int, free [][]uint64) *Table {
 	t := &Table{K: k, words: (k + 31) / 32, parts: make([]partition, parts)}
 	for i := range t.parts {
-		t.parts[i] = partition{words: t.words, stride: t.words + 2}
-		t.parts[i].rebuild(slotsFor(distinct/parts), 1)
+		p := &t.parts[i]
+		*p = partition{words: t.words, stride: t.words + 2}
+		if i < len(free) {
+			p.slots = free[i][:0]
+		}
+		p.rebuild(slotsFor(distinct/parts), 0, 1)
 	}
 	return t
 }
@@ -62,7 +67,7 @@ func newTable(k, parts, distinct int) *Table {
 // NewTable returns an empty table for about distinct k-mers that are counted
 // elsewhere: the GPU budget counter reads its device entries back with Add,
 // so traversal sees one table however it was counted.
-func NewTable(k, distinct int) *Table { return newTable(k, 1, distinct) }
+func NewTable(k, distinct int) *Table { return newTable(k, 1, distinct, nil) }
 
 // Add sums info into the record of a canonical k-mer, extension counts
 // saturating at MaxExtCount. Not for concurrent use.
@@ -165,7 +170,7 @@ func (p *partition) find(key []uint64, h uint32) (int, bool) {
 func (p *partition) upsert(key []uint64, h uint32) []uint64 {
 	i, ok := p.find(key, h)
 	if !ok && (p.n+1)*maxLoadDen > p.size*maxLoadNum {
-		p.rebuild(2*p.size, 1)
+		p.rebuild(2*p.size, p.n, 1)
 		i, _ = p.find(key, h)
 	}
 	s := p.slot(i)
@@ -192,13 +197,29 @@ func (p *partition) kmerAt(i int) kmer.Kmer {
 	return km
 }
 
-// rebuild moves the records with count ≥ minCount (≥ 1: every occupied
-// slot) into a fresh array of the given capacity, which must hold them
-// within the load bound.
-func (p *partition) rebuild(size int, minCount uint32) {
-	old := *p
-	p.slots, p.size, p.n = make([]uint64, size*p.stride), size, 0
-	for s := old.slots; len(s) > 0; s = s[p.stride:] {
+// rebuild moves the keep records with count ≥ minCount (≥ 1: every
+// occupied slot) into size slots, which must hold them within the load
+// bound. The partition keeps its array when it has room for the size slots
+// and, past them, the survivors: they are packed at its end, walking
+// backward so no slot is overwritten before it is read, and reinserted from
+// there into the cleared front. Otherwise the slots are a fresh array.
+func (p *partition) rebuild(size, keep int, minCount uint32) {
+	st, old := p.stride, p.slots
+	if all := old[:cap(old)]; (size+keep)*st <= len(all) {
+		end := len(all)
+		for i := len(old) - st; i >= 0; i -= st {
+			if old[i+p.words] >= uint64(minCount) {
+				end -= st
+				copy(all[end:], old[i:i+st])
+			}
+		}
+		old, p.slots = all[end:], all[:size*st]
+		clear(p.slots)
+	} else {
+		p.slots = make([]uint64, size*st)
+	}
+	p.size, p.n = size, 0
+	for s := old; len(s) > 0; s = s[st:] {
 		if s[p.words] >= uint64(minCount) {
 			key := s[:p.words]
 			rec := p.upsert(key, uint32(kmer.HashWords(key, 0)))
@@ -224,7 +245,7 @@ func (t *Table) Filter(minCount uint32) int {
 				keep++
 			}
 		}
-		p.rebuild(slotsFor(keep), minCount)
+		p.rebuild(slotsFor(keep), keep, minCount)
 	})
 	return before - t.Len()
 }

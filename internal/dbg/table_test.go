@@ -2,9 +2,11 @@ package dbg
 
 import (
 	"bytes"
+	"fmt"
 	"math/rand"
 	"reflect"
 	"runtime"
+	"sync"
 	"testing"
 
 	"mhm2sim/internal/dna"
@@ -36,11 +38,18 @@ func fuzzReads(rng *rand.Rand, genomeLen, nReads, readLen, ambig int) [][]byte {
 
 // checkTableMatchesMapRef counts, filters and traverses reads with the flat
 // table and with the map reference, and requires the same table and the
-// same contigs.
+// same contigs. The flat table comes from a Counter that has already
+// counted the reads once.
 func checkTableMatchesMapRef(t *testing.T, reads [][]byte, k int, minCount uint32, workers int) {
 	t.Helper()
 	c := Config{K: k, MinCount: minCount, Workers: workers}
-	tab, err := Count(reads, c)
+	var ctr Counter // warmed at another k, and another key width where there is one
+	warm, err := ctr.Count(reads, Config{K: 132 - k, MinCount: minCount, Workers: workers})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctr.Release(warm)
+	tab, err := ctr.Count(reads, c)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -176,37 +185,176 @@ func TestKeysSharingFirstWord(t *testing.T) {
 	}
 }
 
+// sameArray reports whether two slot slices share their first word.
+func sameArray(a, b []uint64) bool { return cap(a) > 0 && cap(b) > 0 && &a[:1][0] == &b[:1][0] }
+
+// checkTablesMatch requires got to hold exactly want's k-mers, with the same
+// records, and to give the same contigs at c.
+func checkTablesMatch(t *testing.T, got, want *Table, c Config, what string) {
+	t.Helper()
+	if got.Len() != want.Len() {
+		t.Fatalf("%s: %d k-mers, want %d", what, got.Len(), want.Len())
+	}
+	for _, cur := range want.sorted() {
+		for _, km := range []kmer.Kmer{cur.km, cur.km.RevComp(c.K)} {
+			w, wSelf, _ := want.Lookup(km)
+			if info, isSelf, ok := got.Lookup(km); !ok || info != w || isSelf != wSelf {
+				t.Fatalf("%s %s: %+v self=%v ok=%v, want %+v self=%v", what, km.Bytes(c.K), info, isSelf, ok, w, wSelf)
+			}
+		}
+	}
+	if g, w := got.Contigs(c), want.Contigs(c); !reflect.DeepEqual(g, w) {
+		t.Fatalf("%s: %d contigs differ from the %d of a fresh table", what, len(g), len(w))
+	}
+}
+
+// TestCounterRecycles counts k = 21, 33, 55 and 21 again on one Counter,
+// releasing each table before the next round, and compares every table with
+// a fresh Count's before and after Filter. The k = 55 and second k = 21
+// rounds count in the arrays the round before released, and every Filter
+// compacts in place: rebuild's in-place branch. A NewTable filled to its
+// load bound grows into a fresh array, rebuild's allocating branch, and
+// still holds what was added.
+func TestCounterRecycles(t *testing.T) {
+	reads := fuzzReads(rand.New(rand.NewSource(42)), 3000, 400, 150, 4)
+	var ctr Counter
+	var released [][]uint64
+	for round, k := range []int{21, 33, 55, 21} {
+		c := Config{K: k, MinCount: 2, Workers: 3}
+		got, err := ctr.Count(reads, c)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, _ := Count(reads, c)
+		what := fmt.Sprintf("round %d (k=%d)", round, k)
+		checkTablesMatch(t, got, want, c, what)
+		counted := make([][]uint64, len(got.parts))
+		for i, p := range got.parts {
+			if counted[i] = p.slots; round >= 2 && !sameArray(p.slots, released[i]) {
+				t.Errorf("%s: partition %d did not count in the released array", what, i)
+			}
+		}
+		if got, want := got.Filter(c.MinCount), want.Filter(c.MinCount); got != want {
+			t.Fatalf("%s: Filter dropped %d, fresh table %d", what, got, want)
+		}
+		checkTablesMatch(t, got, want, c, what+" filtered")
+		for i, p := range got.parts {
+			if !sameArray(p.slots, counted[i]) {
+				t.Errorf("%s: partition %d's Filter left its array", what, i)
+			}
+		}
+		released = counted
+		ctr.Release(got)
+	}
+
+	c := Config{K: 33, MinCount: 2}
+	want, _ := Count(reads, Config{K: 33, MinCount: 1, Workers: 1})
+	grown := NewTable(c.K, want.Len()-1)
+	first := grown.parts[0].slots
+	for _, cur := range want.sorted() {
+		if !sameArray(grown.parts[0].slots, first) {
+			t.Fatalf("NewTable for %d k-mers grew at %d", want.Len()-1, grown.Len())
+		}
+		info, _, _ := want.Lookup(cur.km)
+		grown.Add(cur.km, info)
+	}
+	if sameArray(grown.parts[0].slots, first) {
+		t.Fatalf("NewTable for %d k-mers kept its array for %d", want.Len()-1, grown.Len())
+	}
+	checkTablesMatch(t, grown, want, c, "grown NewTable")
+}
+
+// allocated returns the fewest bytes fn allocates in runs calls after a
+// first one that is not counted: a GC cycle or a harness goroutine can
+// only add.
+func allocated(t *testing.T, runs int, fn func() error) uint64 {
+	t.Helper()
+	got := ^uint64(0)
+	var before, after runtime.MemStats
+	for run := range runs + 1 {
+		runtime.ReadMemStats(&before)
+		if err := fn(); err != nil {
+			t.Fatal(err)
+		}
+		if runtime.ReadMemStats(&after); run > 0 {
+			got = min(got, after.TotalAlloc-before.TotalAlloc)
+		}
+	}
+	return got
+}
+
+// TestCountAllocSameAtAnyGOMAXPROCS: Count's bins are indexed by span, not
+// by the worker that scanned it, so what four workers allocate depends on
+// the reads alone, not on how many of them run at once.
+func TestCountAllocSameAtAnyGOMAXPROCS(t *testing.T) {
+	reads := fuzzReads(rand.New(rand.NewSource(31)), 200_000, 4000, 150, 2)
+	c := Config{K: 21, MinCount: 2, Workers: 4}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	var lo, hi uint64 = ^uint64(0), 0
+	for _, procs := range []int{4, 2, 1} {
+		runtime.GOMAXPROCS(procs)
+		// Goroutines that end leave their descriptors for reuse: 512 of
+		// them are more than Count's workers ever wait on, so no measured
+		// call pays for a new one.
+		var wg sync.WaitGroup
+		release := make(chan struct{})
+		for range 512 {
+			wg.Add(1)
+			go func() { defer wg.Done(); <-release }()
+		}
+		close(release)
+		wg.Wait()
+		got := allocated(t, 5, func() error { _, err := Count(reads, c); return err })
+		t.Logf("GOMAXPROCS %d: %d bytes", procs, got)
+		lo, hi = min(lo, got), max(hi, got)
+	}
+	if hi-lo > 1024 {
+		t.Errorf("Count at %d workers allocated %d to %d bytes across GOMAXPROCS 4, 2 and 1, want within 1 KiB", c.Workers, lo, hi)
+	}
+}
+
 // TestCountFilterContigsAllocBytes is the allocation gate on the shape the
 // job daemon runs most (≈ 200 reads per job): bins, partitions and the
 // Filter rebuild are sized from the input, so a small input must not pay
 // for structures sized for a large one. Each bound is the bytes measured
-// for the one-array partitions (TotalAlloc around the calls, smallest of
-// five) plus a tenth; the two-array layout before them took 1,268,536
-// (k = 21) and 1,531,912 (k = 33) bytes, the map implementation 2,017,464 at
-// k = 21.
+// with in-place Filter and span-indexed bins sized per span (smallest of
+// five) plus a tenth; a fresh array per rebuild and bins indexed by worker
+// took 965,416 (k = 21) and 1,245,176 (k = 33) bytes, the two-array layout
+// before them 1,268,536 and 1,531,912, the map implementation 2,017,464 at
+// k = 21. The three rounds on one Counter take 2,021,088 bytes where three
+// fresh Counts take 3,002,624, and the third, at k = 33's key width,
+// allocates no slot array.
 func TestCountFilterContigsAllocBytes(t *testing.T) {
 	reads := fuzzReads(rand.New(rand.NewSource(31)), 3000, 200, 150, 2)
 	for _, tc := range []struct {
-		k        int
+		ks       []int
 		measured uint64
-	}{{21, 965_416}, {33, 1_245_176}} {
-		c := Config{K: tc.k, MinCount: 2, Workers: 1}
-		got := ^uint64(0)
-		var before, after runtime.MemStats
-		for run := 0; run < 5; run++ { // a GC cycle or a harness goroutine can only add
-			runtime.ReadMemStats(&before)
-			tab, err := Count(reads, c)
-			if err != nil {
-				t.Fatal(err)
+	}{{[]int{21}, 848_208}, {[]int{33}, 1_098_016}, {[]int{21, 33, 55}, 2_021_088}} {
+		var lastCount, lastSlots uint64
+		got := allocated(t, 5, func() error {
+			var ctr Counter
+			var before, after runtime.MemStats
+			for _, k := range tc.ks {
+				c := Config{K: k, MinCount: 2, Workers: 1}
+				runtime.ReadMemStats(&before)
+				tab, err := ctr.Count(reads, c)
+				if err != nil {
+					return err
+				}
+				runtime.ReadMemStats(&after)
+				lastCount, lastSlots = after.TotalAlloc-before.TotalAlloc, uint64(8*cap(tab.parts[0].slots))
+				tab.Filter(c.MinCount)
+				tab.Contigs(c)
+				ctr.Release(tab)
 			}
-			tab.Filter(c.MinCount)
-			tab.Contigs(c)
-			runtime.ReadMemStats(&after)
-			got = min(got, after.TotalAlloc-before.TotalAlloc)
-		}
-		t.Logf("k=%d, %d reads: %d bytes, %d measured", tc.k, len(reads), got, tc.measured)
+			return nil
+		})
+		t.Logf("k=%v, %d reads: %d bytes, %d measured", tc.ks, len(reads), got, tc.measured)
 		if bound := tc.measured + tc.measured/10; got > bound {
-			t.Errorf("k=%d: Count+Filter+Contigs allocated %d bytes, over the bound %d (measured %d plus a tenth)", tc.k, got, bound, tc.measured)
+			t.Errorf("k=%v: Count+Filter+Contigs allocated %d bytes, over the bound %d (measured %d plus a tenth)", tc.ks, got, bound, tc.measured)
+		}
+		if len(tc.ks) > 1 && lastCount >= lastSlots {
+			t.Errorf("k=%v: the last round's Count allocated %d bytes, its slot array is %d", tc.ks, lastCount, lastSlots)
 		}
 	}
 }

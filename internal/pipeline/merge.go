@@ -23,24 +23,14 @@ func mergePair(p *dna.PairedRead, minOverlap int, maxMismatchFrac float64) (dna.
 	fwd := &p.Fwd
 	rcRev := p.Rev.RevComp()
 
-	maxOv := len(fwd.Seq)
-	if len(rcRev.Seq) < maxOv {
-		maxOv = len(rcRev.Seq)
-	}
-	for ov := maxOv; ov >= minOverlap; ov-- {
-		mmAllowed := int(maxMismatchFrac * float64(ov))
-		mm := 0
-		ok := true
-		off := len(fwd.Seq) - ov
-		for j := 0; j < ov; j++ {
+	for ov := min(len(fwd.Seq), len(rcRev.Seq)); ov >= minOverlap; ov-- {
+		mmAllowed, mm, off := int(maxMismatchFrac*float64(ov)), 0, len(fwd.Seq)-ov
+		for j := 0; j < ov && mm <= mmAllowed; j++ {
 			if fwd.Seq[off+j] != rcRev.Seq[j] {
-				if mm++; mm > mmAllowed {
-					ok = false
-					break
-				}
+				mm++
 			}
 		}
-		if !ok {
+		if mm > mmAllowed {
 			continue
 		}
 		// Merge: fwd prefix + overlap (base with higher quality wins) +

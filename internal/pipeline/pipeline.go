@@ -6,6 +6,7 @@
 package pipeline
 
 import (
+	"cmp"
 	"fmt"
 	"time"
 
@@ -200,15 +201,7 @@ func (c *Config) EngineSpec() locassm.EngineSpec {
 
 // mergeParams resolves the effective read-merging parameters.
 func (c *Config) mergeParams() (minOverlap int, maxMismatchFrac float64) {
-	minOverlap = c.MergeMinOverlap
-	if minOverlap == 0 {
-		minOverlap = DefaultMergeMinOverlap
-	}
-	maxMismatchFrac = c.MergeMaxMismatchFrac
-	if maxMismatchFrac == 0 {
-		maxMismatchFrac = DefaultMergeMaxMismatchFrac
-	}
-	return minOverlap, maxMismatchFrac
+	return cmp.Or(c.MergeMinOverlap, DefaultMergeMinOverlap), cmp.Or(c.MergeMaxMismatchFrac, DefaultMergeMaxMismatchFrac)
 }
 
 // DefaultConfig returns a scaled-down MetaHipMer-like configuration

@@ -60,55 +60,35 @@ func RunContext(ctx context.Context, pairs []dna.PairedRead, cfg Config) (*Resul
 		}
 	}
 	d := &stageDriver{ctx: ctx, res: res, obs: cfg.Observer}
-
-	if err := d.exec(outerEvent(StageMergeReads), nil, st.mergeReads); err != nil {
-		return nil, err
-	}
+	d.exec(outerEvent(StageMergeReads), nil, st.mergeReads)
 
 	// Iterative contigging rounds (Fig 1's "Iterate for k's"), resuming
 	// past checkpointed rounds when a checkpoint directory is configured.
 	skip := 0
-	if cfg.CheckpointDir != "" {
-		loaded, n, err := resumePoint(cfg.CheckpointDir, cfg.Rounds)
-		if err != nil {
+	if cfg.CheckpointDir != "" && d.err == nil {
+		var loaded []dbg.Contig
+		if loaded, skip, err = resumePoint(cfg.CheckpointDir, cfg.Rounds); err != nil {
 			return nil, err
 		}
-		if n > 0 {
-			st.adoptContigs(loaded)
-			skip = n
-		}
+		st.adoptContigs(loaded)
 	}
-	for ri, k := range cfg.Rounds {
-		if ri < skip {
-			continue
-		}
-		st.k = k
-		st.round = ri
-		if err := d.exec(roundEvent(StageKmerAnalysis, ri, k), nil, st.kmerAnalysis); err != nil {
-			return nil, err
-		}
-		if err := d.exec(roundEvent(StageContigGen, ri, k), nil, st.contigGen); err != nil {
-			return nil, err
-		}
-		if err := d.exec(roundEvent(StageAlignment, ri, k), &st.alnKernelShare, st.alignment); err != nil {
-			return nil, err
-		}
-		if err := d.exec(roundEvent(StageLocalAssembly, ri, k), nil, st.localAssembly); err != nil {
-			return nil, err
-		}
+	for ri := skip; ri < len(cfg.Rounds) && d.err == nil; ri++ {
+		k := cfg.Rounds[ri]
+		st.k, st.round = k, ri
+		d.exec(roundEvent(StageKmerAnalysis, ri, k), nil, st.kmerAnalysis)
+		d.exec(roundEvent(StageContigGen, ri, k), nil, st.contigGen)
+		d.exec(roundEvent(StageAlignment, ri, k), &st.alnKernelShare, st.alignment)
+		d.exec(roundEvent(StageLocalAssembly, ri, k), nil, st.localAssembly)
 		if cfg.CheckpointDir != "" {
-			if err := d.exec(roundEvent(StageFileIO, ri, k), nil, st.saveCheckpoint); err != nil {
-				return nil, err
-			}
+			d.exec(roundEvent(StageFileIO, ri, k), nil, st.saveCheckpoint)
 		}
 	}
 	res.Contigs = st.ctgs
 
-	if err := d.exec(outerEvent(StageScaffolding), nil, st.scaffolding); err != nil {
-		return nil, err
-	}
-	if err := d.exec(outerEvent(StageFileIO), nil, st.writeFinal); err != nil {
-		return nil, err
+	d.exec(outerEvent(StageScaffolding), nil, st.scaffolding)
+	d.exec(outerEvent(StageFileIO), nil, st.writeFinal)
+	if d.err != nil {
+		return nil, d.err
 	}
 	return res, nil
 }
@@ -128,8 +108,9 @@ type runState struct {
 	reads []dna.Read       // merged reads
 	seqs  [][]byte         // merged read sequences
 
-	k         int // current round's k-mer size
-	round     int // current round index (MemPressure is per round)
+	k         int         // current round's k-mer size
+	round     int         // current round index (MemPressure is per round)
+	counter   dbg.Counter // every round's counting memory
 	table     *dbg.Table
 	dcfg      dbg.Config
 	ctgs      []dbg.Contig
@@ -145,7 +126,8 @@ type runState struct {
 	seenOOM int
 }
 
-// adoptContigs installs checkpointed contigs as if their rounds had run.
+// adoptContigs installs a round's contigs, traversed or checkpointed, as
+// the input of the rounds after it.
 func (st *runState) adoptContigs(ctgs []dbg.Contig) {
 	st.ctgs = ctgs
 	st.ctgSeqs = make([][]byte, len(ctgs))
@@ -192,19 +174,17 @@ func (st *runState) kmerAnalysis() error {
 		K: st.k, MinCount: st.cfg.MinCount, Workers: st.workers, MinCtgLen: st.k + 10,
 	}
 	occ := kmer.Windows(roundSeqs, st.k)
-	var table *dbg.Table
 	var err error
 	if st.cfg.MemBudget > 0 {
-		table, err = st.countBudget(roundSeqs, occ)
+		st.table, err = st.countBudget(roundSeqs, occ)
 	} else {
-		table, err = dbg.Count(roundSeqs, st.dcfg)
+		st.table, err = st.counter.Count(roundSeqs, st.dcfg)
 	}
 	if err != nil {
 		return err
 	}
 	st.res.Work.KmerOccurrences += int64(occ)
-	table.Filter(st.cfg.MinCount)
-	st.table = table
+	st.table.Filter(st.cfg.MinCount)
 	return nil
 }
 
@@ -219,10 +199,7 @@ func (st *runState) countBudget(roundSeqs [][]byte, occ int) (*dbg.Table, error)
 	if st.cfg.MemPressure != nil {
 		pressure = st.cfg.MemPressure(st.round)
 	}
-	eff := st.cfg.MemBudget >> uint(pressure)
-	if eff < gpucount.MinMemBudget {
-		eff = gpucount.MinMemBudget
-	}
+	eff := max(st.cfg.MemBudget>>uint(pressure), gpucount.MinMemBudget)
 	st.cdev.FreeAll()
 	defer st.cdev.FreeAll() // the device may be its supplier's: leave nothing on it
 	bcfg := gpucount.BudgetConfig{MemBudget: eff, MinCount: st.cfg.MinCount}
@@ -247,12 +224,9 @@ func (st *runState) countBudget(roundSeqs [][]byte, occ int) (*dbg.Table, error)
 
 // contigGen traverses the filtered de Bruijn graph into contigs.
 func (st *runState) contigGen() error {
-	st.ctgs = st.table.Contigs(st.dcfg)
-	st.table = nil // the table is dead weight once traversed
-	st.ctgSeqs = make([][]byte, len(st.ctgs))
-	for i := range st.ctgs {
-		st.ctgSeqs[i] = st.ctgs[i].Seq
-	}
+	st.adoptContigs(st.table.Contigs(st.dcfg))
+	st.counter.Release(st.table) // the next round counts in its memory
+	st.table = nil
 	return nil
 }
 

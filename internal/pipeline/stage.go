@@ -56,20 +56,28 @@ func roundEvent(s Stage, ri, k int) StageEvent {
 // category, and Observer deltas are computed from Timings/WorkRecord
 // snapshots around the body. It also owns cancellation: the context is
 // checked once per stage boundary, so a canceled run never starts another
-// stage (checkpoints written by completed stages stay valid).
+// stage (checkpoints written by completed stages stay valid). The first
+// failure, a stage's error or the cancellation, sticks in err, and no
+// stage runs after it.
 type stageDriver struct {
 	ctx context.Context
 	res *Result
 	obs Observer // nil = no observer
+	err error
 }
 
-// exec runs one stage and bills its measured wall time to ev.Stage. The
-// alignment stage alone passes kernelShare: the fraction of its wall, read
-// after the body has run, that is billed to the aln-kernel category
-// instead, so the two categories always sum to the stage's wall.
-func (d *stageDriver) exec(ev StageEvent, kernelShare *float64, body func() error) error {
+// exec runs one stage, unless one has failed, and bills its measured wall
+// time to ev.Stage. The alignment stage alone passes kernelShare: the
+// fraction of its wall, read after the body has run, that is billed to the
+// aln-kernel category instead, so the two categories always sum to the
+// stage's wall.
+func (d *stageDriver) exec(ev StageEvent, kernelShare *float64, body func() error) {
+	if d.err != nil {
+		return
+	}
 	if err := d.ctx.Err(); err != nil {
-		return fmt.Errorf("pipeline: canceled before %s stage: %w", ev.Name, err)
+		d.err = fmt.Errorf("pipeline: canceled before %s stage: %w", ev.Name, err)
+		return
 	}
 	timingsBefore := d.res.Timings
 	workBefore := d.res.Work
@@ -77,7 +85,7 @@ func (d *stageDriver) exec(ev StageEvent, kernelShare *float64, body func() erro
 		d.obs.StageStart(ev)
 	}
 	t0 := time.Now()
-	err := body()
+	d.err = body()
 	wall := time.Since(t0)
 	var kernel time.Duration
 	if kernelShare != nil {
@@ -85,14 +93,10 @@ func (d *stageDriver) exec(ev StageEvent, kernelShare *float64, body func() erro
 		d.res.Timings.Add(StageAlnKernel, kernel)
 	}
 	d.res.Timings.Add(ev.Stage, wall-kernel)
-	if err != nil {
-		return err
-	}
-	if d.obs != nil {
+	if d.err == nil && d.obs != nil {
 		d.obs.StageFinish(ev, wall,
 			d.res.Timings.diff(timingsBefore), d.res.Work.diff(workBefore))
 	}
-	return nil
 }
 
 // diff returns the per-stage wall time accumulated since prev.

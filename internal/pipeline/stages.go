@@ -158,22 +158,17 @@ func runScaffolding(pairs []dna.PairedRead, ctgSeqs [][]byte, cfg *Config, worke
 // writeOutputs serializes contigs and scaffolds as FASTA, returning bytes
 // written — the file I/O stage.
 func writeOutputs(w io.Writer, res *Result) (int64, error) {
-	var buf bytes.Buffer
-	names := make([]string, len(res.Contigs))
-	seqs := make([][]byte, len(res.Contigs))
-	for i := range res.Contigs {
-		names[i] = fmt.Sprintf("contig_%d depth=%.2f", res.Contigs[i].ID, res.Contigs[i].Depth)
-		seqs[i] = res.Contigs[i].Seq
+	names := make([]string, 0, len(res.Contigs)+len(res.Scaffolds))
+	seqs := make([][]byte, 0, cap(names))
+	for _, c := range res.Contigs {
+		names = append(names, fmt.Sprintf("contig_%d depth=%.2f", c.ID, c.Depth))
+		seqs = append(seqs, c.Seq)
 	}
-	if err := dna.WriteFASTA(&buf, names, seqs, 80); err != nil {
-		return 0, err
-	}
-	names = names[:0]
-	seqs = seqs[:0]
-	for i := range res.Scaffolds {
+	for i, s := range res.Scaffolds {
 		names = append(names, fmt.Sprintf("scaffold_%d", i))
-		seqs = append(seqs, res.Scaffolds[i].Seq)
+		seqs = append(seqs, s.Seq)
 	}
+	var buf bytes.Buffer
 	if err := dna.WriteFASTA(&buf, names, seqs, 80); err != nil {
 		return 0, err
 	}
