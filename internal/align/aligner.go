@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/bits"
 	"slices"
+	"sort"
 	"sync/atomic"
 	"time"
 
@@ -71,61 +72,62 @@ type Hit struct {
 	RC bool
 }
 
-type seedLoc struct {
-	ctg int32
-	pos int32
-}
+// seedLoc is where a seed occurs: its contig and start position.
+type seedLoc struct{ ctg, pos int32 }
 
-// seedIndex maps a seed's Hash(0) to its occurrences as MetaCache-GPU lays
-// out k-mer → location lists: linear-probing slots, each owning a run
-// locs[lo:hi] of one array (lo == hi: free). A count pass claims the slots,
-// and a fill pass lays the runs out, each in (contig, position) order.
+// seedIndex maps a seed's Hash(0) to its occurrences: one array of every
+// occurrence's key and location, ordered by key and, within a key, by
+// (contig, position). The key's high bits pick its bucket, off[b]:off[b+1]
+// of the array; the buckets number a power of two, at most the windows and
+// more than half of them.
 type seedIndex struct {
-	slots []seedSlot
+	shift uint8 // h >> shift is h's bucket
+	off   []uint32
+	keys  []uint64
 	locs  []seedLoc
 }
 
-type seedSlot struct {
-	key    uint64
-	lo, hi uint32
-}
-
+// newSeedIndex counts each bucket's occurrences two places up, so that after
+// a prefix sum off[b+1] is bucket b's start; a second walk over the contigs
+// places each occurrence and advances it to b's end. An insertion sort then
+// orders each bucket by key, keeping a key's run in walk order.
 func newSeedIndex(ctgs [][]byte, k int) (x seedIndex) {
-	n := kmer.Windows(ctgs, k)
-	size := 1 << bits.Len(uint(n+n/2))
-	x.slots = make([]seedSlot, size)
-	at, walk := make([]uint32, 0, n), make([]seedLoc, 0, n) // each occurrence's slot and location
+	lg := bits.Len(uint(max(kmer.Windows(ctgs, k), 1))) - 1
+	x.shift, x.off = uint8(64-lg), make([]uint32, 1<<lg+2)
+	for _, ctg := range ctgs {
+		kmer.ForEach(ctg, k, func(_ int, km kmer.Kmer) { x.off[km.Hash(0)>>x.shift+2]++ })
+	}
+	for b := 1; b < len(x.off); b++ {
+		x.off[b] += x.off[b-1]
+	}
+	n := x.off[len(x.off)-1]
+	x.keys, x.locs = make([]uint64, n), make([]seedLoc, n)
 	for ci, ctg := range ctgs {
 		kmer.ForEach(ctg, k, func(pos int, km kmer.Kmer) {
 			h := km.Hash(0)
-			s := h & uint64(size-1)
-			for ; x.slots[s].hi != 0 && x.slots[s].key != h; s = (s + 1) & uint64(size-1) {
-			}
-			x.slots[s].key, x.slots[s].hi = h, x.slots[s].hi+1
-			at, walk = append(at, uint32(s)), append(walk, seedLoc{ctg: int32(ci), pos: int32(pos)})
+			at := &x.off[h>>x.shift+1]
+			x.keys[*at], x.locs[*at] = h, seedLoc{ctg: int32(ci), pos: int32(pos)}
+			*at++
 		})
 	}
-	off := uint32(0)
-	for s := range x.slots {
-		x.slots[s].lo, x.slots[s].hi, off = off, off, off+x.slots[s].hi
-	}
-	x.locs = make([]seedLoc, len(walk))
-	for i, s := range at {
-		x.locs[x.slots[s].hi] = walk[i]
-		x.slots[s].hi++
+	for i := range x.keys { // a bucket's keys are all below the next bucket's
+		h, l, j := x.keys[i], x.locs[i], i
+		for ; j > 0 && x.keys[j-1] > h; j-- {
+			x.keys[j], x.locs[j] = x.keys[j-1], x.locs[j-1]
+		}
+		x.keys[j], x.locs[j] = h, l
 	}
 	return x
 }
 
-// lookup returns the occurrences of the seed hashing to h.
+// lookup returns the occurrences of the seed hashing to h, binary searching
+// its bucket for the run's first and last.
 func (x *seedIndex) lookup(h uint64) []seedLoc {
-	mask := uint64(len(x.slots) - 1)
-	for s := h & mask; x.slots[s].lo != x.slots[s].hi; s = (s + 1) & mask {
-		if x.slots[s].key == h {
-			return x.locs[x.slots[s].lo:x.slots[s].hi]
-		}
-	}
-	return nil
+	lo, hi := int(x.off[h>>x.shift]), int(x.off[h>>x.shift+1])
+	keys := x.keys[lo:hi]
+	i, _ := slices.BinarySearch(keys, h)
+	j := i + sort.Search(len(keys)-i, func(n int) bool { return keys[i+n] > h })
+	return x.locs[lo+i : lo+j]
 }
 
 // Aligner is a seed index over a set of contigs.

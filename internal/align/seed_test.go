@@ -3,7 +3,9 @@ package align
 import (
 	"bytes"
 	"math/rand"
+	"runtime"
 	"slices"
+	"strings"
 	"testing"
 
 	"mhm2sim/internal/dbg"
@@ -220,27 +222,32 @@ func checkAlignMatchesReference(t *testing.T, a *Aligner, reads [][]byte) (align
 	return aligned
 }
 
-// TestAlignReadMatchesReference: the arctic preset's reads against its
-// k = 21 contigs, and the repeat fixture's reads.
-func TestAlignReadMatchesReference(t *testing.T) {
+// arcticFixture returns the arctic preset's reads and its k = 21 contigs.
+func arcticFixture(t *testing.T) (reads, ctgs [][]byte) {
+	t.Helper()
 	_, pairs, err := synth.ArcticSynthPreset().Build()
 	if err != nil {
 		t.Fatal(err)
 	}
-	var seqs [][]byte
 	for _, r := range synth.Flatten(pairs) {
-		seqs = append(seqs, r.Seq)
+		reads = append(reads, r.Seq)
 	}
 	dcfg := dbg.Config{K: 21, MinCount: 2}
-	tab, err := dbg.Count(seqs, dcfg)
+	tab, err := dbg.Count(reads, dcfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	tab.Filter(dcfg.MinCount)
-	var ctgs [][]byte
 	for _, c := range tab.Contigs(dcfg) {
 		ctgs = append(ctgs, c.Seq)
 	}
+	return reads, ctgs
+}
+
+// TestAlignReadMatchesReference: the arctic preset's reads against its
+// k = 21 contigs, and the repeat fixture's reads.
+func TestAlignReadMatchesReference(t *testing.T) {
+	seqs, ctgs := arcticFixture(t)
 	a, err := New(ctgs, DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
@@ -270,5 +277,82 @@ func TestAlignReadNoAllocs(t *testing.T) {
 		if n := testing.AllocsPerRun(100, func() { a.AlignRead(read) }); n != 0 {
 			t.Errorf("%s: %v allocations per AlignRead", name, n)
 		}
+	}
+}
+
+// FuzzSeedIndexMatchesMap builds the index over fuzzed contigs at a fuzzed
+// seed length and checks it against the map reference: every key's run,
+// the contigs seeded as reads, no run for a key beside a present one, and
+// the bucket count, a power of two in (windows/2, windows].
+func FuzzSeedIndexMatchesMap(f *testing.F) {
+	rng := rand.New(rand.NewSource(43))
+	withN := randSeq(rng, 300)
+	withN[40], withN[41], withN[299] = 'N', 'N', 'N'
+	for _, seed := range []struct {
+		ctgs    string
+		seedLen uint8
+	}{
+		{"", 9},                        // no contigs
+		{"ACGTACGTACGTACGT,ACG,,T", 9}, // each shorter than SeedLen 17
+		{string(withN) + ",NNNN" + string(randSeq(rng, 60)), 9},             // N in and around windows
+		{strings.Repeat("A", 200) + "," + strings.Repeat("A", 40), 9},       // one key, 208 occurrences
+		{string(randSeq(rng, 255+16)), 9},                                   // 255 windows: 128 buckets
+		{string(randSeq(rng, 256+16)), 9},                                   // 256 windows: 256 buckets
+		{string(randSeq(rng, 100)) + "," + string(randSeq(rng, 157+16)), 9}, // 257 windows
+		{string(randSeq(rng, 40)) + "," + string(randSeq(rng, 70)), 0},      // SeedLen 8
+		{string(randSeq(rng, 40)) + "," + string(randSeq(rng, 70)), 24},     // SeedLen 32
+	} {
+		f.Add(seed.ctgs, seed.seedLen)
+	}
+	f.Fuzz(func(t *testing.T, in string, seedLen uint8) {
+		cfg := DefaultConfig()
+		cfg.SeedLen = 8 + int(seedLen)%25
+		var ctgs [][]byte
+		if in != "" {
+			for _, c := range strings.Split(in, ",") {
+				ctgs = append(ctgs, []byte(c))
+			}
+		}
+		a, err := New(ctgs, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		checkSeedsMatchReference(t, a, ctgs)
+		idx := referenceIndex(a)
+		for h := range idx {
+			for _, near := range []uint64{h - 1, h + 1} {
+				if _, in := idx[near]; !in && len(a.seeds.lookup(near)) != 0 {
+					t.Fatalf("seed %#x: index holds %v, map nothing", near, a.seeds.lookup(near))
+				}
+			}
+		}
+		n, buckets := kmer.Windows(ctgs, cfg.SeedLen), 1<<(64-a.seeds.shift)
+		if buckets&(buckets-1) != 0 || buckets > max(n, 1) || 2*buckets <= n {
+			t.Fatalf("%d windows in %d buckets", n, buckets)
+		}
+	})
+}
+
+// TestSeedIndexAllocBytes is the allocation gate on the seed index, built
+// over the arctic preset's k = 21 contigs: the bound is the bytes measured
+// with the bucketed index (16 per occurrence and 4 per bucket) plus a
+// tenth, 18.2 per window. The open-addressing table it replaced, with its
+// two build temporaries, took 26,304,672 bytes.
+func TestSeedIndexAllocBytes(t *testing.T) {
+	_, ctgs := arcticFixture(t)
+	const measured = 8_675_520
+	got := ^uint64(0)
+	var before, after runtime.MemStats
+	for range 5 {
+		runtime.ReadMemStats(&before)
+		if _, err := New(ctgs, DefaultConfig()); err != nil {
+			t.Fatal(err)
+		}
+		runtime.ReadMemStats(&after)
+		got = min(got, after.TotalAlloc-before.TotalAlloc)
+	}
+	t.Logf("%d contigs, %d windows: %d bytes, %d measured", len(ctgs), kmer.Windows(ctgs, DefaultConfig().SeedLen), got, measured)
+	if bound := uint64(measured + measured/10); got > bound {
+		t.Errorf("New allocated %d bytes, over the bound %d (measured %d plus a tenth)", got, bound, measured)
 	}
 }

@@ -67,37 +67,33 @@ type CPUResult struct {
 
 // RunCPU locally assembles every contig on the host using the flat-table
 // engine, fanned out over `workers` goroutines (MetaHipMer uses every core
-// on the node, §4.4) through the shared par helper. Each worker checks a
-// pooled workspace out once — lazily, on its first span — and reuses it
-// across its whole share, so steady-state extends allocate nothing.
-// Results are returned in input order.
+// on the node, §4.4) through the shared par helper, each with a fresh
+// workspace. Results are returned in input order.
 func RunCPU(ctgs []*CtgWithReads, cfg Config, workers int) (*CPUResult, error) {
+	return runCPU(ctgs, cfg, make([]*cpuWorkspace, par.Workers(workers)))
+}
+
+// runCPU is RunCPU on one workspace per worker: worker w makes spaces[w]
+// on its first span if it is nil, and on workspaces kept from an earlier
+// run, steady-state extends allocate nothing.
+func runCPU(ctgs []*CtgWithReads, cfg Config, spaces []*cpuWorkspace) (*CPUResult, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	workers = par.Workers(workers)
 	res := &CPUResult{Results: make([]Result, len(ctgs))}
-	counts := make([]WorkCounts, workers)
-	spaces := make([]*cpuWorkspace, workers)
+	counts := make([]WorkCounts, len(spaces))
 
-	par.ForEachSpan(workers, len(ctgs), 0, func(wk int, s par.Span) {
-		ws := spaces[wk]
-		if ws == nil {
-			ws = getWorkspace()
-			spaces[wk] = ws
+	par.ForEachSpan(len(spaces), len(ctgs), 0, func(wk int, s par.Span) {
+		if spaces[wk] == nil {
+			spaces[wk] = new(cpuWorkspace)
 		}
 		for i := s.Lo; i < s.Hi; i++ {
 			var wc WorkCounts
-			res.Results[i] = extendContigCPU(ws, ctgs[i], &cfg, &wc)
+			res.Results[i] = extendContigCPU(spaces[wk], ctgs[i], &cfg, &wc)
 			counts[wk].Add(wc)
 		}
 	})
 
-	for _, ws := range spaces {
-		if ws != nil {
-			putWorkspace(ws)
-		}
-	}
 	for i := range counts {
 		res.Counts.Add(counts[i])
 	}

@@ -19,8 +19,7 @@ func benchWorkload() (*CtgWithReads, Config) {
 
 func BenchmarkFlatTableBuild(b *testing.B) {
 	c, cfg := benchWorkload()
-	ws := getWorkspace()
-	defer putWorkspace(ws)
+	ws := new(cpuWorkspace)
 	var wc WorkCounts
 	ws.buildTable(c.RightReads, cfg.StartMer, cfg.QualCutoff, &wc)
 	inserts := wc.KmersInserted
@@ -45,8 +44,7 @@ func BenchmarkMapTableBuild(b *testing.B) {
 
 func BenchmarkFlatWalk(b *testing.B) {
 	c, cfg := benchWorkload()
-	ws := getWorkspace()
-	defer putWorkspace(ws)
+	ws := new(cpuWorkspace)
 	var wc WorkCounts
 	mer := cfg.StartMer
 	tailLen := cfg.MaxMer
@@ -55,7 +53,7 @@ func BenchmarkFlatWalk(b *testing.B) {
 	var lookups int64
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		ws.buf = grow(ws.buf, tailLen+cfg.MaxWalkLen)[:0]
+		ws.buf = grownTo(ws.buf, tailLen+cfg.MaxWalkLen)[:0]
 		ws.buf = append(ws.buf, tail...)
 		wc.Lookups = 0
 		ws.walk(tailLen, mer, c.RightReads, &cfg, &wc)
@@ -88,8 +86,7 @@ func BenchmarkMapWalk(b *testing.B) {
 
 func BenchmarkExtendContigFlat(b *testing.B) {
 	c, cfg := benchWorkload()
-	ws := getWorkspace()
-	defer putWorkspace(ws)
+	ws := new(cpuWorkspace)
 	var wc WorkCounts
 	b.ReportAllocs()
 	b.ResetTimer()

@@ -35,14 +35,16 @@ func assertResultsMatch(t *testing.T, label string, flat, ref Result) {
 	}
 }
 
+// diffWorkspace is the workspace every diffOne call runs on, so each
+// contig meets one that earlier contigs warmed.
+var diffWorkspace = new(cpuWorkspace)
+
 // diffOne runs one contig through both engines and compares Result and
 // WorkCounts bit for bit.
 func diffOne(t *testing.T, label string, c *CtgWithReads, cfg Config) {
 	t.Helper()
-	ws := getWorkspace()
-	defer putWorkspace(ws)
 	var flatWC, refWC WorkCounts
-	flat := extendContigCPU(ws, c, &cfg, &flatWC)
+	flat := extendContigCPU(diffWorkspace, c, &cfg, &flatWC)
 	ref := extendContigMapRef(c, &cfg, &refWC)
 	assertResultsMatch(t, label, flat, ref)
 	if flatWC != refWC {
@@ -198,8 +200,7 @@ func TestExtendContigZeroAlloc(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
 	cfg := testConfig()
 	c := lowQualCovered(rng)
-	ws := getWorkspace()
-	defer putWorkspace(ws)
+	ws := new(cpuWorkspace)
 	var wc WorkCounts
 	extendContigCPU(ws, c, &cfg, &wc) // warm the workspace high-water marks
 
@@ -222,8 +223,7 @@ func TestExtendContigResultOnlyAllocs(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	cfg := testConfig()
 	c, _ := makeCovered(rng, 1, 700, 200, 400, 90, 9)
-	ws := getWorkspace()
-	defer putWorkspace(ws)
+	ws := new(cpuWorkspace)
 	var wc WorkCounts
 	r := extendContigCPU(ws, c, &cfg, &wc)
 	if len(r.RightExt) == 0 || len(r.LeftExt) == 0 {

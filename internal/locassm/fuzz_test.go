@@ -23,6 +23,7 @@ func FuzzFlatMatchesMapRef(f *testing.F) {
 	f.Add(int64(4), uint8(255), uint8(30), uint8(15), uint8(100))
 	f.Add(int64(5), uint8(0), uint8(0), uint8(0), uint8(255))
 
+	ws := new(cpuWorkspace) // each input runs on the workspace the one before warmed
 	f.Fuzz(func(t *testing.T, seed int64, ctgLen, nReads, readLen, ambig uint8) {
 		rng := rand.New(rand.NewSource(seed))
 
@@ -87,8 +88,6 @@ func FuzzFlatMatchesMapRef(f *testing.F) {
 			}
 		}
 
-		ws := getWorkspace()
-		defer putWorkspace(ws)
 		var flatWC, refWC WorkCounts
 		flat := extendContigCPU(ws, c, &cfg, &flatWC)
 		ref := extendContigMapRef(c, &cfg, &refWC)
