@@ -225,7 +225,9 @@ func (st *runState) countBudget(roundSeqs [][]byte, occ int) (*dbg.Table, error)
 // contigGen traverses the filtered de Bruijn graph into contigs.
 func (st *runState) contigGen() error {
 	st.adoptContigs(st.table.Contigs(st.dcfg))
-	st.counter.Release(st.table) // the next round counts in its memory
+	if st.cfg.MemBudget == 0 { // budget rounds count on the device, never in the Counter
+		st.counter.Release(st.table) // the next round counts in its memory
+	}
 	st.table = nil
 	return nil
 }
