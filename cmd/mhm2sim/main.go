@@ -114,7 +114,7 @@ func parseFlags(args []string, stderr io.Writer) (*options, error) {
 	fs.StringVar(&spec.Elastic, "elastic", "", "elastic membership schedule, e.g. join@r1:2,leave@r2:1 (requires the dist engine)")
 	fs.StringVar(&opts.jsonPath, "json", "", "write a machine-readable run report to this path")
 	fs.StringVar(&opts.out, "out", "", "write contigs+scaffolds FASTA here")
-	fs.IntVar(&opts.workers, "workers", 0, "CPU worker goroutines of the process, spread over the ranks under -engine=dist (0 = GOMAXPROCS)")
+	fs.IntVar(&opts.workers, "workers", 0, "CPU worker goroutines of the process, spread over the ranks under -engine=dist (0 = GOMAXPROCS); changes host wall only, never a modeled number")
 	fs.BoolVar(&opts.evalQuality, "quality", false, "evaluate the assembly against the preset's truth genomes")
 	fs.StringVar(&opts.checkpoint, "checkpoint", "", "checkpoint directory (resume completed rounds)")
 	fs.BoolVar(&opts.doPreprocess, "preprocess", false, "adapter/quality-trim and filter reads first")

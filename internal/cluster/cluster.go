@@ -32,12 +32,6 @@ import (
 	"mhm2sim/internal/simt"
 )
 
-// Summit node parameters (§4.1).
-const (
-	CoresPerNode = 42
-	GPUsPerNode  = 6
-)
-
 // Model extrapolates a measured local-assembly base workload.
 type Model struct {
 	Dev simt.DeviceConfig
@@ -118,13 +112,13 @@ func (m *Model) CPUNodeSeconds(f float64) clock.Cluster {
 		Lookups:       int64(float64(m.BaseCPU.Lookups) * f),
 		WalkSteps:     int64(float64(m.BaseCPU.WalkSteps) * f),
 	}
-	return clock.Cluster(m.CPUCost.NS(wc) * 1e-9 / CoresPerNode)
+	return clock.Cluster(m.CPUCost.Spread(wc, locassm.NodeCores) * 1e-9)
 }
 
 // GPUNodeSeconds models one node: the share is split evenly over the six
 // GPUs, which run concurrently.
 func (m *Model) GPUNodeSeconds(f float64) clock.Cluster {
-	return m.GPUSeconds(f / GPUsPerNode)
+	return m.GPUSeconds(f / locassm.DefaultNodeGPUs)
 }
 
 // FitScaling calibrates the model against the two published Fig 13

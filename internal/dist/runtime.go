@@ -44,14 +44,14 @@ type Config struct {
 	// resolved spec (Pipeline.EngineSpec: walk Config, driver GPU and
 	// budget) configures every rank's engines, each on a device drawn from
 	// Engine.Devices — at start for the initial ranks, at its join round for
-	// a joiner — or on the host engine, whose workers are the process's
-	// bound (Pipeline.Workers, 0 = GOMAXPROCS) spread over the rank slots.
+	// a joiner — or on the host engine, whose goroutines (Pipeline.Workers,
+	// 0 = GOMAXPROCS, spread over the rank slots) change host wall only.
 	Pipeline pipeline.Config
 	// CPUAssembly runs each rank's local assembly on the host flat-table
 	// engine and draws it no device — the per-rank CPU baseline the
 	// paper's speedups are measured against. Results are bit-identical to
-	// the GPU path; only the Busy accounting (modeled host time instead of
-	// kernel time) and the kernel lists (empty) change.
+	// the GPU path; only Busy (the work priced on the rank's modeled cores at
+	// any worker count, not kernel time) and the kernel lists (empty) change.
 	CPUAssembly bool
 	// Faults is an optional seeded fault schedule (nil = fault-free run).
 	// The runtime consults it at round boundaries (rank crashes), before

@@ -50,13 +50,14 @@ func (m CPUCost) NS(wc WorkCounts) float64 {
 		float64(wc.TableBuilds)*m.BuildNS
 }
 
-// Time is the modeled time of the work spread evenly over workers cores
-// (fewer than one counts as one).
-func (m CPUCost) Time(wc WorkCounts, workers int) clock.CPUModel {
-	if workers < 1 {
-		workers = 1
-	}
-	return clock.CPUModel(m.NS(wc) / float64(workers))
+// Spread is the work's nanoseconds spread evenly over cores modeled cores.
+func (m CPUCost) Spread(wc WorkCounts, cores int) float64 {
+	return m.NS(wc) / float64(cores)
+}
+
+// Time is Spread on the cpu-model clock.
+func (m CPUCost) Time(wc WorkCounts, cores int) clock.CPUModel {
+	return clock.CPUModel(m.Spread(wc, cores))
 }
 
 // CPUResult is the outcome of a CPU local-assembly run.

@@ -88,7 +88,8 @@ type EngineSpec struct {
 	// the one embedded in GPU, which a spec leaves zero or equal to it
 	// (NewEngine rejects a different one).
 	Config Config
-	// Workers bounds the host engine's goroutines (0 = GOMAXPROCS).
+	// Workers bounds the host engine's goroutines (0 = GOMAXPROCS). It
+	// changes host wall only: the engine's Busy prices its work on RankCores.
 	Workers int
 	// GPU configures the device batch driver (gpu and multigpu engines).
 	GPU GPUConfig
@@ -110,9 +111,14 @@ type EngineSpec struct {
 // down to 64 KiB, but the driver must always fit one batch item per stream.
 const MinDriverBudget = 4 << 20
 
-// DefaultNodeGPUs is the multigpu engine's default device count — the six
-// V100s of one Summit node (§4.1).
-const DefaultNodeGPUs = 6
+// One Summit node (§4.1), which every modeled CPU price reads: 42 POWER9
+// cores and six V100s (the multigpu engine's default). A rank is one GPU's
+// share of a node.
+const (
+	NodeCores       = 42
+	DefaultNodeGPUs = 6
+	RankCores       = NodeCores / DefaultNodeGPUs
+)
 
 // ResolveDevices makes s.Devices non-nil and returns what releases the
 // devices drawn from it: nothing for a supplied source, and for the one
@@ -174,18 +180,16 @@ func NewEngine(spec EngineSpec) (Engine, error) {
 // per worker, kept for the engine's lifetime so no garbage collection changes
 // what a round allocates; mu holds them for one Assemble at a time.
 type cpuEngine struct {
-	cfg     Config
-	workers int
-	mu      sync.Mutex
-	spaces  []*cpuWorkspace
+	cfg    Config
+	mu     sync.Mutex
+	spaces []*cpuWorkspace
 }
 
 func newCPUEngine(spec EngineSpec) (Engine, error) {
 	if err := spec.Config.Validate(); err != nil {
 		return nil, err
 	}
-	workers := par.Workers(spec.Workers)
-	return &cpuEngine{cfg: spec.Config, workers: workers, spaces: make([]*cpuWorkspace, workers)}, nil
+	return &cpuEngine{cfg: spec.Config, spaces: make([]*cpuWorkspace, par.Workers(spec.Workers))}, nil
 }
 
 func (e *cpuEngine) Close() {}
@@ -197,7 +201,7 @@ func (e *cpuEngine) Assemble(_ int, ctgs []*CtgWithReads) ([]Result, Stats, erro
 	if err != nil {
 		return nil, Stats{}, err
 	}
-	return cres.Results, Stats{Counts: cres.Counts, Busy: clock.Machine(DefaultCPUCost().Time(cres.Counts, e.workers))}, nil
+	return cres.Results, Stats{Counts: cres.Counts, Busy: clock.Machine(DefaultCPUCost().Time(cres.Counts, RankCores))}, nil
 }
 
 // gpuEngine wraps the pipelined single-device batch driver.

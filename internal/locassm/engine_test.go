@@ -209,22 +209,6 @@ func TestStatsAdd(t *testing.T) {
 	}
 }
 
-// TestDefaultCPUTime: the cost model behind the cpu engine's Busy spreads
-// work evenly over its workers and clamps fewer than one to one.
-func TestDefaultCPUTime(t *testing.T) {
-	m := DefaultCPUCost()
-	wc := WorkCounts{KmersInserted: 1_000_000, Lookups: 1000, WalkSteps: 1000, TableBuilds: 10}
-	if m.Time(wc, 1) <= 0 {
-		t.Fatal("zero time for real work")
-	}
-	if m.Time(wc, 4)*4 != m.Time(wc, 1) {
-		t.Errorf("worker scaling wrong: %v vs %v", m.Time(wc, 4)*4, m.Time(wc, 1))
-	}
-	if m.Time(wc, 0) != m.Time(wc, 1) {
-		t.Error("workers<1 should clamp to 1")
-	}
-}
-
 // TestCPUEngineOwnsWorkspaces: the cpu engine keeps its workspaces for its
 // lifetime, so a round allocates the same bytes, within 1 KiB, whether or not
 // two garbage collections (which empty a sync.Pool) fall before it

@@ -138,6 +138,7 @@ type Config struct {
 	MergeMaxMismatchFrac float64
 	// Workers bounds the run's worker goroutines (0 = GOMAXPROCS): every
 	// stage's and the host engine's, which a dist run spreads over its ranks.
+	// It changes host wall only, never a modeled number or an output byte.
 	Workers int
 
 	// Preprocess enables read preparation (adapter/quality trimming and
