@@ -56,9 +56,9 @@ type Info struct {
 const scanBatch = 1 << 15
 
 // A Counter counts round after round of k-mers in memory that lives for
-// the run, not the round: Count reuses the slot arrays of the table last
-// handed back by Release, and the bins of one Count serve the next. Not
-// for concurrent use.
+// the run (or a daemon worker's jobs), not the round: Count reuses the slot
+// arrays of the table last handed back by Release, and the bins of one
+// Count serve the next. Not for concurrent use.
 type Counter struct {
 	free [][]uint64 // the released table's slot arrays, by partition
 	bins [][]uint64 // bins[span*owners+owner], kept empty between batches

@@ -264,6 +264,71 @@ func TestCounterRecycles(t *testing.T) {
 	checkTablesMatch(t, grown, want, c, "grown NewTable")
 }
 
+// inPlace reports whether every rebuild of a partition so far fits an
+// array of capacity words: rebuild keeps its array when the new slots and
+// the survivors packed past them fit, and no rebuild so far asked for more
+// slots or more survivors than the partition has now.
+func inPlace(p *partition, words int) bool { return len(p.slots)+p.n*p.stride <= words }
+
+// TestCounterAcrossRuns is a daemon worker's sequence of jobs on one
+// Counter: two read sets of different sizes, each job at its own k and
+// partition count (3, then 1, then 4), its rounds released in turn. So a
+// Count meets arrays released by another input, another key width and
+// another number of partitions. Every table equals a fresh Count's before
+// and after Filter, and a partition whose released array fits every
+// rebuild it made counts in that array, and filters in it.
+func TestCounterAcrossRuns(t *testing.T) {
+	rng := rand.New(rand.NewSource(43))
+	small, large := fuzzReads(rng, 1500, 400, 150, 3), fuzzReads(rng, 6000, 1600, 150, 4)
+	var ctr Counter
+	var released [][]uint64
+	kept, fresh := 0, 0
+	for _, job := range []struct {
+		name    string
+		reads   [][]byte
+		workers int
+		ks      []int
+	}{{"large", large, 3, []int{21, 33}}, {"small", small, 1, []int{21, 55}}, {"large", large, 4, []int{33, 21}}} {
+		for _, k := range job.ks {
+			c := Config{K: k, MinCount: 2, Workers: job.workers}
+			what := fmt.Sprintf("%s reads, k=%d, %d partitions", job.name, k, job.workers)
+			got, err := ctr.Count(job.reads, c)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, _ := Count(job.reads, c)
+			checkTablesMatch(t, got, want, c, what)
+			counted := make([][]uint64, len(got.parts))
+			for i := range got.parts {
+				p := &got.parts[i]
+				counted[i] = p.slots
+				if i >= len(released) || !inPlace(p, cap(released[i])) {
+					fresh++
+					continue
+				}
+				if kept++; !sameArray(p.slots, released[i]) {
+					t.Errorf("%s: partition %d did not count in the released array that fits it", what, i)
+				}
+			}
+			if got, want := got.Filter(c.MinCount), want.Filter(c.MinCount); got != want {
+				t.Fatalf("%s: Filter dropped %d, fresh table %d", what, got, want)
+			}
+			checkTablesMatch(t, got, want, c, what+" filtered")
+			for i := range got.parts {
+				if p := &got.parts[i]; inPlace(p, cap(counted[i])) && !sameArray(p.slots, counted[i]) {
+					t.Errorf("%s: partition %d's Filter left an array that fits it", what, i)
+				}
+			}
+			released = counted
+			ctr.Release(got)
+		}
+	}
+	t.Logf("%d partitions counted in a released array that fits them, %d had none", kept, fresh)
+	if kept == 0 || fresh == 0 {
+		t.Errorf("%d partitions met a released array that fits them and %d did not, want some of each", kept, fresh)
+	}
+}
+
 // allocated returns the fewest bytes fn allocates in runs calls after a
 // first one that is not counted: a GC cycle or a harness goroutine can
 // only add.

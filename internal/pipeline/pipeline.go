@@ -182,6 +182,12 @@ type Config struct {
 	// distributed runtime wires to its chaos injector in place of the
 	// device→host fallback.
 	MemPressure func(round int) int
+
+	// Counter is where the run's k-mer analysis counts (nil: a fresh one).
+	// A daemon worker hands every job it runs its own, so the largest
+	// table and bins its jobs have needed stay allocated. Not for
+	// concurrent runs.
+	Counter *dbg.Counter
 }
 
 // EngineSpec returns Engine with the run's settings resolved into it: the

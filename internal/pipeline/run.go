@@ -1,6 +1,7 @@
 package pipeline
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"io"
@@ -52,7 +53,7 @@ func RunContext(ctx context.Context, pairs []dna.PairedRead, cfg Config) (*Resul
 	res := &Result{}
 	st := &runState{
 		ctx: ctx, cfg: &cfg, res: res, eng: eng,
-		workers: par.Workers(cfg.Workers), pairs: pairs,
+		workers: par.Workers(cfg.Workers), pairs: pairs, counter: cmp.Or(cfg.Counter, new(dbg.Counter)),
 	}
 	if cfg.MemBudget > 0 { // one device for every round's budget counting
 		if st.cdev, err = cfg.Engine.Devices(); err != nil {
@@ -70,7 +71,7 @@ func RunContext(ctx context.Context, pairs []dna.PairedRead, cfg Config) (*Resul
 		if loaded, skip, err = resumePoint(cfg.CheckpointDir, cfg.Rounds); err != nil {
 			return nil, err
 		}
-		st.adoptContigs(loaded)
+		st.ctgs = loaded
 	}
 	for ri := skip; ri < len(cfg.Rounds) && d.err == nil; ri++ {
 		k := cfg.Rounds[ri]
@@ -108,13 +109,12 @@ type runState struct {
 	reads []dna.Read       // merged reads
 	seqs  [][]byte         // merged read sequences
 
-	k         int         // current round's k-mer size
-	round     int         // current round index (MemPressure is per round)
-	counter   dbg.Counter // every round's counting memory
+	k         int          // current round's k-mer size
+	round     int          // current round index (MemPressure is per round)
+	counter   *dbg.Counter // every round counts in it: cfg.Counter or the run's own
 	table     *dbg.Table
 	dcfg      dbg.Config
-	ctgs      []dbg.Contig
-	ctgSeqs   [][]byte
+	ctgs      []dbg.Contig // traversed or checkpointed, then extended
 	withReads []*locassm.CtgWithReads
 	// alnKernelShare is the aln kernel's share of the last alignment
 	// stage's wall, which the driver reads to split that stage.
@@ -124,16 +124,6 @@ type runState struct {
 	// rounds) and the OOM-event count already absorbed into the budget.
 	cdev    *simt.Device
 	seenOOM int
-}
-
-// adoptContigs installs a round's contigs, traversed or checkpointed, as
-// the input of the rounds after it.
-func (st *runState) adoptContigs(ctgs []dbg.Contig) {
-	st.ctgs = ctgs
-	st.ctgSeqs = make([][]byte, len(ctgs))
-	for i := range ctgs {
-		st.ctgSeqs[i] = ctgs[i].Seq
-	}
 }
 
 // mergeReads is the merge-reads stage (with optional preprocessing).
@@ -167,8 +157,8 @@ func (st *runState) mergeReads() error {
 // singleton filter) to carry progress forward.
 func (st *runState) kmerAnalysis() error {
 	roundSeqs := st.seqs
-	for _, cs := range st.ctgSeqs {
-		roundSeqs = append(roundSeqs, cs, cs)
+	for _, c := range st.ctgs {
+		roundSeqs = append(roundSeqs, c.Seq, c.Seq)
 	}
 	st.dcfg = dbg.Config{
 		K: st.k, MinCount: st.cfg.MinCount, Workers: st.workers, MinCtgLen: st.k + 10,
@@ -224,7 +214,7 @@ func (st *runState) countBudget(roundSeqs [][]byte, occ int) (*dbg.Table, error)
 
 // contigGen traverses the filtered de Bruijn graph into contigs.
 func (st *runState) contigGen() error {
-	st.adoptContigs(st.table.Contigs(st.dcfg))
+	st.ctgs = st.table.Contigs(st.dcfg)
 	if st.cfg.MemBudget == 0 { // budget rounds count on the device, never in the Counter
 		st.counter.Release(st.table) // the next round counts in its memory
 	}
@@ -279,7 +269,6 @@ func (st *runState) localAssembly() error {
 		ext := results[i].ExtendedSeq(st.withReads[i].Seq)
 		st.withReads[i].Seq = ext
 		st.ctgs[i].Seq = ext
-		st.ctgSeqs[i] = ext
 	}
 	return nil
 }
@@ -297,7 +286,7 @@ func (st *runState) saveCheckpoint() error {
 // scaffolding joins the final contigs into scaffolds using the original
 // pairs.
 func (st *runState) scaffolding() error {
-	scaffolds, estInsert, err := runScaffolding(st.pairs, st.ctgSeqs, st.cfg, st.workers)
+	scaffolds, estInsert, err := runScaffolding(st.pairs, st.ctgs, st.cfg, st.workers)
 	if err != nil {
 		return err
 	}

@@ -99,14 +99,14 @@ func alignCandidates(reads []dna.Read, ctgs []dbg.Contig, cfg *Config, workers i
 // runScaffolding aligns the original pairs against the final contigs,
 // optionally estimates the library insert size from proper pairs, and
 // joins spanning pairs into scaffolds.
-func runScaffolding(pairs []dna.PairedRead, ctgSeqs [][]byte, cfg *Config, workers int) ([]scaffold.Scaffold, int, error) {
+func runScaffolding(pairs []dna.PairedRead, ctgs []dbg.Contig, cfg *Config, workers int) ([]scaffold.Scaffold, int, error) {
+	ctgSeqs, lens := make([][]byte, len(ctgs)), make([]int, len(ctgs))
+	for i := range ctgs {
+		ctgSeqs[i], lens[i] = ctgs[i].Seq, len(ctgs[i].Seq)
+	}
 	aln, err := align.New(ctgSeqs, cfg.Align)
 	if err != nil {
 		return nil, 0, err
-	}
-	lens := make([]int, len(ctgSeqs))
-	for i := range ctgSeqs {
-		lens[i] = len(ctgSeqs[i])
 	}
 
 	// Phase 1: align both mates of every pair.

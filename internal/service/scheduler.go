@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"mhm2sim/internal/atomicfile"
+	"mhm2sim/internal/dbg"
 	"mhm2sim/internal/dist"
 	"mhm2sim/internal/pipeline"
 	"mhm2sim/internal/report"
@@ -165,12 +166,13 @@ func (s *Scheduler) Start() {
 		s.wg.Add(1)
 		go func() {
 			defer s.wg.Done()
+			ctr := new(dbg.Counter) // the k-mer memory of every job this worker runs
 			for {
 				select {
 				case <-s.baseCtx.Done():
 					return
 				case j := <-s.queue:
-					s.runJob(j)
+					s.runJob(j, ctr)
 				}
 			}
 		}()
@@ -360,8 +362,9 @@ func (s *Scheduler) persistTerminal(st Status) {
 }
 
 // runJob executes one dequeued job: lease devices, run the pipeline with
-// per-job checkpointing, persist the result, and account everything.
-func (s *Scheduler) runJob(j *job) {
+// per-job checkpointing and the worker's Counter, persist the result, and
+// account everything.
+func (s *Scheduler) runJob(j *job, ctr *dbg.Counter) {
 	// Claim the job before touching the device pool: once it is
 	// StateRunning, every cancellation — client or shutdown — flows through
 	// the job context, including a cancel that lands while we are still
@@ -397,7 +400,7 @@ func (s *Scheduler) runJob(j *job) {
 	j.Devices = demand
 	s.mu.Unlock()
 
-	res, rep, runErr := s.executeWithRetry(ctx, j, lease)
+	res, rep, runErr := s.executeWithRetry(ctx, j, lease, ctr)
 	lease.Release() // before settle: whoever sees the job terminal sees its devices back
 	s.mu.Lock()
 	j.DeviceHeldNS = int64(time.Since(j.StartTime))
@@ -463,10 +466,10 @@ func (s *Scheduler) interrupted(j *job, err error) {
 // recovery tier above internal/faults' in-run recovery. Each attempt
 // resumes from the job's checkpoint directory, so completed rounds are
 // never recomputed.
-func (s *Scheduler) executeWithRetry(ctx context.Context, j *job, lease *Lease) (*pipeline.Result, *dist.Report, error) {
+func (s *Scheduler) executeWithRetry(ctx context.Context, j *job, lease *Lease, ctr *dbg.Counter) (*pipeline.Result, *dist.Report, error) {
 	var lastErr error
 	for attempt := 0; attempt <= s.cfg.JobRetries; attempt++ {
-		res, rep, err := s.execute(ctx, j, lease, attempt)
+		res, rep, err := s.execute(ctx, j, lease, ctr, attempt)
 		if err == nil || !errors.Is(err, dist.ErrUnrecoverable) || ctx.Err() != nil {
 			return res, rep, err
 		}
@@ -489,8 +492,8 @@ func attemptPlan(spec JobSpec, attempt int) (*Plan, error) {
 
 // execute runs one attempt of the job: plan the spec, attach the
 // scheduler's host-side settings (checkpoint dir, observer, the lease as the
-// run's device source), run.
-func (s *Scheduler) execute(ctx context.Context, j *job, lease *Lease, attempt int) (*pipeline.Result, *dist.Report, error) {
+// run's device source, the worker's Counter), run.
+func (s *Scheduler) execute(ctx context.Context, j *job, lease *Lease, ctr *dbg.Counter, attempt int) (*pipeline.Result, *dist.Report, error) {
 	plan, err := attemptPlan(j.Spec, attempt)
 	if err != nil {
 		return nil, nil, err
@@ -512,10 +515,11 @@ func (s *Scheduler) execute(ctx context.Context, j *job, lease *Lease, attempt i
 	j.Attempts++
 	s.mu.Unlock()
 
-	// The job computes on the devices it leased, whatever its engine.
+	// The job computes on the devices it leased and counts k-mers in its
+	// worker's memory, whatever its engine.
 	draw, releaseGrown := lease.source()
 	defer releaseGrown()
-	plan.Pipeline.Engine.Devices = draw
+	plan.Pipeline.Engine.Devices, plan.Pipeline.Counter = draw, ctr
 	res, rep, err := plan.Run(ctx)
 	if rep != nil {
 		s.met.Add("mhm2d_elastic_joins_total", float64(rep.Elasticity.Joins))

@@ -6,7 +6,6 @@ import (
 	"io"
 	"os"
 	"path/filepath"
-	"sort"
 	"strconv"
 	"strings"
 
@@ -88,7 +87,7 @@ type loadedJob struct {
 }
 
 // loadJobs scans the data directory, returning persisted jobs in ID order
-// plus the next free job number.
+// (os.ReadDir sorts by name) plus the next free job number.
 func loadJobs(dataDir string) ([]loadedJob, int, error) {
 	entries, err := os.ReadDir(filepath.Join(dataDir, jobsDir))
 	if os.IsNotExist(err) {
@@ -135,6 +134,5 @@ func loadJobs(dataDir string) ([]loadedJob, int, error) {
 		}
 		jobs = append(jobs, lj)
 	}
-	sort.Slice(jobs, func(i, j int) bool { return jobs[i].ID < jobs[j].ID })
 	return jobs, next, nil
 }
