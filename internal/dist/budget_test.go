@@ -61,11 +61,7 @@ func TestRankEnginesHonourBudget(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer rt.Close()
-	rankEng, _, err := rt.rankEngines(0, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, got, err := rankEng.Assemble(21, shard)
+	_, got, err := rt.ranks[0].gpu.Assemble(21, shard)
 	if err != nil {
 		t.Fatal(err)
 	}

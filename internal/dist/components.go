@@ -54,7 +54,7 @@ func seqSigKey(seq []byte) uint64 {
 	if len(seq) < sigMerLen {
 		return murmur.Hash64A(seq, compSigSeed)
 	}
-	min := ^uint64(0)
+	lo := ^uint64(0)
 	sc := kmer.NewScanner(sigMerLen)
 	for i, b := range seq {
 		valid := sc.Push(b)
@@ -68,11 +68,9 @@ func seqSigKey(seq []byte) uint64 {
 		} else {
 			h = murmur.Hash64A(seq[i-sigMerLen+1:i+1], compSigSeed)
 		}
-		if h < min {
-			min = h
-		}
+		lo = min(lo, h)
 	}
-	return min
+	return lo
 }
 
 // readLinkKey hashes a candidate read's identity into a component link
@@ -88,9 +86,7 @@ func readLinkKey(id string) uint64 {
 // (possibly reverse-complemented). Windows with ambiguous bases fall back
 // to a raw-byte hash — they still self-match, which is all linking needs.
 func windowLinkKey(seq []byte, w int) uint64 {
-	if w > kmer.MaxK {
-		w = kmer.MaxK
-	}
+	w = min(w, kmer.MaxK)
 	km, ok := kmer.FromBytes(seq, w)
 	if !ok {
 		return murmur.Hash64A(seq[:w], compOvlpSeed)
@@ -187,9 +183,7 @@ func newComponentShardMap(k int, ctgs []*locassm.CtgWithReads, shards int) *comp
 	for id, w := range weight {
 		ids = append(ids, id)
 		total += w
-		if w > maxW {
-			maxW = w
-		}
+		maxW = max(maxW, w)
 	}
 	sort.Slice(ids, func(i, j int) bool {
 		wi, wj := weight[ids[i]], weight[ids[j]]
@@ -224,9 +218,7 @@ func newComponentShardMap(k int, ctgs []*locassm.CtgWithReads, shards int) *comp
 		count:  len(ids),
 	}
 	for _, l := range load {
-		if l > m.maxLoad {
-			m.maxLoad = l
-		}
+		m.maxLoad = max(m.maxLoad, l)
 	}
 	if shards > 0 {
 		m.meanLoad = total / int64(shards)

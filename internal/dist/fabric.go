@@ -320,13 +320,8 @@ func (f *Fabric) Exchange(stage string, matrix [][]int64) (*StageTraffic, error)
 			clock.Fabric(float64(st.Sent[r])/bytesPerSec*float64(time.Second))
 		eject := clock.Fabric(float64(inMsgs[r]))*f.cfg.LatencyPerMsg +
 			clock.Fabric(float64(st.Recv[r])/bytesPerSec*float64(time.Second))
-		st.PerRank[r] = inject
-		if eject > inject {
-			st.PerRank[r] = eject
-		}
-		if st.PerRank[r] > st.Time {
-			st.Time = st.PerRank[r]
-		}
+		st.PerRank[r] = max(inject, eject)
+		st.Time = max(st.Time, st.PerRank[r])
 	}
 
 	f.mu.Lock()

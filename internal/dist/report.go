@@ -173,7 +173,8 @@ func (rt *runtime) report() *Report {
 	rep.Recovery.ExchangeRetries, rep.Recovery.RetryTime = rt.fabric.Retries()
 	rep.Wall = rt.compWall + clock.Machine(rep.CommTime) // dist's round wall
 	rep.PerRank = make([]RankStats, rep.Capacity)
-	for r, rk := range rt.ranks {
+	for r := range rt.ranks {
+		rk := &rt.ranks[r]
 		rs := RankStats{
 			Rank:           r,
 			Alive:          rt.mem.Alive(r),
@@ -201,10 +202,7 @@ func (rt *runtime) report() *Report {
 // Σ busy / (ranks × wall), the rank count being the capacity for elastic
 // runs. 1.0 means every rank computed the whole time.
 func (r *Report) Efficiency() float64 {
-	n := r.Ranks
-	if r.Capacity > n {
-		n = r.Capacity
-	}
+	n := max(r.Ranks, r.Capacity)
 	if r.Wall <= 0 || n == 0 {
 		return 0
 	}

@@ -138,11 +138,15 @@ func (c *Config) effectivePlan() (*faults.Plan, error) {
 // capacity; slots of joins that have not fired hold the zero value.
 type rank struct {
 	dev *simt.Device // nil under CPUAssembly
+	// gpu and cpu are built once, by attachDevice. gpu is nil under
+	// CPUAssembly and once the device is lost: the rank then runs on cpu.
+	gpu, cpu locassm.Engine
+	// aborts counts down the round's injected kernel aborts on dev.
+	aborts atomic.Int32
 	// h2d0/d2h0 are the device's lifetime PCIe odometer when it was attached:
 	// the run's device source may hand out a device earlier jobs have used,
 	// and the report wants this run's bytes only.
 	h2d0, d2h0 int64
-	deviceOK   bool          // still assembling on its device
 	busy       clock.Machine // modeled busy time, own and stolen work
 	kernels    int           // kernel launches
 	owned      int           // contigs owned in the last round
@@ -152,20 +156,37 @@ type rank struct {
 	err      error
 }
 
-// attachDevice draws rank r's device from the run's source and notes where
-// its odometer stands; under CPUAssembly the rank gets none.
+// attachDevice builds rank r's engines for the run: the host engine, on the
+// process's workers spread over the rank slots, and — unless CPUAssembly —
+// the device engine over a device drawn from the run's source, whose
+// odometer it notes and whose launches fail while the rank's aborts last.
 func (rt *runtime) attachDevice(r int) error {
+	rk := &rt.ranks[r]
+	spec := rt.cfg.Pipeline.Engine
+	cspec := spec
+	cspec.Name, cspec.Workers = locassm.EngineCPU, max(1, par.Workers(spec.Workers)/len(rt.ranks))
+	var err error
+	if rk.cpu, err = locassm.NewEngine(cspec); err != nil {
+		return err
+	}
 	if rt.cfg.CPUAssembly {
 		return nil
 	}
-	dev, err := rt.cfg.Pipeline.Engine.Devices()
+	dev, err := spec.Devices()
 	if err != nil {
 		return fmt.Errorf("dist: no device for rank %d: %w", r, err)
 	}
-	rk := &rt.ranks[r]
-	rk.dev, rk.deviceOK = dev, true
+	rk.dev = dev
 	rk.h2d0, rk.d2h0 = dev.CumTraffic()
-	return nil
+	spec.Name, spec.Device, spec.Devices = locassm.EngineGPU, dev, nil
+	spec.GPU.FaultHook = func() error {
+		if rk.aborts.Add(-1) >= 0 {
+			return fmt.Errorf("dist: injected kernel abort: %w", gpuht.ErrTableFull)
+		}
+		return nil
+	}
+	rk.gpu, err = locassm.NewEngine(spec)
+	return err
 }
 
 // runtime is the live state of one distributed run. It implements
@@ -321,7 +342,7 @@ func (rt *runtime) applyMembership(round, k int, ctgs []*locassm.CtgWithReads, s
 	// plan spills), so local assembly keeps its device.
 	if rt.cfg.Pipeline.MemBudget == 0 {
 		for _, r := range deal.live {
-			if rk := &rt.ranks[r]; rk.deviceOK && rt.inj.DeviceFault(r, round) {
+			if rk := &rt.ranks[r]; rk.gpu != nil && rt.inj.DeviceFault(r, round) {
 				rk.dev.InjectFault(nil)
 			}
 		}
@@ -409,8 +430,8 @@ func (rt *runtime) exchangeReads(k int, ctgs []*locassm.CtgWithReads, smap Shard
 
 // assembleShards runs the sharded local assembly: each live rank drives its
 // virtual shards concurrently with every other rank. Returns one outcome per
-// non-empty shard. Writes rec.DeviceFallbacks (and, through runRank, the
-// falling-back rank's deviceOK).
+// non-empty shard. Writes rec.DeviceFallbacks (and, through runRank, drops
+// the falling-back rank's gpu engine).
 func (rt *runtime) assembleShards(round, k int, byShard [][]*locassm.CtgWithReads, deal *shardDeal) ([]*shardOutcome, error) {
 	outs := make([]*shardOutcome, len(byShard)) // each shard written only by its owner
 	var wg sync.WaitGroup
@@ -440,13 +461,12 @@ func (rt *runtime) assembleShards(round, k int, byShard [][]*locassm.CtgWithRead
 func (rt *runtime) runRank(r, i, nl, round, k int, byShard [][]*locassm.CtgWithReads, outs []*shardOutcome) error {
 	rk := &rt.ranks[r]
 	rk.fellBack = false
-	gpuEng, cpuEng, err := rt.rankEngines(r, round)
-	if err != nil {
-		return err
-	}
-	eng := gpuEng
-	if !rk.deviceOK {
-		eng = cpuEng
+	// The round's first aborts launches fail with a table fault, which the
+	// batch driver answers by re-splitting the batch.
+	rk.aborts.Store(int32(rt.inj.KernelAborts(r, round)))
+	eng := rk.gpu
+	if eng == nil {
+		eng = rk.cpu
 	}
 	for s := i; s < len(byShard); s += nl {
 		if len(byShard[s]) == 0 {
@@ -457,46 +477,15 @@ func (rt *runtime) runRank(r, i, nl, round, k int, byShard [][]*locassm.CtgWithR
 			// Device lost mid-round: degrade this rank to its host engine
 			// and recompute the shard there. The flat-table engine is
 			// bit-identical to the GPU path, so results are unaffected.
-			eng = cpuEng
-			rk.deviceOK, rk.fellBack = false, true
+			eng, rk.gpu, rk.fellBack = rk.cpu, nil, true
 			results, stats, err = eng.Assemble(k, byShard[s])
 		}
 		if err != nil {
 			return fmt.Errorf("rank %d shard %d: %w", r, s, err)
 		}
-		outs[s] = &shardOutcome{results: results, stats: stats, onGPU: eng == gpuEng}
+		outs[s] = &shardOutcome{results: results, stats: stats, onGPU: eng != rk.cpu}
 	}
 	return nil
-}
-
-// rankEngines builds one round's engines for rank r from the run's resolved
-// spec: the device engine over the rank's own GPU while it has one (with the
-// round's injected kernel aborts wired into the driver's fault hook), and the
-// host flat-table engine it runs under CPUAssembly or degrades to after a
-// device loss, on the process's workers spread over the rank slots.
-func (rt *runtime) rankEngines(r, round int) (gpuEng, cpuEng locassm.Engine, err error) {
-	// Scheduled kernel aborts: the first aborts launches on this rank
-	// this round fail with a recoverable table fault, which the batch
-	// driver answers by re-splitting the batch.
-	var abortsLeft atomic.Int32
-	abortsLeft.Store(int32(rt.inj.KernelAborts(r, round)))
-	spec := rt.cfg.Pipeline.Engine
-	spec.GPU.FaultHook = func() error {
-		if abortsLeft.Add(-1) >= 0 {
-			return fmt.Errorf("dist: injected kernel abort: %w", gpuht.ErrTableFull)
-		}
-		return nil
-	}
-	if rk := &rt.ranks[r]; rk.deviceOK {
-		gspec := spec
-		gspec.Name, gspec.Device, gspec.Devices = locassm.EngineGPU, rk.dev, nil
-		if gpuEng, err = locassm.NewEngine(gspec); err != nil {
-			return nil, nil, err
-		}
-	}
-	spec.Name, spec.Workers = locassm.EngineCPU, max(1, par.Workers(spec.Workers)/len(rt.ranks))
-	cpuEng, err = locassm.NewEngine(spec)
-	return gpuEng, cpuEng, err
 }
 
 // scheduleSteals replays the round's batch queues over the per-shard modeled

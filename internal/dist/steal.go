@@ -84,9 +84,7 @@ func stealSchedule(deal *shardDeal, cost []clock.Machine, bytes []int64,
 			total += scaled(s, r)
 		}
 		out.busy[r] = total
-		if total > out.noStealMakespan {
-			out.noStealMakespan = total
-		}
+		out.noStealMakespan = max(out.noStealMakespan, total)
 	}
 	if len(live) < 2 {
 		out.makespan = out.noStealMakespan
@@ -164,9 +162,7 @@ func stealSchedule(deal *shardDeal, cost []clock.Machine, bytes []int64,
 		out.steals = append(out.steals, stealRec{shard: s, victim: victim, thief: actor, bytes: bytes[s]})
 	}
 	for _, r := range live {
-		if busyUntil[r] > out.makespan {
-			out.makespan = busyUntil[r]
-		}
+		out.makespan = max(out.makespan, busyUntil[r])
 	}
 	return out
 }

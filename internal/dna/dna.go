@@ -104,13 +104,7 @@ func QualScore(q byte) int { return int(q) - QualOffset }
 // QualChar converts a Phred score to its ASCII encoding, clamped to
 // [0, MaxQual].
 func QualChar(score int) byte {
-	if score < 0 {
-		score = 0
-	}
-	if score > MaxQual {
-		score = MaxQual
-	}
-	return byte(score + QualOffset)
+	return byte(min(max(score, 0), MaxQual) + QualOffset)
 }
 
 // Read is one sequencing read: an identifier, the base string, and
@@ -205,6 +199,20 @@ func Pack2Bit(dst []byte, at int, seq []byte) bool {
 		}
 		p := at + i
 		dst[p/4] |= c << uint((p%4)*2)
+	}
+	return true
+}
+
+// Pack2BitRevComp is Pack2Bit of RevComp(seq) without the copy. RevComp
+// upper-cases, so it packs every seq whose bytes are ACGT in either case.
+func Pack2BitRevComp(dst []byte, at int, seq []byte) bool {
+	for i, b := range seq {
+		c := codeOf[b]
+		if c == 0xff {
+			return false
+		}
+		p := at + len(seq) - 1 - i
+		dst[p/4] |= (c ^ 3) << uint((p%4)*2)
 	}
 	return true
 }

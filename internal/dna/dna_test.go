@@ -168,6 +168,30 @@ func TestPack2BitRoundTrip(t *testing.T) {
 	}
 }
 
+// TestPack2BitRevCompMatchesPack2Bit packs mixed-case sequences and ones
+// holding an N both ways, at every length 0–70 and offset 0–3.
+func TestPack2BitRevCompMatchesPack2Bit(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	for n := 0; n <= 70; n++ {
+		for at := 0; at < 4; at++ {
+			for _, impure := range []bool{false, true} {
+				seq := make([]byte, n)
+				for i := range seq {
+					seq[i] = "ACGTacgt"[rng.Intn(8)]
+				}
+				if impure && n > 0 {
+					seq[rng.Intn(n)] = 'N'
+				}
+				got, want := make([]byte, (at+n+3)/4+1), make([]byte, (at+n+3)/4+1)
+				gotOK, wantOK := Pack2BitRevComp(got, at, seq), Pack2Bit(want, at, RevComp(seq))
+				if gotOK != wantOK || wantOK && !bytes.Equal(got, want) {
+					t.Fatalf("%q at %d: Pack2BitRevComp %x %v, Pack2Bit of RevComp %x %v", seq, at, got, gotOK, want, wantOK)
+				}
+			}
+		}
+	}
+}
+
 func TestPack2BitRejectsAmbiguous(t *testing.T) {
 	for _, seq := range []string{"ACNGT", "ACgT", "ACRT"} {
 		if Packable([]byte(seq)) || Pack2Bit(make([]byte, 2), 0, []byte(seq)) {

@@ -131,10 +131,7 @@ func WriteFASTA(w io.Writer, names []string, seqs [][]byte, width int) error {
 			width = len(s)
 		}
 		for off := 0; off < len(s); off += width {
-			end := off + width
-			if end > len(s) {
-				end = len(s)
-			}
+			end := min(off+width, len(s))
 			if _, err := bw.Write(s[off:end]); err != nil {
 				return err
 			}

@@ -33,6 +33,10 @@ const (
 	// pipelineDepth bounds the pack → launch and launch → unpack channels:
 	// how far ahead the host packs while the device works.
 	pipelineDepth = 2
+	// arenaSlots caps a side's host staging arenas: the pack stage holds at
+	// most pipelineDepth plus the one it packs, so one is always left for
+	// the launch stage's resplits (DESIGN §7).
+	arenaSlots = pipelineDepth + 2
 )
 
 // GPUConfig configures the GPU local-assembly driver.
@@ -104,7 +108,7 @@ func (d *Driver) Run(ctgs []*CtgWithReads) (*GPUResult, error) {
 	// anything is in flight.
 	sides := [pipelineStreams]bool{false, true} // right first, as before
 	var plans [pipelineStreams][]*batchPlan
-	var slabBytes [pipelineStreams]int64
+	var slabBytes, arenaBytes [pipelineStreams]int64
 	budget := d.Cfg.MemBudget / pipelineStreams
 	for s, left := range sides {
 		items := buildSideItems(ctgs, &d.Cfg.Config, left)
@@ -117,9 +121,8 @@ func (d *Driver) Run(ctgs []*CtgWithReads) (*GPUResult, error) {
 		}
 		plans[s] = batches
 		for _, b := range batches {
-			if db := b.deviceBytes(); db > slabBytes[s] {
-				slabBytes[s] = db
-			}
+			slabBytes[s] = max(slabBytes[s], b.deviceBytes())
+			arenaBytes[s] = max(arenaBytes[s], b.hostBytes())
 		}
 	}
 	if total := slabBytes[0] + slabBytes[1]; total > d.Dev.Cfg.GlobalMemBytes {
@@ -131,7 +134,8 @@ func (d *Driver) Run(ctgs []*CtgWithReads) (*GPUResult, error) {
 	// every batch on that side — §3.2's single flat allocation, carved in
 	// two. Allocating (and growing the arena to) the full footprint before
 	// anything launches is what lets kernels and copies overlap without the
-	// backing store moving.
+	// backing store moving. The host side mirrors it in the device's
+	// staging buffer: arena slots per side, circulating on a free list.
 	dev := d.Dev
 	dev.FreeAll()
 	defer dev.FreeAll()
@@ -149,11 +153,21 @@ func (d *Driver) Run(ctgs []*CtgWithReads) (*GPUResult, error) {
 			return nil, err
 		}
 	}
+	slots := [pipelineStreams]int{min(len(plans[0]), arenaSlots), min(len(plans[1]), arenaSlots)}
+	staging := dev.HostStaging(int64(slots[0])*arenaBytes[0] + int64(slots[1])*arenaBytes[1])
+	var free [pipelineStreams]chan *hostArena
+	for s, n := range arenaBytes {
+		free[s] = make(chan *hostArena, slots[s])
+		for range slots[s] {
+			free[s] <- &hostArena{slot: staging[:n:n]}
+			staging = staging[n:]
+		}
+	}
 
 	outs := [pipelineStreams]*sideOut{newSideOut(len(ctgs)), newSideOut(len(ctgs))}
 	if d.Cfg.Mode == ModeSequential {
 		for s, left := range sides {
-			if err := d.runSideSequential(plans[s], left, slabs[s], outs[s]); err != nil {
+			if err := d.runSideSequential(plans[s], left, slabs[s], free[s], outs[s]); err != nil {
 				return nil, err
 			}
 		}
@@ -164,7 +178,7 @@ func (d *Driver) Run(ctgs []*CtgWithReads) (*GPUResult, error) {
 			wg.Add(1)
 			go func(s int, left bool) {
 				defer wg.Done()
-				errs[s] = d.runSidePipelined(plans[s], left, slabs[s], outs[s])
+				errs[s] = d.runSidePipelined(plans[s], left, slabs[s], free[s], outs[s])
 			}(s, left)
 		}
 		wg.Wait()
@@ -233,28 +247,33 @@ func splitBatch(b *batchPlan, cfg *Config) [2]*batchPlan {
 // launchRecover launches one batch, recovering from table faults by
 // splitting the batch in half and retrying each half (recursively, up to
 // maxResplitDepth) before surrendering. Each half re-plans from scratch, so
-// its footprint is a subset of the original and always fits the slab.
-// Successfully launched (sub-)batches are handed to emit in item order; the
-// returned count is how many splits happened.
-func (d *Driver) launchRecover(stream *simt.Stream, slab simt.Ptr, left bool, batch *batchPlan, arena *hostArena, depth int, emit func(launchedBatch)) (int, error) {
-	lb, err := d.launchBatch(stream, slab, left, batch, arena)
+// its footprint is a subset of the original and always fits the slab and
+// the arena slot: the first half restages into the faulted batch's slot,
+// the second takes one from the free list. Successfully launched
+// (sub-)batches, with their arenas, are handed to emit in item order; a
+// failure frees its arena. The returned count is how many splits happened.
+func (d *Driver) launchRecover(stream *simt.Stream, slab simt.Ptr, left bool, arena *hostArena, free chan *hostArena, depth int, emit func(launchedBatch)) (int, error) {
+	batch := arena.plan
+	lb, err := d.launchBatch(stream, slab, left, arena)
 	if err == nil {
 		emit(lb)
 		return 0, nil
 	}
-	arenaPool.Put(arena)
-	if !recoverableFault(err) {
+	if !recoverableFault(err) || len(batch.items) < 2 || depth >= maxResplitDepth {
+		free <- arena
+		if recoverableFault(err) {
+			err = fmt.Errorf("locassm: batch of %d items still faulting after %d re-splits: %w",
+				len(batch.items), depth, err)
+		}
 		return 0, err
 	}
-	if len(batch.items) < 2 || depth >= maxResplitDepth {
-		return 0, fmt.Errorf("locassm: batch of %d items still faulting after %d re-splits: %w",
-			len(batch.items), depth, err)
-	}
 	resplits := 1
-	for _, half := range splitBatch(batch, &d.Cfg.Config) {
-		ha := arenaPool.Get().(*hostArena)
-		ha.stage(half)
-		n, err := d.launchRecover(stream, slab, left, half, ha, depth+1, emit)
+	for h, half := range splitBatch(batch, &d.Cfg.Config) {
+		if h > 0 {
+			arena = <-free
+		}
+		arena.stage(half)
+		n, err := d.launchRecover(stream, slab, left, arena, free, depth+1, emit)
 		resplits += n
 		if err != nil {
 			return resplits, err
@@ -265,13 +284,13 @@ func (d *Driver) launchRecover(stream *simt.Stream, slab simt.Ptr, left bool, ba
 
 // runSideSequential is the reference path: each batch is staged, launched,
 // and unpacked before the next one starts.
-func (d *Driver) runSideSequential(batches []*batchPlan, left bool, slab simt.Ptr, so *sideOut) error {
+func (d *Driver) runSideSequential(batches []*batchPlan, left bool, slab simt.Ptr, free chan *hostArena, so *sideOut) error {
 	stream := d.Dev.NewStream()
 	for _, b := range batches {
-		arena := arenaPool.Get().(*hostArena)
+		arena := <-free
 		arena.stage(b)
-		n, err := d.launchRecover(stream, slab, left, b, arena, 0,
-			func(lb launchedBatch) { unpackBatch(lb, left, so) })
+		n, err := d.launchRecover(stream, slab, left, arena, free, 0,
+			func(lb launchedBatch) { unpackBatch(lb, left, so, free) })
 		so.Resplits += n
 		if err != nil {
 			return err
@@ -282,18 +301,19 @@ func (d *Driver) runSideSequential(batches []*batchPlan, left bool, slab simt.Pt
 }
 
 // runSidePipelined runs one side's batches through the 3-stage pipeline:
-// a pack goroutine fills staging arenas, a launch goroutine ships them and
-// runs kernels on this side's stream, and the caller's goroutine unpacks.
-// Bounded channels keep at most pipelineDepth batches queued per stage.
-func (d *Driver) runSidePipelined(batches []*batchPlan, left bool, slab simt.Ptr, so *sideOut) error {
+// a pack goroutine fills staging arenas from the side's free list, a
+// launch goroutine ships them and runs kernels on this side's stream, and
+// the caller's goroutine unpacks and frees them. Bounded channels keep at
+// most pipelineDepth batches queued per stage.
+func (d *Driver) runSidePipelined(batches []*batchPlan, left bool, slab simt.Ptr, free chan *hostArena, so *sideOut) error {
 	stream := d.Dev.NewStream()
 
-	staged := make(chan stagedBatch, pipelineDepth)
+	staged := make(chan *hostArena, pipelineDepth)
 	go func() {
 		for _, b := range batches {
-			arena := arenaPool.Get().(*hostArena)
+			arena := <-free
 			arena.stage(b)
-			staged <- stagedBatch{plan: b, arena: arena}
+			staged <- arena
 		}
 		close(staged)
 	}()
@@ -304,12 +324,12 @@ func (d *Driver) runSidePipelined(batches []*batchPlan, left bool, slab simt.Ptr
 	var launchErr error
 	var resplits int
 	go func() {
-		for sb := range staged {
+		for arena := range staged {
 			if launchErr != nil {
-				arenaPool.Put(sb.arena)
+				free <- arena
 				continue
 			}
-			n, err := d.launchRecover(stream, slab, left, sb.plan, sb.arena, 0,
+			n, err := d.launchRecover(stream, slab, left, arena, free, 0,
 				func(lb launchedBatch) { launched <- lb })
 			resplits += n
 			if err != nil {
@@ -320,7 +340,7 @@ func (d *Driver) runSidePipelined(batches []*batchPlan, left bool, slab simt.Ptr
 	}()
 
 	for lb := range launched {
-		unpackBatch(lb, left, so)
+		unpackBatch(lb, left, so, free)
 	}
 	so.Batches = len(batches)
 	so.Resplits = resplits

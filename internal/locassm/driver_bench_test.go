@@ -54,7 +54,7 @@ func BenchmarkDriverStaging(b *testing.B) {
 		d, batch, slab := benchBatch(b)
 		bases := batch.bases(slab)
 		stream := d.Dev.NewStream()
-		arena := arenaPool.Get().(*hostArena)
+		arena := &hostArena{slot: make([]byte, batch.hostBytes())}
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {

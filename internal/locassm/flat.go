@@ -314,21 +314,24 @@ func (ws *cpuWorkspace) walk(tailLen, mer int, reads []dna.Read, cfg *Config, wc
 	}
 }
 
+// grownTo returns b resized to n bytes, reusing capacity when possible.
+// Contents are unspecified.
+func grownTo(b []byte, n int) []byte {
+	if cap(b) < n {
+		return make([]byte, n)
+	}
+	return b[:n]
+}
+
 // extendSide runs the §2.3 build/walk/shift-k loop rightward. The returned
 // extension aliases ws.buf and is only valid until the workspace's next
 // use; callers must copy what they keep.
 func (ws *cpuWorkspace) extendSide(ctg []byte, reads []dna.Read, cfg *Config, wc *WorkCounts) ([]byte, WalkState, int) {
-	tailLen := len(ctg)
-	if tailLen > cfg.MaxMer {
-		tailLen = cfg.MaxMer
-	}
+	tailLen := min(len(ctg), cfg.MaxMer)
 	ws.buf = grownTo(ws.buf, tailLen+cfg.MaxWalkLen)[:0]
 	ws.buf = append(ws.buf, ctg[len(ctg)-tailLen:]...)
 
-	mer := cfg.StartMer
-	if mer > tailLen {
-		mer = tailLen
-	}
+	mer := min(cfg.StartMer, tailLen)
 	if mer < cfg.MinMer {
 		return nil, WalkDeadEnd, 0
 	}
@@ -359,10 +362,7 @@ func (ws *cpuWorkspace) extendSide(ctg []byte, reads []dna.Read, cfg *Config, wc
 // into workspace arenas, so the left side can reuse the rightward walker
 // (§2.3) without per-contig allocations.
 func (ws *cpuWorkspace) prepLeft(c *CtgWithReads, cfg *Config) ([]byte, []dna.Read) {
-	tailLen := len(c.Seq)
-	if tailLen > cfg.MaxMer {
-		tailLen = cfg.MaxMer
-	}
+	tailLen := min(len(c.Seq), cfg.MaxMer)
 	// Only the last tailLen bases of RevComp(c.Seq) — the reverse
 	// complement of the contig's first tailLen bases — ever reach the walk.
 	ws.rcCtg = grownTo(ws.rcCtg, tailLen)

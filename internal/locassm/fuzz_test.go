@@ -113,13 +113,16 @@ func FuzzFlatMatchesMapRef(f *testing.F) {
 // raw bytes while every other k-mer is 2-bit packed. The device budget
 // holds one or two items per side, so every run stages several batches.
 // Seeds: shape 0 is all pure (rate 0); shape 1 ends each tail in an N that
-// the reads over it carry too; shape 2 adds a lower-case copy of a read.
+// the reads over it carry too; shape 2 adds a lower-case copy of a read;
+// shape 4 makes only the left reads impure, the ones staged
+// reverse-complemented.
 func FuzzDeviceMatchesCPU(f *testing.F) {
 	f.Add(int64(1), uint8(0), uint8(0))
 	f.Add(int64(2), uint8(1), uint8(0))
 	f.Add(int64(3), uint8(2), uint8(0))
 	f.Add(int64(4), uint8(0), uint8(40))
 	f.Add(int64(5), uint8(3), uint8(200))
+	f.Add(int64(6), uint8(4), uint8(6))
 
 	f.Fuzz(func(t *testing.T, seed int64, shape, rate uint8) {
 		rng := rand.New(rand.NewSource(seed))
@@ -151,11 +154,15 @@ func FuzzDeviceMatchesCPU(f *testing.F) {
 				genome[hi-1] = 'N'
 			}
 			c := &CtgWithReads{ID: int64(id), Seq: append([]byte(nil), genome[lo:hi]...)}
-			impure(c.Seq)
+			if shape != 4 {
+				impure(c.Seq)
+			}
 			readLen := cfg.MaxMer + rng.Intn(150-cfg.MaxMer+1)
 			for pos := 0; pos+readLen <= len(genome); pos += 5 + rng.Intn(20) {
 				r := readFromString(string(genome[pos : pos+readLen]))
-				impure(r.Seq)
+				if shape != 4 || pos < lo && pos+readLen > lo {
+					impure(r.Seq)
+				}
 				for i := range r.Qual {
 					r.Qual[i] = dna.QualChar(rng.Intn(dna.MaxQual + 1))
 				}

@@ -49,10 +49,7 @@ func extensionKernelV2(plan *batchPlan, dev batchDev, cfg *Config, errs []error)
 		walkBase := dev.walks + simt.Ptr(p.walkOff)
 		outBase := dev.outs + simt.Ptr(p.outOff)
 
-		mer := cfg.StartMer
-		if mer > tailLen {
-			mer = tailLen
-		}
+		mer := min(cfg.StartMer, tailLen)
 		lane0 := simt.LaneMask(0)
 		if mer < cfg.MinMer {
 			// Write a complete zero record: the arena may hold stale bytes

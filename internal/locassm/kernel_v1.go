@@ -36,10 +36,7 @@ func extensionKernelV1(plan *batchPlan, dev batchDev, cfg *Config, errs []error)
 		for lane := 0; lane < simt.WarpSize && first+lane < len(plan.items); lane++ {
 			p := plan.items[first+lane]
 			st := &laneState{p: p, tailLen: len(p.item.tail)}
-			st.mer = cfg.StartMer
-			if st.mer > st.tailLen {
-				st.mer = st.tailLen
-			}
+			st.mer = min(cfg.StartMer, st.tailLen)
 			ls[lane] = st
 			if st.mer < cfg.MinMer {
 				zeroOut |= simt.LaneMask(lane)

@@ -8,7 +8,9 @@ import (
 )
 
 // sideItem is one extension work item — one warp's worth of work: a contig
-// end with its candidate reads, oriented so the walk always runs rightward.
+// end with its candidate reads. The walk always runs rightward: a left
+// item's tail is the reverse complement of the contig's head, and its
+// reads, held as the contig has them, are staged reverse-complemented.
 type sideItem struct {
 	ctgIdx int  // index into the run's contig slice
 	left   bool // whether this is the left end (output gets re-reversed)
@@ -64,7 +66,11 @@ func planItem(it *sideItem, cfg *Config) *itemPlan {
 		seq := it.reads[i].Seq
 		p.readOffs[i] = uint32(p.bases)
 		p.keyOffs[i] = gpuht.Packed | uint32(p.bases)
-		if !dna.Packable(seq) {
+		packable := dna.Packable(seq)
+		if it.left { // staged as its reverse complement, which RevComp upper-cases
+			packable = dna.CountValid(seq) == len(seq)
+		}
+		if !packable {
 			p.keyOffs[i] = uint32(p.rawBytes)
 			p.rawBytes += int64(len(seq))
 		}
@@ -148,8 +154,8 @@ func layoutBatch(b *batchPlan) {
 }
 
 // buildSideItems collects the work items for one side of every contig in
-// the bin, oriented rightward. Contigs shorter than MinMer or ends without
-// reads produce no item.
+// the bin. Contigs shorter than MinMer or ends without reads produce no
+// item. Items share the contigs' reads and the right tails their bytes.
 func buildSideItems(ctgs []*CtgWithReads, cfg *Config, left bool) []*sideItem {
 	var items []*sideItem
 	for idx, c := range ctgs {
@@ -160,26 +166,11 @@ func buildSideItems(ctgs []*CtgWithReads, cfg *Config, left bool) []*sideItem {
 		if len(reads) == 0 || len(c.Seq) < cfg.MinMer {
 			continue
 		}
-		it := &sideItem{ctgIdx: idx, left: left}
+		tail := c.Seq[max(0, len(c.Seq)-cfg.MaxMer):]
 		if left {
-			seq := dna.RevComp(c.Seq)
-			it.tail = tailOf(seq, cfg.MaxMer)
-			it.reads = make([]dna.Read, len(reads))
-			for i := range reads {
-				it.reads[i] = reads[i].RevComp()
-			}
-		} else {
-			it.tail = tailOf(c.Seq, cfg.MaxMer)
-			it.reads = reads
+			tail = dna.RevComp(c.Seq[:min(len(c.Seq), cfg.MaxMer)])
 		}
-		items = append(items, it)
+		items = append(items, &sideItem{ctgIdx: idx, left: left, tail: tail, reads: reads})
 	}
 	return items
-}
-
-func tailOf(seq []byte, n int) []byte {
-	if len(seq) <= n {
-		return append([]byte(nil), seq...)
-	}
-	return append([]byte(nil), seq[len(seq)-n:]...)
 }

@@ -27,28 +27,45 @@ func failFirstLaunches(n int32) func() error {
 
 // TestResplitRecoversAndMatches: a batch whose launch faults is split in
 // half and retried; the final results must be bit-identical to a fault-free
-// run, with the resplit counter visible in the result.
+// run, with the resplit counter visible in the result. Under the small
+// budget each side stages more batches than it has arenas and two launches
+// fault, so resplit halves wait on the arena free list while the pack stage
+// holds arenas of its own.
 func TestResplitRecoversAndMatches(t *testing.T) {
-	rng := rand.New(rand.NewSource(11))
-	ctgs := randomWorkload(rng, 12)
-	cpu, err := RunCPU(ctgs, testConfig(), 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, mode := range []DriverMode{ModeSequential, ModePipelined} {
-		for _, wpt := range []bool{true, false} {
-			label := fmt.Sprintf("mode=%d wpt=%v", mode, wpt)
-			drv := newTestDriver(t, wpt, 1<<26)
-			drv.Cfg.Mode = mode
-			drv.Cfg.FaultHook = failFirstLaunches(1)
-			gpu, err := drv.Run(ctgs)
-			if err != nil {
-				t.Fatalf("%s: %v", label, err)
+	cfg := testConfig()
+	for _, tc := range []struct {
+		ctgs, itemsPerBatch int
+		faults              int32
+	}{{12, 0, 1}, {40, 3, 2}} {
+		ctgs := randomWorkload(rand.New(rand.NewSource(11)), tc.ctgs)
+		cpu, err := RunCPU(ctgs, cfg, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		budget := int64(1 << 26)
+		if tc.itemsPerBatch > 0 {
+			var item int64
+			for _, it := range buildSideItems(ctgs, &cfg, false) {
+				item = max(item, planItem(it, &cfg).bytes())
 			}
-			if gpu.Resplits == 0 {
-				t.Errorf("%s: fault injected but no resplit recorded", label)
+			budget = pipelineStreams * int64(tc.itemsPerBatch) * item
+		}
+		for _, mode := range []DriverMode{ModeSequential, ModePipelined} {
+			for _, wpt := range []bool{true, false} {
+				label := fmt.Sprintf("contigs=%d mode=%d wpt=%v", tc.ctgs, mode, wpt)
+				drv := newTestDriver(t, wpt, budget)
+				drv.Cfg.Mode = mode
+				drv.Cfg.FaultHook = failFirstLaunches(tc.faults)
+				gpu, err := drv.Run(ctgs)
+				if err != nil {
+					t.Fatalf("%s: %v", label, err)
+				}
+				if gpu.Resplits == 0 {
+					t.Errorf("%s: fault injected but no resplit recorded", label)
+				}
+				t.Logf("%s: %d batches, %d resplits", label, gpu.Batches, gpu.Resplits)
+				assertSameResults(t, label, ctgs, cpu, gpu)
 			}
-			assertSameResults(t, label, ctgs, cpu, gpu)
 		}
 	}
 }

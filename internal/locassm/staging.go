@@ -1,8 +1,7 @@
 package locassm
 
 import (
-	"fmt"
-	"sync"
+	"slices"
 
 	"mhm2sim/internal/clock"
 	"mhm2sim/internal/dna"
@@ -12,11 +11,14 @@ import (
 
 // This file is the staging half of the pipelined driver: each batch's
 // reads (2-bit packed, dna.Pack2Bit, save the few packing would lose,
-// which go raw), qualities, and walk-buffer tails are staged into one
-// reusable host arena and shipped with a single MemcpyHtoD per arena (and the
-// outputs come back in one bulk MemcpyDtoH), replacing the per-read copies
-// of the original driver — the Go analogue of the paper's flat §3.2
-// allocation crossing PCIe as one transfer.
+// which go raw), qualities, and walk-buffer tails are staged into one host
+// arena and shipped with a single MemcpyHtoD per arena (and the outputs
+// come back in one bulk MemcpyDtoH), replacing the per-read copies of the
+// original driver — the Go analogue of the paper's flat §3.2 allocation
+// crossing PCIe as one transfer. The arenas are slots of the device's own
+// host staging buffer (simt.Device.HostStaging): each side circulates
+// min(batches, arenaSlots) of them through a free list, so a run allocates
+// no staging once the device has staged a batch as large.
 
 // align64 rounds a size up to the device allocation granularity, so the
 // per-arena bases carved out of a slab match what individual Mallocs would
@@ -49,65 +51,77 @@ func (b *batchPlan) bases(base simt.Ptr) batchDev {
 	return dev
 }
 
-// hostArena is one batch's pinned-host-style staging buffers, pooled
-// across batches and sides so steady state allocates nothing per batch.
-type hostArena struct {
-	pack  []byte // packed read bases, at their base offsets
-	seq   []byte // raw read bases of the reads packing would lose
-	qual  []byte // read qualities, at their base offsets
-	walks []byte // walk-buffer image: zeroes with each item's tail in place
-	outs  []byte // output records read back in one copy
+// hostSizes are the batch's host staging images, in hostArena's order: the
+// four inputs without the gather slack only the device needs, and the
+// output records the bulk readback copies, up to the last one's final field.
+func (b *batchPlan) hostSizes() [5]int64 {
+	return [5]int64{b.packArena, b.seqArena - 8, b.qualArena - 8, b.walkArena - 8, int64(len(b.items)-1)*outStride + 6}
 }
 
-var arenaPool = sync.Pool{New: func() any { return new(hostArena) }}
-
-// grownTo returns b resized to n bytes, reusing capacity when possible.
-// Contents are unspecified.
-func grownTo(b []byte, n int) []byte {
-	if cap(b) < n {
-		return make([]byte, n)
+// hostBytes is the batch's host staging footprint, beside deviceBytes.
+func (b *batchPlan) hostBytes() (n int64) {
+	for _, size := range b.hostSizes() {
+		n += size
 	}
-	return b[:n]
+	return n
+}
+
+// hostArena is one slot of the device's host staging buffer, carved at
+// stage time into the images of the batch it holds.
+type hostArena struct {
+	slot  []byte     // the whole slot, sized to its side's largest batch
+	plan  *batchPlan // the batch staged in it
+	pack  []byte     // packed read bases, at their base offsets
+	seq   []byte     // raw read bases of the reads packing would lose
+	qual  []byte     // read qualities, at their base offsets
+	walks []byte     // walk-buffer image: zeroes with each item's tail in place
+	outs  []byte     // output records read back in one copy
 }
 
 // stage fills the arena with one batch: sequences and qualities at their
 // planned offsets, and a zeroed walk image holding each item's contig
-// tail. Zeroing the packed and walk images keeps device memory content
-// independent of whatever batch previously occupied the slab.
+// tail. A left item's reads are staged reverse-complemented, so every walk
+// runs rightward. Zeroing the packed and walk images keeps device memory
+// content independent of whatever batch previously occupied the slab.
 func (a *hostArena) stage(b *batchPlan) {
-	a.pack = grownTo(a.pack, int(b.packArena))
+	a.plan = b
+	rest, sizes := a.slot, b.hostSizes()
+	for i, img := range [...]*[]byte{&a.pack, &a.seq, &a.qual, &a.walks, &a.outs} {
+		*img, rest = rest[:sizes[i]:sizes[i]], rest[sizes[i]:]
+	}
 	clear(a.pack)
-	a.seq = grownTo(a.seq, int(b.seqArena-8)) // content bytes; the +8 is gather slack
-	a.qual = grownTo(a.qual, int(b.qualArena-8))
-	a.walks = grownTo(a.walks, int(b.walkArena-8))
 	clear(a.walks)
-	n := len(b.items)
-	a.outs = grownTo(a.outs, (n-1)*outStride+6)
 
 	for _, p := range b.items {
+		left := p.item.left
 		for ri := range p.item.reads {
 			r := &p.item.reads[ri]
-			if key := p.keyOffs[ri]; key&gpuht.Packed == 0 {
-				copy(a.seq[key:], r.Seq)
-			} else {
-				dna.Pack2Bit(a.pack, int(p.readOffs[ri]), r.Seq)
+			off := int(p.readOffs[ri])
+			switch key := p.keyOffs[ri]; {
+			case key&gpuht.Packed == 0:
+				raw := a.seq[key : int(key)+len(r.Seq)]
+				copy(raw, r.Seq)
+				if left {
+					dna.RevCompInPlace(raw)
+				}
+			case left:
+				dna.Pack2BitRevComp(a.pack, off, r.Seq)
+			default:
+				dna.Pack2Bit(a.pack, off, r.Seq)
 			}
-			copy(a.qual[p.readOffs[ri]:], r.Qual)
+			qual := a.qual[off : off+len(r.Qual)]
+			copy(qual, r.Qual)
+			if left {
+				slices.Reverse(qual)
+			}
 		}
 		copy(a.walks[p.walkOff:], p.item.tail)
 	}
 }
 
-// stagedBatch is a packed batch waiting for the launch stage.
-type stagedBatch struct {
-	plan  *batchPlan
-	arena *hostArena
-}
-
 // launchedBatch is a batch whose kernel has completed and whose outputs
 // have been read back, waiting for the unpack stage.
 type launchedBatch struct {
-	plan     *batchPlan
 	arena    *hostArena
 	exts     [][]byte // per-item extension bytes, rightward orientation
 	kres     simt.KernelResult
@@ -119,12 +133,13 @@ type launchedBatch struct {
 // a single bulk copy, plus one copy per non-empty extension. Transfer time
 // is taken from this batch's traffic on the side's stream, so the total is
 // an order-independent sum over batches.
-func (d *Driver) launchBatch(stream *simt.Stream, slab simt.Ptr, left bool, batch *batchPlan, arena *hostArena) (launchedBatch, error) {
+func (d *Driver) launchBatch(stream *simt.Stream, slab simt.Ptr, left bool, arena *hostArena) (launchedBatch, error) {
 	if d.Cfg.FaultHook != nil {
 		if err := d.Cfg.FaultHook(); err != nil {
 			return launchedBatch{}, err
 		}
 	}
+	batch := arena.plan
 	bases := batch.bases(slab)
 	stream.MemcpyHtoD(bases.packBase, arena.pack)
 	stream.MemcpyHtoD(bases.seqBase, arena.seq)
@@ -145,7 +160,7 @@ func (d *Driver) launchBatch(stream *simt.Stream, slab simt.Ptr, left bool, batc
 		kern = extensionKernelV2(batch, bases, &d.Cfg.Config, kernErrs)
 	}
 	kres, err := d.Dev.Launch(simt.KernelConfig{
-		Name:              fmt.Sprintf("locassm_%s_ext_%s", side, version),
+		Name:              "locassm_" + side + "_ext_" + version,
 		Warps:             warps,
 		LocalBytesPerLane: localBytesPerLane(&d.Cfg.Config),
 	}, kern)
@@ -176,7 +191,6 @@ func (d *Driver) launchBatch(stream *simt.Stream, slab simt.Ptr, left bool, batc
 
 	h2d, d2h := stream.Traffic()
 	return launchedBatch{
-		plan:     batch,
 		arena:    arena,
 		exts:     exts,
 		kres:     kres,
@@ -206,15 +220,16 @@ func newSideOut(n int) *sideOut {
 }
 
 // unpackBatch decodes the host copies of a launched batch's outputs into
-// the side accumulator and returns the staging arena to the pool.
-func unpackBatch(lb launchedBatch, left bool, so *sideOut) {
-	for i, p := range lb.plan.items {
+// the side accumulator and returns the staging arena to the side's free
+// list.
+func unpackBatch(lb launchedBatch, left bool, so *sideOut, free chan<- *hostArena) {
+	for i, p := range lb.arena.plan.items {
 		rec := lb.arena.outs[p.outOff:]
 		state := WalkState(rec[4])
 		iters := int(rec[5])
 		ext := lb.exts[i]
 		if left {
-			ext = dna.RevComp(ext)
+			dna.RevCompInPlace(ext)
 		}
 		idx := p.item.ctgIdx
 		so.ext[idx] = ext
@@ -225,5 +240,5 @@ func unpackBatch(lb launchedBatch, left bool, so *sideOut) {
 	so.Kernels = append(so.Kernels, lb.kres)
 	so.KernelTime += lb.kres.Time
 	so.TransferTime += lb.transfer
-	arenaPool.Put(lb.arena)
+	free <- lb.arena
 }

@@ -98,7 +98,8 @@ type Device struct {
 	mu        sync.Mutex
 	mem       []byte
 	heapOff   Ptr
-	highWater Ptr // largest heap extent ever reached
+	highWater Ptr    // largest heap extent ever reached
+	host      []byte // pinned-host staging buffer (HostStaging), mem's host twin
 
 	// Lifetime host<->device byte totals over every copy, direct or on a
 	// Stream, never reset — the per-device PCIe odometer a multi-rank
@@ -152,23 +153,13 @@ func NewDevice(cfg DeviceConfig) *Device {
 // one copy-grow instead of the repeated 1.25× grows of the naive policy.
 // Callers hold d.mu.
 func (d *Device) ensureLocked(end Ptr) {
-	if end > d.highWater {
-		d.highWater = end
-	}
+	d.highWater = max(d.highWater, end)
 	need := int64(end) + 1024 // slack for 8-byte gather over-reads
 	if need <= int64(len(d.mem)) {
 		return
 	}
-	target := 2 * int64(len(d.mem))
-	if hw := int64(d.highWater) + 1024; target < hw {
-		target = hw
-	}
-	if maxArena := d.Cfg.GlobalMemBytes + 1024; target > maxArena {
-		target = maxArena
-	}
-	if target < need {
-		target = need
-	}
+	target := max(2*int64(len(d.mem)), int64(d.highWater)+1024)
+	target = max(min(target, d.Cfg.GlobalMemBytes+1024), need)
 	grown := make([]byte, target)
 	copy(grown, d.mem)
 	d.mem = grown
@@ -218,6 +209,20 @@ func (d *Device) FreeAll() {
 	d.mu.Lock()
 	d.heapOff = 0
 	d.mu.Unlock()
+}
+
+// HostStaging returns the device's pinned-host staging buffer — the host
+// twin of its arena, in the manner of cudaHostAlloc — at n bytes, grown
+// only when n exceeds every earlier request; its contents are unspecified.
+// It is kept across FreeAll, dropped by Close, and, like the arena, serves
+// one driver run at a time.
+func (d *Device) HostStaging(n int64) []byte {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	if int64(cap(d.host)) < n {
+		d.host = make([]byte, n)
+	}
+	return d.host[:n]
 }
 
 // InUse returns the bytes currently allocated.

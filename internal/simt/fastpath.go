@@ -267,8 +267,6 @@ func (d *Device) addLoop(mask Mask, addrs, delta *Vec, size int) {
 // raw latency divided by the warp's memory-level parallelism. Precomputed
 // once per warp at launch (Warp.reset) instead of on every memory op.
 func effLat(lat, mlp int) uint64 {
-	if mlp < 1 {
-		mlp = 1
-	}
+	mlp = max(mlp, 1)
 	return uint64((lat + mlp - 1) / mlp)
 }

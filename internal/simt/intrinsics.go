@@ -70,9 +70,7 @@ func (w *Warp) ReduceMax(mask Mask, vals *Vec) uint64 {
 		other := w.ShflXor(FullMask, &cur, delta)
 		w.Exec(IInt, FullMask)
 		for lane := 0; lane < WarpSize; lane++ {
-			if other[lane] > cur[lane] {
-				cur[lane] = other[lane]
-			}
+			cur[lane] = max(cur[lane], other[lane])
 		}
 	}
 	return cur[0]

@@ -125,9 +125,10 @@ func (d *Device) warpPool() chan<- warpJob {
 }
 
 // Close stops the device's warp worker pool, if one was started, once the
-// launches on it have finished; the device's creator calls it, or the parked
-// workers pin the arena. Launches that run on the caller (Sequential, one
-// warp) still work; one that needs the pool returns ErrDeviceClosed.
+// launches on it have finished, and drops its host staging buffer; the
+// device's creator calls it, or the parked workers pin the arena. Launches
+// that run on the caller (Sequential, one warp) still work; one that needs
+// the pool returns ErrDeviceClosed.
 func (d *Device) Close() {
 	d.poolMu.Lock()
 	defer d.poolMu.Unlock()
@@ -135,6 +136,9 @@ func (d *Device) Close() {
 		close(d.pool)
 	}
 	d.closed = true
+	d.mu.Lock()
+	d.host = nil
+	d.mu.Unlock()
 }
 
 // Launch executes kern once per warp and returns merged counters plus the

@@ -53,9 +53,7 @@ func bankConflicts(mask Mask, offs *Vec) int {
 				c++
 			}
 		}
-		if c > maxPerBank {
-			maxPerBank = c
-		}
+		maxPerBank = max(maxPerBank, c)
 	}
 	return maxPerBank
 }

@@ -87,9 +87,7 @@ func (s *Stats) Add(o *Stats) {
 	s.LocalSectors += o.LocalSectors
 	s.AtomicSectors += o.AtomicSectors
 	s.Warps += o.Warps
-	if o.MaxSerialMemChain > s.MaxSerialMemChain {
-		s.MaxSerialMemChain = o.MaxSerialMemChain
-	}
+	s.MaxSerialMemChain = max(s.MaxSerialMemChain, o.MaxSerialMemChain)
 }
 
 // Sub takes o, an earlier reading of the same accumulation, out of s: the
